@@ -21,10 +21,8 @@ test:
 race:
 	$(GO) test -race ./...
 
-# The incremental-vs-batch analyzer comparison (EXPERIMENTS.md).
+# The end-to-end benchmark (BENCHMARK.json, bench/README.md).
 bench:
-	$(GO) test -run xxx -bench 'BenchmarkAnalyze(Batch|Incremental)(1k|10k|100k)$$|BenchmarkIncrementalAppend' -benchtime 3x .
-	$(GO) test -run xxx -bench 'BenchmarkAppend$$' -benchtime 100000x ./internal/durable/
-	$(GO) test -run xxx -bench 'BenchmarkReplay$$' -benchtime 5x ./internal/durable/
+	bash bench/run.sh
 
 ci: build vet race

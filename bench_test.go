@@ -20,7 +20,6 @@ import (
 	"selfheal/internal/data"
 	"selfheal/internal/deps"
 	"selfheal/internal/design"
-	"selfheal/internal/dist"
 	"selfheal/internal/engine"
 	"selfheal/internal/figures"
 	"selfheal/internal/rates"
@@ -801,50 +800,6 @@ func mustFig1System(b *testing.B, concurrent bool) *selfheal.System {
 
 func BenchmarkFigE1BufferGrid(b *testing.B) {
 	benchFigure(b, "e1", "recovery buffer 15", minOf)
-}
-
-// Distributed recovery (§VII): the Figure 1 workload over three nodes.
-
-func BenchmarkDistributedRecovery(b *testing.B) {
-	wf1, wf2 := wf.Fig1Specs()
-	var undone int
-	for i := 0; i < b.N; i++ {
-		st := data.NewStore()
-		st.Init("e", 0)
-		c, err := dist.NewCluster(st, "P1", "P2", "P3")
-		if err != nil {
-			b.Fatal(err)
-		}
-		c.AddAttack(dist.Attack{
-			Run: "r1", Task: "t1",
-			Compute: func(map[data.Key]data.Value) map[data.Key]data.Value {
-				return map[data.Key]data.Value{"a": 100}
-			},
-		})
-		a1 := dist.Assignment{"t1": "P1", "t2": "P1", "t3": "P2", "t4": "P2", "t5": "P2", "t6": "P1"}
-		a2 := dist.Assignment{"t7": "P3", "t8": "P3", "t9": "P3", "t10": "P3"}
-		ch1, err := c.Submit("r1", wf1, a1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := <-ch1; err != nil {
-			b.Fatal(err)
-		}
-		ch2, err := c.Submit("r2", wf2, a2)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := <-ch2; err != nil {
-			b.Fatal(err)
-		}
-		res, _, err := c.Recover([]wlog.InstanceID{"r1/t1#1"}, recovery.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		undone = len(res.Undone)
-		c.Close()
-	}
-	b.ReportMetric(float64(undone), "undone")
 }
 
 // Alert-storm triage (the streaming-triage tentpole, docs/TRIAGE.md): the

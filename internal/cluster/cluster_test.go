@@ -2,10 +2,13 @@ package cluster_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sync/atomic"
 	"testing"
@@ -13,6 +16,7 @@ import (
 
 	"selfheal/internal/cluster"
 	"selfheal/internal/data"
+	"selfheal/internal/engine"
 	"selfheal/internal/fuzz"
 	"selfheal/internal/httpapi"
 	"selfheal/internal/obs"
@@ -310,6 +314,36 @@ func TestCrossNodeRunTokenHandoff(t *testing.T) {
 	}
 }
 
+// Boot and submission validation: a node needs an identity that is a member,
+// and a run ID registers once cluster-wide — the duplicate is refused with
+// the same sentinel whether it reaches the stamper directly or through a
+// proxying follower, as is a spec that does not build.
+func TestBootAndSubmitValidation(t *testing.T) {
+	if _, err := cluster.New(cluster.Config{}); err == nil {
+		t.Error("node without an ID accepted")
+	}
+	if _, err := cluster.New(cluster.Config{NodeID: "x", Peers: map[string]string{"a": ""}}); err == nil {
+		t.Error("node outside the membership accepted")
+	}
+	ids := []string{"a", "b"}
+	h := startCluster(t, ids, false, nil)
+	keys := keysByOwner(ids, 1)
+	spec := chainSpec([]string{keys["a"][0], keys["b"][0]}, 1)
+	if err := h.nodes["a"].SubmitRunSpec("r", spec); err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	for _, id := range ids {
+		if err := h.nodes[id].SubmitRunSpec("r", spec); !errors.Is(err, engine.ErrRunExists) {
+			t.Errorf("duplicate run via %s: %v, want ErrRunExists", id, err)
+		}
+		bad := &wfjson.SpecJSON{Name: "bad", Start: "nowhere"}
+		if err := h.nodes[id].SubmitRunSpec("r2", bad); !errors.Is(err, engine.ErrBadSpec) {
+			t.Errorf("unbuildable spec via %s: %v, want ErrBadSpec", id, err)
+		}
+	}
+	waitRunDone(t, h.nodes["b"], "r", 10*time.Second)
+}
+
 // The acceptance criterion: generated attack schedules driven through a
 // follower node of a 3-node cluster must satisfy every fuzz oracle — the
 // repaired store equals the attack-free single-node execution — and all
@@ -471,5 +505,86 @@ func TestFollowerRestartRejoin(t *testing.T) {
 		if !reflect.DeepEqual(h.nodes[id].StoreSnapshot(), snap) {
 			t.Fatalf("node %s diverges after rejoin", id)
 		}
+	}
+}
+
+// The journal is a rotating segment log: a stream spanning several segments
+// replays to a byte-identical store when every node restarts from its own
+// journal, and a follower whose final segment was torn by a crash heals
+// through -join.
+func TestJournalSpansSegments(t *testing.T) {
+	defer cluster.SetJournalSegmentBytes(400)()
+	ids := []string{"a", "b", "c"}
+	h := startCluster(t, ids, true, nil)
+	keys := keysByOwner(ids, 2)
+	for i := 0; i < 6; i++ {
+		run := fmt.Sprintf("r%d", i)
+		spec := chainSpec([]string{keys["a"][i%2], keys["b"][i%2], keys["c"][i%2]}, int64(10*i))
+		if err := h.nodes["b"].SubmitRunSpec(run, spec); err != nil {
+			t.Fatalf("submit %s: %v", run, err)
+		}
+		waitRunDone(t, h.nodes["b"], run, 10*time.Second)
+	}
+	h.waitIdle("a", 10*time.Second)
+	h.assertStoresIdentical()
+	want := h.rawStore("a")
+	segments := func(id string) []string {
+		names, err := filepath.Glob(filepath.Join(h.dirs[id], id+".wal-*.seg"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return names
+	}
+	for _, id := range ids {
+		if n := len(segments(id)); n < 3 {
+			t.Fatalf("node %s journal has %d segments, want ≥3", id, n)
+		}
+	}
+
+	// Whole-cluster restart: every node replays its own segments.
+	for _, id := range ids {
+		h.stopNode(id)
+	}
+	for _, id := range ids {
+		h.bootNode(id, false)
+	}
+	h.waitIdle("a", 10*time.Second)
+	h.assertStoresIdentical()
+	if got := h.rawStore("a"); string(got) != string(want) {
+		t.Fatalf("store after restart differs:\n%s\n---\n%s", got, want)
+	}
+
+	// Crash shape: the follower's final segment loses half its last record.
+	h.stopNode("c")
+	segs := segments("c")
+	final := segs[len(segs)-1]
+	info, err := os.Stat(final)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Size() < 16 {
+		t.Fatalf("final segment %s holds only %d bytes", final, info.Size())
+	}
+	if err := os.Truncate(final, info.Size()-5); err != nil {
+		t.Fatal(err)
+	}
+	h.bootNode("c", true)
+	h.waitIdle("a", 10*time.Second)
+	h.assertStoresIdentical()
+	if got := h.rawStore("c"); string(got) != string(want) {
+		t.Fatalf("store after torn tail + join differs:\n%s\n---\n%s", got, want)
+	}
+
+	// The healed journal — truncated, then extended by the catch-up — is
+	// itself complete: one more restart, without -join, replays all of it.
+	applied := h.nodes["c"].ClusterDoc().(cluster.ClusterInfo).Applied
+	h.stopNode("c")
+	n, err := cluster.New(cluster.Config{NodeID: "c", Peers: h.peers, Dir: h.dirs["c"]})
+	if err != nil {
+		t.Fatalf("boot on the healed journal: %v", err)
+	}
+	defer n.Stop()
+	if got := n.ClusterDoc().(cluster.ClusterInfo).Applied; got != applied {
+		t.Fatalf("healed journal replays to %d, want %d", got, applied)
 	}
 }

@@ -357,6 +357,13 @@ func (n *Node) handleAssess(w http.ResponseWriter, r *http.Request) {
 	bad := make([]wlog.InstanceID, len(req.Bad))
 	for i, s := range req.Bad {
 		bad[i] = wlog.InstanceID(s)
+		// A replica that has not applied an accused instance yet would
+		// report no damage for it; refuse, so the leader — which has it —
+		// assesses this partition itself.
+		if !n.rep.HasInstance(bad[i]) {
+			writeInternalErr(w, http.StatusNotFound, "not_found", "instance "+s+" not applied here yet")
+			return
+		}
 	}
 	writeInternalJSON(w, http.StatusOK, assessResp{Keys: n.rep.DamageKeys(bad)})
 }

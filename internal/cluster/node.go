@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"selfheal/internal/data"
+	"selfheal/internal/durable"
 	"selfheal/internal/engine"
 	"selfheal/internal/httpapi"
 	"selfheal/internal/obs"
@@ -28,7 +29,8 @@ type Config struct {
 	// Peers maps every member ID (self included) to its host:port. The map
 	// is the static membership: every node derives the same ring from it.
 	Peers map[string]string
-	// Dir, when set, holds the node's record journal (restart replay).
+	// Dir, when set, holds the node's record journal (restart replay): the
+	// segment files <NodeID>.wal-*.seg, directly in Dir.
 	Dir string
 	// Join performs a synchronous catch-up from the peers before serving —
 	// the -join boot mode for restarted or journal-less nodes.
@@ -57,8 +59,8 @@ type Node struct {
 	cfg     Config
 	ring    *Ring
 	rep     *replica
-	journal *journal
-	st      *stamper // non-nil only on the sequencer
+	journal *durable.SegmentLog // nil without Config.Dir
+	st      *stamper            // non-nil only on the sequencer
 	client  *peerClient
 	o       hooks
 
@@ -73,9 +75,10 @@ type Node struct {
 
 	// applyMu serializes follower record application + journaling so
 	// concurrently delivered records (push + pull fallback) journal in
-	// stream order; journalFailing tracks the log-once error transition.
-	applyMu        sync.Mutex
-	journalFailing bool
+	// stream order; journalErr is the follower journal's first append
+	// failure, after which nothing more is journaled.
+	applyMu    sync.Mutex
+	journalErr error
 
 	// Executor gate: keys quiesced on this node by an incident leader.
 	gateMu   sync.Mutex
@@ -128,22 +131,21 @@ func New(cfg Config) (*Node, error) {
 	n.stopCtx, n.stopCancel = context.WithCancel(context.Background())
 	n.pushCond = sync.NewCond(&n.pushMu)
 	n.gateCond = sync.NewCond(&n.gateMu)
-	isStamper := n.ring.Stamper() == cfg.NodeID
 	if cfg.Dir != "" {
-		j, recs, err := openJournal(cfg.Dir, cfg.NodeID, isStamper)
+		j, recs, err := loadJournal(cfg.Dir, cfg.NodeID)
 		if err != nil {
 			return nil, err
 		}
 		n.journal = j
 		for i := range recs {
 			if _, err := n.rep.Apply(&recs[i]); err != nil {
-				j.close()
+				j.Close()
 				return nil, fmt.Errorf("cluster: journal replay: %w", err)
 			}
 		}
 		n.o.recordsApplied(n.rep.Applied())
 	}
-	if isStamper {
+	if n.ring.Stamper() == cfg.NodeID {
 		n.st = newStamper(n)
 	}
 	return n, nil
@@ -200,7 +202,9 @@ func (n *Node) Stop() {
 		n.gateCond.Broadcast()
 		n.gateMu.Unlock()
 		n.wg.Wait()
-		n.journal.close()
+		if n.journal != nil {
+			n.journal.Close()
+		}
 	})
 }
 
@@ -228,6 +232,24 @@ func (n *Node) sleep(d time.Duration) bool {
 func (n *Node) peerAddr(id string) string { return n.cfg.Peers[id] }
 func (n *Node) stamperAddr() string       { return n.peerAddr(n.ring.Stamper()) }
 
+// journalAppend writes the framed records [first, first+count) to the
+// node's journal (a no-op without Config.Dir). The stamper — the single
+// authority for stream positions — also makes them durable before
+// returning; followers never fsync, because -join pulls whatever a crash
+// tore off the tail.
+func (n *Node) journalAppend(first, count int, frames []byte) error {
+	if n.journal == nil {
+		return nil
+	}
+	if err := n.journal.Append(uint64(first), frames, count); err != nil {
+		return err
+	}
+	if n.st != nil {
+		return n.journal.Sync()
+	}
+	return nil
+}
+
 // applyRecord applies one replicated record and journals it on success.
 // applyMu keeps the journal in stream order when push delivery and the
 // pull fallback race.
@@ -235,27 +257,30 @@ func (n *Node) applyRecord(rec *Record) error {
 	n.applyMu.Lock()
 	defer n.applyMu.Unlock()
 	ok, err := n.rep.Apply(rec)
-	if err != nil {
+	if err != nil || !ok {
 		return err
 	}
-	if ok {
-		// Follower journals are no-fsync: a torn tail after SIGKILL is
-		// healed by the catch-up pull at restart. An append error therefore
-		// does not fail the apply — but it is counted and logged once per
-		// transition into the failing state, because a silently shrinking
-		// journal turns every restart into a full catch-up.
-		if jerr := n.journal.append(rec); jerr != nil {
-			n.o.journalError()
-			if !n.journalFailing {
-				n.journalFailing = true
-				log.Printf("cluster: node %s: record journal append failed (replica continues; -join heals the journal): %v",
-					n.cfg.NodeID, jerr)
-			}
-		} else if n.journalFailing {
-			n.journalFailing = false
-			log.Printf("cluster: node %s: record journal append recovered", n.cfg.NodeID)
+	n.o.recordsApplied(n.rep.Applied())
+	if n.journal == nil {
+		return nil
+	}
+	// An append error does not fail the apply, but it ends journaling for
+	// the life of the process — the segment log refuses every append after a
+	// failed one, so the file stays a clean prefix with no record after a
+	// hole, and the next boot replays it and pulls the rest. Every record
+	// left out is counted and the transition is logged once, because a
+	// silently short journal turns the next restart into a long catch-up.
+	jerr := n.journalErr
+	if jerr == nil {
+		jerr = n.journalAppend(rec.Seq, 1, encodeFramedRecord(nil, rec))
+	}
+	if jerr != nil {
+		n.o.journalError()
+		if n.journalErr == nil {
+			n.journalErr = jerr
+			log.Printf("cluster: node %s: record journal append failed; journaling stops at record %d (replica continues; restart with -join heals the journal): %v",
+				n.cfg.NodeID, rec.Seq-1, jerr)
 		}
-		n.o.recordsApplied(n.rep.Applied())
 	}
 	return nil
 }

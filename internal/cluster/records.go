@@ -1,14 +1,12 @@
 package cluster
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io/fs"
 	"os"
 	"path/filepath"
-	"sync"
 
 	"selfheal/internal/data"
 	"selfheal/internal/durable"
@@ -45,11 +43,43 @@ type Record struct {
 	Spec *wfjson.SpecJSON `json:"spec,omitempty"`
 	Init map[string]int64 `json:"init,omitempty"`
 
-	// KindEntry field.
-	Entry *EntryJSON `json:"entry,omitempty"`
+	// KindEntry field: the committed task instance, shared with the
+	// replica's log once applied (entries are immutable after commit). In
+	// JSON it travels as "entry" in the EntryJSON shape.
+	Entry *wlog.Entry `json:"-"`
 
 	// KindRepair field.
 	Bad []string `json:"bad,omitempty"`
+}
+
+// MarshalJSON and UnmarshalJSON are the JSON boundary of a record (the
+// curl-able GET and the JSON form of POST /internal/v1/commits): the entry
+// converts to and from EntryJSON here and nowhere else.
+func (r Record) MarshalJSON() ([]byte, error) {
+	type plain Record
+	doc := struct {
+		plain
+		Entry *EntryJSON `json:"entry,omitempty"`
+	}{plain: plain(r)}
+	if r.Entry != nil {
+		doc.Entry = EntryToJSON(r.Entry)
+	}
+	return json.Marshal(doc)
+}
+
+func (r *Record) UnmarshalJSON(b []byte) error {
+	type plain Record
+	doc := struct {
+		*plain
+		Entry *EntryJSON `json:"entry"`
+	}{plain: (*plain)(r)}
+	if err := json.Unmarshal(b, &doc); err != nil {
+		return err
+	}
+	if doc.Entry != nil {
+		r.Entry = doc.Entry.ToEntry()
+	}
+	return nil
 }
 
 // ReadObsJSON is the wire form of wlog.ReadObs.
@@ -59,8 +89,10 @@ type ReadObsJSON struct {
 	WriterPos float64 `json:"writer_pos"`
 }
 
-// EntryJSON is the wire form of a committed task instance. The LSN is not
-// carried: every replica's log assigns the same dense LSN because entry
+// EntryJSON is the JSON form of a committed task instance, used only at
+// HTTP boundaries (POST /internal/v1/submit and the JSON commits documents);
+// inside a node and in the binary codec an entry is a wlog.Entry. The LSN is
+// not carried: every replica's log assigns the same dense LSN because entry
 // records occupy the same stream positions everywhere.
 type EntryJSON struct {
 	Run    string                 `json:"run,omitempty"`
@@ -120,172 +152,48 @@ func EntryToJSON(e *wlog.Entry) *EntryJSON {
 	return ej
 }
 
-// journal is the per-node binary record log: one CRC-framed binary record
-// per applied stream position (the same [len][crc][payload] framing as the
-// durable WAL, payloads per codec.go). Restart replays the journal, then
-// -join pulls whatever the tail lost — so followers never fsync, and only
-// the stamper (the single authority for stream positions) syncs, one fsync
-// per appended batch. A mutex serializes writers so concurrently delivered
-// records (push + pull fallback) cannot interleave bytes.
-type journal struct {
-	mu   sync.Mutex
-	f    *os.File
-	sync bool
-}
+// journalSegmentBytes is the rotation size of a node's journal: 0 selects
+// durable.DefaultSegmentBytes. A variable only so tests can make a short
+// stream span several segments.
+var journalSegmentBytes int64
 
-// journalPath is the binary journal file; legacyJournalPath is the pre-
-// binary JSONL journal, migrated once on first boot and then removed.
-func journalPath(dir, nodeID string) string       { return filepath.Join(dir, nodeID+".rjournal") }
-func legacyJournalPath(dir, nodeID string) string { return filepath.Join(dir, nodeID+".journal") }
-
-func openJournal(dir, nodeID string, sync bool) (*journal, []Record, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, nil, fmt.Errorf("cluster: journal dir: %w", err)
-	}
-	path := journalPath(dir, nodeID)
-	legacy := legacyJournalPath(dir, nodeID)
-	if _, err := os.Stat(path); errors.Is(err, fs.ErrNotExist) {
-		if err := migrateLegacyJournal(dir, legacy, path); err != nil {
-			return nil, nil, err
+// loadJournal opens the node's record journal — the durable.SegmentLog
+// stored directly in dir under the "<node-id>.wal-" prefix, one framed
+// record (codec.go) per applied stream position — and decodes the records
+// it holds (Node.journalAppend is the write side).
+//
+// A frame that passes its CRC was written whole, so one that does not
+// decode, or whose seq is not its position, is corruption and fails the
+// boot — as does a journal file of an earlier format, which this version
+// cannot read and does not migrate.
+func loadJournal(dir, nodeID string) (*durable.SegmentLog, []Record, error) {
+	for _, ext := range []string{".rjournal", ".journal"} {
+		old := filepath.Join(dir, nodeID+ext)
+		if _, err := os.Stat(old); !errors.Is(err, fs.ErrNotExist) {
+			return nil, nil, fmt.Errorf("cluster: %s is a journal of an earlier format, which this version cannot read: move it away and boot with -join to refill from the peers", old)
 		}
 	}
-	// A completed migration (or any boot after one) drops the stale JSONL
-	// file; a crash between the binary rename and this remove is healed here.
-	if _, err := os.Stat(path); err == nil {
-		_ = os.Remove(legacy)
-	}
-
-	var recs []Record
-	cut := 0
-	if raw, err := os.ReadFile(path); err == nil {
-		payloads, validLen := durable.SplitFrames(raw)
-		cut = len(raw) - validLen // torn framing past the last valid frame
-		off := 0
-		for _, p := range payloads {
-			rec, derr := decodeRecord(p)
-			if derr != nil || rec.Seq != len(recs)+1 {
-				// A frame that passes its CRC but decodes to garbage or a
-				// seq gap ends the replayable prefix: truncate from here so
-				// appends continue at a clean frame boundary (the catch-up
-				// pull re-fetches everything past it).
-				cut = len(raw) - off
-				break
-			}
-			recs = append(recs, *rec)
-			off += 8 + len(p) // frame header + payload
-		}
-	}
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+	j, payloads, err := durable.OpenSegmentLog(dir, nodeID+".wal-", 1, durable.Options{SegmentBytes: journalSegmentBytes})
 	if err != nil {
 		return nil, nil, fmt.Errorf("cluster: journal: %w", err)
 	}
-	if cut > 0 {
-		fi, serr := f.Stat()
-		if serr != nil {
-			_ = f.Close()
-			return nil, nil, fmt.Errorf("cluster: journal: %w", serr)
+	fail := func(err error) (*durable.SegmentLog, []Record, error) {
+		j.Close()
+		return nil, nil, fmt.Errorf("cluster: journal of %s: %w", nodeID, err)
+	}
+	if j.First() != 1 {
+		return fail(fmt.Errorf("starts at record %d, not 1", j.First()))
+	}
+	recs := make([]Record, len(payloads))
+	for i, p := range payloads {
+		rec, err := decodeRecord(p)
+		if err != nil {
+			return fail(fmt.Errorf("record %d: %w", i+1, err))
 		}
-		if err := f.Truncate(fi.Size() - int64(cut)); err != nil {
-			_ = f.Close()
-			return nil, nil, fmt.Errorf("cluster: journal truncate torn tail: %w", err)
+		if rec.Seq != i+1 {
+			return fail(fmt.Errorf("record at position %d has seq %d", i+1, rec.Seq))
 		}
+		recs[i] = *rec
 	}
-	return &journal{f: f, sync: sync}, recs, nil
-}
-
-// migrateLegacyJournal converts a JSONL journal to the binary format in
-// one shot: decode the replayable prefix, write it framed to a temp file,
-// fsync, rename into place and fsync the directory. A crash anywhere
-// before the rename leaves the JSONL authoritative; after it, the binary
-// file is complete and the stale JSONL is removed on the next open.
-func migrateLegacyJournal(dir, legacy, path string) error {
-	raw, err := os.ReadFile(legacy)
-	if err != nil {
-		if errors.Is(err, fs.ErrNotExist) {
-			return nil // nothing to migrate: fresh node
-		}
-		return fmt.Errorf("cluster: journal migration: %w", err)
-	}
-	recs := decodeLegacyJournal(raw)
-	var buf []byte
-	for i := range recs {
-		buf = encodeFramedRecord(buf, &recs[i])
-	}
-	tmp := path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_WRONLY|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("cluster: journal migration: %w", err)
-	}
-	if _, err := f.Write(buf); err != nil {
-		_ = f.Close()
-		return fmt.Errorf("cluster: journal migration: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		_ = f.Close()
-		return fmt.Errorf("cluster: journal migration: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		return fmt.Errorf("cluster: journal migration: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("cluster: journal migration: %w", err)
-	}
-	if d, derr := os.Open(dir); derr == nil {
-		_ = d.Sync()
-		_ = d.Close()
-	}
-	return nil
-}
-
-// decodeLegacyJournal decodes the replayable prefix of a JSONL journal —
-// the same torn-tail discipline the JSONL open path used.
-func decodeLegacyJournal(raw []byte) []Record {
-	var recs []Record
-	dec := json.NewDecoder(bytes.NewReader(raw))
-	for dec.More() {
-		var rec Record
-		if err := dec.Decode(&rec); err != nil {
-			break
-		}
-		if rec.Seq != len(recs)+1 {
-			break
-		}
-		recs = append(recs, rec)
-	}
-	return recs
-}
-
-// appendBatch appends pre-framed record bytes with one write syscall and —
-// on the stamper — one fsync, whatever the batch size. This is the journal
-// half of group stamping: the fsync cost amortizes across every record the
-// stamping loop drained.
-func (j *journal) appendBatch(buf []byte) error {
-	if j == nil || len(buf) == 0 {
-		return nil
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if _, err := j.f.Write(buf); err != nil {
-		return err
-	}
-	if j.sync {
-		return j.f.Sync()
-	}
-	return nil
-}
-
-func (j *journal) append(rec *Record) error {
-	if j == nil {
-		return nil
-	}
-	return j.appendBatch(encodeFramedRecord(nil, rec))
-}
-
-func (j *journal) close() {
-	if j == nil {
-		return
-	}
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	_ = j.f.Close()
+	return j, recs, nil
 }

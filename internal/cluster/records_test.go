@@ -1,13 +1,21 @@
 package cluster
 
 import (
+	"bytes"
 	"encoding/json"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
+	"selfheal/internal/data"
+	"selfheal/internal/durable"
+	"selfheal/internal/obs"
 	"selfheal/internal/wfjson"
+	"selfheal/internal/wlog"
 )
 
 // sampleRecords is a short, valid stream prefix exercising every record
@@ -24,27 +32,30 @@ func sampleRecords() []Record {
 	}
 	return []Record{
 		{Seq: 1, Kind: KindSpec, Origin: "n1", Run: "m", Spec: spec, Init: map[string]int64{"a": 5, "b": -2}},
-		{Seq: 2, Kind: KindEntry, Origin: "n2", Entry: &EntryJSON{
-			Run: "m", Task: "t0", Visit: 1,
-			Writes: map[string]int64{"a": 8},
+		{Seq: 2, Kind: KindEntry, Origin: "n2", Entry: &wlog.Entry{
+			LSN: 1, Run: "m", Task: "t0", Visit: 1,
+			Reads:  map[data.Key]wlog.ReadObs{},
+			Writes: map[data.Key]data.Value{"a": 8},
 		}},
-		{Seq: 3, Kind: KindEntry, Origin: "n1", Entry: &EntryJSON{
-			Run: "m", Task: "t1", Visit: 1,
-			Reads:  map[string]ReadObsJSON{"a": {Value: 8, Writer: "m/t0#1", WriterPos: 1}},
-			Writes: map[string]int64{"b": 15},
-			Chosen: "",
+		{Seq: 3, Kind: KindEntry, Origin: "n1", Entry: &wlog.Entry{
+			LSN: 2, Run: "m", Task: "t1", Visit: 1,
+			Reads:  map[data.Key]wlog.ReadObs{"a": {Value: 8, Writer: "m/t0#1", WriterPos: 1}},
+			Writes: map[data.Key]data.Value{"b": 15},
+			Chosen: "t1",
 		}},
-		{Seq: 4, Kind: KindEntry, Origin: "n3", Entry: &EntryJSON{
-			Run: "ghost", Task: "f", Visit: 1, Forged: true,
-			Reads:  map[string]ReadObsJSON{"b": {Value: 15, Writer: "m/t1#1", WriterPos: 2}},
-			Writes: map[string]int64{"b": -999},
+		{Seq: 4, Kind: KindEntry, Origin: "n3", Entry: &wlog.Entry{
+			LSN: 3, Run: "ghost", Task: "f", Visit: 1, Forged: true,
+			Reads:  map[data.Key]wlog.ReadObs{"b": {Value: 15, Writer: "m/t1#1", WriterPos: 2}},
+			Writes: map[data.Key]data.Value{"b": -999},
 		}},
 		{Seq: 5, Kind: KindRepair, Origin: "n1", Bad: []string{"ghost/f#1"}},
 	}
 }
 
 // The binary codec must round-trip every record kind exactly (Spec compares
-// through its JSON form: the document is embedded as JSON bytes).
+// through its JSON form: the document is embedded as JSON bytes), and the
+// body of an entry record must be durable's entry body: the WAL's own
+// decoder reads it, LSN included, and the WAL's encoder produces it.
 func TestRecordCodecRoundTrip(t *testing.T) {
 	for _, rec := range sampleRecords() {
 		payload := encodeRecord(nil, &rec)
@@ -57,6 +68,47 @@ func TestRecordCodecRoundTrip(t *testing.T) {
 		if string(wantJSON) != string(gotJSON) {
 			t.Fatalf("record %d round-trip mismatch:\nwant %s\ngot  %s", rec.Seq, wantJSON, gotJSON)
 		}
+		if rec.Kind != KindEntry {
+			continue
+		}
+		if !reflect.DeepEqual(rec.Entry, got.Entry) {
+			t.Fatalf("record %d: entry round-trip mismatch:\nwant %+v\ngot  %+v", rec.Seq, rec.Entry, got.Entry)
+		}
+		walRecord := durable.EncodeEntry(nil, rec.Entry) // kind byte + body
+		body := walRecord[1:]
+		if !bytes.HasSuffix(payload, body) {
+			t.Fatalf("record %d: entry body is not durable's entry body", rec.Seq)
+		}
+		header := payload[:len(payload)-len(body)]
+		e, err := durable.DecodeEntry(append(walRecord[:1:1], payload[len(header):]...))
+		if err != nil || !reflect.DeepEqual(e, rec.Entry) {
+			t.Fatalf("record %d: durable.DecodeEntry of the cluster body: %+v, %v", rec.Seq, e, err)
+		}
+	}
+}
+
+// The JSON form of a record — the curl-able commits document — keeps the
+// EntryJSON shape, and decoding it yields the same entry minus the LSN,
+// which JSON does not carry.
+func TestRecordJSONBoundary(t *testing.T) {
+	rec := sampleRecords()[2]
+	b, err := json.Marshal(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := `{"seq":3,"kind":"entry","origin":"n1","entry":{"run":"m","task":"t1","visit":1,` +
+		`"reads":{"a":{"value":8,"writer":"m/t0#1","writer_pos":1}},"writes":{"b":15},"chosen":"t1"}}`
+	if string(b) != want {
+		t.Fatalf("record JSON:\n got %s\nwant %s", b, want)
+	}
+	var back Record
+	if err := json.Unmarshal(b, &back); err != nil {
+		t.Fatal(err)
+	}
+	wantEntry := *rec.Entry
+	wantEntry.LSN = 0
+	if back.Seq != 3 || back.Kind != KindEntry || !reflect.DeepEqual(back.Entry, &wantEntry) {
+		t.Fatalf("record JSON round trip: %+v (entry %+v)", back, back.Entry)
 	}
 }
 
@@ -98,176 +150,158 @@ func TestWireRecordsRoundTripAndCorruption(t *testing.T) {
 	}
 }
 
-// journalRecords writes recs through the journal and returns the file path.
-func writeJournal(t *testing.T, dir string, recs []Record) string {
+// writeJournal writes payloads as node n1's journal in dir, one record per
+// append, through the segment log.
+func writeJournal(t *testing.T, dir string, payloads [][]byte) {
 	t.Helper()
-	j, replayed, err := openJournal(dir, "n1", true)
+	j, _, err := durable.OpenSegmentLog(dir, "n1.wal-", 1, durable.Options{})
 	if err != nil {
 		t.Fatalf("open journal: %v", err)
 	}
-	if len(replayed) != 0 {
-		t.Fatalf("fresh journal replayed %d records", len(replayed))
+	for i, p := range payloads {
+		if err := j.Append(uint64(i+1), durable.AppendFrame(nil, p), 1); err != nil {
+			t.Fatalf("append: %v", err)
+		}
 	}
-	var buf []byte
-	for i := range recs {
-		buf = encodeFramedRecord(buf, &recs[i])
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
 	}
-	if err := j.appendBatch(buf); err != nil {
-		t.Fatalf("append batch: %v", err)
-	}
-	j.close()
-	return journalPath(dir, "n1")
 }
 
-// Per-byte torn-tail matrix (mirroring internal/durable's): for every
-// truncation length L of the binary journal, reopening must replay exactly
-// the complete-frame prefix within L, truncate the file to that prefix,
-// and leave a journal that reopens cleanly to the same state.
-func TestJournalTornTailMatrix(t *testing.T) {
-	recs := sampleRecords()
-	base := t.TempDir()
-	path := writeJournal(t, base, recs)
-	raw, err := os.ReadFile(path)
+func samplePayloads() [][]byte {
+	var out [][]byte
+	for _, rec := range sampleRecords() {
+		out = append(out, encodeRecord(nil, &rec))
+	}
+	return out
+}
+
+// Boot replays the journal through the shared segment log: the sample
+// stream (spec, entries, forge, repair) restores to the applied position
+// and to the store the repair leaves, and the files sit directly in the
+// directory under the "<node-id>." prefix.
+func TestJournalReplay(t *testing.T) {
+	dir := t.TempDir()
+	writeJournal(t, dir, samplePayloads())
+	n, err := New(Config{NodeID: "n1", Dir: dir})
 	if err != nil {
-		t.Fatalf("read journal: %v", err)
+		t.Fatalf("boot: %v", err)
 	}
-	// Complete-frame boundaries: offsets after each fully framed record.
-	boundaries := []int{0}
-	off := 0
-	for i := range recs {
-		off += 8 + len(encodeRecord(nil, &recs[i]))
-		boundaries = append(boundaries, off)
+	defer n.Stop()
+	if got := n.rep.Applied(); got != 5 {
+		t.Fatalf("replayed to %d, want 5", got)
 	}
-	if off != len(raw) {
-		t.Fatalf("frame accounting: computed %d bytes, file has %d", off, len(raw))
+	if got := n.StoreSnapshot(); got["a"] != 8 || got["b"] != 15 {
+		t.Fatalf("store after replay: %v, want a=8 b=15 (forged write repaired)", got)
 	}
-	expectAt := func(L int) int {
-		n := 0
-		for i, b := range boundaries {
-			if b <= L {
-				n = i
-			}
-		}
-		return n
+	if _, err := os.Stat(filepath.Join(dir, "n1.wal-0000000000000001.seg")); err != nil {
+		t.Fatalf("journal segment: %v", err)
 	}
-	for L := 0; L <= len(raw); L++ {
+}
+
+// A frame that passes its CRC was written whole: one that decodes to a seq
+// other than its position, or does not decode, is not a torn tail and must
+// fail the boot rather than be truncated away.
+func TestJournalRefusesSeqGapAndGarbage(t *testing.T) {
+	good := samplePayloads()
+	gap := append(append([][]byte(nil), good[:2]...), good[3])
+	garbage := append(append([][]byte(nil), good[:2]...), []byte{recEntry, 3})
+	for name, payloads := range map[string][][]byte{"seq gap": gap, "undecodable": garbage} {
 		dir := t.TempDir()
-		torn := filepath.Join(dir, "n1.rjournal")
-		if err := os.WriteFile(torn, raw[:L], 0o644); err != nil {
-			t.Fatalf("write torn journal: %v", err)
-		}
-		j, replayed, err := openJournal(dir, "n1", true)
-		if err != nil {
-			t.Fatalf("L=%d: open: %v", L, err)
-		}
-		j.close()
-		want := expectAt(L)
-		if len(replayed) != want {
-			t.Fatalf("L=%d: replayed %d records, want %d", L, len(replayed), want)
-		}
-		for i := range replayed {
-			if replayed[i].Seq != i+1 {
-				t.Fatalf("L=%d: replayed record %d has seq %d", L, i, replayed[i].Seq)
-			}
-		}
-		// The torn tail must be physically gone: a second open replays the
-		// same prefix from a clean frame boundary.
-		after, err := os.ReadFile(torn)
-		if err != nil {
-			t.Fatalf("L=%d: reread: %v", L, err)
-		}
-		if len(after) != boundaries[want] {
-			t.Fatalf("L=%d: file is %d bytes after truncation, want %d", L, len(after), boundaries[want])
-		}
-		j2, replayed2, err := openJournal(dir, "n1", true)
-		if err != nil {
-			t.Fatalf("L=%d: reopen: %v", L, err)
-		}
-		j2.close()
-		if len(replayed2) != want {
-			t.Fatalf("L=%d: reopen replayed %d records, want %d", L, len(replayed2), want)
+		writeJournal(t, dir, payloads)
+		if n, err := New(Config{NodeID: "n1", Dir: dir}); err == nil {
+			n.Stop()
+			t.Fatalf("%s: boot succeeded", name)
+		} else if !strings.Contains(err.Error(), "3") {
+			t.Fatalf("%s: error does not name the position: %v", name, err)
 		}
 	}
 }
 
-// A legacy JSONL journal migrates to the binary format on first open: same
-// replayed records, binary file present, JSONL removed — and appends after
-// migration land in the binary file.
-func TestLegacyJournalMigration(t *testing.T) {
-	recs := sampleRecords()
-	dir := t.TempDir()
-	legacy := legacyJournalPath(dir, "n1")
-	f, err := os.Create(legacy)
-	if err != nil {
-		t.Fatalf("create legacy: %v", err)
-	}
-	enc := json.NewEncoder(f)
-	for i := range recs {
-		if err := enc.Encode(&recs[i]); err != nil {
-			t.Fatalf("encode legacy: %v", err)
+// A journal file of an earlier format is neither migrated nor ignored: the
+// boot fails with an error naming it.
+func TestLeftoverJournalRefusesBoot(t *testing.T) {
+	for _, name := range []string{"n1.rjournal", "n1.journal"} {
+		dir := t.TempDir()
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte("old"), 0o644); err != nil {
+			t.Fatal(err)
 		}
-	}
-	_ = f.Close()
-
-	j, replayed, err := openJournal(dir, "n1", true)
-	if err != nil {
-		t.Fatalf("migrating open: %v", err)
-	}
-	if len(replayed) != len(recs) {
-		t.Fatalf("migration replayed %d records, want %d", len(replayed), len(recs))
-	}
-	wantJSON, _ := json.Marshal(recs)
-	gotJSON, _ := json.Marshal(replayed)
-	if string(wantJSON) != string(gotJSON) {
-		t.Fatalf("migration round-trip mismatch:\nwant %s\ngot  %s", wantJSON, gotJSON)
-	}
-	if _, err := os.Stat(legacy); !os.IsNotExist(err) {
-		t.Fatalf("legacy JSONL journal still present after migration")
-	}
-	if _, err := os.Stat(journalPath(dir, "n1")); err != nil {
-		t.Fatalf("binary journal missing after migration: %v", err)
-	}
-	// Appends continue in the binary format.
-	extra := Record{Seq: 6, Kind: KindRepair, Origin: "n1", Bad: []string{"ghost/f#1"}}
-	if err := j.append(&extra); err != nil {
-		t.Fatalf("append after migration: %v", err)
-	}
-	j.close()
-	_, replayed2, err := openJournal(dir, "n1", true)
-	if err != nil {
-		t.Fatalf("reopen after migration: %v", err)
-	}
-	if len(replayed2) != len(recs)+1 {
-		t.Fatalf("reopen replayed %d records, want %d", len(replayed2), len(recs)+1)
-	}
-	if !reflect.DeepEqual(replayed2[len(recs)].Bad, extra.Bad) {
-		t.Fatalf("appended record did not round-trip")
+		if n, err := New(Config{NodeID: "n1", Dir: dir}); err == nil {
+			n.Stop()
+			t.Fatalf("%s: boot succeeded", name)
+		} else if !strings.Contains(err.Error(), path) {
+			t.Fatalf("%s: error does not name the file: %v", name, err)
+		}
+		// Another member's leftover is not this node's business.
+		if n, err := New(Config{NodeID: "n2", Peers: map[string]string{"n1": "", "n2": ""}, Dir: dir}); err != nil {
+			t.Fatalf("n2 refused over %s: %v", name, err)
+		} else {
+			n.Stop()
+		}
 	}
 }
 
-// A half-written migration temp file must not shadow the legacy journal:
-// the next open redoes the migration from the JSONL.
-func TestLegacyJournalMigrationCrashBeforeRename(t *testing.T) {
-	recs := sampleRecords()
+// One journal error policy: after a follower's journal append fails, the
+// replica keeps applying but nothing more is journaled — so the journal
+// never holds a record after a hole — every record left out is counted,
+// and the next boot replays exactly the prefix.
+func TestFollowerJournalFailureIsSticky(t *testing.T) {
 	dir := t.TempDir()
-	legacy := legacyJournalPath(dir, "n1")
-	f, _ := os.Create(legacy)
-	enc := json.NewEncoder(f)
-	for i := range recs {
-		_ = enc.Encode(&recs[i])
-	}
-	_ = f.Close()
-	// Simulate a crash mid-migration: a torn temp file, no renamed journal.
-	if err := os.WriteFile(journalPath(dir, "n1")+".tmp", []byte("torn"), 0o644); err != nil {
-		t.Fatalf("write temp: %v", err)
-	}
-	j, replayed, err := openJournal(dir, "n1", true)
+	reg := obs.NewRegistry()
+	peers := map[string]string{"n0": "", "n1": ""} // n0 is the stamper
+	n, err := New(Config{NodeID: "n1", Peers: peers, Dir: dir, Registry: reg})
 	if err != nil {
-		t.Fatalf("open after crash: %v", err)
+		t.Fatal(err)
 	}
-	j.close()
-	if len(replayed) != len(recs) {
-		t.Fatalf("post-crash migration replayed %d records, want %d", len(replayed), len(recs))
+	recs := sampleRecords()
+	for i := range recs[:2] {
+		if err := n.applyRecord(&recs[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n.journal.Close() // every later append fails
+	for i := range recs[2:] {
+		if err := n.applyRecord(&recs[2+i]); err != nil {
+			t.Fatalf("apply after journal failure: %v", err)
+		}
+	}
+	if got := n.rep.Applied(); got != 5 {
+		t.Fatalf("replica stopped at %d, want 5", got)
+	}
+	if got := reg.Snapshot()[obs.MClusterJournalErrors]; got != 3 {
+		t.Fatalf("%s = %v, want 3", obs.MClusterJournalErrors, got)
+	}
+	n.Stop()
+	n2, err := New(Config{NodeID: "n1", Peers: peers, Dir: dir})
+	if err != nil {
+		t.Fatalf("reboot: %v", err)
+	}
+	defer n2.Stop()
+	if got := n2.rep.Applied(); got != 2 {
+		t.Fatalf("journal replayed to %d, want the 2-record prefix", got)
+	}
+}
+
+// A replica asked to assess an instance it has not applied yet must refuse
+// (the incident leader then assesses that partition itself) instead of
+// answering "no damage" — which left the damaged keys unquiesced whenever
+// the assessing peer lagged the forge by a record.
+func TestAssessRefusesUnappliedInstance(t *testing.T) {
+	dir := t.TempDir()
+	writeJournal(t, dir, samplePayloads()[:3])
+	n, err := New(Config{NodeID: "n1", Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer n.Stop()
+	for bad, want := range map[string]int{"m/t1#1": http.StatusOK, "ghost/f#1": http.StatusNotFound} {
+		body := strings.NewReader(`{"bad":["` + bad + `"]}`)
+		rr := httptest.NewRecorder()
+		n.InternalHandler().ServeHTTP(rr, httptest.NewRequest("POST", "/internal/v1/assess", body))
+		if rr.Code != want {
+			t.Errorf("assess %s: HTTP %d, want %d (%s)", bad, rr.Code, want, rr.Body)
+		}
 	}
 }
 
@@ -278,10 +312,10 @@ func benchRecords(n int) []Record {
 	for i := 0; i < n; i++ {
 		recs = append(recs, Record{
 			Seq: i + 1, Kind: KindEntry, Origin: "n2",
-			Entry: &EntryJSON{
-				Run: "bench", Task: "t", Visit: i + 1,
-				Reads:  map[string]ReadObsJSON{"k1": {Value: int64(i), Writer: "bench/t#1", WriterPos: float64(i)}},
-				Writes: map[string]int64{"k1": int64(i), "k2": int64(-i)},
+			Entry: &wlog.Entry{
+				LSN: i + 1, Run: "bench", Task: "t", Visit: i + 1,
+				Reads:  map[data.Key]wlog.ReadObs{"k1": {Value: data.Value(i), Writer: "bench/t#1", WriterPos: float64(i)}},
+				Writes: map[data.Key]data.Value{"k1": data.Value(i), "k2": data.Value(-i)},
 			},
 		})
 	}

@@ -208,7 +208,14 @@ func (r *replica) applyEntry(rec *Record) error {
 	if rec.Entry == nil {
 		return fmt.Errorf("cluster: record %d: entry record without entry", rec.Seq)
 	}
-	e := rec.Entry.ToEntry()
+	e := rec.Entry
+	// A record off the binary stream carries the LSN the stamper's log
+	// assigned (JSON-delivered and freshly stamped ones carry none): entry
+	// records occupy the same stream positions everywhere, so this log must
+	// be about to assign the same one.
+	if next := r.log.Len() + 1; e.LSN != 0 && e.LSN != next {
+		return fmt.Errorf("cluster: record %d: entry stamped with LSN %d, this log is at %d", rec.Seq, e.LSN, next)
+	}
 	lsn, err := r.log.Append(e)
 	if err != nil {
 		return fmt.Errorf("cluster: record %d: %w", rec.Seq, err)

@@ -47,9 +47,10 @@ type SubmitResult struct {
 // Entry stamping is batch-first (the durable WAL's committer-group
 // pattern): submitters enqueue jobs and block while a single stamping
 // goroutine drains everything pending, validates and applies each entry
-// under one s.mu acquisition, writes the whole batch to the journal with
-// one write+fsync, then publishes the batch to the replication cursor and
-// wakes every submitter. SubmitEntry is the degenerate one-entry batch.
+// under one s.mu acquisition, writes the whole batch to the journal (the
+// node's durable.SegmentLog) with one write+fsync, then publishes the batch
+// to the replication cursor and wakes every submitter. SubmitEntry is the
+// degenerate one-entry batch.
 type stamper struct {
 	n  *Node
 	mu sync.Mutex
@@ -131,7 +132,7 @@ func (s *stamper) stampJobs(jobs []*stampJob) {
 		return
 	}
 	var buf []byte
-	stamped, hi := 0, 0
+	first, stamped := 0, 0
 	for _, job := range jobs {
 		job.results = make([]SubmitResult, len(job.entries))
 		for i, ej := range job.entries {
@@ -140,42 +141,52 @@ func (s *stamper) stampJobs(jobs []*stampJob) {
 				job.results[i] = res
 				continue
 			}
-			rec := &Record{Kind: KindEntry, Origin: job.origin, Entry: ej}
-			rec.Seq = s.n.rep.Applied() + 1
+			rec := &Record{Seq: s.n.rep.Applied() + 1, Kind: KindEntry, Origin: job.origin, Entry: ej.ToEntry()}
 			if err := s.n.rep.applyStamped(rec); err != nil {
 				job.results[i] = SubmitResult{Status: SubStale, Seq: s.n.rep.Applied(), Reason: err.Error()}
 				continue
 			}
 			buf = encodeFramedRecord(buf, rec)
+			if stamped == 0 {
+				first = rec.Seq
+			}
 			stamped++
-			hi = rec.Seq
 			s.n.o.recordStamped(rec.Kind)
 			job.results[i] = SubmitResult{Status: SubOK, Seq: rec.Seq}
 		}
 	}
 	if stamped > 0 {
-		if err := s.n.journal.appendBatch(buf); err != nil {
-			// The batch was applied locally but is not durable: wedge the
-			// stamper (replica stays ahead of published forever) and fail
-			// every submitter — none of these entries may be reported ok.
-			s.err = fmt.Errorf("cluster: stamper journal: %w", err)
+		if err := s.commitLocked(first, stamped, buf); err != nil {
+			// None of these entries may be reported ok.
 			s.mu.Unlock()
 			for _, job := range jobs {
-				job.err = s.err
+				job.err = err
 				close(job.done)
 			}
 			return
 		}
-		s.n.rep.PublishTo(hi)
 		s.n.o.stampBatch(stamped)
 	}
 	s.mu.Unlock()
-	if stamped > 0 {
-		s.n.wakePushers()
-	}
 	for _, job := range jobs {
 		close(job.done)
 	}
+}
+
+// commitLocked makes the records [first, first+n) — already applied to the
+// stamper's replica, framed in buf — durable with one journal write+fsync
+// and only then publishes them to replication. A journal failure wedges the
+// stamper: the records were applied locally but are not durable, so the
+// replica stays ahead of the published cursor forever and nothing is ever
+// stamped again. Callers hold s.mu.
+func (s *stamper) commitLocked(first, n int, buf []byte) error {
+	if err := s.n.journalAppend(first, n, buf); err != nil {
+		s.err = fmt.Errorf("cluster: stamper journal: %w", err)
+		return s.err
+	}
+	s.n.rep.PublishTo(first + n - 1)
+	s.n.wakePushers()
+	return nil
 }
 
 // validateEntryLocked re-runs the §VII merge discipline for one submitted
@@ -257,27 +268,21 @@ func (s *stamper) SubmitEntries(origin string, entries []*EntryJSON) ([]SubmitRe
 	return job.results, nil
 }
 
-// stampLocked assigns the next stream position, journals (one fsync),
-// applies locally and wakes the replication pushers — the direct path for
-// rare control-plane records (spec, forge, repair). Callers hold s.mu.
+// stampLocked assigns the next stream position to one record, applies it
+// and commits it as a group of one (one fsync) — the direct path for rare
+// control-plane records (spec, forge, repair). Callers hold s.mu.
 func (s *stamper) stampLocked(rec *Record) (int, error) {
 	if s.err != nil {
 		return 0, s.err
 	}
 	rec.Seq = s.n.rep.Applied() + 1
-	if err := s.n.journal.append(rec); err != nil {
-		s.err = fmt.Errorf("cluster: stamper journal: %w", err)
-		return 0, s.err
-	}
-	ok, err := s.n.rep.Apply(rec)
-	if err != nil {
+	if err := s.n.rep.applyStamped(rec); err != nil {
 		return 0, err
 	}
-	if !ok {
-		return 0, fmt.Errorf("cluster: stamper replica refused record %d", rec.Seq)
+	if err := s.commitLocked(rec.Seq, 1, encodeFramedRecord(nil, rec)); err != nil {
+		return 0, err
 	}
 	s.n.o.recordStamped(rec.Kind)
-	s.n.wakePushers()
 	return rec.Seq, nil
 }
 
@@ -320,19 +325,21 @@ func (s *stamper) SubmitForge(origin, run, task string, reads []string, writes m
 	if rep.HasInstance(inst) {
 		return "", 0, fmt.Errorf("cluster: forged instance %s already committed: %w", inst, engine.ErrRunExists)
 	}
-	ej := &EntryJSON{
+	e := &wlog.Entry{
 		Run:    run,
-		Task:   task,
+		Task:   wf.TaskID(task),
 		Visit:  1,
 		Forged: true,
-		Reads:  make(map[string]ReadObsJSON, len(reads)),
-		Writes: writes,
+		Reads:  make(map[data.Key]wlog.ReadObs, len(reads)),
+		Writes: make(map[data.Key]data.Value, len(writes)),
 	}
 	for _, k := range reads {
-		o := rep.currentObs(data.Key(k))
-		ej.Reads[k] = ReadObsJSON{Value: int64(o.Value), Writer: o.Writer, WriterPos: o.WriterPos}
+		e.Reads[data.Key(k)] = rep.currentObs(data.Key(k))
 	}
-	seq, err := s.stampLocked(&Record{Kind: KindEntry, Origin: origin, Entry: ej})
+	for k, v := range writes {
+		e.Writes[data.Key(k)] = data.Value(v)
+	}
+	seq, err := s.stampLocked(&Record{Kind: KindEntry, Origin: origin, Entry: e})
 	if err != nil {
 		return "", 0, err
 	}

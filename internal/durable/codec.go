@@ -2,7 +2,11 @@
 // encodings (uvarint integers, length-prefixed strings, raw float64 bits)
 // replacing the per-entry JSON of internal/wlogio on the hot append path.
 // Every record payload starts with a kind byte; the framing layer
-// (segment.go) wraps payloads in a [length][CRC32] envelope.
+// (segment.go) wraps payloads in a [length][CRC32] envelope. The field
+// primitives, the sticky-error Reader and the entry body are exported: the
+// cluster's record codec (internal/cluster) is built from them, so the tree
+// has one varint/string/float64 reader-writer and one encoding of a
+// committed task instance.
 //
 // Encoding is deterministic: map-shaped fields (reads, writes, inits,
 // chains) are emitted in sorted key order, so identical states produce
@@ -41,40 +45,49 @@ const (
 const snapFormat = 1
 
 // --- primitive writers -------------------------------------------------
+//
+// Each appends one field to dst and returns the extended slice.
 
-func appendUvarint(dst []byte, v uint64) []byte { return binary.AppendUvarint(dst, v) }
-func appendVarint(dst []byte, v int64) []byte   { return binary.AppendVarint(dst, v) }
+func AppendUvarint(dst []byte, v uint64) []byte { return binary.AppendUvarint(dst, v) }
+func AppendVarint(dst []byte, v int64) []byte   { return binary.AppendVarint(dst, v) }
 
-func appendString(dst []byte, s string) []byte {
+func AppendString(dst []byte, s string) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(s)))
 	return append(dst, s...)
 }
 
-func appendBytes(dst, b []byte) []byte {
+func AppendBytes(dst, b []byte) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(b)))
 	return append(dst, b...)
 }
 
-func appendF64(dst []byte, f float64) []byte {
+func AppendF64(dst []byte, f float64) []byte {
 	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(f))
 }
 
 // --- primitive reader --------------------------------------------------
 
-// reader decodes a record payload; the first decoding error sticks and
-// every later read returns zero values, so decode paths check err once.
-type reader struct {
+// Reader decodes a record payload; the first decoding error sticks and
+// every later read returns zero values, so decode paths check the error
+// once, in Finish (loops over a decoded count also stop on Err).
+type Reader struct {
 	b   []byte
 	err error
 }
 
-func (r *reader) fail(format string, args ...any) {
+// NewReader returns a Reader over payload p.
+func NewReader(p []byte) *Reader { return &Reader{b: p} }
+
+// Err returns the sticky decoding error, if any.
+func (r *Reader) Err() error { return r.err }
+
+func (r *Reader) fail(format string, args ...any) {
 	if r.err == nil {
 		r.err = fmt.Errorf(format, args...)
 	}
 }
 
-func (r *reader) uvarint() uint64 {
+func (r *Reader) Uvarint() uint64 {
 	if r.err != nil {
 		return 0
 	}
@@ -87,7 +100,7 @@ func (r *reader) uvarint() uint64 {
 	return v
 }
 
-func (r *reader) varint() int64 {
+func (r *Reader) Varint() int64 {
 	if r.err != nil {
 		return 0
 	}
@@ -100,8 +113,8 @@ func (r *reader) varint() int64 {
 	return v
 }
 
-func (r *reader) str() string {
-	n := r.uvarint()
+func (r *Reader) Str() string {
+	n := r.Uvarint()
 	if r.err != nil {
 		return ""
 	}
@@ -114,8 +127,9 @@ func (r *reader) str() string {
 	return s
 }
 
-func (r *reader) bytes() []byte {
-	n := r.uvarint()
+// Bytes reads a length-prefixed byte string into a fresh slice.
+func (r *Reader) Bytes() []byte {
+	n := r.Uvarint()
 	if r.err != nil {
 		return nil
 	}
@@ -129,7 +143,7 @@ func (r *reader) bytes() []byte {
 	return out
 }
 
-func (r *reader) byte() byte {
+func (r *Reader) Byte() byte {
 	if r.err != nil {
 		return 0
 	}
@@ -142,7 +156,7 @@ func (r *reader) byte() byte {
 	return c
 }
 
-func (r *reader) f64() float64 {
+func (r *Reader) F64() float64 {
 	if r.err != nil {
 		return 0
 	}
@@ -155,7 +169,8 @@ func (r *reader) f64() float64 {
 	return f
 }
 
-func (r *reader) finish() error {
+// Finish returns the sticky error, or an error when payload bytes remain.
+func (r *Reader) Finish() error {
 	if r.err != nil {
 		return r.err
 	}
@@ -172,15 +187,20 @@ const (
 	entryChosen
 )
 
-// EncodeEntry appends the binary encoding of one committed log entry
-// (kind byte included) to dst. Exported so the wlogio benchmarks can
-// compare the JSON and binary codecs head to head.
+// EncodeEntry appends the WAL's entry record — the kind byte followed by
+// the entry body — to dst.
 func EncodeEntry(dst []byte, e *wlog.Entry) []byte {
-	dst = append(dst, recEntry)
-	dst = appendUvarint(dst, uint64(e.LSN))
-	dst = appendString(dst, e.Run)
-	dst = appendString(dst, string(e.Task))
-	dst = appendUvarint(dst, uint64(e.Visit))
+	return AppendEntryBody(append(dst, recEntry), e)
+}
+
+// AppendEntryBody appends the binary encoding of one committed task
+// instance (LSN first, map-shaped fields in sorted key order) to dst: the
+// body of a WAL entry record and of a cluster entry record alike.
+func AppendEntryBody(dst []byte, e *wlog.Entry) []byte {
+	dst = AppendUvarint(dst, uint64(e.LSN))
+	dst = AppendString(dst, e.Run)
+	dst = AppendString(dst, string(e.Task))
+	dst = AppendUvarint(dst, uint64(e.Visit))
 	var flags byte
 	if e.Forged {
 		flags |= entryForged
@@ -190,7 +210,7 @@ func EncodeEntry(dst []byte, e *wlog.Entry) []byte {
 	}
 	dst = append(dst, flags)
 	if e.Chosen != "" {
-		dst = appendString(dst, string(e.Chosen))
+		dst = AppendString(dst, string(e.Chosen))
 	}
 
 	readKeys := make([]data.Key, 0, len(e.Reads))
@@ -198,13 +218,13 @@ func EncodeEntry(dst []byte, e *wlog.Entry) []byte {
 		readKeys = append(readKeys, k)
 	}
 	sort.Slice(readKeys, func(i, j int) bool { return readKeys[i] < readKeys[j] })
-	dst = appendUvarint(dst, uint64(len(readKeys)))
+	dst = AppendUvarint(dst, uint64(len(readKeys)))
 	for _, k := range readKeys {
 		obs := e.Reads[k]
-		dst = appendString(dst, string(k))
-		dst = appendVarint(dst, int64(obs.Value))
-		dst = appendString(dst, obs.Writer)
-		dst = appendF64(dst, obs.WriterPos)
+		dst = AppendString(dst, string(k))
+		dst = AppendVarint(dst, int64(obs.Value))
+		dst = AppendString(dst, obs.Writer)
+		dst = AppendF64(dst, obs.WriterPos)
 	}
 
 	writeKeys := make([]data.Key, 0, len(e.Writes))
@@ -212,10 +232,10 @@ func EncodeEntry(dst []byte, e *wlog.Entry) []byte {
 		writeKeys = append(writeKeys, k)
 	}
 	sort.Slice(writeKeys, func(i, j int) bool { return writeKeys[i] < writeKeys[j] })
-	dst = appendUvarint(dst, uint64(len(writeKeys)))
+	dst = AppendUvarint(dst, uint64(len(writeKeys)))
 	for _, k := range writeKeys {
-		dst = appendString(dst, string(k))
-		dst = appendVarint(dst, int64(e.Writes[k]))
+		dst = AppendString(dst, string(k))
+		dst = AppendVarint(dst, int64(e.Writes[k]))
 	}
 	return dst
 }
@@ -223,44 +243,45 @@ func EncodeEntry(dst []byte, e *wlog.Entry) []byte {
 // DecodeEntry decodes an entry payload produced by EncodeEntry (kind byte
 // included).
 func DecodeEntry(p []byte) (*wlog.Entry, error) {
-	r := &reader{b: p}
-	if k := r.byte(); k != recEntry {
+	r := NewReader(p)
+	if k := r.Byte(); k != recEntry {
 		return nil, fmt.Errorf("durable: record kind %d is not an entry", k)
 	}
-	e := decodeEntryBody(r)
-	if err := r.finish(); err != nil {
+	e := r.EntryBody()
+	if err := r.Finish(); err != nil {
 		return nil, err
 	}
 	return e, nil
 }
 
-func decodeEntryBody(r *reader) *wlog.Entry {
+// EntryBody reads an entry body written by AppendEntryBody.
+func (r *Reader) EntryBody() *wlog.Entry {
 	e := &wlog.Entry{
-		LSN:   int(r.uvarint()),
-		Run:   r.str(),
-		Task:  wf.TaskID(r.str()),
-		Visit: int(r.uvarint()),
+		LSN:   int(r.Uvarint()),
+		Run:   r.Str(),
+		Task:  wf.TaskID(r.Str()),
+		Visit: int(r.Uvarint()),
 	}
-	flags := r.byte()
+	flags := r.Byte()
 	e.Forged = flags&entryForged != 0
 	if flags&entryChosen != 0 {
-		e.Chosen = wf.TaskID(r.str())
+		e.Chosen = wf.TaskID(r.Str())
 	}
-	nReads := r.uvarint()
+	nReads := r.Uvarint()
 	e.Reads = make(map[data.Key]wlog.ReadObs, nReads)
 	for i := uint64(0); i < nReads && r.err == nil; i++ {
-		k := data.Key(r.str())
+		k := data.Key(r.Str())
 		e.Reads[k] = wlog.ReadObs{
-			Value:     data.Value(r.varint()),
-			Writer:    r.str(),
-			WriterPos: r.f64(),
+			Value:     data.Value(r.Varint()),
+			Writer:    r.Str(),
+			WriterPos: r.F64(),
 		}
 	}
-	nWrites := r.uvarint()
+	nWrites := r.Uvarint()
 	e.Writes = make(map[data.Key]data.Value, nWrites)
 	for i := uint64(0); i < nWrites && r.err == nil; i++ {
-		k := data.Key(r.str())
-		e.Writes[k] = data.Value(r.varint())
+		k := data.Key(r.Str())
+		e.Writes[k] = data.Value(r.Varint())
 	}
 	return e
 }
@@ -273,9 +294,9 @@ const (
 )
 
 func appendVersion(dst []byte, v data.Version) []byte {
-	dst = appendF64(dst, v.Pos)
-	dst = appendString(dst, v.Writer)
-	dst = appendVarint(dst, int64(v.Value))
+	dst = AppendF64(dst, v.Pos)
+	dst = AppendString(dst, v.Writer)
+	dst = AppendVarint(dst, int64(v.Value))
 	var flags byte
 	if v.Recovery {
 		flags |= verRecovery
@@ -286,28 +307,28 @@ func appendVersion(dst []byte, v data.Version) []byte {
 	return append(dst, flags)
 }
 
-func (r *reader) version() data.Version {
+func (r *Reader) version() data.Version {
 	v := data.Version{
-		Pos:    r.f64(),
-		Writer: r.str(),
-		Value:  data.Value(r.varint()),
+		Pos:    r.F64(),
+		Writer: r.Str(),
+		Value:  data.Value(r.Varint()),
 	}
-	flags := r.byte()
+	flags := r.Byte()
 	v.Recovery = flags&verRecovery != 0
 	v.Checkpoint = flags&verCheckpoint != 0
 	return v
 }
 
 func appendChain(dst []byte, chain []data.Version) []byte {
-	dst = appendUvarint(dst, uint64(len(chain)))
+	dst = AppendUvarint(dst, uint64(len(chain)))
 	for _, v := range chain {
 		dst = appendVersion(dst, v)
 	}
 	return dst
 }
 
-func (r *reader) chain() []data.Version {
-	n := r.uvarint()
+func (r *Reader) chain() []data.Version {
+	n := r.Uvarint()
 	if r.err != nil || n == 0 {
 		return nil
 	}
@@ -330,20 +351,20 @@ func sortedKeys[V any](m map[data.Key]V) []data.Key {
 
 // appendInit encodes an initial-values map in sorted key order.
 func appendInit(dst []byte, init map[data.Key]data.Value) []byte {
-	dst = appendUvarint(dst, uint64(len(init)))
+	dst = AppendUvarint(dst, uint64(len(init)))
 	for _, k := range sortedKeys(init) {
-		dst = appendString(dst, string(k))
-		dst = appendVarint(dst, int64(init[k]))
+		dst = AppendString(dst, string(k))
+		dst = AppendVarint(dst, int64(init[k]))
 	}
 	return dst
 }
 
-func (r *reader) initMap() map[data.Key]data.Value {
-	n := r.uvarint()
+func (r *Reader) initMap() map[data.Key]data.Value {
+	n := r.Uvarint()
 	out := make(map[data.Key]data.Value, n)
 	for i := uint64(0); i < n && r.err == nil; i++ {
-		k := data.Key(r.str())
-		out[k] = data.Value(r.varint())
+		k := data.Key(r.Str())
+		out[k] = data.Value(r.Varint())
 	}
 	return out
 }
@@ -355,29 +376,29 @@ func (r *reader) initMap() map[data.Key]data.Value {
 // entry LSN already enqueued (the record's position in the commit order).
 func encodeSpec(dst []byte, stamp int, run string, specJSON []byte, init map[data.Key]data.Value) []byte {
 	dst = append(dst, recSpec)
-	dst = appendUvarint(dst, uint64(stamp))
-	dst = appendString(dst, run)
-	dst = appendBytes(dst, specJSON)
+	dst = AppendUvarint(dst, uint64(stamp))
+	dst = AppendString(dst, run)
+	dst = AppendBytes(dst, specJSON)
 	return appendInit(dst, init)
 }
 
 func encodeAlert(dst []byte, stamp int, id uint64, bad []wlog.InstanceID) []byte {
 	dst = append(dst, recAlert)
-	dst = appendUvarint(dst, uint64(stamp))
-	dst = appendUvarint(dst, id)
-	dst = appendUvarint(dst, uint64(len(bad)))
+	dst = AppendUvarint(dst, uint64(stamp))
+	dst = AppendUvarint(dst, id)
+	dst = AppendUvarint(dst, uint64(len(bad)))
 	for _, b := range bad {
-		dst = appendString(dst, string(b))
+		dst = AppendString(dst, string(b))
 	}
 	return dst
 }
 
 func encodeAck(dst []byte, stamp int, ids []uint64) []byte {
 	dst = append(dst, recAck)
-	dst = appendUvarint(dst, uint64(stamp))
-	dst = appendUvarint(dst, uint64(len(ids)))
+	dst = AppendUvarint(dst, uint64(stamp))
+	dst = AppendUvarint(dst, uint64(len(ids)))
 	for _, id := range ids {
-		dst = appendUvarint(dst, id)
+		dst = AppendUvarint(dst, id)
 	}
 	return dst
 }
@@ -397,20 +418,20 @@ type RunFrontier struct {
 // the store without re-running the repair.
 func encodeAdopt(dst []byte, stamp int, fronts []RunFrontier, chains map[data.Key][]data.Version) []byte {
 	dst = append(dst, recAdopt)
-	dst = appendUvarint(dst, uint64(stamp))
-	dst = appendUvarint(dst, uint64(len(fronts)))
+	dst = AppendUvarint(dst, uint64(stamp))
+	dst = AppendUvarint(dst, uint64(len(fronts)))
 	for _, f := range fronts {
-		dst = appendString(dst, f.Run)
-		dst = appendString(dst, string(f.Cur))
+		dst = AppendString(dst, f.Run)
+		dst = AppendString(dst, string(f.Cur))
 		var done byte
 		if f.Done {
 			done = 1
 		}
 		dst = append(dst, done)
 	}
-	dst = appendUvarint(dst, uint64(len(chains)))
+	dst = AppendUvarint(dst, uint64(len(chains)))
 	for _, k := range sortedKeys(chains) {
-		dst = appendString(dst, string(k))
+		dst = AppendString(dst, string(k))
 		dst = appendChain(dst, chains[k])
 	}
 	return dst
@@ -436,51 +457,51 @@ type record struct {
 
 // decodeRecord decodes one log-stream record payload.
 func decodeRecord(p []byte) (*record, error) {
-	r := &reader{b: p}
-	rec := &record{kind: r.byte()}
+	r := NewReader(p)
+	rec := &record{kind: r.Byte()}
 	switch rec.kind {
 	case recEntry:
-		rec.entry = decodeEntryBody(r)
+		rec.entry = r.EntryBody()
 		rec.stamp = rec.entry.LSN
 	case recSpec:
-		rec.stamp = int(r.uvarint())
-		rec.run = r.str()
-		rec.spec = r.bytes()
+		rec.stamp = int(r.Uvarint())
+		rec.run = r.Str()
+		rec.spec = r.Bytes()
 		rec.init = r.initMap()
 	case recAlert:
-		rec.stamp = int(r.uvarint())
-		rec.alertID = r.uvarint()
-		n := r.uvarint()
+		rec.stamp = int(r.Uvarint())
+		rec.alertID = r.Uvarint()
+		n := r.Uvarint()
 		rec.bad = make([]wlog.InstanceID, 0, n)
 		for i := uint64(0); i < n && r.err == nil; i++ {
-			rec.bad = append(rec.bad, wlog.InstanceID(r.str()))
+			rec.bad = append(rec.bad, wlog.InstanceID(r.Str()))
 		}
 	case recAck:
-		rec.stamp = int(r.uvarint())
-		n := r.uvarint()
+		rec.stamp = int(r.Uvarint())
+		n := r.Uvarint()
 		rec.ackIDs = make([]uint64, 0, n)
 		for i := uint64(0); i < n && r.err == nil; i++ {
-			rec.ackIDs = append(rec.ackIDs, r.uvarint())
+			rec.ackIDs = append(rec.ackIDs, r.Uvarint())
 		}
 	case recAdopt:
-		rec.stamp = int(r.uvarint())
-		nf := r.uvarint()
+		rec.stamp = int(r.Uvarint())
+		nf := r.Uvarint()
 		rec.fronts = make([]RunFrontier, 0, nf)
 		for i := uint64(0); i < nf && r.err == nil; i++ {
-			f := RunFrontier{Run: r.str(), Cur: wf.TaskID(r.str())}
-			f.Done = r.byte() != 0
+			f := RunFrontier{Run: r.Str(), Cur: wf.TaskID(r.Str())}
+			f.Done = r.Byte() != 0
 			rec.fronts = append(rec.fronts, f)
 		}
-		nc := r.uvarint()
+		nc := r.Uvarint()
 		rec.chains = make(map[data.Key][]data.Version, nc)
 		for i := uint64(0); i < nc && r.err == nil; i++ {
-			k := data.Key(r.str())
+			k := data.Key(r.Str())
 			rec.chains[k] = r.chain()
 		}
 	default:
 		return nil, fmt.Errorf("durable: unknown record kind %d", rec.kind)
 	}
-	if err := r.finish(); err != nil {
+	if err := r.Finish(); err != nil {
 		return nil, err
 	}
 	return rec, nil

@@ -154,7 +154,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 
 	// An incomplete snapshot (footer cut off) must be rejected, whether the
 	// cut lands on a frame boundary or tears the last frame.
-	frames, _ := splitFrames(body)
+	frames, _ := SplitFrames(body)
 	lastLen := frameHeader + len(frames[len(frames)-1])
 	if _, err := decodeSnapshot(body[:len(body)-lastLen]); err == nil {
 		t.Error("snapshot without footer accepted")

@@ -3,9 +3,10 @@
 //
 // The replay is snapshot-bounded and parallel:
 //
-//  1. Segments are scanned serially (framing + CRC only — no payload
-//     decoding) and records already covered by the snapshot (sequence
-//     number ≤ Snapshot.Seq) are skipped without ever being decoded.
+//  1. The segment log is opened (OpenSegmentLog: framing + CRC only — no
+//     payload decoding) and records already covered by the snapshot
+//     (sequence number ≤ Snapshot.Seq) are skipped without ever being
+//     decoded.
 //  2. The surviving payloads are decoded in parallel chunks.
 //  3. One serial fold walks the decoded records in sequence order,
 //     rebuilding the log tail, run frontiers, pending alerts and the
@@ -94,7 +95,12 @@ func (w *WAL) restore() (*State, error) {
 	if err != nil {
 		return nil, err
 	}
-	segs, err := scanSegments(w.dir)
+	var snapSeq uint64
+	if snap != nil {
+		snapSeq = snap.Seq
+	}
+	var all [][]byte
+	w.log, all, err = OpenSegmentLog(w.dir, segPrefix, snapSeq+1, w.opts)
 	if err != nil {
 		return nil, err
 	}
@@ -107,11 +113,9 @@ func (w *WAL) restore() (*State, error) {
 	}
 	chains := make(map[data.Key][]data.Version)
 	liveAlerts := make(map[uint64][]wlog.InstanceID)
-	var snapSeq uint64
 	if snap != nil {
 		st.Epoch = snap.Epoch
 		st.Graph = snap.Graph
-		snapSeq = snap.Seq
 		chains = snap.Chains
 		for run, sp := range snap.Specs {
 			spec, _, err := buildSpec(sp.JSON)
@@ -137,44 +141,19 @@ func (w *WAL) restore() (*State, error) {
 		}
 	}
 
-	// Flatten the scanned payloads and skip everything the snapshot
-	// already covers — without decoding it.
-	var baseSeq uint64 = 1
-	if len(segs) > 0 {
-		baseSeq = segs[0].firstSeq
-	}
-	if snap == nil && len(segs) > 0 && baseSeq != 1 {
+	// Skip everything the snapshot already covers — without decoding it.
+	baseSeq := w.log.First()
+	if snap == nil && baseSeq != 1 {
 		return nil, fmt.Errorf("durable: no snapshot but segments start at seq %d", baseSeq)
 	}
-	if snap != nil && len(segs) > 0 && baseSeq > snap.Seq+1 {
-		return nil, fmt.Errorf("durable: snapshot covers seq %d but segments start at %d (gap)", snap.Seq, baseSeq)
+	if snap != nil && baseSeq > snapSeq+1 {
+		return nil, fmt.Errorf("durable: snapshot covers seq %d but segments start at %d (gap)", snapSeq, baseSeq)
 	}
-	var payloads [][]byte
 	seq := snapSeq
-	if len(segs) > 0 {
-		total := 0
-		for _, s := range segs {
-			total += len(s.payloads)
-		}
-		lastSeq := baseSeq + uint64(total) - 1
-		if lastSeq > seq {
-			seq = lastSeq
-		}
-		skip := 0
-		if snapSeq+1 > baseSeq {
-			skip = int(snapSeq + 1 - baseSeq)
-		}
-		payloads = make([][]byte, 0, total-skip)
-		idx := 0
-		for _, s := range segs {
-			for _, p := range s.payloads {
-				if idx >= skip {
-					payloads = append(payloads, p)
-				}
-				idx++
-			}
-		}
+	if last := w.log.Next() - 1; last > seq {
+		seq = last
 	}
+	payloads := all[min(int(snapSeq+1-baseSeq), len(all)):]
 
 	records, err := decodePayloads(payloads, w.opts.ReplayParallel)
 	if err != nil {
@@ -276,9 +255,6 @@ func (w *WAL) restore() (*State, error) {
 	w.snapEpoch = st.Epoch
 	w.restoredLSN = log.Len()
 	w.lastLSN = log.Len()
-	for _, s := range segs {
-		w.segs = append(w.segs, s.firstSeq)
-	}
 
 	st.ReplayedRecords = len(records)
 	st.ReplayDuration = time.Since(start)

@@ -78,15 +78,15 @@ func encodeSnapshot(s *Snapshot) []byte {
 	var out []byte
 	records := 0
 	emit := func(payload []byte) {
-		out = appendFrame(out, payload)
+		out = AppendFrame(out, payload)
 		records++
 	}
 
 	var hdr []byte
 	hdr = append(hdr, recSnapHeader)
-	hdr = appendUvarint(hdr, snapFormat)
-	hdr = appendUvarint(hdr, s.Seq)
-	hdr = appendUvarint(hdr, uint64(s.Epoch))
+	hdr = AppendUvarint(hdr, snapFormat)
+	hdr = AppendUvarint(hdr, s.Seq)
+	hdr = AppendUvarint(hdr, uint64(s.Epoch))
 	emit(hdr)
 
 	// Chains are persisted pre-compacted at the snapshot epoch: the live
@@ -101,7 +101,7 @@ func encodeSnapshot(s *Snapshot) []byte {
 		}
 		var p []byte
 		p = append(p, recSnapChain)
-		p = appendString(p, string(k))
+		p = AppendString(p, string(k))
 		p = appendChain(p, chain)
 		emit(p)
 	}
@@ -115,8 +115,8 @@ func encodeSnapshot(s *Snapshot) []byte {
 		sp := s.Specs[run]
 		var p []byte
 		p = append(p, recSnapSpec)
-		p = appendString(p, run)
-		p = appendBytes(p, sp.JSON)
+		p = AppendString(p, run)
+		p = AppendBytes(p, sp.JSON)
 		p = appendInit(p, sp.Init)
 		emit(p)
 	}
@@ -130,19 +130,19 @@ func encodeSnapshot(s *Snapshot) []byte {
 		rs := s.Runs[run]
 		var p []byte
 		p = append(p, recSnapRun)
-		p = appendString(p, run)
-		p = appendString(p, rs.Status)
-		p = appendString(p, rs.Err)
-		p = appendString(p, string(rs.Cur))
+		p = AppendString(p, run)
+		p = AppendString(p, rs.Status)
+		p = AppendString(p, rs.Err)
+		p = AppendString(p, string(rs.Cur))
 		tasks := make([]string, 0, len(rs.Visits))
 		for t := range rs.Visits {
 			tasks = append(tasks, string(t))
 		}
 		sort.Strings(tasks)
-		p = appendUvarint(p, uint64(len(tasks)))
+		p = AppendUvarint(p, uint64(len(tasks)))
 		for _, t := range tasks {
-			p = appendString(p, t)
-			p = appendUvarint(p, uint64(rs.Visits[wf.TaskID(t)]))
+			p = AppendString(p, t)
+			p = AppendUvarint(p, uint64(rs.Visits[wf.TaskID(t)]))
 		}
 		emit(p)
 	}
@@ -156,44 +156,44 @@ func encodeSnapshot(s *Snapshot) []byte {
 		bad := s.Alerts[id]
 		var p []byte
 		p = append(p, recSnapAlert)
-		p = appendUvarint(p, id)
-		p = appendUvarint(p, uint64(len(bad)))
+		p = AppendUvarint(p, id)
+		p = AppendUvarint(p, uint64(len(bad)))
 		for _, b := range bad {
-			p = appendString(p, string(b))
+			p = AppendString(p, string(b))
 		}
 		emit(p)
 	}
 
 	var g []byte
 	g = append(g, recSnapGraph)
-	g = appendUvarint(g, uint64(s.Graph.Epoch))
-	g = appendUvarint(g, uint64(len(s.Graph.LastWriter)))
+	g = AppendUvarint(g, uint64(s.Graph.Epoch))
+	g = AppendUvarint(g, uint64(len(s.Graph.LastWriter)))
 	for _, k := range sortedKeys(s.Graph.LastWriter) {
-		g = appendString(g, string(k))
-		g = appendString(g, string(s.Graph.LastWriter[k]))
+		g = AppendString(g, string(k))
+		g = AppendString(g, string(s.Graph.LastWriter[k]))
 	}
-	g = appendUvarint(g, uint64(len(s.Graph.Pending)))
+	g = AppendUvarint(g, uint64(len(s.Graph.Pending)))
 	for _, k := range sortedKeys(s.Graph.Pending) {
-		g = appendString(g, string(k))
+		g = AppendString(g, string(k))
 		readers := s.Graph.Pending[k]
-		g = appendUvarint(g, uint64(len(readers)))
+		g = AppendUvarint(g, uint64(len(readers)))
 		for _, r := range readers {
-			g = appendString(g, string(r))
+			g = AppendString(g, string(r))
 		}
 	}
 	emit(g)
 
 	var foot []byte
 	foot = append(foot, recSnapFooter)
-	foot = appendUvarint(foot, uint64(records))
-	out = appendFrame(out, foot)
+	foot = AppendUvarint(foot, uint64(records))
+	out = AppendFrame(out, foot)
 	return out
 }
 
 // decodeSnapshot parses a snapshot file body, rejecting incomplete files
 // (missing or mismatched footer).
 func decodeSnapshot(b []byte) (*Snapshot, error) {
-	payloads, validLen := splitFrames(b)
+	payloads, validLen := SplitFrames(b)
 	if validLen != len(b) {
 		return nil, fmt.Errorf("durable: snapshot corrupt at byte %d", validLen)
 	}
@@ -208,8 +208,8 @@ func decodeSnapshot(b []byte) (*Snapshot, error) {
 	}
 	sawFooter := false
 	for i, p := range payloads {
-		r := &reader{b: p}
-		kind := r.byte()
+		r := NewReader(p)
+		kind := r.Byte()
 		if sawFooter {
 			return nil, fmt.Errorf("durable: snapshot record after footer")
 		}
@@ -218,63 +218,63 @@ func decodeSnapshot(b []byte) (*Snapshot, error) {
 			if i != 0 {
 				return nil, fmt.Errorf("durable: snapshot header at record %d", i)
 			}
-			if f := r.uvarint(); f != snapFormat {
+			if f := r.Uvarint(); f != snapFormat {
 				return nil, fmt.Errorf("durable: snapshot format %d unsupported", f)
 			}
-			s.Seq = r.uvarint()
-			s.Epoch = int(r.uvarint())
+			s.Seq = r.Uvarint()
+			s.Epoch = int(r.Uvarint())
 		case recSnapChain:
-			k := data.Key(r.str())
+			k := data.Key(r.Str())
 			s.Chains[k] = r.chain()
 		case recSnapSpec:
-			run := r.str()
-			s.Specs[run] = SpecState{JSON: r.bytes(), Init: r.initMap()}
+			run := r.Str()
+			s.Specs[run] = SpecState{JSON: r.Bytes(), Init: r.initMap()}
 		case recSnapRun:
-			run := r.str()
-			rs := RunState{Status: r.str(), Err: r.str(), Cur: wf.TaskID(r.str())}
-			n := r.uvarint()
+			run := r.Str()
+			rs := RunState{Status: r.Str(), Err: r.Str(), Cur: wf.TaskID(r.Str())}
+			n := r.Uvarint()
 			rs.Visits = make(map[wf.TaskID]int, n)
 			for j := uint64(0); j < n && r.err == nil; j++ {
-				t := wf.TaskID(r.str())
-				rs.Visits[t] = int(r.uvarint())
+				t := wf.TaskID(r.Str())
+				rs.Visits[t] = int(r.Uvarint())
 			}
 			s.Runs[run] = rs
 		case recSnapAlert:
-			id := r.uvarint()
-			n := r.uvarint()
+			id := r.Uvarint()
+			n := r.Uvarint()
 			bad := make([]wlog.InstanceID, 0, n)
 			for j := uint64(0); j < n && r.err == nil; j++ {
-				bad = append(bad, wlog.InstanceID(r.str()))
+				bad = append(bad, wlog.InstanceID(r.Str()))
 			}
 			s.Alerts[id] = bad
 		case recSnapGraph:
-			s.Graph.Epoch = int(r.uvarint())
-			nl := r.uvarint()
+			s.Graph.Epoch = int(r.Uvarint())
+			nl := r.Uvarint()
 			s.Graph.LastWriter = make(map[data.Key]wlog.InstanceID, nl)
 			for j := uint64(0); j < nl && r.err == nil; j++ {
-				k := data.Key(r.str())
-				s.Graph.LastWriter[k] = wlog.InstanceID(r.str())
+				k := data.Key(r.Str())
+				s.Graph.LastWriter[k] = wlog.InstanceID(r.Str())
 			}
-			np := r.uvarint()
+			np := r.Uvarint()
 			s.Graph.Pending = make(map[data.Key][]wlog.InstanceID, np)
 			for j := uint64(0); j < np && r.err == nil; j++ {
-				k := data.Key(r.str())
-				nr := r.uvarint()
+				k := data.Key(r.Str())
+				nr := r.Uvarint()
 				readers := make([]wlog.InstanceID, 0, nr)
 				for x := uint64(0); x < nr && r.err == nil; x++ {
-					readers = append(readers, wlog.InstanceID(r.str()))
+					readers = append(readers, wlog.InstanceID(r.Str()))
 				}
 				s.Graph.Pending[k] = readers
 			}
 		case recSnapFooter:
-			if n := r.uvarint(); n != uint64(i) {
+			if n := r.Uvarint(); n != uint64(i) {
 				return nil, fmt.Errorf("durable: snapshot footer counts %d records, file has %d", n, i)
 			}
 			sawFooter = true
 		default:
 			return nil, fmt.Errorf("durable: unknown snapshot record kind %d", kind)
 		}
-		if err := r.finish(); err != nil {
+		if err := r.Finish(); err != nil {
 			return nil, err
 		}
 	}
@@ -332,9 +332,7 @@ func (w *WAL) WriteSnapshot(s *Snapshot) error {
 	return nil
 }
 
-// retire deletes snapshots older than seq and segments whose records all
-// fall at or below seq (determined by the next segment's first sequence
-// number; the active segment is always kept).
+// retire deletes snapshots older than seq and the segments it covers.
 func (w *WAL) retire(seq uint64) {
 	if nums, err := listNumbered(w.dir, snapPrefix, snapSuffix); err == nil {
 		for _, n := range nums {
@@ -343,18 +341,8 @@ func (w *WAL) retire(seq uint64) {
 			}
 		}
 	}
-	w.mu.Lock()
-	var drop []uint64
-	for len(w.segs) > 1 && w.segs[1] <= seq+1 {
-		drop = append(drop, w.segs[0])
-		w.segs = w.segs[1:]
-	}
-	live := len(w.segs)
-	w.mu.Unlock()
-	for _, n := range drop {
-		os.Remove(filepath.Join(w.dir, segName(n)))
-	}
-	w.o.segments.Set(int64(live))
+	w.log.Retire(seq)
+	w.o.segments.Set(int64(w.log.Segments()))
 }
 
 // loadLatestSnapshot returns the newest complete snapshot in dir, or nil

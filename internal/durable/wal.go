@@ -1,5 +1,5 @@
 // The durable write-ahead log: a group-commit writer goroutine over the
-// segment files of segment.go.
+// SegmentLog of segment.go.
 //
 // Committers never touch the disk. They encode records, enqueue the framed
 // bytes under the WAL lock (assigning a dense sequence number), and — when
@@ -25,9 +25,7 @@ package durable
 
 import (
 	"errors"
-	"fmt"
 	"os"
-	"path/filepath"
 	"sync"
 	"time"
 
@@ -39,7 +37,7 @@ import (
 // Options configures a WAL.
 type Options struct {
 	// SegmentBytes rotates the active segment once it exceeds this size.
-	// Default 64 MiB.
+	// Default DefaultSegmentBytes (64 MiB).
 	SegmentBytes int64
 	// GroupWait bounds how long the writer waits for more committers to
 	// join a batch before flushing. 0 (the default) flushes immediately:
@@ -59,7 +57,7 @@ type Options struct {
 
 func (o *Options) fill() {
 	if o.SegmentBytes <= 0 {
-		o.SegmentBytes = 64 << 20
+		o.SegmentBytes = DefaultSegmentBytes
 	}
 	if o.GroupMax <= 0 {
 		o.GroupMax = 256
@@ -100,9 +98,7 @@ type WAL struct {
 	err        error // first write/fsync failure; sticky
 	closed     bool
 
-	f        *os.File
-	fileSize int64
-	segs     []uint64 // first seq of each live segment, ascending
+	log *SegmentLog // the segment files; appended to by the writer goroutine only
 
 	snapSeq   uint64 // seq covered by the latest snapshot
 	snapEpoch int    // entry LSN horizon of the latest snapshot
@@ -118,9 +114,10 @@ type WAL struct {
 var ErrClosed = errors.New("durable: WAL closed")
 
 // Open opens (creating if needed) the WAL directory, restores the latest
-// complete snapshot plus the log suffix (see restore.go), positions the
-// writer after the last complete record, and starts the group-commit
-// goroutine. The returned State is the fully rebuilt system state.
+// complete snapshot plus the log suffix (see restore.go), which leaves the
+// segment log positioned after the last complete record, and starts the
+// group-commit goroutine. The returned State is the fully rebuilt system
+// state.
 func Open(dir string, opts Options) (*WAL, *State, error) {
 	opts.fill()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
@@ -132,30 +129,11 @@ func Open(dir string, opts Options) (*WAL, *State, error) {
 
 	st, err := w.restore()
 	if err != nil {
+		if w.log != nil {
+			w.log.Close()
+		}
 		return nil, nil, err
 	}
-
-	// Position the writer: append to the last segment, or start segment
-	// one on a fresh directory.
-	if len(w.segs) == 0 {
-		w.segs = []uint64{w.seq + 1}
-	}
-	active := filepath.Join(dir, segName(w.segs[len(w.segs)-1]))
-	f, err := os.OpenFile(active, os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		return nil, nil, err
-	}
-	info, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, nil, err
-	}
-	if _, err := f.Seek(info.Size(), 0); err != nil {
-		f.Close()
-		return nil, nil, err
-	}
-	w.f = f
-	w.fileSize = info.Size()
 
 	go w.writer()
 	return w, st, nil
@@ -177,7 +155,7 @@ func (w *WAL) Observe(reg *obs.Registry) {
 		segments:      reg.Gauge(obs.MWalSegments),
 		snapshots:     reg.Counter(obs.MWalSnapshots),
 	}
-	w.o.segments.Set(int64(len(w.segs)))
+	w.o.segments.Set(int64(w.log.Segments()))
 	reg.Sum(obs.MWalReplaySeconds).Add(w.replayDur.Seconds())
 	reg.Counter(obs.MWalReplayedRecords).Add(int64(w.replayed))
 }
@@ -205,7 +183,7 @@ func (w *WAL) enqueueLocked(payload []byte, lsn int) uint64 {
 		return w.seq
 	}
 	w.seq++
-	w.pending = appendFrame(w.pending, payload)
+	w.pending = AppendFrame(w.pending, payload)
 	w.nPending++
 	if lsn > w.lastLSN {
 		w.lastLSN = lsn
@@ -341,11 +319,7 @@ func (w *WAL) Replayed() (records int, d time.Duration) {
 }
 
 // Segments returns the live segment count.
-func (w *WAL) Segments() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return len(w.segs)
-}
+func (w *WAL) Segments() int { return w.log.Segments() }
 
 // Close flushes and syncs all pending records, stops the writer and
 // closes the active segment. Further appends and syncs fail.
@@ -360,13 +334,9 @@ func (w *WAL) Close() error {
 	w.mu.Unlock()
 	<-w.writerDone
 
+	err := w.log.Close()
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	var err error
-	if w.f != nil {
-		err = w.f.Close()
-		w.f = nil
-	}
 	if w.err != nil {
 		return w.err
 	}
@@ -374,8 +344,8 @@ func (w *WAL) Close() error {
 }
 
 // writer is the group-commit goroutine: it drains the pending buffer,
-// writes it in one syscall (rotating segments between batches), fsyncs
-// once, and broadcasts the new durable sequence number.
+// writes it in one syscall (the segment log rotates between batches),
+// fsyncs once, and broadcasts the new durable sequence number.
 func (w *WAL) writer() {
 	defer close(w.writerDone)
 	for {
@@ -399,10 +369,9 @@ func (w *WAL) writer() {
 		hi := w.seq
 		w.pending = nil
 		w.nPending = 0
-		rotate := w.fileSize >= w.opts.SegmentBytes
 		w.mu.Unlock()
 
-		err := w.flush(batch, n, hi, rotate)
+		err := w.flush(batch, n, hi)
 
 		w.mu.Lock()
 		if err != nil {
@@ -437,61 +406,20 @@ func (w *WAL) drainAfterError() {
 	w.done.Broadcast()
 }
 
-// flush writes one batch to the active segment and makes it durable.
-// Rotation happens between batches: the previous segment is already
-// synced (every batch ends with fsync), so a crash can only tear the
-// final segment.
-func (w *WAL) flush(batch []byte, n int, hi uint64, rotate bool) error {
-	if rotate {
-		if err := w.rotate(hi - uint64(n) + 1); err != nil {
-			return err
-		}
+// flush writes one batch to the segment log and makes it durable.
+func (w *WAL) flush(batch []byte, n int, hi uint64) error {
+	if err := w.log.Append(hi-uint64(n)+1, batch, n); err != nil {
+		return err
 	}
-	if _, err := w.f.Write(batch); err != nil {
-		return fmt.Errorf("durable: segment write: %w", err)
-	}
-	w.mu.Lock()
-	w.fileSize += int64(len(batch))
-	w.mu.Unlock()
+	w.o.segments.Set(int64(w.log.Segments()))
 	if !w.opts.NoSync {
 		start := time.Now()
-		if err := w.f.Sync(); err != nil {
-			return fmt.Errorf("durable: fsync: %w", err)
+		if err := w.log.Sync(); err != nil {
+			return err
 		}
 		w.o.fsyncSeconds.Observe(time.Since(start).Seconds())
 	}
 	w.o.groupEntries.Observe(float64(n))
 	w.o.appendedBytes.Add(int64(len(batch)))
-	return nil
-}
-
-// rotate closes the active segment and opens a fresh one whose name
-// carries the sequence number of the batch about to be written.
-func (w *WAL) rotate(firstSeq uint64) error {
-	if !w.opts.NoSync {
-		if err := w.f.Sync(); err != nil {
-			return err
-		}
-	}
-	if err := w.f.Close(); err != nil {
-		return err
-	}
-	path := filepath.Join(w.dir, segName(firstSeq))
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	if !w.opts.NoSync {
-		if err := syncDir(w.dir); err != nil {
-			f.Close()
-			return err
-		}
-	}
-	w.mu.Lock()
-	w.f = f
-	w.fileSize = 0
-	w.segs = append(w.segs, firstSeq)
-	w.mu.Unlock()
-	w.o.segments.Set(int64(len(w.segs)))
 	return nil
 }

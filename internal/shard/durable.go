@@ -477,7 +477,7 @@ func (s *Service) executeDurable(u *unit) error {
 		paused = s.exec.beginRecovery(dkeys)
 	}
 	quiesceStart := time.Now()
-	g := s.graph.Snapshot()
+	g, specs := s.pinView()
 	ropts := s.cfg.Repair
 	ropts.ScopeToDamage = true
 	ropts.Epoch = g.Epoch()
@@ -512,7 +512,7 @@ func (s *Service) executeDurable(u *unit) error {
 	// keeps its adopt record.
 	s.exec.pauseAll()
 	quiesceStart = time.Now()
-	g = s.graph.Snapshot()
+	g, specs = s.pinView()
 	ropts.Epoch = g.Epoch()
 	res, err = recovery.RepairGraph(g, s.eng.Store(), s.eng.Log(), specs, u.bad, ropts)
 	if err == nil {

@@ -227,6 +227,10 @@ type Service struct {
 	gateHeld      bool // recovery goroutine only; under mu for State readers
 	startStopOnce struct{ started, stopped sync.Once }
 
+	// pinHook, when set by a test, runs inside pinView between the graph
+	// snapshot and the spec copy.
+	pinHook func()
+
 	// cover holds the damage-closure signatures of queued and executing
 	// units for the covered-alert prefilter (Triage.Prefilter); checked
 	// and armed only by the recovery goroutine.
@@ -823,7 +827,6 @@ func (s *Service) handleBatch(batch []alert) {
 	s.alertsQueued -= len(batch)
 	s.analyzing = true
 	s.o.alertDepth.Set(int64(s.alertsQueued))
-	specs := s.specsCopyLocked()
 	if s.cfg.Triage.Dedupe {
 		for _, a := range batch {
 			k := triage.Key(a.bad)
@@ -847,7 +850,7 @@ func (s *Service) handleBatch(batch []alert) {
 		survivors = append(survivors, triage.Alert{Bad: a.bad})
 	}
 
-	g := s.graph.Snapshot()
+	g, specs := s.pinView()
 	var cones []triage.Cone
 	switch {
 	case len(survivors) == 0:
@@ -913,6 +916,25 @@ func (s *Service) handleBatch(batch []alert) {
 	s.o.analyzed.Add(int64(len(survivors)))
 	s.o.cones.Add(int64(len(cones)))
 	s.o.prefiltered.Add(int64(prefiltered))
+}
+
+// pinView pins the dependence graph at the current epoch and then copies
+// the registered specs. That order is what makes the copy cover the pinned
+// log prefix while clean shards keep committing: a run is registered before
+// its first commit can land, so every run with a commit at or below the
+// pinned epoch was registered before the snapshot and is in a copy taken
+// after it. Copying first would miss a run registered and first-committed in
+// between, and RepairGraph refuses a log prefix that names a run without a
+// spec.
+func (s *Service) pinView() (*deps.Graph, map[string]*wf.Spec) {
+	g := s.graph.Snapshot()
+	if s.pinHook != nil {
+		s.pinHook()
+	}
+	s.mu.Lock()
+	specs := s.specsCopyLocked()
+	s.mu.Unlock()
+	return g, specs
 }
 
 func (s *Service) specsCopyLocked() map[string]*wf.Spec {
@@ -1001,14 +1023,10 @@ func (s *Service) executePartial(u *unit) error {
 	quiesceStart := time.Now()
 
 	// The damaged shards are drained: every commit in a damaged component
-	// is at or below the epoch of the snapshot taken now. Specs are copied
-	// after the pause for the same reason — a run is registered before its
-	// first commit can land, so the copy covers every run the pinned log
-	// prefix mentions.
-	s.mu.Lock()
-	specs := s.specsCopyLocked()
-	s.mu.Unlock()
-	g := s.graph.Snapshot()
+	// is at or below the epoch of the snapshot taken now. Clean shards keep
+	// committing and registering runs, which is why the specs are copied
+	// only after the snapshot (pinView).
+	g, specs := s.pinView()
 	ropts := s.cfg.Repair
 	ropts.ScopeToDamage = true
 	ropts.Epoch = g.Epoch()
@@ -1043,15 +1061,13 @@ func (s *Service) executePartial(u *unit) error {
 // and swaps the repaired store in wholesale. Callers must hold all shards
 // quiesced (Strict gating, or the executePartial fallback).
 func (s *Service) repairFullyQuiesced(u *unit) error {
-	s.mu.Lock()
-	specs := s.specsCopyLocked()
-	s.mu.Unlock()
 	ropts := s.cfg.Repair
 	if ropts.Parallel == 0 {
 		ropts.Parallel = s.cfg.Shards
 	}
 	return s.com.exec(func() error {
-		res, err := recovery.RepairGraph(s.graph.Snapshot(), s.eng.Store(), s.eng.Log(), specs, u.bad, ropts)
+		g, specs := s.pinView()
+		res, err := recovery.RepairGraph(g, s.eng.Store(), s.eng.Log(), specs, u.bad, ropts)
 		if err != nil {
 			return err
 		}

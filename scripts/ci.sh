@@ -17,6 +17,11 @@ go build ./...
 go vet ./...
 go test -race ./...
 
+# The end-to-end benchmark is its own module (bench/, `replace selfheal =>
+# ../`) compiled against internal packages: vet and its toy-size tests here
+# so internal-API drift against it fails CI, not the next benchmark run.
+(cd bench && go vet ./... && go test ./...)
+
 # Benchmark smoke: the parallel-repair, mid-recovery and alert-storm
 # benchmarks must run to completion (one iteration each; EXPERIMENTS.md
 # records real numbers).
