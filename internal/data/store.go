@@ -17,6 +17,7 @@ package data
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 	"sync"
@@ -58,19 +59,22 @@ type Version struct {
 type Store struct {
 	mu     sync.RWMutex
 	chains map[Key][]Version // ascending Pos
-	// writers[w][k] counts the versions written by w in k's chain. The
-	// index makes DeleteWrites/VersionsBy proportional to the writer's
-	// own version count. Counts (not booleans) because a replay pass may
-	// transiently hold two versions of one writer on one key (an
-	// original commit plus its repositioned re-execution).
-	writers map[string]map[Key]int
+	// writers[w] lists the key of every version written by w, one element
+	// per version. The index makes DeleteWrites/VersionsBy proportional to
+	// the writer's own version count. A multiset (a key may repeat) because
+	// a replay pass may transiently hold two versions of one writer on one
+	// key (an original commit plus its repositioned re-execution). The
+	// slices are never modified in place — indexAdd and indexDrop install a
+	// fresh one — so Clone shares them with the copy instead of allocating
+	// per writer.
+	writers map[string][]Key
 }
 
 // NewStore returns an empty store.
 func NewStore() *Store {
 	return &Store{
 		chains:  make(map[Key][]Version),
-		writers: make(map[string]map[Key]int),
+		writers: make(map[string][]Key),
 	}
 }
 
@@ -117,12 +121,8 @@ func (s *Store) indexAdd(w string, k Key) {
 	if w == "" {
 		return
 	}
-	m := s.writers[w]
-	if m == nil {
-		m = make(map[Key]int)
-		s.writers[w] = m
-	}
-	m[k]++
+	ks := s.writers[w]
+	s.writers[w] = append(ks[:len(ks):len(ks)], k) // clamped: always a fresh array
 }
 
 // indexDrop removes n versions by writer w on key k. Callers hold mu.
@@ -130,15 +130,19 @@ func (s *Store) indexDrop(w string, k Key, n int) {
 	if w == "" || n == 0 {
 		return
 	}
-	m := s.writers[w]
-	if m == nil {
-		return
+	ks := s.writers[w]
+	var out []Key
+	for _, x := range ks {
+		if x == k && n > 0 {
+			n--
+			continue
+		}
+		out = append(out, x)
 	}
-	if m[k] -= n; m[k] <= 0 {
-		delete(m, k)
-	}
-	if len(m) == 0 {
+	if len(out) == 0 {
 		delete(s.writers, w)
+	} else {
+		s.writers[w] = out
 	}
 }
 
@@ -326,12 +330,11 @@ func (s *Store) DeleteWritesBatch(writers []string) int {
 }
 
 func (s *Store) deleteWritesLocked(writer string) int {
-	keys := make([]Key, 0, len(s.writers[writer]))
-	for k := range s.writers[writer] {
-		keys = append(keys, k)
-	}
 	var n int
-	for _, k := range keys {
+	// The listed slice is immutable (indexDrop installs a new one), so it
+	// can be walked while the index changes; a repeated key finds nothing
+	// left to remove the second time.
+	for _, k := range s.writers[writer] {
 		chain := s.chains[k]
 		out := chain[:0]
 		removed := 0
@@ -417,7 +420,7 @@ func (s *Store) VersionsBy(writer string) map[Key]Version {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	out := make(map[Key]Version)
-	for k := range s.writers[writer] {
+	for _, k := range s.writers[writer] {
 		for _, v := range s.chains[k] {
 			if v.Writer == writer {
 				out[k] = v
@@ -475,13 +478,7 @@ func (s *Store) Clone() *Store {
 		copy(cp, chain)
 		c.chains[k] = cp
 	}
-	for w, m := range s.writers {
-		cm := make(map[Key]int, len(m))
-		for k, n := range m {
-			cm[k] = n
-		}
-		c.writers[w] = cm
-	}
+	c.writers = maps.Clone(s.writers) // the key slices are immutable, hence shareable
 	return c
 }
 
@@ -551,7 +548,10 @@ func (s *Store) CheckIndex() error {
 		return fmt.Errorf("data: writer index has %d writers, chains have %d", len(s.writers), len(want))
 	}
 	for w, m := range want {
-		got := s.writers[w]
+		got := make(map[Key]int, len(m))
+		for _, k := range s.writers[w] {
+			got[k]++
+		}
 		if len(got) != len(m) {
 			return fmt.Errorf("data: writer %q indexed on %d keys, chains show %d", w, len(got), len(m))
 		}

@@ -345,32 +345,93 @@ func TestCompactChainEdges(t *testing.T) {
 	}
 }
 
-func TestWriterIndexConsistency(t *testing.T) {
-	// Random interleavings of every mutating operation must leave the
-	// writer index in exact agreement with the chains.
-	rng := rand.New(rand.NewSource(7))
-	s := NewStore()
-	keys := []Key{"a", "b", "c", "d"}
-	writers := []string{"w1", "w2", "w3"}
-	pos := 1.0
-	for step := 0; step < 500; step++ {
-		switch rng.Intn(6) {
-		case 0, 1, 2:
-			s.Write(keys[rng.Intn(len(keys))], Value(rng.Intn(100)), pos, writers[rng.Intn(len(writers))], rng.Intn(3) == 0)
-			pos++
-		case 3:
-			s.DeleteWrites(writers[rng.Intn(len(writers))])
-		case 4:
-			s.DeleteRecoveryVersions()
-		case 5:
-			s.CompactBefore(pos - float64(rng.Intn(20)))
-		}
-		if err := s.CheckIndex(); err != nil {
-			t.Fatalf("step %d: %v", step, err)
+// bruteVersionsBy is VersionsBy by a scan over every chain.
+func bruteVersionsBy(s *Store, writer string) (last map[Key]Version, deletable int) {
+	last = make(map[Key]Version)
+	for _, k := range s.Keys() {
+		for _, v := range s.Chain(k) {
+			if v.Writer == writer {
+				last[k] = v
+				if !v.Checkpoint {
+					deletable++
+				}
+			}
 		}
 	}
-	if err := s.Clone().CheckIndex(); err != nil {
-		t.Fatalf("clone: %v", err)
+	return last, deletable
+}
+
+func TestWriterIndexConsistency(t *testing.T) {
+	// Random interleavings of every mutating operation — on a store and on
+	// the clones taken along the way, which share their index slices with
+	// it — must leave every store's writer index in exact agreement with its
+	// own chains, and the index-driven VersionsBy/DeleteWrites must agree
+	// with a brute-force scan of the chains.
+	keys := []Key{"a", "b", "c", "d", "e"}
+	writers := []string{"w1", "w2", "w3", "w4", "w5", "w6"}
+	for seed := int64(1); seed <= 6; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		someKeys := func() []Key {
+			out := []Key{keys[rng.Intn(len(keys))]}
+			for rng.Intn(2) == 0 {
+				out = append(out, keys[rng.Intn(len(keys))])
+			}
+			return out
+		}
+		stores := []*Store{NewStore()}
+		pos := 1.0
+		for step := 0; step < 600; step++ {
+			s := stores[rng.Intn(len(stores))]
+			w := writers[rng.Intn(len(writers))]
+			switch rng.Intn(12) {
+			case 0, 1, 2:
+				s.Write(keys[rng.Intn(len(keys))], Value(rng.Intn(100)), pos, w, rng.Intn(3) == 0)
+				pos++
+			case 3, 4: // out of order; the step-derived fraction keeps positions unique
+				at := float64(rng.Intn(int(pos))) + float64(step+1)/1000
+				s.Write(keys[rng.Intn(len(keys))], Value(rng.Intn(100)), at, w, rng.Intn(2) == 0)
+			case 5:
+				_, want := bruteVersionsBy(s, w)
+				if got := s.DeleteWrites(w); got != want {
+					t.Fatalf("seed %d step %d: DeleteWrites(%s) removed %d versions, the chains held %d", seed, step, w, got, want)
+				}
+			case 6:
+				w2 := writers[rng.Intn(len(writers))]
+				_, want := bruteVersionsBy(s, w)
+				if w2 != w {
+					_, n := bruteVersionsBy(s, w2)
+					want += n
+				}
+				if got := s.DeleteWritesBatch([]string{w, w2}); got != want {
+					t.Fatalf("seed %d step %d: DeleteWritesBatch removed %d versions, the chains held %d", seed, step, got, want)
+				}
+			case 7:
+				s.DeleteRecoveryVersions()
+			case 8:
+				s.DeleteRecoveryVersionsIn(someKeys())
+			case 9:
+				s.CompactBefore(pos - float64(rng.Intn(20)))
+			case 10:
+				s.AdoptChains(stores[rng.Intn(len(stores))], someKeys())
+			case 11: // clones keep being taken, of stores at every age
+				if len(stores) < 4 {
+					stores = append(stores, s.Clone())
+				} else {
+					stores[rng.Intn(len(stores))] = s.Clone()
+				}
+			}
+			for i, st := range stores {
+				if err := st.CheckIndex(); err != nil {
+					t.Fatalf("seed %d step %d store %d: %v", seed, step, i, err)
+				}
+			}
+			for _, w := range writers {
+				want, _ := bruteVersionsBy(s, w)
+				if got := s.VersionsBy(w); !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d step %d: VersionsBy(%s) = %v, the chains say %v", seed, step, w, got, want)
+				}
+			}
+		}
 	}
 }
 

@@ -1,164 +1,154 @@
 // Damage-assessment closure: the →_f* reachability of Theorem 1 computed
-// over the readers adjacency index. Small graphs use a serial DFS; past a
-// size threshold the closure switches to a sharded worker-pool BFS —
+// over the adjacency container. Every instance the traversal discovers is a
+// successor and so has an ordinal: visited sets are bitsets over ordinals and
+// frontiers are integer slices; instance IDs appear only at the ends (the
+// seed, the adjacency lookup, the result). Small graphs use a serial DFS;
+// past a size threshold the closure switches to a sharded worker-pool BFS —
 // level-synchronous, with the visited set partitioned across shards so
-// workers never contend on a shared map. Each round every shard expands its
+// workers never contend on a shared word. Each round every shard expands its
 // frontier into per-destination outboxes, then every shard merges the
-// inboxes addressed to it; ownership is by instance-ID hash, so no locks
-// are needed inside a round.
+// inboxes addressed to it; ownership is by the ordinal's low bits, so no
+// locks are needed inside a round.
 package deps
 
 import (
+	"math/bits"
 	"runtime"
 	"sync"
 
 	"selfheal/internal/wlog"
 )
 
-// parallelClosureThreshold is the flow-edge count below which the serial
+// parallelClosureThreshold is the folded-entry count below which the serial
 // closure wins (goroutine + channel overhead dominates tiny graphs).
 const parallelClosureThreshold = 4096
 
-// closureAt computes the →_f* closure of seed over entries with LSN ≤
-// epoch. Seed members are included in the result.
-func (ig *IncrementalGraph) closureAt(seed map[wlog.InstanceID]bool, epoch int) map[wlog.InstanceID]bool {
+// closureAt computes the →_f* closure of seed over the first n folded
+// entries. Seed members are included in the result.
+func (ig *IncrementalGraph) closureAt(seed map[wlog.InstanceID]bool, n int) map[wlog.InstanceID]bool {
 	ig.mu.RLock()
 	defer ig.mu.RUnlock()
 	workers := runtime.GOMAXPROCS(0)
-	if workers > 1 && len(ig.flow) >= parallelClosureThreshold {
-		return ig.closureParallel(seed, epoch, workers)
+	if workers > 1 && n >= parallelClosureThreshold {
+		return ig.closureParallel(seed, n, workers)
 	}
-	return ig.closureSerial(seed, epoch)
+	return ig.closureSerial(seed, n)
+}
+
+// bitset is a visited set over ordinals.
+type bitset []uint64
+
+func newBitset(n int) bitset { return make(bitset, (n+63)/64) }
+
+// add marks i and reports whether it was unmarked.
+func (b bitset) add(i int) bool {
+	w, m := i>>6, uint64(1)<<(i&63)
+	if b[w]&m != 0 {
+		return false
+	}
+	b[w] |= m
+	return true
 }
 
 // closureSerial is the single-threaded DFS. Callers hold ig.mu.
-func (ig *IncrementalGraph) closureSerial(seed map[wlog.InstanceID]bool, epoch int) map[wlog.InstanceID]bool {
+func (ig *IncrementalGraph) closureSerial(seed map[wlog.InstanceID]bool, n int) map[wlog.InstanceID]bool {
 	out := make(map[wlog.InstanceID]bool, len(seed))
-	stack := make([]wlog.InstanceID, 0, len(seed))
+	visited := newBitset(n)
+	var stack []int
+	push := func(ord int) {
+		if visited.add(ord) {
+			stack = append(stack, ord)
+		}
+	}
 	for id := range seed {
 		out[id] = true
-		stack = append(stack, id)
+		ig.walk(relFlow, id, n, push)
 	}
 	for len(stack) > 0 {
-		cur := stack[len(stack)-1]
+		id := ig.entries[stack[len(stack)-1]].ID()
 		stack = stack[:len(stack)-1]
-		for _, rec := range ig.flowBy[cur] {
-			if rec.lsn > epoch {
-				break // adjacency records are LSN-ordered
-			}
-			if !out[rec.to] {
-				out[rec.to] = true
-				stack = append(stack, rec.to)
-			}
-		}
+		out[id] = true
+		ig.walk(relFlow, id, n, push)
 	}
 	return out
 }
 
 // closureParallel is the sharded worker-pool BFS. Callers hold ig.mu (read),
-// so the adjacency index is immutable for the duration.
-func (ig *IncrementalGraph) closureParallel(seed map[wlog.InstanceID]bool, epoch, workers int) map[wlog.InstanceID]bool {
+// so the adjacency container is immutable for the duration.
+func (ig *IncrementalGraph) closureParallel(seed map[wlog.InstanceID]bool, n, workers int) map[wlog.InstanceID]bool {
 	shards := 1
 	for shards < workers && shards < 16 {
 		shards <<= 1
 	}
-	mask := uint32(shards - 1)
+	mask, shift := shards-1, bits.TrailingZeros(uint(shards))
 
-	visited := make([]map[wlog.InstanceID]bool, shards)
-	frontier := make([][]wlog.InstanceID, shards)
+	// Shard s owns the ordinals with low bits s; its bitset is indexed by
+	// the remaining high bits.
+	visited := make([]bitset, shards)
 	for s := range visited {
-		visited[s] = make(map[wlog.InstanceID]bool)
+		visited[s] = newBitset(n>>shift + 1)
 	}
+	// route sends id's successors to the outbox of the shard owning each.
+	route := func(boxes [][]int, id wlog.InstanceID) {
+		ig.walk(relFlow, id, n, func(ord int) { boxes[ord&mask] = append(boxes[ord&mask], ord) })
+	}
+
+	out := make(map[wlog.InstanceID]bool, len(seed))
+	seedBoxes := make([][]int, shards)
 	for id := range seed {
-		s := shardOf(id) & mask
-		if !visited[s][id] {
-			visited[s][id] = true
-			frontier[s] = append(frontier[s], id)
-		}
+		out[id] = true
+		route(seedBoxes, id)
 	}
+	outbox := [][][]int{seedBoxes}
 
 	var wg sync.WaitGroup
 	for {
-		active := false
-		for s := 0; s < shards; s++ {
-			if len(frontier[s]) > 0 {
-				active = true
-				break
-			}
-		}
-		if !active {
-			break
-		}
-
-		// Expand: each shard walks its frontier's adjacency and routes
-		// discovered successors to per-destination outboxes.
-		outbox := make([][][]wlog.InstanceID, shards)
-		for s := 0; s < shards; s++ {
-			if len(frontier[s]) == 0 {
-				continue
-			}
-			wg.Add(1)
-			go func(s int) {
-				defer wg.Done()
-				boxes := make([][]wlog.InstanceID, shards)
-				for _, id := range frontier[s] {
-					for _, rec := range ig.flowBy[id] {
-						if rec.lsn > epoch {
-							break
-						}
-						d := shardOf(rec.to) & mask
-						boxes[d] = append(boxes[d], rec.to)
-					}
-				}
-				outbox[s] = boxes
-			}(s)
-		}
-		wg.Wait()
-
 		// Merge: each shard exclusively owns its visited partition, so
 		// deduplication needs no locks.
-		next := make([][]wlog.InstanceID, shards)
+		frontier := make([][]int, shards)
 		for d := 0; d < shards; d++ {
 			wg.Add(1)
 			go func(d int) {
 				defer wg.Done()
-				own := visited[d]
-				for s := 0; s < shards; s++ {
-					if outbox[s] == nil {
+				for _, boxes := range outbox {
+					if boxes == nil {
 						continue
 					}
-					for _, id := range outbox[s][d] {
-						if !own[id] {
-							own[id] = true
-							next[d] = append(next[d], id)
+					for _, ord := range boxes[d] {
+						if visited[d].add(ord >> shift) {
+							frontier[d] = append(frontier[d], ord)
 						}
 					}
 				}
 			}(d)
 		}
 		wg.Wait()
-		frontier = next
-	}
 
-	total := 0
-	for _, m := range visited {
-		total += len(m)
-	}
-	out := make(map[wlog.InstanceID]bool, total)
-	for _, m := range visited {
-		for id := range m {
-			out[id] = true
+		// Expand: each shard walks its frontier's adjacency and routes
+		// discovered successors to per-destination outboxes.
+		active := false
+		outbox = make([][][]int, shards)
+		for s := 0; s < shards; s++ {
+			for _, ord := range frontier[s] {
+				out[ig.entries[ord].ID()] = true
+			}
+			if len(frontier[s]) == 0 {
+				continue
+			}
+			active = true
+			wg.Add(1)
+			go func(s int) {
+				defer wg.Done()
+				boxes := make([][]int, shards)
+				for _, ord := range frontier[s] {
+					route(boxes, ig.entries[ord].ID())
+				}
+				outbox[s] = boxes
+			}(s)
+		}
+		wg.Wait()
+		if !active {
+			return out
 		}
 	}
-	return out
-}
-
-// shardOf hashes an instance ID to a shard (FNV-1a).
-func shardOf(id wlog.InstanceID) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(id); i++ {
-		h ^= uint32(id[i])
-		h *= 16777619
-	}
-	return h
 }

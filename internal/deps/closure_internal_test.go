@@ -15,7 +15,7 @@ import (
 // fresh IncrementalGraph: every entry reads one pseudo-random key (observing
 // its last writer) and writes another, producing long, tangled writer chains.
 func randomChainGraph(n, k int, rng *rand.Rand) *IncrementalGraph {
-	ig := newIncremental()
+	ig := newIncremental(Frontier{})
 	last := make([]wlog.InstanceID, k)
 	for i := 0; i < n; i++ {
 		e := &wlog.Entry{
@@ -41,11 +41,12 @@ func randomChainGraph(n, k int, rng *rand.Rand) *IncrementalGraph {
 // TestClosureParallelMatchesSerial forces the sharded BFS with several worker
 // counts (the container may report GOMAXPROCS=1, which would otherwise keep
 // the parallel path cold) and checks it against the serial DFS, at the full
-// epoch and at a mid-log epoch.
+// prefix and at mid-log prefixes.
 func TestClosureParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	ig := randomChainGraph(5000, 32, rng)
-	epochs := []int{ig.epoch, ig.epoch / 2, ig.epoch / 7}
+	n := len(ig.entries)
+	epochs := []int{n, n / 2, n / 7}
 	for trial := 0; trial < 25; trial++ {
 		seed := map[wlog.InstanceID]bool{}
 		for j := 0; j <= trial%3; j++ {
@@ -68,7 +69,7 @@ func TestClosureParallelMatchesSerial(t *testing.T) {
 // an empty seed.
 func TestClosureParallelEmptySeed(t *testing.T) {
 	ig := randomChainGraph(100, 4, rand.New(rand.NewSource(1)))
-	got := ig.closureParallel(map[wlog.InstanceID]bool{}, ig.epoch, 4)
+	got := ig.closureParallel(map[wlog.InstanceID]bool{}, len(ig.entries), 4)
 	if len(got) != 0 {
 		t.Fatalf("empty seed produced %d members", len(got))
 	}

@@ -35,14 +35,13 @@ type Edge struct {
 type Graph struct {
 	g     *IncrementalGraph
 	epoch int
-
-	flow, anti, output []Edge // immutable prefixes, capacity-clamped
+	n     int // entries folded at the snapshot: successor ordinals < n are in view
 }
 
 // Build extracts all data-dependence relations from the log by folding every
 // entry into a fresh incremental graph and snapshotting it.
 func Build(log *wlog.Log) *Graph {
-	g := newIncremental()
+	g := newIncremental(Frontier{})
 	for _, e := range log.Entries() {
 		g.Append(e)
 	}
@@ -52,45 +51,39 @@ func Build(log *wlog.Log) *Graph {
 // Epoch returns the LSN of the last entry the snapshot covers.
 func (g *Graph) Epoch() int { return g.epoch }
 
-// Flow returns a copy of the →_f edges in deterministic order.
-func (g *Graph) Flow() []Edge { return append([]Edge(nil), g.flow...) }
+// Flow returns the →_f edges in deterministic order (successor commit order,
+// then key). The graph stores adjacency only; edge lists are derived on
+// demand by re-folding the snapshot's prefix — O(prefix), for rendering and
+// tests, not for analysis.
+func (g *Graph) Flow() []Edge { return g.g.edgesAt(relFlow, g.n) }
 
-// Anti returns a copy of the →_a edges.
-func (g *Graph) Anti() []Edge { return append([]Edge(nil), g.anti...) }
+// Anti returns the →_a edges (derived like Flow).
+func (g *Graph) Anti() []Edge { return g.g.edgesAt(relAnti, g.n) }
 
-// Output returns a copy of the →_o edges.
-func (g *Graph) Output() []Edge { return append([]Edge(nil), g.output...) }
+// Output returns the →_o edges (derived like Flow).
+func (g *Graph) Output() []Edge { return g.g.edgesAt(relOutput, g.n) }
 
-// FlowEdges returns the →_f edges without copying. The slice is immutable;
-// callers must not modify it. Hot paths (Theorem-3 order derivation) use
-// these accessors to avoid per-alert allocation of the full edge lists.
-func (g *Graph) FlowEdges() []Edge { return g.flow }
-
-// AntiEdges returns the →_a edges without copying (immutable).
-func (g *Graph) AntiEdges() []Edge { return g.anti }
-
-// OutputEdges returns the →_o edges without copying (immutable).
-func (g *Graph) OutputEdges() []Edge { return g.output }
-
-// HasFlow reports from →_f to: an O(1) set lookup.
+// HasFlow reports from →_f to, by scanning from's successors.
 func (g *Graph) HasFlow(from, to wlog.InstanceID) bool {
-	return g.g.hasFlowAt(from, to, g.epoch)
+	found := false
+	g.FlowSuccessors(from, func(s wlog.InstanceID) { found = found || s == to })
+	return found
 }
 
 // FlowSuccessors invokes fn for each direct →_f successor of from, in commit
 // order, once per edge (per-key multiplicity preserved).
 func (g *Graph) FlowSuccessors(from wlog.InstanceID, fn func(to wlog.InstanceID)) {
-	g.g.succAt(g.g.flowBy, from, g.epoch, fn)
+	g.g.succAt(relFlow, from, g.n, fn)
 }
 
 // AntiSuccessors invokes fn for each direct →_a successor of from.
 func (g *Graph) AntiSuccessors(from wlog.InstanceID, fn func(to wlog.InstanceID)) {
-	g.g.succAt(g.g.antiBy, from, g.epoch, fn)
+	g.g.succAt(relAnti, from, g.n, fn)
 }
 
 // OutputSuccessors invokes fn for each direct →_o successor of from.
 func (g *Graph) OutputSuccessors(from wlog.InstanceID, fn func(to wlog.InstanceID)) {
-	g.g.succAt(g.g.outBy, from, g.epoch, fn)
+	g.g.succAt(relOutput, from, g.n, fn)
 }
 
 // ReadersClosure returns every instance that transitively read data written
@@ -101,7 +94,7 @@ func (g *Graph) ReadersClosure(seed map[wlog.InstanceID]bool) map[wlog.InstanceI
 	if len(seed) == 0 {
 		return map[wlog.InstanceID]bool{}
 	}
-	return g.g.closureAt(seed, g.epoch)
+	return g.g.closureAt(seed, g.n)
 }
 
 // ControlView maps static control dependence onto the instances of one run:

@@ -3,11 +3,12 @@
 // of an O(log) rescan per analysis. An IncrementalGraph subscribes to the
 // system log (wlog.Log.OnAppend) and folds every committed entry into
 //
-//   - the per-key writer chain tail (output deps and anti-dep resolution
-//     need only the most recent writer and the readers since it),
-//   - the flow/anti/output edge lists,
-//   - the readers adjacency index (→_f successors) used by damage closures,
-//   - a flow-edge set for O(1) HasFlow.
+//   - the frontier: per key, the writer chain's tail and the readers since
+//     it (output deps and anti-dep resolution need nothing older),
+//   - one adjacency container holding every edge exactly once, as a
+//     (successor ordinal, relation) word under its source instance,
+//   - the list of folded entries, which turns an ordinal back into the
+//     successor's instance ID.
 //
 // Snapshot() returns an immutable *Graph view pinned to the epoch (the LSN
 // of the last folded entry): edges and closure results never include work
@@ -17,52 +18,59 @@
 package deps
 
 import (
-	"sort"
+	"slices"
 	"sync"
 
 	"selfheal/internal/data"
 	"selfheal/internal/wlog"
 )
 
-// succRec is one adjacency record: the successor instance and the LSN of the
-// entry whose commit created the edge (always the edge's To side), used to
-// filter edges beyond a snapshot's epoch.
-type succRec struct {
-	to  wlog.InstanceID
-	lsn int
-}
+// relation names one of the three data-dependence relations.
+type relation uint8
+
+const (
+	relFlow relation = iota
+	relAnti
+	relOutput
+)
+
+// succ is one adjacency record — the whole stored form of an edge: the
+// successor's ordinal (its index in IncrementalGraph.entries, which for a
+// log-fed graph is its LSN offset by the graph's starting epoch) shifted over
+// the relation. An edge is created by its successor's commit, so a source's
+// records are in ascending ordinal order and "beyond the snapshot" is
+// "ordinal ≥ snapshot length".
+type succ uint64
+
+func (s succ) ord() int      { return int(s >> 2) }
+func (s succ) rel() relation { return relation(s & 3) }
 
 // IncrementalGraph maintains the dependence relations of a growing log.
 // Safe for concurrent use: Append (driven by the log's commit hook) takes
 // the write lock, snapshot reads take the read lock.
 type IncrementalGraph struct {
-	mu    sync.RWMutex
-	epoch int // LSN of the last folded entry
+	mu sync.RWMutex
 
-	flow, anti, output []Edge
+	// entries are the folded entries in commit order; an entry's index is
+	// the ordinal adjacency records name it by.
+	entries []*wlog.Entry
+	// adj holds every edge once, under its source. Sources are keyed by
+	// instance ID because a source may predate the graph (a frontier-seeded
+	// graph after a restore, a graph over a partial log) and so have no
+	// ordinal; successors were folded by definition.
+	adj map[wlog.InstanceID][]succ
 
-	// Adjacency indexes, one record per edge (per-key multiplicity kept).
-	flowBy map[wlog.InstanceID][]succRec // →_f successors (readers)
-	antiBy map[wlog.InstanceID][]succRec // →_a successors
-	outBy  map[wlog.InstanceID][]succRec // →_o successors
-
-	// flowSet records the earliest LSN at which from →_f to appeared.
-	flowSet map[wlog.InstanceID]map[wlog.InstanceID]int
-
-	// lastWriter is the tail of each key's writer chain; pending holds the
-	// readers of a key since its last write (the anti-dep frontier: the
-	// key's next writer closes an anti edge from each of them).
-	lastWriter map[data.Key]wlog.InstanceID
-	pending    map[data.Key][]wlog.InstanceID
+	// cur is the fold state after the last entry (cur.Epoch is the graph's
+	// epoch); seed is the state before the first, from which the edge-list
+	// views re-fold.
+	cur, seed Frontier
 }
 
 // NewIncremental returns an IncrementalGraph subscribed to log: entries
 // already committed are folded in immediately and every future commit is
 // folded at Append time, atomically and in LSN order.
 func NewIncremental(log *wlog.Log) *IncrementalGraph {
-	g := newIncremental()
-	log.OnAppend(g.Append)
-	return g
+	return NewIncrementalFrom(log, Frontier{})
 }
 
 // Frontier is the minimal resumable state of an IncrementalGraph: the fold
@@ -81,91 +89,38 @@ type Frontier struct {
 	Pending map[data.Key][]wlog.InstanceID
 }
 
-// Frontier returns a deep copy of the graph's resumable state.
-func (ig *IncrementalGraph) Frontier() Frontier {
-	ig.mu.RLock()
-	defer ig.mu.RUnlock()
-	f := Frontier{
-		Epoch:      ig.epoch,
-		LastWriter: make(map[data.Key]wlog.InstanceID, len(ig.lastWriter)),
-		Pending:    make(map[data.Key][]wlog.InstanceID, len(ig.pending)),
+// clone returns a deep copy of the frontier.
+func (f Frontier) clone() Frontier {
+	c := Frontier{
+		Epoch:      f.Epoch,
+		LastWriter: make(map[data.Key]wlog.InstanceID, len(f.LastWriter)),
+		Pending:    make(map[data.Key][]wlog.InstanceID, len(f.Pending)),
 	}
-	for k, w := range ig.lastWriter {
-		f.LastWriter[k] = w
-	}
-	for k, rs := range ig.pending {
-		cp := make([]wlog.InstanceID, len(rs))
-		copy(cp, rs)
-		f.Pending[k] = cp
-	}
-	return f
-}
-
-// NewIncrementalFrom returns an IncrementalGraph seeded from a frontier and
-// subscribed to log: entries already committed (the restored log suffix) are
-// folded immediately and every future commit is folded at Append time. The
-// log's entries must all carry LSNs above f.Epoch — the durable restore path
-// guarantees this by rebuilding the log at base = snapshot epoch.
-func NewIncrementalFrom(log *wlog.Log, f Frontier) *IncrementalGraph {
-	g := newIncremental()
-	g.epoch = f.Epoch
 	for k, w := range f.LastWriter {
-		g.lastWriter[k] = w
+		c.LastWriter[k] = w
 	}
 	for k, rs := range f.Pending {
-		cp := make([]wlog.InstanceID, len(rs))
-		copy(cp, rs)
-		g.pending[k] = cp
+		c.Pending[k] = slices.Clone(rs)
 	}
-	log.OnAppend(g.Append)
-	return g
+	return c
 }
 
-func newIncremental() *IncrementalGraph {
-	return &IncrementalGraph{
-		flowBy:     make(map[wlog.InstanceID][]succRec),
-		antiBy:     make(map[wlog.InstanceID][]succRec),
-		outBy:      make(map[wlog.InstanceID][]succRec),
-		flowSet:    make(map[wlog.InstanceID]map[wlog.InstanceID]int),
-		lastWriter: make(map[data.Key]wlog.InstanceID),
-		pending:    make(map[data.Key][]wlog.InstanceID),
-	}
-}
-
-// Append folds one committed entry into the graph: O(Δ) in the entry's
-// read/write set sizes, independent of total log length. Entries must be
-// appended in LSN order (the log's OnAppend hook guarantees this).
-func (ig *IncrementalGraph) Append(e *wlog.Entry) {
-	ig.mu.Lock()
-	defer ig.mu.Unlock()
+// fold advances the frontier over one committed entry and reports every
+// dependence edge the entry closes (the entry is each edge's successor).
+// Keys are visited in sorted order, so the emitted sequence is a
+// deterministic function of the entry sequence: batch Build, a live hook-fed
+// graph and the re-folded edge-list views all see the same edges in the same
+// order.
+func (f *Frontier) fold(e *wlog.Entry, emit func(rel relation, from wlog.InstanceID, k data.Key)) {
 	id := e.ID()
-
-	// Keys are visited in sorted order so the edge lists and adjacency
-	// indexes are deterministic functions of the entry sequence (batch
-	// Build and a live hook-fed graph produce identical structures).
-	readKeys := make([]data.Key, 0, len(e.Reads))
-	for k := range e.Reads {
-		readKeys = append(readKeys, k)
-	}
-	sort.Slice(readKeys, func(i, j int) bool { return readKeys[i] < readKeys[j] })
+	var rbuf, wbuf [4]data.Key
+	readKeys := sortedKeys(e.Reads, rbuf[:0])
 
 	// Flow: the entry read a version written by a logged instance; the
 	// recorded writer makes the masked dependence exact (Definition 1).
 	for _, k := range readKeys {
-		obs := e.Reads[k]
-		if obs.Writer == "" {
-			continue // initial version or missing key
-		}
-		from := wlog.InstanceID(obs.Writer)
-		ig.flow = append(ig.flow, Edge{From: from, To: id, Key: k})
-		ig.flowBy[from] = append(ig.flowBy[from], succRec{to: id, lsn: e.LSN})
-		set := ig.flowSet[from]
-		if set == nil {
-			set = make(map[wlog.InstanceID]int)
-			ig.flowSet[from] = set
-		}
-		if _, ok := set[id]; !ok {
-			set[id] = e.LSN
+		if w := e.Reads[k].Writer; w != "" { // else: initial version or missing key
+			emit(relFlow, wlog.InstanceID(w), k)
 		}
 	}
 
@@ -175,35 +130,73 @@ func (ig *IncrementalGraph) Append(e *wlog.Entry) {
 	// resolved before the entry's own reads join the pending set, so a task
 	// that reads and writes the same key anti-depends on the *next* writer,
 	// never on itself.
-	writeKeys := make([]data.Key, 0, len(e.Writes))
-	for k := range e.Writes {
-		writeKeys = append(writeKeys, k)
-	}
-	sort.Slice(writeKeys, func(i, j int) bool { return writeKeys[i] < writeKeys[j] })
-	for _, k := range writeKeys {
-		if prev, ok := ig.lastWriter[k]; ok {
-			ig.output = append(ig.output, Edge{From: prev, To: id, Key: k})
-			ig.outBy[prev] = append(ig.outBy[prev], succRec{to: id, lsn: e.LSN})
+	for _, k := range sortedKeys(e.Writes, wbuf[:0]) {
+		if prev, ok := f.LastWriter[k]; ok {
+			emit(relOutput, prev, k)
 		}
-		for _, r := range ig.pending[k] {
-			ig.anti = append(ig.anti, Edge{From: r, To: id, Key: k})
-			ig.antiBy[r] = append(ig.antiBy[r], succRec{to: id, lsn: e.LSN})
+		for _, r := range f.Pending[k] {
+			emit(relAnti, r, k)
 		}
-		delete(ig.pending, k)
-		ig.lastWriter[k] = id
+		delete(f.Pending, k)
+		f.LastWriter[k] = id
 	}
 
 	for _, k := range readKeys {
-		ig.pending[k] = append(ig.pending[k], id)
+		f.Pending[k] = append(f.Pending[k], id)
 	}
-	ig.epoch = e.LSN
+	f.Epoch = e.LSN
+}
+
+// sortedKeys appends m's keys to buf (a stack buffer that covers the usual
+// one or two keys without allocating) and sorts them.
+func sortedKeys[V any](m map[data.Key]V, buf []data.Key) []data.Key {
+	for k := range m {
+		buf = append(buf, k)
+	}
+	slices.Sort(buf)
+	return buf
+}
+
+// Frontier returns a deep copy of the graph's resumable state.
+func (ig *IncrementalGraph) Frontier() Frontier {
+	ig.mu.RLock()
+	defer ig.mu.RUnlock()
+	return ig.cur.clone()
+}
+
+// NewIncrementalFrom returns an IncrementalGraph seeded from a frontier and
+// subscribed to log: entries already committed (the restored log suffix) are
+// folded immediately and every future commit is folded at Append time. The
+// log's entries must all carry LSNs above f.Epoch — the durable restore path
+// guarantees this by rebuilding the log at base = snapshot epoch.
+func NewIncrementalFrom(log *wlog.Log, f Frontier) *IncrementalGraph {
+	g := newIncremental(f)
+	log.OnAppend(g.Append)
+	return g
+}
+
+func newIncremental(f Frontier) *IncrementalGraph {
+	return &IncrementalGraph{adj: make(map[wlog.InstanceID][]succ), cur: f.clone(), seed: f.clone()}
+}
+
+// Append folds one committed entry into the graph: O(Δ) in the entry's
+// read/write set sizes, independent of total log length. Entries must be
+// appended in LSN order (the log's OnAppend hook guarantees this).
+func (ig *IncrementalGraph) Append(e *wlog.Entry) {
+	ig.mu.Lock()
+	defer ig.mu.Unlock()
+	to := succ(len(ig.entries)) << 2
+	ig.entries = append(ig.entries, e)
+	ig.cur.fold(e, func(rel relation, from wlog.InstanceID, _ data.Key) {
+		ig.adj[from] = append(ig.adj[from], to|succ(rel))
+	})
 }
 
 // Epoch returns the LSN of the last folded entry.
 func (ig *IncrementalGraph) Epoch() int {
 	ig.mu.RLock()
 	defer ig.mu.RUnlock()
-	return ig.epoch
+	return ig.cur.Epoch
 }
 
 // Snapshot returns an immutable view of the graph at the current epoch.
@@ -212,33 +205,44 @@ func (ig *IncrementalGraph) Epoch() int {
 func (ig *IncrementalGraph) Snapshot() *Graph {
 	ig.mu.RLock()
 	defer ig.mu.RUnlock()
-	return &Graph{
-		g:      ig,
-		epoch:  ig.epoch,
-		flow:   ig.flow[:len(ig.flow):len(ig.flow)],
-		anti:   ig.anti[:len(ig.anti):len(ig.anti)],
-		output: ig.output[:len(ig.output):len(ig.output)],
-	}
+	return &Graph{g: ig, epoch: ig.cur.Epoch, n: len(ig.entries)}
 }
 
-// hasFlowAt reports from →_f to among entries with LSN ≤ epoch.
-func (ig *IncrementalGraph) hasFlowAt(from, to wlog.InstanceID, epoch int) bool {
-	ig.mu.RLock()
-	defer ig.mu.RUnlock()
-	lsn, ok := ig.flowSet[from][to]
-	return ok && lsn <= epoch
-}
-
-// succAt invokes fn for every successor of from in idx with edge LSN ≤
-// epoch, in insertion (commit) order, one call per edge (per-key
-// multiplicity preserved).
-func (ig *IncrementalGraph) succAt(idx map[wlog.InstanceID][]succRec, from wlog.InstanceID, epoch int, fn func(to wlog.InstanceID)) {
-	ig.mu.RLock()
-	defer ig.mu.RUnlock()
-	for _, rec := range idx[from] {
-		if rec.lsn > epoch {
-			break // records are LSN-ordered: nothing later qualifies
+// walk invokes fn with the ordinal of every rel-successor of from among the
+// first n folded entries, in commit order, one call per edge (per-key
+// multiplicity preserved). Callers hold ig.mu.
+func (ig *IncrementalGraph) walk(rel relation, from wlog.InstanceID, n int, fn func(ord int)) {
+	for _, s := range ig.adj[from] {
+		if s.ord() >= n {
+			break // records are in commit order: nothing later qualifies
 		}
-		fn(rec.to)
+		if s.rel() == rel {
+			fn(s.ord())
+		}
 	}
+}
+
+// succAt is walk under the read lock, delivering instance IDs.
+func (ig *IncrementalGraph) succAt(rel relation, from wlog.InstanceID, n int, fn func(to wlog.InstanceID)) {
+	ig.mu.RLock()
+	defer ig.mu.RUnlock()
+	ig.walk(rel, from, n, func(ord int) { fn(ig.entries[ord].ID()) })
+}
+
+// edgesAt derives the rel edge list of the first n folded entries by
+// re-folding them from the seed frontier — the cold path behind Flow, Anti
+// and Output (rendering and tests); analysis and repair walk succAt.
+func (ig *IncrementalGraph) edgesAt(rel relation, n int) []Edge {
+	ig.mu.RLock()
+	defer ig.mu.RUnlock()
+	f := ig.seed.clone()
+	var out []Edge
+	for _, e := range ig.entries[:n] {
+		f.fold(e, func(r relation, from wlog.InstanceID, k data.Key) {
+			if r == rel {
+				out = append(out, Edge{From: from, To: e.ID(), Key: k})
+			}
+		})
+	}
+	return out
 }

@@ -1,7 +1,12 @@
 package deps_test
 
 import (
+	"crypto/sha256"
+	"encoding/json"
+	"fmt"
+	"os"
 	"reflect"
+	"sync"
 	"testing"
 
 	"selfheal/internal/data"
@@ -20,6 +25,112 @@ func edgeSet(edges []deps.Edge) map[deps.Edge]int {
 	return out
 }
 
+// edgeGolden digests one seed's derived views as the implementation that
+// stored the edge lists and the flow set (the parent of the single-copy
+// graph) produced them: per relation, the edge count and the sha256 of the
+// "from to key" lines in list order; and the sha256 of the HasFlow matrix
+// over every ordered pair of logged instances. testdata/edges_golden.json
+// was written by that implementation over the seeds and configuration of
+// TestIncrementalMatchesBatchProperty.
+type edgeGolden struct {
+	Seed    int64  `json:"seed"`
+	Flow    string `json:"flow"`
+	Anti    string `json:"anti"`
+	Output  string `json:"output"`
+	HasFlow string `json:"has_flow"`
+}
+
+func edgesDigest(edges []deps.Edge) string {
+	h := sha256.New()
+	for _, e := range edges {
+		fmt.Fprintf(h, "%s %s %s\n", e.From, e.To, e.Key)
+	}
+	return fmt.Sprintf("%d:%x", len(edges), h.Sum(nil))
+}
+
+func digestOf(seed int64, g *deps.Graph, log *wlog.Log) edgeGolden {
+	entries := log.Entries()
+	bits := make([]byte, 0, len(entries)*len(entries))
+	for _, a := range entries {
+		for _, b := range entries {
+			if g.HasFlow(a.ID(), b.ID()) {
+				bits = append(bits, '1')
+			} else {
+				bits = append(bits, '0')
+			}
+		}
+	}
+	return edgeGolden{
+		Seed:    seed,
+		Flow:    edgesDigest(g.Flow()),
+		Anti:    edgesDigest(g.Anti()),
+		Output:  edgesDigest(g.Output()),
+		HasFlow: fmt.Sprintf("%x", sha256.Sum256(bits)),
+	}
+}
+
+func loadGolden(t *testing.T) map[int64]edgeGolden {
+	t.Helper()
+	raw, err := os.ReadFile("testdata/edges_golden.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var list []edgeGolden
+	if err := json.Unmarshal(raw, &list); err != nil {
+		t.Fatal(err)
+	}
+	out := make(map[int64]edgeGolden, len(list))
+	for _, g := range list {
+		out[g.Seed] = g
+	}
+	return out
+}
+
+// successorsOf collects what one of the graph's successor walks delivers.
+func successorsOf(walk func(wlog.InstanceID, func(wlog.InstanceID)), from wlog.InstanceID) []wlog.InstanceID {
+	var out []wlog.InstanceID
+	walk(from, func(to wlog.InstanceID) { out = append(out, to) })
+	return out
+}
+
+// checkAdjacency ties the two readings of the one adjacency container
+// together: per source and relation, the successor walk (what analysis and
+// repair use) delivers exactly the To sides of the derived edge list, in
+// list order, multiplicity included.
+func checkAdjacency(t *testing.T, label string, g *deps.Graph) {
+	t.Helper()
+	for _, rel := range []struct {
+		name  string
+		edges []deps.Edge
+		walk  func(wlog.InstanceID, func(wlog.InstanceID))
+	}{
+		{"flow", g.Flow(), g.FlowSuccessors},
+		{"anti", g.Anti(), g.AntiSuccessors},
+		{"output", g.Output(), g.OutputSuccessors},
+	} {
+		want := make(map[wlog.InstanceID][]wlog.InstanceID)
+		for _, e := range rel.edges {
+			want[e.From] = append(want[e.From], e.To)
+			want[e.To] = want[e.To] // sinks are probed too: they may have no successors
+		}
+		for from, tos := range want {
+			if got := successorsOf(rel.walk, from); !reflect.DeepEqual(got, tos) {
+				t.Fatalf("%s: %s successors of %s = %v, edge list says %v", label, rel.name, from, got, tos)
+			}
+		}
+	}
+}
+
+// appendCopy commits a struct copy of e to l, as a second log would receive
+// it (the copy carries e's cached instance ID along).
+func appendCopy(t *testing.T, l *wlog.Log, e *wlog.Entry) {
+	t.Helper()
+	cp := *e
+	if _, err := l.Append(&cp); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // replayLog re-appends the entries of src, one by one, into a fresh log that
 // g observes, exercising the hook-driven incremental path exactly as the
 // engine drives it at commit time.
@@ -28,10 +139,7 @@ func replayLog(t *testing.T, src *wlog.Log) (*wlog.Log, *deps.IncrementalGraph) 
 	dst := wlog.New()
 	g := deps.NewIncremental(dst)
 	for _, e := range src.Entries() {
-		cp := *e
-		if _, err := dst.Append(&cp); err != nil {
-			t.Fatal(err)
-		}
+		appendCopy(t, dst, e)
 	}
 	return dst, g
 }
@@ -40,6 +148,7 @@ func replayLog(t *testing.T, src *wlog.Log) (*wlog.Log, *deps.IncrementalGraph) 
 // over randomized workloads produces edge sets, closures and HasFlow answers
 // identical to batch Build over the same log.
 func TestIncrementalMatchesBatchProperty(t *testing.T) {
+	golden := loadGolden(t)
 	for seed := int64(0); seed < 40; seed++ {
 		cfg := scenario.RandomConfig{
 			Runs:    3,
@@ -55,21 +164,27 @@ func TestIncrementalMatchesBatchProperty(t *testing.T) {
 		_, ig := replayLog(t, s.Log())
 		incr := ig.Snapshot()
 
-		if got, want := edgeSet(incr.FlowEdges()), edgeSet(batch.FlowEdges()); !reflect.DeepEqual(got, want) {
+		if got, want := edgeSet(incr.Flow()), edgeSet(batch.Flow()); !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d: flow edge sets differ:\n got %v\nwant %v", seed, got, want)
 		}
-		if got, want := edgeSet(incr.AntiEdges()), edgeSet(batch.AntiEdges()); !reflect.DeepEqual(got, want) {
+		if got, want := edgeSet(incr.Anti()), edgeSet(batch.Anti()); !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d: anti edge sets differ:\n got %v\nwant %v", seed, got, want)
 		}
-		if got, want := edgeSet(incr.OutputEdges()), edgeSet(batch.OutputEdges()); !reflect.DeepEqual(got, want) {
+		if got, want := edgeSet(incr.Output()), edgeSet(batch.Output()); !reflect.DeepEqual(got, want) {
 			t.Fatalf("seed %d: output edge sets differ:\n got %v\nwant %v", seed, got, want)
 		}
 		if incr.Epoch() != batch.Epoch() {
 			t.Fatalf("seed %d: epoch %d vs %d", seed, incr.Epoch(), batch.Epoch())
 		}
+		for name, g := range map[string]*deps.Graph{"batch": batch, "incremental": incr} {
+			if got := digestOf(seed, g, s.Log()); got != golden[seed] {
+				t.Fatalf("seed %d: %s views differ from the stored-edge-list implementation:\n got %+v\nwant %+v", seed, name, got, golden[seed])
+			}
+			checkAdjacency(t, fmt.Sprintf("seed %d %s", seed, name), g)
+		}
 
 		// HasFlow parity over every flow edge plus a reversed (absent) pair.
-		for _, e := range batch.FlowEdges() {
+		for _, e := range batch.Flow() {
 			if !incr.HasFlow(e.From, e.To) {
 				t.Fatalf("seed %d: incremental HasFlow misses %v", seed, e)
 			}
@@ -103,15 +218,9 @@ func TestSnapshotEpochIsolation(t *testing.T) {
 	g := deps.NewIncremental(live)
 	prefix := wlog.New()
 	for i, e := range entries {
-		cp := *e
-		if _, err := live.Append(&cp); err != nil {
-			t.Fatal(err)
-		}
+		appendCopy(t, live, e)
 		if i < cut {
-			cp2 := *e
-			if _, err := prefix.Append(&cp2); err != nil {
-				t.Fatal(err)
-			}
+			appendCopy(t, prefix, e)
 		}
 		if i == cut-1 {
 			break
@@ -120,23 +229,20 @@ func TestSnapshotEpochIsolation(t *testing.T) {
 	snap := g.Snapshot() // pinned at the prefix
 	// Feed the rest of the log; snap must not move.
 	for _, e := range entries[cut:] {
-		cp := *e
-		if _, err := live.Append(&cp); err != nil {
-			t.Fatal(err)
-		}
+		appendCopy(t, live, e)
 	}
 
 	want := deps.Build(prefix)
 	if snap.Epoch() != want.Epoch() {
 		t.Fatalf("snapshot epoch %d, want %d", snap.Epoch(), want.Epoch())
 	}
-	if !reflect.DeepEqual(edgeSet(snap.FlowEdges()), edgeSet(want.FlowEdges())) {
+	if !reflect.DeepEqual(edgeSet(snap.Flow()), edgeSet(want.Flow())) {
 		t.Fatal("snapshot flow edges leaked past the epoch")
 	}
-	if !reflect.DeepEqual(edgeSet(snap.AntiEdges()), edgeSet(want.AntiEdges())) {
+	if !reflect.DeepEqual(edgeSet(snap.Anti()), edgeSet(want.Anti())) {
 		t.Fatal("snapshot anti edges leaked past the epoch")
 	}
-	if !reflect.DeepEqual(edgeSet(snap.OutputEdges()), edgeSet(want.OutputEdges())) {
+	if !reflect.DeepEqual(edgeSet(snap.Output()), edgeSet(want.Output())) {
 		t.Fatal("snapshot output edges leaked past the epoch")
 	}
 	for _, e := range prefix.Entries() {
@@ -165,12 +271,157 @@ func TestIncrementalSelfReadWrite(t *testing.T) {
 	mk("inc", map[data.Key]wlog.ReadObs{"k": {WriterPos: wlog.MissingPos}}, map[data.Key]data.Value{"k": 1})
 	mk("next", nil, map[data.Key]data.Value{"k": 2})
 	snap := g.Snapshot()
-	anti := snap.AntiEdges()
+	anti := snap.Anti()
 	if len(anti) != 1 || anti[0].From != "r/inc#1" || anti[0].To != "r/next#1" {
 		t.Fatalf("anti edges = %v, want exactly inc →_a next", anti)
 	}
-	out := snap.OutputEdges()
+	out := snap.Output()
 	if len(out) != 1 || out[0].From != "r/inc#1" || out[0].To != "r/next#1" {
 		t.Fatalf("output edges = %v, want exactly inc →_o next", out)
+	}
+}
+
+// restrict keeps the edges keep accepts, in order.
+func restrict(edges []deps.Edge, keep func(deps.Edge) bool) []deps.Edge {
+	var out []deps.Edge
+	for _, e := range edges {
+		if keep(e) {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
+// TestSuffixGraphsMatchFullFold: an edge's source may be an instance the
+// graph never folded. A frontier-seeded graph over a log suffix (the durable
+// restore) yields exactly the full fold's edges whose successor lies in the
+// suffix; a graph over a bare partial log (no frontier: the benchmark's
+// re-append of the last live entries) yields the flow edges into the suffix
+// — their sources are named by the recorded reads, logged or not — and the
+// anti/output edges with both ends inside it.
+func TestSuffixGraphsMatchFullFold(t *testing.T) {
+	crossing := 0 // flow edges whose source lies beneath the cut, over all seeds
+	for seed := int64(0); seed < 12; seed++ {
+		s, err := scenario.Random(seed, scenario.DefaultRandomConfig(), true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		entries := s.Log().Entries()
+		cut := len(entries) / 2
+		full := deps.Build(s.Log())
+		lsn := make(map[wlog.InstanceID]int, len(entries))
+		for _, e := range entries {
+			lsn[e.ID()] = e.LSN
+		}
+		intoSuffix := func(e deps.Edge) bool { return lsn[e.To] > cut }
+		withinSuffix := func(e deps.Edge) bool { return lsn[e.From] > cut && lsn[e.To] > cut }
+
+		prefix := wlog.New()
+		pg := deps.NewIncremental(prefix)
+		seeded, bare := wlog.NewAt(cut), wlog.New()
+		for i, e := range entries {
+			if i < cut {
+				appendCopy(t, prefix, e)
+			} else {
+				appendCopy(t, seeded, e)
+				appendCopy(t, bare, e)
+			}
+		}
+
+		sg := deps.NewIncrementalFrom(seeded, pg.Frontier()).Snapshot()
+		if sg.Epoch() != full.Epoch() {
+			t.Fatalf("seed %d: seeded epoch %d, want %d", seed, sg.Epoch(), full.Epoch())
+		}
+		bg := deps.NewIncremental(bare).Snapshot()
+		for _, c := range []struct {
+			name      string
+			got, want []deps.Edge
+		}{
+			{"seeded flow", sg.Flow(), restrict(full.Flow(), intoSuffix)},
+			{"seeded anti", sg.Anti(), restrict(full.Anti(), intoSuffix)},
+			{"seeded output", sg.Output(), restrict(full.Output(), intoSuffix)},
+			{"bare flow", bg.Flow(), restrict(full.Flow(), intoSuffix)},
+			{"bare anti", bg.Anti(), restrict(full.Anti(), withinSuffix)},
+			{"bare output", bg.Output(), restrict(full.Output(), withinSuffix)},
+		} {
+			if !reflect.DeepEqual(c.got, c.want) {
+				t.Fatalf("seed %d: %s edges differ from the full fold's restriction:\n got %v\nwant %v", seed, c.name, c.got, c.want)
+			}
+		}
+		checkAdjacency(t, fmt.Sprintf("seed %d seeded", seed), sg)
+		checkAdjacency(t, fmt.Sprintf("seed %d bare", seed), bg)
+		crossing += len(restrict(full.Flow(), func(e deps.Edge) bool { return intoSuffix(e) && lsn[e.From] <= cut }))
+	}
+	if crossing < 12 {
+		t.Fatalf("only %d flow edges cross the cuts; the test is near-vacuous", crossing)
+	}
+}
+
+// TestSnapshotReadersRaceAppend (run under -race): snapshot readers walk the
+// adjacency container while the log's commit hook keeps appending to it, and
+// no walk may ever deliver a successor committed after its snapshot's epoch.
+func TestSnapshotReadersRaceAppend(t *testing.T) {
+	cfg := scenario.DefaultRandomConfig()
+	cfg.Runs = 8
+	s, err := scenario.Random(3, cfg, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := s.Log().Entries()
+	lsn := make(map[wlog.InstanceID]int, len(entries))
+	ids := make([]wlog.InstanceID, len(entries))
+	for i, e := range entries {
+		lsn[e.ID()], ids[i] = e.LSN, e.ID() // the copy log assigns the same LSNs
+	}
+
+	live := wlog.New()
+	g := deps.NewIncremental(live)
+	done := make(chan struct{})
+	passes := make(chan struct{}, 1) // a reader finished a pass; paces the appender
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for stop := false; !stop; {
+				select {
+				case <-done:
+					stop = true // one last pass over the complete graph
+				default:
+				}
+				snap := g.Snapshot()
+				check := func(to wlog.InstanceID) {
+					if lsn[to] > snap.Epoch() {
+						t.Errorf("snapshot at epoch %d delivered %s (LSN %d)", snap.Epoch(), to, lsn[to])
+					}
+				}
+				for _, id := range ids {
+					snap.FlowSuccessors(id, check)
+					snap.AntiSuccessors(id, check)
+					snap.OutputSuccessors(id, check)
+				}
+				for id := range snap.ReadersClosure(map[wlog.InstanceID]bool{ids[0]: true}) {
+					if id != ids[0] { // the seed is in its closure by contract
+						check(id)
+					}
+				}
+				for _, e := range snap.Flow() {
+					check(e.To)
+				}
+				select {
+				case passes <- struct{}{}:
+				default:
+				}
+			}
+		}()
+	}
+	for _, e := range entries {
+		<-passes // so the walks really interleave with the fold
+		appendCopy(t, live, e)
+	}
+	close(done)
+	wg.Wait()
+	if got, want := g.Snapshot().Flow(), deps.Build(s.Log()).Flow(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("flow edges after the concurrent fold differ from batch Build")
 	}
 }

@@ -282,19 +282,20 @@ func (e *Engine) Prepare(r *Run) (*Prepared, error) {
 	task := r.Spec.Tasks[r.cur]
 	r.visits[r.cur]++
 	visit := r.visits[r.cur]
-	inst := wlog.FormatInstance(r.ID, r.cur, visit)
-	attack := e.attack(inst)
-	if attack != nil && attack.Crash {
-		r.done = true
-		r.failed = true
-		return nil, &TaskFailure{Inst: inst}
-	}
-
 	entry := &wlog.Entry{
 		Run:   r.ID,
 		Task:  r.cur,
 		Visit: visit,
 		Reads: make(map[data.Key]wlog.ReadObs, len(task.Reads)),
+	}
+	// The one formatting of this instance's ID: the log index, the
+	// dependence graph and the store's versions all share this string.
+	inst := entry.CacheID()
+	attack := e.attack(inst)
+	if attack != nil && attack.Crash {
+		r.done = true
+		r.failed = true
+		return nil, &TaskFailure{Inst: inst}
 	}
 	// The commit position is the next LSN; reads observe everything
 	// committed before it. Reserve the LSN by appending at the end, so
@@ -558,7 +559,7 @@ func (e *Engine) InjectForged(run string, task wf.TaskID, readKeys []data.Key, w
 		}
 		entry.Reads[k] = wlog.ReadObs{Value: v.Value, Writer: v.Writer, WriterPos: v.Pos}
 	}
-	inst := entry.ID()
+	inst := entry.CacheID()
 	lsn, err := e.log.Append(entry)
 	if err != nil {
 		return "", fmt.Errorf("engine: inject forged %s: %w", inst, err)

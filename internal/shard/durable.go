@@ -154,9 +154,12 @@ func (s *Service) SubmitRunSpec(id string, sj *wfjson.SpecJSON) error {
 	if s.wal == nil {
 		// Seed declared initial values through the commit pipeline (first
 		// writer wins): exclusive with group commits, so a concurrent
-		// commit can never slip a version under the Init.
-		store := s.Store()
+		// commit can never slip a version under the Init. The store is
+		// read inside the job: a full repair queued ahead in the pipeline
+		// swaps the engine's store, and a handle captured out here would
+		// seed the swapped-out one.
 		if err := s.com.exec(func() error {
+			store := s.eng.Store()
 			for k, v := range init {
 				if _, ok := store.Get(k); !ok {
 					store.Init(k, v)
@@ -195,8 +198,8 @@ func (s *Service) SubmitRunSpec(id string, sj *wfjson.SpecJSON) error {
 	// ones the document declares (a key may already have committed
 	// history).
 	applied := make(map[data.Key]data.Value)
-	store := s.Store()
 	if err := s.com.exec(func() error {
+		store := s.eng.Store() // inside the job, as above
 		for k, v := range init {
 			if _, ok := store.Get(k); !ok {
 				store.Init(k, v)

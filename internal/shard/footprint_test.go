@@ -1,0 +1,117 @@
+package shard
+
+import (
+	"fmt"
+	"math/rand"
+	"runtime"
+	"testing"
+
+	"selfheal/internal/data"
+	"selfheal/internal/deps"
+	"selfheal/internal/wf"
+	"selfheal/internal/wfjson"
+	"selfheal/internal/wlog"
+)
+
+// footprintBudget is the live heap the service may retain per committed task
+// instance, in bytes: ~15 % above the 2 056 B measured when the budget was set
+// (2 827 B before the single-copy dependence graph, the flat writer index and
+// the shared instance-ID string; EXPERIMENTS.md "Live heap per committed
+// instance"). Everything counted here stays resident for the whole history —
+// recovery can be asked about any committed instance — so this is the slope
+// of the service's memory.
+const footprintBudget = 2365
+
+// liveHeap returns HeapAlloc after two forced collections (the second one
+// finishes what the first one's sweep left).
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestFootprintPerInstance is ROADMAP aim 3 ("nothing grows without bound")
+// as a test: 2 000 runs of the benchmark's shape (16 sequential tenants over
+// private 6-key pools, wf.GenerateBlueprint with 8 tasks) are committed
+// through the service, and the heap they leave behind, per committed
+// instance, must stay under footprintBudget. On failure the message breaks
+// the figure down by rebuilding each history structure on its own.
+func TestFootprintPerInstance(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector inflates allocations")
+	}
+	const tenants, perTenant = 16, 125
+	docs := make([][]*wfjson.SpecJSON, tenants)
+	for i := range docs {
+		rng := rand.New(rand.NewSource(int64(i) + 1))
+		cfg := wf.GenConfig{Tasks: 8, Keys: 6, MaxReads: 2, MaxWrites: 2, BranchProb: 0.3, Prefix: fmt.Sprintf("a%d_", i)}
+		for j := 0; j < perTenant; j++ {
+			bp := wf.GenerateBlueprint(fmt.Sprintf("a%d-r%d", i, j), cfg, rng)
+			docs[i] = append(docs[i], wfjson.FromBlueprint(bp))
+		}
+	}
+
+	svc := startService(t, Config{Shards: 4})
+	before := liveHeap()
+	for j := 0; j < perTenant; j++ {
+		for i := range docs {
+			if err := svc.SubmitRunSpec(docs[i][j].Name, docs[i][j]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		waitIdle(t, svc) // a tenant's next run starts after its previous one
+	}
+	after := liveHeap()
+	runtime.KeepAlive(docs) // live at both readings, so not in the difference
+
+	instances := svc.Log().Len()
+	per := float64(after-before) / float64(instances)
+	t.Logf("%d runs, %d instances: %.0f B of live heap per committed instance (budget %d)",
+		tenants*perTenant, instances, per, footprintBudget)
+	if per <= footprintBudget {
+		return
+	}
+
+	// Breakdown: rebuild each structure from the service's final state and
+	// charge it the heap its copy occupies.
+	measure := func(build func() any) float64 {
+		base := liveHeap()
+		v := build()
+		d := (float64(liveHeap()) - float64(base)) / float64(instances)
+		runtime.KeepAlive(v)
+		return d
+	}
+	graphB := measure(func() any { return deps.NewIncremental(svc.Log()) })
+	storeB := measure(func() any {
+		s, err := data.NewStoreFromChains(svc.Store().ChainsCopy())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	})
+	logB := measure(func() any {
+		l := wlog.New()
+		for _, e := range svc.Log().Entries() {
+			cp := &wlog.Entry{Run: e.Run, Task: e.Task, Visit: e.Visit, Forged: e.Forged, Chosen: e.Chosen,
+				Reads: make(map[data.Key]wlog.ReadObs, len(e.Reads)), Writes: make(map[data.Key]data.Value, len(e.Writes))}
+			for k, v := range e.Reads {
+				cp.Reads[k] = v
+			}
+			for k, v := range e.Writes {
+				cp.Writes[k] = v
+			}
+			if _, err := l.Append(cp); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return l
+	})
+	t.Fatalf("live heap per committed instance %.0f B exceeds the budget of %d B\n"+
+		"  wlog (entries, read/write maps, indexes) %.0f B\n"+
+		"  deps (adjacency, entry list, frontier)   %.0f B\n"+
+		"  data (version chains, writer index)      %.0f B\n"+
+		"  service (specs, run records) and slack   %.0f B",
+		per, footprintBudget, logB, graphB, storeB, per-logB-graphB-storeB)
+}

@@ -31,7 +31,7 @@ type InstanceID string
 
 // FormatInstance builds the canonical instance ID "run/task#visit".
 func FormatInstance(run string, task wf.TaskID, visit int) InstanceID {
-	return InstanceID(fmt.Sprintf("%s/%s#%d", run, task, visit))
+	return InstanceID(run + "/" + string(task) + "#" + strconv.Itoa(visit))
 }
 
 // ParseInstance splits a canonical instance ID back into its run, task and
@@ -89,11 +89,34 @@ type Entry struct {
 	Writes map[data.Key]data.Value
 	// Chosen is the successor a choice node selected; empty otherwise.
 	Chosen wf.TaskID
+
+	// id caches the formatted instance ID (CacheID); a struct copy carries
+	// it along, which stays valid because Run, Task and Visit are copied
+	// with it.
+	id InstanceID
 }
 
-// ID returns the entry's instance ID.
+// ID returns the entry's instance ID: the string cached by CacheID or by the
+// log at Append, otherwise (a literal Entry no log has seen) formatted on
+// demand without being retained, so ID never writes to a shared entry.
 func (e *Entry) ID() InstanceID {
+	if e.id != "" {
+		return e.id
+	}
 	return FormatInstance(e.Run, e.Task, e.Visit)
+}
+
+// CacheID formats the entry's instance ID once and keeps it, so the log's
+// index, the dependence graph and the store's writer index all share one
+// string per committed instance. Only the goroutine that owns a not yet
+// published entry may call it (the engine while preparing a step; the log,
+// under its lock, for entries that arrive without one); Run, Task and Visit
+// must not change afterwards.
+func (e *Entry) CacheID() InstanceID {
+	if e.id == "" {
+		e.id = FormatInstance(e.Run, e.Task, e.Visit)
+	}
+	return e.id
 }
 
 // Log is the append-only system log. Safe for concurrent use.
@@ -184,19 +207,23 @@ func (l *Log) AppendBatch(entries []*Entry) (int, error) {
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	seen := make(map[InstanceID]bool, len(entries))
-	for _, e := range entries {
-		id := e.ID()
-		if _, dup := l.byInst[id]; dup || seen[id] {
+	// Index first: a collision with a committed entry or with an earlier
+	// entry of this batch shows up as an occupied slot, and the batch's own
+	// slots are rolled back so nothing is appended.
+	for i, e := range entries {
+		id := e.CacheID()
+		if _, dup := l.byInst[id]; dup {
+			for _, prev := range entries[:i] {
+				delete(l.byInst, prev.id)
+			}
 			return 0, fmt.Errorf("wlog: duplicate instance %s", id)
 		}
-		seen[id] = true
+		l.byInst[id] = e
 	}
 	first := l.base + len(l.entries) + 1
 	for i, e := range entries {
 		e.LSN = first + i
 		l.entries = append(l.entries, e)
-		l.byInst[e.ID()] = e
 		l.byRun[e.Run] = append(l.byRun[e.Run], e)
 	}
 	l.o.appends.Add(int64(len(entries)))

@@ -17,6 +17,16 @@ go build ./...
 go vet ./...
 go test -race ./...
 
+# Footprint guard (ROADMAP aim 3, "nothing grows without bound"): live heap
+# per committed instance under its budget. The race pass above skips it (the
+# detector inflates allocations), so it runs once here without -race.
+go test -run '^TestFootprintPerInstance$' -count=1 -v ./internal/shard/
+
+# The Strict-mode lost-init defect showed up in ~1 % of these episodes (a
+# full repair queued ahead of a submission's init seeding); 200 runs keep
+# the fix fixed.
+go test -run 'TestEpisodeHealthyVariantsPass' -count=200 ./internal/fuzz/
+
 # The end-to-end benchmark is its own module (bench/, `replace selfheal =>
 # ../`) compiled against internal packages: vet and its toy-size tests here
 # so internal-API drift against it fails CI, not the next benchmark run.
