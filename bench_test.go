@@ -303,9 +303,9 @@ func buildBenchLog(b *testing.B, n int) (*wlog.Log, []wlog.InstanceID) {
 		if lastW[rk] != "" {
 			obs = wlog.ReadObs{Writer: lastW[rk], WriterPos: lastPos[rk]}
 		}
-		e.Reads = map[data.Key]wlog.ReadObs{data.Key(fmt.Sprintf("k%d", rk)): obs}
+		e.Reads = wlog.ReadsOf(map[data.Key]wlog.ReadObs{data.Key(fmt.Sprintf("k%d", rk)): obs})
 		wk := (i*17 + 3) % keys
-		e.Writes = map[data.Key]data.Value{data.Key(fmt.Sprintf("k%d", wk)): data.Value(i)}
+		e.Writes = wlog.WritesOf(map[data.Key]data.Value{data.Key(fmt.Sprintf("k%d", wk)): data.Value(i)})
 		lsn, err := l.Append(e)
 		if err != nil {
 			b.Fatal(err)
@@ -366,9 +366,9 @@ func BenchmarkIncrementalAppend(b *testing.B) {
 		if lastW[rk] != "" {
 			obs = wlog.ReadObs{Writer: lastW[rk], WriterPos: lastPos[rk]}
 		}
-		e.Reads = map[data.Key]wlog.ReadObs{data.Key(fmt.Sprintf("k%d", rk)): obs}
+		e.Reads = wlog.ReadsOf(map[data.Key]wlog.ReadObs{data.Key(fmt.Sprintf("k%d", rk)): obs})
 		wk := (i*17 + 3) % keys
-		e.Writes = map[data.Key]data.Value{data.Key(fmt.Sprintf("k%d", wk)): data.Value(i)}
+		e.Writes = wlog.WritesOf(map[data.Key]data.Value{data.Key(fmt.Sprintf("k%d", wk)): data.Value(i)})
 		lsn, err := l.Append(e)
 		if err != nil {
 			b.Fatal(err)

@@ -29,6 +29,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 
@@ -53,13 +54,13 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if err := run(*specPath, *attack, data.Value(*value), *dump); err != nil {
+	if err := run(os.Stdout, *specPath, *attack, data.Value(*value), *dump); err != nil {
 		fmt.Fprintln(os.Stderr, "wfrun:", err)
 		os.Exit(1)
 	}
 }
 
-func run(specPath, attack string, corrupt data.Value, dump string) error {
+func run(out io.Writer, specPath, attack string, corrupt data.Value, dump string) error {
 	f, err := os.Open(specPath)
 	if err != nil {
 		return err
@@ -71,7 +72,7 @@ func run(specPath, attack string, corrupt data.Value, dump string) error {
 	}
 
 	for _, w := range wf.Lint(spec) {
-		fmt.Println("lint:", w)
+		fmt.Fprintln(out, "lint:", w)
 	}
 
 	st := data.NewStore()
@@ -105,16 +106,23 @@ func run(specPath, attack string, corrupt data.Value, dump string) error {
 		return err
 	}
 
-	fmt.Printf("workflow %s executed: %d tasks committed\n", spec.Name, eng.Log().Len())
-	fmt.Println("system log:")
+	fmt.Fprintf(out, "workflow %s executed: %d tasks committed\n", spec.Name, eng.Log().Len())
+	fmt.Fprintln(out, "system log:")
 	for _, e := range eng.Log().Entries() {
-		fmt.Printf("  %3d  %-14s reads %v writes %v", e.LSN, e.ID(), readsOf(e), e.Writes)
-		if e.Chosen != "" {
-			fmt.Printf("  chose %s", e.Chosen)
+		fmt.Fprintf(out, "  %3d  %-14s reads:", e.LSN, e.ID())
+		for _, r := range e.Reads {
+			fmt.Fprintf(out, " %s=%d", r.Key, r.Value)
 		}
-		fmt.Println()
+		fmt.Fprint(out, "; writes:")
+		for _, w := range e.Writes {
+			fmt.Fprintf(out, " %s=%d", w.Key, w.Value)
+		}
+		if e.Chosen != "" {
+			fmt.Fprintf(out, "  chose %s", e.Chosen)
+		}
+		fmt.Fprintln(out)
 	}
-	printState("final state", eng.Store())
+	printState(out, "final state", eng.Store())
 
 	if dump != "" {
 		df, err := os.Create(dump)
@@ -128,7 +136,7 @@ func run(specPath, attack string, corrupt data.Value, dump string) error {
 		if err := df.Close(); err != nil {
 			return err
 		}
-		fmt.Printf("snapshot written to %s\n", dump)
+		fmt.Fprintf(out, "snapshot written to %s\n", dump)
 	}
 
 	if attack == "" {
@@ -141,56 +149,48 @@ func run(specPath, attack string, corrupt data.Value, dump string) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("\nrecovery from IDS report %v:\n", bad)
-	fmt.Printf("  worst-case undo bound: %d instances\n", len(res.Analysis.WorstCaseUndo()))
-	fmt.Printf("  flow-damaged (Thm 1 cond 3): %v\n", res.Analysis.FlowDamaged)
+	fmt.Fprintf(out, "\nrecovery from IDS report %v:\n", bad)
+	fmt.Fprintf(out, "  worst-case undo bound: %d instances\n", len(res.Analysis.WorstCaseUndo()))
+	fmt.Fprintf(out, "  flow-damaged (Thm 1 cond 3): %v\n", res.Analysis.FlowDamaged)
 	for g, c := range res.Analysis.CandidateUndo {
-		fmt.Printf("  candidate undo under %s (cond 2): %v\n", g, c)
+		fmt.Fprintf(out, "  candidate undo under %s (cond 2): %v\n", g, c)
 	}
 	for _, c := range res.Analysis.Cond4 {
-		fmt.Printf("  cond-4 candidate: %s stale if %s executes after redo(%s)\n",
+		fmt.Fprintf(out, "  cond-4 candidate: %s stale if %s executes after redo(%s)\n",
 			c.Reader, c.Unexecuted, c.Guard)
 	}
-	fmt.Printf("  undone: %v\n", res.Undone)
-	fmt.Printf("  redone: %v\n", res.Redone)
-	fmt.Printf("  newly executed: %v\n", res.NewExecuted)
-	fmt.Printf("  dropped (not redone): %v\n", res.DroppedNotRedone)
-	fmt.Printf("  fixpoint iterations: %d\n", res.Iterations)
-	fmt.Println("  recovery schedule:")
+	fmt.Fprintf(out, "  undone: %v\n", res.Undone)
+	fmt.Fprintf(out, "  redone: %v\n", res.Redone)
+	fmt.Fprintf(out, "  newly executed: %v\n", res.NewExecuted)
+	fmt.Fprintf(out, "  dropped (not redone): %v\n", res.DroppedNotRedone)
+	fmt.Fprintf(out, "  fixpoint iterations: %d\n", res.Iterations)
+	fmt.Fprintln(out, "  recovery schedule:")
 	for _, a := range res.Schedule {
 		if a.Kind == recovery.ActKeep {
 			continue
 		}
-		fmt.Printf("    %-8s %-14s at position %.4g\n", a.Kind, a.Inst, a.Epos)
+		fmt.Fprintf(out, "    %-8s %-14s at position %.4g\n", a.Kind, a.Inst, a.Epos)
 	}
 	if errs := recovery.VerifyResult(res, eng.Log(), specs); len(errs) != 0 {
 		for _, e := range errs {
-			fmt.Println("  VERIFY FAIL:", e)
+			fmt.Fprintln(out, "  VERIFY FAIL:", e)
 		}
 		return fmt.Errorf("corrected history invalid")
 	}
-	printState("repaired state", res.Store)
+	printState(out, "repaired state", res.Store)
 	return nil
 }
 
-func readsOf(e *wlog.Entry) map[data.Key]data.Value {
-	out := make(map[data.Key]data.Value, len(e.Reads))
-	for k, o := range e.Reads {
-		out[k] = o.Value
-	}
-	return out
-}
-
-func printState(label string, st *data.Store) {
+func printState(out io.Writer, label string, st *data.Store) {
 	snap := st.Snapshot()
 	keys := make([]data.Key, 0, len(snap))
 	for k := range snap {
 		keys = append(keys, k)
 	}
 	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	fmt.Printf("%s:", label)
+	fmt.Fprintf(out, "%s:", label)
 	for _, k := range keys {
-		fmt.Printf(" %s=%d", k, snap[k])
+		fmt.Fprintf(out, " %s=%d", k, snap[k])
 	}
-	fmt.Println()
+	fmt.Fprintln(out)
 }

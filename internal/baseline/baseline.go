@@ -96,8 +96,8 @@ func RollbackRecover(log *wlog.Log, specs map[string]*wf.Spec, initial map[data.
 		if lsn != e.LSN {
 			return nil, fmt.Errorf("baseline: prefix LSN drifted: %d != %d", lsn, e.LSN)
 		}
-		for k, v := range e.Writes {
-			st.Write(k, v, float64(lsn), string(cp.ID()), false)
+		for _, w := range e.Writes {
+			st.Write(w.Key, w.Value, float64(lsn), string(cp.ID()), false)
 		}
 	}
 

@@ -437,7 +437,7 @@ func (n *Node) executeWindow(run string, spec *wf.Spec, cur wf.TaskID, visit int
 		return false
 	}
 	nextLSN := n.rep.NextLSN()
-	overlay := make(map[data.Key]wlog.ReadObs)
+	overlay := make(map[string]ReadObsJSON)
 	batch := make([]*EntryJSON, 0, window)
 	wcur, wvisit := cur, visit
 	for len(batch) < window {
@@ -456,15 +456,16 @@ func (n *Node) executeWindow(run string, spec *wf.Spec, cur wf.TaskID, visit int
 				break
 			}
 		}
-		obsv := make(map[data.Key]wlog.ReadObs, len(task.Reads))
+		reads := make(map[string]ReadObsJSON, len(task.Reads))
 		vals := make(map[data.Key]data.Value, len(task.Reads))
 		for _, k := range task.Reads {
-			o, ok := overlay[k]
+			o, ok := overlay[string(k)]
 			if !ok {
-				o = n.rep.currentObs(k)
+				c := n.rep.currentObs(k)
+				o = ReadObsJSON{Value: int64(c.Value), Writer: c.Writer, WriterPos: c.WriterPos}
 			}
-			obsv[k] = o
-			vals[k] = o.Value
+			reads[string(k)] = o
+			vals[k] = data.Value(o.Value)
 		}
 		written := make(map[string]int64, len(task.Writes))
 		if task.Compute != nil {
@@ -485,17 +486,14 @@ func (n *Node) executeWindow(run string, spec *wf.Spec, cur wf.TaskID, visit int
 			Run:    run,
 			Task:   string(wcur),
 			Visit:  wvisit,
-			Reads:  make(map[string]ReadObsJSON, len(obsv)),
+			Reads:  reads,
 			Writes: written,
 			Chosen: chosen,
-		}
-		for k, o := range obsv {
-			ej.Reads[string(k)] = ReadObsJSON{Value: int64(o.Value), Writer: o.Writer, WriterPos: o.WriterPos}
 		}
 		batch = append(batch, ej)
 		inst := wlog.FormatInstance(run, wcur, wvisit)
 		for k, v := range written {
-			overlay[data.Key(k)] = wlog.ReadObs{Value: data.Value(v), Writer: string(inst), WriterPos: float64(nextLSN)}
+			overlay[k] = ReadObsJSON{Value: v, Writer: string(inst), WriterPos: float64(nextLSN)}
 		}
 		visits[wcur] = wvisit
 		nextLSN++

@@ -104,7 +104,8 @@ type EntryJSON struct {
 	Chosen string                 `json:"chosen,omitempty"`
 }
 
-// ToEntry converts the wire form into a fresh wlog.Entry (LSN unassigned).
+// ToEntry converts the wire form into a fresh wlog.Entry (LSN unassigned),
+// putting the JSON objects' members into the entry's key order.
 func (ej *EntryJSON) ToEntry() *wlog.Entry {
 	e := &wlog.Entry{
 		Run:    ej.Run,
@@ -112,19 +113,24 @@ func (ej *EntryJSON) ToEntry() *wlog.Entry {
 		Visit:  ej.Visit,
 		Forged: ej.Forged,
 		Chosen: wf.TaskID(ej.Chosen),
-		Reads:  make(map[data.Key]wlog.ReadObs, len(ej.Reads)),
-		Writes: make(map[data.Key]data.Value, len(ej.Writes)),
+	}
+	if len(ej.Reads) > 0 {
+		e.Reads = make([]wlog.Read, 0, len(ej.Reads))
 	}
 	for k, o := range ej.Reads {
-		e.Reads[data.Key(k)] = wlog.ReadObs{
+		e.Reads = append(e.Reads, wlog.Read{Key: data.Key(k), ReadObs: wlog.ReadObs{
 			Value:     data.Value(o.Value),
 			Writer:    o.Writer,
 			WriterPos: o.WriterPos,
-		}
+		}})
+	}
+	if len(ej.Writes) > 0 {
+		e.Writes = make([]wlog.Write, 0, len(ej.Writes))
 	}
 	for k, v := range ej.Writes {
-		e.Writes[data.Key(k)] = data.Value(v)
+		e.Writes = append(e.Writes, wlog.Write{Key: data.Key(k), Value: data.Value(v)})
 	}
+	_ = e.Normalize() // its one error is a repeated key, which a Go map cannot hold
 	return e
 }
 
@@ -139,15 +145,15 @@ func EntryToJSON(e *wlog.Entry) *EntryJSON {
 		Reads:  make(map[string]ReadObsJSON, len(e.Reads)),
 		Writes: make(map[string]int64, len(e.Writes)),
 	}
-	for k, o := range e.Reads {
-		ej.Reads[string(k)] = ReadObsJSON{
-			Value:     int64(o.Value),
-			Writer:    o.Writer,
-			WriterPos: o.WriterPos,
+	for _, r := range e.Reads {
+		ej.Reads[string(r.Key)] = ReadObsJSON{
+			Value:     int64(r.Value),
+			Writer:    r.Writer,
+			WriterPos: r.WriterPos,
 		}
 	}
-	for k, v := range e.Writes {
-		ej.Writes[string(k)] = int64(v)
+	for _, w := range e.Writes {
+		ej.Writes[string(w.Key)] = int64(w.Value)
 	}
 	return ej
 }

@@ -3,6 +3,8 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -34,19 +36,18 @@ func sampleRecords() []Record {
 		{Seq: 1, Kind: KindSpec, Origin: "n1", Run: "m", Spec: spec, Init: map[string]int64{"a": 5, "b": -2}},
 		{Seq: 2, Kind: KindEntry, Origin: "n2", Entry: &wlog.Entry{
 			LSN: 1, Run: "m", Task: "t0", Visit: 1,
-			Reads:  map[data.Key]wlog.ReadObs{},
-			Writes: map[data.Key]data.Value{"a": 8},
+			Writes: wlog.WritesOf(map[data.Key]data.Value{"a": 8}),
 		}},
 		{Seq: 3, Kind: KindEntry, Origin: "n1", Entry: &wlog.Entry{
 			LSN: 2, Run: "m", Task: "t1", Visit: 1,
-			Reads:  map[data.Key]wlog.ReadObs{"a": {Value: 8, Writer: "m/t0#1", WriterPos: 1}},
-			Writes: map[data.Key]data.Value{"b": 15},
+			Reads:  wlog.ReadsOf(map[data.Key]wlog.ReadObs{"a": {Value: 8, Writer: "m/t0#1", WriterPos: 1}}),
+			Writes: wlog.WritesOf(map[data.Key]data.Value{"b": 15}),
 			Chosen: "t1",
 		}},
 		{Seq: 4, Kind: KindEntry, Origin: "n3", Entry: &wlog.Entry{
 			LSN: 3, Run: "ghost", Task: "f", Visit: 1, Forged: true,
-			Reads:  map[data.Key]wlog.ReadObs{"b": {Value: 15, Writer: "m/t1#1", WriterPos: 2}},
-			Writes: map[data.Key]data.Value{"b": -999},
+			Reads:  wlog.ReadsOf(map[data.Key]wlog.ReadObs{"b": {Value: 15, Writer: "m/t1#1", WriterPos: 2}}),
+			Writes: wlog.WritesOf(map[data.Key]data.Value{"b": -999}),
 		}},
 		{Seq: 5, Kind: KindRepair, Origin: "n1", Bad: []string{"ghost/f#1"}},
 	}
@@ -314,8 +315,8 @@ func benchRecords(n int) []Record {
 			Seq: i + 1, Kind: KindEntry, Origin: "n2",
 			Entry: &wlog.Entry{
 				LSN: i + 1, Run: "bench", Task: "t", Visit: i + 1,
-				Reads:  map[data.Key]wlog.ReadObs{"k1": {Value: data.Value(i), Writer: "bench/t#1", WriterPos: float64(i)}},
-				Writes: map[data.Key]data.Value{"k1": data.Value(i), "k2": data.Value(-i)},
+				Reads:  wlog.ReadsOf(map[data.Key]wlog.ReadObs{"k1": {Value: data.Value(i), Writer: "bench/t#1", WriterPos: float64(i)}}),
+				Writes: wlog.WritesOf(map[data.Key]data.Value{"k1": data.Value(i), "k2": data.Value(-i)}),
 			},
 		})
 	}
@@ -356,4 +357,75 @@ func BenchmarkReplicationCodecJSON(b *testing.B) {
 		bytesPerRec = float64(len(body)) / float64(len(recs))
 	}
 	b.ReportMetric(bytesPerRec, "bytes/record")
+}
+
+// randomEntry returns a well-formed entry (LSN unassigned) with 0–4 reads and
+// 0–4 writes over a small key pool, some reads of missing keys.
+func randomEntry(rng *rand.Rand, i int) *wlog.Entry {
+	e := &wlog.Entry{Run: fmt.Sprintf("r%d", rng.Intn(3)), Task: "t", Visit: i + 1, Forged: rng.Intn(5) == 0}
+	if rng.Intn(4) == 0 {
+		e.Chosen = "next"
+	}
+	reads := make(map[data.Key]wlog.ReadObs)
+	for n := rng.Intn(5); len(reads) < n; {
+		obs := wlog.ReadObs{WriterPos: wlog.MissingPos}
+		if rng.Intn(4) > 0 {
+			obs = wlog.ReadObs{Value: data.Value(rng.Int63n(2000) - 1000), Writer: fmt.Sprintf("w/t#%d", rng.Intn(9)+1), WriterPos: float64(rng.Intn(100)) + 0.5}
+		}
+		reads[data.Key(fmt.Sprintf("k%d", rng.Intn(12)))] = obs
+	}
+	writes := make(map[data.Key]data.Value)
+	for n := rng.Intn(5); len(writes) < n; {
+		writes[data.Key(fmt.Sprintf("k%d", rng.Intn(12)))] = data.Value(rng.Int63n(2000) - 1000)
+	}
+	e.Reads, e.Writes = wlog.ReadsOf(reads), wlog.WritesOf(writes)
+	return e
+}
+
+// An entry survives every boundary a record crosses — the EntryJSON struct,
+// the JSON text and the binary codec — with its reads and writes in key
+// order, whatever order a JSON object's members arrive in.
+func TestEntryBoundariesRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for i := 0; i < 300; i++ {
+		e := randomEntry(rng, i)
+		if got := EntryToJSON(e).ToEntry(); !reflect.DeepEqual(got, e) {
+			t.Fatalf("EntryJSON round trip:\n got %+v\nwant %+v", got, e)
+		}
+		rec := Record{Seq: i + 1, Kind: KindEntry, Origin: "n", Entry: e}
+		text, err := json.Marshal(rec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var back Record
+		if err := json.Unmarshal(text, &back); err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(back.Entry, e) {
+			t.Fatalf("JSON text round trip of %s:\n got %+v\nwant %+v", text, back.Entry, e)
+		}
+		bin, err := decodeRecord(encodeRecord(nil, &rec))
+		if err != nil || !reflect.DeepEqual(bin.Entry, e) {
+			t.Fatalf("binary round trip: %+v, %v\nwant %+v", bin.Entry, err, e)
+		}
+	}
+
+	var rec Record
+	unsorted := `{"seq":1,"kind":"entry","entry":{"task":"t","visit":1,` +
+		`"reads":{"z":{"value":1,"writer_pos":0},"a":{"value":2,"writer":"w/t#1","writer_pos":3},"m":{"value":0,"writer_pos":-1}},` +
+		`"writes":{"y":1,"b":2,"q":3}}}`
+	if err := json.Unmarshal([]byte(unsorted), &rec); err != nil {
+		t.Fatal(err)
+	}
+	want := &wlog.Entry{Task: "t", Visit: 1,
+		Reads: []wlog.Read{
+			{Key: "a", ReadObs: wlog.ReadObs{Value: 2, Writer: "w/t#1", WriterPos: 3}},
+			{Key: "m", ReadObs: wlog.ReadObs{WriterPos: wlog.MissingPos}},
+			{Key: "z", ReadObs: wlog.ReadObs{Value: 1}},
+		},
+		Writes: []wlog.Write{{Key: "b", Value: 2}, {Key: "q", Value: 3}, {Key: "y", Value: 1}},
+	}
+	if !reflect.DeepEqual(rec.Entry, want) {
+		t.Fatalf("unsorted JSON object decodes to %+v, want %+v", rec.Entry, want)
+	}
 }

@@ -221,8 +221,8 @@ func (r *replica) applyEntry(rec *Record) error {
 		return fmt.Errorf("cluster: record %d: %w", rec.Seq, err)
 	}
 	id := e.ID()
-	for k, v := range e.Writes {
-		r.store.Write(k, v, float64(lsn), string(id), false)
+	for _, w := range e.Writes {
+		r.store.Write(w.Key, w.Value, float64(lsn), string(id), false)
 	}
 	if e.Forged {
 		return nil
@@ -458,27 +458,6 @@ func (r *replica) LogEntries() (int, []*wlog.Entry) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.log.Base(), r.log.Entries()
-}
-
-// readView returns a task's read observations and plain values against the
-// replica's current committed state — the executor's optimistic read set,
-// revalidated by the stamper at commit time.
-func (r *replica) readView(task *wf.Task) (map[data.Key]wlog.ReadObs, map[data.Key]data.Value) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	obs := make(map[data.Key]wlog.ReadObs, len(task.Reads))
-	vals := make(map[data.Key]data.Value, len(task.Reads))
-	for _, k := range task.Reads {
-		v, ok := r.store.Get(k)
-		if !ok {
-			obs[k] = wlog.ReadObs{Value: 0, WriterPos: wlog.MissingPos}
-			vals[k] = 0
-			continue
-		}
-		obs[k] = wlog.ReadObs{Value: v.Value, Writer: v.Writer, WriterPos: v.Pos}
-		vals[k] = v.Value
-	}
-	return obs, vals
 }
 
 // currentObs returns the current committed observation for one key.

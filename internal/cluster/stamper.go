@@ -325,19 +325,17 @@ func (s *stamper) SubmitForge(origin, run, task string, reads []string, writes m
 	if rep.HasInstance(inst) {
 		return "", 0, fmt.Errorf("cluster: forged instance %s already committed: %w", inst, engine.ErrRunExists)
 	}
-	e := &wlog.Entry{
-		Run:    run,
-		Task:   wf.TaskID(task),
-		Visit:  1,
-		Forged: true,
-		Reads:  make(map[data.Key]wlog.ReadObs, len(reads)),
-		Writes: make(map[data.Key]data.Value, len(writes)),
-	}
+	e := &wlog.Entry{Run: run, Task: wf.TaskID(task), Visit: 1, Forged: true}
 	for _, k := range reads {
-		e.Reads[data.Key(k)] = rep.currentObs(data.Key(k))
+		if _, seen := e.Read(data.Key(k)); !seen {
+			e.Reads = append(e.Reads, wlog.Read{Key: data.Key(k), ReadObs: rep.currentObs(data.Key(k))})
+		}
 	}
 	for k, v := range writes {
-		e.Writes[data.Key(k)] = data.Value(v)
+		e.Writes = append(e.Writes, wlog.Write{Key: data.Key(k), Value: data.Value(v)})
+	}
+	if err := e.Normalize(); err != nil {
+		return "", 0, err
 	}
 	seq, err := s.stampLocked(&Record{Kind: KindEntry, Origin: origin, Entry: e})
 	if err != nil {

@@ -29,9 +29,9 @@ func randomChainGraph(n, k int, rng *rand.Rand) *IncrementalGraph {
 		if last[rk] != "" {
 			obs = wlog.ReadObs{Writer: string(last[rk]), WriterPos: float64(i)}
 		}
-		e.Reads = map[data.Key]wlog.ReadObs{data.Key(fmt.Sprintf("k%d", rk)): obs}
+		e.Reads = wlog.ReadsOf(map[data.Key]wlog.ReadObs{data.Key(fmt.Sprintf("k%d", rk)): obs})
 		wk := rng.Intn(k)
-		e.Writes = map[data.Key]data.Value{data.Key(fmt.Sprintf("k%d", wk)): data.Value(i)}
+		e.Writes = wlog.WritesOf(map[data.Key]data.Value{data.Key(fmt.Sprintf("k%d", wk)): data.Value(i)})
 		ig.Append(e)
 		last[wk] = e.ID()
 	}

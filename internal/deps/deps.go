@@ -199,8 +199,8 @@ func PotentialFlowFromUnexecutedAt(log *wlog.Log, spec *wf.Spec, tk wf.TaskID, m
 		if e.LSN > maxLSN {
 			break
 		}
-		for k := range e.Reads {
-			if writes[k] {
+		for _, r := range e.Reads {
+			if writes[r.Key] {
 				out = append(out, e.ID())
 				break
 			}

@@ -38,25 +38,25 @@ func buildLog(t *testing.T, steps []step) (*wlog.Log, *data.Store) {
 	l := wlog.New()
 	for _, s := range steps {
 		e := &wlog.Entry{
-			Run:    "r",
-			Task:   wf.TaskID(s.task),
-			Visit:  1,
-			Reads:  map[data.Key]wlog.ReadObs{},
-			Writes: map[data.Key]data.Value{},
+			Run:   "r",
+			Task:  wf.TaskID(s.task),
+			Visit: 1,
 		}
 		for _, k := range s.reads {
+			obs := wlog.ReadObs{WriterPos: wlog.MissingPos}
 			if v, ok := st.Get(k); ok {
-				e.Reads[k] = wlog.ReadObs{Value: v.Value, Writer: v.Writer, WriterPos: v.Pos}
-			} else {
-				e.Reads[k] = wlog.ReadObs{WriterPos: wlog.MissingPos}
+				obs = wlog.ReadObs{Value: v.Value, Writer: v.Writer, WriterPos: v.Pos}
 			}
+			e.Reads = append(e.Reads, wlog.Read{Key: k, ReadObs: obs})
 		}
-		lsn, err := l.Append(e)
-		if err != nil {
+		lsn := l.Len() + 1
+		for _, k := range s.writes {
+			e.Writes = append(e.Writes, wlog.Write{Key: k, Value: data.Value(lsn)})
+		}
+		if _, err := l.Append(e); err != nil { // Append puts the keys in order
 			t.Fatal(err)
 		}
 		for _, k := range s.writes {
-			e.Writes[k] = data.Value(lsn)
 			st.Write(k, data.Value(lsn), float64(lsn), string(e.ID()), false)
 		}
 	}

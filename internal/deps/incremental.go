@@ -107,20 +107,18 @@ func (f Frontier) clone() Frontier {
 
 // fold advances the frontier over one committed entry and reports every
 // dependence edge the entry closes (the entry is each edge's successor).
-// Keys are visited in sorted order, so the emitted sequence is a
-// deterministic function of the entry sequence: batch Build, a live hook-fed
-// graph and the re-folded edge-list views all see the same edges in the same
-// order.
+// Keys are visited in the entry's own order, which is sorted (wlog.Entry),
+// so the emitted sequence is a deterministic function of the entry sequence:
+// batch Build, a live hook-fed graph and the re-folded edge-list views all
+// see the same edges in the same order.
 func (f *Frontier) fold(e *wlog.Entry, emit func(rel relation, from wlog.InstanceID, k data.Key)) {
 	id := e.ID()
-	var rbuf, wbuf [4]data.Key
-	readKeys := sortedKeys(e.Reads, rbuf[:0])
 
 	// Flow: the entry read a version written by a logged instance; the
 	// recorded writer makes the masked dependence exact (Definition 1).
-	for _, k := range readKeys {
-		if w := e.Reads[k].Writer; w != "" { // else: initial version or missing key
-			emit(relFlow, wlog.InstanceID(w), k)
+	for _, r := range e.Reads {
+		if r.Writer != "" { // else: initial version or missing key
+			emit(relFlow, wlog.InstanceID(r.Writer), r.Key)
 		}
 	}
 
@@ -130,7 +128,8 @@ func (f *Frontier) fold(e *wlog.Entry, emit func(rel relation, from wlog.Instanc
 	// resolved before the entry's own reads join the pending set, so a task
 	// that reads and writes the same key anti-depends on the *next* writer,
 	// never on itself.
-	for _, k := range sortedKeys(e.Writes, wbuf[:0]) {
+	for _, w := range e.Writes {
+		k := w.Key
 		if prev, ok := f.LastWriter[k]; ok {
 			emit(relOutput, prev, k)
 		}
@@ -141,20 +140,10 @@ func (f *Frontier) fold(e *wlog.Entry, emit func(rel relation, from wlog.Instanc
 		f.LastWriter[k] = id
 	}
 
-	for _, k := range readKeys {
-		f.Pending[k] = append(f.Pending[k], id)
+	for _, r := range e.Reads {
+		f.Pending[r.Key] = append(f.Pending[r.Key], id)
 	}
 	f.Epoch = e.LSN
-}
-
-// sortedKeys appends m's keys to buf (a stack buffer that covers the usual
-// one or two keys without allocating) and sorts them.
-func sortedKeys[V any](m map[data.Key]V, buf []data.Key) []data.Key {
-	for k := range m {
-		buf = append(buf, k)
-	}
-	slices.Sort(buf)
-	return buf
 }
 
 // Frontier returns a deep copy of the graph's resumable state.

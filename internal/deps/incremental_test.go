@@ -264,7 +264,7 @@ func TestIncrementalSelfReadWrite(t *testing.T) {
 	l := wlog.New()
 	g := deps.NewIncremental(l)
 	mk := func(task string, reads map[data.Key]wlog.ReadObs, writes map[data.Key]data.Value) {
-		if _, err := l.Append(&wlog.Entry{Run: "r", Task: wf.TaskID(task), Visit: 1, Reads: reads, Writes: writes}); err != nil {
+		if _, err := l.Append(&wlog.Entry{Run: "r", Task: wf.TaskID(task), Visit: 1, Reads: wlog.ReadsOf(reads), Writes: wlog.WritesOf(writes)}); err != nil {
 			t.Fatal(err)
 		}
 	}

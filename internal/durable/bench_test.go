@@ -18,8 +18,8 @@ func benchEntry(i int) *wlog.Entry {
 		Task:   "t",
 		Visit:  i + 1,
 		Forged: true,
-		Reads:  map[data.Key]wlog.ReadObs{k: {Value: data.Value(i), Writer: "w", WriterPos: float64(i)}},
-		Writes: map[data.Key]data.Value{k: data.Value(i + 1)},
+		Reads:  wlog.ReadsOf(map[data.Key]wlog.ReadObs{k: {Value: data.Value(i), Writer: "w", WriterPos: float64(i)}}),
+		Writes: wlog.WritesOf(map[data.Key]data.Value{k: data.Value(i + 1)}),
 	}
 }
 

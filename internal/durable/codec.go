@@ -194,8 +194,9 @@ func EncodeEntry(dst []byte, e *wlog.Entry) []byte {
 }
 
 // AppendEntryBody appends the binary encoding of one committed task
-// instance (LSN first, map-shaped fields in sorted key order) to dst: the
-// body of a WAL entry record and of a cluster entry record alike.
+// instance (LSN first, reads and writes in the entry's own order, which is
+// sorted by key) to dst: the body of a WAL entry record and of a cluster
+// entry record alike.
 func AppendEntryBody(dst []byte, e *wlog.Entry) []byte {
 	dst = AppendUvarint(dst, uint64(e.LSN))
 	dst = AppendString(dst, e.Run)
@@ -213,29 +214,17 @@ func AppendEntryBody(dst []byte, e *wlog.Entry) []byte {
 		dst = AppendString(dst, string(e.Chosen))
 	}
 
-	readKeys := make([]data.Key, 0, len(e.Reads))
-	for k := range e.Reads {
-		readKeys = append(readKeys, k)
+	dst = AppendUvarint(dst, uint64(len(e.Reads)))
+	for _, r := range e.Reads {
+		dst = AppendString(dst, string(r.Key))
+		dst = AppendVarint(dst, int64(r.Value))
+		dst = AppendString(dst, r.Writer)
+		dst = AppendF64(dst, r.WriterPos)
 	}
-	sort.Slice(readKeys, func(i, j int) bool { return readKeys[i] < readKeys[j] })
-	dst = AppendUvarint(dst, uint64(len(readKeys)))
-	for _, k := range readKeys {
-		obs := e.Reads[k]
-		dst = AppendString(dst, string(k))
-		dst = AppendVarint(dst, int64(obs.Value))
-		dst = AppendString(dst, obs.Writer)
-		dst = AppendF64(dst, obs.WriterPos)
-	}
-
-	writeKeys := make([]data.Key, 0, len(e.Writes))
-	for k := range e.Writes {
-		writeKeys = append(writeKeys, k)
-	}
-	sort.Slice(writeKeys, func(i, j int) bool { return writeKeys[i] < writeKeys[j] })
-	dst = AppendUvarint(dst, uint64(len(writeKeys)))
-	for _, k := range writeKeys {
-		dst = AppendString(dst, string(k))
-		dst = AppendVarint(dst, int64(e.Writes[k]))
+	dst = AppendUvarint(dst, uint64(len(e.Writes)))
+	for _, w := range e.Writes {
+		dst = AppendString(dst, string(w.Key))
+		dst = AppendVarint(dst, int64(w.Value))
 	}
 	return dst
 }
@@ -267,21 +256,28 @@ func (r *Reader) EntryBody() *wlog.Entry {
 	if flags&entryChosen != 0 {
 		e.Chosen = wf.TaskID(r.Str())
 	}
-	nReads := r.Uvarint()
-	e.Reads = make(map[data.Key]wlog.ReadObs, nReads)
-	for i := uint64(0); i < nReads && r.err == nil; i++ {
-		k := data.Key(r.Str())
-		e.Reads[k] = wlog.ReadObs{
-			Value:     data.Value(r.Varint()),
-			Writer:    r.Str(),
-			WriterPos: r.F64(),
+	// Every element takes at least a byte, so capping a count at the bytes
+	// left sizes the slices exactly and keeps a damaged count harmless.
+	if n := r.Uvarint(); n > 0 {
+		e.Reads = make([]wlog.Read, 0, min(n, uint64(len(r.b))))
+		for i := uint64(0); i < n && r.err == nil; i++ {
+			e.Reads = append(e.Reads, wlog.Read{Key: data.Key(r.Str()), ReadObs: wlog.ReadObs{
+				Value:     data.Value(r.Varint()),
+				Writer:    r.Str(),
+				WriterPos: r.F64(),
+			}})
 		}
 	}
-	nWrites := r.Uvarint()
-	e.Writes = make(map[data.Key]data.Value, nWrites)
-	for i := uint64(0); i < nWrites && r.err == nil; i++ {
-		k := data.Key(r.Str())
-		e.Writes[k] = data.Value(r.Varint())
+	if n := r.Uvarint(); n > 0 {
+		e.Writes = make([]wlog.Write, 0, min(n, uint64(len(r.b))))
+		for i := uint64(0); i < n && r.err == nil; i++ {
+			e.Writes = append(e.Writes, wlog.Write{Key: data.Key(r.Str()), Value: data.Value(r.Varint())})
+		}
+	}
+	// Every writer emits sorted keys; a file that does not is put in order
+	// here, and one that repeats a key is damaged.
+	if err := e.Normalize(); err != nil && r.err == nil {
+		r.err = err
 	}
 	return e
 }

@@ -2,6 +2,7 @@ package durable
 
 import (
 	"bytes"
+	"os"
 	"reflect"
 	"testing"
 
@@ -18,22 +19,21 @@ func testEntry() *wlog.Entry {
 		Task:   "charge",
 		Visit:  3,
 		Chosen: "retry",
-		Reads: map[data.Key]wlog.ReadObs{
+		Reads: wlog.ReadsOf(map[data.Key]wlog.ReadObs{
 			"balance": {Value: -7, Writer: "orders:hold:1", WriterPos: 17},
 			"limit":   {Value: 1000, Writer: "", WriterPos: data.InitPos},
-		},
-		Writes: map[data.Key]data.Value{"balance": -107, "charged": 1},
+		}),
+		Writes: wlog.WritesOf(map[data.Key]data.Value{"balance": -107, "charged": 1}),
 	}
 }
 
 func TestEntryRoundTrip(t *testing.T) {
 	cases := []*wlog.Entry{
 		testEntry(),
-		{LSN: 1, Run: "r", Task: "t", Visit: 1,
-			Reads: map[data.Key]wlog.ReadObs{}, Writes: map[data.Key]data.Value{}},
+		{LSN: 1, Run: "r", Task: "t", Visit: 1},
 		{LSN: 9, Run: "r", Task: "evil", Visit: 2, Forged: true,
-			Reads:  map[data.Key]wlog.ReadObs{"x": {Value: 5, Writer: "r:t:1", WriterPos: 3}},
-			Writes: map[data.Key]data.Value{"x": 99}},
+			Reads:  wlog.ReadsOf(map[data.Key]wlog.ReadObs{"x": {Value: 5, Writer: "r:t:1", WriterPos: 3}}),
+			Writes: wlog.WritesOf(map[data.Key]data.Value{"x": 99})},
 	}
 	for _, e := range cases {
 		p := EncodeEntry(nil, e)
@@ -161,5 +161,94 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	if _, err := decodeSnapshot(body[:len(body)-1]); err == nil {
 		t.Error("snapshot with torn footer accepted")
+	}
+}
+
+// goldenEntries is the fixed entry set behind testdata/entries_golden.bin:
+// 0, 1, 2 and many reads and writes, a read of a missing key, a forged
+// entry, a recorded choice and non-ASCII keys.
+func goldenEntries() []*wlog.Entry {
+	type R = map[data.Key]wlog.ReadObs
+	type W = map[data.Key]data.Value
+	rd, wr := wlog.ReadsOf, wlog.WritesOf
+	return []*wlog.Entry{
+		{LSN: 1, Run: "r", Task: "none", Visit: 1},
+		{LSN: 2, Run: "r", Task: "one", Visit: 1,
+			Reads:  rd(R{"a": {Value: 3, Writer: "r/none#1", WriterPos: 1}}),
+			Writes: wr(W{"b": 4})},
+		{LSN: 3, Run: "orders", Task: "two", Visit: 2,
+			Reads:  rd(R{"limit": {Value: 1000, WriterPos: data.InitPos}, "balance": {Value: -7, Writer: "orders/hold#1", WriterPos: 17}}),
+			Writes: wr(W{"charged": 1, "balance": -107})},
+		{LSN: 4, Run: "wide", Task: "many", Visit: 1,
+			Reads: rd(R{"k5": {Value: 5, Writer: "w/5#1", WriterPos: 5}, "k1": {Value: 1, Writer: "w/1#1", WriterPos: 1},
+				"k4": {Value: 4, Writer: "w/4#1", WriterPos: 4}, "k2": {Value: 2, Writer: "w/2#1", WriterPos: 2.5},
+				"k3": {Value: 3, Writer: "w/3#1", WriterPos: 3}}),
+			Writes: wr(W{"o6": 6, "o1": 1, "o5": -5, "o2": 2, "o4": 1 << 40, "o3": 3})},
+		{LSN: 5, Run: "r", Task: "blind", Visit: 1,
+			Reads:  rd(R{"nothere": {Value: 0, WriterPos: wlog.MissingPos}}),
+			Writes: wr(W{"out": 5})},
+		{LSN: 6, Run: "attacker", Task: "evil", Visit: 1, Forged: true,
+			Reads:  rd(R{"a": {Value: 3, Writer: "r/none#1", WriterPos: 1}}),
+			Writes: wr(W{"a": -999, "zz": 1})},
+		{LSN: 7, Run: "r", Task: "gate", Visit: 3, Chosen: "left",
+			Reads:  rd(R{"a": {Value: -999, Writer: "attacker/evil#1", WriterPos: 6}}),
+			Writes: wr(W{"gate": 1})},
+		{LSN: 8, Run: "рун", Task: "задача", Visit: 1,
+			Reads:  rd(R{"ключ": {Value: 7, Writer: "рун/старт#1", WriterPos: 2}, "キー": {Value: 8, WriterPos: data.InitPos}}),
+			Writes: wr(W{"ключ": 9, "clé": 10})},
+	}
+}
+
+// TestEntryCodecGolden pins the bytes of an entry record.
+// testdata/entries_golden.bin is goldenEntries framed one per record as
+// written by the EncodeEntry of commit 2596ec3 (PR 17), which held reads and
+// writes in maps and sorted the keys at encode time; the slice-backed entry
+// must produce the same bytes from its own order and decode them back.
+func TestEntryCodecGolden(t *testing.T) {
+	golden, err := os.ReadFile("testdata/entries_golden.bin")
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := goldenEntries()
+	var got []byte
+	for _, e := range entries {
+		got = AppendFrame(got, EncodeEntry(nil, e))
+	}
+	if !bytes.Equal(got, golden) {
+		t.Fatalf("encoding of the golden entries changed: %d bytes, golden has %d", len(got), len(golden))
+	}
+	payloads, valid := SplitFrames(golden)
+	if valid != len(golden) || len(payloads) != len(entries) {
+		t.Fatalf("golden file splits into %d frames over %d of %d bytes, want %d", len(payloads), valid, len(golden), len(entries))
+	}
+	for i, p := range payloads {
+		e, err := DecodeEntry(p)
+		if err != nil {
+			t.Fatalf("golden entry %d: %v", i, err)
+		}
+		if !reflect.DeepEqual(e, entries[i]) {
+			t.Errorf("golden entry %d decodes to\n %+v, want\n %+v", i, e, entries[i])
+		}
+	}
+}
+
+// A record whose keys are out of order (no writer of this repository emits
+// one) still decodes to a well-formed entry; a repeated key is damage.
+func TestEntryDecodeNormalizes(t *testing.T) {
+	sorted := goldenEntries()[2]
+	swapped := *sorted
+	swapped.Reads = []wlog.Read{sorted.Reads[1], sorted.Reads[0]}
+	swapped.Writes = []wlog.Write{sorted.Writes[1], sorted.Writes[0]}
+	got, err := DecodeEntry(EncodeEntry(nil, &swapped))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, sorted) {
+		t.Errorf("unsorted record decodes to %+v, want %+v", got, sorted)
+	}
+	dup := *sorted
+	dup.Writes = []wlog.Write{sorted.Writes[0], sorted.Writes[0]}
+	if _, err := DecodeEntry(EncodeEntry(nil, &dup)); err == nil {
+		t.Error("a record writing one key twice decoded without error")
 	}
 }

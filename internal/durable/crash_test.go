@@ -29,8 +29,8 @@ type segInput struct {
 func clusterPayload(seq int) []byte {
 	e := &wlog.Entry{
 		LSN: seq, Run: "m", Task: "t", Visit: seq,
-		Reads:  map[data.Key]wlog.ReadObs{"a": {Value: data.Value(seq), Writer: "m/t#1", WriterPos: float64(seq - 1)}},
-		Writes: map[data.Key]data.Value{"a": data.Value(seq + 1), "b": data.Value(-seq)},
+		Reads:  wlog.ReadsOf(map[data.Key]wlog.ReadObs{"a": {Value: data.Value(seq), Writer: "m/t#1", WriterPos: float64(seq - 1)}}),
+		Writes: wlog.WritesOf(map[data.Key]data.Value{"a": data.Value(seq + 1), "b": data.Value(-seq)}),
 	}
 	p := []byte{2}
 	p = AppendUvarint(p, uint64(seq))

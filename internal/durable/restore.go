@@ -174,9 +174,9 @@ func (w *WAL) restore() (*State, error) {
 			nextLSN++
 			tail = append(tail, e)
 			inst := string(e.ID())
-			for k, v := range e.Writes {
-				ops[k] = append(ops[k], keyOp{kind: opWrite, ver: data.Version{
-					Pos: float64(e.LSN), Writer: inst, Value: v,
+			for _, w := range e.Writes {
+				ops[w.Key] = append(ops[w.Key], keyOp{kind: opWrite, ver: data.Version{
+					Pos: float64(e.LSN), Writer: inst, Value: w.Value,
 				}})
 			}
 			if err := foldEntry(st, e); err != nil {

@@ -55,8 +55,8 @@ func stepEntry(t testing.TB, log *wlog.Log, run string, step int, prev wlog.Read
 		Run:    run,
 		Task:   wf.TaskID(fmt.Sprintf("t%d", step)),
 		Visit:  1,
-		Reads:  map[data.Key]wlog.ReadObs{k: prev},
-		Writes: map[data.Key]data.Value{k: prev.Value + 1},
+		Reads:  wlog.ReadsOf(map[data.Key]wlog.ReadObs{k: prev}),
+		Writes: wlog.WritesOf(map[data.Key]data.Value{k: prev.Value + 1}),
 	}
 	lsn, err := log.Append(e)
 	if err != nil {
@@ -323,8 +323,7 @@ func TestGroupCommitAbsorption(t *testing.T) {
 			start.Wait()
 			_, err := st.Log.Append(&wlog.Entry{
 				Run: "", Task: wf.TaskID(fmt.Sprintf("bg%d", i)), Visit: 1, Forged: true,
-				Reads:  map[data.Key]wlog.ReadObs{},
-				Writes: map[data.Key]data.Value{data.Key(fmt.Sprintf("g%d", i)): 1},
+				Writes: wlog.WritesOf(map[data.Key]data.Value{data.Key(fmt.Sprintf("g%d", i)): 1}),
 			})
 			if err == nil {
 				err = wal.Sync()

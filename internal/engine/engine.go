@@ -50,10 +50,31 @@ type Run struct {
 	// Spec is the workflow being executed.
 	Spec *wf.Spec
 
-	cur    wf.TaskID
-	visits map[wf.TaskID]int
+	cur wf.TaskID
+	// visits holds one counter per task the run has executed, in first-visit
+	// order: a run touches a handful of tasks, so a scan beats a map and
+	// costs a fraction of its memory for the run's whole retained life.
+	visits []taskVisits
 	done   bool
 	failed bool
+}
+
+// taskVisits counts one task's executions within a run.
+type taskVisits struct {
+	task wf.TaskID
+	n    int
+}
+
+// visit returns the counter for task, adding it at zero if the run has not
+// executed the task yet.
+func (r *Run) visit(task wf.TaskID) *int {
+	for i := range r.visits {
+		if r.visits[i].task == task {
+			return &r.visits[i].n
+		}
+	}
+	r.visits = append(r.visits, taskVisits{task: task})
+	return &r.visits[len(r.visits)-1].n
 }
 
 // Done reports whether the run reached an end node.
@@ -68,8 +89,8 @@ func (r *Run) Current() wf.TaskID { return r.cur }
 // though those entries are no longer in the (truncated) log.
 func (r *Run) VisitCounts() map[wf.TaskID]int {
 	out := make(map[wf.TaskID]int, len(r.visits))
-	for t, n := range r.visits {
-		out[t] = n
+	for _, v := range r.visits {
+		out[v.task] = v.n
 	}
 	return out
 }
@@ -200,7 +221,7 @@ func (e *Engine) NewRun(id string, spec *wf.Spec) (*Run, error) {
 	if id == "" {
 		return nil, fmt.Errorf("engine: %w: empty run ID", ErrBadSpec)
 	}
-	return &Run{ID: id, Spec: spec, cur: spec.Start, visits: make(map[wf.TaskID]int)}, nil
+	return &Run{ID: id, Spec: spec, cur: spec.Start}, nil
 }
 
 // RestoreRun rebuilds a run from externally persisted state: frontier task,
@@ -219,7 +240,7 @@ func (e *Engine) RestoreRun(id string, spec *wf.Spec, cur wf.TaskID, visits map[
 		}
 	}
 	for t, n := range visits {
-		r.visits[t] = n
+		*r.visit(t) = n
 	}
 	r.cur = cur
 	r.done = done || failed
@@ -238,13 +259,12 @@ func (e *Engine) Resync(r *Run, cur wf.TaskID, done bool) error {
 			return fmt.Errorf("engine: resync of %s to unknown task %q", r.ID, cur)
 		}
 	}
-	visits := make(map[wf.TaskID]int)
+	r.visits = nil
 	for _, entry := range e.log.Trace(r.ID, true) {
-		if entry.Visit > visits[entry.Task] {
-			visits[entry.Task] = entry.Visit
+		if n := r.visit(entry.Task); entry.Visit > *n {
+			*n = entry.Visit
 		}
 	}
-	r.visits = visits
 	r.cur = cur
 	r.done = done
 	return nil
@@ -257,11 +277,10 @@ func (e *Engine) Resync(r *Run, cur wf.TaskID, done bool) error {
 // split is the sharded executor's building block: shards prepare steps in
 // parallel and funnel the commits through a group-commit pipeline.
 type Prepared struct {
-	run    *Run
-	entry  *wlog.Entry
-	writes map[data.Key]data.Value
-	next   wf.TaskID
-	done   bool
+	run   *Run
+	entry *wlog.Entry
+	next  wf.TaskID
+	done  bool
 }
 
 // Run returns the run the prepared step advances.
@@ -280,14 +299,9 @@ func (e *Engine) Prepare(r *Run) (*Prepared, error) {
 		return nil, nil
 	}
 	task := r.Spec.Tasks[r.cur]
-	r.visits[r.cur]++
-	visit := r.visits[r.cur]
-	entry := &wlog.Entry{
-		Run:   r.ID,
-		Task:  r.cur,
-		Visit: visit,
-		Reads: make(map[data.Key]wlog.ReadObs, len(task.Reads)),
-	}
+	visit := r.visit(r.cur)
+	*visit++
+	entry := &wlog.Entry{Run: r.ID, Task: r.cur, Visit: *visit}
 	// The one formatting of this instance's ID: the log index, the
 	// dependence graph and the store's versions all share this string.
 	inst := entry.CacheID()
@@ -300,36 +314,30 @@ func (e *Engine) Prepare(r *Run) (*Prepared, error) {
 	// The commit position is the next LSN; reads observe everything
 	// committed before it. Reserve the LSN by appending at the end, so
 	// compute the read view first against "latest".
-	store := e.Store()
-	reads := make(map[data.Key]data.Value, len(task.Reads))
-	for _, k := range task.Reads {
-		v, ok := store.Get(k)
-		if !ok {
-			entry.Reads[k] = wlog.ReadObs{Value: 0, WriterPos: wlog.MissingPos}
-			reads[k] = 0
-			continue
-		}
-		entry.Reads[k] = wlog.ReadObs{Value: v.Value, Writer: v.Writer, WriterPos: v.Pos}
-		reads[k] = v.Value
-	}
+	var reads map[data.Key]data.Value
+	entry.Reads, reads = observe(e.Store(), task.Reads)
 
 	compute := task.Compute
 	if attack != nil && attack.Compute != nil {
 		compute = attack.Compute
 	}
-	written := make(map[data.Key]data.Value, len(task.Writes))
+	var out map[data.Key]data.Value // nil: every write is zero
 	if compute != nil {
-		out := compute(reads)
-		for _, k := range task.Writes {
-			written[k] = out[k]
-		}
-	} else {
-		for _, k := range task.Writes {
-			written[k] = 0
+		out = compute(reads)
+	}
+	if len(task.Writes) > 0 {
+		entry.Writes = make([]wlog.Write, 0, len(task.Writes))
+	}
+	for _, k := range task.Writes {
+		if _, dup := entry.Wrote(k); !dup {
+			entry.Writes = append(entry.Writes, wlog.Write{Key: k, Value: out[k]})
 		}
 	}
-	entry.Writes = written
-	p := &Prepared{run: r, entry: entry, writes: written}
+	// Each key once, so all that is left to establish is the key order.
+	if err := entry.Normalize(); err != nil {
+		return nil, err
+	}
+	p := &Prepared{run: r, entry: entry}
 
 	// Branch selection for choice nodes.
 	switch {
@@ -351,14 +359,38 @@ func (e *Engine) Prepare(r *Run) (*Prepared, error) {
 	return p, nil
 }
 
+// observe reads the latest version of each key — a key with no version at
+// all reads as zero at wlog.MissingPos — and returns one observation per
+// distinct key, in the order given, plus the plain value view a compute or
+// choose function takes. It is the engine's one producer of Entry.Reads.
+func observe(store *data.Store, keys []data.Key) ([]wlog.Read, map[data.Key]data.Value) {
+	vals := make(map[data.Key]data.Value, len(keys))
+	if len(keys) == 0 {
+		return nil, vals
+	}
+	obs := make([]wlog.Read, 0, len(keys))
+	for _, k := range keys {
+		if _, seen := vals[k]; seen {
+			continue
+		}
+		r := wlog.Read{Key: k, ReadObs: wlog.ReadObs{WriterPos: wlog.MissingPos}}
+		if v, ok := store.Get(k); ok {
+			r.ReadObs = wlog.ReadObs{Value: v.Value, Writer: v.Writer, WriterPos: v.Pos}
+		}
+		vals[k] = r.Value
+		obs = append(obs, r)
+	}
+	return obs, vals
+}
+
 // apply installs a committed prepared step: store writes at the assigned
 // LSN, then the run's frontier advance.
 func (e *Engine) apply(p *Prepared, lsn int) {
 	e.o.commits.Inc()
 	store := e.Store()
 	inst := p.entry.ID()
-	for k, v := range p.writes {
-		store.Write(k, v, float64(lsn), string(inst), false)
+	for _, w := range p.entry.Writes {
+		store.Write(w.Key, w.Value, float64(lsn), string(inst), false)
 	}
 	if p.done {
 		p.run.done = true
@@ -385,9 +417,12 @@ func (e *Engine) CommitBatch(ps []*Prepared) error {
 	if len(ps) == 0 {
 		return nil
 	}
-	entries := make([]*wlog.Entry, len(ps))
-	for i, p := range ps {
-		entries[i] = p.entry
+	// A batch holds one step per shard: the usual one stays on the stack
+	// (AppendBatch keeps the entries, not the slice).
+	var buf [16]*wlog.Entry
+	entries := buf[:0]
+	for _, p := range ps {
+		entries = append(entries, p.entry)
 	}
 	first, err := e.log.AppendBatch(entries)
 	if err != nil {
@@ -542,31 +577,17 @@ func (e *Engine) RunAll(ctx context.Context, runs ...*Run) error {
 // Forged tasks are identified in the log and are undone — never redone —
 // during recovery.
 func (e *Engine) InjectForged(run string, task wf.TaskID, readKeys []data.Key, writes map[data.Key]data.Value) (wlog.InstanceID, error) {
-	entry := &wlog.Entry{
-		Run:    run,
-		Task:   task,
-		Visit:  1,
-		Forged: true,
-		Reads:  make(map[data.Key]wlog.ReadObs, len(readKeys)),
-		Writes: writes,
-	}
 	store := e.Store()
-	for _, k := range readKeys {
-		v, ok := store.Get(k)
-		if !ok {
-			entry.Reads[k] = wlog.ReadObs{Value: 0, WriterPos: wlog.MissingPos}
-			continue
-		}
-		entry.Reads[k] = wlog.ReadObs{Value: v.Value, Writer: v.Writer, WriterPos: v.Pos}
-	}
+	entry := &wlog.Entry{Run: run, Task: task, Visit: 1, Forged: true, Writes: wlog.WritesOf(writes)}
+	entry.Reads, _ = observe(store, readKeys) // in the caller's order; Append sorts
 	inst := entry.CacheID()
 	lsn, err := e.log.Append(entry)
 	if err != nil {
 		return "", fmt.Errorf("engine: inject forged %s: %w", inst, err)
 	}
 	e.o.forged.Inc()
-	for k, v := range writes {
-		store.Write(k, v, float64(lsn), string(inst), false)
+	for _, w := range entry.Writes {
+		store.Write(w.Key, w.Value, float64(lsn), string(inst), false)
 	}
 	return inst, nil
 }

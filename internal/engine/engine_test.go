@@ -3,6 +3,7 @@ package engine_test
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -49,7 +50,7 @@ func TestStepExecutesAndCommits(t *testing.T) {
 	if !ok {
 		t.Fatal("t1 not committed to log")
 	}
-	if e.Writes["a"] != 1 {
+	if v, ok := e.Wrote("a"); !ok || v != 1 {
 		t.Errorf("logged write = %v", e.Writes)
 	}
 }
@@ -154,7 +155,7 @@ func TestReadsRecordObservedVersions(t *testing.T) {
 		t.Fatal(err)
 	}
 	e, _ := eng.Log().Get("r1/t2#1")
-	obs := e.Reads["a"]
+	obs, _ := e.Read("a")
 	if obs.Writer != "r1/t1#1" || obs.WriterPos != 1 || obs.Value != 1 {
 		t.Errorf("t2's read observation = %+v", obs)
 	}
@@ -179,8 +180,8 @@ func TestMissingKeyReadsAsZero(t *testing.T) {
 		t.Fatal(err)
 	}
 	e, _ := eng.Log().Get("r/t#1")
-	if e.Reads["nothere"].WriterPos != wlog.MissingPos {
-		t.Errorf("missing key observation = %+v", e.Reads["nothere"])
+	if obs, ok := e.Read("nothere"); !ok || obs.WriterPos != wlog.MissingPos {
+		t.Errorf("missing key observation = %+v", e.Reads)
 	}
 	if v, _ := eng.Store().Get("out"); v.Value != 5 {
 		t.Errorf("out = %d, want 5", v.Value)
@@ -311,8 +312,8 @@ func TestInjectForged(t *testing.T) {
 	if !ok || !e.Forged {
 		t.Fatal("forged entry not committed/flagged")
 	}
-	if e.Reads["a"].Writer != "r1/t1#1" {
-		t.Errorf("forged read observation = %+v", e.Reads["a"])
+	if obs, _ := e.Read("a"); obs.Writer != "r1/t1#1" {
+		t.Errorf("forged read observation = %+v", e.Reads)
 	}
 	if v, _ := eng.Store().Get("a"); v.Value != -7 {
 		t.Errorf("a = %d, want forged -7", v.Value)
@@ -381,5 +382,58 @@ func TestFailureDoesNotSpreadDamage(t *testing.T) {
 	}
 	if v, _ := eng.Store().Get("h"); v.Value != 3 {
 		t.Errorf("h = %d, want 3 (a missing reads as 0, g=3)", v.Value)
+	}
+}
+
+// The engine is where a task's reads and writes become an entry: whatever
+// order the specification lists keys in, and however often it lists one, the
+// entry holds each key once, in key order (a map used to dedupe silently).
+func TestEntryKeysSortedOncePerKey(t *testing.T) {
+	spec, err := wf.NewBuilder("dup", "t").
+		Task("t").Reads("m", "a", "m", "z", "a").Writes("y", "b", "y").
+		Compute(func(r map[data.Key]data.Value) map[data.Key]data.Value {
+			return map[data.Key]data.Value{"y": r["a"] + 1, "b": r["m"] + 2}
+		}).
+		End().Build()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := data.NewStore()
+	st.Init("a", 10)
+	st.Init("m", 20)
+	eng := engine.New(st, wlog.New())
+	r, err := eng.NewRun("r", spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Step(r); err != nil {
+		t.Fatal(err)
+	}
+	e, _ := eng.Log().Get("r/t#1")
+	wantReads := []wlog.Read{
+		{Key: "a", ReadObs: wlog.ReadObs{Value: 10, WriterPos: data.InitPos}},
+		{Key: "m", ReadObs: wlog.ReadObs{Value: 20, WriterPos: data.InitPos}},
+		{Key: "z", ReadObs: wlog.ReadObs{WriterPos: wlog.MissingPos}},
+	}
+	wantWrites := []wlog.Write{{Key: "b", Value: 22}, {Key: "y", Value: 11}}
+	if !reflect.DeepEqual(e.Reads, wantReads) || !reflect.DeepEqual(e.Writes, wantWrites) {
+		t.Errorf("entry holds reads %+v writes %+v", e.Reads, e.Writes)
+	}
+	if v, _ := st.Get("y"); v.Value != 11 || len(st.Chain("y")) != 1 {
+		t.Errorf("y = %+v in chain %+v, want one version of 11", v, st.Chain("y"))
+	}
+
+	inst, err := eng.InjectForged("x", "evil", []data.Key{"y", "a", "y"}, map[data.Key]data.Value{"q": 1, "a": 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, _ := eng.Log().Get(inst)
+	wantReads = []wlog.Read{
+		{Key: "a", ReadObs: wlog.ReadObs{Value: 10, WriterPos: data.InitPos}},
+		{Key: "y", ReadObs: wlog.ReadObs{Value: 11, Writer: "r/t#1", WriterPos: 1}},
+	}
+	wantWrites = []wlog.Write{{Key: "a", Value: 2}, {Key: "q", Value: 1}}
+	if !reflect.DeepEqual(f.Reads, wantReads) || !reflect.DeepEqual(f.Writes, wantWrites) {
+		t.Errorf("forged entry holds reads %+v writes %+v", f.Reads, f.Writes)
 	}
 }

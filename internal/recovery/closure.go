@@ -52,11 +52,11 @@ func DamageKeyClosure(log *wlog.Log, specs map[string]*wf.Spec, seedSets ...[]wl
 		if !ok {
 			return
 		}
-		for k := range e.Writes {
-			seeds[k] = true
+		for _, w := range e.Writes {
+			seeds[w.Key] = true
 		}
-		for k := range e.Reads {
-			seeds[k] = true
+		for _, r := range e.Reads {
+			seeds[r.Key] = true
 		}
 		if sp := specs[e.Run]; sp != nil {
 			for _, k := range Footprint(sp) {

@@ -136,11 +136,11 @@ func replayComponents(st *data.Store, log *wlog.Log, specs map[string]*wf.Spec, 
 		if ci, ok := runComp[e.Run]; ok {
 			damaged[ci] = true
 		}
-		for k := range e.Writes {
-			if ci, ok := keyComp[k]; ok {
+		for _, w := range e.Writes {
+			if ci, ok := keyComp[w.Key]; ok {
 				damaged[ci] = true
 			} else {
-				extraKeys[k] = true
+				extraKeys[w.Key] = true
 			}
 		}
 	}

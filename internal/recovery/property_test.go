@@ -151,10 +151,10 @@ func TestPropertyUndoSupersetOfBad(t *testing.T) {
 		// Closure: any logged instance that read a version written by an
 		// undone instance must itself be undone.
 		for _, e := range attacked.Log().Entries() {
-			for k, obs := range e.Reads {
+			for _, obs := range e.Reads {
 				if obs.Writer != "" && undone[wfInstance(obs.Writer)] && !undone[e.ID()] {
 					t.Errorf("seed %d: %s read %s from undone %s but was kept",
-						seed, e.ID(), k, obs.Writer)
+						seed, e.ID(), obs.Key, obs.Writer)
 				}
 			}
 		}

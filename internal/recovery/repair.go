@@ -656,14 +656,14 @@ func (w *walker) step(st *data.Store, log *wlog.Log, undo map[wlog.InstanceID]bo
 // versions, which a fresh pass strips and must rebuild by re-executing the
 // task).
 func (w *walker) verifyKept(st *data.Store, e *wlog.Entry) bool {
-	for k := range e.Writes {
-		v, ok := st.VersionAt(k, float64(e.LSN))
+	for _, wr := range e.Writes {
+		v, ok := st.VersionAt(wr.Key, float64(e.LSN))
 		if !ok || v.Writer != string(e.ID()) {
 			return false
 		}
 	}
-	for k, obs := range e.Reads {
-		v, ok := st.GetBefore(k, float64(e.LSN))
+	for _, obs := range e.Reads {
+		v, ok := st.GetBefore(obs.Key, float64(e.LSN))
 		if !ok {
 			if obs.WriterPos != wlog.MissingPos {
 				return false

@@ -56,7 +56,7 @@ func (s RunStatus) String() string {
 // runState is the executor's bookkeeping for one submitted run.
 type runState struct {
 	run   *engine.Run
-	keys  []data.Key // sorted unique key footprint of the spec
+	keys  []data.Key // sorted unique key footprint of the spec; nil once retired
 	shard int        // owning shard; -1 while deferred
 	state RunStatus
 	err   error // terminal error for RunFailed
@@ -297,7 +297,7 @@ func (x *executor) canAdmit(keys []data.Key) bool {
 // Returns the run to deliver once the workers start (nil when retired or
 // deferred).
 func (x *executor) adoptRestored(r *engine.Run, spec *wf.Spec, status RunStatus, errMsg string) *runState {
-	rs := &runState{run: r, keys: footprint(spec), shard: -1, state: status}
+	rs := &runState{run: r, shard: -1, state: status}
 	if errMsg != "" {
 		rs.err = errors.New(errMsg)
 	}
@@ -308,6 +308,7 @@ func (x *executor) adoptRestored(r *engine.Run, spec *wf.Spec, status RunStatus,
 		rs.shard = 0
 		return nil
 	}
+	rs.keys = footprint(spec)
 	if shard, ok := x.placeLocked(rs); ok {
 		x.claimLocked(rs, shard)
 		return rs
@@ -410,6 +411,9 @@ func (x *executor) finish(rs *runState, state RunStatus, err error) {
 			delete(x.keyOwner, k)
 		}
 	}
+	// Placement was the footprint's only reader, and the run record itself
+	// stays for the whole history.
+	rs.keys = nil
 	x.load[rs.shard]--
 	x.obs.load(rs.shard, x.load[rs.shard])
 

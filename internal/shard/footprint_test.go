@@ -4,23 +4,26 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"selfheal/internal/data"
 	"selfheal/internal/deps"
+	"selfheal/internal/engine"
 	"selfheal/internal/wf"
 	"selfheal/internal/wfjson"
 	"selfheal/internal/wlog"
 )
 
 // footprintBudget is the live heap the service may retain per committed task
-// instance, in bytes: ~15 % above the 2 056 B measured when the budget was set
-// (2 827 B before the single-copy dependence graph, the flat writer index and
-// the shared instance-ID string; EXPERIMENTS.md "Live heap per committed
-// instance"). Everything counted here stays resident for the whole history —
-// recovery can be asked about any committed instance — so this is the slope
-// of the service's memory.
-const footprintBudget = 2365
+// instance, in bytes: ~15 % above the 1 452 B measured when the budget was set
+// (2 056 B while an entry held its reads and writes in two maps and a run its
+// visit counters in a third; 2 827 B before the single-copy dependence graph,
+// the flat writer index and the shared instance-ID string; EXPERIMENTS.md
+// "Live heap per committed instance"). Everything counted here stays resident
+// for the whole history — recovery can be asked about any committed instance
+// — so this is the slope of the service's memory.
+const footprintBudget = 1670
 
 // liveHeap returns HeapAlloc after two forced collections (the second one
 // finishes what the first one's sweep left).
@@ -95,23 +98,30 @@ func TestFootprintPerInstance(t *testing.T) {
 		l := wlog.New()
 		for _, e := range svc.Log().Entries() {
 			cp := &wlog.Entry{Run: e.Run, Task: e.Task, Visit: e.Visit, Forged: e.Forged, Chosen: e.Chosen,
-				Reads: make(map[data.Key]wlog.ReadObs, len(e.Reads)), Writes: make(map[data.Key]data.Value, len(e.Writes))}
-			for k, v := range e.Reads {
-				cp.Reads[k] = v
-			}
-			for k, v := range e.Writes {
-				cp.Writes[k] = v
-			}
+				Reads: slices.Clone(e.Reads), Writes: slices.Clone(e.Writes)}
 			if _, err := l.Append(cp); err != nil {
 				t.Fatal(err)
 			}
 		}
 		return l
 	})
+	runsB := measure(func() any {
+		eng := engine.New(data.NewStore(), wlog.New())
+		var runs []*engine.Run
+		for id, rs := range svc.exec.runs { // idle service: nothing else touches the runs
+			r, err := eng.RestoreRun(id, rs.run.Spec, rs.run.Current(), rs.run.VisitCounts(), rs.run.Done(), rs.run.Failed())
+			if err != nil {
+				t.Fatal(err)
+			}
+			runs = append(runs, r)
+		}
+		return runs
+	})
 	t.Fatalf("live heap per committed instance %.0f B exceeds the budget of %d B\n"+
-		"  wlog (entries, read/write maps, indexes) %.0f B\n"+
-		"  deps (adjacency, entry list, frontier)   %.0f B\n"+
-		"  data (version chains, writer index)      %.0f B\n"+
-		"  service (specs, run records) and slack   %.0f B",
-		per, footprintBudget, logB, graphB, storeB, per-logB-graphB-storeB)
+		"  wlog (entries, read/write slices, indexes) %.0f B\n"+
+		"  deps (adjacency, entry list, frontier)     %.0f B\n"+
+		"  data (version chains, writer index)        %.0f B\n"+
+		"  engine (per-run state: visit counters)     %.0f B\n"+
+		"  service (specs, run records) and slack     %.0f B",
+		per, footprintBudget, logB, graphB, storeB, runsB, per-logB-graphB-storeB-runsB)
 }

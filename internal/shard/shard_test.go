@@ -77,7 +77,8 @@ func verifySerialInLSNOrder(t *testing.T, log *wlog.Log) *data.Store {
 	t.Helper()
 	st := data.NewStore()
 	for _, e := range log.Entries() {
-		for k, obs := range e.Reads {
+		for _, obs := range e.Reads {
+			k := obs.Key
 			var cur data.Value
 			if v, ok := st.Get(k); ok {
 				cur = v.Value
@@ -87,8 +88,8 @@ func verifySerialInLSNOrder(t *testing.T, log *wlog.Log) *data.Store {
 					e.ID(), e.LSN, k, obs.Value, cur)
 			}
 		}
-		for k, v := range e.Writes {
-			st.Write(k, v, float64(e.LSN), string(e.ID()), false)
+		for _, w := range e.Writes {
+			st.Write(w.Key, w.Value, float64(e.LSN), string(e.ID()), false)
 		}
 	}
 	return st

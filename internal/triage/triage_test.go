@@ -24,11 +24,11 @@ func buildTwoChains(t *testing.T) (*wlog.Log, *deps.IncrementalGraph) {
 		for i := 1; i <= 3; i++ {
 			e := &wlog.Entry{Run: run, Task: wf.TaskID(fmt.Sprintf("t%d", i)), Visit: 1}
 			if i > 1 {
-				e.Reads = map[data.Key]wlog.ReadObs{
+				e.Reads = wlog.ReadsOf(map[data.Key]wlog.ReadObs{
 					data.Key(fmt.Sprintf("%s.k%d", run, i-1)): {Writer: lastWriter, WriterPos: lastPos},
-				}
+				})
 			}
-			e.Writes = map[data.Key]data.Value{data.Key(fmt.Sprintf("%s.k%d", run, i)): data.Value(i)}
+			e.Writes = wlog.WritesOf(map[data.Key]data.Value{data.Key(fmt.Sprintf("%s.k%d", run, i)): data.Value(i)})
 			lsn, err := l.Append(e)
 			if err != nil {
 				t.Fatal(err)
@@ -93,8 +93,8 @@ func TestPartitionEpochPinned(t *testing.T) {
 	// b.k1. The pinned snapshot must not see it.
 	a3 := id("a", 3)
 	e := &wlog.Entry{Run: "bridge", Task: "x", Visit: 1,
-		Reads:  map[data.Key]wlog.ReadObs{"a.k3": {Writer: string(a3), WriterPos: 3}},
-		Writes: map[data.Key]data.Value{"bridge.out": 1}}
+		Reads:  wlog.ReadsOf(map[data.Key]wlog.ReadObs{"a.k3": {Writer: string(a3), WriterPos: 3}}),
+		Writes: wlog.WritesOf(map[data.Key]data.Value{"bridge.out": 1})}
 	if _, err := l.Append(e); err != nil {
 		t.Fatal(err)
 	}

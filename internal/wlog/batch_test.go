@@ -13,10 +13,9 @@ func batchEntry(run string, task string, visit int) *Entry {
 		Run:   run,
 		Task:  wf.TaskID("t" + task),
 		Visit: visit,
-		Reads: map[data.Key]ReadObs{},
-		Writes: map[data.Key]data.Value{
+		Writes: WritesOf(map[data.Key]data.Value{
 			data.Key("k" + task): data.Value(visit),
-		},
+		}),
 	}
 }
 

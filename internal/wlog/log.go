@@ -14,6 +14,7 @@ package wlog
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -69,6 +70,42 @@ type ReadObs struct {
 // MissingPos is the WriterPos recorded when a read found no version.
 const MissingPos = -1.0
 
+// Read is one element of Entry.Reads: a key and what the task observed there.
+type Read struct {
+	Key data.Key
+	ReadObs
+}
+
+// Write is one element of Entry.Writes: a key and the value committed to it.
+type Write struct {
+	Key   data.Key
+	Value data.Value
+}
+
+// ReadsOf returns m as the key-sorted slice an Entry holds (nil for an empty
+// map): the constructor for map-shaped input, tests above all.
+func ReadsOf(m map[data.Key]ReadObs) []Read {
+	var out []Read
+	for k, o := range m {
+		out = append(out, Read{Key: k, ReadObs: o})
+	}
+	slices.SortFunc(out, cmpRead)
+	return out
+}
+
+// WritesOf is ReadsOf for the write set.
+func WritesOf(m map[data.Key]data.Value) []Write {
+	var out []Write
+	for k, v := range m {
+		out = append(out, Write{Key: k, Value: v})
+	}
+	slices.SortFunc(out, cmpWrite)
+	return out
+}
+
+func cmpRead(a, b Read) int   { return strings.Compare(string(a.Key), string(b.Key)) }
+func cmpWrite(a, b Write) int { return strings.Compare(string(a.Key), string(b.Key)) }
+
 // Entry is one committed task execution.
 type Entry struct {
 	// LSN is the commit sequence number (1-based, dense, ascending).
@@ -83,10 +120,14 @@ type Entry struct {
 	// the workflow specification at all. Forged tasks are undone, never
 	// redone.
 	Forged bool
-	// Reads maps each key read to the observed version.
-	Reads map[data.Key]ReadObs
-	// Writes maps each key written to the committed value.
-	Writes map[data.Key]data.Value
+	// Reads holds the observed version of each key read, and Writes the
+	// committed value of each key written: both sorted by key, each key
+	// once. Whoever builds an entry establishes that order (ReadsOf and
+	// WritesOf for map-shaped input; Append checks it, see Normalize), and
+	// every consumer — the dependence fold, the codec, recovery — relies on
+	// it instead of sorting again.
+	Reads  []Read
+	Writes []Write
 	// Chosen is the successor a choice node selected; empty otherwise.
 	Chosen wf.TaskID
 
@@ -94,6 +135,48 @@ type Entry struct {
 	// it along, which stays valid because Run, Task and Visit are copied
 	// with it.
 	id InstanceID
+}
+
+// Read returns what the entry observed when it read k. The scan is linear:
+// a task reads a handful of keys.
+func (e *Entry) Read(k data.Key) (ReadObs, bool) {
+	for i := range e.Reads {
+		if e.Reads[i].Key == k {
+			return e.Reads[i].ReadObs, true
+		}
+	}
+	return ReadObs{}, false
+}
+
+// Wrote returns the value the entry committed to k.
+func (e *Entry) Wrote(k data.Key) (data.Value, bool) {
+	for _, w := range e.Writes {
+		if w.Key == k {
+			return w.Value, true
+		}
+	}
+	return 0, false
+}
+
+// Normalize establishes the order Reads and Writes promise. Sorting a short
+// slice that is already in order costs one pass of comparisons; an unsorted
+// one (a literal, a foreign file) is sorted in place, and a key listed twice
+// is an error — no element is the obviously right one to keep. Like CacheID
+// it may only be called by the owner of a not yet published entry.
+func (e *Entry) Normalize() error {
+	slices.SortFunc(e.Reads, cmpRead)
+	slices.SortFunc(e.Writes, cmpWrite)
+	for i := 1; i < len(e.Reads); i++ {
+		if e.Reads[i-1].Key == e.Reads[i].Key {
+			return fmt.Errorf("wlog: %s reads key %q twice", e.ID(), e.Reads[i].Key)
+		}
+	}
+	for i := 1; i < len(e.Writes); i++ {
+		if e.Writes[i-1].Key == e.Writes[i].Key {
+			return fmt.Errorf("wlog: %s writes key %q twice", e.ID(), e.Writes[i].Key)
+		}
+	}
+	return nil
 }
 
 // ID returns the entry's instance ID: the string cached by CacheID or by the
@@ -199,8 +282,10 @@ func (l *Log) Append(e *Entry) (int, error) {
 // per-commit lock and hook-dispatch overhead is amortized across the batch.
 // The batch is atomic with respect to duplicates: if any entry's instance
 // ID collides with a committed entry or with an earlier entry of the same
-// batch, nothing is appended. It returns the LSN assigned to the first
-// entry (0 for an empty batch).
+// batch, nothing is appended. An entry whose Reads or Writes arrive out of
+// key order is normalised here, under the lock, before anything can see it;
+// one that lists a key twice rejects the batch the same way (Normalize). It
+// returns the LSN assigned to the first entry (0 for an empty batch).
 func (l *Log) AppendBatch(entries []*Entry) (int, error) {
 	if len(entries) == 0 {
 		return 0, nil
@@ -212,11 +297,15 @@ func (l *Log) AppendBatch(entries []*Entry) (int, error) {
 	// slots are rolled back so nothing is appended.
 	for i, e := range entries {
 		id := e.CacheID()
+		err := e.Normalize()
 		if _, dup := l.byInst[id]; dup {
+			err = fmt.Errorf("wlog: duplicate instance %s", id)
+		}
+		if err != nil {
 			for _, prev := range entries[:i] {
 				delete(l.byInst, prev.id)
 			}
-			return 0, fmt.Errorf("wlog: duplicate instance %s", id)
+			return 0, err
 		}
 		l.byInst[id] = e
 	}

@@ -1,7 +1,10 @@
 package wlog
 
 import (
+	"reflect"
 	"testing"
+
+	"selfheal/internal/data"
 )
 
 func mustAppend(t *testing.T, l *Log, e *Entry) {
@@ -149,5 +152,72 @@ func TestOnAppendMultipleHooks(t *testing.T) {
 	mustAppend(t, l, &Entry{Run: "r1", Task: "t2", Visit: 1})
 	if a != 2 || b != 2 {
 		t.Fatalf("hook call counts a=%d b=%d, want 2 and 2", a, b)
+	}
+}
+
+// Append is where an entry's key order is checked: a literal with its reads
+// and writes out of order is put in order before anything can see it, and
+// one that names a key twice is refused — atomically, like a duplicate
+// instance.
+func TestAppendNormalizesKeyOrder(t *testing.T) {
+	l := New()
+	var hooked []*Entry
+	l.OnAppend(func(e *Entry) { hooked = append(hooked, e) })
+	e := &Entry{Run: "r", Task: "t", Visit: 1,
+		Reads: []Read{
+			{Key: "m", ReadObs: ReadObs{Value: 2, Writer: "w/t#1", WriterPos: 4}},
+			{Key: "c", ReadObs: ReadObs{WriterPos: MissingPos}},
+			{Key: "x", ReadObs: ReadObs{Value: 9}},
+		},
+		Writes: []Write{{Key: "z", Value: 1}, {Key: "a", Value: 2}},
+	}
+	mustAppend(t, l, e)
+	wantReads := []Read{
+		{Key: "c", ReadObs: ReadObs{WriterPos: MissingPos}},
+		{Key: "m", ReadObs: ReadObs{Value: 2, Writer: "w/t#1", WriterPos: 4}},
+		{Key: "x", ReadObs: ReadObs{Value: 9}},
+	}
+	wantWrites := []Write{{Key: "a", Value: 2}, {Key: "z", Value: 1}}
+	if !reflect.DeepEqual(hooked[0].Reads, wantReads) || !reflect.DeepEqual(hooked[0].Writes, wantWrites) {
+		t.Errorf("appended entry holds reads %+v writes %+v", hooked[0].Reads, hooked[0].Writes)
+	}
+	if obs, ok := e.Read("m"); !ok || obs.WriterPos != 4 {
+		t.Errorf("Read(m) = %+v, %v", obs, ok)
+	}
+	if _, ok := e.Read("nope"); ok {
+		t.Error("Read of a key the entry did not read reported ok")
+	}
+	if v, ok := e.Wrote("z"); !ok || v != 1 {
+		t.Errorf("Wrote(z) = %d, %v", v, ok)
+	}
+	if _, ok := e.Wrote("m"); ok {
+		t.Error("Wrote of a key the entry only read reported ok")
+	}
+
+	twice := &Entry{Run: "r", Task: "t", Visit: 3, Writes: []Write{{Key: "k", Value: 1}, {Key: "b", Value: 0}, {Key: "k", Value: 2}}}
+	if _, err := l.AppendBatch([]*Entry{{Run: "r", Task: "t", Visit: 2}, twice}); err == nil {
+		t.Fatal("an entry writing one key twice was accepted")
+	}
+	if l.Len() != 1 || len(hooked) != 1 {
+		t.Fatalf("a refused batch left %d entries and %d hook calls", l.Len(), len(hooked))
+	}
+	if _, ok := l.Get("r/t#2"); ok {
+		t.Error("the refused batch's first entry stayed indexed")
+	}
+	if _, err := l.Append(&Entry{Run: "r", Task: "t", Visit: 4, Reads: []Read{{Key: "k"}, {Key: "k"}}}); err == nil {
+		t.Error("an entry reading one key twice was accepted")
+	}
+}
+
+func TestReadsOfWritesOfSort(t *testing.T) {
+	if ReadsOf(nil) != nil || WritesOf(map[data.Key]data.Value{}) != nil {
+		t.Error("an empty map must give a nil slice")
+	}
+	reads := ReadsOf(map[data.Key]ReadObs{"b": {Value: 2}, "a": {Value: 1}, "ключ": {Value: 3}, "c": {Value: 4}})
+	writes := WritesOf(map[data.Key]data.Value{"b": 2, "a": 1, "ключ": 3, "c": 4})
+	for i, k := range []data.Key{"a", "b", "c", "ключ"} {
+		if reads[i].Key != k || reads[i].Value != data.Value([]int{1, 2, 4, 3}[i]) || writes[i].Key != k {
+			t.Fatalf("ReadsOf = %+v, WritesOf = %+v", reads, writes)
+		}
 	}
 }

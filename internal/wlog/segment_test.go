@@ -3,7 +3,6 @@ package wlog
 import (
 	"testing"
 
-	"selfheal/internal/data"
 	"selfheal/internal/wf"
 )
 
@@ -11,11 +10,9 @@ func stamped(stamp float64, run, task string, visit int) StampedEntry {
 	return StampedEntry{
 		Stamp: stamp,
 		Entry: &Entry{
-			Run:    run,
-			Task:   wf.TaskID(task),
-			Visit:  visit,
-			Reads:  map[data.Key]ReadObs{},
-			Writes: map[data.Key]data.Value{},
+			Run:   run,
+			Task:  wf.TaskID(task),
+			Visit: visit,
 		},
 	}
 }

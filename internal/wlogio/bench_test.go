@@ -22,8 +22,8 @@ func benchLog(b *testing.B, n int) (*wlog.Log, *data.Store) {
 			Task:   "t",
 			Visit:  i + 1,
 			Forged: true,
-			Reads:  map[data.Key]wlog.ReadObs{k: {Value: data.Value(i), Writer: "w", WriterPos: float64(i)}},
-			Writes: map[data.Key]data.Value{k: data.Value(i + 1)},
+			Reads:  wlog.ReadsOf(map[data.Key]wlog.ReadObs{k: {Value: data.Value(i), Writer: "w", WriterPos: float64(i)}}),
+			Writes: wlog.WritesOf(map[data.Key]data.Value{k: data.Value(i + 1)}),
 		}
 		if _, err := log.Append(e); err != nil {
 			b.Fatal(err)

@@ -76,14 +76,14 @@ func Encode(w io.Writer, log *wlog.Log, store *data.Store) error {
 		}
 		if len(e.Reads) > 0 {
 			ej.Reads = make(map[string]readObsJSON, len(e.Reads))
-			for k, o := range e.Reads {
-				ej.Reads[string(k)] = readObsJSON{Value: int64(o.Value), Writer: o.Writer, WriterPos: o.WriterPos}
+			for _, r := range e.Reads {
+				ej.Reads[string(r.Key)] = readObsJSON{Value: int64(r.Value), Writer: r.Writer, WriterPos: r.WriterPos}
 			}
 		}
 		if len(e.Writes) > 0 {
 			ej.Writes = make(map[string]int64, len(e.Writes))
-			for k, v := range e.Writes {
-				ej.Writes[string(k)] = int64(v)
+			for _, w := range e.Writes {
+				ej.Writes[string(w.Key)] = int64(w.Value)
 			}
 		}
 		snap.Entries = append(snap.Entries, ej)
@@ -130,14 +130,14 @@ func Decode(r io.Reader) (*wlog.Log, *data.Store, error) {
 			Visit:  ej.Visit,
 			Forged: ej.Forged,
 			Chosen: wf.TaskID(ej.Chosen),
-			Reads:  make(map[data.Key]wlog.ReadObs, len(ej.Reads)),
-			Writes: make(map[data.Key]data.Value, len(ej.Writes)),
 		}
+		// The JSON objects arrive as Go maps; Append puts the members into
+		// the entry's key order.
 		for k, o := range ej.Reads {
-			e.Reads[data.Key(k)] = wlog.ReadObs{Value: data.Value(o.Value), Writer: o.Writer, WriterPos: o.WriterPos}
+			e.Reads = append(e.Reads, wlog.Read{Key: data.Key(k), ReadObs: wlog.ReadObs{Value: data.Value(o.Value), Writer: o.Writer, WriterPos: o.WriterPos}})
 		}
 		for k, v := range ej.Writes {
-			e.Writes[data.Key(k)] = data.Value(v)
+			e.Writes = append(e.Writes, wlog.Write{Key: data.Key(k), Value: data.Value(v)})
 		}
 		if _, err := log.Append(e); err != nil {
 			return nil, nil, fmt.Errorf("wlogio: rebuild log: %w", err)

@@ -3,6 +3,9 @@ package wlogio
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -35,15 +38,11 @@ func TestRoundTripFig1(t *testing.T) {
 		if e.ID() != o.ID() || e.LSN != o.LSN || e.Chosen != o.Chosen || e.Forged != o.Forged {
 			t.Errorf("entry %d differs: %+v vs %+v", i, e, o)
 		}
-		for k, obs := range o.Reads {
-			if got := e.Reads[k]; got != obs {
-				t.Errorf("entry %d read %s: %+v vs %+v", i, k, got, obs)
-			}
+		if !reflect.DeepEqual(e.Reads, o.Reads) {
+			t.Errorf("entry %d reads: %+v vs %+v", i, e.Reads, o.Reads)
 		}
-		for k, v := range o.Writes {
-			if e.Writes[k] != v {
-				t.Errorf("entry %d write %s differs", i, k)
-			}
+		if !reflect.DeepEqual(e.Writes, o.Writes) {
+			t.Errorf("entry %d writes: %+v vs %+v", i, e.Writes, o.Writes)
 		}
 	}
 	if !data.Equal(s.Store(), store2) {
@@ -272,5 +271,71 @@ func TestResumeCompletedRuns(t *testing.T) {
 	}
 	if log2.Len() != before {
 		t.Error("re-running completed runs committed new work")
+	}
+}
+
+// Randomized logs survive Encode∘Decode entry for entry, re-encode to the
+// same bytes, and a snapshot whose JSON objects list their members out of
+// key order decodes to entries in key order.
+func TestRoundTripRandomEntries(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	log := wlog.New()
+	for i := 0; i < 200; i++ {
+		reads := make(map[data.Key]wlog.ReadObs)
+		for n := rng.Intn(5); len(reads) < n; {
+			obs := wlog.ReadObs{WriterPos: wlog.MissingPos}
+			if rng.Intn(4) > 0 {
+				obs = wlog.ReadObs{Value: data.Value(rng.Int63n(2000) - 1000), Writer: fmt.Sprintf("w/t#%d", rng.Intn(9)+1), WriterPos: float64(rng.Intn(100)) + 0.5}
+			}
+			reads[data.Key(fmt.Sprintf("k%d", rng.Intn(12)))] = obs
+		}
+		writes := make(map[data.Key]data.Value)
+		for n := rng.Intn(5); len(writes) < n; {
+			writes[data.Key(fmt.Sprintf("k%d", rng.Intn(12)))] = data.Value(rng.Int63n(2000) - 1000)
+		}
+		e := &wlog.Entry{Run: fmt.Sprintf("r%d", rng.Intn(3)), Task: "t", Visit: i + 1, Forged: rng.Intn(5) == 0,
+			Reads: wlog.ReadsOf(reads), Writes: wlog.WritesOf(writes)}
+		if _, err := log.Append(e); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var first bytes.Buffer
+	if err := Encode(&first, log, data.NewStore()); err != nil {
+		t.Fatal(err)
+	}
+	text := first.String()
+	log2, store2, err := Decode(&first)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(log2.Entries(), log.Entries()) {
+		t.Fatal("decoded entries differ from the encoded ones")
+	}
+	var second bytes.Buffer
+	if err := Encode(&second, log2, store2); err != nil {
+		t.Fatal(err)
+	}
+	if second.String() != text {
+		t.Fatal("re-encoding a decoded snapshot changed its bytes")
+	}
+
+	unsorted := `{"format":1,"chains":{},"entries":[{"lsn":1,"task":"t","visit":1,` +
+		`"reads":{"z":{"value":1,"writerPos":0},"a":{"value":2,"writer":"w/t#1","writerPos":3},"m":{"value":0,"writerPos":-1}},` +
+		`"writes":{"y":1,"b":2,"q":3}}]}`
+	log3, _, err := Decode(strings.NewReader(unsorted))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := &wlog.Entry{LSN: 1, Task: "t", Visit: 1,
+		Reads: []wlog.Read{
+			{Key: "a", ReadObs: wlog.ReadObs{Value: 2, Writer: "w/t#1", WriterPos: 3}},
+			{Key: "m", ReadObs: wlog.ReadObs{WriterPos: wlog.MissingPos}},
+			{Key: "z", ReadObs: wlog.ReadObs{Value: 1}},
+		},
+		Writes: []wlog.Write{{Key: "b", Value: 2}, {Key: "q", Value: 3}, {Key: "y", Value: 1}},
+	}
+	want.CacheID()
+	if got := log3.Entries()[0]; !reflect.DeepEqual(got, want) {
+		t.Fatalf("unsorted JSON objects decode to %+v, want %+v", got, want)
 	}
 }

@@ -19,8 +19,19 @@ go test -race ./...
 
 # Footprint guard (ROADMAP aim 3, "nothing grows without bound"): live heap
 # per committed instance under its budget. The race pass above skips it (the
-# detector inflates allocations), so it runs once here without -race.
+# detector inflates allocations), so it runs once here without -race, next to
+# the allocations-per-committed-step bound (which the race pass does run).
 go test -run '^TestFootprintPerInstance$' -count=1 -v ./internal/shard/
+go test -run '^TestStepAllocations$' -count=1 -v ./internal/engine/
+
+# No-map-per-entry gate: a committed instance's reads and writes live in
+# sorted slices (wlog.Entry). Outside tests the map shape may appear only in
+# the helper that converts it.
+if grep -rn --include='*.go' --exclude='*_test.go' -e 'map\[data\.Key\]wlog\.ReadObs' -e 'map\[data\.Key\]ReadObs' . |
+    grep -v 'func ReadsOf('; then
+    echo "map gate: a read-observation map outside wlog.ReadsOf (see wlog.Entry)" >&2
+    exit 1
+fi
 
 # The Strict-mode lost-init defect showed up in ~1 % of these episodes (a
 # full repair queued ahead of a submission's init seeding); 200 runs keep
