@@ -255,6 +255,7 @@ func (w *WAL) restore() (*State, error) {
 	w.snapEpoch = st.Epoch
 	w.restoredLSN = log.Len()
 	w.lastLSN = log.Len()
+	w.durableLSN = log.Len()
 
 	st.ReplayedRecords = len(records)
 	st.ReplayDuration = time.Since(start)

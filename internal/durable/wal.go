@@ -4,10 +4,11 @@
 // Committers never touch the disk. They encode records, enqueue the framed
 // bytes under the WAL lock (assigning a dense sequence number), and — when
 // they need durability — block in Sync until the writer reports their
-// sequence number flushed. A single writer goroutine drains the whole
-// pending buffer in one write syscall and issues ONE fsync for it, so the
-// fsync cost is amortized across every committer whose records landed in
-// the batch (classic WAL group commit). Two mechanisms grow batches:
+// sequence number flushed, or publish once Durable covers their LSN. One
+// writer goroutine drains the whole pending buffer in one write syscall
+// and issues ONE fsync for it, so the fsync cost is amortized across every
+// committer whose records landed in the batch (classic WAL group commit).
+// Two mechanisms grow batches:
 //
 //   - absorption: every enqueue during an in-flight fsync lands in the
 //     next batch — concurrent committers never fsync twice for one window;
@@ -95,6 +96,7 @@ type WAL struct {
 	restoredLSN int
 
 	durableSeq uint64
+	durableLSN int   // highest entry LSN on disk: the durable prefix's end
 	err        error // first write/fsync failure; sticky
 	closed     bool
 
@@ -243,7 +245,7 @@ func (w *WAL) AppendAck(ids []uint64) error {
 
 // AppendAdopt logs a repair installation: the replacement chains of the
 // damaged keys (nil chain = key deleted) and the resynced run frontiers.
-// Not synced; the commit pipeline syncs after the installation completes.
+// Not synced; the repairer syncs after the installation completes.
 func (w *WAL) AppendAdopt(fronts []RunFrontier, chains map[data.Key][]data.Version) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -278,6 +280,17 @@ func (w *WAL) Sync() error {
 		return ErrClosed
 	}
 	return nil
+}
+
+// Durable returns, without waiting, the highest entry LSN on disk and the
+// sticky failure (ErrClosed once closed) that stops it from advancing.
+func (w *WAL) Durable() (lsn int, err error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.err == nil && w.closed {
+		return w.durableLSN, ErrClosed
+	}
+	return w.durableLSN, w.err
 }
 
 // Seq returns the sequence number of the last enqueued record.
@@ -366,7 +379,7 @@ func (w *WAL) writer() {
 		}
 		batch := w.pending
 		n := w.nPending
-		hi := w.seq
+		hi, lsn := w.seq, w.lastLSN
 		w.pending = nil
 		w.nPending = 0
 		w.mu.Unlock()
@@ -379,7 +392,7 @@ func (w *WAL) writer() {
 				w.err = err
 			}
 		} else {
-			w.durableSeq = hi
+			w.durableSeq, w.durableLSN = hi, lsn
 		}
 		w.done.Broadcast()
 		w.mu.Unlock()

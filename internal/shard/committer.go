@@ -16,6 +16,8 @@
 //     commit-order sequence it depends on. Exclusive jobs (recovery-unit
 //     repairs, forged injections) run through the same pipeline, which
 //     makes them atomic with respect to commits without extra locking.
+//     The committer never waits on a disk: a step is acknowledged once
+//     applied; whoever publishes a result waits for the WAL to cover it.
 //
 //   - executor: the shard workers plus the dispatcher that assigns each
 //     submitted run to a shard by data-key footprint. Runs whose footprints
@@ -59,11 +61,11 @@ type committer struct {
 	reqs     chan commitReq
 	stopCh   chan struct{}
 	doneCh   chan struct{}
-	// sync, when set, is called after every applied batch and exclusive
-	// job, before the submitters are acknowledged — the durable service
-	// points it at WAL.Sync so an acknowledged commit is on disk (the
-	// group-commit writer amortizes one fsync across the whole batch).
-	sync func() error
+	// fault, when set, returns the sticky failure of the log's persistent
+	// copy (the durable service points it at the WAL's error). It is read,
+	// never waited on, after every applied batch: a step that committed
+	// while the disk is failed reports the failure instead of succeeding.
+	fault func() error
 
 	batches atomic.Int64 // group commits executed
 	entries atomic.Int64 // entries committed through the pipeline
@@ -149,7 +151,7 @@ func (c *committer) loop() {
 // while folding is deferred until after the batch commits.
 func (c *committer) serve(req commitReq) {
 	if req.fn != nil {
-		req.resp <- c.runExclusive(req.fn)
+		req.resp <- req.fn()
 		return
 	}
 	batch := []commitReq{req}
@@ -159,7 +161,7 @@ fold:
 		case next := <-c.reqs:
 			if next.fn != nil {
 				c.commitBatch(batch)
-				next.resp <- c.runExclusive(next.fn)
+				next.resp <- next.fn()
 				return
 			}
 			batch = append(batch, next)
@@ -180,14 +182,12 @@ func (c *committer) commitBatch(batch []commitReq) {
 		c.batches.Add(1)
 		c.entries.Add(int64(len(ps)))
 		c.obs.record(len(ps))
-		// One durability wait for the whole batch: the WAL's writer
-		// flushes every entry enqueued by the CommitBatch hook with a
-		// single fsync. A sync failure is reported to every submitter —
-		// the commit is applied in memory but no longer guaranteed to
-		// survive a crash.
-		serr := c.syncWAL()
+		// No durability wait, but a failed disk is reported to every
+		// submitter: the commit is applied in memory yet will never be
+		// durable, so its run must not finish.
+		ferr := c.failure()
 		for _, r := range batch {
-			r.resp <- serr
+			r.resp <- ferr
 		}
 		return
 	}
@@ -200,24 +200,15 @@ func (c *committer) commitBatch(batch []commitReq) {
 			c.batches.Add(1)
 			c.entries.Add(1)
 			c.obs.record(1)
-			e = c.syncWAL()
+			e = c.failure()
 		}
 		r.resp <- e
 	}
 }
 
-// runExclusive runs an exclusive job and, on success, waits for the WAL
-// records it enqueued (repair adopt records, forged entries) to reach disk.
-func (c *committer) runExclusive(fn func() error) error {
-	if err := fn(); err != nil {
-		return err
-	}
-	return c.syncWAL()
-}
-
-func (c *committer) syncWAL() error {
-	if c.sync == nil {
+func (c *committer) failure() error {
+	if c.fault == nil {
 		return nil
 	}
-	return c.sync()
+	return c.fault()
 }

@@ -5,21 +5,23 @@
 // dependence-graph frontier, registered specs, run frontiers, un-acked
 // alerts — from the WAL directory's latest snapshot plus a
 // snapshot-bounded parallel replay, then wires the service so every state
-// transition is logged ahead of acknowledgement:
+// transition is logged before a client can observe it. WAL sequence order
+// makes whatever survives a crash a consistent prefix, so nothing in the
+// commit pipeline waits on the disk; each caller waits for what it hands out:
 //
-//   - committed entries ride the log's OnAppend hook into the WAL, and the
-//     commit pipeline's sync hook blocks each acknowledgement on the
-//     group-commit fsync (one fsync per batch, not per entry);
+//   - committed entries ride the log's OnAppend hook into the WAL; a run
+//     reads done once the WAL's durable prefix covers its retirement;
 //   - run registrations write a spec record (with the initial values
 //     actually seeded) before the run is placed, so a replayed entry never
-//     references an unregistered run;
+//     references an unregistered run, and SubmitRunSpec syncs it;
 //   - admitted alerts write an alert record before queueing and an ack
 //     record only after every recovery unit of their batch completed, so a
 //     crash mid-repair re-queues the batch and re-runs the idempotent
 //     repair;
 //   - repair installations write an adopt record (replacement chains +
 //     resynced frontiers) inside the commit pipeline — repairs produce no
-//     log entries, so the record is the only durable trace of the rewrite.
+//     log entries, so the record is the only durable trace of the rewrite —
+//     synced before the unit retires.
 //
 // Checkpoints (Service.Checkpoint, or automatic via Config.SnapshotEvery)
 // quiesce the shards briefly, capture a Snapshot through the commit
@@ -81,8 +83,9 @@ func NewDurable(cfg Config, dir string, dopts durable.Options) (*Service, error)
 	// order, and the graph must observe an entry before its record can be
 	// flushed (the graph is snapshot state; the WAL record is its replay).
 	wal.AttachLog(st.Log)
-	s.com.sync = wal.Sync
+	s.com.fault = func() error { _, err := wal.Durable(); return err }
 	s.exec = newExecutor(eng, s.com, cfg.Shards, cfg.Inbox, cfg.DeferMax)
+	s.exec.durable, s.exec.undurable = wal.Durable, make(map[*runState]int)
 
 	for id, sp := range st.Workflows {
 		s.specs[id] = sp
@@ -141,9 +144,9 @@ func (s *Service) ReplayStats() (records int, d time.Duration) {
 
 // SubmitRunSpec registers a workflow run from its wfjson document — the
 // durable submission path (POST /api/v1/runs). The spec record (including
-// the initial store values actually seeded) is written and synced before
-// the run is placed, so the registration survives any crash that could
-// have produced entries for the run. On a non-durable service it degrades
+// the initial store values actually seeded) is written before the run is
+// placed, so it precedes every entry of the run in the WAL, and the call
+// returns once the record is on disk. On a non-durable service it degrades
 // to init seeding plus SubmitRun. Errors wrap engine.ErrBadSpec,
 // engine.ErrRunExists or ErrQueueFull.
 func (s *Service) SubmitRunSpec(id string, sj *wfjson.SpecJSON) error {
@@ -171,7 +174,14 @@ func (s *Service) SubmitRunSpec(id string, sj *wfjson.SpecJSON) error {
 		}
 		return s.SubmitRun(id, spec)
 	}
+	if err := s.registerDurable(id, sj, spec, init); err != nil {
+		return err
+	}
+	return s.wal.Sync() // outside submitMu: concurrent submitters share the fsync
+}
 
+// registerDurable writes the spec record and registers and places the run.
+func (s *Service) registerDurable(id string, sj *wfjson.SpecJSON, spec *wf.Spec, init map[data.Key]data.Value) error {
 	// submitMu serializes durable submissions against each other and
 	// against checkpoints: between the admission pre-check and the actual
 	// submit, conflicts only shrink, and a snapshot never lands between
@@ -193,27 +203,21 @@ func (s *Service) SubmitRunSpec(id string, sj *wfjson.SpecJSON) error {
 		return fmt.Errorf("shard: run %s spec: %w: %w", id, engine.ErrBadSpec, err)
 	}
 
-	// Seed inits exclusively with commits, recording the applied subset —
-	// the spec record must replay exactly the Inits that happened, not the
-	// ones the document declares (a key may already have committed
-	// history).
+	// Seed inits and write the spec record in one exclusive job, so the
+	// record lands at the seeding point of the commit stream and replays
+	// exactly the Inits that happened, not the ones the document declares
+	// (a key may already have committed history).
 	applied := make(map[data.Key]data.Value)
 	if err := s.com.exec(func() error {
-		store := s.eng.Store() // inside the job, as above
+		store := s.eng.Store() // inside the job: a queued full repair may swap it
 		for k, v := range init {
 			if _, ok := store.Get(k); !ok {
 				store.Init(k, v)
 				applied[k] = v
 			}
 		}
-		return nil
+		return s.wal.AppendSpec(id, doc, applied)
 	}); err != nil {
-		return err
-	}
-	if err := s.wal.AppendSpec(id, doc, applied); err != nil {
-		return err
-	}
-	if err := s.wal.Sync(); err != nil {
 		return err
 	}
 
@@ -274,17 +278,13 @@ func (s *Service) checkpoint() error {
 		s.exec.pauseAll()
 	}
 	var snap *durable.Snapshot
-	err := s.com.exec(func() error {
-		snap = s.gatherSnapshot()
-		return nil
-	})
+	_ = s.com.exec(func() error { snap = s.gatherSnapshot(); return nil }) // cannot fail
 	if !held {
 		s.exec.resumeAll()
 	}
-	if err != nil {
-		// The committer's sync hook failed: records at or below the
-		// captured Seq are not known durable, so the snapshot must not
-		// claim to cover them.
+	// The snapshot covers every record up to its Seq and retires their
+	// segments: it must never name a Seq beyond the durable prefix.
+	if err := s.wal.Sync(); err != nil {
 		return err
 	}
 	if err := s.wal.WriteSnapshot(snap); err != nil {
@@ -493,7 +493,7 @@ func (s *Service) executeDurable(u *unit) error {
 	}
 	res, err := recovery.RepairGraph(g, s.eng.Store(), s.eng.Log(), specs, u.bad, ropts)
 	if err == nil && (gateHeld || coveredBy(res.DamagedKeys, dkeys)) {
-		err = s.com.exec(func() error { return s.installDurable(res, specs) })
+		err = s.adoptDurably(res, specs)
 		if gateHeld {
 			s.observeQuiesce(quiesceStart, s.cfg.Shards)
 		} else {
@@ -519,7 +519,7 @@ func (s *Service) executeDurable(u *unit) error {
 	ropts.Epoch = g.Epoch()
 	res, err = recovery.RepairGraph(g, s.eng.Store(), s.eng.Log(), specs, u.bad, ropts)
 	if err == nil {
-		err = s.com.exec(func() error { return s.installDurable(res, specs) })
+		err = s.adoptDurably(res, specs)
 	}
 	s.observeQuiesce(quiesceStart, s.cfg.Shards)
 	s.exec.resumeAll()
@@ -541,11 +541,19 @@ func (s *Service) runFrozen(run string) bool {
 	return len(s.eng.Log().Trace(run, false)) == 0
 }
 
+// adoptDurably installs a scoped repair and syncs its adopt record before
+// the shards resume: a run it moved past its end must not read done first.
+func (s *Service) adoptDurably(res *recovery.Result, specs map[string]*wf.Spec) error {
+	if err := s.com.exec(func() error { return s.installDurable(res, specs) }); err != nil {
+		return err
+	}
+	return s.wal.Sync()
+}
+
 // installDurable merges a scoped repair into the live store and writes the
 // adopt record: the replacement chain of every damaged key (nil = deleted)
 // plus the resynced run frontiers. Runs inside com.exec, so the record
-// lands before any later commit's entry record and the pipeline's sync
-// hook makes it durable before the unit completes.
+// lands before any later commit's entry record.
 func (s *Service) installDurable(res *recovery.Result, specs map[string]*wf.Spec) error {
 	s.eng.Store().AdoptChains(res.Store, res.DamagedKeys)
 	fronts, err := s.resyncActive(res, specs)

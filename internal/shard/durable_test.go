@@ -42,7 +42,12 @@ func durableVal(n int) data.Value { return data.Value(n * (n + 1) / 2) }
 
 func newDurableSvc(t *testing.T, dir string, cfg Config) *Service {
 	t.Helper()
-	svc, err := NewDurable(cfg, dir, durable.Options{})
+	return startDurable(t, dir, cfg, durable.Options{})
+}
+
+func startDurable(t *testing.T, dir string, cfg Config, opts durable.Options) *Service {
+	t.Helper()
+	svc, err := NewDurable(cfg, dir, opts)
 	if err != nil {
 		t.Fatalf("NewDurable(%s): %v", dir, err)
 	}

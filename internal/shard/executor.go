@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -83,6 +84,10 @@ type executor struct {
 	load     []int             // active runs per shard
 	deferred []*runState       // bounded conflict backlog, FIFO
 	deferMax int
+	// Durable mode only: the WAL's durable LSN and error, and each run retired
+	// done → log length at retirement, until the WAL covers it.
+	durable   func() (int, error)
+	undurable map[*runState]int
 
 	workers []*worker
 	stopCh  chan struct{}
@@ -405,6 +410,13 @@ func (x *executor) finish(rs *runState, state RunStatus, err error) {
 	x.mu.Lock()
 	rs.state = state
 	rs.err = err
+	if state == RunDone && x.durable != nil {
+		// Keys are released now: a later step's records follow this run's
+		// in the WAL, so no crash keeps them and loses this run's.
+		lsn, _ := x.durable()
+		maps.DeleteFunc(x.undurable, func(_ *runState, at int) bool { return at <= lsn })
+		x.undurable[rs] = x.eng.Log().Len()
+	}
 	for _, k := range rs.keys {
 		if x.keyRefs[k]--; x.keyRefs[k] == 0 {
 			delete(x.keyRefs, k)
@@ -431,6 +443,23 @@ func (x *executor) finish(rs *runState, state RunStatus, err error) {
 	// blocks, so a send into a paused sibling's full inbox cannot deadlock
 	// against that sibling's pause.
 	x.deliver(dispatch)
+}
+
+// statusLocked is rs's published status: done only once the WAL covers its
+// retirement, failed with the WAL's error if it never will. Callers hold x.mu.
+func (x *executor) statusLocked(rs *runState) (RunStatus, error) {
+	at, ok := x.undurable[rs]
+	if !ok {
+		return rs.state, rs.err
+	}
+	switch lsn, err := x.durable(); {
+	case at <= lsn:
+		delete(x.undurable, rs)
+		return RunDone, nil
+	case err != nil:
+		return RunFailed, err
+	}
+	return RunActive, nil
 }
 
 // redispatchLocked re-places every deferred run that became placeable.
@@ -610,7 +639,7 @@ func (w *worker) indexOf(rs *runState) int {
 
 // gate is one shard's quiesce barrier between normal stepping and
 // recovery-unit execution: the worker enters before preparing and exits
-// after its commit is acknowledged; pause blocks new entries and waits
+// after its commit is applied in memory; pause blocks new entries and waits
 // until every in-flight prepare→commit window has drained. Recovery pauses
 // only the gates of shards whose key footprints intersect the damage
 // (executor.beginRecovery) — clean shards, and damage analysis, run fully

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"selfheal/internal/data"
 	"selfheal/internal/deps"
@@ -24,6 +25,17 @@ import (
 // for the whole history — recovery can be asked about any committed instance
 // — so this is the slope of the service's memory.
 const footprintBudget = 1670
+
+// TestRunStateSize: every submitted run keeps its runState for the whole
+// history, and 64 B is a size class — one more int moves it to 80 B (+0.46 MB
+// on the benchmark's steady-mem). State only one mode reads lives elsewhere:
+// the durable executor keeps the retirement LSN of a run not yet durable in
+// its undurable FIFO, not in the run's record.
+func TestRunStateSize(t *testing.T) {
+	if got := unsafe.Sizeof(runState{}); got != 64 {
+		t.Fatalf("runState is %d B, want 64", got)
+	}
+}
 
 // liveHeap returns HeapAlloc after two forced collections (the second one
 // finishes what the first one's sweep left).

@@ -248,7 +248,7 @@ type Service struct {
 	wg     sync.WaitGroup
 
 	// Durable mode (NewDurable); all nil/zero otherwise. wal is the
-	// write-ahead log every commit is synced through; specStates keeps the
+	// write-ahead log every commit is logged to; specStates keeps the
 	// registered wfjson documents for checkpoints; preEpoch marks runs
 	// whose pre-snapshot history was truncated at boot (repairs touching
 	// their footprints are refused with recovery.ErrHorizon). submitMu
@@ -446,9 +446,10 @@ func (s *Service) RunInfo(id string) (RunInfo, error) {
 		x.mu.Unlock()
 		return RunInfo{}, fmt.Errorf("shard: run %s: %w", id, engine.ErrUnknownRun)
 	}
-	info := RunInfo{ID: id, Status: rs.state.String(), Shard: rs.shard}
-	if rs.err != nil {
-		info.Error = rs.err.Error()
+	state, err := x.statusLocked(rs)
+	info := RunInfo{ID: id, Status: state.String(), Shard: rs.shard}
+	if err != nil {
+		info.Error = err.Error()
 	}
 	x.mu.Unlock()
 	info.Steps = len(s.eng.Log().Trace(id, false))
@@ -671,7 +672,7 @@ func (s *Service) LastAuditError() error {
 
 // InjectForged commits a forged task through the commit pipeline, so the
 // injection serializes with concurrent group commits exactly like any other
-// log append.
+// log append. A durable service returns once the forged entry is on disk.
 func (s *Service) InjectForged(run string, task wf.TaskID, readKeys []data.Key, writes map[data.Key]data.Value) (wlog.InstanceID, error) {
 	var inst wlog.InstanceID
 	err := s.com.exec(func() error {
@@ -679,15 +680,26 @@ func (s *Service) InjectForged(run string, task wf.TaskID, readKeys []data.Key, 
 		inst, e = s.eng.InjectForged(run, task, readKeys, writes)
 		return e
 	})
+	if err == nil && s.wal != nil {
+		err = s.wal.Sync()
+	}
 	return inst, err
 }
 
 // WaitIdle blocks until every submitted run has retired and the service is
-// back to NORMAL with no recovery work pending, or ctx expires.
+// back to NORMAL with no recovery work pending and (durable) the WAL covers
+// the whole log, or ctx expires; a failed WAL returns its error.
 func (s *Service) WaitIdle(ctx context.Context) error {
 	for {
 		if s.exec.idle() && s.State() == stg.Normal {
-			return nil
+			if s.wal == nil {
+				return nil
+			}
+			if lsn, err := s.wal.Durable(); lsn >= s.eng.Log().Len() {
+				return nil
+			} else if err != nil {
+				return err
+			}
 		}
 		select {
 		case <-ctx.Done():

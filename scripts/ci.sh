@@ -33,6 +33,18 @@ if grep -rn --include='*.go' --exclude='*_test.go' -e 'map\[data\.Key\]wlog\.Rea
     exit 1
 fi
 
+# Publish-after-durability gate (docs/DURABILITY.md): the commit pipeline
+# never waits on a disk — durability waits belong to whoever hands a result
+# to a client — so the committer names neither a sync nor the WAL package.
+if grep -n -e 'Sync' -e 'durable\.' internal/shard/committer.go; then
+    echo "committer gate: internal/shard/committer.go must not wait on the WAL" >&2
+    exit 1
+fi
+# The contracts that replace the wait: done => durable, 201 => spec
+# durable, a snapshot covers only the durable prefix, a failed WAL fails
+# runs. Each copies the WAL directory at the instant a client could look.
+go test -race -count=20 -run '^(TestDoneImpliesDurable|TestSubmitAckImpliesSpecDurable|TestCheckpointCoversOnlyDurablePrefix|TestClosedWALFailsUndurableRuns)$' ./internal/shard/
+
 # The Strict-mode lost-init defect showed up in ~1 % of these episodes (a
 # full repair queued ahead of a submission's init seeding); 200 runs keep
 # the fix fixed.
