@@ -314,6 +314,59 @@ func TestCrossNodeRunTokenHandoff(t *testing.T) {
 	}
 }
 
+// A token can outrun the records it follows: here every replication push to
+// the receiving follower is held back, so each token reaches it before the
+// commit that made it the owner. The receiver drives only once its replica
+// has applied what the sender had, so the run alternating between the
+// stamper and that follower completes with exactly one token per ownership
+// change — no token bounced back by a stale frontier — and without the
+// reconciler having to pick up a stranded run. The reconcile interval is
+// stretched so that only a run the tokens really stranded counts as stalled,
+// not one a scheduling hiccup held for 30 ms.
+func TestTokenWaitsForSenderRecords(t *testing.T) {
+	defer cluster.SetReconcileInterval(250 * time.Millisecond)()
+	ids := []string{"a", "b", "c"}
+	h := startCluster(t, ids, false, nil)
+	stamper := cluster.NewRing(ids).Stamper()
+	recv := h.follower()
+	inner := h.slots[recv].h.Load().(handlerBox).h
+	h.slots[recv].set(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.Method == http.MethodPost && r.URL.Path == "/internal/v1/commits" {
+			time.Sleep(5 * time.Millisecond)
+		}
+		inner.ServeHTTP(w, r)
+	}))
+
+	// Six tasks whose write keys alternate between the stamper and the
+	// receiver: the run starts where it is submitted and changes owner five
+	// times.
+	keys := keysByOwner(ids, 3)
+	var chain []string
+	for i := 0; i < 3; i++ {
+		chain = append(chain, keys[stamper][i], keys[recv][i])
+	}
+	if err := h.nodes[stamper].SubmitRunSpec("pingpong", chainSpec(chain, 1)); err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	waitRunDone(t, h.nodes[stamper], "pingpong", 10*time.Second)
+	h.waitIdle(stamper, 10*time.Second)
+	h.assertStoresIdentical()
+
+	var sent, received, pickups float64
+	for _, id := range ids {
+		snap := h.regs[id].Snapshot()
+		sent += snap[obs.MClusterTokensSent]
+		received += snap[obs.MClusterTokensReceived]
+		pickups += snap[obs.MClusterReconcilePickups]
+	}
+	if changes := float64(len(chain) - 1); sent != changes || received != changes {
+		t.Errorf("%v tokens sent and %v received for %v ownership changes, want one each", sent, received, changes)
+	}
+	if pickups != 0 {
+		t.Errorf("the reconciler picked up %v stalled runs, want none", pickups)
+	}
+}
+
 // Boot and submission validation: a node needs an identity that is a member,
 // and a run ID registers once cluster-wide — the duplicate is refused with
 // the same sentinel whether it reaches the stamper directly or through a

@@ -50,3 +50,4 @@ func (h hooks) tokenReceived()   { h.reg.Counter(obs.MClusterTokensReceived).Inc
 func (h hooks) stale()           { h.reg.Counter(obs.MClusterStaleSubmissions).Inc() }
 func (h hooks) pausedKeys(n int) { h.reg.Gauge(obs.MClusterPausedKeys).Set(int64(n)) }
 func (h hooks) incident()        { h.reg.Counter(obs.MClusterIncidents).Inc() }
+func (h hooks) reconcilePickup() { h.reg.Counter(obs.MClusterReconcilePickups).Inc() }

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -343,9 +344,23 @@ func (n *Node) handleToken(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	n.o.tokenReceived()
-	// No need to wait for req.After: a stale frontier self-corrects — the
-	// stamper rejects the stale submission and the driver catches up.
-	n.driveRun(req.Run)
+	// Drive only once this replica has applied everything the sender had
+	// (req.After). Before that the run's spec may not be here yet — the
+	// driver would find no run and quit, stranding it until the reconciler —
+	// or its frontier may still name the sender's task, and the driver would
+	// bounce the token straight back. The wait runs after the reply, so the
+	// sender never mistakes a lagging replica for an unreachable owner.
+	if !n.stopped() {
+		n.wg.Add(1)
+		go func() {
+			defer n.wg.Done()
+			ctx, cancel := context.WithTimeout(n.stopCtx, 10*time.Second)
+			defer cancel()
+			if n.rep.WaitApplied(ctx, req.After) == nil {
+				n.driveRun(req.Run, true)
+			}
+		}()
+	}
 	writeInternalJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 

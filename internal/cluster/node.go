@@ -85,6 +85,8 @@ type Node struct {
 	gateCond *sync.Cond
 	paused   map[data.Key]bool
 
+	// driving holds each run with a local driver, mapped to whether a token
+	// arrived since the driver last looked (driveRun).
 	drivingMu sync.Mutex
 	driving   map[string]bool
 
@@ -349,40 +351,77 @@ func (n *Node) pullLoop() {
 	}
 }
 
-// reconcileLoop re-fires driveRun for every active run: explicit token
-// handoffs are a latency optimization, the reconciler is the guarantee that
-// a lost token (or a restarted node) cannot strand a workflow.
+// reconcileInterval is how often the reconciler looks for stalled runs. A
+// variable only so tests can lengthen it beyond any scheduling hiccup.
+var reconcileInterval = 30 * time.Millisecond
+
+// reconcileLoop re-fires driveRun for every stalled active run: explicit
+// token handoffs are a latency optimization, the reconciler is the guarantee
+// that a lost token (or a restarted node) cannot strand a workflow. A run
+// counts as stalled when its frontier on this replica has not moved for a
+// whole interval; runs the tokens keep moving are left alone, so a pickup
+// (cluster_reconcile_pickups_total) marks a handoff the tokens missed.
 func (n *Node) reconcileLoop() {
 	defer n.wg.Done()
-	for n.sleep(30 * time.Millisecond) {
+	type pos struct {
+		cur   wf.TaskID
+		visit int
+	}
+	seen := make(map[string]pos)
+	for n.sleep(reconcileInterval) {
+		now := make(map[string]pos)
 		for _, run := range n.rep.ActiveRuns() {
-			n.driveRun(run)
+			cur, visit, _, ok := n.rep.Frontier(run)
+			if !ok {
+				continue
+			}
+			p := pos{cur, visit}
+			now[run] = p
+			if last, ok := seen[run]; ok && last == p && n.driveRun(run, false) {
+				n.o.reconcilePickup()
+			}
 		}
+		seen = now
 	}
 }
 
-// driveRun ensures exactly one local driver loop per run.
-func (n *Node) driveRun(run string) {
+// driveRun ensures exactly one local driver loop per run, reporting whether
+// it started one. A call carrying a control token (token=true) that finds a
+// driver still running makes that driver look at the run once more before it
+// exits: the driver may have handed the run off already, and the run come
+// back before the driver returned — without the second look the token would
+// be absorbed and the run stranded until the reconciler.
+func (n *Node) driveRun(run string, token bool) bool {
 	if n.stopped() {
-		return
+		return false
 	}
 	n.drivingMu.Lock()
-	if n.driving[run] {
+	if _, running := n.driving[run]; running {
+		n.driving[run] = n.driving[run] || token
 		n.drivingMu.Unlock()
-		return
+		return false
 	}
-	n.driving[run] = true
+	n.driving[run] = false
 	n.drivingMu.Unlock()
 	n.wg.Add(1)
 	go func() {
 		defer n.wg.Done()
-		defer func() {
+		for {
+			n.runLoop(run)
 			n.drivingMu.Lock()
-			delete(n.driving, run)
+			again := n.driving[run]
+			if again {
+				n.driving[run] = false
+			} else {
+				delete(n.driving, run)
+			}
 			n.drivingMu.Unlock()
-		}()
-		n.runLoop(run)
+			if !again {
+				return
+			}
+		}
 	}()
+	return true
 }
 
 // runLoop advances one run until it completes, the control token moves to
@@ -678,7 +717,7 @@ func (n *Node) SubmitRunSpec(id string, doc *wfjson.SpecJSON) error {
 	if err := n.rep.WaitApplied(ctx, seq); err != nil {
 		return err
 	}
-	n.driveRun(id)
+	n.driveRun(id, false)
 	return nil
 }
 

@@ -18,6 +18,7 @@ package data
 import (
 	"fmt"
 	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -220,7 +221,10 @@ func (s *Store) GetBefore(k Key, pos float64) (Version, bool) {
 // boundaries (possible when differently-compacted stores are merged through
 // AdoptChains) collapse to the single latest boundary, and keys whose chains
 // empty out are dropped from the store. The writer index is kept consistent
-// throughout.
+// throughout. What is discarded leaves the heap: a compacted chain moves to
+// an array of its new length — the old one would keep its peak capacity and,
+// past its length, the dropped versions' writer strings — and the writer
+// index is rebuilt, since a Go map keeps its peak size after deletes.
 func (s *Store) CompactBefore(horizon float64) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -241,7 +245,7 @@ func (s *Store) CompactBefore(horizon float64) int {
 				s.indexDrop(v.Writer, k, 1)
 			}
 			n += keep
-			chain = append(chain[:0], chain[keep:]...)
+			chain = slices.Clone(chain[keep:])
 		}
 		if len(chain) > 0 && chain[0].Pos <= horizon {
 			chain[0].Checkpoint = true
@@ -259,6 +263,13 @@ func (s *Store) CompactBefore(horizon float64) int {
 			continue
 		}
 		s.chains[k] = chain
+	}
+	if n > 0 {
+		writers := make(map[string][]Key, len(s.writers))
+		for w, ks := range s.writers {
+			writers[w] = ks
+		}
+		s.writers = writers
 	}
 	return n
 }

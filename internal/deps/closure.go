@@ -25,14 +25,14 @@ const parallelClosureThreshold = 4096
 
 // closureAt computes the →_f* closure of seed over the first n folded
 // entries. Seed members are included in the result.
-func (ig *IncrementalGraph) closureAt(seed map[wlog.InstanceID]bool, n int) map[wlog.InstanceID]bool {
-	ig.mu.RLock()
-	defer ig.mu.RUnlock()
+func (gen *folded) closureAt(seed map[wlog.InstanceID]bool, n int) map[wlog.InstanceID]bool {
+	gen.lock.RLock()
+	defer gen.lock.RUnlock()
 	workers := runtime.GOMAXPROCS(0)
 	if workers > 1 && n >= parallelClosureThreshold {
-		return ig.closureParallel(seed, n, workers)
+		return gen.closureParallel(seed, n, workers)
 	}
-	return ig.closureSerial(seed, n)
+	return gen.closureSerial(seed, n)
 }
 
 // bitset is a visited set over ordinals.
@@ -50,8 +50,8 @@ func (b bitset) add(i int) bool {
 	return true
 }
 
-// closureSerial is the single-threaded DFS. Callers hold ig.mu.
-func (ig *IncrementalGraph) closureSerial(seed map[wlog.InstanceID]bool, n int) map[wlog.InstanceID]bool {
+// closureSerial is the single-threaded DFS. Callers hold the graph's lock.
+func (gen *folded) closureSerial(seed map[wlog.InstanceID]bool, n int) map[wlog.InstanceID]bool {
 	out := make(map[wlog.InstanceID]bool, len(seed))
 	visited := newBitset(n)
 	var stack []int
@@ -62,20 +62,20 @@ func (ig *IncrementalGraph) closureSerial(seed map[wlog.InstanceID]bool, n int) 
 	}
 	for id := range seed {
 		out[id] = true
-		ig.walk(relFlow, id, n, push)
+		gen.walk(relFlow, id, n, push)
 	}
 	for len(stack) > 0 {
-		id := ig.entries[stack[len(stack)-1]].ID()
+		id := gen.entries[stack[len(stack)-1]].ID()
 		stack = stack[:len(stack)-1]
 		out[id] = true
-		ig.walk(relFlow, id, n, push)
+		gen.walk(relFlow, id, n, push)
 	}
 	return out
 }
 
-// closureParallel is the sharded worker-pool BFS. Callers hold ig.mu (read),
-// so the adjacency container is immutable for the duration.
-func (ig *IncrementalGraph) closureParallel(seed map[wlog.InstanceID]bool, n, workers int) map[wlog.InstanceID]bool {
+// closureParallel is the sharded worker-pool BFS. Callers hold the graph's
+// lock (read), so the adjacency container is immutable for the duration.
+func (gen *folded) closureParallel(seed map[wlog.InstanceID]bool, n, workers int) map[wlog.InstanceID]bool {
 	shards := 1
 	for shards < workers && shards < 16 {
 		shards <<= 1
@@ -90,7 +90,7 @@ func (ig *IncrementalGraph) closureParallel(seed map[wlog.InstanceID]bool, n, wo
 	}
 	// route sends id's successors to the outbox of the shard owning each.
 	route := func(boxes [][]int, id wlog.InstanceID) {
-		ig.walk(relFlow, id, n, func(ord int) { boxes[ord&mask] = append(boxes[ord&mask], ord) })
+		gen.walk(relFlow, id, n, func(ord int) { boxes[ord&mask] = append(boxes[ord&mask], ord) })
 	}
 
 	out := make(map[wlog.InstanceID]bool, len(seed))
@@ -130,7 +130,7 @@ func (ig *IncrementalGraph) closureParallel(seed map[wlog.InstanceID]bool, n, wo
 		outbox = make([][][]int, shards)
 		for s := 0; s < shards; s++ {
 			for _, ord := range frontier[s] {
-				out[ig.entries[ord].ID()] = true
+				out[gen.entries[ord].ID()] = true
 			}
 			if len(frontier[s]) == 0 {
 				continue
@@ -141,7 +141,7 @@ func (ig *IncrementalGraph) closureParallel(seed map[wlog.InstanceID]bool, n, wo
 				defer wg.Done()
 				boxes := make([][]int, shards)
 				for _, ord := range frontier[s] {
-					route(boxes, ig.entries[ord].ID())
+					route(boxes, gen.entries[ord].ID())
 				}
 				outbox[s] = boxes
 			}(s)

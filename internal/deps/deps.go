@@ -33,7 +33,7 @@ type Edge struct {
 // snapshot's epoch. Obtained from Build (whole log, batch) or
 // IncrementalGraph.Snapshot (consistent prefix of a growing log).
 type Graph struct {
-	g     *IncrementalGraph
+	g     *folded // the generation the snapshot pinned
 	epoch int
 	n     int // entries folded at the snapshot: successor ordinals < n are in view
 }

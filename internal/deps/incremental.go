@@ -18,7 +18,9 @@
 package deps
 
 import (
+	"fmt"
 	"slices"
+	"sort"
 	"sync"
 
 	"selfheal/internal/data"
@@ -35,8 +37,8 @@ const (
 )
 
 // succ is one adjacency record — the whole stored form of an edge: the
-// successor's ordinal (its index in IncrementalGraph.entries, which for a
-// log-fed graph is its LSN offset by the graph's starting epoch) shifted over
+// successor's ordinal (its index in its generation's entries, which for a
+// log-fed graph is its LSN offset by the generation's seed epoch) shifted over
 // the relation. An edge is created by its successor's commit, so a source's
 // records are in ascending ordinal order and "beyond the snapshot" is
 // "ordinal ≥ snapshot length".
@@ -46,24 +48,34 @@ func (s succ) ord() int      { return int(s >> 2) }
 func (s succ) rel() relation { return relation(s & 3) }
 
 // IncrementalGraph maintains the dependence relations of a growing log.
-// Safe for concurrent use: Append (driven by the log's commit hook) takes
-// the write lock, snapshot reads take the read lock.
+// Safe for concurrent use: Append (driven by the log's commit hook) and
+// Rebase take the write lock, snapshot reads take the read lock.
 type IncrementalGraph struct {
 	mu sync.RWMutex
+	// folded is the current generation: Append grows it, Rebase replaces it.
+	*folded
+	// cur is the fold state after the last entry (cur.Epoch is the graph's
+	// epoch).
+	cur Frontier
+}
 
+// folded is one generation of the graph: the entries folded since its seed
+// and the edges they closed. A view pins the generation it was taken from,
+// so a Rebase never moves an ordinal under a reader.
+type folded struct {
+	lock *sync.RWMutex // the owning graph's mu
 	// entries are the folded entries in commit order; an entry's index is
 	// the ordinal adjacency records name it by.
 	entries []*wlog.Entry
 	// adj holds every edge once, under its source. Sources are keyed by
-	// instance ID because a source may predate the graph (a frontier-seeded
-	// graph after a restore, a graph over a partial log) and so have no
-	// ordinal; successors were folded by definition.
+	// instance ID because a source may predate the generation (a
+	// frontier-seeded graph after a restore or a Rebase, a graph over a
+	// partial log) and so have no ordinal; successors were folded by
+	// definition.
 	adj map[wlog.InstanceID][]succ
-
-	// cur is the fold state after the last entry (cur.Epoch is the graph's
-	// epoch); seed is the state before the first, from which the edge-list
-	// views re-fold.
-	cur, seed Frontier
+	// seed is the fold state before the first entry, from which the
+	// edge-list views re-fold.
+	seed Frontier
 }
 
 // NewIncremental returns an IncrementalGraph subscribed to log: entries
@@ -165,7 +177,9 @@ func NewIncrementalFrom(log *wlog.Log, f Frontier) *IncrementalGraph {
 }
 
 func newIncremental(f Frontier) *IncrementalGraph {
-	return &IncrementalGraph{adj: make(map[wlog.InstanceID][]succ), cur: f.clone(), seed: f.clone()}
+	ig := &IncrementalGraph{cur: f.clone()}
+	ig.folded = &folded{lock: &ig.mu, adj: make(map[wlog.InstanceID][]succ), seed: f.clone()}
+	return ig
 }
 
 // Append folds one committed entry into the graph: O(Δ) in the entry's
@@ -174,6 +188,10 @@ func newIncremental(f Frontier) *IncrementalGraph {
 func (ig *IncrementalGraph) Append(e *wlog.Entry) {
 	ig.mu.Lock()
 	defer ig.mu.Unlock()
+	ig.appendLocked(e)
+}
+
+func (ig *IncrementalGraph) appendLocked(e *wlog.Entry) {
 	to := succ(len(ig.entries)) << 2
 	ig.entries = append(ig.entries, e)
 	ig.cur.fold(e, func(rel relation, from wlog.InstanceID, _ data.Key) {
@@ -194,14 +212,40 @@ func (ig *IncrementalGraph) Epoch() int {
 func (ig *IncrementalGraph) Snapshot() *Graph {
 	ig.mu.RLock()
 	defer ig.mu.RUnlock()
-	return &Graph{g: ig, epoch: ig.cur.Epoch, n: len(ig.entries)}
+	return &Graph{g: ig.folded, epoch: ig.cur.Epoch, n: len(ig.entries)}
+}
+
+// Rebase forgets the folded entries at or below f.Epoch — the log prefix a
+// durable snapshot covers — and continues from f, the frontier at that
+// epoch: the entries above it are folded again into a fresh generation, so
+// the graph ends up exactly as NewIncrementalFrom(f) over the same suffix
+// would build it, at a cost proportional to the suffix. Views taken before
+// keep reading the generation they pinned. A frontier outside the graph's
+// folded range is refused; one at the current seed is a no-op.
+func (ig *IncrementalGraph) Rebase(f Frontier) error {
+	ig.mu.Lock()
+	defer ig.mu.Unlock()
+	if f.Epoch < ig.seed.Epoch || f.Epoch > ig.cur.Epoch {
+		return fmt.Errorf("deps: rebase at epoch %d outside the folded range %d..%d", f.Epoch, ig.seed.Epoch, ig.cur.Epoch)
+	}
+	if f.Epoch == ig.seed.Epoch {
+		return nil
+	}
+	i := sort.Search(len(ig.entries), func(i int) bool { return ig.entries[i].LSN > f.Epoch })
+	suffix := ig.entries[i:]
+	ig.folded = &folded{lock: &ig.mu, adj: make(map[wlog.InstanceID][]succ), seed: f.clone()}
+	ig.cur = f.clone()
+	for _, e := range suffix {
+		ig.appendLocked(e)
+	}
+	return nil
 }
 
 // walk invokes fn with the ordinal of every rel-successor of from among the
 // first n folded entries, in commit order, one call per edge (per-key
-// multiplicity preserved). Callers hold ig.mu.
-func (ig *IncrementalGraph) walk(rel relation, from wlog.InstanceID, n int, fn func(ord int)) {
-	for _, s := range ig.adj[from] {
+// multiplicity preserved). Callers hold the graph's lock.
+func (gen *folded) walk(rel relation, from wlog.InstanceID, n int, fn func(ord int)) {
+	for _, s := range gen.adj[from] {
 		if s.ord() >= n {
 			break // records are in commit order: nothing later qualifies
 		}
@@ -212,21 +256,21 @@ func (ig *IncrementalGraph) walk(rel relation, from wlog.InstanceID, n int, fn f
 }
 
 // succAt is walk under the read lock, delivering instance IDs.
-func (ig *IncrementalGraph) succAt(rel relation, from wlog.InstanceID, n int, fn func(to wlog.InstanceID)) {
-	ig.mu.RLock()
-	defer ig.mu.RUnlock()
-	ig.walk(rel, from, n, func(ord int) { fn(ig.entries[ord].ID()) })
+func (gen *folded) succAt(rel relation, from wlog.InstanceID, n int, fn func(to wlog.InstanceID)) {
+	gen.lock.RLock()
+	defer gen.lock.RUnlock()
+	gen.walk(rel, from, n, func(ord int) { fn(gen.entries[ord].ID()) })
 }
 
 // edgesAt derives the rel edge list of the first n folded entries by
 // re-folding them from the seed frontier — the cold path behind Flow, Anti
 // and Output (rendering and tests); analysis and repair walk succAt.
-func (ig *IncrementalGraph) edgesAt(rel relation, n int) []Edge {
-	ig.mu.RLock()
-	defer ig.mu.RUnlock()
-	f := ig.seed.clone()
+func (gen *folded) edgesAt(rel relation, n int) []Edge {
+	gen.lock.RLock()
+	defer gen.lock.RUnlock()
+	f := gen.seed.clone()
 	var out []Edge
-	for _, e := range ig.entries[:n] {
+	for _, e := range gen.entries[:n] {
 		f.fold(e, func(r relation, from wlog.InstanceID, k data.Key) {
 			if r == rel {
 				out = append(out, Edge{From: from, To: e.ID(), Key: k})

@@ -357,6 +357,72 @@ func TestSuffixGraphsMatchFullFold(t *testing.T) {
 	}
 }
 
+// TestRebaseEqualsSeededGraph: a live graph rebased at a cut — the durable
+// checkpoint's horizon step — holds exactly what a graph seeded from the
+// frontier at that cut holds after folding the same suffix (the restart's
+// construction), keeps folding new commits the same way, and leaves a view
+// taken before the rebase reading the prefix it pinned.
+func TestRebaseEqualsSeededGraph(t *testing.T) {
+	for seed := int64(0); seed < 12; seed++ {
+		s, err := scenario.Random(seed, scenario.DefaultRandomConfig(), true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		entries := s.Log().Entries()
+		cut, later := len(entries)/3, 2*len(entries)/3
+
+		prefix := wlog.New()
+		pg := deps.NewIncremental(prefix)
+		live := wlog.New()
+		g := deps.NewIncremental(live)
+		for i, e := range entries[:later] {
+			if i < cut {
+				appendCopy(t, prefix, e)
+			}
+			appendCopy(t, live, e)
+		}
+		before := g.Snapshot()
+		beforeFlow := before.Flow()
+
+		if err := g.Rebase(deps.Frontier{Epoch: later + 1}); err == nil {
+			t.Fatalf("seed %d: rebase beyond the folded range accepted", seed)
+		}
+		live.TruncateBefore(cut)
+		if err := g.Rebase(pg.Frontier()); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		for _, e := range entries[later:] {
+			appendCopy(t, live, e)
+		}
+
+		seeded := wlog.NewAt(cut)
+		for _, e := range entries[cut:] {
+			appendCopy(t, seeded, e)
+		}
+		want := deps.NewIncrementalFrom(seeded, pg.Frontier())
+		got, wantG := g.Snapshot(), want.Snapshot()
+		if got.Epoch() != wantG.Epoch() || !reflect.DeepEqual(g.Frontier(), want.Frontier()) {
+			t.Fatalf("seed %d: rebased graph at epoch %d, seeded at %d, or frontiers differ", seed, got.Epoch(), wantG.Epoch())
+		}
+		for _, c := range []struct {
+			name      string
+			got, want []deps.Edge
+		}{
+			{"flow", got.Flow(), wantG.Flow()},
+			{"anti", got.Anti(), wantG.Anti()},
+			{"output", got.Output(), wantG.Output()},
+		} {
+			if !reflect.DeepEqual(c.got, c.want) {
+				t.Fatalf("seed %d: rebased %s edges differ from the seeded graph's:\n got %v\nwant %v", seed, c.name, c.got, c.want)
+			}
+		}
+		checkAdjacency(t, fmt.Sprintf("seed %d rebased", seed), got)
+		if !reflect.DeepEqual(before.Flow(), beforeFlow) {
+			t.Fatalf("seed %d: a view taken before the rebase changed", seed)
+		}
+	}
+}
+
 // TestSnapshotReadersRaceAppend (run under -race): snapshot readers walk the
 // adjacency container while the log's commit hook keeps appending to it, and
 // no walk may ever deliver a successor committed after its snapshot's epoch.

@@ -39,10 +39,14 @@ const (
 	recSnapAlert
 	recSnapGraph
 	recSnapFooter
+	recSnapTomb
 )
 
-// snapFormat is the snapshot/segment format version stamped in headers.
-const snapFormat = 1
+// snapFormat is the snapshot format version stamped in headers. Format 2
+// added tombstone records for retired runs; a format-1 snapshot wrote them
+// as spec and run records, and still restores (Snapshot.Horizon turns them
+// into tombstones).
+const snapFormat = 2
 
 // --- primitive writers -------------------------------------------------
 //

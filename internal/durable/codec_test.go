@@ -138,12 +138,16 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			"r": {Cur: "t2", Visits: map[wf.TaskID]int{"t0": 1, "t1": 2}, Status: RunActive},
 			"q": {Cur: "end", Visits: map[wf.TaskID]int{}, Status: RunFailed, Err: "task boom failed"},
 		},
+		Tombs: map[string]Tombstone{
+			"old":  {Status: RunDone},
+			"oops": {Status: RunFailed, Err: "task crash failed"},
+		},
 		Alerts: map[uint64][]wlog.InstanceID{7: {"r:t:1"}, 9: {"r:u:1", "r:v:2"}},
 	}
 	body := encodeSnapshot(s)
-	got, err := decodeSnapshot(body)
+	got, err := DecodeSnapshot(body)
 	if err != nil {
-		t.Fatalf("decodeSnapshot: %v", err)
+		t.Fatalf("DecodeSnapshot: %v", err)
 	}
 	if !reflect.DeepEqual(s, got) {
 		t.Errorf("snapshot round trip:\n want %+v\n got  %+v", s, got)
@@ -151,15 +155,23 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if !bytes.Equal(body, encodeSnapshot(s)) {
 		t.Error("two encodings of the same snapshot differ")
 	}
+	// The horizon reads retired runs as tombstones, whichever record kind
+	// carried them, and marks the live run that has executed.
+	h := got.Horizon()
+	wantTombs := map[string]Tombstone{"old": {Status: RunDone}, "oops": {Status: RunFailed, Err: "task crash failed"},
+		"q": {Status: RunFailed, Err: "task boom failed"}}
+	if !reflect.DeepEqual(h.Tombs, wantTombs) || !reflect.DeepEqual(h.PreEpoch, map[string]bool{"r": true}) || h.Epoch != 90 {
+		t.Errorf("horizon: tombs %+v, pre-epoch %v, epoch %d", h.Tombs, h.PreEpoch, h.Epoch)
+	}
 
 	// An incomplete snapshot (footer cut off) must be rejected, whether the
 	// cut lands on a frame boundary or tears the last frame.
 	frames, _ := SplitFrames(body)
 	lastLen := frameHeader + len(frames[len(frames)-1])
-	if _, err := decodeSnapshot(body[:len(body)-lastLen]); err == nil {
+	if _, err := DecodeSnapshot(body[:len(body)-lastLen]); err == nil {
 		t.Error("snapshot without footer accepted")
 	}
-	if _, err := decodeSnapshot(body[:len(body)-1]); err == nil {
+	if _, err := DecodeSnapshot(body[:len(body)-1]); err == nil {
 		t.Error("snapshot with torn footer accepted")
 	}
 }

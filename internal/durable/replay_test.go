@@ -36,6 +36,21 @@ func snapshotOf(wal *WAL, st *State) *Snapshot {
 	return snap
 }
 
+// forgetRetired drops from a state restored without a snapshot every run
+// that tombs records as retired, checking that the tombstone keeps the run's
+// status and error: what is left is what a restore from the snapshot keeps.
+func forgetRetired(t testing.TB, st *State, tombs map[string]Tombstone) {
+	t.Helper()
+	for run, tb := range tombs {
+		if rs, ok := st.Runs[run]; !ok || rs.Status != tb.Status || rs.Err != tb.Err {
+			t.Fatalf("tombstone %s %+v does not match the replayed run %+v", run, tb, rs)
+		}
+		delete(st.Runs, run)
+		delete(st.Specs, run)
+		delete(st.Workflows, run)
+	}
+}
+
 // checkpointDir builds a workload directory, checkpoints it (snapshot over
 // the restored state), then appends a post-snapshot run. Returns the
 // directory and the snapshot epoch.
@@ -88,15 +103,22 @@ func TestSnapshotBoundsReplay(t *testing.T) {
 	if got := st.Log.Len() - st.Log.Base(); got != 4 {
 		t.Errorf("restored log tail has %d entries, want 4", got)
 	}
-	// Pre-snapshot runs carry truncated history and must be flagged; the
-	// post-snapshot run must not be.
+	// Runs retired before the snapshot come back as tombstones, without a
+	// spec or a frontier; the post-snapshot run is live and has no history
+	// beneath the epoch.
 	for _, run := range []string{"r0", "r1", "r2"} {
-		if !st.PreEpoch[run] {
-			t.Errorf("run %s not marked pre-epoch", run)
+		if tb, ok := st.Tombs[run]; !ok || tb.Status != RunDone {
+			t.Errorf("run %s restored as tombstone %+v (%v), want a done tombstone", run, tb, ok)
+		}
+		if _, ok := st.Workflows[run]; ok {
+			t.Errorf("tombstoned run %s still has a built spec", run)
+		}
+		if _, ok := st.Runs[run]; ok || st.PreEpoch[run] {
+			t.Errorf("tombstoned run %s still has a frontier or a pre-epoch mark", run)
 		}
 	}
-	if st.PreEpoch["post"] {
-		t.Error("post-snapshot run wrongly marked pre-epoch")
+	if _, ok := st.Tombs["post"]; ok || st.PreEpoch["post"] {
+		t.Error("post-snapshot run wrongly tombstoned or marked pre-epoch")
 	}
 	// The workload's un-acked alert survives the snapshot.
 	if len(st.Alerts) != 1 {
@@ -132,6 +154,9 @@ func TestSnapshotRestoreEqualsFullReplay(t *testing.T) {
 	if !data.Equal(bounded.Store, st.Store) {
 		t.Fatalf("stores differ:\n%s", data.Diff(bounded.Store, st.Store))
 	}
+	// The full replay keeps every run; the bounded one keeps the runs live
+	// at the snapshot and tombstones of the rest.
+	forgetRetired(t, st, bounded.Tombs)
 	if !reflect.DeepEqual(bounded.Runs, st.Runs) {
 		t.Fatalf("run frontiers differ:\n bounded %+v\n full    %+v", bounded.Runs, st.Runs)
 	}
@@ -190,8 +215,11 @@ func TestSnapshotRetiresSegments(t *testing.T) {
 	if st2.Epoch != snap.Epoch {
 		t.Errorf("restored epoch %d, want %d", st2.Epoch, snap.Epoch)
 	}
-	if !reflect.DeepEqual(st.Runs, st2.Runs) {
-		t.Errorf("run frontiers changed across checkpoint:\n %+v\n %+v", st.Runs, st2.Runs)
+	// Every run had retired before the checkpoint: it comes back as a
+	// tombstone with the same status.
+	forgetRetired(t, st, st2.Tombs)
+	if len(st.Runs) != 0 || len(st2.Runs) != 0 {
+		t.Errorf("runs left live across checkpoint:\n %+v\n %+v", st.Runs, st2.Runs)
 	}
 
 	// A second checkpoint supersedes the first: exactly one snapshot file

@@ -32,7 +32,6 @@ import (
 	"time"
 
 	"selfheal/internal/data"
-	"selfheal/internal/deps"
 	"selfheal/internal/recovery"
 	"selfheal/internal/wf"
 	"selfheal/internal/wfjson"
@@ -48,26 +47,25 @@ type PendingAlert struct {
 
 // State is the fully rebuilt system state Open returns.
 type State struct {
+	// Horizon is what the snapshot let the restore forget (zero epoch and
+	// empty sets without a snapshot): Log is based at its Epoch, Graph
+	// seeds deps.NewIncrementalFrom, Tombs are the retired runs and
+	// PreEpoch the live runs whose early entries were truncated, so repairs
+	// touching their footprints must be refused (ErrHorizon at the shard
+	// layer).
+	Horizon
 	// Log holds the restored suffix, based at the snapshot epoch.
 	Log *wlog.Log
 	// Store is the restored version store (compacted at the epoch).
 	Store *data.Store
-	// Graph is the dependence frontier to seed deps.NewIncrementalFrom.
-	Graph deps.Frontier
-	// Epoch is the snapshot's entry-LSN horizon (0 without a snapshot).
-	Epoch int
-	// Specs are the registered runs (wfjson documents + applied inits);
-	// Workflows are the same specs built.
+	// Specs are the live runs' registrations (wfjson documents + applied
+	// inits); Workflows are the same specs built.
 	Specs     map[string]SpecState
 	Workflows map[string]*wf.Spec
-	// Runs are the resumable run frontiers.
+	// Runs are the live runs' resumable frontiers.
 	Runs map[string]RunState
 	// Alerts are the un-acked alerts in admission order.
 	Alerts []PendingAlert
-	// PreEpoch marks runs that executed before the snapshot horizon:
-	// their early entries are truncated, so repairs touching their
-	// footprints must be refused (ErrHorizon at the shard layer).
-	PreEpoch map[string]bool
 	// ReplayedRecords and ReplayDuration describe the restore cost.
 	ReplayedRecords int
 	ReplayDuration  time.Duration
@@ -106,18 +104,21 @@ func (w *WAL) restore() (*State, error) {
 	}
 
 	st := &State{
+		Horizon:   Horizon{Tombs: make(map[string]Tombstone), PreEpoch: make(map[string]bool)},
 		Specs:     make(map[string]SpecState),
 		Workflows: make(map[string]*wf.Spec),
 		Runs:      make(map[string]RunState),
-		PreEpoch:  make(map[string]bool),
 	}
 	chains := make(map[data.Key][]data.Version)
 	liveAlerts := make(map[uint64][]wlog.InstanceID)
 	if snap != nil {
-		st.Epoch = snap.Epoch
-		st.Graph = snap.Graph
+		st.Horizon = snap.Horizon()
 		chains = snap.Chains
+		// Tombstoned runs can never run again: their specs are not built.
 		for run, sp := range snap.Specs {
+			if _, gone := st.Tombs[run]; gone {
+				continue
+			}
 			spec, _, err := buildSpec(sp.JSON)
 			if err != nil {
 				return nil, fmt.Errorf("durable: snapshot spec %s: %w", run, err)
@@ -126,14 +127,14 @@ func (w *WAL) restore() (*State, error) {
 			st.Workflows[run] = spec
 		}
 		for run, rs := range snap.Runs {
+			if _, gone := st.Tombs[run]; gone {
+				continue
+			}
 			st.Runs[run] = RunState{
 				Cur:    rs.Cur,
 				Visits: copyVisits(rs.Visits),
 				Status: rs.Status,
 				Err:    rs.Err,
-			}
-			if len(rs.Visits) > 0 {
-				st.PreEpoch[run] = true
 			}
 		}
 		for id, bad := range snap.Alerts {
@@ -183,7 +184,8 @@ func (w *WAL) restore() (*State, error) {
 				return nil, err
 			}
 		case recSpec:
-			if _, dup := st.Specs[rec.run]; dup {
+			_, dup := st.Specs[rec.run]
+			if _, gone := st.Tombs[rec.run]; dup || gone {
 				return nil, fmt.Errorf("durable: duplicate spec record for run %s", rec.run)
 			}
 			spec, _, err := buildSpec(rec.spec)

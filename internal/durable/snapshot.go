@@ -1,9 +1,9 @@
 // Snapshot files: a point-in-time capture of the whole system state —
-// store chains, registered specs, run frontiers, pending alerts, and the
-// dependence-graph frontier — anchored to a WAL position (Seq) and an
-// entry-LSN horizon (Epoch). Restore loads the latest snapshot and
-// replays only the log records beyond Seq; segments fully covered by the
-// snapshot are retired.
+// store chains, the specs and frontiers of live runs, tombstones of retired
+// ones, pending alerts, and the dependence-graph frontier — anchored to a
+// WAL position (Seq) and an entry-LSN horizon (Epoch). Restore loads the
+// latest snapshot and replays only the log records beyond Seq; segments
+// fully covered by the snapshot are retired.
 //
 // A snapshot is written to a temporary file, fsynced, and renamed into
 // place (plus a directory fsync), and its last record is a footer
@@ -41,6 +41,14 @@ type SpecState struct {
 	Init map[data.Key]data.Value
 }
 
+// Tombstone is all that is kept of a run retired beneath a snapshot horizon:
+// its final status and error, enough to answer a status query and to refuse
+// a second registration of its ID. Its spec and its history are gone.
+type Tombstone struct {
+	Status string
+	Err    string
+}
+
 // RunState is a run's resumable position.
 type RunState struct {
 	Cur    wf.TaskID
@@ -63,13 +71,52 @@ type Snapshot struct {
 	Chains map[data.Key][]data.Version
 	// Graph is the dependence graph's resumable frontier at Epoch.
 	Graph deps.Frontier
-	// Specs and Runs are the registered runs and their frontiers.
+	// Specs and Runs are the live runs and their frontiers; Tombs the runs
+	// retired at the capture point.
 	Specs map[string]SpecState
 	Runs  map[string]RunState
+	Tombs map[string]Tombstone
 	// Alerts are the admitted-but-unacked alerts (ID → bad instances);
 	// their WAL records fall at or below Seq, so they must ride the
 	// snapshot or a restart would drop them.
 	Alerts map[uint64][]wlog.InstanceID
+}
+
+// Horizon is what a snapshot lets the system forget: the log and
+// dependence-graph prefix up to Epoch (the graph resumes from Graph), every
+// retired run but its tombstone, and — for the live runs in PreEpoch — the
+// part of their history beneath Epoch. A restart and a live checkpoint both
+// derive it from the snapshot, so they forget the same things.
+type Horizon struct {
+	Epoch    int
+	Graph    deps.Frontier
+	Tombs    map[string]Tombstone
+	PreEpoch map[string]bool
+}
+
+// Horizon derives the snapshot's horizon. A run recorded as retired is a
+// tombstone, whether as a tombstone record or — as format-1 snapshots wrote
+// it — as a done or failed run record; a live run that has executed a task
+// has history beneath the epoch.
+func (s *Snapshot) Horizon() Horizon {
+	h := Horizon{
+		Epoch:    s.Epoch,
+		Graph:    s.Graph,
+		Tombs:    make(map[string]Tombstone, len(s.Tombs)),
+		PreEpoch: make(map[string]bool),
+	}
+	for run, tb := range s.Tombs {
+		h.Tombs[run] = tb
+	}
+	for run, rs := range s.Runs {
+		switch {
+		case rs.Status == RunDone || rs.Status == RunFailed:
+			h.Tombs[run] = Tombstone{Status: rs.Status, Err: rs.Err}
+		case len(rs.Visits) > 0:
+			h.PreEpoch[run] = true
+		}
+	}
+	return h
 }
 
 // encodeSnapshot serializes a snapshot as a sequence of framed records
@@ -147,6 +194,21 @@ func encodeSnapshot(s *Snapshot) []byte {
 		emit(p)
 	}
 
+	tombs := make([]string, 0, len(s.Tombs))
+	for run := range s.Tombs {
+		tombs = append(tombs, run)
+	}
+	sort.Strings(tombs)
+	for _, run := range tombs {
+		tb := s.Tombs[run]
+		var p []byte
+		p = append(p, recSnapTomb)
+		p = AppendString(p, run)
+		p = AppendString(p, tb.Status)
+		p = AppendString(p, tb.Err)
+		emit(p)
+	}
+
 	alertIDs := make([]uint64, 0, len(s.Alerts))
 	for id := range s.Alerts {
 		alertIDs = append(alertIDs, id)
@@ -190,9 +252,10 @@ func encodeSnapshot(s *Snapshot) []byte {
 	return out
 }
 
-// decodeSnapshot parses a snapshot file body, rejecting incomplete files
-// (missing or mismatched footer).
-func decodeSnapshot(b []byte) (*Snapshot, error) {
+// DecodeSnapshot parses a snapshot file body of either format, rejecting
+// incomplete files (missing or mismatched footer). Records are returned as
+// written: a format-1 file has its retired runs among Specs and Runs.
+func DecodeSnapshot(b []byte) (*Snapshot, error) {
 	payloads, validLen := SplitFrames(b)
 	if validLen != len(b) {
 		return nil, fmt.Errorf("durable: snapshot corrupt at byte %d", validLen)
@@ -204,6 +267,7 @@ func decodeSnapshot(b []byte) (*Snapshot, error) {
 		Chains: make(map[data.Key][]data.Version),
 		Specs:  make(map[string]SpecState),
 		Runs:   make(map[string]RunState),
+		Tombs:  make(map[string]Tombstone),
 		Alerts: make(map[uint64][]wlog.InstanceID),
 	}
 	sawFooter := false
@@ -218,7 +282,7 @@ func decodeSnapshot(b []byte) (*Snapshot, error) {
 			if i != 0 {
 				return nil, fmt.Errorf("durable: snapshot header at record %d", i)
 			}
-			if f := r.Uvarint(); f != snapFormat {
+			if f := r.Uvarint(); f < 1 || f > snapFormat {
 				return nil, fmt.Errorf("durable: snapshot format %d unsupported", f)
 			}
 			s.Seq = r.Uvarint()
@@ -239,6 +303,9 @@ func decodeSnapshot(b []byte) (*Snapshot, error) {
 				rs.Visits[t] = int(r.Uvarint())
 			}
 			s.Runs[run] = rs
+		case recSnapTomb:
+			run := r.Str()
+			s.Tombs[run] = Tombstone{Status: r.Str(), Err: r.Str()}
 		case recSnapAlert:
 			id := r.Uvarint()
 			n := r.Uvarint()
@@ -360,7 +427,7 @@ func loadLatestSnapshot(dir string) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	s, err := decodeSnapshot(b)
+	s, err := DecodeSnapshot(b)
 	if err != nil {
 		return nil, fmt.Errorf("durable: snapshot %s: %w", snapName(latest), err)
 	}

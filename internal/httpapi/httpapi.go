@@ -243,6 +243,8 @@ func errorCode(status int) string {
 		return "not_found"
 	case http.StatusConflict:
 		return "run_exists"
+	case http.StatusGone:
+		return "below_horizon"
 	case http.StatusUnprocessableEntity:
 		return "unprocessable"
 	case http.StatusTooManyRequests:

@@ -78,19 +78,20 @@ func Table() []Route {
 				"400": "invalid status or limit"}},
 		{Method: "GET", Pattern: "/api/v1/runs/{id}", Family: FamV1,
 			Summary: "one run's status",
-			Desc:    "The run status document; with trace=1 it adds the run's committed instance IDs (run/task#visit), forged included.",
+			Desc:    "The run status document; with trace=1 it adds the run's committed instance IDs (run/task#visit), forged included. On a durable service only entries above the snapshot horizon count: a run retired beneath it reports 0 steps and an empty trace.",
 			Params:  []Param{{"trace", "1 adds the committed instance-ID trace"}},
 			Responses: map[string]string{
 				"200": "run status document",
 				"404": "unknown run ID"}},
 		{Method: "POST", Pattern: "/api/v1/alerts", Family: FamV1,
 			Summary: "deliver IDS alerts",
-			Desc:    "Admits a single alert (bad) and/or a batch; the whole request is validated before anything is queued. Malformed instance IDs are a 400; well-formed IDs absent from the log are a 404.",
+			Desc:    "Admits a single alert (bad) and/or a batch; the whole request is validated before anything is queued. Malformed instance IDs are a 400; well-formed IDs absent from the log are a 404, or a 410 when their run retired beneath the durable snapshot horizon.",
 			Body:    true,
 			Responses: map[string]string{
 				"202": "queued; admitted/dropped counts and the service state",
 				"400": "malformed body or malformed instance ID",
 				"404": "well-formed instance ID absent from the log",
+				"410": "instance of a run retired beneath the snapshot horizon (below_horizon)",
 				"429": "alert buffer dropped the whole batch (Retry-After set)"}},
 		{Method: "GET", Pattern: "/api/v1/state", Family: FamV1,
 			Summary:   "service state",

@@ -8,6 +8,7 @@ import (
 	"strconv"
 
 	"selfheal/internal/engine"
+	"selfheal/internal/recovery"
 	"selfheal/internal/shard"
 	"selfheal/internal/triage"
 	"selfheal/internal/wfjson"
@@ -28,7 +29,8 @@ import (
 //
 // Every error is the single JSON envelope {"error": {"code", "message"}};
 // sentinel errors of the execution layers map to status codes via
-// errors.Is (400 bad_request, 404 not_found, 409 run_exists, 429 queue_full).
+// errors.Is (400 bad_request, 404 not_found, 409 run_exists, 410
+// below_horizon, 429 queue_full).
 
 // runRequest is the POST /api/v1/runs document.
 type runRequest struct {
@@ -258,6 +260,8 @@ func serviceError(w http.ResponseWriter, b Backend, err error) {
 		httpError(w, http.StatusNotFound, err)
 	case errors.Is(err, engine.ErrRunExists):
 		httpError(w, http.StatusConflict, err)
+	case errors.Is(err, recovery.ErrHorizon):
+		httpError(w, http.StatusGone, err)
 	case errors.Is(err, shard.ErrQueueFull):
 		w.Header().Set("Retry-After", strconv.Itoa(b.RetryAfterSeconds()))
 		httpError(w, http.StatusTooManyRequests, err)

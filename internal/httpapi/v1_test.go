@@ -2,6 +2,7 @@ package httpapi
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -9,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"selfheal/internal/durable"
 	"selfheal/internal/shard"
 	"selfheal/internal/wfjson"
 )
@@ -185,6 +187,56 @@ func TestV1ErrorEnvelopes(t *testing.T) {
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("429 without Retry-After")
+	}
+}
+
+// TestV1BelowHorizon: after a checkpoint retires a run, its status comes from
+// its tombstone — done, no steps, an empty trace — and an alert naming one of
+// its instances is a 410 with its own envelope code, not a 404.
+func TestV1BelowHorizon(t *testing.T) {
+	svc, err := shard.NewDurable(shard.Config{Shards: 2}, t.TempDir(), durable.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.Start()
+	t.Cleanup(svc.Stop)
+	ts := httptest.NewServer(Server(nil, svc))
+	t.Cleanup(ts.Close)
+
+	if resp, body := doJSON(t, "POST", ts.URL+"/api/v1/runs", map[string]any{"id": "r1", "spec": chainSpecJSON("w", 3)}); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("submit: status %d body %s", resp.StatusCode, body)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := svc.WaitIdle(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if resp, body := doJSON(t, "POST", ts.URL+"/api/v1/alerts", map[string]any{"bad": []string{"r1/t2#1"}}); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("alert above the horizon: status %d body %s", resp.StatusCode, body)
+	}
+	if err := svc.DrainRecovery(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Checkpoint(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	resp, body := doJSON(t, "GET", ts.URL+"/api/v1/runs/r1?trace=1", nil)
+	var info struct {
+		shard.RunInfo
+		Trace []string `json:"trace"`
+	}
+	if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &info) != nil ||
+		info.Status != "done" || info.Steps != 0 || info.Trace == nil || len(info.Trace) != 0 {
+		t.Fatalf("retired run: status %d body %s", resp.StatusCode, body)
+	}
+	resp, body = doJSON(t, "POST", ts.URL+"/api/v1/alerts", map[string]any{"bad": []string{"r1/t2#1"}})
+	if resp.StatusCode != http.StatusGone || envelopeCode(t, body) != "below_horizon" {
+		t.Fatalf("alert below the horizon: status %d body %s", resp.StatusCode, body)
+	}
+	resp, body = doJSON(t, "POST", ts.URL+"/api/v1/runs", map[string]any{"id": "r1", "spec": chainSpecJSON("w", 3)})
+	if resp.StatusCode != http.StatusConflict || envelopeCode(t, body) != "run_exists" {
+		t.Fatalf("resubmitting a retired run: status %d body %s", resp.StatusCode, body)
 	}
 }
 

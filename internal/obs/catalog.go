@@ -18,6 +18,7 @@ const (
 	// internal/selfheal — the attack-recovery runtime (§IV).
 	MAlertsReported        = "selfheal_alerts_reported_total"
 	MAlertsLost            = "selfheal_alerts_lost_total"
+	MAlertsBelowHorizon    = "selfheal_alerts_below_horizon_total"
 	MAlertsAnalyzed        = "selfheal_alerts_analyzed_total"
 	MUnitsExecuted         = "selfheal_units_executed_total"
 	MNormalSteps           = "selfheal_normal_steps_total"
@@ -86,6 +87,7 @@ const (
 	MClusterStampBatchSize    = "cluster_stamp_batch_size"
 	MClusterReplicationBytes  = "cluster_replication_bytes_total"
 	MClusterJournalErrors     = "cluster_journal_errors_total"
+	MClusterReconcilePickups  = "cluster_reconcile_pickups_total"
 
 	// internal/durable — the segmented write-ahead log (Ancora/PAPERS.md).
 	MWalFsyncSeconds    = "wal_fsync_seconds"
@@ -122,6 +124,7 @@ func Catalog() []Def {
 		{MEngineStepSeconds, "histogram", "—", "Fig 2", "Wall-clock latency of one engine task execution and commit."},
 		{MAlertsReported, "counter", "λ_a", "§IV.C", "IDS alerts delivered to the runtime (arrival process)."},
 		{MAlertsLost, "counter", "P_l", "Def. 3", "IDS alerts dropped because the alert buffer was full."},
+		{MAlertsBelowHorizon, "counter", "—", "§III", "IDS alerts refused because they name an instance of a run retired beneath the durable snapshot horizon."},
 		{MAlertsAnalyzed, "counter", "μ_s", "§IV.C", "Alerts the analyzer turned into units of recovery tasks."},
 		{MUnitsExecuted, "counter", "ξ_r", "§IV.C", "Units of recovery tasks executed by the scheduler."},
 		{MNormalSteps, "counter", "—", "§IV.C", "Normal workflow task executions scheduled in NORMAL state."},
@@ -180,6 +183,7 @@ func Catalog() []Def {
 		{MClusterStampBatchSize, "histogram", "—", "§VII", "Entries stamped per group-commit batch (one journal fsync amortized across each batch)."},
 		{MClusterReplicationBytes, "counter", "—", "§VII", "Binary replication body bytes, labeled by direction (dir=in received, dir=out sent)."},
 		{MClusterJournalErrors, "counter", "—", "§VII", "Record-journal append failures (the replica stays ahead of its journal; -join catch-up heals the gap)."},
+		{MClusterReconcilePickups, "counter", "—", "§VII", "Stalled runs the reconciler started a driver for (no token moved them for a whole reconcile interval)."},
 		{MWalFsyncSeconds, "histogram", "—", "§I", "Wall-clock latency of one group-commit fsync."},
 		{MWalGroupEntries, "histogram", "—", "§II.A", "Records made durable by one fsync (the achieved group-commit fold)."},
 		{MWalAppendedBytes, "counter", "—", "§II.A", "Bytes appended to WAL segments."},

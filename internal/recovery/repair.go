@@ -12,10 +12,11 @@ import (
 	"selfheal/internal/wlog"
 )
 
-// ErrHorizon reports that an undo needs a data-object version that store
-// compaction (data.Store.CompactBefore) has discarded: the recovery horizon
-// has been exceeded and the damage cannot be repaired from local state.
-var ErrHorizon = errors.New("recovery: undo needs a version beyond the compaction horizon")
+// ErrHorizon reports that recovery needs history that compaction has
+// discarded: an undo needs a data-object version data.Store.CompactBefore
+// dropped, or an alert or a repair reaches log entries beneath a durable
+// snapshot's horizon. The damage cannot be repaired from local state.
+var ErrHorizon = errors.New("recovery: history beyond the compaction horizon")
 
 // Action is one step of the committed recovery schedule.
 type Action struct {

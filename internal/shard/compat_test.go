@@ -7,10 +7,13 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"selfheal/internal/data"
+	"selfheal/internal/durable"
 	"selfheal/internal/wf"
 	"selfheal/internal/wfjson"
 	"selfheal/internal/wlog"
@@ -73,10 +76,14 @@ func restoredState(t *testing.T, dir string) []byte {
 }
 
 // TestWALFromParentCommit is the on-disk compatibility check of the
-// map-to-slice change of wlog.Entry: testdata/wal_pr17 is walWorkload as
-// written by commit 2596ec3 (PR 17), and wal_pr17_state.json the wlogio
-// document that commit restored from it. This code must restore the same
-// document from those files, and write the same files for the same workload.
+// map-to-slice change of wlog.Entry and of snapshot tombstones:
+// testdata/wal_pr17 is walWorkload as written by commit 2596ec3 (PR 17), and
+// wal_pr17_state.json the wlogio document that commit restored from it. This
+// code must restore the same document from those files — the format-1
+// snapshot's retired runs turn into tombstones at boot — and write the same
+// files for the same workload: the WAL segment byte for byte, the snapshot
+// with the one change format 2 made, r0 and r1 (retired before the
+// checkpoint) written as tombstones instead of spec and run records.
 func TestWALFromParentCommit(t *testing.T) {
 	const golden = "testdata/wal_pr17"
 	want, err := os.ReadFile("testdata/wal_pr17_state.json")
@@ -109,9 +116,41 @@ func TestWALFromParentCommit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if strings.HasPrefix(filepath.Base(name), "snap-") {
+			sameSnapshotButTombstones(t, wantB, gotB)
+			continue
+		}
 		if !bytes.Equal(gotB, wantB) {
 			t.Errorf("%s: %d bytes differ from the parent's %d", filepath.Base(name), len(gotB), len(wantB))
 		}
+	}
+}
+
+// sameSnapshotButTombstones decodes the parent's snapshot and this code's and
+// requires them equal except that the runs retired before the checkpoint, r0
+// and r1, are tombstones here and spec plus run records there.
+func sameSnapshotButTombstones(t *testing.T, parentB, gotB []byte) {
+	t.Helper()
+	parent, err := durable.DecodeSnapshot(parentB)
+	if err != nil {
+		t.Fatalf("parent snapshot: %v", err)
+	}
+	got, err := durable.DecodeSnapshot(gotB)
+	if err != nil {
+		t.Fatalf("snapshot: %v", err)
+	}
+	tombs := map[string]durable.Tombstone{"r0": {Status: durable.RunDone}, "r1": {Status: durable.RunDone}}
+	if !reflect.DeepEqual(got.Tombs, tombs) || len(got.Specs) != 0 || len(got.Runs) != 0 {
+		t.Errorf("snapshot records tombstones %+v, specs %d, runs %d; want tombstones %+v and nothing else",
+			got.Tombs, len(got.Specs), len(got.Runs), tombs)
+	}
+	if len(parent.Specs) != len(tombs) || !reflect.DeepEqual(parent.Horizon().Tombs, tombs) {
+		t.Errorf("the parent's snapshot records %d specs and retired runs %+v, want %+v",
+			len(parent.Specs), parent.Horizon().Tombs, tombs)
+	}
+	parent.Specs, parent.Runs, parent.Tombs = got.Specs, got.Runs, got.Tombs
+	if !reflect.DeepEqual(parent, got) {
+		t.Errorf("snapshots differ beyond the tombstones:\n parent %+v\n got    %+v", parent, got)
 	}
 }
 

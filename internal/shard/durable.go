@@ -2,8 +2,8 @@
 // write-ahead log (internal/durable).
 //
 // NewDurable restores the complete system state — store, log suffix,
-// dependence-graph frontier, registered specs, run frontiers, un-acked
-// alerts — from the WAL directory's latest snapshot plus a
+// dependence-graph frontier, live runs' specs and frontiers, retired runs'
+// tombstones, un-acked alerts — from the WAL directory's latest snapshot plus a
 // snapshot-bounded parallel replay, then wires the service so every state
 // transition is logged before a client can observe it. WAL sequence order
 // makes whatever survives a crash a consistent prefix, so nothing in the
@@ -25,7 +25,9 @@
 //
 // Checkpoints (Service.Checkpoint, or automatic via Config.SnapshotEvery)
 // quiesce the shards briefly, capture a Snapshot through the commit
-// pipeline, write it, and compact the store at the snapshot epoch; the WAL
+// pipeline, write it, and then forget what it covers — the log and graph
+// prefix, the store history beneath the epoch, every retired run but its
+// tombstone — exactly as a restart from it would (Service.forget); the WAL
 // retires every segment the snapshot covers. See docs/DURABILITY.md.
 package shard
 
@@ -74,8 +76,6 @@ func NewDurable(cfg Config, dir string, dopts durable.Options) (*Service, error)
 		wal:            wal,
 		liveAlerts:     make(map[uint64][]wlog.InstanceID, len(st.Alerts)),
 		specStates:     make(map[string]durable.SpecState, len(st.Specs)),
-		preEpoch:       st.PreEpoch,
-		durableEpoch:   st.Epoch,
 		restoredAlerts: st.Alerts,
 		ckptCh:         make(chan chan error),
 	}
@@ -126,6 +126,14 @@ func NewDurable(cfg Config, dir string, dopts durable.Options) (*Service, error)
 			resume = append(resume, placed)
 		}
 		s.metrics.RunsSubmitted++
+	}
+	s.metrics.RunsSubmitted += len(st.Tombs)
+	// The restore already built the state at the horizon; the step that
+	// forgets it registers the tombstones and the pre-epoch runs, as a live
+	// checkpoint does.
+	if err := s.forget(st.Horizon); err != nil {
+		_ = wal.Close()
+		return nil, err
 	}
 	// Deliveries sit in the (buffered) inboxes until Start spins the
 	// workers up.
@@ -190,11 +198,11 @@ func (s *Service) registerDurable(id string, sj *wfjson.SpecJSON, spec *wf.Spec,
 	defer s.submitMu.Unlock()
 
 	s.mu.Lock()
-	if _, dup := s.specs[id]; dup {
-		s.mu.Unlock()
+	_, dup := s.specs[id]
+	s.mu.Unlock()
+	if dup || s.exec.tombstoned(id) {
 		return fmt.Errorf("shard: run %s: %w", id, engine.ErrRunExists)
 	}
-	s.mu.Unlock()
 	if !s.exec.canAdmit(footprint(spec)) {
 		return fmt.Errorf("shard: run %s conflicts across shards and the deferred queue is full: %w", id, ErrQueueFull)
 	}
@@ -242,9 +250,9 @@ func (s *Service) registerDurable(id string, sj *wfjson.SpecJSON, spec *wf.Spec,
 }
 
 // Checkpoint forces a durable snapshot now: shards quiesce briefly while
-// the state is captured, the snapshot file is written and synced, the
-// store is compacted at the snapshot epoch and covered WAL segments are
-// retired. Returns an error on a non-durable service.
+// the state is captured, the snapshot file is written and synced, covered
+// WAL segments are retired, and the service forgets what the snapshot
+// covers (forget). Returns an error on a non-durable service.
 func (s *Service) Checkpoint(ctx context.Context) error {
 	if s.wal == nil {
 		return fmt.Errorf("shard: service has no durable WAL")
@@ -266,7 +274,8 @@ func (s *Service) Checkpoint(ctx context.Context) error {
 }
 
 // checkpoint runs on the recovery goroutine (never concurrent with a
-// repair): quiesce, capture, write, compact.
+// repair or an analysis, so no pinned graph view spans it): quiesce,
+// capture, write, forget.
 func (s *Service) checkpoint() error {
 	s.submitMu.Lock()
 	defer s.submitMu.Unlock()
@@ -290,19 +299,52 @@ func (s *Service) checkpoint() error {
 	if err := s.wal.WriteSnapshot(snap); err != nil {
 		return err
 	}
-	// Only after the snapshot is durable may the store forget the history
+	// Only after the snapshot is durable may the service forget the history
 	// it covers. CompactBefore keeps the latest version at or below the
 	// horizon as a checkpoint version — repairs of post-epoch damage still
-	// read correct pre-state values.
-	if err := s.com.exec(func() error {
+	// read correct pre-state values. Inside the commit pipeline: no commit
+	// lands while the log and graph drop their prefix.
+	return s.com.exec(func() error {
 		s.eng.Store().CompactBefore(float64(snap.Epoch))
-		return nil
-	}); err != nil {
+		return s.forget(snap.Horizon())
+	})
+}
+
+// forget drops what a restart from the snapshot behind h would not bring
+// back: the log prefix at or below the epoch (hooks stay subscribed), the
+// dependence graph's prefix (it resumes from the snapshot's frontier and
+// refolds only the suffix), and every retired run but its tombstone — the
+// run record, the engine run, the compiled spec and the wfjson document.
+// The live runs with history beneath the epoch become the pre-epoch set
+// repairs are checked against. NewDurable runs it on the restored state,
+// where the log and graph already start at the horizon; checkpoint runs it
+// live inside the commit pipeline. One construction, so a restart and a
+// checkpoint leave the same state behind (TestRestartEqualsLive).
+func (s *Service) forget(h durable.Horizon) error {
+	s.eng.Log().TruncateBefore(h.Epoch)
+	if err := s.graph.Rebase(h.Graph); err != nil {
 		return err
 	}
+	s.exec.bury(h.Tombs)
 	s.mu.Lock()
-	s.durableEpoch = snap.Epoch
-	s.mu.Unlock()
+	defer s.mu.Unlock()
+	// Rebuilt rather than pruned: a Go map keeps its peak size after
+	// deletes.
+	specs := make(map[string]*wf.Spec)
+	for id, sp := range s.specs {
+		if _, gone := h.Tombs[id]; !gone {
+			specs[id] = sp
+		}
+	}
+	states := make(map[string]durable.SpecState)
+	for id, ss := range s.specStates {
+		if _, gone := h.Tombs[id]; !gone {
+			states[id] = ss
+		}
+	}
+	s.specs, s.specStates = specs, states
+	s.preEpoch = h.PreEpoch
+	s.durableEpoch = h.Epoch
 	return nil
 }
 
@@ -311,18 +353,23 @@ func (s *Service) checkpoint() error {
 // record or frontier mutation is in flight. Alert records are the one
 // concurrent writer, so Seq and the live-alert set are captured together
 // under alertMu — an alert admitted after the capture has a record beyond
-// Seq and replays from the log.
+// Seq and replays from the log. Every run retired by now is captured as a
+// tombstone: all its entries lie at or below the epoch.
 func (s *Service) gatherSnapshot() *durable.Snapshot {
+	runs, tombs := s.exec.capture()
 	snap := &durable.Snapshot{
 		Epoch:  s.eng.Log().Len(),
 		Chains: s.eng.Store().ChainsCopy(),
 		Graph:  s.graph.Frontier(),
-		Specs:  make(map[string]durable.SpecState),
-		Runs:   s.exec.runSnapshots(),
+		Specs:  make(map[string]durable.SpecState, len(runs)),
+		Runs:   runs,
+		Tombs:  tombs,
 	}
 	s.mu.Lock()
 	for id, ss := range s.specStates {
-		snap.Specs[id] = ss
+		if _, gone := tombs[id]; !gone {
+			snap.Specs[id] = ss
+		}
 	}
 	s.mu.Unlock()
 	s.alertMu.Lock()
@@ -449,6 +496,14 @@ func (s *Service) executeDurable(u *unit) error {
 	epoch := s.durableEpoch
 	pre := s.preEpoch
 	s.mu.Unlock()
+
+	// A checkpoint that landed between an alert's admission and its repair
+	// has forgotten the accused instances: their history is gone.
+	for _, id := range u.bad {
+		if _, ok := s.eng.Log().Get(id); !ok {
+			return fmt.Errorf("shard: accused instance %s lies beneath the snapshot horizon (epoch %d): %w", id, epoch, recovery.ErrHorizon)
+		}
+	}
 
 	// Boot-horizon refusal: a repair whose damage closure touches a run
 	// with pre-snapshot commits would resync that run against a truncated

@@ -63,6 +63,14 @@ type runState struct {
 	err   error // terminal error for RunFailed
 }
 
+// tombstone is what the executor keeps of a run retired beneath a durable
+// snapshot horizon (Service.forget): enough for RunInfo and Runs and to
+// refuse the ID's reuse. Kept per run forever, so kept small.
+type tombstone struct {
+	err   string
+	state RunStatus // RunDone or RunFailed
+}
+
 // executor partitions runs across shard workers. The dispatcher invariant
 // is key disjointness: at any moment, each data key is touched by runs of
 // at most one shard. Combined with the engine's read-latest semantics and
@@ -76,8 +84,11 @@ type executor struct {
 	com   *committer
 	gates []*gate // one quiesce gate per shard
 
-	mu       sync.Mutex
+	mu sync.Mutex
+	// runs holds every live run: placed, deferred, or retired since the
+	// last checkpoint; tombs the runs a checkpoint retired for good.
 	runs     map[string]*runState
+	tombs    map[string]tombstone
 	keyOwner map[data.Key]int  // shard currently owning the key
 	keyRefs  map[data.Key]int  // active runs on the owner touching it
 	recKeys  map[data.Key]bool // keys under recovery; placements touching them defer
@@ -135,6 +146,7 @@ func newExecutor(eng *engine.Engine, com *committer, shards, inbox, deferMax int
 		eng:      eng,
 		com:      com,
 		runs:     make(map[string]*runState),
+		tombs:    make(map[string]tombstone),
 		keyOwner: make(map[data.Key]int),
 		keyRefs:  make(map[data.Key]int),
 		recKeys:  make(map[data.Key]bool),
@@ -251,7 +263,8 @@ func (x *executor) submit(id string, spec *wf.Spec) error {
 	rs := &runState{run: r, keys: footprint(spec), shard: -1}
 
 	x.mu.Lock()
-	if _, dup := x.runs[id]; dup {
+	_, live := x.runs[id]
+	if _, gone := x.tombs[id]; live || gone {
 		x.mu.Unlock()
 		return fmt.Errorf("shard: run %s: %w", id, engine.ErrRunExists)
 	}
@@ -324,25 +337,69 @@ func (x *executor) adoptRestored(r *engine.Run, spec *wf.Spec, status RunStatus,
 	return nil
 }
 
-// runSnapshots captures every submitted run's durable state. Callers must
-// hold all shards quiesced: the run objects' frontiers and visit counters
-// are read without their owning workers' cooperation.
-func (x *executor) runSnapshots() map[string]durable.RunState {
+// tombstoned reports whether id names a run a checkpoint retired for good.
+func (x *executor) tombstoned(id string) bool {
 	x.mu.Lock()
 	defer x.mu.Unlock()
-	out := make(map[string]durable.RunState, len(x.runs))
+	_, gone := x.tombs[id]
+	return gone
+}
+
+// capture records every run's durable state for a snapshot: the live runs'
+// frontiers, and a tombstone for every run retired by now — the earlier
+// tombstones and the runs retired since. Callers hold all shards quiesced:
+// the run objects' frontiers and visit counters are read without their
+// owning workers' cooperation.
+func (x *executor) capture() (map[string]durable.RunState, map[string]durable.Tombstone) {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	runs := make(map[string]durable.RunState)
+	tombs := make(map[string]durable.Tombstone, len(x.tombs))
+	for id, tb := range x.tombs {
+		tombs[id] = durable.Tombstone{Status: tb.state.String(), Err: tb.err}
+	}
 	for id, rs := range x.runs {
-		st := durable.RunState{
+		var errMsg string
+		if rs.err != nil {
+			errMsg = rs.err.Error()
+		}
+		if rs.state == RunDone || rs.state == RunFailed {
+			tombs[id] = durable.Tombstone{Status: rs.state.String(), Err: errMsg}
+			continue
+		}
+		runs[id] = durable.RunState{
 			Cur:    rs.run.Current(),
 			Visits: rs.run.VisitCounts(),
 			Status: rs.state.String(),
+			Err:    errMsg,
 		}
-		if rs.err != nil {
-			st.Err = rs.err.Error()
-		}
-		out[id] = st
 	}
-	return out
+	return runs, tombs
+}
+
+// bury reduces every run in tombs to its tombstone: the run record, its
+// engine run and the spec it points to are released. The live-run map is
+// rebuilt rather than pruned — a Go map keeps its peak size after deletes.
+func (x *executor) bury(tombs map[string]durable.Tombstone) {
+	x.mu.Lock()
+	defer x.mu.Unlock()
+	for id, tb := range tombs {
+		if rs, ok := x.runs[id]; ok {
+			delete(x.undurable, rs) // a snapshot covers only the durable prefix
+		}
+		state := RunDone
+		if tb.Status == durable.RunFailed {
+			state = RunFailed
+		}
+		x.tombs[id] = tombstone{err: tb.Err, state: state}
+	}
+	live := make(map[string]*runState)
+	for id, rs := range x.runs {
+		if _, gone := tombs[id]; !gone {
+			live[id] = rs
+		}
+	}
+	x.runs = live
 }
 
 // deliver hands placed runs to their shards' inboxes without ever blocking

@@ -199,6 +199,16 @@ func TestCheckpointCoversOnlyDurablePrefix(t *testing.T) {
 		if !data.Equal(bounded.Store, replayed.Store) {
 			t.Errorf("%s: snapshot+tail store differs from full replay:\n%s", cp, data.Diff(bounded.Store, replayed.Store))
 		}
+		// A run the snapshot keeps only as a tombstone is one the full
+		// replay retired with the same status; the rest match record for
+		// record.
+		for run, tb := range bounded.Tombs {
+			if rs, ok := replayed.Runs[run]; !ok || rs.Status != tb.Status || rs.Err != tb.Err {
+				t.Errorf("%s: tombstone %s %+v, full replay %+v", cp, run, tb, rs)
+			}
+			delete(replayed.Runs, run)
+			delete(replayed.Specs, run)
+		}
 		if !reflect.DeepEqual(bounded.Runs, replayed.Runs) {
 			t.Errorf("%s: snapshot+tail run frontiers differ from full replay", cp)
 		}

@@ -153,6 +153,10 @@ type Metrics struct {
 	// AlertsDeduped counts Report-time absorptions of bad sets already
 	// queued (only nonzero with Triage.Dedupe).
 	AlertsDeduped int `json:"alerts_deduped"`
+	// AlertsBelowHorizon counts alerts refused with recovery.ErrHorizon:
+	// they named an instance of a run retired beneath the durable snapshot
+	// horizon, whose history is gone (durable services only).
+	AlertsBelowHorizon int `json:"alerts_below_horizon"`
 	// AuditViolations counts Theorem-3 partial-order violations found by
 	// the per-repair schedule audit (only maintained with
 	// Config.AuditRepairs; always 0 on a sound implementation).
@@ -248,13 +252,14 @@ type Service struct {
 	wg     sync.WaitGroup
 
 	// Durable mode (NewDurable); all nil/zero otherwise. wal is the
-	// write-ahead log every commit is logged to; specStates keeps the
-	// registered wfjson documents for checkpoints; preEpoch marks runs
-	// whose pre-snapshot history was truncated at boot (repairs touching
-	// their footprints are refused with recovery.ErrHorizon). submitMu
-	// serializes durable submissions against checkpoints; alertMu guards
-	// liveAlerts and the WAL alert/ack records; durableEpoch (under mu) is
-	// the store's current compaction horizon.
+	// write-ahead log every commit is logged to; specStates keeps the live
+	// runs' wfjson documents for checkpoints; preEpoch marks the live runs
+	// whose history beneath the snapshot horizon was truncated (repairs
+	// touching their footprints are refused with recovery.ErrHorizon).
+	// submitMu serializes durable submissions against checkpoints; alertMu
+	// guards liveAlerts and the WAL alert/ack records; durableEpoch (under
+	// mu) is the current snapshot horizon: the log's base and the store's
+	// compaction horizon.
 	wal            *durable.WAL
 	submitMu       sync.Mutex
 	alertMu        sync.Mutex
@@ -273,6 +278,7 @@ type Service struct {
 type svcObs struct {
 	enabled                          bool
 	reported, lost, analyzed, units  *obs.Counter
+	belowHorizon                     *obs.Counter
 	undone, redone, newExec          *obs.Counter
 	cones, prefiltered, deduped      *obs.Counter
 	batches, entries                 *obs.Counter
@@ -321,6 +327,7 @@ func (s *Service) Observe(reg *obs.Registry) {
 		enabled:       true,
 		reported:      reg.Counter(obs.MAlertsReported),
 		lost:          reg.Counter(obs.MAlertsLost),
+		belowHorizon:  reg.Counter(obs.MAlertsBelowHorizon),
 		analyzed:      reg.Counter(obs.MAlertsAnalyzed),
 		units:         reg.Counter(obs.MUnitsExecuted),
 		undone:        reg.Counter(obs.MUndone),
@@ -437,19 +444,24 @@ func (s *Service) SubmitRun(id string, spec *wf.Spec) error {
 }
 
 // RunInfo returns the status of a submitted run; unknown IDs wrap
-// engine.ErrUnknownRun.
+// engine.ErrUnknownRun. Steps counts the run's entries in the log, which
+// holds only the suffix above the snapshot horizon on a durable service: a
+// run retired beneath it reports its final status with no steps.
 func (s *Service) RunInfo(id string) (RunInfo, error) {
 	x := s.exec
 	x.mu.Lock()
-	rs, ok := x.runs[id]
-	if !ok {
+	info := RunInfo{ID: id}
+	if rs, ok := x.runs[id]; ok {
+		state, err := x.statusLocked(rs)
+		info.Status, info.Shard = state.String(), rs.shard
+		if err != nil {
+			info.Error = err.Error()
+		}
+	} else if tb, ok := x.tombs[id]; ok {
+		info.Status, info.Error = tb.state.String(), tb.err
+	} else {
 		x.mu.Unlock()
 		return RunInfo{}, fmt.Errorf("shard: run %s: %w", id, engine.ErrUnknownRun)
-	}
-	state, err := x.statusLocked(rs)
-	info := RunInfo{ID: id, Status: state.String(), Shard: rs.shard}
-	if err != nil {
-		info.Error = err.Error()
 	}
 	x.mu.Unlock()
 	info.Steps = len(s.eng.Log().Trace(id, false))
@@ -460,8 +472,11 @@ func (s *Service) RunInfo(id string) (RunInfo, error) {
 func (s *Service) Runs() []RunInfo {
 	x := s.exec
 	x.mu.Lock()
-	ids := make([]string, 0, len(x.runs))
+	ids := make([]string, 0, len(x.runs)+len(x.tombs))
 	for id := range x.runs {
+		ids = append(ids, id)
+	}
+	for id := range x.tombs {
 		ids = append(ids, id)
 	}
 	x.mu.Unlock()
@@ -477,8 +492,9 @@ func (s *Service) Runs() []RunInfo {
 
 // Report delivers an IDS alert naming malicious committed instances. A full
 // alert queue drops the alert, counts it lost and returns ErrQueueFull;
-// alerts naming instances absent from the log wrap engine.ErrUnknownRun.
-// Safe from any goroutine.
+// alerts naming instances absent from the log wrap engine.ErrUnknownRun, or
+// recovery.ErrHorizon when the instance's run was retired beneath the
+// durable snapshot horizon. Safe from any goroutine.
 func (s *Service) Report(bad []wlog.InstanceID) error {
 	_, dropped, err := s.ReportAlerts([]triage.Alert{{Bad: bad}})
 	if err != nil {
@@ -503,7 +519,8 @@ func (s *Service) ReportAlerts(alerts []triage.Alert) (admitted, dropped int, er
 	}
 	// Syntax over the whole batch first: a malformed ID anywhere is a bad
 	// request (400) regardless of position, while a well-formed ID absent
-	// from the log is a lookup miss (404).
+	// from the log is a lookup miss (404) — or, when its run was retired
+	// beneath the snapshot horizon, history that is gone (ErrHorizon).
 	for _, a := range alerts {
 		if len(a.Bad) == 0 {
 			return 0, 0, fmt.Errorf("shard: %w: alert names no instances", engine.ErrBadSpec)
@@ -516,9 +533,19 @@ func (s *Service) ReportAlerts(alerts []triage.Alert) (admitted, dropped int, er
 	}
 	for _, a := range alerts {
 		for _, id := range a.Bad {
-			if _, ok := s.eng.Log().Get(id); !ok {
-				return 0, 0, fmt.Errorf("shard: alert names unknown instance %s: %w", id, engine.ErrUnknownRun)
+			if _, ok := s.eng.Log().Get(id); ok {
+				continue
 			}
+			if run, _, _, _ := wlog.ParseInstance(id); s.exec.tombstoned(run) {
+				s.mu.Lock()
+				s.metrics.AlertsBelowHorizon++
+				epoch := s.durableEpoch
+				s.mu.Unlock()
+				s.o.belowHorizon.Inc()
+				return 0, 0, fmt.Errorf("shard: alert names %s, of run %s retired beneath the snapshot horizon (epoch %d): %w",
+					id, run, epoch, recovery.ErrHorizon)
+			}
+			return 0, 0, fmt.Errorf("shard: alert names unknown instance %s: %w", id, engine.ErrUnknownRun)
 		}
 	}
 	wrote := false

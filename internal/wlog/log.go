@@ -268,6 +268,32 @@ func NewAt(base int) *Log {
 	}
 }
 
+// TruncateBefore drops every entry at or below lsn in place, turning the log
+// into the one NewAt(lsn) plus the same suffix would build: the base moves to
+// lsn, lookups for dropped instances miss and traces cover only the suffix.
+// OnAppend hooks stay registered. The indexes are rebuilt from the suffix
+// rather than pruned, because a Go map keeps its peak size after deletes and
+// the point of truncating is to release the prefix. A durable checkpoint
+// calls it once the snapshot covering the prefix is on disk.
+func (l *Log) TruncateBefore(lsn int) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := min(lsn-l.base, len(l.entries))
+	if n <= 0 {
+		return
+	}
+	kept := slices.Clone(l.entries[n:])
+	l.base += n
+	l.entries = kept
+	l.byInst = make(map[InstanceID]*Entry, len(kept))
+	l.byRun = make(map[string][]*Entry)
+	for _, e := range kept {
+		l.byInst[e.id] = e
+		l.byRun[e.Run] = append(l.byRun[e.Run], e)
+	}
+	l.o.entries.Set(int64(len(l.entries)))
+}
+
 // Append commits e, assigning the next LSN. It returns the assigned LSN and
 // rejects duplicate instance IDs.
 func (l *Log) Append(e *Entry) (int, error) {

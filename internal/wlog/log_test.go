@@ -143,6 +143,56 @@ func TestOnAppendBackfillAndOrder(t *testing.T) {
 	}
 }
 
+// TestTruncateBeforeEqualsNewAt: truncating a log in place leaves what
+// NewAt(lsn) plus the same suffix builds — base, length, lookups, traces and
+// run list — and the hooks subscribed before keep observing new appends.
+func TestTruncateBeforeEqualsNewAt(t *testing.T) {
+	entries := func() []*Entry {
+		return []*Entry{
+			{Run: "r1", Task: "t1", Visit: 1}, {Run: "r2", Task: "t1", Visit: 1},
+			{Run: "r1", Task: "t2", Visit: 1}, {Run: "x", Task: "f", Visit: 1, Forged: true},
+			{Run: "r3", Task: "t1", Visit: 1}, {Run: "r1", Task: "t3", Visit: 1},
+		}
+	}
+	l := New()
+	var hooked []int
+	l.OnAppend(func(e *Entry) { hooked = append(hooked, e.LSN) })
+	for _, e := range entries() {
+		mustAppend(t, l, e)
+	}
+	l.TruncateBefore(3)
+	l.TruncateBefore(2) // beneath the base: a no-op
+
+	want := NewAt(3)
+	for _, e := range entries()[3:] {
+		mustAppend(t, want, e)
+	}
+	if l.Base() != 3 || l.Len() != 6 {
+		t.Fatalf("truncated log base %d length %d, want 3 and 6", l.Base(), l.Len())
+	}
+	if !reflect.DeepEqual(ids(l.Entries()), ids(want.Entries())) || !reflect.DeepEqual(l.Runs(), want.Runs()) {
+		t.Fatalf("truncated log holds %v over runs %v, want %v over %v", ids(l.Entries()), l.Runs(), ids(want.Entries()), want.Runs())
+	}
+	if _, ok := l.Get("r2/t1#1"); ok {
+		t.Error("an instance beneath the base is still found")
+	}
+	if got := ids(l.Trace("r1", true)); !reflect.DeepEqual(got, []InstanceID{"r1/t3#1"}) {
+		t.Errorf("trace of r1 after truncation %v, want only its suffix", got)
+	}
+	mustAppend(t, l, &Entry{Run: "r2", Task: "t2", Visit: 1})
+	if !reflect.DeepEqual(hooked, []int{1, 2, 3, 4, 5, 6, 7}) {
+		t.Errorf("hook saw LSNs %v, want 1..7", hooked)
+	}
+}
+
+func ids(es []*Entry) []InstanceID {
+	var out []InstanceID
+	for _, e := range es {
+		out = append(out, e.ID())
+	}
+	return out
+}
+
 func TestOnAppendMultipleHooks(t *testing.T) {
 	l := New()
 	var a, b int

@@ -17,11 +17,13 @@ go build ./...
 go vet ./...
 go test -race ./...
 
-# Footprint guard (ROADMAP aim 3, "nothing grows without bound"): live heap
-# per committed instance under its budget. The race pass above skips it (the
-# detector inflates allocations), so it runs once here without -race, next to
-# the allocations-per-committed-step bound (which the race pass does run).
-go test -run '^TestFootprintPerInstance$' -count=1 -v ./internal/shard/
+# Footprint guards (ROADMAP aim 3, "nothing grows without bound"): live heap
+# per committed instance under its budget, and on a durable service nothing
+# but a tombstone per retired run left once a checkpoint covers the history.
+# The race pass above skips them (the detector inflates allocations), so they
+# run once here without -race, next to the allocations-per-committed-step
+# bound (which the race pass does run).
+go test -run '^(TestFootprintPerInstance|TestResidentHeapBoundedByHorizon)$' -count=1 -v ./internal/shard/
 go test -run '^TestStepAllocations$' -count=1 -v ./internal/engine/
 
 # No-map-per-entry gate: a committed instance's reads and writes live in
@@ -44,6 +46,12 @@ fi
 # durable, a snapshot covers only the durable prefix, a failed WAL fails
 # runs. Each copies the WAL directory at the instant a client could look.
 go test -race -count=20 -run '^(TestDoneImpliesDurable|TestSubmitAckImpliesSpecDurable|TestCheckpointCoversOnlyDurablePrefix|TestClosedWALFailsUndurableRuns)$' ./internal/shard/
+
+# Restart equals live (docs/DURABILITY.md): after every checkpoint of seeded
+# episodes the running service holds exactly the log, graph, store, runs and
+# pre-epoch set a restart from a copy of its directory rebuilds, and both
+# answer alerts alike — below the horizon with a typed refusal.
+go test -race -count=3 -run '^(TestRestartEqualsLive|TestAlertBelowHorizon)$' ./internal/shard/
 
 # The Strict-mode lost-init defect showed up in ~1 % of these episodes (a
 # full repair queued ahead of a submission's init seeding); 200 runs keep
