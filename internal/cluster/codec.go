@@ -127,36 +127,9 @@ func decodeRecord(p []byte) (*Record, error) {
 }
 
 // encodeFramedRecord appends rec as one CRC-framed payload to dst — the
-// unit both the journal and the replication wire are built from.
+// unit both the journal and the replication wire are built from. Only the
+// stamper encodes a record for the stream; every other node stores and
+// forwards the stamper's bytes.
 func encodeFramedRecord(dst []byte, rec *Record) []byte {
 	return durable.AppendFrame(dst, encodeRecord(nil, rec))
-}
-
-// encodeWireRecords concatenates framed records into a replication body.
-func encodeWireRecords(recs []Record) []byte {
-	var dst []byte
-	for i := range recs {
-		dst = encodeFramedRecord(dst, &recs[i])
-	}
-	return dst
-}
-
-// decodeWireRecords decodes a framed replication body. Unlike a journal's
-// final segment (where a torn tail is expected after a crash), the wire body
-// travels over TCP: any framing damage is corruption and fails the whole
-// body.
-func decodeWireRecords(b []byte) ([]Record, error) {
-	payloads, validLen := durable.SplitFrames(b)
-	if validLen != len(b) {
-		return nil, fmt.Errorf("cluster: record stream corrupt at byte %d of %d", validLen, len(b))
-	}
-	recs := make([]Record, 0, len(payloads))
-	for _, p := range payloads {
-		rec, err := decodeRecord(p)
-		if err != nil {
-			return nil, err
-		}
-		recs = append(recs, *rec)
-	}
-	return recs, nil
 }

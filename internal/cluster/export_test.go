@@ -17,3 +17,7 @@ func SetReconcileInterval(d time.Duration) (restore func()) {
 	reconcileInterval = d
 	return func() { reconcileInterval = old }
 }
+
+// CloseJournal closes the node's journal under it, as a failed write would
+// end it: the replica keeps applying, and nothing more is journaled.
+func (n *Node) CloseJournal() { n.journal.Close() }

@@ -39,7 +39,7 @@ func (h hooks) replicationBytes(dir string, n int) {
 	h.reg.Counter(fmt.Sprintf("%s{dir=%q}", obs.MClusterReplicationBytes, dir)).Add(int64(n))
 }
 
-func (h hooks) journalError() { h.reg.Counter(obs.MClusterJournalErrors).Inc() }
+func (h hooks) journalErrors(n int) { h.reg.Counter(obs.MClusterJournalErrors).Add(int64(n)) }
 
 // stampBatchBuckets covers the group sizes the stamping loop produces:
 // 1 (idle, degenerate batch) up to the whole pending queue under load.

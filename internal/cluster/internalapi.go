@@ -53,8 +53,10 @@ type statusDoc struct {
 	State      string `json:"state"`
 }
 
+// commitsDoc is the JSON form of a replication body: one Record document
+// per record, each decoded from its frame only when the document is asked for.
 type commitsDoc struct {
-	Records []Record `json:"records"`
+	Records []json.RawMessage `json:"records"`
 }
 
 type appliedDoc struct {
@@ -192,7 +194,7 @@ func decodeInternal(w http.ResponseWriter, r *http.Request, v any) bool {
 func (n *Node) statusSnapshot() statusDoc {
 	return statusDoc{
 		Node:       n.cfg.NodeID,
-		Applied:    n.rep.Applied(),
+		Applied:    n.servable(),
 		ActiveRuns: len(n.rep.ActiveRuns()),
 		Alerts:     int(n.pendingAlerts.Load()),
 		Incident:   n.inIncident.Load(),
@@ -210,34 +212,38 @@ func (n *Node) handleCommitsPull(w http.ResponseWriter, r *http.Request) {
 	if m, err := strconv.Atoi(r.URL.Query().Get("max")); err == nil && m > 0 {
 		max = m
 	}
-	recs := n.rep.RecordsAfter(after, max)
 	if r.URL.Query().Get("codec") == "bin" {
-		// The replication codec: CRC-framed binary records. Peers always
+		// The replication codec: the journal's own frames. Peers always
 		// request it; plain GET keeps the curl-able JSON document.
-		body := encodeWireRecords(recs)
+		body, err := n.framesAfter(after, max)
+		if err != nil {
+			writeInternalErr(w, http.StatusInternalServerError, "internal", err.Error())
+			return
+		}
 		n.o.replicationBytes("out", len(body))
 		w.Header().Set("Content-Type", recordsContentType)
 		w.WriteHeader(http.StatusOK)
 		_, _ = w.Write(body)
 		return
 	}
-	if recs == nil {
-		recs = []Record{}
+	recs, err := n.recordsAfter(after, max)
+	if err != nil {
+		writeInternalErr(w, http.StatusInternalServerError, "internal", err.Error())
+		return
 	}
 	writeInternalJSON(w, http.StatusOK, commitsDoc{Records: recs})
 }
 
 func (n *Node) handleCommitsPush(w http.ResponseWriter, r *http.Request) {
-	var recs []Record
+	var err error
 	if strings.HasPrefix(r.Header.Get("Content-Type"), recordsContentType) {
-		raw, err := io.ReadAll(io.LimitReader(r.Body, 64<<20))
-		if err != nil {
+		var raw []byte
+		if raw, err = io.ReadAll(io.LimitReader(r.Body, 64<<20)); err != nil {
 			writeInternalErr(w, http.StatusBadRequest, "bad_request", err.Error())
 			return
 		}
 		n.o.replicationBytes("in", len(raw))
-		recs, err = decodeWireRecords(raw)
-		if err != nil {
+		if err = n.applyFrames(raw); errors.Is(err, errCorruptBody) {
 			writeInternalErr(w, http.StatusBadRequest, "bad_request", err.Error())
 			return
 		}
@@ -246,13 +252,11 @@ func (n *Node) handleCommitsPush(w http.ResponseWriter, r *http.Request) {
 		if !decodeInternal(w, r, &doc) {
 			return
 		}
-		recs = doc.Records
+		err = n.applyRecords(doc.Records)
 	}
-	for i := range recs {
-		if err := n.applyRecord(&recs[i]); err != nil {
-			writeInternalErr(w, http.StatusInternalServerError, "internal", err.Error())
-			return
-		}
+	if err != nil {
+		writeInternalErr(w, http.StatusInternalServerError, "internal", err.Error())
+		return
 	}
 	writeInternalJSON(w, http.StatusOK, appliedDoc{Applied: n.rep.Applied()})
 }
@@ -496,8 +500,9 @@ func (c *peerClient) status(addr string) (statusDoc, error) {
 	return st, err
 }
 
-// fetchCommits pulls records past `after` in the binary replication codec.
-func (c *peerClient) fetchCommits(addr string, after, max int) ([]Record, error) {
+// fetchCommits pulls the frames of records past `after` (the binary
+// replication codec).
+func (c *peerClient) fetchCommits(addr string, after, max int) ([]byte, error) {
 	if addr == "" {
 		return nil, errors.New("cluster: peer has no address")
 	}
@@ -514,7 +519,7 @@ func (c *peerClient) fetchCommits(addr string, after, max int) ([]Record, error)
 	if resp.StatusCode/100 != 2 {
 		return nil, fmt.Errorf("cluster: peer GET %s: HTTP %d", path, resp.StatusCode)
 	}
-	return decodeWireRecords(raw)
+	return raw, nil
 }
 
 // pushCommits ships a pre-encoded binary replication body and returns the

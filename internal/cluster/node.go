@@ -4,14 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"log"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"selfheal/internal/data"
-	"selfheal/internal/durable"
 	"selfheal/internal/engine"
 	"selfheal/internal/httpapi"
 	"selfheal/internal/obs"
@@ -59,8 +57,8 @@ type Node struct {
 	cfg     Config
 	ring    *Ring
 	rep     *replica
-	journal *durable.SegmentLog // nil without Config.Dir
-	st      *stamper            // non-nil only on the sequencer
+	journal frameLog // the record stream's frames: on disk with Config.Dir, else in memory
+	st      *stamper // non-nil only on the sequencer
 	client  *peerClient
 	o       hooks
 
@@ -74,7 +72,7 @@ type Node struct {
 	pushCond *sync.Cond
 
 	// applyMu serializes follower record application + journaling so
-	// concurrently delivered records (push + pull fallback) journal in
+	// concurrently delivered bodies (push + pull fallback) journal in
 	// stream order; journalErr is the follower journal's first append
 	// failure, after which nothing more is journaled.
 	applyMu    sync.Mutex
@@ -133,18 +131,13 @@ func New(cfg Config) (*Node, error) {
 	n.stopCtx, n.stopCancel = context.WithCancel(context.Background())
 	n.pushCond = sync.NewCond(&n.pushMu)
 	n.gateCond = sync.NewCond(&n.gateMu)
+	n.journal = &memFrames{}
 	if cfg.Dir != "" {
-		j, recs, err := loadJournal(cfg.Dir, cfg.NodeID)
+		j, err := loadJournal(cfg.Dir, cfg.NodeID, n.rep)
 		if err != nil {
 			return nil, err
 		}
 		n.journal = j
-		for i := range recs {
-			if _, err := n.rep.Apply(&recs[i]); err != nil {
-				j.Close()
-				return nil, fmt.Errorf("cluster: journal replay: %w", err)
-			}
-		}
 		n.o.recordsApplied(n.rep.Applied())
 	}
 	if n.ring.Stamper() == cfg.NodeID {
@@ -204,9 +197,7 @@ func (n *Node) Stop() {
 		n.gateCond.Broadcast()
 		n.gateMu.Unlock()
 		n.wg.Wait()
-		if n.journal != nil {
-			n.journal.Close()
-		}
+		n.journal.Close()
 	})
 }
 
@@ -234,59 +225,6 @@ func (n *Node) sleep(d time.Duration) bool {
 func (n *Node) peerAddr(id string) string { return n.cfg.Peers[id] }
 func (n *Node) stamperAddr() string       { return n.peerAddr(n.ring.Stamper()) }
 
-// journalAppend writes the framed records [first, first+count) to the
-// node's journal (a no-op without Config.Dir). The stamper — the single
-// authority for stream positions — also makes them durable before
-// returning; followers never fsync, because -join pulls whatever a crash
-// tore off the tail.
-func (n *Node) journalAppend(first, count int, frames []byte) error {
-	if n.journal == nil {
-		return nil
-	}
-	if err := n.journal.Append(uint64(first), frames, count); err != nil {
-		return err
-	}
-	if n.st != nil {
-		return n.journal.Sync()
-	}
-	return nil
-}
-
-// applyRecord applies one replicated record and journals it on success.
-// applyMu keeps the journal in stream order when push delivery and the
-// pull fallback race.
-func (n *Node) applyRecord(rec *Record) error {
-	n.applyMu.Lock()
-	defer n.applyMu.Unlock()
-	ok, err := n.rep.Apply(rec)
-	if err != nil || !ok {
-		return err
-	}
-	n.o.recordsApplied(n.rep.Applied())
-	if n.journal == nil {
-		return nil
-	}
-	// An append error does not fail the apply, but it ends journaling for
-	// the life of the process — the segment log refuses every append after a
-	// failed one, so the file stays a clean prefix with no record after a
-	// hole, and the next boot replays it and pulls the rest. Every record
-	// left out is counted and the transition is logged once, because a
-	// silently short journal turns the next restart into a long catch-up.
-	jerr := n.journalErr
-	if jerr == nil {
-		jerr = n.journalAppend(rec.Seq, 1, encodeFramedRecord(nil, rec))
-	}
-	if jerr != nil {
-		n.o.journalError()
-		if n.journalErr == nil {
-			n.journalErr = jerr
-			log.Printf("cluster: node %s: record journal append failed; journaling stops at record %d (replica continues; restart with -join heals the journal): %v",
-				n.cfg.NodeID, rec.Seq-1, jerr)
-		}
-	}
-	return nil
-}
-
 // catchUp pulls the stream from the most advanced reachable peer until the
 // replica reaches that peer's position (the -join boot mode).
 func (n *Node) catchUp() error {
@@ -304,17 +242,15 @@ func (n *Node) catchUp() error {
 		}
 	}
 	for from != "" && n.rep.Applied() < target {
-		recs, err := n.client.fetchCommits(n.peerAddr(from), n.rep.Applied(), 512)
+		body, err := n.client.fetchCommits(n.peerAddr(from), n.rep.Applied(), 512)
 		if err != nil {
 			return fmt.Errorf("cluster: join catch-up from %s: %w", from, err)
 		}
-		if len(recs) == 0 {
+		if len(body) == 0 {
 			return fmt.Errorf("cluster: join catch-up stalled at %d of %d", n.rep.Applied(), target)
 		}
-		for i := range recs {
-			if err := n.applyRecord(&recs[i]); err != nil {
-				return err
-			}
+		if err := n.applyFrames(body); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -333,14 +269,12 @@ func (n *Node) pullLoop() {
 	for !n.stopped() {
 		progressed := false
 		for _, id := range peers {
-			recs, err := n.client.fetchCommits(n.peerAddr(id), n.rep.Applied(), 512)
-			if err != nil || len(recs) == 0 {
+			body, err := n.client.fetchCommits(n.peerAddr(id), n.rep.Applied(), 512)
+			if err != nil || len(body) == 0 {
 				continue
 			}
-			for i := range recs {
-				if err := n.applyRecord(&recs[i]); err != nil {
-					return
-				}
+			if err := n.applyFrames(body); err != nil {
+				return
 			}
 			progressed = true
 			break
@@ -471,8 +405,8 @@ func (n *Node) runLoop(run string) {
 // footprint).
 func (n *Node) executeWindow(run string, spec *wf.Spec, cur wf.TaskID, visit int) bool {
 	window := n.cfg.SubmitWindow
-	visits := n.rep.RunVisits(run)
-	if visits == nil {
+	visits, ok := n.rep.RunVisits(run)
+	if !ok {
 		return false
 	}
 	nextLSN := n.rep.NextLSN()
@@ -534,7 +468,7 @@ func (n *Node) executeWindow(run string, spec *wf.Spec, cur wf.TaskID, visit int
 		for k, v := range written {
 			overlay[k] = ReadObsJSON{Value: v, Writer: string(inst), WriterPos: float64(nextLSN)}
 		}
-		visits[wcur] = wvisit
+		visits.set(wcur, wvisit)
 		nextLSN++
 		if len(task.Next) == 0 {
 			break // the run completes inside this window
@@ -544,7 +478,7 @@ func (n *Node) executeWindow(run string, spec *wf.Spec, cur wf.TaskID, visit int
 		} else {
 			wcur = wf.TaskID(chosen)
 		}
-		wvisit = visits[wcur] + 1
+		wvisit = visits.get(wcur) + 1
 	}
 	if len(batch) == 0 {
 		return false
@@ -953,7 +887,7 @@ func (n *Node) clusterQuiescent(wantRunsDone bool) bool {
 	applied := make(map[string]int, len(n.cfg.Peers))
 	for _, id := range n.ring.Members() {
 		if id == n.cfg.NodeID {
-			applied[id] = n.rep.Applied()
+			applied[id] = n.servable()
 			continue
 		}
 		st, err := n.client.status(n.peerAddr(id))

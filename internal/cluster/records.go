@@ -2,14 +2,8 @@ package cluster
 
 import (
 	"encoding/json"
-	"errors"
-	"fmt"
-	"io/fs"
-	"os"
-	"path/filepath"
 
 	"selfheal/internal/data"
-	"selfheal/internal/durable"
 	"selfheal/internal/wf"
 	"selfheal/internal/wfjson"
 	"selfheal/internal/wlog"
@@ -156,50 +150,4 @@ func EntryToJSON(e *wlog.Entry) *EntryJSON {
 		ej.Writes[string(w.Key)] = int64(w.Value)
 	}
 	return ej
-}
-
-// journalSegmentBytes is the rotation size of a node's journal: 0 selects
-// durable.DefaultSegmentBytes. A variable only so tests can make a short
-// stream span several segments.
-var journalSegmentBytes int64
-
-// loadJournal opens the node's record journal — the durable.SegmentLog
-// stored directly in dir under the "<node-id>.wal-" prefix, one framed
-// record (codec.go) per applied stream position — and decodes the records
-// it holds (Node.journalAppend is the write side).
-//
-// A frame that passes its CRC was written whole, so one that does not
-// decode, or whose seq is not its position, is corruption and fails the
-// boot — as does a journal file of an earlier format, which this version
-// cannot read and does not migrate.
-func loadJournal(dir, nodeID string) (*durable.SegmentLog, []Record, error) {
-	for _, ext := range []string{".rjournal", ".journal"} {
-		old := filepath.Join(dir, nodeID+ext)
-		if _, err := os.Stat(old); !errors.Is(err, fs.ErrNotExist) {
-			return nil, nil, fmt.Errorf("cluster: %s is a journal of an earlier format, which this version cannot read: move it away and boot with -join to refill from the peers", old)
-		}
-	}
-	j, payloads, err := durable.OpenSegmentLog(dir, nodeID+".wal-", 1, durable.Options{SegmentBytes: journalSegmentBytes})
-	if err != nil {
-		return nil, nil, fmt.Errorf("cluster: journal: %w", err)
-	}
-	fail := func(err error) (*durable.SegmentLog, []Record, error) {
-		j.Close()
-		return nil, nil, fmt.Errorf("cluster: journal of %s: %w", nodeID, err)
-	}
-	if j.First() != 1 {
-		return fail(fmt.Errorf("starts at record %d, not 1", j.First()))
-	}
-	recs := make([]Record, len(payloads))
-	for i, p := range payloads {
-		rec, err := decodeRecord(p)
-		if err != nil {
-			return fail(fmt.Errorf("record %d: %w", i+1, err))
-		}
-		if rec.Seq != i+1 {
-			return fail(fmt.Errorf("record at position %d has seq %d", i+1, rec.Seq))
-		}
-		recs[i] = *rec
-	}
-	return j, recs, nil
 }

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -113,40 +114,58 @@ func TestRecordJSONBoundary(t *testing.T) {
 	}
 }
 
-// A wire body is all-or-nothing: concatenated frames decode back to the
-// same records, and any flipped byte fails the whole body.
+// wireBody frames recs as one replication body, the bytes the stamper's
+// journal holds for them.
+func wireBody(recs []Record) []byte {
+	var b []byte
+	for i := range recs {
+		b = encodeFramedRecord(b, &recs[i])
+	}
+	return b
+}
+
+// newFollower returns an unstarted follower of a two-member cluster (n0 is
+// the stamper), journaled in dir when dir is set.
+func newFollower(t testing.TB, dir string) *Node {
+	t.Helper()
+	n, err := New(Config{NodeID: "n1", Peers: map[string]string{"n0": "", "n1": ""}, Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(n.Stop)
+	return n
+}
+
+// A wire body is all-or-nothing and travels verbatim: a follower applies the
+// whole body and then serves exactly the bytes it received, and any flipped
+// byte fails the whole body before a single record applies.
 func TestWireRecordsRoundTripAndCorruption(t *testing.T) {
 	recs := sampleRecords()
-	body := encodeWireRecords(recs)
-	got, err := decodeWireRecords(body)
-	if err != nil {
-		t.Fatalf("decode wire body: %v", err)
+	body := wireBody(recs)
+	n := newFollower(t, "")
+	if err := n.applyFrames(body); err != nil {
+		t.Fatalf("apply wire body: %v", err)
 	}
-	if len(got) != len(recs) {
-		t.Fatalf("wire round-trip: got %d records, want %d", len(got), len(recs))
+	if got := n.rep.Applied(); got != len(recs) {
+		t.Fatalf("wire body applied %d records, want %d", got, len(recs))
 	}
-	wantJSON, _ := json.Marshal(recs)
-	gotJSON, _ := json.Marshal(got)
-	if string(wantJSON) != string(gotJSON) {
-		t.Fatalf("wire round-trip mismatch")
+	if served, err := n.framesAfter(0, len(recs)); err != nil || !bytes.Equal(served, body) {
+		t.Fatalf("the follower serves %d bytes (%v), not the %d it received", len(served), err, len(body))
 	}
 	for i := 0; i < len(body); i += 7 {
 		mut := append([]byte(nil), body...)
 		mut[i] ^= 0x40
-		if _, err := decodeWireRecords(mut); err == nil {
-			// A flip may hit a frame's length field such that the remaining
-			// bytes still parse as valid frames with intact CRCs — but then
-			// the records' seqs cannot stay 1..N dense. Accept only that.
-			recs2, _ := decodeWireRecords(mut)
-			dense := len(recs2) == len(recs)
-			for j := range recs2 {
-				if recs2[j].Seq != j+1 {
-					dense = false
-				}
-			}
-			if dense {
-				t.Fatalf("byte flip at %d went completely undetected", i)
-			}
+		n := newFollower(t, "")
+		err := n.applyFrames(mut)
+		applied := n.rep.Applied()
+		if errors.Is(err, errCorruptBody) && applied != 0 {
+			t.Fatalf("byte flip at %d: corrupt body applied %d records", i, applied)
+		}
+		// A flip may hit a frame's length field such that the remaining
+		// bytes still parse as valid frames with intact CRCs — but then the
+		// records' seqs cannot stay 1..N dense. Accept only that.
+		if err == nil && applied == len(recs) {
+			t.Fatalf("byte flip at %d went completely undetected", i)
 		}
 	}
 }
@@ -256,14 +275,12 @@ func TestFollowerJournalFailureIsSticky(t *testing.T) {
 		t.Fatal(err)
 	}
 	recs := sampleRecords()
-	for i := range recs[:2] {
-		if err := n.applyRecord(&recs[i]); err != nil {
-			t.Fatal(err)
-		}
+	if err := n.applyFrames(wireBody(recs[:2])); err != nil {
+		t.Fatal(err)
 	}
 	n.journal.Close() // every later append fails
 	for i := range recs[2:] {
-		if err := n.applyRecord(&recs[2+i]); err != nil {
+		if err := n.applyFrames(wireBody(recs[2+i : 3+i])); err != nil {
 			t.Fatalf("apply after journal failure: %v", err)
 		}
 	}
@@ -272,6 +289,9 @@ func TestFollowerJournalFailureIsSticky(t *testing.T) {
 	}
 	if got := reg.Snapshot()[obs.MClusterJournalErrors]; got != 3 {
 		t.Fatalf("%s = %v, want 3", obs.MClusterJournalErrors, got)
+	}
+	if got := n.servable(); got != 2 {
+		t.Fatalf("the follower serves up to record %d past its 2-record journal", got)
 	}
 	n.Stop()
 	n2, err := New(Config{NodeID: "n1", Peers: peers, Dir: dir})
@@ -331,10 +351,15 @@ func BenchmarkReplicationCodecBinary(b *testing.B) {
 	var bytesPerRec float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		body := encodeWireRecords(recs)
-		got, err := decodeWireRecords(body)
-		if err != nil || len(got) != len(recs) {
-			b.Fatalf("round trip: %d records, err %v", len(got), err)
+		body := wireBody(recs)
+		payloads, _ := durable.SplitFrames(body)
+		for _, p := range payloads {
+			if _, err := decodeRecord(p); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if len(payloads) != len(recs) {
+			b.Fatalf("round trip: %d records", len(payloads))
 		}
 		bytesPerRec = float64(len(body)) / float64(len(recs))
 	}
@@ -345,14 +370,17 @@ func BenchmarkReplicationCodecJSON(b *testing.B) {
 	recs := benchRecords(256)
 	var bytesPerRec float64
 	b.ResetTimer()
+	type doc struct {
+		Records []Record `json:"records"`
+	}
 	for i := 0; i < b.N; i++ {
-		body, err := json.Marshal(commitsDoc{Records: recs})
+		body, err := json.Marshal(doc{Records: recs})
 		if err != nil {
 			b.Fatal(err)
 		}
-		var doc commitsDoc
-		if err := json.Unmarshal(body, &doc); err != nil || len(doc.Records) != len(recs) {
-			b.Fatalf("round trip: %d records, err %v", len(doc.Records), err)
+		var back doc
+		if err := json.Unmarshal(body, &back); err != nil || len(back.Records) != len(recs) {
+			b.Fatalf("round trip: %d records, err %v", len(back.Records), err)
 		}
 		bytesPerRec = float64(len(body)) / float64(len(recs))
 	}

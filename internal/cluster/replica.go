@@ -3,7 +3,9 @@ package cluster
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"selfheal/internal/data"
@@ -16,8 +18,40 @@ import (
 // runState is one run's execution frontier as derived from the stream.
 type runState struct {
 	cur    wf.TaskID
-	visits map[wf.TaskID]int
+	visits visitCounts
 	done   bool
+}
+
+// visitCounts holds one counter per task a run has executed, sorted by task:
+// a run touches a handful of tasks, so a search beats a map and costs a
+// fraction of its memory for the run's whole retained life.
+type visitCounts []taskVisits
+
+// taskVisits counts one task's executions within a run.
+type taskVisits struct {
+	task wf.TaskID
+	n    int
+}
+
+func (v visitCounts) search(task wf.TaskID) (int, bool) {
+	return slices.BinarySearchFunc(v, task, func(tv taskVisits, t wf.TaskID) int { return strings.Compare(string(tv.task), string(t)) })
+}
+
+// get returns how often the run executed task.
+func (v visitCounts) get(task wf.TaskID) int {
+	if i, ok := v.search(task); ok {
+		return v[i].n
+	}
+	return 0
+}
+
+// set records that the run executed task n times.
+func (v *visitCounts) set(task wf.TaskID, n int) {
+	i, ok := v.search(task)
+	if !ok {
+		*v = slices.Insert(*v, i, taskVisits{task: task})
+	}
+	(*v)[i].n = n
 }
 
 // repairStats accumulates the replica's deterministic repair accounting.
@@ -30,6 +64,8 @@ type repairStats struct {
 // replica is the deterministic state machine every node holds: the full
 // system log, the versioned store, the run specifications and every run's
 // execution frontier, all derived by applying the record stream in order.
+// The stream itself is not kept here: the node's frame log holds it, as the
+// bytes the journal and the wire carry.
 // Two replicas at the same applied position are byte-identical — including
 // after repairs, which execute at a fixed stream position with Parallel=1.
 type replica struct {
@@ -42,7 +78,6 @@ type replica struct {
 	// i's writes) and publishes only after the batch's single journal fsync
 	// — so nothing non-durable on the stamper ever replicates.
 	published int
-	history   []Record // records 1..applied, served to catching-up peers
 
 	log   *wlog.Log
 	store *data.Store
@@ -111,21 +146,6 @@ func (r *replica) PublishTo(seq int) {
 	}
 }
 
-// RecordsAfter returns records (after, after+len] for peer catch-up, capped
-// at the published cursor: unfsynced stamper records never leave the node.
-func (r *replica) RecordsAfter(after, max int) []Record {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	end := r.published
-	if after >= end {
-		return nil
-	}
-	if max > 0 && end-after > max {
-		end = after + max
-	}
-	return append([]Record(nil), r.history[after:end]...)
-}
-
 // Apply applies one replicated (already durable at its origin) record and
 // publishes it. Records must arrive in stream order; a gap or replayed
 // record is reported by the boolean without touching state.
@@ -178,7 +198,6 @@ func (r *replica) applyLocked(rec *Record) (applied bool, err error) {
 		return false, err
 	}
 	r.applied = rec.Seq
-	r.history = append(r.history, *rec)
 	r.cond.Broadcast()
 	return true, nil
 }
@@ -200,7 +219,7 @@ func (r *replica) applySpec(rec *Record) error {
 		}
 	}
 	r.specs[rec.Run] = spec
-	r.runs[rec.Run] = &runState{cur: spec.Start, visits: make(map[wf.TaskID]int)}
+	r.runs[rec.Run] = &runState{cur: spec.Start}
 	return nil
 }
 
@@ -236,7 +255,7 @@ func (r *replica) applyEntry(rec *Record) error {
 	if task == nil {
 		return fmt.Errorf("cluster: record %d: run %s has no task %s", rec.Seq, e.Run, e.Task)
 	}
-	rs.visits[e.Task] = e.Visit
+	rs.visits.set(e.Task, e.Visit)
 	switch {
 	case len(task.Next) == 0:
 		rs.done = true
@@ -274,20 +293,17 @@ func (r *replica) applyRepair(rec *Record) {
 	}
 	// Move every rewritten run onto its corrected frontier, rebuilding
 	// visit counts from the full trace (forged included) exactly like the
-	// single-node engine's resync.
-	for run, rs := range r.runs {
-		cur, done, ok := res.Frontier(run, r.specs[run])
-		if !ok {
-			continue
-		}
-		rs.cur, rs.done = cur, done
-		visits := make(map[wf.TaskID]int)
+	// single-node engine's resync. The runs the schedule names are found in
+	// one pass over it; every other run keeps its state untouched.
+	for run, f := range res.Frontiers(r.specs) {
+		rs := r.runs[run]
+		rs.cur, rs.done = f.Cur, f.Done
+		rs.visits = rs.visits[:0]
 		for _, e := range r.log.Trace(run, true) {
-			if e.Visit > visits[e.Task] {
-				visits[e.Task] = e.Visit
+			if e.Visit > rs.visits.get(e.Task) {
+				rs.visits.set(e.Task, e.Visit)
 			}
 		}
-		rs.visits = visits
 	}
 }
 
@@ -309,7 +325,7 @@ func (r *replica) Frontier(run string) (cur wf.TaskID, visit int, done, ok bool)
 	if rs == nil {
 		return "", 0, false, false
 	}
-	return rs.cur, rs.visits[rs.cur] + 1, rs.done, true
+	return rs.cur, rs.visits.get(rs.cur) + 1, rs.done, true
 }
 
 // NextLSN returns the LSN the next applied entry record will receive —
@@ -323,21 +339,17 @@ func (r *replica) NextLSN() int {
 	return r.log.Len() + 1
 }
 
-// RunVisits returns a copy of a run's committed visit counts (nil when the
-// run is unknown) — the base the executor extends while speculating a
+// RunVisits returns a copy of a run's committed visit counts (ok false when
+// the run is unknown) — the base the executor extends while speculating a
 // submission window.
-func (r *replica) RunVisits(run string) map[wf.TaskID]int {
+func (r *replica) RunVisits(run string) (visits visitCounts, ok bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	rs := r.runs[run]
 	if rs == nil {
-		return nil
+		return nil, false
 	}
-	out := make(map[wf.TaskID]int, len(rs.visits))
-	for k, v := range rs.visits {
-		out[k] = v
-	}
-	return out
+	return slices.Clone(rs.visits), true
 }
 
 // Spec returns a run's specification.

@@ -1,0 +1,150 @@
+package cluster
+
+import (
+	"reflect"
+	"slices"
+	"testing"
+
+	"selfheal/internal/data"
+	"selfheal/internal/recovery"
+	"selfheal/internal/wf"
+	"selfheal/internal/wfjson"
+	"selfheal/internal/wlog"
+)
+
+// repairStream is a stream whose last record repairs a forged write of x
+// that runs r1 and r2 read: the repair rewrites those two — r1 branched on x,
+// so it moves to the other branch; r2 stays where it was — and leaves r3,
+// which read only z, alone; r4 has not started.
+func repairStream() []Record {
+	spec := func(name string, tasks ...wfjson.TaskJSON) Record {
+		return Record{Kind: KindSpec, Run: name, Spec: &wfjson.SpecJSON{Name: name, Start: "t0", Tasks: tasks}}
+	}
+	task := func(id string, reads, writes []string, next ...string) wfjson.TaskJSON {
+		return wfjson.TaskJSON{ID: id, Reads: reads, Writes: writes, Next: next, Bias: 1}
+	}
+	entry := func(lsn int, run, task string, reads map[data.Key]wlog.ReadObs, writes map[data.Key]data.Value) Record {
+		return Record{Kind: KindEntry, Entry: &wlog.Entry{LSN: lsn, Run: run, Task: wf.TaskID(task), Visit: 1,
+			Forged: run == "attacker", Reads: wlog.ReadsOf(reads), Writes: wlog.WritesOf(writes)}}
+	}
+	forged := wlog.ReadObs{Value: 999, Writer: "attacker/evil#1", WriterPos: 1}
+	choice := task("t0", []string{"x"}, []string{"a"}, "lo", "hi")
+	choice.Choose = &wfjson.ChooseJSON{Key: "x", Threshold: 500, Low: "lo", High: "hi"}
+	recs := []Record{
+		spec("r1", choice, task("lo", nil, []string{"b"}), task("hi", nil, []string{"c"})),
+		spec("r2", task("t0", []string{"x"}, []string{"d"}, "t1"), task("t1", nil, []string{"e"})),
+		spec("r3", task("t0", []string{"z"}, []string{"f"}, "t1"), task("t1", nil, []string{"g"})),
+		spec("r4", task("t0", []string{"x"}, []string{"h"})),
+		entry(1, "attacker", "evil", nil, map[data.Key]data.Value{"x": 999}),
+		entry(2, "r1", "t0", map[data.Key]wlog.ReadObs{"x": forged}, map[data.Key]data.Value{"a": 1000}),
+		entry(3, "r2", "t0", map[data.Key]wlog.ReadObs{"x": forged}, map[data.Key]data.Value{"d": 1000}),
+		entry(4, "r3", "t0", map[data.Key]wlog.ReadObs{"z": {WriterPos: wlog.MissingPos}}, map[data.Key]data.Value{"f": 1}),
+		{Kind: KindRepair, Bad: []string{"attacker/evil#1"}},
+	}
+	recs[5].Entry.Chosen = "hi" // x read 999: r1 took the high branch
+	for i := range recs {
+		recs[i].Seq = i + 1
+	}
+	return recs
+}
+
+// TestRepairResyncsOnlyRewrittenRuns: a repair moves exactly the runs its
+// schedule names onto their corrected frontiers — the frontiers and visit
+// counts a resync of every registered run through Result.Frontier and the
+// run's full trace gives — and leaves every other run's state as it was.
+func TestRepairResyncsOnlyRewrittenRuns(t *testing.T) {
+	recs := repairStream()
+	rep := newReplica()
+	for i := range recs[:len(recs)-1] {
+		if ok, err := rep.Apply(&recs[i]); !ok || err != nil {
+			t.Fatalf("record %d: applied %v, %v", i+1, ok, err)
+		}
+	}
+	if cur, _, _, _ := rep.Frontier("r1"); cur != "hi" {
+		t.Fatalf("r1 is at %s before the repair, want hi", cur)
+	}
+	untouched := make(map[string]runState)
+	for _, run := range []string{"r3", "r4"} {
+		rs := *rep.runs[run]
+		rs.visits = slices.Clone(rs.visits)
+		untouched[run] = rs
+	}
+
+	// The resync the repair must reproduce, computed the old way: every
+	// registered run asked through Frontier on the same repair result.
+	res, err := recovery.Repair(rep.store, rep.log, rep.specsCopy(), []wlog.InstanceID{"attacker/evil#1"}, rep.ropts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The serial repair replays every committed instance, so its schedule
+	// names each run with one (r3 by keep actions only) but not r4.
+	fronts := res.Frontiers(rep.specs)
+	var named []string
+	for run := range fronts {
+		named = append(named, run)
+	}
+	if slices.Sort(named); !reflect.DeepEqual(named, []string{"r1", "r2", "r3"}) {
+		t.Fatalf("the schedule names runs %v, want [r1 r2 r3]", named)
+	}
+	type state struct {
+		cur    wf.TaskID
+		done   bool
+		visits map[wf.TaskID]int
+	}
+	want := make(map[string]state)
+	for run := range rep.runs {
+		cur, done, ok := res.Frontier(run, rep.specs[run])
+		if f, grouped := fronts[run]; ok != grouped || ok && f != (recovery.RunFrontier{Cur: cur, Done: done}) {
+			t.Fatalf("run %s: Frontier says (%s, %v, %v), Frontiers %+v (%v)", run, cur, done, ok, f, grouped)
+		}
+		if !ok {
+			continue
+		}
+		visits := make(map[wf.TaskID]int)
+		for _, e := range rep.log.Trace(run, true) {
+			visits[e.Task] = max(visits[e.Task], e.Visit)
+		}
+		want[run] = state{cur, done, visits}
+	}
+
+	if ok, err := rep.Apply(&recs[len(recs)-1]); !ok || err != nil {
+		t.Fatalf("repair record: applied %v, %v", ok, err)
+	}
+	if st := rep.Stats(); st.errors != 0 || st.redone != 2 {
+		t.Fatalf("repair stats %+v, want 2 redone and no error", st)
+	}
+	for run, w := range want {
+		rs := rep.runs[run]
+		got := state{rs.cur, rs.done, make(map[wf.TaskID]int)}
+		for _, tv := range rs.visits {
+			got.visits[tv.task] = tv.n
+		}
+		if !reflect.DeepEqual(got, w) {
+			t.Errorf("run %s resynced to %+v, want %+v", run, got, w)
+		}
+	}
+	if cur, visit, done, _ := rep.Frontier("r1"); cur != "lo" || visit != 1 || done {
+		t.Errorf("r1 frontier %s#%d (done %v), want lo#1: the corrected x takes the low branch", cur, visit, done)
+	}
+	for run, was := range untouched {
+		if got := *rep.runs[run]; !reflect.DeepEqual(got, was) {
+			t.Errorf("the repair moved %s: %+v, was %+v", run, got, was)
+		}
+	}
+}
+
+// A run's visit counters stay sorted by task whatever order the tasks
+// execute in, and a counter is found again where it was set.
+func TestVisitCountsSorted(t *testing.T) {
+	var v visitCounts
+	for i, task := range []wf.TaskID{"m", "c", "x", "a", "c", "m"} {
+		v.set(task, i+1)
+	}
+	want := visitCounts{{"a", 4}, {"c", 5}, {"m", 6}, {"x", 3}}
+	if !reflect.DeepEqual(v, want) {
+		t.Fatalf("visit counters %v, want %v", v, want)
+	}
+	if v.get("c") != 5 || v.get("b") != 0 {
+		t.Fatalf("get: c=%d b=%d, want 5 and 0", v.get("c"), v.get("b"))
+	}
+}

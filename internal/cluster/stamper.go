@@ -381,9 +381,9 @@ func (s *stamper) ReleaseKeys(keys []string) {
 // the peer acknowledges — push is the primary replication path, with the
 // follower's pull loop as the catch-up fallback. A caught-up pusher parks
 // on the cond var keyed by the peer's acked position (sent) until a batch
-// publishes past it: an idle cluster burns no wakeups. Records ship as
-// CRC-framed binary bodies, and only published (stamper-durable) records
-// are ever eligible.
+// publishes past it: an idle cluster burns no wakeups. Records ship as the
+// journal's own frames, read back from it, and only published
+// (stamper-durable) records are ever eligible.
 func (n *Node) pusher(peerID string) {
 	defer n.wg.Done()
 	sent := 0
@@ -396,12 +396,11 @@ func (n *Node) pusher(peerID string) {
 		if n.stopped() {
 			return
 		}
-		batch := n.rep.RecordsAfter(sent, 256)
-		if len(batch) == 0 {
-			continue
+		body, err := n.framesAfter(sent, 256)
+		var applied int
+		if err == nil {
+			applied, err = n.client.pushCommits(n.peerAddr(peerID), body)
 		}
-		body := encodeWireRecords(batch)
-		applied, err := n.client.pushCommits(n.peerAddr(peerID), body)
 		if err != nil {
 			n.o.replicationError(peerID)
 			if !n.sleep(100 * time.Millisecond) {

@@ -163,7 +163,7 @@ func TestTornTailMatrix(t *testing.T) {
 		before := len(all) - len(tail)
 		boundaries := []int{0}
 		for _, p := range tail {
-			boundaries = append(boundaries, boundaries[len(boundaries)-1]+frameHeader+len(p))
+			boundaries = append(boundaries, boundaries[len(boundaries)-1]+FrameHeader+len(p))
 		}
 		extra := []byte("resumed")
 		for n := 0; n <= len(seg); n++ {
@@ -330,7 +330,7 @@ func TestAppendAfterTornTailRestore(t *testing.T) {
 	segname, seg := finalSegment(t, dir)
 	// Tear half the final record off.
 	payloads, _ := SplitFrames(seg)
-	lastStart := len(seg) - frameHeader - len(payloads[len(payloads)-1])
+	lastStart := len(seg) - FrameHeader - len(payloads[len(payloads)-1])
 	cut := lastStart + (len(seg)-lastStart)/2
 	cp := truncatedCopy(t, dir, segname, cut)
 

@@ -22,18 +22,23 @@
 package durable
 
 import (
+	"bufio"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 )
 
 const (
-	frameHeader = 8       // length + CRC
+	// FrameHeader is the length + CRC prefix AppendFrame puts in front of a
+	// payload: a frame is FrameHeader+len(payload) bytes.
+	FrameHeader = 8
 	maxRecord   = 1 << 28 // 256 MiB sanity bound on one payload
 )
 
@@ -53,20 +58,20 @@ func AppendFrame(dst, payload []byte) []byte {
 func SplitFrames(b []byte) (payloads [][]byte, validLen int) {
 	off := 0
 	for {
-		if off+frameHeader > len(b) {
+		if off+FrameHeader > len(b) {
 			return payloads, off
 		}
 		n := int(binary.LittleEndian.Uint32(b[off:]))
-		if n > maxRecord || off+frameHeader+n > len(b) {
+		if n > maxRecord || off+FrameHeader+n > len(b) {
 			return payloads, off
 		}
 		sum := binary.LittleEndian.Uint32(b[off+4:])
-		payload := b[off+frameHeader : off+frameHeader+n]
+		payload := b[off+FrameHeader : off+FrameHeader+n]
 		if crc32.ChecksumIEEE(payload) != sum {
 			return payloads, off
 		}
 		payloads = append(payloads, payload)
-		off += frameHeader + n
+		off += FrameHeader + n
 	}
 }
 
@@ -142,6 +147,10 @@ const DefaultSegmentBytes = 64 << 20
 // stamper's group loop and a follower's apply lock each guarantee that).
 // The first failed write, fsync or rotation is sticky: every later Append
 // and Sync returns it, so nothing is ever written after a hole.
+//
+// ReadFrames reads records back as the frames they were appended in. Its
+// index is built on the first read and kept up by Append from then on, so a
+// log nobody reads back — the WAL — holds nothing per record.
 type SegmentLog struct {
 	dir, prefix string
 	segBytes    int64
@@ -153,6 +162,24 @@ type SegmentLog struct {
 	segs []uint64 // first seq of each live segment, ascending; the last is active
 	next uint64   // sequence number the next appended record gets
 	err  error
+
+	// rd is the read side: assigned under mu and rmu, its contents guarded by
+	// rmu alone, so a reader never waits behind a Sync's fsync.
+	rmu sync.Mutex
+	rd  *frameIndex
+}
+
+// frameIndex locates every record of the live segments for ReadFrames.
+type frameIndex struct {
+	segs  []uint64 // SegmentLog.segs as of the last Append
+	first uint64   // sequence number of end[0]
+	// end[i] is the offset just past record first+i within its segment; the
+	// record starts at end[i-1], or at 0 when it opens its segment.
+	end []int64
+	// f is a read handle on segment fseg, kept for the next read.
+	f      *os.File
+	fseg   uint64
+	closed bool
 }
 
 // OpenSegmentLog opens (creating dir if needed) the segment log stored
@@ -262,9 +289,160 @@ func (l *SegmentLog) Append(first uint64, frames []byte, n int) error {
 		l.err = fmt.Errorf("durable: segment write: %w", err)
 		return l.err
 	}
+	if l.rd != nil {
+		l.rmu.Lock()
+		if active := l.segs[len(l.segs)-1]; l.rd.segs[len(l.rd.segs)-1] != active {
+			l.rd.segs = append(l.rd.segs, active) // rotated above
+		}
+		l.rd.end = AppendFrameEnds(l.rd.end, frames, n, l.size)
+		l.rmu.Unlock()
+	}
 	l.size += int64(len(frames))
 	l.next += uint64(n)
 	return nil
+}
+
+// AppendFrameEnds appends to end the offset just past each of the first n
+// frames in b, for b placed at offset base — the index of a buffer of
+// concatenated frames.
+func AppendFrameEnds(end []int64, b []byte, n int, base int64) []int64 {
+	off := 0
+	for range n {
+		off += FrameHeader + int(binary.LittleEndian.Uint32(b[off:]))
+		end = append(end, base+int64(off))
+	}
+	return end
+}
+
+// ReadFrames returns the frames of records from, from+1, … — at most max
+// of them, fewer where the log ends — byte for byte as they were appended,
+// and how many it returned. Its cost is the bytes it returns: the first call
+// indexes the live segments (one sequential scan), and Append keeps the
+// index from then on. Records below First are gone and fail the call, as
+// does a closed log; a sticky write error does not stop reads of the
+// records before it.
+func (l *SegmentLog) ReadFrames(from uint64, max int) ([]byte, int, error) {
+	ix, err := l.index()
+	if err != nil {
+		return nil, 0, err
+	}
+	defer l.rmu.Unlock()
+	last := ix.first + uint64(len(ix.end)) // one past the last record
+	if from < ix.first {
+		return nil, 0, fmt.Errorf("durable: record %d is below the log's first record %d", from, ix.first)
+	}
+	if max <= 0 || from >= last {
+		return nil, 0, nil
+	}
+	to := min(from+uint64(max), last)
+	var out []byte
+	for seq := from; seq < to; {
+		k := sort.Search(len(ix.segs), func(i int) bool { return ix.segs[i] > seq }) - 1
+		stop := to
+		if k+1 < len(ix.segs) {
+			stop = min(stop, ix.segs[k+1])
+		}
+		var lo int64
+		if seq > ix.segs[k] {
+			lo = ix.end[seq-1-ix.first]
+		}
+		hi := ix.end[stop-1-ix.first]
+		f, err := ix.open(l.dir, l.prefix, ix.segs[k])
+		if err != nil {
+			return nil, 0, err
+		}
+		n := len(out)
+		out = slices.Grow(out, int(hi-lo))[:n+int(hi-lo)]
+		if _, err := f.ReadAt(out[n:], lo); err != nil {
+			return nil, 0, fmt.Errorf("durable: reading records %d..%d: %w", seq, stop-1, err)
+		}
+		seq = stop
+	}
+	return out, int(to - from), nil
+}
+
+// index returns the read index with rmu held, building it on first use.
+func (l *SegmentLog) index() (*frameIndex, error) {
+	l.rmu.Lock()
+	if l.rd == nil {
+		// Build under mu too, so no Append runs between the scan and the
+		// index going live.
+		l.rmu.Unlock()
+		l.mu.Lock()
+		l.rmu.Lock()
+		if l.rd == nil {
+			rd, err := l.scan()
+			if err != nil {
+				l.rmu.Unlock()
+				l.mu.Unlock()
+				return nil, err
+			}
+			l.rd = rd
+		}
+		l.mu.Unlock()
+	}
+	if l.rd.closed {
+		l.rmu.Unlock()
+		return nil, ErrClosed
+	}
+	return l.rd, nil
+}
+
+// scan indexes the live segments' records by walking their frame headers.
+// Callers hold mu.
+func (l *SegmentLog) scan() (*frameIndex, error) {
+	if l.f == nil {
+		return nil, ErrClosed
+	}
+	rd := &frameIndex{segs: slices.Clone(l.segs), first: l.segs[0]}
+	for k, first := range l.segs {
+		stop := l.next
+		if k+1 < len(l.segs) {
+			stop = l.segs[k+1]
+		}
+		f, err := os.Open(filepath.Join(l.dir, segName(l.prefix, first)))
+		if err != nil {
+			return nil, err
+		}
+		r := bufio.NewReader(f)
+		var hdr [FrameHeader]byte
+		var off int64
+		for seq := first; seq < stop && err == nil; seq++ {
+			if _, err = io.ReadFull(r, hdr[:]); err == nil {
+				n := int(binary.LittleEndian.Uint32(hdr[:]))
+				_, err = r.Discard(n)
+				off += int64(FrameHeader + n)
+				rd.end = append(rd.end, off)
+			}
+		}
+		f.Close()
+		if err != nil {
+			return nil, fmt.Errorf("durable: indexing segment %d: %w", first, err)
+		}
+	}
+	return rd, nil
+}
+
+// open returns a read handle on segment seg, reusing the last one.
+func (ix *frameIndex) open(dir, prefix string, seg uint64) (*os.File, error) {
+	if ix.f != nil && ix.fseg == seg {
+		return ix.f, nil
+	}
+	f, err := os.Open(filepath.Join(dir, segName(prefix, seg)))
+	if err != nil {
+		return nil, err
+	}
+	ix.drop()
+	ix.f, ix.fseg = f, seg
+	return f, nil
+}
+
+// drop closes the kept read handle.
+func (ix *frameIndex) drop() {
+	if ix.f != nil {
+		ix.f.Close()
+		ix.f = nil
+	}
 }
 
 // Sync makes every appended record durable (a no-op with Options.NoSync).
@@ -323,13 +501,28 @@ func (l *SegmentLog) Retire(seq uint64) {
 		os.Remove(filepath.Join(l.dir, segName(l.prefix, l.segs[0])))
 		l.segs = l.segs[1:]
 	}
+	if l.rd != nil && l.rd.first < l.segs[0] {
+		l.rmu.Lock()
+		if l.rd.f != nil && l.rd.fseg < l.segs[0] {
+			l.rd.drop()
+		}
+		l.rd.end = slices.Clone(l.rd.end[l.segs[0]-l.rd.first:])
+		l.rd.segs, l.rd.first = slices.Clone(l.segs), l.segs[0]
+		l.rmu.Unlock()
+	}
 }
 
-// Close closes the active segment; later appends and syncs fail. It does
-// not sync: callers that need the tail durable call Sync first.
+// Close closes the active segment; later appends, syncs and reads fail. It
+// does not sync: callers that need the tail durable call Sync first.
 func (l *SegmentLog) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
+	if l.rd != nil {
+		l.rmu.Lock()
+		l.rd.drop()
+		l.rd.closed = true
+		l.rmu.Unlock()
+	}
 	if l.f == nil {
 		return nil
 	}

@@ -280,10 +280,48 @@ func (res *Result) Frontier(run string, spec *wf.Spec) (cur wf.TaskID, done, ok 
 	if last == nil {
 		return "", false, false
 	}
-	if len(spec.Tasks[last.Task].Next) == 0 {
-		return "", true, true
+	cur, done = frontierAfter(last, spec)
+	return cur, done, true
+}
+
+// RunFrontier is one rewritten run's corrected frontier (see Frontier).
+type RunFrontier struct {
+	Cur  wf.TaskID
+	Done bool
+}
+
+// Frontiers returns the corrected frontier of every run in specs the repair
+// rewrote — exactly the runs Frontier reports ok for, with the same answer —
+// grouping the schedule by run in one pass, so resynchronizing after a
+// repair costs O(schedule) rather than O(runs × schedule).
+func (res *Result) Frontiers(specs map[string]*wf.Spec) map[string]RunFrontier {
+	last := make(map[string]*Action)
+	for i := range res.Schedule {
+		a := &res.Schedule[i]
+		if a.Kind == ActUndo {
+			continue
+		}
+		if l := last[a.Run]; l == nil || a.Epos > l.Epos {
+			last[a.Run] = a
+		}
 	}
-	return last.Next, false, true
+	out := make(map[string]RunFrontier, len(last))
+	for run, a := range last {
+		if spec := specs[run]; spec != nil {
+			cur, done := frontierAfter(a, spec)
+			out[run] = RunFrontier{Cur: cur, Done: done}
+		}
+	}
+	return out
+}
+
+// frontierAfter is a run's frontier once last, its latest non-undo action,
+// has executed.
+func frontierAfter(last *Action, spec *wf.Spec) (cur wf.TaskID, done bool) {
+	if len(spec.Tasks[last.Task].Next) == 0 {
+		return "", true
+	}
+	return last.Next, false
 }
 
 // iterationResult carries the outcome of one replay pass.

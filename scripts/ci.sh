@@ -24,7 +24,16 @@ go test -race ./...
 # run once here without -race, next to the allocations-per-committed-step
 # bound (which the race pass does run).
 go test -run '^(TestFootprintPerInstance|TestResidentHeapBoundedByHorizon)$' -count=1 -v ./internal/shard/
+go test -run '^TestReplicaFootprint$' -count=1 -v ./internal/cluster/
 go test -run '^TestStepAllocations$' -count=1 -v ./internal/engine/
+
+# One copy of the cluster stream per node: the journal's frames (docs/
+# CLUSTER.md). No non-test file in internal/cluster may declare a struct
+# field holding decoded records, so a second, decoded copy cannot come back.
+if grep -rnE --include='*.go' --exclude='*_test.go' '^[[:space:]]+[A-Za-z_][A-Za-z0-9_]*(,[[:space:]]*[A-Za-z_][A-Za-z0-9_]*)*[[:space:]]+\[\]\*?Record\b' internal/cluster/; then
+    echo "record gate: a []Record field in internal/cluster (the journal is the stream's only copy)" >&2
+    exit 1
+fi
 
 # No-map-per-entry gate: a committed instance's reads and writes live in
 # sorted slices (wlog.Entry). Outside tests the map shape may appear only in
