@@ -138,12 +138,11 @@ func recordStream(t *testing.T, url string) []json.RawMessage {
 func TestBatchSerialStampingEquivalence(t *testing.T) {
 	ids := []string{"a", "b", "c"}
 	run := func(window int) (*harness, []json.RawMessage) {
-		h := startCluster(t, ids, true, func(id string, cfg *cluster.Config) {
-			cfg.SubmitWindow = window
-		})
+		h := startCluster(t, ids, true, windowOf(window))
 		keys := keysByOwner(ids, 8)
-		// Owner-contiguous segments: 8 consecutive tasks per owner, so the
-		// windowed executor actually forms multi-entry batches.
+		// Owner-contiguous segments: 8 consecutive tasks per owner. With
+		// window 1 the first task commits at admission and every other one
+		// on its owner; with window 32 the whole run commits at admission.
 		var chain []string
 		for _, id := range ids {
 			chain = append(chain, keys[id][:8]...)
@@ -167,8 +166,8 @@ func TestBatchSerialStampingEquivalence(t *testing.T) {
 		h.waitIdle("a", 20*time.Second)
 		h.assertStoresIdentical()
 
-		// The windowed run must actually exercise group stamping: with
-		// 8-task owner segments, mean batch size on the stamper is > 1.
+		// The windowed run must actually exercise group stamping: its
+		// registration group holds the spec and the run's 24 entries.
 		snap := h.regs["a"].Snapshot()
 		count, sum := snap[obs.MClusterStampBatchSize+"_count"], snap[obs.MClusterStampBatchSize+"_sum"]
 		if window > 1 && (count == 0 || sum/count <= 1) {

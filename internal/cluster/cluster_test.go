@@ -281,12 +281,18 @@ func TestRingDeterminism(t *testing.T) {
 	}
 }
 
+// windowOf boots every node with the given submission window.
+func windowOf(w int) func(string, *cluster.Config) {
+	return func(_ string, cfg *cluster.Config) { cfg.SubmitWindow = w }
+}
+
 // A multi-task run submitted through a follower completes with its control
-// token hopping across nodes: each task executes on the owner of its write
-// key, and every replica converges on the same store.
+// token hopping across nodes: with one-task windows the first task commits
+// at admission, each later one executes on the owner of its write key, and
+// every replica converges on the same store.
 func TestCrossNodeRunTokenHandoff(t *testing.T) {
 	ids := []string{"a", "b", "c"}
-	h := startCluster(t, ids, false, nil)
+	h := startCluster(t, ids, false, windowOf(1))
 	keys := keysByOwner(ids, 1)
 	// One write key per member, in member order: the token must visit all
 	// three nodes.
@@ -320,13 +326,14 @@ func TestCrossNodeRunTokenHandoff(t *testing.T) {
 // has applied what the sender had, so the run alternating between the
 // stamper and that follower completes with exactly one token per ownership
 // change — no token bounced back by a stale frontier — and without the
-// reconciler having to pick up a stranded run. The reconcile interval is
-// stretched so that only a run the tokens really stranded counts as stalled,
-// not one a scheduling hiccup held for 30 ms.
+// reconciler having to pick up a stranded run. One-task windows keep every
+// task after the first (committed at admission) on its owner. The reconcile
+// interval is stretched so that only a run the tokens really stranded counts
+// as stalled, not one a scheduling hiccup held for 30 ms.
 func TestTokenWaitsForSenderRecords(t *testing.T) {
 	defer cluster.SetReconcileInterval(250 * time.Millisecond)()
 	ids := []string{"a", "b", "c"}
-	h := startCluster(t, ids, false, nil)
+	h := startCluster(t, ids, false, windowOf(1))
 	stamper := cluster.NewRing(ids).Stamper()
 	recv := h.follower()
 	inner := h.slots[recv].h.Load().(handlerBox).h

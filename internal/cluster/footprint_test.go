@@ -15,13 +15,14 @@ import (
 )
 
 // replicaFootprintBudget is the live heap a journaled follower may keep per
-// applied record, in bytes: ~15 % above the 1 089 B (4 517 B per run)
-// measured when the budget was set. Before that the same stream left
-// 1 748 B (7 250 B per run): the replica also kept every record decoded in a
-// history slice — each run's spec document and init map, each entry's record
-// slot — beside the journal holding the same stream as bytes. Most of what
-// remains is the compiled spec of every run (wfjson.Build).
-const replicaFootprintBudget = 1250
+// applied record, in bytes: ~15 % above the 1 070 B (4 437 B per run)
+// measured when the budget was set, with each applied entry sharing its
+// spec's strings (internEntry; 1 089 B without). Before that the same stream
+// left 1 748 B (7 250 B per run): the replica also kept every record decoded
+// in a history slice — each run's spec document and init map, each entry's
+// record slot — beside the journal holding the same stream as bytes. Most of
+// what remains is the compiled spec of every run (wfjson.Build).
+const replicaFootprintBudget = 1230
 
 // footprintStream runs tenants × perTenant generated runs of the benchmark's
 // shape (wf.GenerateBlueprint, 8 tasks over a private 6-key pool per tenant,

@@ -45,9 +45,10 @@ func (h hooks) journalErrors(n int) { h.reg.Counter(obs.MClusterJournalErrors).A
 // 1 (idle, degenerate batch) up to the whole pending queue under load.
 var stampBatchBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
 
-func (h hooks) tokenSent()       { h.reg.Counter(obs.MClusterTokensSent).Inc() }
-func (h hooks) tokenReceived()   { h.reg.Counter(obs.MClusterTokensReceived).Inc() }
-func (h hooks) stale()           { h.reg.Counter(obs.MClusterStaleSubmissions).Inc() }
-func (h hooks) pausedKeys(n int) { h.reg.Gauge(obs.MClusterPausedKeys).Set(int64(n)) }
-func (h hooks) incident()        { h.reg.Counter(obs.MClusterIncidents).Inc() }
-func (h hooks) reconcilePickup() { h.reg.Counter(obs.MClusterReconcilePickups).Inc() }
+func (h hooks) tokenSent()          { h.reg.Counter(obs.MClusterTokensSent).Inc() }
+func (h hooks) tokenReceived()      { h.reg.Counter(obs.MClusterTokensReceived).Inc() }
+func (h hooks) stale()              { h.reg.Counter(obs.MClusterStaleSubmissions).Inc() }
+func (h hooks) pausedKeys(n int)    { h.reg.Gauge(obs.MClusterPausedKeys).Set(int64(n)) }
+func (h hooks) incident()           { h.reg.Counter(obs.MClusterIncidents).Inc() }
+func (h hooks) reconcilePickup()    { h.reg.Counter(obs.MClusterReconcilePickups).Inc() }
+func (h hooks) runDoneAtAdmission() { h.reg.Counter(obs.MClusterRunsDoneAtAdmission).Inc() }

@@ -75,10 +75,19 @@ type submitResp struct {
 	Results []SubmitResult `json:"results"`
 }
 
+// specReq registers a run; Entries is its first window, speculated at
+// admission, stamped in the spec's group (specResp.Results, one verdict per
+// entry, as /submit answers).
 type specReq struct {
-	Origin string           `json:"origin"`
-	Run    string           `json:"run"`
-	Spec   *wfjson.SpecJSON `json:"spec"`
+	Origin  string           `json:"origin"`
+	Run     string           `json:"run"`
+	Spec    *wfjson.SpecJSON `json:"spec"`
+	Entries []*EntryJSON     `json:"entries,omitempty"`
+}
+
+type specResp struct {
+	Seq     int            `json:"seq"`
+	Results []SubmitResult `json:"results,omitempty"`
 }
 
 type seqDoc struct {
@@ -302,12 +311,12 @@ func (n *Node) handleSpec(w http.ResponseWriter, r *http.Request) {
 	if !decodeInternal(w, r, &req) {
 		return
 	}
-	seq, err := n.st.SubmitSpec(req.Origin, req.Run, req.Spec)
+	seq, results, err := n.st.SubmitSpec(req.Origin, req.Run, req.Spec, req.Entries)
 	if err != nil {
 		writeMappedErr(w, err)
 		return
 	}
-	writeInternalJSON(w, http.StatusOK, seqDoc{Seq: seq})
+	writeInternalJSON(w, http.StatusOK, specResp{Seq: seq, Results: results})
 }
 
 func (n *Node) handleForge(w http.ResponseWriter, r *http.Request) {
@@ -559,10 +568,16 @@ func (c *peerClient) submitEntries(addr, origin string, entries []*EntryJSON) ([
 	return resp.Results, nil
 }
 
-func (c *peerClient) submitSpec(addr, origin, run string, doc *wfjson.SpecJSON) (int, error) {
-	var resp seqDoc
-	err := c.call(c.long, http.MethodPost, addr, "/internal/v1/spec", specReq{Origin: origin, Run: run, Spec: doc}, &resp)
-	return resp.Seq, err
+func (c *peerClient) submitSpec(addr, origin, run string, doc *wfjson.SpecJSON, entries []*EntryJSON) (int, []SubmitResult, error) {
+	var resp specResp
+	req := specReq{Origin: origin, Run: run, Spec: doc, Entries: entries}
+	if err := c.call(c.long, http.MethodPost, addr, "/internal/v1/spec", req, &resp); err != nil {
+		return 0, nil, err
+	}
+	if len(resp.Results) != len(entries) {
+		return 0, nil, fmt.Errorf("cluster: spec returned %d results for %d entries", len(resp.Results), len(entries))
+	}
+	return resp.Seq, resp.Results, nil
 }
 
 func (c *peerClient) submitForge(addr, origin, run, task string, reads []string, writes map[string]int64) (wlog.InstanceID, int, error) {

@@ -38,11 +38,12 @@ type Config struct {
 	QuiesceHold time.Duration
 	// AlertBuf bounds the incident alert queue (default 16).
 	AlertBuf int
-	// SubmitWindow bounds how many consecutive task executions the local
-	// executor speculates and submits to the stamper as one batch (default
-	// 32; 1 restores per-record submission). The window never crosses an
-	// ownership change or a locally quiesced footprint, and a stale verdict
-	// rewinds it to the stamper's state.
+	// SubmitWindow bounds how many consecutive task executions a node
+	// speculates and submits to the stamper as one batch (default 32; 1
+	// restores per-record submission), the admission window a registration
+	// carries included. An executor's window never crosses an ownership
+	// change, no window crosses a locally quiesced footprint, and a stale
+	// verdict rewinds a window to the stamper's state.
 	SubmitWindow int
 	// Registry receives the cluster metrics (nil disables them).
 	Registry *obs.Registry
@@ -51,8 +52,8 @@ type Config struct {
 // Node is one member of the networked deployment: a full replica of the
 // record stream plus the executor, replication and incident machinery. It
 // implements the httpapi Backend/ChaosBackend surfaces, so any node is a
-// complete client entry point; the node owning a run's current task is the
-// one that actually executes it.
+// complete client entry point. The admission node executes a run's first
+// window; from there the node owning the run's current task continues it.
 type Node struct {
 	cfg     Config
 	ring    *Ring
@@ -393,48 +394,66 @@ func (n *Node) runLoop(run string) {
 	}
 }
 
-// executeWindow speculates up to Config.SubmitWindow consecutive task
-// executions from the local replica's state and submits them to the
-// stamper as one batch — the pipelined commit path. Later window entries
-// read earlier entries' writes through an overlay whose WriterPos is the
-// predicted dense LSN; if any foreign record interleaves at the stamper,
-// its OCC check fails the window's tail as stale and the executor rewinds
-// to the replica (the window's head always commits, so progress is
+// executeWindow speculates a window of the run from its frontier on the
+// local replica and submits it to the stamper as one batch — the pipelined
+// commit path. If a foreign record changed what the window read, the
+// stamper's OCC check fails the window's tail as stale and the executor
+// rewinds to the replica (the window's head always commits, so progress is
 // guaranteed exactly as with per-record submission). It returns false when
 // the window must be retried after a pause (submission error or quiesced
 // footprint).
 func (n *Node) executeWindow(run string, spec *wf.Spec, cur wf.TaskID, visit int) bool {
-	window := n.cfg.SubmitWindow
 	visits, ok := n.rep.RunVisits(run)
 	if !ok {
 		return false
 	}
-	nextLSN := n.rep.NextLSN()
+	batch := n.speculate(run, spec, cur, visit, visits, n.rep.currentObs, true)
+	if len(batch) == 0 {
+		return false
+	}
+	results, err := n.submitEntries(batch)
+	if err != nil || len(results) == 0 {
+		return false
+	}
+	maxSeq, committed, paused := n.settle(results)
+	// Catch the local replica up to the stamper's position before reading
+	// the next frontier (also how a stale executor recomputes correctly).
+	ctx, cancel := context.WithTimeout(n.stopCtx, 5*time.Second)
+	defer cancel()
+	_ = n.rep.WaitApplied(ctx, maxSeq)
+	return !paused || committed > 0
+}
+
+// speculate executes up to Config.SubmitWindow consecutive tasks of a run
+// from cur#visit — the one speculation loop behind both the executor's
+// windows and the admission window. A task reads the window's own earlier
+// writes through an overlay, and base, the committed observation, for every
+// other key; visits (the run's committed visit counts) is extended in place.
+// An overlay read names its in-window writer but no position: the stamper
+// reads it at the LSN that writer gets (rebaseWindowReads). The window stops
+// at the run's end and at a task this node's gate blocks; with owned set,
+// also at any task after the head that another node owns (the head itself
+// was ownership-checked by runLoop, or runs here because its owner is
+// unreachable).
+func (n *Node) speculate(run string, spec *wf.Spec, cur wf.TaskID, visit int, visits visitCounts,
+	base func(data.Key) wlog.ReadObs, owned bool) []*EntryJSON {
+	window := n.cfg.SubmitWindow
 	overlay := make(map[string]ReadObsJSON)
 	batch := make([]*EntryJSON, 0, window)
-	wcur, wvisit := cur, visit
 	for len(batch) < window {
-		task := spec.Tasks[wcur]
-		if task == nil {
+		task := spec.Tasks[cur]
+		if task == nil || n.gateBlocked(task) {
 			break
 		}
-		if len(batch) > 0 {
-			// The window's head was already gated and ownership-checked by
-			// runLoop; extensions stop at any boundary the head would have
-			// blocked on instead of stalling the whole batch.
-			if n.ring.OwnerOfTask(run, spec, wcur) != n.cfg.NodeID {
-				break
-			}
-			if n.gateBlocked(task) {
-				break
-			}
+		if owned && len(batch) > 0 && n.ring.OwnerOfTask(run, spec, cur) != n.cfg.NodeID {
+			break
 		}
 		reads := make(map[string]ReadObsJSON, len(task.Reads))
 		vals := make(map[data.Key]data.Value, len(task.Reads))
 		for _, k := range task.Reads {
 			o, ok := overlay[string(k)]
 			if !ok {
-				c := n.rep.currentObs(k)
+				c := base(k)
 				o = ReadObsJSON{Value: int64(c.Value), Writer: c.Writer, WriterPos: c.WriterPos}
 			}
 			reads[string(k)] = o
@@ -455,65 +474,51 @@ func (n *Node) executeWindow(run string, spec *wf.Spec, cur wf.TaskID, visit int
 		if len(task.Next) > 1 {
 			chosen = string(task.Choose(vals))
 		}
-		ej := &EntryJSON{
+		batch = append(batch, &EntryJSON{
 			Run:    run,
-			Task:   string(wcur),
-			Visit:  wvisit,
+			Task:   string(cur),
+			Visit:  visit,
 			Reads:  reads,
 			Writes: written,
 			Chosen: chosen,
-		}
-		batch = append(batch, ej)
-		inst := wlog.FormatInstance(run, wcur, wvisit)
+		})
+		inst := wlog.FormatInstance(run, cur, visit)
 		for k, v := range written {
-			overlay[k] = ReadObsJSON{Value: v, Writer: string(inst), WriterPos: float64(nextLSN)}
+			overlay[k] = ReadObsJSON{Value: v, Writer: string(inst)}
 		}
-		visits.set(wcur, wvisit)
-		nextLSN++
+		visits.set(cur, visit)
 		if len(task.Next) == 0 {
 			break // the run completes inside this window
 		}
 		if len(task.Next) == 1 {
-			wcur = task.Next[0]
+			cur = task.Next[0]
 		} else {
-			wcur = wf.TaskID(chosen)
+			cur = wf.TaskID(chosen)
 		}
-		wvisit = visits.get(wcur) + 1
+		visit = visits.get(cur) + 1
 	}
-	if len(batch) == 0 {
-		return false
-	}
-	results, err := n.submitEntries(batch)
-	if err != nil || len(results) == 0 {
-		return false
-	}
-	maxSeq, committed := 0, 0
-	paused := false
+	return batch
+}
+
+// settle reads the stamper's verdicts on a window: the highest seq they
+// name up to the first rejection (the position to catch the replica up
+// to), how many entries committed before it, and whether it was a pause.
+// A stale verdict counts once: every later entry depended on the rejected
+// one and was rejected with it.
+func (n *Node) settle(results []SubmitResult) (maxSeq, committed int, paused bool) {
 	for _, res := range results {
-		if res.Seq > maxSeq {
-			maxSeq = res.Seq
-		}
+		maxSeq = max(maxSeq, res.Seq)
 		if res.Status == SubOK || res.Status == SubDup {
 			committed++
 			continue
 		}
 		if res.Status == SubStale {
-			// Rewind: everything from here depends on a rejected entry and
-			// was (or will be) rejected with it. Re-derive from the replica.
 			n.o.stale()
 		}
 		paused = res.Status == SubPaused
 		break
 	}
-	// Catch the local replica up to the stamper's position before reading
-	// the next frontier (also how a stale executor recomputes correctly).
-	ctx, cancel := context.WithTimeout(n.stopCtx, 5*time.Second)
-	defer cancel()
-	_ = n.rep.WaitApplied(ctx, maxSeq)
-	if paused && committed == 0 {
-		return false
-	}
-	return true
+	return maxSeq, committed, paused
 }
 
 // gateBlocked is the non-blocking twin of gateWait, used when deciding
@@ -608,12 +613,12 @@ func (n *Node) submitEntries(entries []*EntryJSON) ([]SubmitResult, error) {
 	return n.client.submitEntries(n.stamperAddr(), n.cfg.NodeID, entries)
 }
 
-func (n *Node) submitSpec(run string, doc *wfjson.SpecJSON) (int, error) {
+func (n *Node) submitSpec(run string, doc *wfjson.SpecJSON, entries []*EntryJSON) (int, []SubmitResult, error) {
 	if n.st != nil {
-		return n.st.SubmitSpec(n.cfg.NodeID, run, doc)
+		return n.st.SubmitSpec(n.cfg.NodeID, run, doc, entries)
 	}
 	n.o.proxied("runs")
-	return n.client.submitSpec(n.stamperAddr(), n.cfg.NodeID, run, doc)
+	return n.client.submitSpec(n.stamperAddr(), n.cfg.NodeID, run, doc, entries)
 }
 
 func (n *Node) submitForge(run, task string, reads []string, writes map[string]int64) (wlog.InstanceID, int, error) {
@@ -633,23 +638,44 @@ func (n *Node) submitRepair(bad []string) (int, error) {
 
 // ---- httpapi.Backend ----
 
-// SubmitRunSpec registers a run through the sequencer and waits until the
-// local replica has applied it (read-your-writes for the submitting client).
+// SubmitRunSpec registers a run through the sequencer together with its
+// first window, speculated on this node's replica from the run's start, and
+// waits until the local replica has applied both (read-your-writes for the
+// submitting client). The admission window ignores task ownership — the
+// stamper's OCC makes where a task executes a latency choice — but stops at
+// this node's gate. A run the window completed is done on return; any other
+// continues through its owners (runLoop), exactly as after a stale verdict.
 func (n *Node) SubmitRunSpec(id string, doc *wfjson.SpecJSON) error {
 	if id == "" {
 		return fmt.Errorf("cluster: %w: empty run id", engine.ErrBadSpec)
 	}
-	if _, _, err := wfjson.Build(doc); err != nil {
+	spec, init, err := wfjson.Build(doc)
+	if err != nil {
 		return fmt.Errorf("cluster: %w: %v", engine.ErrBadSpec, err)
 	}
-	seq, err := n.submitSpec(id, doc)
+	// A key this replica holds no version of reads the spec's init value,
+	// as applying the spec record will install it.
+	base := func(k data.Key) wlog.ReadObs {
+		o := n.rep.currentObs(k)
+		if v, ok := init[k]; ok && o.WriterPos == wlog.MissingPos {
+			return wlog.ReadObs{Value: v, WriterPos: data.InitPos}
+		}
+		return o
+	}
+	window := n.speculate(id, spec, spec.Start, 1, nil, base, false)
+	seq, results, err := n.submitSpec(id, doc, window)
 	if err != nil {
 		return err
 	}
+	maxSeq, _, _ := n.settle(results)
 	ctx, cancel := context.WithTimeout(n.stopCtx, 10*time.Second)
 	defer cancel()
-	if err := n.rep.WaitApplied(ctx, seq); err != nil {
+	if err := n.rep.WaitApplied(ctx, max(seq, maxSeq)); err != nil {
 		return err
+	}
+	if _, _, done, _ := n.rep.Frontier(id); done {
+		n.o.runDoneAtAdmission()
+		return nil
 	}
 	n.driveRun(id, false)
 	return nil

@@ -20,6 +20,9 @@ type runState struct {
 	cur    wf.TaskID
 	visits visitCounts
 	done   bool
+	// doneAt is the seq of the record that completed the run: the run reads
+	// as done only once the published cursor covers it (RunDone).
+	doneAt int
 }
 
 // visitCounts holds one counter per task a run has executed, sorted by task:
@@ -235,6 +238,18 @@ func (r *replica) applyEntry(rec *Record) error {
 	if next := r.log.Len() + 1; e.LSN != 0 && e.LSN != next {
 		return fmt.Errorf("cluster: record %d: entry stamped with LSN %d, this log is at %d", rec.Seq, e.LSN, next)
 	}
+	var rs *runState
+	var task *wf.Task
+	if !e.Forged {
+		if rs = r.runs[e.Run]; rs == nil {
+			return fmt.Errorf("cluster: record %d: entry for unregistered run %s", rec.Seq, e.Run)
+		}
+		spec := r.specs[e.Run]
+		if task = spec.Tasks[e.Task]; task == nil {
+			return fmt.Errorf("cluster: record %d: run %s has no task %s", rec.Seq, e.Run, e.Task)
+		}
+		internEntry(e, spec, task)
+	}
 	lsn, err := r.log.Append(e)
 	if err != nil {
 		return fmt.Errorf("cluster: record %d: %w", rec.Seq, err)
@@ -246,25 +261,41 @@ func (r *replica) applyEntry(rec *Record) error {
 	if e.Forged {
 		return nil
 	}
-	rs := r.runs[e.Run]
-	if rs == nil {
-		return fmt.Errorf("cluster: record %d: entry for unregistered run %s", rec.Seq, e.Run)
-	}
-	spec := r.specs[e.Run]
-	task := spec.Tasks[e.Task]
-	if task == nil {
-		return fmt.Errorf("cluster: record %d: run %s has no task %s", rec.Seq, e.Run, e.Task)
-	}
 	rs.visits.set(e.Task, e.Visit)
 	switch {
 	case len(task.Next) == 0:
-		rs.done = true
+		rs.done, rs.doneAt = true, rec.Seq
 	case len(task.Next) == 1:
 		rs.cur = task.Next[0]
 	default:
 		rs.cur = e.Chosen
 	}
 	return nil
+}
+
+// internEntry points a committed entry's strings at its compiled spec's —
+// the run ID (when the workflow is named after the run), the task, every
+// read and write key and the chosen successor — so the log keeps no
+// per-entry copy of strings every run already holds once. Entries arrive
+// with fresh strings from JSON bodies and decoded frames alike.
+func internEntry(e *wlog.Entry, spec *wf.Spec, task *wf.Task) {
+	if e.Run == spec.Name {
+		e.Run = spec.Name
+	}
+	e.Task = task.ID
+	for i := range e.Reads {
+		if j := slices.Index(task.Reads, e.Reads[i].Key); j >= 0 {
+			e.Reads[i].Key = task.Reads[j]
+		}
+	}
+	for i := range e.Writes {
+		if j := slices.Index(task.Writes, e.Writes[i].Key); j >= 0 {
+			e.Writes[i].Key = task.Writes[j]
+		}
+	}
+	if j := slices.Index(task.Next, e.Chosen); j >= 0 {
+		e.Chosen = task.Next[j]
+	}
 }
 
 // applyRepair runs the deterministic repair at this stream position. A
@@ -297,6 +328,9 @@ func (r *replica) applyRepair(rec *Record) {
 	// one pass over it; every other run keeps its state untouched.
 	for run, f := range res.Frontiers(r.specs) {
 		rs := r.runs[run]
+		if f.Done && !rs.done {
+			rs.doneAt = rec.Seq
+		}
 		rs.cur, rs.done = f.Cur, f.Done
 		rs.visits = rs.visits[:0]
 		for _, e := range r.log.Trace(run, true) {
@@ -326,17 +360,6 @@ func (r *replica) Frontier(run string) (cur wf.TaskID, visit int, done, ok bool)
 		return "", 0, false, false
 	}
 	return rs.cur, rs.visits.get(rs.cur) + 1, rs.done, true
-}
-
-// NextLSN returns the LSN the next applied entry record will receive —
-// the executor's prediction anchor for pipelined (windowed) submission:
-// an in-window read of an earlier in-window write carries the predicted
-// WriterPos, and the stamper's OCC check rejects the window's tail if any
-// foreign record interleaved and shifted the LSNs.
-func (r *replica) NextLSN() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.log.Len() + 1
 }
 
 // RunVisits returns a copy of a run's committed visit counts (ok false when
@@ -392,7 +415,10 @@ func (r *replica) RunIDs() []string {
 	return out
 }
 
-// RunDone reports whether a run exists and has completed.
+// RunDone reports whether a run exists and has durably completed: on the
+// stamper, which applies a group before its fsync, a run whose completing
+// record is not yet published still reads as active. A follower publishes
+// on apply, so there done is done.
 func (r *replica) RunDone(run string) (done, ok bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -400,7 +426,7 @@ func (r *replica) RunDone(run string) (done, ok bool) {
 	if rs == nil {
 		return false, false
 	}
-	return rs.done, true
+	return rs.done && rs.doneAt <= r.published, true
 }
 
 // Stats returns a copy of the repair accounting.

@@ -14,9 +14,12 @@
 // two nodes that applied the same prefix hold byte-identical stores — the
 // equivalence the cluster tests assert against a single-node deployment.
 //
-// Work is partitioned by a static key-range ring: each run is owned by the
-// node owning the hash of its ID, and each task by the node owning the
-// task's first write key, so a single workflow's control token genuinely
+// A run's first window of tasks executes on the node that admits it and
+// travels with its registration, so the spec and those entries commit in one
+// stamp group. Ownership decides who continues a run that window did not
+// finish: work is partitioned by a static key-range ring — each run is owned
+// by the node owning the hash of its ID, and each task by the node owning
+// the task's first write key — so such a workflow's control token genuinely
 // travels between processes. Repairs are coordinated per incident by the
 // accused run's owner (the repair leader), which fans the damage assessment
 // out across the membership, quiesces only the nodes owning damaged keys
@@ -80,8 +83,8 @@ func (r *Ring) OwnerIndexOfRun(run string) int {
 	return r.ownerIndex(hash32(run))
 }
 
-// OwnerOfRun returns the member owning a run: its admission point, repair
-// leader and default executor.
+// OwnerOfRun returns the member owning a run: its repair leader and the
+// executor of its write-free tasks.
 func (r *Ring) OwnerOfRun(run string) string {
 	return r.ids[r.OwnerIndexOfRun(run)]
 }

@@ -44,13 +44,14 @@ type SubmitResult struct {
 // stamper re-reads its own replica and rejects any submission whose
 // observations are no longer current (the §VII merge discipline as OCC).
 //
-// Entry stamping is batch-first (the durable WAL's committer-group
+// Spec and entry stamping is batch-first (the durable WAL's committer-group
 // pattern): submitters enqueue jobs and block while a single stamping
-// goroutine drains everything pending, validates and applies each entry
+// goroutine drains everything pending, validates and applies each record
 // under one s.mu acquisition, writes the whole batch to the journal (the
 // node's durable.SegmentLog) with one write+fsync, then publishes the batch
-// to the replication cursor and wakes every submitter. SubmitEntry is the
-// degenerate one-entry batch.
+// to the replication cursor and wakes every submitter. A registration is a
+// job whose spec record precedes its run's first window of entries, so the
+// two share a group; SubmitEntry is the degenerate one-entry batch.
 type stamper struct {
 	n  *Node
 	mu sync.Mutex
@@ -71,9 +72,12 @@ type stamper struct {
 }
 
 // stampJob is one submitter's pending batch: the stamping loop fills
-// results (one verdict per entry, in order) and closes done.
+// results (one verdict per entry, in order) and closes done. A job carrying
+// a spec record registers a run: the loop stamps the spec (setting its Seq)
+// before the job's entries, or refuses the whole job through err.
 type stampJob struct {
 	origin  string
+	spec    *Record
 	entries []*EntryJSON
 	results []SubmitResult
 	err     error
@@ -118,7 +122,7 @@ func (s *stamper) loop() {
 	}
 }
 
-// stampJobs validates, stamps and applies every entry of every job under
+// stampJobs validates, stamps and applies every record of every job under
 // one s.mu acquisition, then makes the whole group durable with a single
 // journal write+fsync before publishing it to replication.
 func (s *stamper) stampJobs(jobs []*stampJob) {
@@ -133,31 +137,55 @@ func (s *stamper) stampJobs(jobs []*stampJob) {
 	}
 	var buf []byte
 	first, stamped := 0, 0
+	stamp := func(rec *Record) error {
+		rec.Seq = s.n.rep.Applied() + 1
+		if err := s.n.rep.applyStamped(rec); err != nil {
+			return err
+		}
+		buf = encodeFramedRecord(buf, rec)
+		if stamped == 0 {
+			first = rec.Seq
+		}
+		stamped++
+		s.n.o.recordStamped(rec.Kind)
+		return nil
+	}
 	for _, job := range jobs {
+		if job.spec != nil {
+			if s.n.rep.HasRun(job.spec.Run) {
+				job.err = fmt.Errorf("cluster: run %s: %w", job.spec.Run, engine.ErrRunExists)
+				continue
+			}
+			if job.err = stamp(job.spec); job.err != nil {
+				continue
+			}
+		}
 		job.results = make([]SubmitResult, len(job.entries))
+		var lsnOf map[string]int // instance → LSN of the job's stamped entries
 		for i, ej := range job.entries {
+			rebaseWindowReads(ej, lsnOf)
 			res, admit := s.validateEntryLocked(ej)
 			if !admit {
 				job.results[i] = res
 				continue
 			}
-			rec := &Record{Seq: s.n.rep.Applied() + 1, Kind: KindEntry, Origin: job.origin, Entry: ej.ToEntry()}
-			if err := s.n.rep.applyStamped(rec); err != nil {
+			rec := &Record{Kind: KindEntry, Origin: job.origin, Entry: ej.ToEntry()}
+			if err := stamp(rec); err != nil {
 				job.results[i] = SubmitResult{Status: SubStale, Seq: s.n.rep.Applied(), Reason: err.Error()}
 				continue
 			}
-			buf = encodeFramedRecord(buf, rec)
-			if stamped == 0 {
-				first = rec.Seq
-			}
-			stamped++
-			s.n.o.recordStamped(rec.Kind)
 			job.results[i] = SubmitResult{Status: SubOK, Seq: rec.Seq}
+			if i+1 < len(job.entries) {
+				if lsnOf == nil {
+					lsnOf = make(map[string]int, len(job.entries))
+				}
+				lsnOf[string(rec.Entry.ID())] = rec.Entry.LSN
+			}
 		}
 	}
 	if stamped > 0 {
 		if err := s.commitLocked(first, stamped, buf); err != nil {
-			// None of these entries may be reported ok.
+			// None of these records may be reported ok.
 			s.mu.Unlock()
 			for _, job := range jobs {
 				job.err = err
@@ -170,6 +198,22 @@ func (s *stamper) stampJobs(jobs []*stampJob) {
 	s.mu.Unlock()
 	for _, job := range jobs {
 		close(job.done)
+	}
+}
+
+// rebaseWindowReads places each read of an entry the same job stamped before
+// it at the LSN that entry got. A window's submitter cannot know those LSNs —
+// its replica trails the stamper by whatever commits meanwhile, another
+// window speculated from the same replica position included — so its
+// in-window reads name their writer only. A job's entries are stamped
+// contiguously, so nothing else can have written the key between the two;
+// validateEntryLocked still checks the read's value and writer.
+func rebaseWindowReads(ej *EntryJSON, lsnOf map[string]int) {
+	for k, o := range ej.Reads {
+		if lsn, ok := lsnOf[o.Writer]; ok {
+			o.WriterPos = float64(lsn)
+			ej.Reads[k] = o
+		}
 	}
 }
 
@@ -252,7 +296,34 @@ func (s *stamper) SubmitEntries(origin string, entries []*EntryJSON) ([]SubmitRe
 	if len(entries) == 0 {
 		return nil, nil
 	}
-	job := &stampJob{origin: origin, entries: entries, done: make(chan struct{})}
+	return s.submit(&stampJob{origin: origin, entries: entries})
+}
+
+// SubmitSpec validates a run registration and stamps it together with the
+// run's first window of entries (speculated at admission; possibly none):
+// the spec record first, then each entry validated exactly as SubmitEntries
+// validates it, in the same group and so under the same fsync. It returns
+// the spec's seq and one verdict per entry.
+func (s *stamper) SubmitSpec(origin, run string, doc *wfjson.SpecJSON, entries []*EntryJSON) (int, []SubmitResult, error) {
+	_, init, err := wfjson.Build(doc)
+	if err != nil {
+		return 0, nil, fmt.Errorf("cluster: run %s: %w: %v", run, engine.ErrBadSpec, err)
+	}
+	initW := make(map[string]int64, len(init))
+	for k, v := range init {
+		initW[string(k)] = int64(v)
+	}
+	spec := &Record{Kind: KindSpec, Origin: origin, Run: run, Spec: doc, Init: initW}
+	results, err := s.submit(&stampJob{origin: origin, spec: spec, entries: entries})
+	if err != nil {
+		return 0, nil, err
+	}
+	return spec.Seq, results, nil
+}
+
+// submit queues one job for the stamping loop and waits for its verdicts.
+func (s *stamper) submit(job *stampJob) ([]SubmitResult, error) {
+	job.done = make(chan struct{})
 	s.qmu.Lock()
 	s.queue = append(s.queue, job)
 	s.qcond.Signal()
@@ -269,8 +340,8 @@ func (s *stamper) SubmitEntries(origin string, entries []*EntryJSON) ([]SubmitRe
 }
 
 // stampLocked assigns the next stream position to one record, applies it
-// and commits it as a group of one (one fsync) — the direct path for rare
-// control-plane records (spec, forge, repair). Callers hold s.mu.
+// and commits it as a group of one (one fsync) — the direct path for the
+// rare forge and repair records. Callers hold s.mu.
 func (s *stamper) stampLocked(rec *Record) (int, error) {
 	if s.err != nil {
 		return 0, s.err
@@ -284,24 +355,6 @@ func (s *stamper) stampLocked(rec *Record) (int, error) {
 	}
 	s.n.o.recordStamped(rec.Kind)
 	return rec.Seq, nil
-}
-
-// SubmitSpec validates and stamps a run registration.
-func (s *stamper) SubmitSpec(origin, run string, doc *wfjson.SpecJSON) (int, error) {
-	_, init, err := wfjson.Build(doc)
-	if err != nil {
-		return 0, fmt.Errorf("cluster: run %s: %w: %v", run, engine.ErrBadSpec, err)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.n.rep.HasRun(run) {
-		return 0, fmt.Errorf("cluster: run %s: %w", run, engine.ErrRunExists)
-	}
-	initW := make(map[string]int64, len(init))
-	for k, v := range init {
-		initW[string(k)] = int64(v)
-	}
-	return s.stampLocked(&Record{Kind: KindSpec, Origin: origin, Run: run, Spec: doc, Init: initW})
 }
 
 // SubmitEntry validates an executor's optimistic submission and stamps it —

@@ -74,20 +74,21 @@ const (
 	MHTTPRequestSeconds = "http_request_seconds"
 
 	// internal/cluster — the networked multi-node deployment (§VII).
-	MClusterRecordsStamped    = "cluster_records_stamped_total"
-	MClusterRecordsApplied    = "cluster_records_applied"
-	MClusterReplicationErrors = "cluster_replication_errors_total"
-	MClusterReplicationLag    = "cluster_replication_lag"
-	MClusterProxied           = "cluster_proxied_requests_total"
-	MClusterTokensSent        = "cluster_tokens_sent_total"
-	MClusterTokensReceived    = "cluster_tokens_received_total"
-	MClusterStaleSubmissions  = "cluster_stale_submissions_total"
-	MClusterPausedKeys        = "cluster_paused_keys"
-	MClusterIncidents         = "cluster_incidents_total"
-	MClusterStampBatchSize    = "cluster_stamp_batch_size"
-	MClusterReplicationBytes  = "cluster_replication_bytes_total"
-	MClusterJournalErrors     = "cluster_journal_errors_total"
-	MClusterReconcilePickups  = "cluster_reconcile_pickups_total"
+	MClusterRecordsStamped      = "cluster_records_stamped_total"
+	MClusterRecordsApplied      = "cluster_records_applied"
+	MClusterReplicationErrors   = "cluster_replication_errors_total"
+	MClusterReplicationLag      = "cluster_replication_lag"
+	MClusterProxied             = "cluster_proxied_requests_total"
+	MClusterTokensSent          = "cluster_tokens_sent_total"
+	MClusterTokensReceived      = "cluster_tokens_received_total"
+	MClusterStaleSubmissions    = "cluster_stale_submissions_total"
+	MClusterPausedKeys          = "cluster_paused_keys"
+	MClusterIncidents           = "cluster_incidents_total"
+	MClusterStampBatchSize      = "cluster_stamp_batch_size"
+	MClusterReplicationBytes    = "cluster_replication_bytes_total"
+	MClusterJournalErrors       = "cluster_journal_errors_total"
+	MClusterReconcilePickups    = "cluster_reconcile_pickups_total"
+	MClusterRunsDoneAtAdmission = "cluster_runs_done_at_admission_total"
 
 	// internal/durable — the segmented write-ahead log (Ancora/PAPERS.md).
 	MWalFsyncSeconds    = "wal_fsync_seconds"
@@ -180,10 +181,11 @@ func Catalog() []Def {
 		{MClusterStaleSubmissions, "counter", "—", "§VII", "Optimistic task submissions rejected by the sequencer (frontier or read set no longer current)."},
 		{MClusterPausedKeys, "gauge", "—", "§IV", "Store keys currently quiesced by an incident's partial quiescence."},
 		{MClusterIncidents, "counter", "—", "§IV", "Damage incidents this node led through assess, quiesce and repair."},
-		{MClusterStampBatchSize, "histogram", "—", "§VII", "Entries stamped per group-commit batch (one journal fsync amortized across each batch)."},
+		{MClusterStampBatchSize, "histogram", "—", "§VII", "Records (specs and entries) stamped per group-commit batch (one journal fsync amortized across each batch)."},
 		{MClusterReplicationBytes, "counter", "—", "§VII", "Binary replication body bytes, labeled by direction (dir=in received, dir=out sent)."},
 		{MClusterJournalErrors, "counter", "—", "§VII", "Record-journal append failures (the replica stays ahead of its journal; -join catch-up heals the gap)."},
 		{MClusterReconcilePickups, "counter", "—", "§VII", "Stalled runs the reconciler started a driver for (no token moved them for a whole reconcile interval)."},
+		{MClusterRunsDoneAtAdmission, "counter", "—", "§VII", "Runs this node registered whose first window, stamped in the spec's group, completed them (no token, no further submission)."},
 		{MWalFsyncSeconds, "histogram", "—", "§I", "Wall-clock latency of one group-commit fsync."},
 		{MWalGroupEntries, "histogram", "—", "§II.A", "Records made durable by one fsync (the achieved group-commit fold)."},
 		{MWalAppendedBytes, "counter", "—", "§II.A", "Bytes appended to WAL segments."},

@@ -35,6 +35,13 @@ if grep -rnE --include='*.go' --exclude='*_test.go' '^[[:space:]]+[A-Za-z_][A-Za
     exit 1
 fi
 
+# A cluster run's registration carries its first window (docs/CLUSTER.md
+# "Pipelined execution"): the fast path commits a whole run in the spec's
+# stamp group, windows speculated from one replica position both commit,
+# and a window cut short by a stale read or a quiesced key falls back to
+# the owners with the same store.
+go test -race -count=20 -run '^(TestRunCommitsAtAdmission|TestAdmissionWindowsFromOnePosition|TestAdmissionWindowFallsBack)$' ./internal/cluster/
+
 # No-map-per-entry gate: a committed instance's reads and writes live in
 # sorted slices (wlog.Entry). Outside tests the map shape may appear only in
 # the helper that converts it.

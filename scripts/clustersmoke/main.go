@@ -4,8 +4,9 @@
 // real processes:
 //
 //  1. submit a 3-task workflow through a follower whose tasks' write keys
-//     are owned by three different nodes (the control token crosses every
-//     process), and wait for it to complete;
+//     are owned by three different nodes — the follower speculates the
+//     whole run at admission, so it commits in its spec's stamp group —
+//     and wait for it to complete;
 //  2. snapshot the byte-exact /api/v1/store of every node as the baseline;
 //  3. inject a forged commit corrupting the workflow's data and report it,
 //     both through a follower (submission proxying + leader routing);
@@ -21,9 +22,11 @@
 //     frames are in flight to it — then keep submitting: the survivors
 //     commit everything, the rejoined node replays its (possibly torn)
 //     binary journal, catches up with -join, and converges byte-identically;
-//  8. drive a long owner-contiguous chain run so the pipelined executors
-//     form real multi-entry windows across processes, and require the
-//     final stores byte-identical with the chain's last value in place.
+//  8. drive a chain run of three 12-task owner segments, longer than the
+//     default 32-task window: its first 32 tasks commit at admission, and
+//     its tail forms an owner window in another process, reached by a
+//     control token the admission node hands off; require the final
+//     stores byte-identical with the chain's last value in place.
 //
 // Exits 0 and prints "CLUSTER SMOKE OK" on success; any deviation is fatal.
 //
@@ -262,20 +265,23 @@ func (s *smoke) batchedCommitStorm() {
 	}
 }
 
-// windowedChainRun submits a long chain whose write keys come in
-// owner-contiguous segments, so each node's pipelined executor forms real
-// multi-entry submission windows across process boundaries.
+// windowedChainRun submits a 36-task chain whose write keys come in
+// owner-contiguous 12-task segments (a's, b's, c's) through follower b: the
+// admission window takes the first 32 tasks, and the last 4, owned by c,
+// form a multi-entry window on c after b hands it the control token.
 func (s *smoke) windowedChainRun(ring *cluster.Ring) {
+	const perOwner = 12
 	segment := map[string][]string{}
-	for i := 0; shortestSeg(segment) < 6; i++ {
+	for i := 0; shortestSeg(segment) < perOwner; i++ {
 		k := fmt.Sprintf("wk%04d", i)
 		owner := ring.OwnerOfKey(data.Key(k))
 		segment[owner] = append(segment[owner], k)
 	}
 	var chain []string
 	for _, id := range ids {
-		chain = append(chain, segment[id][:6]...)
+		chain = append(chain, segment[id][:perOwner]...)
 	}
+	tokens := s.counter("b", "cluster_tokens_sent_total")
 	spec := wfjson.SpecJSON{Name: "windowed", Start: "t0"}
 	for i, k := range chain {
 		tj := wfjson.TaskJSON{ID: fmt.Sprintf("t%d", i), Writes: []string{k}, Bias: int64(i + 1)}
@@ -316,6 +322,16 @@ func (s *smoke) windowedChainRun(ring *cluster.Ring) {
 	if snap[chain[len(chain)-1]] == 0 {
 		log.Fatalf("windowed chain's last key %s missing from store", chain[len(chain)-1])
 	}
+	if got := s.counter("b", "cluster_tokens_sent_total"); got <= tokens {
+		log.Fatalf("the windowed chain's tail never left the admission node (b sent %v tokens, %v before)", got, tokens)
+	}
+}
+
+// counter reads one metric from a node's /varz document (0 when unset).
+func (s *smoke) counter(id, name string) float64 {
+	var varz map[string]float64
+	s.get(id, "/varz", &varz)
+	return varz[name]
 }
 
 func shortestSeg(m map[string][]string) int {
