@@ -407,7 +407,8 @@ func TestBootAndSubmitValidation(t *testing.T) {
 // The acceptance criterion: generated attack schedules driven through a
 // follower node of a 3-node cluster must satisfy every fuzz oracle — the
 // repaired store equals the attack-free single-node execution — and all
-// replicas must end byte-identical.
+// replicas must end byte-identical, each with an active-run set equal to a
+// full scan of its runs and an intern table no path has written into.
 func TestClusterFuzzEquivalence(t *testing.T) {
 	ids := []string{"a", "b", "c"}
 	for seed := int64(1); seed <= 3; seed++ {
@@ -424,6 +425,11 @@ func TestClusterFuzzEquivalence(t *testing.T) {
 				t.Errorf("oracle %s: %s", v.Oracle, v.Detail)
 			}
 			h.assertStoresIdentical()
+			for _, id := range ids {
+				if err := h.nodes[id].CheckReplica(); err != nil {
+					t.Errorf("node %s: %v", id, err)
+				}
+			}
 		})
 	}
 }

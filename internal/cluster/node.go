@@ -649,7 +649,7 @@ func (n *Node) SubmitRunSpec(id string, doc *wfjson.SpecJSON) error {
 	if id == "" {
 		return fmt.Errorf("cluster: %w: empty run id", engine.ErrBadSpec)
 	}
-	spec, init, err := wfjson.Build(doc)
+	spec, init, err := wfjson.BuildIn(n.rep.tab, doc)
 	if err != nil {
 		return fmt.Errorf("cluster: %w: %v", engine.ErrBadSpec, err)
 	}

@@ -86,6 +86,14 @@ type replica struct {
 	store *data.Store
 	specs map[string]*wf.Spec
 	runs  map[string]*runState
+	// active holds the runs not done, kept wherever a runState's done
+	// changes (applySpec, applyEntry, applyRepair), so ActiveRuns costs the
+	// active runs and not every run ever registered.
+	active map[string]struct{}
+	// tab is this replica's intern table: every spec compiled here (applied,
+	// speculated at admission, or validated by the stamper) shares its
+	// strings, lists, compute bodies and footprint with the other runs'.
+	tab *wf.Interner
 
 	ropts recovery.Options
 	stats repairStats
@@ -93,10 +101,12 @@ type replica struct {
 
 func newReplica() *replica {
 	r := &replica{
-		log:   wlog.New(),
-		store: data.NewStore(),
-		specs: make(map[string]*wf.Spec),
-		runs:  make(map[string]*runState),
+		log:    wlog.New(),
+		store:  data.NewStore(),
+		specs:  make(map[string]*wf.Spec),
+		runs:   make(map[string]*runState),
+		active: make(map[string]struct{}),
+		tab:    wf.NewInterner(),
 		// Parallel=1 pins the repair schedule: every replica computes the
 		// identical result at the identical stream position.
 		ropts: recovery.Options{Parallel: 1},
@@ -206,7 +216,7 @@ func (r *replica) applyLocked(rec *Record) (applied bool, err error) {
 }
 
 func (r *replica) applySpec(rec *Record) error {
-	spec, init, err := wfjson.Build(rec.Spec)
+	spec, init, err := wfjson.BuildIn(r.tab, rec.Spec)
 	if err != nil {
 		return fmt.Errorf("cluster: record %d spec: %w", rec.Seq, err)
 	}
@@ -223,6 +233,7 @@ func (r *replica) applySpec(rec *Record) error {
 	}
 	r.specs[rec.Run] = spec
 	r.runs[rec.Run] = &runState{cur: spec.Start}
+	r.active[rec.Run] = struct{}{}
 	return nil
 }
 
@@ -265,6 +276,7 @@ func (r *replica) applyEntry(rec *Record) error {
 	switch {
 	case len(task.Next) == 0:
 		rs.done, rs.doneAt = true, rec.Seq
+		delete(r.active, e.Run)
 	case len(task.Next) == 1:
 		rs.cur = task.Next[0]
 	default:
@@ -332,6 +344,11 @@ func (r *replica) applyRepair(rec *Record) {
 			rs.doneAt = rec.Seq
 		}
 		rs.cur, rs.done = f.Cur, f.Done
+		if f.Done {
+			delete(r.active, run)
+		} else {
+			r.active[run] = struct{}{}
+		}
 		rs.visits = rs.visits[:0]
 		for _, e := range r.log.Trace(run, true) {
 			if e.Visit > rs.visits.get(e.Task) {
@@ -393,11 +410,9 @@ func (r *replica) HasRun(run string) bool {
 func (r *replica) ActiveRuns() []string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var out []string
-	for id, rs := range r.runs {
-		if !rs.done {
-			out = append(out, id)
-		}
+	out := make([]string, 0, len(r.active))
+	for id := range r.active {
+		out = append(out, id)
 	}
 	sort.Strings(out)
 	return out
@@ -443,7 +458,7 @@ func (r *replica) Snapshot() map[data.Key]data.Value {
 	return r.store.Snapshot()
 }
 
-// CheckIndex re-validates the store's writer index.
+// CheckIndex re-validates the store's chains (order, unique positions).
 func (r *replica) CheckIndex() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -148,3 +148,54 @@ func TestVisitCountsSorted(t *testing.T) {
 		t.Fatalf("get: c=%d b=%d, want 5 and 0", v.get("c"), v.get("b"))
 	}
 }
+
+// TestActiveRunsMatchFullScan: the active-run set follows every change of a
+// run's done flag — registration, an entry completing a run, and a repair
+// resync that completes one — and equals a scan of every registered run
+// after each record. r5 took the forged branch (t0 → hi → hi2) and stands at
+// hi2; the corrected x takes t0 → lo, an end, within the two actions r5 had
+// committed, so the repair completes it. r6 completes on its own. The
+// stream's other runs stay active, as repairStream describes.
+func TestActiveRunsMatchFullScan(t *testing.T) {
+	forged := wlog.ReadObs{Value: 999, Writer: "attacker/evil#1", WriterPos: 1}
+	choice := wfjson.TaskJSON{ID: "t0", Reads: []string{"x"}, Writes: []string{"p"}, Next: []string{"lo", "hi"}, Bias: 1,
+		Choose: &wfjson.ChooseJSON{Key: "x", Threshold: 500, Low: "lo", High: "hi"}}
+	more := []Record{
+		{Kind: KindSpec, Run: "r5", Spec: &wfjson.SpecJSON{Name: "r5", Start: "t0", Tasks: []wfjson.TaskJSON{choice,
+			{ID: "lo", Writes: []string{"q"}}, {ID: "hi", Writes: []string{"s"}, Next: []string{"hi2"}}, {ID: "hi2", Writes: []string{"u"}}}}},
+		{Kind: KindEntry, Entry: &wlog.Entry{Run: "r5", Task: "t0", Visit: 1, Chosen: "hi",
+			Reads: wlog.ReadsOf(map[data.Key]wlog.ReadObs{"x": forged}), Writes: wlog.WritesOf(map[data.Key]data.Value{"p": 1000})}},
+		{Kind: KindEntry, Entry: &wlog.Entry{Run: "r5", Task: "hi", Visit: 1, Writes: wlog.WritesOf(map[data.Key]data.Value{"s": 1})}},
+		{Kind: KindSpec, Run: "r6", Spec: &wfjson.SpecJSON{Name: "r6", Start: "t0", Tasks: []wfjson.TaskJSON{{ID: "t0", Writes: []string{"v"}}}}},
+		{Kind: KindEntry, Entry: &wlog.Entry{Run: "r6", Task: "t0", Visit: 1, Writes: wlog.WritesOf(map[data.Key]data.Value{"v": 0})}},
+	}
+	base := repairStream()
+	recs := append(append(base[:len(base)-1:len(base)-1], more...), base[len(base)-1])
+	rep := newReplica()
+	for i := range recs {
+		recs[i].Seq = i + 1
+		if e := recs[i].Entry; e != nil {
+			e.LSN = 0 // the replica assigns them; the spliced stream moved some
+		}
+		if ok, err := rep.Apply(&recs[i]); !ok || err != nil {
+			t.Fatalf("record %d: applied %v, %v", i+1, ok, err)
+		}
+		if err := rep.checkActive(); err != nil {
+			t.Fatalf("after record %d (%s): %v", i+1, recs[i].Kind, err)
+		}
+		if i == len(recs)-2 {
+			if got, want := rep.ActiveRuns(), []string{"r1", "r2", "r3", "r4", "r5"}; !reflect.DeepEqual(got, want) {
+				t.Fatalf("ActiveRuns before the repair = %v, want %v", got, want)
+			}
+		}
+	}
+	if done, _ := rep.RunDone("r5"); !done {
+		t.Fatal("the repair did not complete r5 on its corrected path")
+	}
+	if got, want := rep.ActiveRuns(), []string{"r1", "r2", "r3", "r4"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("ActiveRuns = %v, want %v", got, want)
+	}
+	if err := rep.tab.Check(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -305,7 +305,7 @@ func (s *stamper) SubmitEntries(origin string, entries []*EntryJSON) ([]SubmitRe
 // validates it, in the same group and so under the same fsync. It returns
 // the spec's seq and one verdict per entry.
 func (s *stamper) SubmitSpec(origin, run string, doc *wfjson.SpecJSON, entries []*EntryJSON) (int, []SubmitResult, error) {
-	_, init, err := wfjson.Build(doc)
+	_, init, err := wfjson.BuildIn(s.n.rep.tab, doc)
 	if err != nil {
 		return 0, nil, fmt.Errorf("cluster: run %s: %w: %v", run, engine.ErrBadSpec, err)
 	}

@@ -8,16 +8,15 @@
 // history without blocking on anti-flow and output dependencies, the
 // multi-version effect discussed in §III.D.
 //
-// The store keeps a writer → key index alongside the chains, so the undo
-// primitive (DeleteWrites, VersionsBy) costs O(versions by that writer)
-// instead of a scan over every chain in the store — the difference between
-// an undo set staging in microseconds and one that stalls the repair on a
-// large store.
+// The store keeps the chains and nothing beside them. The undo primitive
+// (DeleteWrites, VersionsBy) takes the writer's keys from the caller — the
+// log entry of the undone instance lists exactly the keys it wrote — so it
+// costs O(the writer's chains) without a writer → key index that would list
+// every committed instance's keys a second time.
 package data
 
 import (
 	"fmt"
-	"maps"
 	"slices"
 	"sort"
 	"strings"
@@ -59,34 +58,28 @@ type Version struct {
 // call NewStore. Store is safe for concurrent use.
 type Store struct {
 	mu     sync.RWMutex
-	chains map[Key][]Version // ascending Pos
-	// writers[w] lists the key of every version written by w, one element
-	// per version. The index makes DeleteWrites/VersionsBy proportional to
-	// the writer's own version count. A multiset (a key may repeat) because
-	// a replay pass may transiently hold two versions of one writer on one
-	// key (an original commit plus its repositioned re-execution). The
-	// slices are never modified in place — indexAdd and indexDrop install a
-	// fresh one — so Clone shares them with the copy instead of allocating
-	// per writer.
-	writers map[string][]Key
+	chains map[Key][]Version // strictly ascending Pos
+}
+
+// WriterKeys names one writer's versions for an undo: the writer and the
+// keys it wrote (its log entry's write set). A key may repeat; the second
+// visit finds nothing left to remove.
+type WriterKeys struct {
+	Writer string
+	Keys   []Key
 }
 
 // NewStore returns an empty store.
 func NewStore() *Store {
-	return &Store{
-		chains:  make(map[Key][]Version),
-		writers: make(map[string][]Key),
-	}
+	return &Store{chains: make(map[Key][]Version)}
 }
 
 // NewStoreFromChains builds a store directly from prebuilt version chains,
 // taking ownership of the map and its slices. Chains must be non-empty and
-// strictly ascending by position; the writer index is derived in one pass.
-// This is the bulk-install path of the durable restore: replay workers
-// materialize chains outside the store (no per-write lock traffic), then the
-// whole state is installed at once.
+// strictly ascending by position. This is the bulk-install path of the
+// durable restore: replay workers materialize chains outside the store (no
+// per-write lock traffic), then the whole state is installed at once.
 func NewStoreFromChains(chains map[Key][]Version) (*Store, error) {
-	s := NewStore()
 	for k, chain := range chains {
 		if len(chain) == 0 {
 			return nil, fmt.Errorf("data: empty chain for %q", k)
@@ -96,11 +89,12 @@ func NewStoreFromChains(chains map[Key][]Version) (*Store, error) {
 				return nil, fmt.Errorf("data: chain %q not ascending at index %d (%g after %g)",
 					k, i, v.Pos, chain[i-1].Pos)
 			}
-			s.indexAdd(v.Writer, k)
 		}
-		s.chains[k] = chain
 	}
-	return s, nil
+	if chains == nil {
+		chains = make(map[Key][]Version)
+	}
+	return &Store{chains: chains}, nil
 }
 
 // ChainsCopy returns a deep copy of every version chain, keyed by object —
@@ -115,36 +109,6 @@ func (s *Store) ChainsCopy() map[Key][]Version {
 		out[k] = cp
 	}
 	return out
-}
-
-// indexAdd records one version by writer w on key k. Callers hold mu.
-func (s *Store) indexAdd(w string, k Key) {
-	if w == "" {
-		return
-	}
-	ks := s.writers[w]
-	s.writers[w] = append(ks[:len(ks):len(ks)], k) // clamped: always a fresh array
-}
-
-// indexDrop removes n versions by writer w on key k. Callers hold mu.
-func (s *Store) indexDrop(w string, k Key, n int) {
-	if w == "" || n == 0 {
-		return
-	}
-	ks := s.writers[w]
-	var out []Key
-	for _, x := range ks {
-		if x == k && n > 0 {
-			n--
-			continue
-		}
-		out = append(out, x)
-	}
-	if len(out) == 0 {
-		delete(s.writers, w)
-	} else {
-		s.writers[w] = out
-	}
 }
 
 // Init installs an initial version (position InitPos, no writer) for key k.
@@ -167,7 +131,6 @@ func (s *Store) Write(k Key, v Value, pos float64, writer string, recovery bool)
 	// Fast path: appends are almost always in increasing position order.
 	if n := len(chain); n == 0 || chain[n-1].Pos < pos {
 		s.chains[k] = append(chain, ver)
-		s.indexAdd(writer, k)
 		return
 	}
 	i := sort.Search(len(chain), func(i int) bool { return chain[i].Pos >= pos })
@@ -179,7 +142,6 @@ func (s *Store) Write(k Key, v Value, pos float64, writer string, recovery bool)
 	copy(chain[i+1:], chain[i:])
 	chain[i] = ver
 	s.chains[k] = chain
-	s.indexAdd(writer, k)
 }
 
 // Get returns the latest version of k. ok is false when k has no versions.
@@ -220,11 +182,10 @@ func (s *Store) GetBefore(k Key, pos float64) (Version, bool) {
 // remove it. Chains that have degenerated into runs of duplicate compaction
 // boundaries (possible when differently-compacted stores are merged through
 // AdoptChains) collapse to the single latest boundary, and keys whose chains
-// empty out are dropped from the store. The writer index is kept consistent
-// throughout. What is discarded leaves the heap: a compacted chain moves to
-// an array of its new length — the old one would keep its peak capacity and,
-// past its length, the dropped versions' writer strings — and the writer
-// index is rebuilt, since a Go map keeps its peak size after deletes.
+// empty out are dropped from the store. What is discarded leaves the heap: a
+// compacted chain moves to an array of its new length — the old one would
+// keep its peak capacity and, past its length, the dropped versions' writer
+// strings.
 func (s *Store) CompactBefore(horizon float64) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -241,9 +202,6 @@ func (s *Store) CompactBefore(horizon float64) int {
 			}
 		}
 		if keep > 0 {
-			for _, v := range chain[:keep] {
-				s.indexDrop(v.Writer, k, 1)
-			}
 			n += keep
 			chain = slices.Clone(chain[keep:])
 		}
@@ -254,7 +212,6 @@ func (s *Store) CompactBefore(horizon float64) int {
 		// Collapse leading duplicate boundaries: only the latest carries
 		// information.
 		for len(chain) >= 2 && chain[0].Checkpoint && chain[1].Checkpoint {
-			s.indexDrop(chain[0].Writer, k, 1)
 			n++
 			chain = chain[1:]
 		}
@@ -263,13 +220,6 @@ func (s *Store) CompactBefore(horizon float64) int {
 			continue
 		}
 		s.chains[k] = chain
-	}
-	if n > 0 {
-		writers := make(map[string][]Key, len(s.writers))
-		for w, ks := range s.writers {
-			writers[w] = ks
-		}
-		s.writers = writers
 	}
 	return n
 }
@@ -315,52 +265,50 @@ func (s *Store) VersionAt(k Key, pos float64) (Version, bool) {
 	return Version{}, false
 }
 
-// DeleteWrites removes every version written by the given writer and returns
-// how many versions were deleted. This is the undo(t) primitive: deleting a
-// task's versions exposes the last version before it, for every object it
-// wrote. Checkpoint versions are preserved (the history beneath a compaction
-// boundary is gone; removing the boundary would corrupt the chain), and keys
-// whose chains empty out are dropped. Cost is proportional to the writer's
-// own chains via the writer index, not to the store size.
-func (s *Store) DeleteWrites(writer string) int {
+// DeleteWrites removes every version the given writer wrote on keys and
+// returns how many versions were deleted. This is the undo(t) primitive:
+// deleting a task's versions exposes the last version before it, for every
+// object it wrote. keys is the writer's write set, as its log entry lists
+// it; versions on other keys are not looked at. Checkpoint versions are
+// preserved (the history beneath a compaction boundary is gone; removing the
+// boundary would corrupt the chain), and keys whose chains empty out are
+// dropped. Cost is proportional to the listed chains, not to the store size.
+func (s *Store) DeleteWrites(writer string, keys []Key) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.deleteWritesLocked(writer)
+	return s.deleteWritesLocked(writer, keys)
 }
 
 // DeleteWritesBatch removes the versions of every listed writer in one lock
 // acquisition — the undo-group staging path of the recovery executor.
-func (s *Store) DeleteWritesBatch(writers []string) int {
+func (s *Store) DeleteWritesBatch(undo []WriterKeys) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var n int
-	for _, w := range writers {
-		n += s.deleteWritesLocked(w)
+	for _, u := range undo {
+		n += s.deleteWritesLocked(u.Writer, u.Keys)
 	}
 	return n
 }
 
-func (s *Store) deleteWritesLocked(writer string) int {
+func (s *Store) deleteWritesLocked(writer string, keys []Key) int {
 	var n int
-	// The listed slice is immutable (indexDrop installs a new one), so it
-	// can be walked while the index changes; a repeated key finds nothing
-	// left to remove the second time.
-	for _, k := range s.writers[writer] {
-		chain := s.chains[k]
+	for _, k := range keys {
+		chain, ok := s.chains[k]
+		if !ok {
+			continue
+		}
 		out := chain[:0]
-		removed := 0
 		for _, v := range chain {
 			if v.Writer == writer && !v.Checkpoint {
-				removed++
 				continue
 			}
 			out = append(out, v)
 		}
-		if removed == 0 {
+		if len(out) == len(chain) {
 			continue
 		}
-		n += removed
-		s.indexDrop(writer, k, removed)
+		n += len(chain) - len(out)
 		if len(out) == 0 {
 			delete(s.chains, k)
 		} else {
@@ -408,7 +356,6 @@ func (s *Store) deleteRecoveryLocked(k Key) int {
 	var n int
 	for _, v := range chain {
 		if v.Recovery && !v.Checkpoint {
-			s.indexDrop(v.Writer, k, 1)
 			n++
 			continue
 		}
@@ -425,13 +372,13 @@ func (s *Store) deleteRecoveryLocked(k Key) int {
 	return n
 }
 
-// VersionsBy returns every version written by the given writer, keyed by
-// object, in O(versions by that writer) via the writer index.
-func (s *Store) VersionsBy(writer string) map[Key]Version {
+// VersionsBy returns the versions the given writer wrote on keys (the latest
+// one per key), keyed by object; keys it never wrote are absent.
+func (s *Store) VersionsBy(writer string, keys []Key) map[Key]Version {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	out := make(map[Key]Version)
-	for _, k := range s.writers[writer] {
+	for _, k := range keys {
 		for _, v := range s.chains[k] {
 			if v.Writer == writer {
 				out[k] = v
@@ -478,24 +425,21 @@ func (s *Store) Snapshot() map[Key]Value {
 	return out
 }
 
-// Clone returns a deep copy of the store. Recovery iterations restart from a
-// clone of the pristine post-attack store.
+// Clone returns a deep copy of the store: its chains, which are all it has.
+// Recovery iterations restart from a clone of the pristine post-attack store.
 func (s *Store) Clone() *Store {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	c := NewStore()
+	c := &Store{chains: make(map[Key][]Version, len(s.chains))}
 	for k, chain := range s.chains {
-		cp := make([]Version, len(chain))
-		copy(cp, chain)
-		c.chains[k] = cp
+		c.chains[k] = slices.Clone(chain)
 	}
-	c.writers = maps.Clone(s.writers) // the key slices are immutable, hence shareable
 	return c
 }
 
 // AdoptChains replaces s's version chains for the given keys with deep
-// copies of from's chains (keys absent from from are deleted), keeping the
-// writer index consistent. The shard layer's recovery installer uses it to
+// copies of from's chains (keys absent from from are deleted). The shard
+// layer's recovery installer uses it to
 // merge a repaired store's damaged-component chains into the live store
 // while clean shards keep committing to their own keys.
 func (s *Store) AdoptChains(from *Store, keys []Key) {
@@ -513,62 +457,31 @@ func (s *Store) AdoptChains(from *Store, keys []Key) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, k := range keys {
-		for _, v := range s.chains[k] {
-			s.indexDrop(v.Writer, k, 1)
-		}
-		chain, ok := incoming[k]
-		if !ok {
+		if chain, ok := incoming[k]; ok {
+			s.chains[k] = chain
+		} else {
 			delete(s.chains, k)
-			continue
-		}
-		s.chains[k] = chain
-		for _, v := range chain {
-			s.indexAdd(v.Writer, k)
 		}
 	}
 }
 
-// CheckIndex verifies the internal invariants — chains sorted ascending by
-// position, no empty chains lingering in the map, and the writer index in
-// exact agreement with the chains. Tests call it after mutation sequences;
-// it is not needed in production paths.
+// CheckIndex verifies the store's invariants: no empty chain lingers in the
+// map, and every chain is strictly ascending by position — ordered, with no
+// two versions of a key at one position. Tests and the check-index oracle
+// call it after mutation sequences; it is not needed in production paths.
 func (s *Store) CheckIndex() error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	want := make(map[string]map[Key]int)
 	for k, chain := range s.chains {
 		if len(chain) == 0 {
 			return fmt.Errorf("data: empty chain left in map for %q", k)
 		}
-		for i, v := range chain {
-			if i > 0 && chain[i-1].Pos >= v.Pos {
+		for i := 1; i < len(chain); i++ {
+			switch {
+			case chain[i-1].Pos == chain[i].Pos:
+				return fmt.Errorf("data: chain %q holds two versions at position %g", k, chain[i].Pos)
+			case chain[i-1].Pos > chain[i].Pos:
 				return fmt.Errorf("data: chain %q not ascending at index %d", k, i)
-			}
-			if v.Writer == "" {
-				continue
-			}
-			m := want[v.Writer]
-			if m == nil {
-				m = make(map[Key]int)
-				want[v.Writer] = m
-			}
-			m[k]++
-		}
-	}
-	if len(want) != len(s.writers) {
-		return fmt.Errorf("data: writer index has %d writers, chains have %d", len(s.writers), len(want))
-	}
-	for w, m := range want {
-		got := make(map[Key]int, len(m))
-		for _, k := range s.writers[w] {
-			got[k]++
-		}
-		if len(got) != len(m) {
-			return fmt.Errorf("data: writer %q indexed on %d keys, chains show %d", w, len(got), len(m))
-		}
-		for k, n := range m {
-			if got[k] != n {
-				return fmt.Errorf("data: writer %q on %q indexed %d times, chains show %d", w, k, got[k], n)
 			}
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -102,7 +103,7 @@ func TestDeleteWritesExposesPriorVersion(t *testing.T) {
 	s.Write("y", 200, 4, "evil", false)
 	s.Write("x", 101, 5, "good", false)
 
-	if n := s.DeleteWrites("evil"); n != 2 {
+	if n := s.DeleteWrites("evil", []Key{"x", "y"}); n != 2 {
 		t.Fatalf("deleted %d versions, want 2", n)
 	}
 	if v, _ := s.Get("y"); v.Value != 2 {
@@ -111,7 +112,7 @@ func TestDeleteWritesExposesPriorVersion(t *testing.T) {
 	if v, _ := s.Get("x"); v.Value != 101 {
 		t.Errorf("x = %d after undo, want 101 (later writer kept)", v.Value)
 	}
-	if n := s.DeleteWrites("evil"); n != 0 {
+	if n := s.DeleteWrites("evil", []Key{"x", "y"}); n != 0 {
 		t.Errorf("second delete removed %d, want 0", n)
 	}
 }
@@ -177,7 +178,7 @@ func TestUndoRedoRoundTrip(t *testing.T) {
 	clean.Write("x", 60, 3, "t3", false)
 	attacked.Write("x", -999, 3, "t3", false) // corrupted execution
 
-	attacked.DeleteWrites("t3")
+	attacked.DeleteWrites("t3", []Key{"x"})
 	attacked.Write("x", 60, 3, "t3", true) // redo with the clean value
 
 	if !Equal(clean, attacked) {
@@ -345,10 +346,15 @@ func TestCompactChainEdges(t *testing.T) {
 	}
 }
 
-// bruteVersionsBy is VersionsBy by a scan over every chain.
-func bruteVersionsBy(s *Store, writer string) (last map[Key]Version, deletable int) {
+// bruteVersionsBy is VersionsBy by a scan over every chain: the versions of
+// writer on keys (every key when keys is nil), and how many of them an undo
+// may delete.
+func bruteVersionsBy(s *Store, writer string, keys []Key) (last map[Key]Version, deletable int) {
 	last = make(map[Key]Version)
 	for _, k := range s.Keys() {
+		if keys != nil && !slices.Contains(keys, k) {
+			continue
+		}
 		for _, v := range s.Chain(k) {
 			if v.Writer == writer {
 				last[k] = v
@@ -361,12 +367,29 @@ func bruteVersionsBy(s *Store, writer string) (last map[Key]Version, deletable i
 	return last, deletable
 }
 
-func TestWriterIndexConsistency(t *testing.T) {
+// writtenBy lists, from a full chain scan, every key holding a version by
+// writer — a log entry's write set, as an undo is handed it.
+func writtenBy(s *Store, writer string) []Key {
+	var out []Key
+	for _, k := range s.Keys() {
+		for _, v := range s.Chain(k) {
+			if v.Writer == writer {
+				out = append(out, k)
+				break
+			}
+		}
+	}
+	return out
+}
+
+func TestStoreMutationsMatchChainScan(t *testing.T) {
 	// Random interleavings of every mutating operation — on a store and on
-	// the clones taken along the way, which share their index slices with
-	// it — must leave every store's writer index in exact agreement with its
-	// own chains, and the index-driven VersionsBy/DeleteWrites must agree
-	// with a brute-force scan of the chains.
+	// the clones taken along the way — must leave every store's chains
+	// ordered with unique positions, and the keyed undo (DeleteWrites,
+	// DeleteWritesBatch) and VersionsBy must agree with a brute-force scan of
+	// the chains: handed a writer's write set, deletion removes exactly the
+	// writer's deletable versions; handed part of it, exactly those on the
+	// listed keys.
 	keys := []Key{"a", "b", "c", "d", "e"}
 	writers := []string{"w1", "w2", "w3", "w4", "w5", "w6"}
 	for seed := int64(1); seed <= 6; seed++ {
@@ -383,7 +406,7 @@ func TestWriterIndexConsistency(t *testing.T) {
 		for step := 0; step < 600; step++ {
 			s := stores[rng.Intn(len(stores))]
 			w := writers[rng.Intn(len(writers))]
-			switch rng.Intn(12) {
+			switch rng.Intn(13) {
 			case 0, 1, 2:
 				s.Write(keys[rng.Intn(len(keys))], Value(rng.Intn(100)), pos, w, rng.Intn(3) == 0)
 				pos++
@@ -391,29 +414,39 @@ func TestWriterIndexConsistency(t *testing.T) {
 				at := float64(rng.Intn(int(pos))) + float64(step+1)/1000
 				s.Write(keys[rng.Intn(len(keys))], Value(rng.Intn(100)), at, w, rng.Intn(2) == 0)
 			case 5:
-				_, want := bruteVersionsBy(s, w)
-				if got := s.DeleteWrites(w); got != want {
+				_, want := bruteVersionsBy(s, w, nil)
+				if got := s.DeleteWrites(w, writtenBy(s, w)); got != want {
 					t.Fatalf("seed %d step %d: DeleteWrites(%s) removed %d versions, the chains held %d", seed, step, w, got, want)
+				}
+				if left, _ := bruteVersionsBy(s, w, nil); len(left) != 0 && !allCheckpoints(left) {
+					t.Fatalf("seed %d step %d: %s still has versions after its undo: %v", seed, step, w, left)
 				}
 			case 6:
 				w2 := writers[rng.Intn(len(writers))]
-				_, want := bruteVersionsBy(s, w)
+				_, want := bruteVersionsBy(s, w, nil)
 				if w2 != w {
-					_, n := bruteVersionsBy(s, w2)
+					_, n := bruteVersionsBy(s, w2, nil)
 					want += n
 				}
-				if got := s.DeleteWritesBatch([]string{w, w2}); got != want {
+				undo := []WriterKeys{{w, writtenBy(s, w)}, {w2, writtenBy(s, w2)}}
+				if got := s.DeleteWritesBatch(undo); got != want {
 					t.Fatalf("seed %d step %d: DeleteWritesBatch removed %d versions, the chains held %d", seed, step, got, want)
 				}
 			case 7:
-				s.DeleteRecoveryVersions()
+				part := someKeys()
+				_, want := bruteVersionsBy(s, w, part)
+				if got := s.DeleteWrites(w, part); got != want {
+					t.Fatalf("seed %d step %d: DeleteWrites(%s, %v) removed %d versions, those chains held %d", seed, step, w, part, got, want)
+				}
 			case 8:
-				s.DeleteRecoveryVersionsIn(someKeys())
+				s.DeleteRecoveryVersions()
 			case 9:
-				s.CompactBefore(pos - float64(rng.Intn(20)))
+				s.DeleteRecoveryVersionsIn(someKeys())
 			case 10:
+				s.CompactBefore(pos - float64(rng.Intn(20)))
+			case 11:
 				s.AdoptChains(stores[rng.Intn(len(stores))], someKeys())
-			case 11: // clones keep being taken, of stores at every age
+			case 12: // clones keep being taken, of stores at every age
 				if len(stores) < 4 {
 					stores = append(stores, s.Clone())
 				} else {
@@ -426,11 +459,38 @@ func TestWriterIndexConsistency(t *testing.T) {
 				}
 			}
 			for _, w := range writers {
-				want, _ := bruteVersionsBy(s, w)
-				if got := s.VersionsBy(w); !reflect.DeepEqual(got, want) {
-					t.Fatalf("seed %d step %d: VersionsBy(%s) = %v, the chains say %v", seed, step, w, got, want)
+				part := someKeys()
+				want, _ := bruteVersionsBy(s, w, part)
+				if got := s.VersionsBy(w, part); !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d step %d: VersionsBy(%s, %v) = %v, the chains say %v", seed, step, w, part, got, want)
 				}
 			}
+		}
+	}
+}
+
+func allCheckpoints(vs map[Key]Version) bool {
+	for _, v := range vs {
+		if !v.Checkpoint {
+			return false
+		}
+	}
+	return true
+}
+
+// TestCheckIndexCatchesBrokenChains: the invariant check is not vacuous — an
+// out-of-order chain, two versions at one position and an empty chain are
+// each reported.
+func TestCheckIndexCatchesBrokenChains(t *testing.T) {
+	for name, chains := range map[string]map[Key][]Version{
+		"descending":   {"x": {{Pos: 2}, {Pos: 1}}},
+		"duplicate":    {"x": {{Pos: 1, Writer: "a"}, {Pos: 1, Writer: "b"}}},
+		"empty chain":  {"x": {}},
+		"later broken": {"x": {{Pos: 1}}, "y": {{Pos: 1}, {Pos: 3}, {Pos: 3}}},
+	} {
+		s := &Store{chains: chains}
+		if err := s.CheckIndex(); err == nil {
+			t.Errorf("%s: CheckIndex passed %v", name, chains)
 		}
 	}
 }
@@ -441,7 +501,8 @@ func TestDeleteWritesBatch(t *testing.T) {
 	s.Write("x", 2, 1, "a", false)
 	s.Write("x", 3, 2, "b", false)
 	s.Write("y", 4, 3, "a", false)
-	if n := s.DeleteWritesBatch([]string{"a", "b", "missing"}); n != 3 {
+	undo := []WriterKeys{{"a", []Key{"x", "y"}}, {"b", []Key{"x"}}, {"missing", []Key{"x", "nowhere"}}}
+	if n := s.DeleteWritesBatch(undo); n != 3 {
 		t.Fatalf("deleted %d versions, want 3", n)
 	}
 	if v, _ := s.Get("x"); v.Value != 1 {
@@ -474,7 +535,7 @@ func TestCompactThenDeleteWritesKeepsChain(t *testing.T) {
 		t.Fatalf("boundary not promoted to permanent checkpoint: %+v", boundary)
 	}
 	// Undoing the boundary's writer is a no-op on the checkpoint.
-	if n := s.DeleteWrites("w7"); n != 0 {
+	if n := s.DeleteWrites("w7", []Key{"x"}); n != 0 {
 		t.Errorf("DeleteWrites removed %d checkpointed versions", n)
 	}
 	// Stripping recovery versions preserves it too.
@@ -485,7 +546,7 @@ func TestCompactThenDeleteWritesKeepsChain(t *testing.T) {
 		t.Errorf("GetBefore(x, 9) = %+v, %v; want the checkpoint value 20", v, ok)
 	}
 	// Undoing a later writer still works and never empties past the boundary.
-	s.DeleteWrites("w9")
+	s.DeleteWrites("w9", []Key{"x"})
 	if v, _ := s.Get("x"); v.Value != 20 {
 		t.Errorf("x = %d after undoing w9, want 20", v.Value)
 	}

@@ -87,7 +87,7 @@ type keyOp struct {
 
 // restore rebuilds state from w.dir and positions the WAL's counters.
 // Called once from Open, before the writer goroutine starts.
-func (w *WAL) restore() (*State, error) {
+func (w *WAL) restore(tab *wf.Interner) (*State, error) {
 	start := time.Now()
 	snap, err := loadLatestSnapshot(w.dir)
 	if err != nil {
@@ -119,7 +119,7 @@ func (w *WAL) restore() (*State, error) {
 			if _, gone := st.Tombs[run]; gone {
 				continue
 			}
-			spec, _, err := buildSpec(sp.JSON)
+			spec, _, err := wfjson.DecodeIn(tab, bytes.NewReader(sp.JSON))
 			if err != nil {
 				return nil, fmt.Errorf("durable: snapshot spec %s: %w", run, err)
 			}
@@ -188,7 +188,7 @@ func (w *WAL) restore() (*State, error) {
 			if _, gone := st.Tombs[rec.run]; dup || gone {
 				return nil, fmt.Errorf("durable: duplicate spec record for run %s", rec.run)
 			}
-			spec, _, err := buildSpec(rec.spec)
+			spec, _, err := wfjson.DecodeIn(tab, bytes.NewReader(rec.spec))
 			if err != nil {
 				return nil, fmt.Errorf("durable: spec record %s: %w", rec.run, err)
 			}
@@ -494,9 +494,4 @@ func copyVisits(m map[wf.TaskID]int) map[wf.TaskID]int {
 		out[t] = n
 	}
 	return out
-}
-
-// buildSpec parses and builds a wfjson spec document.
-func buildSpec(doc []byte) (*wf.Spec, map[data.Key]data.Value, error) {
-	return wfjson.Decode(bytes.NewReader(doc))
 }

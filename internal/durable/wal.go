@@ -32,6 +32,7 @@ import (
 
 	"selfheal/internal/data"
 	"selfheal/internal/obs"
+	"selfheal/internal/wf"
 	"selfheal/internal/wlog"
 )
 
@@ -121,6 +122,13 @@ var ErrClosed = errors.New("durable: WAL closed")
 // group-commit goroutine. The returned State is the fully rebuilt system
 // state.
 func Open(dir string, opts Options) (*WAL, *State, error) {
+	return OpenIn(dir, opts, nil)
+}
+
+// OpenIn is Open compiling the restored live specs through the service's
+// intern table tab (wfjson.BuildIn), so a restored run shares its spec facts
+// with every run the service registers afterwards.
+func OpenIn(dir string, opts Options, tab *wf.Interner) (*WAL, *State, error) {
 	opts.fill()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, err
@@ -129,7 +137,7 @@ func Open(dir string, opts Options) (*WAL, *State, error) {
 	w.work = sync.NewCond(&w.mu)
 	w.done = sync.NewCond(&w.mu)
 
-	st, err := w.restore()
+	st, err := w.restore(tab)
 	if err != nil {
 		if w.log != nil {
 			w.log.Close()

@@ -12,7 +12,8 @@
 //   - benign equality: the committed store equals the attack-free serial
 //     execution of the submitted workflows alone (the paper's repaired ≡
 //     attack-free claim, Theorems 1–2);
-//   - index integrity: data.CheckIndex holds on the live store;
+//   - chain integrity: data.CheckIndex holds on the live store (every
+//     version chain ordered, no two versions of a key at one position);
 //   - Theorem-3 ordering: no installed repair violated the repair DAG
 //     (shard.Config.AuditRepairs, surfaced via GET /api/v1/chaos/verify);
 //   - repairability: no repair was refused or failed — generated

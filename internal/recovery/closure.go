@@ -19,31 +19,11 @@ import (
 // uses the same closure to decide which nodes' key ranges must pause, so a
 // node owning no damaged component keeps serving during repair.
 func DamageKeyClosure(log *wlog.Log, specs map[string]*wf.Spec, seedSets ...[]wlog.InstanceID) map[data.Key]bool {
-	parent := make(map[data.Key]data.Key)
-	var find func(data.Key) data.Key
-	find = func(k data.Key) data.Key {
-		p, ok := parent[k]
-		if !ok || p == k {
-			if !ok {
-				parent[k] = k
-			}
-			return k
-		}
-		r := find(p)
-		parent[k] = r
-		return r
-	}
-	union := func(a, b data.Key) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			parent[ra] = rb
-		}
-	}
+	// Runs of one workflow shape share one footprint (a sealed spec's is
+	// interned), so each distinct footprint is joined once.
+	uf := newKeyUnion()
 	for _, sp := range specs {
-		fp := Footprint(sp)
-		for i := 1; i < len(fp); i++ {
-			union(fp[0], fp[i])
-		}
+		uf.join(sp.Footprint())
 	}
 
 	seeds := make(map[data.Key]bool)
@@ -59,7 +39,7 @@ func DamageKeyClosure(log *wlog.Log, specs map[string]*wf.Spec, seedSets ...[]wl
 			seeds[r.Key] = true
 		}
 		if sp := specs[e.Run]; sp != nil {
-			for _, k := range Footprint(sp) {
+			for _, k := range sp.Footprint() {
 				seeds[k] = true
 			}
 		}
@@ -72,11 +52,11 @@ func DamageKeyClosure(log *wlog.Log, specs map[string]*wf.Spec, seedSets ...[]wl
 
 	roots := make(map[data.Key]bool)
 	for k := range seeds {
-		roots[find(k)] = true
+		roots[uf.find(k)] = true
 	}
 	out := make(map[data.Key]bool, len(seeds))
-	for k := range parent {
-		if roots[find(k)] {
+	for k := range uf.parent {
+		if roots[uf.find(k)] {
 			out[k] = true
 		}
 	}

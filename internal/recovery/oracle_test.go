@@ -52,7 +52,7 @@ func TestVerifyCatchesSurvivingUndoneVersion(t *testing.T) {
 func TestVerifyCatchesCorruptSurvivingValue(t *testing.T) {
 	s, res := repairedFig1(t)
 	// Tamper with the repaired value of f (t6's output).
-	res.Store.DeleteWrites("r1/t6#1")
+	res.Store.DeleteWrites("r1/t6#1", []data.Key{"f"})
 	res.Store.Write("f", -777, 8, "r1/t6#1", true)
 	errs := recovery.VerifyResult(res, s.Log(), s.Specs)
 	requireFinding(t, errs, "benign recomputation")
@@ -62,7 +62,7 @@ func TestVerifyCatchesCorruptSurvivingValue(t *testing.T) {
 // declared write vanished.
 func TestVerifyCatchesMissingWrite(t *testing.T) {
 	s, res := repairedFig1(t)
-	res.Store.DeleteWrites("r2/t9#1") // kept instance's write removed
+	res.Store.DeleteWrites("r2/t9#1", []data.Key{"i"}) // kept instance's write removed
 	errs := recovery.VerifyResult(res, s.Log(), s.Specs)
 	requireFinding(t, errs, "wrote no version")
 }

@@ -1,8 +1,8 @@
 package recovery
 
 import (
+	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -23,100 +23,95 @@ type component struct {
 }
 
 // buildComponents partitions the logged, specified runs into key-footprint
-// components (union-find over run and key nodes). It returns the components
-// in deterministic order (by each component's first run in log order) plus
-// key → component and run → component lookup tables.
+// components (union-find over keys; each distinct footprint is unioned once,
+// and a run joins the component of its footprint's keys). It returns the
+// components in deterministic order (by each component's first run in log
+// order) plus key → component and run → component lookup tables.
 func buildComponents(log *wlog.Log, specs map[string]*wf.Spec) (list []component, keyComp map[data.Key]int, runComp map[string]int) {
-	parent := make(map[string]string)
-	var find func(string) string
-	find = func(x string) string {
-		p, ok := parent[x]
-		if !ok || p == x {
-			if !ok {
-				parent[x] = x
-			}
-			return x
-		}
-		r := find(p)
-		parent[x] = r
-		return r
-	}
-	union := func(a, b string) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			parent[ra] = rb
-		}
-	}
-
-	const keyPrefix = "k\x00"
-	runNode := func(run string) string { return "r\x00" + run }
-	keyNode := func(k data.Key) string { return keyPrefix + string(k) }
-
+	uf := newKeyUnion()
 	var runs []string
+	var fps [][]data.Key
 	for _, run := range log.Runs() {
 		spec, ok := specs[run]
 		if !ok {
 			continue // forged-only run: no walker, no footprint
 		}
-		runs = append(runs, run)
-		rn := runNode(run)
-		find(rn)
-		for _, k := range specFootprint(spec) {
-			union(rn, keyNode(k))
-		}
+		fp := spec.Footprint()
+		runs, fps = append(runs, run), append(fps, fp)
+		uf.join(fp)
 	}
 
 	keyComp = make(map[data.Key]int)
-	runComp = make(map[string]int)
-	compOf := make(map[string]int)
-	for _, run := range runs {
-		root := find(runNode(run))
-		ci, ok := compOf[root]
-		if !ok {
-			ci = len(list)
-			compOf[root] = ci
+	runComp = make(map[string]int, len(runs))
+	compOf := make(map[data.Key]int) // union-find root → component
+	for i, run := range runs {
+		ci := len(list)
+		if fp := fps[i]; len(fp) > 0 {
+			root := uf.find(fp[0])
+			if c, ok := compOf[root]; ok {
+				ci = c
+			} else {
+				compOf[root] = ci
+			}
+		}
+		if ci == len(list) {
 			list = append(list, component{})
 		}
 		list[ci].runs = append(list[ci].runs, run)
 		runComp[run] = ci
 	}
-	keyNodes := make([]string, 0, len(parent))
-	for n := range parent {
-		if strings.HasPrefix(n, keyPrefix) {
-			keyNodes = append(keyNodes, n)
-		}
+	keys := make([]data.Key, 0, len(uf.parent))
+	for k := range uf.parent {
+		keys = append(keys, k)
 	}
-	sort.Strings(keyNodes)
-	for _, n := range keyNodes {
-		ci, ok := compOf[find(n)]
-		if !ok {
-			continue
-		}
-		k := data.Key(n[len(keyPrefix):])
+	slices.Sort(keys)
+	for _, k := range keys {
+		ci := compOf[uf.find(k)]
 		list[ci].keys = append(list[ci].keys, k)
 		keyComp[k] = ci
 	}
 	return list, keyComp, runComp
 }
 
-// specFootprint returns the sorted set of every key a spec's tasks read or
-// write — the run's complete data-object footprint.
-func specFootprint(spec *wf.Spec) []data.Key {
-	set := make(map[data.Key]bool)
-	for _, t := range spec.Tasks {
-		for _, k := range t.Reads {
-			set[k] = true
-		}
-		for _, k := range t.Writes {
-			set[k] = true
+// keyUnion is a union-find forest over data keys, joined one footprint at a
+// time.
+type keyUnion struct {
+	parent map[data.Key]data.Key // a root maps to itself
+	// joined marks the footprints already joined, by backing array: sealed
+	// specs of one shape share one footprint slice, joined once.
+	joined map[*data.Key]bool
+}
+
+func newKeyUnion() *keyUnion {
+	return &keyUnion{parent: make(map[data.Key]data.Key), joined: make(map[*data.Key]bool)}
+}
+
+func (u *keyUnion) find(k data.Key) data.Key {
+	p, ok := u.parent[k]
+	if !ok {
+		u.parent[k] = k
+		return k
+	}
+	if p == k {
+		return k
+	}
+	r := u.find(p)
+	u.parent[k] = r
+	return r
+}
+
+// join puts every key of one footprint in one component.
+func (u *keyUnion) join(fp []data.Key) {
+	if len(fp) == 0 || u.joined[&fp[0]] {
+		return
+	}
+	u.joined[&fp[0]] = true
+	root := u.find(fp[0])
+	for _, k := range fp[1:] {
+		if r := u.find(k); r != root {
+			u.parent[r] = root
 		}
 	}
-	out := make([]data.Key, 0, len(set))
-	for k := range set {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // replayComponents is the component-factored replay pass: it partitions the
@@ -127,7 +122,7 @@ func specFootprint(spec *wf.Spec) []data.Key {
 // beyond the store's own mutex: active components own disjoint key sets, so
 // their walkers never observe each other's writes and the merged result is
 // independent of goroutine scheduling.
-func replayComponents(st *data.Store, log *wlog.Log, specs map[string]*wf.Spec, g *deps.Graph, undo map[wlog.InstanceID]bool, opts Options, it *iterationResult, staged []*wlog.Entry, writers []string, undoStart time.Time) (*iterationResult, error) {
+func replayComponents(st *data.Store, log *wlog.Log, specs map[string]*wf.Spec, g *deps.Graph, undo map[wlog.InstanceID]bool, opts Options, it *iterationResult, staged []*wlog.Entry, undos []data.WriterKeys, undoStart time.Time) (*iterationResult, error) {
 	comps, keyComp, runComp := buildComponents(log, specs)
 
 	damaged := make([]bool, len(comps))
@@ -176,7 +171,7 @@ func replayComponents(st *data.Store, log *wlog.Log, specs map[string]*wf.Spec, 
 	} else {
 		st.DeleteRecoveryVersions()
 	}
-	st.DeleteWritesBatch(writers)
+	st.DeleteWritesBatch(undos)
 	it.undoDur = time.Since(undoStart)
 	redoStart := time.Now()
 
@@ -271,12 +266,4 @@ func replayComponents(st *data.Store, log *wlog.Log, specs map[string]*wf.Spec, 
 func KeyComponents(log *wlog.Log, specs map[string]*wf.Spec) (map[data.Key]int, int) {
 	list, keyComp, _ := buildComponents(log, specs)
 	return keyComp, len(list)
-}
-
-// Footprint returns the sorted set of every key a spec's tasks read or
-// write — the run's complete data-object footprint. The shard layer's
-// durable mode uses it to refuse repairs that would need the truncated
-// pre-snapshot history of a spanning run.
-func Footprint(spec *wf.Spec) []data.Key {
-	return specFootprint(spec)
 }

@@ -361,7 +361,7 @@ func replayOnce(pristine *data.Store, log *wlog.Log, specs map[string]*wf.Spec, 
 		}
 	}
 	sort.Slice(staged, func(i, j int) bool { return staged[i].LSN > staged[j].LSN })
-	writers := make([]string, 0, len(staged))
+	undos := make([]data.WriterKeys, 0, len(staged))
 	for _, e := range staged {
 		// Instances at or below the compaction horizon are frozen history:
 		// their surviving effect is the checkpoint boundary version, which
@@ -377,14 +377,14 @@ func replayOnce(pristine *data.Store, log *wlog.Log, specs map[string]*wf.Spec, 
 			return nil, fmt.Errorf("%w: undo(%s) targets frozen history at or below the compaction horizon %g",
 				ErrHorizon, e.ID(), opts.CompactionHorizon)
 		}
-		writers = append(writers, string(e.ID()))
+		undos = append(undos, data.WriterKeys{Writer: string(e.ID()), Keys: writeKeys(e)})
 		it.schedule = append(it.schedule, Action{
 			Kind: ActUndo, Inst: e.ID(), Run: e.Run, Task: e.Task, Visit: e.Visit,
 		})
 	}
 
 	if opts.Parallel > 1 || opts.ScopeToDamage {
-		return replayComponents(st, log, specs, g, undo, opts, it, staged, writers, undoStart)
+		return replayComponents(st, log, specs, g, undo, opts, it, staged, undos, undoStart)
 	}
 
 	// Strip versions written by earlier repairs: the replay reconstructs
@@ -393,7 +393,7 @@ func replayOnce(pristine *data.Store, log *wlog.Log, specs map[string]*wf.Spec, 
 	// the runtime) never collide on version positions. Then perform the
 	// staged undos in one batch (deletions commute).
 	st.DeleteRecoveryVersions()
-	st.DeleteWritesBatch(writers)
+	st.DeleteWritesBatch(undos)
 	it.undoDur = time.Since(undoStart)
 	redoStart := time.Now()
 
@@ -423,6 +423,16 @@ func replayOnce(pristine *data.Store, log *wlog.Log, specs map[string]*wf.Spec, 
 	sortIDs(it.redone)
 	sortIDs(it.newExecuted)
 	return it, nil
+}
+
+// writeKeys lists the keys an entry wrote: exactly the chains holding its
+// versions, which is what undoing it deletes from.
+func writeKeys(e *wlog.Entry) []data.Key {
+	keys := make([]data.Key, len(e.Writes))
+	for i, w := range e.Writes {
+		keys[i] = w.Key
+	}
+	return keys
 }
 
 // replayWalkers advances a set of walkers merged in globally ascending

@@ -108,7 +108,13 @@ func VerifyResult(res *Result, log *wlog.Log, specs map[string]*wf.Spec) []error
 					want[k] = 0
 				}
 			}
-			got := st.VersionsBy(string(a.Inst))
+			// The instance's versions: a redo writes the task's declared
+			// keys, a kept instance the keys its log entry lists.
+			keys := task.Writes
+			if e, ok := log.Get(a.Inst); ok {
+				keys = append(writeKeys(e), task.Writes...)
+			}
+			got := st.VersionsBy(string(a.Inst), keys)
 			for _, k := range task.Writes {
 				gv, ok := got[k]
 				if !ok {

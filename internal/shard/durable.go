@@ -55,7 +55,8 @@ import (
 // pending alerts re-enter triage) and Stop to flush and close the WAL.
 func NewDurable(cfg Config, dir string, dopts durable.Options) (*Service, error) {
 	cfg = cfg.withDefaults()
-	wal, st, err := durable.Open(dir, dopts)
+	tab := wf.NewInterner()
+	wal, st, err := durable.OpenIn(dir, dopts, tab)
 	if err != nil {
 		return nil, err
 	}
@@ -63,6 +64,7 @@ func NewDurable(cfg Config, dir string, dopts durable.Options) (*Service, error)
 	s := &Service{
 		cfg: cfg,
 		eng: eng,
+		tab: tab,
 		// The graph resumes from the snapshot frontier and folds only the
 		// restored log suffix (the OnAppend catch-up), not the full
 		// history.
@@ -158,7 +160,7 @@ func (s *Service) ReplayStats() (records int, d time.Duration) {
 // to init seeding plus SubmitRun. Errors wrap engine.ErrBadSpec,
 // engine.ErrRunExists or ErrQueueFull.
 func (s *Service) SubmitRunSpec(id string, sj *wfjson.SpecJSON) error {
-	spec, init, err := wfjson.Build(sj)
+	spec, init, err := wfjson.BuildIn(s.tab, sj)
 	if err != nil {
 		return fmt.Errorf("shard: run %s spec: %w: %w", id, engine.ErrBadSpec, err)
 	}
@@ -203,7 +205,7 @@ func (s *Service) registerDurable(id string, sj *wfjson.SpecJSON, spec *wf.Spec,
 	if dup || s.exec.tombstoned(id) {
 		return fmt.Errorf("shard: run %s: %w", id, engine.ErrRunExists)
 	}
-	if !s.exec.canAdmit(footprint(spec)) {
+	if !s.exec.canAdmit(spec.Footprint()) {
 		return fmt.Errorf("shard: run %s conflicts across shards and the deferred queue is full: %w", id, ErrQueueFull)
 	}
 	doc, err := json.Marshal(sj)
@@ -313,8 +315,9 @@ func (s *Service) checkpoint() error {
 // forget drops what a restart from the snapshot behind h would not bring
 // back: the log prefix at or below the epoch (hooks stay subscribed), the
 // dependence graph's prefix (it resumes from the snapshot's frontier and
-// refolds only the suffix), and every retired run but its tombstone — the
-// run record, the engine run, the compiled spec and the wfjson document.
+// refolds only the suffix), every retired run but its tombstone — the run
+// record, the engine run, the compiled spec and the wfjson document — and
+// every intern-table entry only retired specs referenced.
 // The live runs with history beneath the epoch become the pre-epoch set
 // repairs are checked against. NewDurable runs it on the restored state,
 // where the log and graph already start at the horizon; checkpoint runs it
@@ -343,6 +346,7 @@ func (s *Service) forget(h durable.Horizon) error {
 		}
 	}
 	s.specs, s.specStates = specs, states
+	s.tab.Retain(specs)
 	s.preEpoch = h.PreEpoch
 	s.durableEpoch = h.Epoch
 	return nil
@@ -521,7 +525,7 @@ func (s *Service) executeDurable(u *unit) error {
 		if s.runFrozen(run) {
 			continue
 		}
-		for _, k := range recovery.Footprint(sp) {
+		for _, k := range sp.Footprint() {
 			if dkeys[k] {
 				return fmt.Errorf("shard: damage closure reaches run %s with history before the boot snapshot (epoch %d): %w",
 					run, epoch, recovery.ErrHorizon)

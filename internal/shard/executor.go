@@ -57,7 +57,7 @@ func (s RunStatus) String() string {
 // runState is the executor's bookkeeping for one submitted run.
 type runState struct {
 	run   *engine.Run
-	keys  []data.Key // sorted unique key footprint of the spec; nil once retired
+	keys  []data.Key // the spec's footprint (shared, read-only); nil once retired
 	shard int        // owning shard; -1 while deferred
 	state RunStatus
 	err   error // terminal error for RunFailed
@@ -233,25 +233,6 @@ func (x *executor) endRecovery(paused []int) {
 	x.deliver(dispatch)
 }
 
-// footprint returns the sorted unique key set a spec can touch.
-func footprint(spec *wf.Spec) []data.Key {
-	set := make(map[data.Key]bool)
-	for _, t := range spec.Tasks {
-		for _, k := range t.Reads {
-			set[k] = true
-		}
-		for _, k := range t.Writes {
-			set[k] = true
-		}
-	}
-	keys := make([]data.Key, 0, len(set))
-	for k := range set {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
-}
-
 // submit registers a run and dispatches it to a shard — or defers it when
 // its footprint conflicts across shards. Returns ErrRunExists, ErrBadSpec
 // (via engine.NewRun) or ErrQueueFull.
@@ -260,7 +241,7 @@ func (x *executor) submit(id string, spec *wf.Spec) error {
 	if err != nil {
 		return err
 	}
-	rs := &runState{run: r, keys: footprint(spec), shard: -1}
+	rs := &runState{run: r, keys: spec.Footprint(), shard: -1}
 
 	x.mu.Lock()
 	_, live := x.runs[id]
@@ -326,7 +307,7 @@ func (x *executor) adoptRestored(r *engine.Run, spec *wf.Spec, status RunStatus,
 		rs.shard = 0
 		return nil
 	}
-	rs.keys = footprint(spec)
+	rs.keys = spec.Footprint()
 	if shard, ok := x.placeLocked(rs); ok {
 		x.claimLocked(rs, shard)
 		return rs

@@ -19,14 +19,16 @@ import (
 )
 
 // footprintBudget is the live heap the service may retain per committed task
-// instance, in bytes: ~15 % above the 1 452 B measured when the budget was set
-// (2 056 B while an entry held its reads and writes in two maps and a run its
-// visit counters in a third; 2 827 B before the single-copy dependence graph,
-// the flat writer index and the shared instance-ID string; EXPERIMENTS.md
-// "Live heap per committed instance"). Everything counted here stays resident
-// for the whole history — recovery can be asked about any committed instance
-// — so this is the slope of the service's memory.
-const footprintBudget = 1670
+// instance, in bytes: ~15 % above the 1 192 B measured when the budget was set
+// (1 452 B while every run held private copies of its spec's strings, lists,
+// compute bodies and footprint and the store indexed every writer's keys
+// beside the log; 2 056 B while an entry held its reads and writes in two maps
+// and a run its visit counters in a third; 2 827 B before the single-copy
+// dependence graph and the shared instance-ID string; EXPERIMENTS.md "Live
+// heap per committed instance"). Everything counted here stays resident for
+// the whole history — recovery can be asked about any committed instance — so
+// this is the slope of the service's memory.
+const footprintBudget = 1370
 
 // tombstoneBudget is the live heap a durable service may keep per run a
 // checkpoint retired, in bytes: the 24 B tombstone and its 16 B key in a
@@ -206,7 +208,7 @@ func TestFootprintPerInstance(t *testing.T) {
 	t.Fatalf("live heap per committed instance %.0f B exceeds the budget of %d B\n"+
 		"  wlog (entries, read/write slices, indexes) %.0f B\n"+
 		"  deps (adjacency, entry list, frontier)     %.0f B\n"+
-		"  data (version chains, writer index)        %.0f B\n"+
+		"  data (version chains)                      %.0f B\n"+
 		"  engine (per-run state: visit counters)     %.0f B\n"+
 		"  service (specs, run records) and slack     %.0f B",
 		per, footprintBudget, logB, graphB, storeB, runsB, per-logB-graphB-storeB-runsB)

@@ -219,6 +219,12 @@ type Service struct {
 
 	alerts chan alert
 
+	// tab is the service's intern table: every spec SubmitRunSpec compiles
+	// (and a durable restore rebuilds) shares its strings, lists, compute
+	// bodies and footprint with every other run's; forget retains only what
+	// the live specs reference.
+	tab *wf.Interner
+
 	mu            sync.Mutex
 	specs         map[string]*wf.Spec
 	unitQ         []*unit
@@ -304,6 +310,7 @@ func New(cfg Config, store *data.Store) (*Service, error) {
 		eng:         eng,
 		graph:       deps.NewIncremental(eng.Log()),
 		com:         newCommitter(eng, cfg.BatchMax, cfg.CommitQueue),
+		tab:         wf.NewInterner(),
 		specs:       make(map[string]*wf.Spec),
 		alerts:      make(chan alert, cfg.AlertBuf),
 		cover:       triage.NewCoverage(),

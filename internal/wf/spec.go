@@ -43,6 +43,10 @@ type Task struct {
 	Compute ComputeFunc
 	// Choose picks the successor for choice nodes; nil otherwise.
 	Choose ChooseFunc
+
+	// sum is the interned body behind Compute when an Interner compiled
+	// the task; nil otherwise.
+	sum *sumBody
 }
 
 // Spec is a complete workflow specification.
@@ -53,6 +57,9 @@ type Spec struct {
 	Start TaskID
 	// Tasks maps IDs to task definitions.
 	Tasks map[TaskID]*Task
+
+	// footprint caches Footprint once the spec is sealed (Interner.Seal).
+	footprint []data.Key
 }
 
 // Validate checks the structural invariants of the specification: the start

@@ -45,41 +45,43 @@ type SpecJSON struct {
 // Decode reads a SpecJSON and builds the validated workflow specification
 // plus the initial store values it declares.
 func Decode(r io.Reader) (*wf.Spec, map[data.Key]data.Value, error) {
+	return DecodeIn(nil, r)
+}
+
+// DecodeIn is Decode compiling through the intern table in (BuildIn).
+func DecodeIn(in *wf.Interner, r io.Reader) (*wf.Spec, map[data.Key]data.Value, error) {
 	var sj SpecJSON
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&sj); err != nil {
 		return nil, nil, fmt.Errorf("wfjson: %w", err)
 	}
-	return Build(&sj)
+	return BuildIn(in, &sj)
 }
 
-// Build converts a parsed SpecJSON into a validated specification.
+// Build converts a parsed SpecJSON into a validated, sealed specification
+// (its footprint computed once) that shares nothing with other specs.
 func Build(sj *SpecJSON) (*wf.Spec, map[data.Key]data.Value, error) {
+	return BuildIn(nil, sj)
+}
+
+// BuildIn is Build compiling through a service's intern table: the spec's
+// strings, lists, compute bodies and footprint are the table's canonical,
+// read-only copies, shared with every other spec the table compiled. A nil
+// table interns nothing.
+func BuildIn(in *wf.Interner, sj *SpecJSON) (*wf.Spec, map[data.Key]data.Value, error) {
 	spec := &wf.Spec{
 		Name:  sj.Name,
-		Start: wf.TaskID(sj.Start),
+		Start: in.TaskID(sj.Start),
 		Tasks: make(map[wf.TaskID]*wf.Task, len(sj.Tasks)),
 	}
 	for _, tj := range sj.Tasks {
 		if tj.ID == "" {
 			return nil, nil, fmt.Errorf("wfjson: task with empty id")
 		}
-		t := &wf.Task{ID: wf.TaskID(tj.ID)}
-		for _, n := range tj.Next {
-			t.Next = append(t.Next, wf.TaskID(n))
-		}
-		for _, k := range tj.Reads {
-			t.Reads = append(t.Reads, data.Key(k))
-		}
-		for _, k := range tj.Writes {
-			t.Writes = append(t.Writes, data.Key(k))
-		}
-		t.Compute = wf.SumCompute(data.Value(tj.Bias), t.Writes...)
-		if tj.Choose != nil {
-			t.Choose = wf.ThresholdChoose(
-				data.Key(tj.Choose.Key), data.Value(tj.Choose.Threshold),
-				wf.TaskID(tj.Choose.Low), wf.TaskID(tj.Choose.High))
+		t := in.Task(tj.ID, tj.Next, tj.Reads, tj.Writes, data.Value(tj.Bias))
+		if c := tj.Choose; c != nil {
+			t.Choose = wf.ThresholdChoose(in.Key(c.Key), data.Value(c.Threshold), in.TaskID(c.Low), in.TaskID(c.High))
 		}
 		if _, dup := spec.Tasks[t.ID]; dup {
 			return nil, nil, fmt.Errorf("wfjson: duplicate task %q", tj.ID)
@@ -89,9 +91,10 @@ func Build(sj *SpecJSON) (*wf.Spec, map[data.Key]data.Value, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, nil, err
 	}
+	in.Seal(spec)
 	init := make(map[data.Key]data.Value, len(sj.Init))
 	for k, v := range sj.Init {
-		init[data.Key(k)] = data.Value(v)
+		init[in.Key(k)] = data.Value(v)
 	}
 	return spec, init, nil
 }

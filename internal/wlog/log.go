@@ -190,8 +190,8 @@ func (e *Entry) ID() InstanceID {
 }
 
 // CacheID formats the entry's instance ID once and keeps it, so the log's
-// index, the dependence graph and the store's writer index all share one
-// string per committed instance. Only the goroutine that owns a not yet
+// index, the dependence graph and the store's versions all share one string
+// per committed instance. Only the goroutine that owns a not yet
 // published entry may call it (the engine while preparing a step; the log,
 // under its lock, for entries that arrive without one); Run, Task and Visit
 // must not change afterwards.

@@ -51,6 +51,32 @@ if grep -rn --include='*.go' --exclude='*_test.go' -e 'map\[data\.Key\]wlog\.Rea
     exit 1
 fi
 
+# One copy per service of every spec fact (docs/ARCHITECTURE.md "Spec
+# interning"): runs of one tenant share their lists, strings and footprint,
+# no repair, resync or restore writes into a shared list, a checkpoint's
+# table keeps only what live specs reference, and a cluster replica's
+# active-run set equals a full scan of its runs after forges and repairs.
+go test -race -count=20 -run '^(TestBuildInSharesSpecFacts|TestSealedFootprintMatchesScan|TestRetainForgets|TestCheckCatchesInPlaceMutation)$' ./internal/wfjson/
+go test -race -count=20 -run '^(TestRunsOfOneTenantShareSpecFacts|TestInternedListsSurviveRepairs)$' ./internal/shard/
+go test -race -count=20 -run '^(TestActiveRunsMatchFullScan|TestClusterFuzzEquivalence)$' ./internal/cluster/
+
+# Table gate: outside tests, shard and cluster code compiles long-lived specs
+# only through the service's intern table (wfjson.BuildIn, durable.OpenIn
+# with the table), never through a path that gives a run private copies.
+if grep -rnE --include='*.go' --exclude='*_test.go' -e 'wfjson\.(Build|Decode)\(' -e 'durable\.Open\(' \
+    -e 'NewBuilder\(' -e '\.Spec\(\)' -e '(BuildIn|DecodeIn|OpenIn)\(.*nil' internal/shard/ internal/cluster/; then
+    echo "table gate: a spec compiled outside the service's intern table (see wf.Interner)" >&2
+    exit 1
+fi
+
+# No writer index beside the log (docs/ARCHITECTURE.md): an undo takes the
+# writer's keys from its log entry, so internal/data keys no map by writer —
+# nor by any other string.
+if grep -rn --include='*.go' --exclude='*_test.go' 'map\[string\]' internal/data/; then
+    echo "store gate: a string-keyed (writer) map in internal/data; the chains are the store's only index" >&2
+    exit 1
+fi
+
 # Publish-after-durability gate (docs/DURABILITY.md): the commit pipeline
 # never waits on a disk — durability waits belong to whoever hands a result
 # to a client — so the committer names neither a sync nor the WAL package.
