@@ -53,8 +53,9 @@ type statusDoc struct {
 	State      string `json:"state"`
 }
 
-// commitsDoc is the JSON form of a replication body: one Record document
-// per record, each decoded from its frame only when the document is asked for.
+// commitsDoc is the curl-able JSON answer of a plain commits GET: one Record
+// document per record, each decoded from its frame only when asked for.
+// Replication itself only ever carries frames.
 type commitsDoc struct {
 	Records []json.RawMessage `json:"records"`
 }
@@ -244,24 +245,20 @@ func (n *Node) handleCommitsPull(w http.ResponseWriter, r *http.Request) {
 }
 
 func (n *Node) handleCommitsPush(w http.ResponseWriter, r *http.Request) {
-	var err error
-	if strings.HasPrefix(r.Header.Get("Content-Type"), recordsContentType) {
-		var raw []byte
-		if raw, err = io.ReadAll(io.LimitReader(r.Body, 64<<20)); err != nil {
-			writeInternalErr(w, http.StatusBadRequest, "bad_request", err.Error())
-			return
-		}
-		n.o.replicationBytes("in", len(raw))
-		if err = n.applyFrames(raw); errors.Is(err, errCorruptBody) {
-			writeInternalErr(w, http.StatusBadRequest, "bad_request", err.Error())
-			return
-		}
-	} else {
-		var doc commitsDoc
-		if !decodeInternal(w, r, &doc) {
-			return
-		}
-		err = n.applyRecords(doc.Records)
+	if !strings.HasPrefix(r.Header.Get("Content-Type"), recordsContentType) {
+		writeInternalErr(w, http.StatusUnsupportedMediaType, "unsupported_media_type",
+			"a commits push carries record frames ("+recordsContentType+")")
+		return
+	}
+	raw, err := io.ReadAll(io.LimitReader(r.Body, 64<<20))
+	if err != nil {
+		writeInternalErr(w, http.StatusBadRequest, "bad_request", err.Error())
+		return
+	}
+	n.o.replicationBytes("in", len(raw))
+	if err = n.applyFrames(raw); errors.Is(err, errCorruptBody) {
+		writeInternalErr(w, http.StatusBadRequest, "bad_request", err.Error())
+		return
 	}
 	if err != nil {
 		writeInternalErr(w, http.StatusInternalServerError, "internal", err.Error())

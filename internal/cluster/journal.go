@@ -186,62 +186,27 @@ func (n *Node) recordsAfter(after, max int) ([]json.RawMessage, error) {
 var errCorruptBody = errors.New("cluster: record stream corrupt")
 
 // applyFrames applies a binary replication body — frames exactly as the
-// sender's journal holds them — in stream order, and journals the frames it
-// applied verbatim, with one append. Framing damage anywhere rejects the
-// whole body before anything applies: unlike a journal's final segment, a
-// body travels whole over TCP.
+// sender's journal holds them — in stream order, and journals the run of
+// frames that applied verbatim, with one append. Records the replica already
+// holds are skipped; the first one after the applied run that does not apply
+// (a gap) ends the body. Framing damage anywhere rejects the whole body
+// before anything applies: unlike a journal's final segment, a body travels
+// whole over TCP. applyMu keeps the journal in stream order when push
+// delivery and the pull fallback race.
 func (n *Node) applyFrames(body []byte) error {
 	payloads, validLen := durable.SplitFrames(body)
 	if validLen != len(body) {
 		return fmt.Errorf("%w at byte %d of %d", errCorruptBody, validLen, len(body))
 	}
-	return n.applyBody(len(payloads),
-		func(i int) (*Record, error) { return decodeRecord(payloads[i]) },
-		func(lo, hi int) []byte {
-			start, end := 0, 0
-			for i, p := range payloads[:hi] {
-				if i == lo {
-					start = end
-				}
-				end += durable.FrameHeader + len(p)
-			}
-			return body[start:end]
-		})
-}
-
-// applyRecords applies a JSON replication body. Its records carry no LSN, so
-// the frames journaled for them are encoded after they applied, when their
-// entries have the LSN this replica's log assigned.
-func (n *Node) applyRecords(raw []json.RawMessage) error {
-	recs := make([]*Record, len(raw))
-	return n.applyBody(len(raw),
-		func(i int) (*Record, error) {
-			recs[i] = new(Record)
-			return recs[i], json.Unmarshal(raw[i], recs[i])
-		},
-		func(lo, hi int) []byte {
-			var buf []byte
-			for _, rec := range recs[lo:hi] {
-				buf = encodeFramedRecord(buf, rec)
-			}
-			return buf
-		})
-}
-
-// applyBody applies count records in stream order — record(i) yields the
-// i-th — and journals the run of them that applied with one append of
-// frames(lo, hi), the frames of records lo..hi-1. Records the replica already
-// holds are skipped; the first one after the applied run that does not apply
-// (a gap) ends the body. applyMu keeps the journal in stream order when push
-// delivery and the pull fallback race.
-func (n *Node) applyBody(count int, record func(int) (*Record, error), frames func(lo, hi int) []byte) error {
 	n.applyMu.Lock()
 	defer n.applyMu.Unlock()
-	lo, hi := -1, -1
+	// The applied frames are body[start:end], records lo..hi-1.
+	lo, hi, start, end, off := -1, -1, 0, 0, 0
 	var err error
-	for i := 0; i < count; i++ {
+	for i, p := range payloads {
+		next := off + durable.FrameHeader + len(p)
 		var rec *Record
-		if rec, err = record(i); err != nil {
+		if rec, err = decodeRecord(p); err != nil {
 			break
 		}
 		var ok bool
@@ -250,12 +215,13 @@ func (n *Node) applyBody(count int, record func(int) (*Record, error), frames fu
 		}
 		if ok {
 			if lo < 0 {
-				lo = i
+				lo, start = i, off
 			}
-			hi = i + 1
+			hi, end = i+1, next
 		} else if lo >= 0 {
 			break
 		}
+		off = next
 	}
 	if lo < 0 {
 		return err
@@ -270,7 +236,7 @@ func (n *Node) applyBody(count int, record func(int) (*Record, error), frames fu
 	// silently short journal turns the next restart into a long catch-up.
 	jerr := n.journalErr
 	if jerr == nil {
-		jerr = n.journalAppend(applied-(hi-lo)+1, hi-lo, frames(lo, hi))
+		jerr = n.journalAppend(applied-(hi-lo)+1, hi-lo, body[start:end])
 	}
 	if jerr != nil {
 		n.o.journalErrors(hi - lo)

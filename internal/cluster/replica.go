@@ -108,8 +108,9 @@ func newReplica() *replica {
 		active: make(map[string]struct{}),
 		tab:    wf.NewInterner(),
 		// Parallel=1 pins the repair schedule: every replica computes the
-		// identical result at the identical stream position.
-		ropts: recovery.Options{Parallel: 1},
+		// identical result at the identical stream position. The repair is
+		// damage-scoped: clean components are neither replayed nor resynced.
+		ropts: recovery.Options{Parallel: 1, ScopeToDamage: true},
 	}
 	r.cond = sync.NewCond(&r.mu)
 	return r
@@ -243,7 +244,7 @@ func (r *replica) applyEntry(rec *Record) error {
 	}
 	e := rec.Entry
 	// A record off the binary stream carries the LSN the stamper's log
-	// assigned (JSON-delivered and freshly stamped ones carry none): entry
+	// assigned (freshly stamped ones carry none): entry
 	// records occupy the same stream positions everywhere, so this log must
 	// be about to assign the same one.
 	if next := r.log.Len() + 1; e.LSN != 0 && e.LSN != next {
@@ -326,7 +327,7 @@ func (r *replica) applyRepair(rec *Record) {
 		r.stats.lastErr = fmt.Errorf("cluster: repair at record %d: %w", rec.Seq, err)
 		return
 	}
-	r.store = res.Store
+	r.store.AdoptChains(res.Store, res.DamagedKeys)
 	r.stats.undone += len(res.Undone)
 	r.stats.redone += len(res.Redone)
 	r.stats.newExec += len(res.NewExecuted)
@@ -336,8 +337,9 @@ func (r *replica) applyRepair(rec *Record) {
 	}
 	// Move every rewritten run onto its corrected frontier, rebuilding
 	// visit counts from the full trace (forged included) exactly like the
-	// single-node engine's resync. The runs the schedule names are found in
-	// one pass over it; every other run keeps its state untouched.
+	// single-node engine's resync. The runs the schedule names — those of the
+	// damaged components — are found in one pass over it; every other run
+	// keeps its state untouched.
 	for run, f := range res.Frontiers(r.specs) {
 		rs := r.runs[run]
 		if f.Done && !rs.done {

@@ -134,7 +134,7 @@ func (r *Run) Failed() bool { return r.failed }
 // at most one goroutine at a time (runs carry unsynchronized per-run state);
 // the sharded executor (internal/shard) relies on exactly that contract.
 type Engine struct {
-	mu      sync.RWMutex // guards store (swap) and attacks
+	mu      sync.RWMutex // guards attacks
 	store   *data.Store
 	log     *wlog.Log
 	attacks map[wlog.InstanceID]*Attack
@@ -173,22 +173,9 @@ func New(store *data.Store, log *wlog.Log) *Engine {
 	}
 }
 
-// Store returns the engine's store.
-func (e *Engine) Store() *data.Store {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.store
-}
-
-// SwapStore replaces the engine's store. The recovery scheduler installs the
-// repaired store this way after executing a recovery unit; no commit may be
-// in flight during the swap (the sharded executor serializes the swap
-// through its commit pipeline).
-func (e *Engine) SwapStore(s *data.Store) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.store = s
-}
+// Store returns the engine's store: the one store fixed at New, which
+// recovery repairs in place (data.Store.AdoptChains) and never replaces.
+func (e *Engine) Store() *data.Store { return e.store }
 
 // Log returns the engine's log.
 func (e *Engine) Log() *wlog.Log { return e.log }

@@ -498,8 +498,8 @@ func (s *System) analyzeAlert() error {
 	return nil
 }
 
-// executeUnit runs the repair for the head recovery unit and installs the
-// repaired store.
+// executeUnit runs the repair for the head recovery unit and installs it in
+// the live store.
 func (s *System) executeUnit() error {
 	s.mu.Lock()
 	if len(s.recoveryQ) == 0 {
@@ -525,8 +525,12 @@ func (s *System) executeUnit() error {
 	// A fresh snapshot (not the unit's analysis-time one): normal tasks
 	// may have committed since the alert was analyzed (Concurrent mode),
 	// and the repair must fold them into the damage closure.
+	// The repair is damage-scoped and its chains are merged into the live
+	// store: clean components are neither replayed nor copied back.
 	repairStart := s.o.now()
-	res, err := recovery.RepairGraph(s.graph.Snapshot(), s.eng.Store(), s.eng.Log(), s.specs, u.Alert.Bad, s.cfg.Repair)
+	opts := s.cfg.Repair
+	opts.ScopeToDamage = true
+	res, err := recovery.RepairGraph(s.graph.Snapshot(), s.eng.Store(), s.eng.Log(), s.specs, u.Alert.Bad, opts)
 	if err != nil {
 		return fmt.Errorf("selfheal: recovery unit failed: %w", err)
 	}
@@ -538,7 +542,7 @@ func (s *System) executeUnit() error {
 		s.o.repairComponents.Observe(float64(res.Components))
 		s.o.repairWorkers.Observe(float64(res.Workers))
 	}
-	s.eng.SwapStore(res.Store)
+	s.eng.Store().AdoptChains(res.Store, res.DamagedKeys)
 	s.mu.Lock()
 	s.metrics.UnitsExecuted++
 	s.metrics.Undone += len(res.Undone)

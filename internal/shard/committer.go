@@ -34,7 +34,8 @@
 //     (the CTMC's loss model); a dedicated recovery worker analyzes alerts
 //     against O(1) epoch-pinned snapshots of the incremental dependence
 //     graph while normal shards keep stepping, and executes recovery units
-//     under a brief commit-pipeline quiescence for the store swap.
+//     with only the damaged shards paused, merging the repaired chains into
+//     the live store under a brief commit-pipeline quiescence.
 package shard
 
 import (

@@ -113,11 +113,15 @@ func NewDurable(cfg Config, dir string, dopts durable.Options) (*Service, error)
 			return nil, fmt.Errorf("shard: restored run %s has no spec", id)
 		}
 		status := RunActive
-		switch rs.Status {
-		case durable.RunDone:
+		switch {
+		case rs.Status == durable.RunDone:
 			status = RunDone
-		case durable.RunFailed:
+		case rs.Status == durable.RunFailed:
 			status = RunFailed
+		case rs.Cur == "":
+			// A repair moved the run past its end, and the checkpoint
+			// caught it before its worker retired it: it is done.
+			status = RunDone
 		}
 		r, err := eng.RestoreRun(id, spec, rs.Cur, rs.Visits, status == RunDone, status == RunFailed)
 		if err != nil {
@@ -152,103 +156,24 @@ func (s *Service) ReplayStats() (records int, d time.Duration) {
 	return s.wal.Replayed()
 }
 
-// SubmitRunSpec registers a workflow run from its wfjson document — the
-// durable submission path (POST /api/v1/runs). The spec record (including
-// the initial store values actually seeded) is written before the run is
-// placed, so it precedes every entry of the run in the WAL, and the call
-// returns once the record is on disk. On a non-durable service it degrades
-// to init seeding plus SubmitRun. Errors wrap engine.ErrBadSpec,
-// engine.ErrRunExists or ErrQueueFull.
+// SubmitRunSpec registers a workflow run from its wfjson document (POST
+// /api/v1/runs), seeding the document's initial values. On a durable
+// service the spec record (including the initial store values actually
+// seeded) is written before the run is placed, so it precedes every entry of
+// the run in the WAL, and the call returns once the record is on disk.
+// Errors wrap engine.ErrBadSpec, engine.ErrRunExists or ErrQueueFull.
 func (s *Service) SubmitRunSpec(id string, sj *wfjson.SpecJSON) error {
 	spec, init, err := wfjson.BuildIn(s.tab, sj)
 	if err != nil {
 		return fmt.Errorf("shard: run %s spec: %w: %w", id, engine.ErrBadSpec, err)
 	}
-	if s.wal == nil {
-		// Seed declared initial values through the commit pipeline (first
-		// writer wins): exclusive with group commits, so a concurrent
-		// commit can never slip a version under the Init. The store is
-		// read inside the job: a full repair queued ahead in the pipeline
-		// swaps the engine's store, and a handle captured out here would
-		// seed the swapped-out one.
-		if err := s.com.exec(func() error {
-			store := s.eng.Store()
-			for k, v := range init {
-				if _, ok := store.Get(k); !ok {
-					store.Init(k, v)
-				}
-			}
-			return nil
-		}); err != nil {
-			return err
+	var doc []byte
+	if s.wal != nil {
+		if doc, err = json.Marshal(sj); err != nil {
+			return fmt.Errorf("shard: run %s spec: %w: %w", id, engine.ErrBadSpec, err)
 		}
-		return s.SubmitRun(id, spec)
 	}
-	if err := s.registerDurable(id, sj, spec, init); err != nil {
-		return err
-	}
-	return s.wal.Sync() // outside submitMu: concurrent submitters share the fsync
-}
-
-// registerDurable writes the spec record and registers and places the run.
-func (s *Service) registerDurable(id string, sj *wfjson.SpecJSON, spec *wf.Spec, init map[data.Key]data.Value) error {
-	// submitMu serializes durable submissions against each other and
-	// against checkpoints: between the admission pre-check and the actual
-	// submit, conflicts only shrink, and a snapshot never lands between
-	// the spec record and the run's registration.
-	s.submitMu.Lock()
-	defer s.submitMu.Unlock()
-
-	s.mu.Lock()
-	_, dup := s.specs[id]
-	s.mu.Unlock()
-	if dup || s.exec.tombstoned(id) {
-		return fmt.Errorf("shard: run %s: %w", id, engine.ErrRunExists)
-	}
-	if !s.exec.canAdmit(spec.Footprint()) {
-		return fmt.Errorf("shard: run %s conflicts across shards and the deferred queue is full: %w", id, ErrQueueFull)
-	}
-	doc, err := json.Marshal(sj)
-	if err != nil {
-		return fmt.Errorf("shard: run %s spec: %w: %w", id, engine.ErrBadSpec, err)
-	}
-
-	// Seed inits and write the spec record in one exclusive job, so the
-	// record lands at the seeding point of the commit stream and replays
-	// exactly the Inits that happened, not the ones the document declares
-	// (a key may already have committed history).
-	applied := make(map[data.Key]data.Value)
-	if err := s.com.exec(func() error {
-		store := s.eng.Store() // inside the job: a queued full repair may swap it
-		for k, v := range init {
-			if _, ok := store.Get(k); !ok {
-				store.Init(k, v)
-				applied[k] = v
-			}
-		}
-		return s.wal.AppendSpec(id, doc, applied)
-	}); err != nil {
-		return err
-	}
-
-	s.mu.Lock()
-	s.specs[id] = spec
-	s.specStates[id] = durable.SpecState{JSON: doc, Init: applied}
-	s.mu.Unlock()
-	if err := s.exec.submit(id, spec); err != nil {
-		// Unreachable in practice: duplicates and queue capacity were
-		// checked under submitMu. Unregister so the in-memory maps stay
-		// consistent; the orphaned spec record restores an idle run.
-		s.mu.Lock()
-		delete(s.specs, id)
-		delete(s.specStates, id)
-		s.mu.Unlock()
-		return err
-	}
-	s.mu.Lock()
-	s.metrics.RunsSubmitted++
-	s.mu.Unlock()
-	return nil
+	return s.register(id, spec, init, doc)
 }
 
 // Checkpoint forces a durable snapshot now: shards quiesce briefly while
@@ -489,16 +414,18 @@ func (s *Service) ackAlerts(ids []uint64) {
 	_ = s.wal.AppendAck(ids)
 }
 
-// executeDurable is the durable repair path: always damage-scoped (a
-// whole-store swap has no WAL representation), installed via AdoptChains
-// plus an adopt record, and refused with recovery.ErrHorizon when the
-// repair would need history the snapshot horizon truncated.
-func (s *Service) executeDurable(u *unit) error {
-	dkeys := s.damageKeyClosure(u)
+// checkHorizon refuses, with recovery.ErrHorizon, a repair that would need
+// history the snapshot horizon truncated. A service without a WAL never
+// truncates: its log holds every accused instance and no run is pre-epoch.
+func (s *Service) checkHorizon(u *unit, dkeys map[data.Key]bool) error {
 	s.mu.Lock()
-	specs := s.specsCopyLocked()
 	epoch := s.durableEpoch
-	pre := s.preEpoch
+	pre := make(map[string]*wf.Spec, len(s.preEpoch))
+	for run := range s.preEpoch {
+		if sp := s.specs[run]; sp != nil {
+			pre[run] = sp
+		}
+	}
 	s.mu.Unlock()
 
 	// A checkpoint that landed between an alert's admission and its repair
@@ -517,11 +444,7 @@ func (s *Service) executeDurable(u *unit) error {
 	// history, never replayed or resynced — their surviving effect is the
 	// checkpoint boundary versions, which post-snapshot repairs expose by
 	// undoing the damage layered on top.
-	for run := range pre {
-		sp := specs[run]
-		if sp == nil {
-			continue
-		}
+	for run, sp := range pre {
 		if s.runFrozen(run) {
 			continue
 		}
@@ -532,57 +455,7 @@ func (s *Service) executeDurable(u *unit) error {
 			}
 		}
 	}
-
-	gateHeld := s.cfg.Strict // handleBatch already quiesced every shard
-	var paused []int
-	if !gateHeld {
-		paused = s.exec.beginRecovery(dkeys)
-	}
-	quiesceStart := time.Now()
-	g, specs := s.pinView()
-	ropts := s.cfg.Repair
-	ropts.ScopeToDamage = true
-	ropts.Epoch = g.Epoch()
-	// Defense in depth: the store was compacted at the checkpoint epoch;
-	// an undo that needs an older version fails with ErrHorizon instead of
-	// misattributing the missing history to an earlier repair.
-	ropts.CompactionHorizon = float64(epoch)
-	if ropts.Parallel == 0 {
-		ropts.Parallel = s.cfg.Shards
-	}
-	res, err := recovery.RepairGraph(g, s.eng.Store(), s.eng.Log(), specs, u.bad, ropts)
-	if err == nil && (gateHeld || coveredBy(res.DamagedKeys, dkeys)) {
-		err = s.adoptDurably(res, specs)
-		if gateHeld {
-			s.observeQuiesce(quiesceStart, s.cfg.Shards)
-		} else {
-			s.exec.endRecovery(paused)
-			s.observeQuiesce(quiesceStart, len(paused))
-		}
-		return err
-	}
-	if !gateHeld {
-		s.exec.endRecovery(paused)
-		s.observeQuiesce(quiesceStart, len(paused))
-	}
-	if err != nil {
-		return err
-	}
-
-	// Coverage violation: the damage escaped the quiesced key set. Redo
-	// under full quiescence — still damage-scoped, so the installation
-	// keeps its adopt record.
-	s.exec.pauseAll()
-	quiesceStart = time.Now()
-	g, specs = s.pinView()
-	ropts.Epoch = g.Epoch()
-	res, err = recovery.RepairGraph(g, s.eng.Store(), s.eng.Log(), specs, u.bad, ropts)
-	if err == nil {
-		err = s.adoptDurably(res, specs)
-	}
-	s.observeQuiesce(quiesceStart, s.cfg.Shards)
-	s.exec.resumeAll()
-	return err
+	return nil
 }
 
 // runFrozen reports whether run is retired with no log entries above the
@@ -598,34 +471,4 @@ func (s *Service) runFrozen(run string) bool {
 		return false
 	}
 	return len(s.eng.Log().Trace(run, false)) == 0
-}
-
-// adoptDurably installs a scoped repair and syncs its adopt record before
-// the shards resume: a run it moved past its end must not read done first.
-func (s *Service) adoptDurably(res *recovery.Result, specs map[string]*wf.Spec) error {
-	if err := s.com.exec(func() error { return s.installDurable(res, specs) }); err != nil {
-		return err
-	}
-	return s.wal.Sync()
-}
-
-// installDurable merges a scoped repair into the live store and writes the
-// adopt record: the replacement chain of every damaged key (nil = deleted)
-// plus the resynced run frontiers. Runs inside com.exec, so the record
-// lands before any later commit's entry record.
-func (s *Service) installDurable(res *recovery.Result, specs map[string]*wf.Spec) error {
-	s.eng.Store().AdoptChains(res.Store, res.DamagedKeys)
-	fronts, err := s.resyncActive(res, specs)
-	if err != nil {
-		return err
-	}
-	chains := make(map[data.Key][]data.Version, len(res.DamagedKeys))
-	for _, k := range res.DamagedKeys {
-		chains[k] = res.Store.Chain(k)
-	}
-	if err := s.wal.AppendAdopt(fronts, chains); err != nil {
-		return err
-	}
-	s.recordRepairStats(res)
-	return nil
 }

@@ -223,6 +223,35 @@ func TestDurableRepairSurvivesRestart(t *testing.T) {
 	}
 }
 
+// TestCheckpointOfRunRepairedPastItsEnd: a repair can resync an in-flight
+// run past its end (frontier "", done) while the run's shard is paused, and a
+// checkpoint can capture it before its worker retires it. A restart from that
+// snapshot must come back with the run done, not refuse to restore it.
+func TestCheckpointOfRunRepairedPastItsEnd(t *testing.T) {
+	dir := t.TempDir()
+	svc := newDurableSvc(t, dir, Config{Shards: 1})
+	svc.exec.pauseAll()
+	if err := svc.SubmitRunSpec("x", durableDoc("x", 3)); err != nil {
+		t.Fatal(err)
+	}
+	svc.exec.mu.Lock()
+	rs := svc.exec.runs["x"]
+	svc.exec.mu.Unlock()
+	if err := svc.eng.Resync(rs.run, "", true); err != nil { // as install's resyncActive would
+		t.Fatal(err)
+	}
+	if err := svc.Checkpoint(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	waitIdle(t, svc)
+	svc.Stop()
+
+	re := newDurableSvc(t, dir, Config{Shards: 1})
+	if info, err := re.RunInfo("x"); err != nil || info.Status != RunDone.String() {
+		t.Fatalf("restarted RunInfo(x) = %+v, %v; want done", info, err)
+	}
+}
+
 // TestInterruptedRepairResumes: a crash after an alert is admitted (its
 // record synced) but before the repair installs must re-queue the alert at
 // the next boot and end in exactly the state of the uninterrupted repair.

@@ -5,16 +5,20 @@ import (
 	"time"
 
 	"selfheal/internal/data"
+	"selfheal/internal/recovery"
 	"selfheal/internal/wlog"
 )
 
 // TestSubmitInitSurvivesQueuedFullRepair pins the Strict-mode lost-init
-// defect: a full repair (repairFullyQuiesced swaps the engine's store) that
-// sits in the commit pipeline ahead of a submission's init-seeding job must
-// not make that job seed the swapped-out store. The committer is held busy
-// so both jobs are queued, in that order, before either runs.
+// defect: a repair under full quiescence whose installation sits in the
+// commit pipeline ahead of a submission's init-seeding job must not make
+// that job seed a store the repair replaced. The committer is held busy so
+// both jobs are queued, in that order, before either runs. The repair merges
+// its chains into the one store, so the service's store is the same object
+// before and after it.
 func TestSubmitInitSurvivesQueuedFullRepair(t *testing.T) {
-	svc := startService(t, Config{Shards: 2})
+	svc := startService(t, Config{Shards: 2, Strict: true})
+	store := svc.Store()
 	if err := svc.SubmitRunSpec("a", durableDoc("a", 3)); err != nil {
 		t.Fatal(err)
 	}
@@ -23,6 +27,9 @@ func TestSubmitInitSurvivesQueuedFullRepair(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	bad := []wlog.InstanceID{forged}
+	g, specs := svc.pinView()
+	u := &unit{bad: bad, an: recovery.AnalyzeGraph(g, svc.Log(), specs, bad)}
 
 	running, release := make(chan struct{}), make(chan struct{})
 	blocker := make(chan error, 1)
@@ -40,8 +47,11 @@ func TestSubmitInitSurvivesQueuedFullRepair(t *testing.T) {
 		}
 	}
 
+	// Strict gating: every shard is held for the repair, as handleBatch
+	// holds them for a unit.
+	svc.exec.pauseAll()
 	repaired := make(chan error, 1)
-	go func() { repaired <- svc.repairFullyQuiesced(&unit{bad: []wlog.InstanceID{forged}}) }()
+	go func() { repaired <- svc.repair(u) }()
 	waitQueued(1)
 	doc := durableDoc("b", 2)
 	doc.Init = map[string]int64{"b.fresh": 15}
@@ -55,7 +65,11 @@ func TestSubmitInitSurvivesQueuedFullRepair(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 	}
+	svc.exec.resumeAll()
 	waitIdle(t, svc)
+	if svc.Store() != store {
+		t.Fatal("the Strict repair replaced the service's store; repairs merge into the one store")
+	}
 	if v, ok := svc.Store().Get("a.k3"); !ok || v.Value != durableVal(3) {
 		t.Errorf("a.k3 = %v (present %v) after the repair, want %d", v.Value, ok, durableVal(3))
 	}

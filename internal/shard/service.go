@@ -238,8 +238,9 @@ type Service struct {
 	startStopOnce struct{ started, stopped sync.Once }
 
 	// pinHook, when set by a test, runs inside pinView between the graph
-	// snapshot and the spec copy.
-	pinHook func()
+	// snapshot and the spec copy; closureHook runs inside repair between
+	// the damage-key closure and the pause of the shards owning it.
+	pinHook, closureHook func()
 
 	// cover holds the damage-closure signatures of queued and executing
 	// units for the covered-alert prefilter (Triage.Prefilter); checked
@@ -428,19 +429,81 @@ func (s *Service) SubmitRun(id string, spec *wf.Spec) error {
 		// entries. Durable submissions must carry the wfjson document.
 		return fmt.Errorf("shard: run %s: durable service requires SubmitRunSpec: %w", id, engine.ErrBadSpec)
 	}
+	if err := spec.Validate(); err != nil {
+		return fmt.Errorf("shard: run %s: %w: %w", id, engine.ErrBadSpec, err)
+	}
+	return s.register(id, spec, nil, nil)
+}
+
+// register is the one registration path, with or without a WAL. Refusals
+// come first, so a refused run leaves no trace; then one exclusive commit
+// pipeline job seeds the declared initial values (first writer wins) and,
+// with a WAL, writes the spec record at exactly that point of the commit
+// stream, carrying the Inits that happened rather than the ones the document
+// declares; then the run is registered and placed. A durable submission
+// returns once its record is on disk.
+func (s *Service) register(id string, spec *wf.Spec, init map[data.Key]data.Value, doc []byte) error {
+	// submitMu serializes submissions against each other and against
+	// checkpoints: between the refusals and the placement, conflicts only
+	// shrink, and a snapshot never lands between the spec record and the
+	// run's registration.
+	s.submitMu.Lock()
+	err := s.registerLocked(id, spec, init, doc)
+	s.submitMu.Unlock()
+	if err != nil || s.wal == nil {
+		return err
+	}
+	return s.wal.Sync() // outside submitMu: concurrent submitters share the fsync
+}
+
+func (s *Service) registerLocked(id string, spec *wf.Spec, init map[data.Key]data.Value, doc []byte) error {
 	s.mu.Lock()
-	if _, dup := s.specs[id]; dup {
-		s.mu.Unlock()
+	_, dup := s.specs[id]
+	s.mu.Unlock()
+	if dup || s.exec.tombstoned(id) {
 		return fmt.Errorf("shard: run %s: %w", id, engine.ErrRunExists)
 	}
+	if !s.exec.canAdmit(spec.Footprint()) {
+		return fmt.Errorf("shard: run %s conflicts across shards and the deferred queue is full: %w", id, ErrQueueFull)
+	}
+
+	applied := make(map[data.Key]data.Value)
+	if len(init) > 0 || s.wal != nil {
+		// Exclusive with group commits, so a concurrent commit can never
+		// slip a version under an Init.
+		if err := s.com.exec(func() error {
+			store := s.eng.Store()
+			for k, v := range init {
+				if _, ok := store.Get(k); !ok {
+					store.Init(k, v)
+					applied[k] = v
+				}
+			}
+			if s.wal == nil {
+				return nil
+			}
+			return s.wal.AppendSpec(id, doc, applied)
+		}); err != nil {
+			return err
+		}
+	}
+
 	// Register the spec before the first commit can land, so a concurrent
 	// damage analysis never sees a spec-less run.
+	s.mu.Lock()
 	s.specs[id] = spec
+	if s.wal != nil {
+		s.specStates[id] = durable.SpecState{JSON: doc, Init: applied}
+	}
 	s.mu.Unlock()
-
 	if err := s.exec.submit(id, spec); err != nil {
+		// A repair that began after the admission check can make the run
+		// unplaceable with the deferred queue full. Unregister so the
+		// in-memory maps stay consistent; an orphaned spec record restores
+		// an idle run.
 		s.mu.Lock()
 		delete(s.specs, id)
+		delete(s.specStates, id)
 		s.mu.Unlock()
 		return err
 	}
@@ -993,12 +1056,8 @@ func (s *Service) specsCopyLocked() map[string]*wf.Spec {
 
 // executeUnit runs the repair for the head recovery unit. The repair
 // re-analyzes the log (normal tasks that consumed corrupt data since the
-// alert are folded into the damage closure). In Strict mode every shard is
-// already quiesced and the repaired store is swapped in wholesale; otherwise
-// only the shards owning damage-closure keys pause while the parallel,
-// damage-scoped repair runs, and the repaired chains are merged into the
-// live store through the commit pipeline — atomically with respect to every
-// group commit from the still-running clean shards.
+// alert are folded into the damage closure) and is installed the one way
+// every mode shares (repair).
 func (s *Service) executeUnit() {
 	s.mu.Lock()
 	if len(s.unitQ) == 0 {
@@ -1025,8 +1084,7 @@ func (s *Service) executeUnit() {
 	}()
 
 	var err error
-	switch {
-	case s.cfg.Fault.SkipRepair:
+	if s.cfg.Fault.SkipRepair {
 		// Deliberate soundness fault (mutation smoke): consume the unit
 		// without repairing anything. The accounting still runs so the
 		// faulty service looks healthy from the outside — exactly the
@@ -1035,14 +1093,8 @@ func (s *Service) executeUnit() {
 		s.metrics.UnitsExecuted++
 		s.mu.Unlock()
 		s.o.units.Inc()
-	case s.wal != nil:
-		err = s.executeDurable(u)
-	case s.cfg.Strict:
-		quiesceStart := time.Now()
-		err = s.repairFullyQuiesced(u)
-		s.observeQuiesce(quiesceStart, s.cfg.Shards)
-	default:
-		err = s.executePartial(u)
+	} else {
+		err = s.repair(u)
 	}
 	if err != nil {
 		s.mu.Lock()
@@ -1052,91 +1104,114 @@ func (s *Service) executeUnit() {
 	}
 }
 
-// executePartial is the §IV concurrent-recovery path: quiesce only the
-// shards owning keys in the damage closure, repair the damaged components
-// in parallel against an epoch-pinned snapshot, and merge the repaired
-// chains into the live store. Clean shards keep committing past the pinned
-// epoch throughout; the scoped repair never reads their chains.
+// repair is the one repair path of every service, with or without a WAL and
+// in either strategy: the §IV concurrent recovery. It quiesces only the
+// shards owning keys in the damage closure (in Strict mode handleBatch
+// already holds every shard), repairs the damaged components in parallel
+// against an epoch-pinned snapshot, and merges the repaired chains into the
+// live store (install). Clean shards keep committing past the pinned epoch
+// throughout; the scoped repair never reads their chains. A repair that
+// would need history beneath the snapshot horizon is refused with
+// recovery.ErrHorizon.
 //
 // Soundness of the scoping is re-checked after the fact: if the repair's
 // own damage closure escaped the quiesced key set (a footprint-bridging
 // spec registered in the window between closure computation and the pause),
-// the scoped result is discarded and the unit re-executes under full
-// quiescence.
-func (s *Service) executePartial(u *unit) error {
+// the result is discarded and the unit is repaired again, still
+// damage-scoped, with every shard quiesced.
+func (s *Service) repair(u *unit) error {
 	dkeys := s.damageKeyClosure(u)
-	paused := s.exec.beginRecovery(dkeys)
+	if err := s.checkHorizon(u, dkeys); err != nil {
+		return err
+	}
+	if s.closureHook != nil {
+		s.closureHook()
+	}
+	var paused []int
+	quiesced := s.cfg.Shards
+	if !s.cfg.Strict {
+		paused = s.exec.beginRecovery(dkeys)
+		quiesced = len(paused)
+	}
 	quiesceStart := time.Now()
-
 	// The damaged shards are drained: every commit in a damaged component
-	// is at or below the epoch of the snapshot taken now. Clean shards keep
-	// committing and registering runs, which is why the specs are copied
-	// only after the snapshot (pinView).
+	// is at or below the epoch of the snapshot taken now.
+	res, specs, err := s.repairPinned(u)
+	if err == nil && quiesced < s.cfg.Shards && !coveredBy(res.DamagedKeys, dkeys) {
+		// Coverage violation: the damage reaches keys outside the
+		// quiesced set, which a still-running shard may be committing to.
+		// With every shard paused nothing commits past the pinned epoch,
+		// so the check only matters while some shard runs.
+		s.exec.pauseAll()
+		quiesced = s.cfg.Shards
+		res, specs, err = s.repairPinned(u)
+	}
+	if err == nil {
+		err = s.install(res, specs)
+	}
+	if !s.cfg.Strict {
+		if quiesced == s.cfg.Shards {
+			s.exec.resumeAll()
+		}
+		s.exec.endRecovery(paused)
+	}
+	s.observeQuiesce(quiesceStart, quiesced)
+	return err
+}
+
+// repairPinned computes u's damage-scoped repair against a view pinned now.
+// Clean shards keep committing and registering runs, which is why the specs
+// are copied only after the snapshot (pinView).
+func (s *Service) repairPinned(u *unit) (*recovery.Result, map[string]*wf.Spec, error) {
 	g, specs := s.pinView()
+	s.mu.Lock()
+	horizon := s.durableEpoch
+	s.mu.Unlock()
 	ropts := s.cfg.Repair
 	ropts.ScopeToDamage = true
 	ropts.Epoch = g.Epoch()
+	// Defense in depth: a durable store was compacted at the checkpoint
+	// epoch; an undo that needs an older version fails with ErrHorizon
+	// instead of misattributing the missing history to an earlier repair.
+	ropts.CompactionHorizon = float64(horizon)
 	if ropts.Parallel == 0 {
 		ropts.Parallel = s.cfg.Shards
 	}
 	res, err := recovery.RepairGraph(g, s.eng.Store(), s.eng.Log(), specs, u.bad, ropts)
-
-	if err == nil && coveredBy(res.DamagedKeys, dkeys) {
-		err = s.com.exec(func() error { return s.installScoped(res, specs) })
-		s.exec.endRecovery(paused)
-		s.observeQuiesce(quiesceStart, len(paused))
-		return err
-	}
-	s.exec.endRecovery(paused)
-	s.observeQuiesce(quiesceStart, len(paused))
-	if err != nil {
-		return err
-	}
-
-	// Coverage violation: the damage reaches keys outside the quiesced
-	// set. Redo the unit under full quiescence (always sound).
-	s.exec.pauseAll()
-	quiesceStart = time.Now()
-	err = s.repairFullyQuiesced(u)
-	s.observeQuiesce(quiesceStart, s.cfg.Shards)
-	s.exec.resumeAll()
-	return err
+	return res, specs, err
 }
 
-// repairFullyQuiesced repairs against the full log with every shard paused
-// and swaps the repaired store in wholesale. Callers must hold all shards
-// quiesced (Strict gating, or the executePartial fallback).
-func (s *Service) repairFullyQuiesced(u *unit) error {
-	ropts := s.cfg.Repair
-	if ropts.Parallel == 0 {
-		ropts.Parallel = s.cfg.Shards
-	}
-	return s.com.exec(func() error {
-		g, specs := s.pinView()
-		res, err := recovery.RepairGraph(g, s.eng.Store(), s.eng.Log(), specs, u.bad, ropts)
+// install merges a scoped repair's damaged chains into the live store,
+// resyncs the runs it rewrote and, with a WAL, writes the adopt record: the
+// replacement chain of every damaged key (nil = deleted) plus the resynced
+// run frontiers. It runs inside com.exec: exclusive with every group commit,
+// so clean shards observe either the pre- or post-repair chains, never a
+// torn mix, and the record lands before any later commit's entry record.
+// The record is synced before the shards resume: a run the repair moved past
+// its end must not read done first.
+func (s *Service) install(res *recovery.Result, specs map[string]*wf.Spec) error {
+	err := s.com.exec(func() error {
+		s.eng.Store().AdoptChains(res.Store, res.DamagedKeys)
+		fronts, err := s.resyncActive(res, specs)
 		if err != nil {
 			return err
 		}
-		s.eng.SwapStore(res.Store)
-		if _, err := s.resyncActive(res, specs); err != nil {
-			return err
+		if s.wal != nil {
+			chains := make(map[data.Key][]data.Version, len(res.DamagedKeys))
+			for _, k := range res.DamagedKeys {
+				chains[k] = res.Store.Chain(k)
+			}
+			if err := s.wal.AppendAdopt(fronts, chains); err != nil {
+				return err
+			}
 		}
 		s.recordRepairStats(res)
 		return nil
 	})
-}
-
-// installScoped merges a scoped repair's damaged chains into the live store
-// and resyncs the affected runs. Runs inside com.exec: exclusive with every
-// group commit, so clean shards observe either the pre- or post-repair
-// chains, never a torn mix.
-func (s *Service) installScoped(res *recovery.Result, specs map[string]*wf.Spec) error {
-	s.eng.Store().AdoptChains(res.Store, res.DamagedKeys)
-	if _, err := s.resyncActive(res, specs); err != nil {
+	if err != nil || s.wal == nil {
 		return err
 	}
-	s.recordRepairStats(res)
-	return nil
+	return s.wal.Sync()
 }
 
 // resyncActive moves every in-flight run the repair rewrote onto its

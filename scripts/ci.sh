@@ -100,6 +100,24 @@ go test -race -count=3 -run '^(TestRestartEqualsLive|TestAlertBelowHorizon)$' ./
 # the fix fixed.
 go test -run 'TestEpisodeHealthyVariantsPass' -count=200 ./internal/fuzz/
 
+# One way to install a repair (docs/RECOVERY.md "Partial quiescence in the
+# shard layer"): every runtime merges a damage-scoped repair's chains into
+# its one store, so no runtime swaps its store, and the shard service — with
+# or without a WAL, Strict or not — computes repairs in exactly one function.
+# Its registration and repair paths are exercised in every mode: runs
+# registered inside the pin and closure windows, the coverage fallback, and
+# refused registrations leaving no trace.
+if grep -rn --include='*.go' --exclude='*_test.go' 'SwapStore' .; then
+    echo "install gate: a store swap; repairs merge their chains (data.Store.AdoptChains)" >&2
+    exit 1
+fi
+repair_fns=$(grep -rn --include='*.go' --exclude='*_test.go' 'recovery\.RepairGraph(' internal/shard/ | wc -l)
+if [ "$repair_fns" -ne 1 ]; then
+    echo "install gate: internal/shard calls recovery.RepairGraph from $repair_fns sites, want the one repair path" >&2
+    exit 1
+fi
+go test -race -count=20 -run '^(TestRunRegisteredWhileRepairPins|TestCoverageViolationFallsBackScoped|TestRefusedRegistrationLeavesNoTrace|TestSubmitInitSurvivesQueuedFullRepair)$' ./internal/shard/
+
 # The end-to-end benchmark is its own module (bench/, `replace selfheal =>
 # ../`) compiled against internal packages: vet and its toy-size tests here
 # so internal-API drift against it fails CI, not the next benchmark run.
