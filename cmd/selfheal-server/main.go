@@ -32,8 +32,11 @@
 // shard service: the node-to-node API mounts under /internal/v1/ next to
 // the public surface, GET /api/v1/cluster reports the topology, and every
 // node answers the full v1 API regardless of which node owns a run.
-// -cluster-dir persists the replicated record journal, -join catches the
-// replica up from the peers before serving (restart/rejoin), and
+// -cluster-dir persists the replicated record journal and its snapshots,
+// -join catches the replica up from the peers before serving
+// (restart/rejoin; from a peer's snapshot when the peers have retired the
+// records it lacks), -snapshot-every sets how often the cluster checkpoints,
+// and
 // -quiesce-hold artificially extends an incident's partial-quiescence
 // window so the mid-repair behaviour can be observed. Cluster nodes always
 // mount the chaos routes (the cluster test harness drives them); do not
@@ -96,20 +99,25 @@ func parsePeers(s string) (map[string]string, error) {
 
 // serveCluster boots the process as one cluster member and blocks until a
 // termination signal.
-func serveCluster(addr, nodeID, peersFlag, dir string, join bool, hold time.Duration, window int) {
+// -snapshot-every 0 disables checkpoints, as it does with -durable.
+func serveCluster(addr, nodeID, peersFlag, dir string, join bool, hold time.Duration, window, snapEvery int) {
 	peers, err := parsePeers(peersFlag)
 	if err != nil {
 		log.Fatal(err)
 	}
+	if snapEvery == 0 {
+		snapEvery = -1
+	}
 	reg := obs.NewRegistry()
 	node, err := cluster.New(cluster.Config{
-		NodeID:       nodeID,
-		Peers:        peers,
-		Dir:          dir,
-		Join:         join,
-		QuiesceHold:  hold,
-		SubmitWindow: window,
-		Registry:     reg,
+		NodeID:        nodeID,
+		Peers:         peers,
+		Dir:           dir,
+		Join:          join,
+		QuiesceHold:   hold,
+		SubmitWindow:  window,
+		SnapshotEvery: snapEvery,
+		Registry:      reg,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -159,7 +167,7 @@ func main() {
 	strict := flag.Bool("strict", false, "Theorem-4 strict mode: quiesce shards for whole SCAN+RECOVERY")
 	triageOn := flag.Bool("triage", false, "streaming alert triage: cone coalescing, covered-alert prefilter, Report-time dedupe (docs/TRIAGE.md)")
 	durableDir := flag.String("durable", "", "WAL directory: persist all state and restore it on boot (docs/DURABILITY.md)")
-	snapEvery := flag.Int("snapshot-every", 4096, "with -durable, checkpoint once this many entries committed past the latest snapshot (0 disables)")
+	snapEvery := flag.Int("snapshot-every", 4096, "with -durable or -peers, checkpoint once this many entries committed past the latest snapshot (0 disables)")
 	chaos := flag.Bool("chaos", false, "mount the white-box chaos routes under /api/v1/chaos (fuzzing only, docs/FUZZING.md)")
 	audit := flag.Bool("audit", false, "validate every repair schedule against the Theorem-3 partial orders (GET /api/v1/chaos/verify)")
 	faultSkipRepair := flag.Bool("fault-skip-repair", false, "FAULT INJECTION: recovery worker discards units without repairing (mutation smoke only)")
@@ -175,7 +183,7 @@ func main() {
 		if *nodeID == "" || *peersFlag == "" {
 			log.Fatal("cluster mode needs both -node-id and -peers")
 		}
-		serveCluster(*addr, *nodeID, *peersFlag, *clusterDir, *join, *quiesceHold, *submitWindow)
+		serveCluster(*addr, *nodeID, *peersFlag, *clusterDir, *join, *quiesceHold, *submitWindow, *snapEvery)
 		return
 	}
 

@@ -14,7 +14,7 @@ import (
 // (durable.AppendFrame: [len][crc][payload]) built from internal/durable's
 // field primitives, whose payload is:
 //
-//	kind    byte   (1=spec 2=entry 3=repair)
+//	kind    byte   (1=spec 2=entry 3=repair 4=checkpoint)
 //	seq     uvarint
 //	origin  string (uvarint length + bytes)
 //	kind-specific body
@@ -24,13 +24,14 @@ import (
 // durable's entry body (durable.AppendEntryBody), byte for byte what the
 // single-node WAL writes after its kind byte: its leading LSN field carries
 // the LSN the stamper's log assigned, which every replica checks against
-// its own on apply. Map keys are sorted, so encoding is deterministic: the
+// its own on apply. A checkpoint record has no body. Map keys are sorted, so encoding is deterministic: the
 // same record always produces the same bytes on every node.
 
 const (
-	recSpec   byte = 1
-	recEntry  byte = 2
-	recRepair byte = 3
+	recSpec       byte = 1
+	recEntry      byte = 2
+	recRepair     byte = 3
+	recCheckpoint byte = 4
 )
 
 // recordsContentType marks a binary framed-record request/response body on
@@ -46,8 +47,10 @@ func encodeRecord(dst []byte, rec *Record) []byte {
 		dst = append(dst, recEntry)
 	case KindRepair:
 		dst = append(dst, recRepair)
+	case KindCheckpoint:
+		dst = append(dst, recCheckpoint)
 	default:
-		// Unknown kinds cannot be stamped (the stamper only emits the three
+		// Unknown kinds cannot be stamped (the stamper only emits the four
 		// above); encode as an explicit zero so decode rejects it loudly.
 		dst = append(dst, 0)
 	}
@@ -117,6 +120,8 @@ func decodeRecord(p []byte) (*Record, error) {
 		for i := uint64(0); i < n && r.Err() == nil; i++ {
 			rec.Bad = append(rec.Bad, r.Str())
 		}
+	case recCheckpoint:
+		rec.Kind = KindCheckpoint
 	default:
 		return nil, fmt.Errorf("cluster: record codec: unknown kind byte %d", kind)
 	}
@@ -124,6 +129,23 @@ func decodeRecord(p []byte) (*Record, error) {
 		return nil, fmt.Errorf("cluster: record codec: %w", err)
 	}
 	return rec, nil
+}
+
+// specDoc returns a fresh copy of the run document a spec record's payload embeds,
+// byte for byte as the stamper encoded it, without decoding the document.
+func specDoc(p []byte) ([]byte, error) {
+	r := durable.NewReader(p)
+	if kind := r.Byte(); kind != recSpec {
+		return nil, fmt.Errorf("cluster: record codec: kind byte %d is not a spec record", kind)
+	}
+	r.Uvarint()
+	r.Str()
+	r.Str()
+	doc := r.Bytes()
+	if err := r.Err(); err != nil {
+		return nil, fmt.Errorf("cluster: record codec: %w", err)
+	}
+	return doc, nil
 }
 
 // encodeFramedRecord appends rec as one CRC-framed payload to dst — the

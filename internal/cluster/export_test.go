@@ -21,6 +21,20 @@ func SetReconcileInterval(d time.Duration) (restore func()) {
 	return func() { reconcileInterval = old }
 }
 
+// Frontier is a run's position on a node's replica (replica.Frontier), as
+// one comparable value.
+type Frontier struct {
+	Cur      string
+	Visit    int
+	Done, OK bool
+}
+
+// FrontierOf returns a run's position on the node's replica.
+func (n *Node) FrontierOf(run string) Frontier {
+	cur, visit, done, ok := n.rep.Frontier(run)
+	return Frontier{string(cur), visit, done, ok}
+}
+
 // CloseJournal closes the node's journal under it, as a failed write would
 // end it: the replica keeps applying, and nothing more is journaled.
 func (n *Node) CloseJournal() { n.journal.Close() }

@@ -25,14 +25,21 @@ import (
 // stream as bytes.
 const replicaFootprintBudget = 915
 
+// retiredRunBudget is the live heap a follower may keep per run a checkpoint
+// retired: its tombstone in the replica, and until the next checkpoint its
+// records' offsets in the journal's read index. ROADMAP aim 3: nothing but a
+// tombstone per retired run.
+const retiredRunBudget = 160
+
 // footprintStream runs tenants × perTenant generated runs of the benchmark's
 // shape (wf.GenerateBlueprint, 8 tasks over a private 6-key pool per tenant,
 // a tenant's next run after its previous one) on an in-memory one-node
-// cluster and returns the record stream it stamped, as frames, and the run
-// count.
+// cluster that checkpoints only once, forced after the last run, and returns
+// the record stream it stamped, as frames — the checkpoint record last — and
+// the run count.
 func footprintStream(t *testing.T, tenants, perTenant int) ([]byte, int) {
 	t.Helper()
-	gen, err := New(Config{NodeID: "gen"})
+	gen, err := New(Config{NodeID: "gen", SnapshotEvery: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,6 +75,9 @@ func footprintStream(t *testing.T, tenants, perTenant int) ([]byte, int) {
 	if err := gen.WaitIdle(ctx); err != nil {
 		t.Fatal(err)
 	}
+	if err := gen.Checkpoint(ctx); err != nil {
+		t.Fatal(err)
+	}
 	body, _, err := gen.journal.ReadFrames(1, gen.rep.Applied())
 	if err != nil {
 		t.Fatal(err)
@@ -89,13 +99,18 @@ func liveHeap() uint64 {
 // follower that applies a generated stream, pushed to it in 256-record bodies
 // as the stamper's pushers ship them, and serves it to a peer keeps at most
 // replicaFootprintBudget of live heap per applied record. The journal holds
-// the stream; the heap holds the state derived from it.
+// the stream; the heap holds the state derived from it. Once the stream's
+// checkpoint record applies, every run is retired and the follower keeps at
+// most retiredRunBudget per run.
 func TestReplicaFootprint(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector inflates allocations")
 	}
-	body, runs := footprintStream(t, 16, 250)
-	payloads, _ := durable.SplitFrames(body)
+	stream, runs := footprintStream(t, 16, 250)
+	payloads, _ := durable.SplitFrames(stream)
+	last := len(payloads) - 1
+	ckpt := stream[len(stream)-durable.FrameHeader-len(payloads[last]):]
+	body, payloads := stream[:len(stream)-len(ckpt)], payloads[:last]
 	var bodies [][]byte
 	for off, i := 0, 0; i < len(payloads); {
 		start := off
@@ -120,7 +135,7 @@ func TestReplicaFootprint(t *testing.T) {
 		t.Fatalf("the follower serves %d bytes (%v), not the %d-byte stream it applied", len(served), err, len(body))
 	}
 	after := liveHeap()
-	runtime.KeepAlive(body) // live at both readings, so not in the difference
+	runtime.KeepAlive(stream) // live at every reading, so not in the differences
 	runtime.KeepAlive(n)
 
 	records := n.rep.Applied()
@@ -131,5 +146,20 @@ func TestReplicaFootprint(t *testing.T) {
 	if per > replicaFootprintBudget {
 		t.Fatalf("live heap per applied record %.0f B exceeds the budget of %d B (1 748 B when the replica kept the stream decoded beside the journal)",
 			per, replicaFootprintBudget)
+	}
+
+	if err := n.applyFrames(ckpt); err != nil {
+		t.Fatal(err)
+	}
+	if done, ok := n.rep.RunDone("a0-r0"); !done || !ok || !n.rep.Retired("a0-r0") {
+		t.Fatalf("the checkpoint did not retire run a0-r0 (done %v, known %v)", done, ok)
+	}
+	retired := liveHeap()
+	runtime.KeepAlive(stream)
+	runtime.KeepAlive(n)
+	perRun := (float64(retired) - float64(before)) / float64(runs)
+	t.Logf("after the checkpoint: %.0f B of live heap per retired run (budget %d B)", perRun, retiredRunBudget)
+	if perRun > retiredRunBudget {
+		t.Fatalf("live heap per retired run %.0f B exceeds the budget of %d B", perRun, retiredRunBudget)
 	}
 }

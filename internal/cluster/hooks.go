@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"time"
 
 	"selfheal/internal/obs"
 )
@@ -41,6 +42,13 @@ func (h hooks) replicationBytes(dir string, n int) {
 
 func (h hooks) journalErrors(n int) { h.reg.Counter(obs.MClusterJournalErrors).Add(int64(n)) }
 
+func (h hooks) snapshotInstalled() { h.reg.Counter(obs.MClusterSnapshotInstalls).Inc() }
+
+func (h hooks) snapshot(d time.Duration) {
+	h.reg.Counter(obs.MClusterSnapshots).Inc()
+	h.reg.Histogram(obs.MClusterSnapshotSeconds, obs.LatencyBuckets).Observe(d.Seconds())
+}
+
 // stampBatchBuckets covers the group sizes the stamping loop produces:
 // 1 (idle, degenerate batch) up to the whole pending queue under load.
 var stampBatchBuckets = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024}
@@ -52,3 +60,4 @@ func (h hooks) pausedKeys(n int)    { h.reg.Gauge(obs.MClusterPausedKeys).Set(in
 func (h hooks) incident()           { h.reg.Counter(obs.MClusterIncidents).Inc() }
 func (h hooks) reconcilePickup()    { h.reg.Counter(obs.MClusterReconcilePickups).Inc() }
 func (h hooks) runDoneAtAdmission() { h.reg.Counter(obs.MClusterRunsDoneAtAdmission).Inc() }
+func (h hooks) belowHorizon()       { h.reg.Counter(obs.MAlertsBelowHorizon).Inc() }

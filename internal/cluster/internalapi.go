@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"selfheal/internal/engine"
+	"selfheal/internal/recovery"
 	"selfheal/internal/shard"
 	"selfheal/internal/wfjson"
 	"selfheal/internal/wlog"
@@ -38,6 +39,8 @@ func (e *apiError) Unwrap() error {
 		return engine.ErrRunExists
 	case "queue_full":
 		return shard.ErrQueueFull
+	case "below_horizon":
+		return recovery.ErrHorizon
 	}
 	return nil
 }
@@ -113,6 +116,10 @@ type repairReq struct {
 	Bad    []string `json:"bad"`
 }
 
+type checkpointReq struct {
+	Origin string `json:"origin"`
+}
+
 type tokenReq struct {
 	Run   string `json:"run"`
 	After int    `json:"after"`
@@ -151,11 +158,13 @@ func (n *Node) InternalHandler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /internal/v1/status", n.handleStatus)
 	mux.HandleFunc("GET /internal/v1/commits", n.handleCommitsPull)
+	mux.HandleFunc("GET /internal/v1/snapshot", n.handleSnapshot)
 	mux.HandleFunc("POST /internal/v1/commits", n.handleCommitsPush)
 	mux.HandleFunc("POST /internal/v1/submit", n.handleSubmit)
 	mux.HandleFunc("POST /internal/v1/spec", n.handleSpec)
 	mux.HandleFunc("POST /internal/v1/forge", n.handleForge)
 	mux.HandleFunc("POST /internal/v1/repair", n.handleRepair)
+	mux.HandleFunc("POST /internal/v1/checkpoint", n.handleCheckpoint)
 	mux.HandleFunc("POST /internal/v1/tokens", n.handleToken)
 	mux.HandleFunc("POST /internal/v1/assess", n.handleAssess)
 	mux.HandleFunc("POST /internal/v1/quiesce", n.handleQuiesce)
@@ -188,6 +197,8 @@ func writeMappedErr(w http.ResponseWriter, err error) {
 		writeInternalErr(w, http.StatusConflict, "run_exists", err.Error())
 	case errors.Is(err, shard.ErrQueueFull):
 		writeInternalErr(w, http.StatusTooManyRequests, "queue_full", err.Error())
+	case errors.Is(err, recovery.ErrHorizon):
+		writeInternalErr(w, http.StatusGone, "below_horizon", err.Error())
 	default:
 		writeInternalErr(w, http.StatusInternalServerError, "internal", err.Error())
 	}
@@ -227,7 +238,7 @@ func (n *Node) handleCommitsPull(w http.ResponseWriter, r *http.Request) {
 		// request it; plain GET keeps the curl-able JSON document.
 		body, err := n.framesAfter(after, max)
 		if err != nil {
-			writeInternalErr(w, http.StatusInternalServerError, "internal", err.Error())
+			writeFetchErr(w, err)
 			return
 		}
 		n.o.replicationBytes("out", len(body))
@@ -238,10 +249,41 @@ func (n *Node) handleCommitsPull(w http.ResponseWriter, r *http.Request) {
 	}
 	recs, err := n.recordsAfter(after, max)
 	if err != nil {
-		writeInternalErr(w, http.StatusInternalServerError, "internal", err.Error())
+		writeFetchErr(w, err)
 		return
 	}
 	writeInternalJSON(w, http.StatusOK, commitsDoc{Records: recs})
+}
+
+// writeFetchErr answers a commits fetch that failed: 410 below_horizon when
+// the records asked for are retired beneath the snapshot (the fetcher
+// installs GET /internal/v1/snapshot first), else 500.
+func writeFetchErr(w http.ResponseWriter, err error) {
+	if errors.Is(err, errBelowHorizon) {
+		writeInternalErr(w, http.StatusGone, "below_horizon", err.Error())
+		return
+	}
+	writeInternalErr(w, http.StatusInternalServerError, "internal", err.Error())
+}
+
+// snapshotContentType marks a snapshot body: a durable snapshot file's bytes.
+const snapshotContentType = "application/x-selfheal-snapshot"
+
+// handleSnapshot serves the node's latest snapshot, byte for byte as its
+// file holds it (404 when the node has not checkpointed yet).
+func (n *Node) handleSnapshot(w http.ResponseWriter, r *http.Request) {
+	body, err := n.journal.Snapshot()
+	if err != nil {
+		writeInternalErr(w, http.StatusInternalServerError, "internal", err.Error())
+		return
+	}
+	if body == nil {
+		writeInternalErr(w, http.StatusNotFound, "not_found", "node "+n.cfg.NodeID+" has no snapshot")
+		return
+	}
+	w.Header().Set("Content-Type", snapshotContentType)
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(body)
 }
 
 func (n *Node) handleCommitsPush(w http.ResponseWriter, r *http.Request) {
@@ -348,6 +390,22 @@ func (n *Node) handleRepair(w http.ResponseWriter, r *http.Request) {
 	writeInternalJSON(w, http.StatusOK, seqDoc{Seq: seq})
 }
 
+func (n *Node) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
+	if !n.requireStamper(w) {
+		return
+	}
+	var req checkpointReq
+	if !decodeInternal(w, r, &req) {
+		return
+	}
+	seq, err := n.st.Checkpoint(req.Origin)
+	if err != nil {
+		writeMappedErr(w, err)
+		return
+	}
+	writeInternalJSON(w, http.StatusOK, seqDoc{Seq: seq})
+}
+
 func (n *Node) handleToken(w http.ResponseWriter, r *http.Request) {
 	var req tokenReq
 	if !decodeInternal(w, r, &req) {
@@ -425,8 +483,8 @@ func (n *Node) handleAlertForward(w http.ResponseWriter, r *http.Request) {
 		bad[i] = wlog.InstanceID(s)
 	}
 	for _, id := range bad {
-		if !n.rep.HasInstance(id) {
-			writeInternalErr(w, http.StatusNotFound, "not_found", "unknown instance "+string(id))
+		if err := n.checkAlertInstance(id); err != nil {
+			writeMappedErr(w, err)
 			return
 		}
 	}
@@ -522,8 +580,31 @@ func (c *peerClient) fetchCommits(addr string, after, max int) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
+	if resp.StatusCode == http.StatusGone {
+		return nil, errBelowHorizon
+	}
 	if resp.StatusCode/100 != 2 {
 		return nil, fmt.Errorf("cluster: peer GET %s: HTTP %d", path, resp.StatusCode)
+	}
+	return raw, nil
+}
+
+// fetchSnapshot downloads a peer's latest snapshot file.
+func (c *peerClient) fetchSnapshot(addr string) ([]byte, error) {
+	if addr == "" {
+		return nil, errors.New("cluster: peer has no address")
+	}
+	resp, err := c.long.Get("http://" + addr + "/internal/v1/snapshot")
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	raw, err := io.ReadAll(io.LimitReader(resp.Body, 1<<30))
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode/100 != 2 {
+		return nil, fmt.Errorf("cluster: peer GET /internal/v1/snapshot: HTTP %d", resp.StatusCode)
 	}
 	return raw, nil
 }
@@ -587,6 +668,12 @@ func (c *peerClient) submitForge(addr, origin, run, task string, reads []string,
 func (c *peerClient) submitRepair(addr, origin string, bad []string) (int, error) {
 	var resp seqDoc
 	err := c.call(c.long, http.MethodPost, addr, "/internal/v1/repair", repairReq{Origin: origin, Bad: bad}, &resp)
+	return resp.Seq, err
+}
+
+func (c *peerClient) checkpoint(addr, origin string) (int, error) {
+	var resp seqDoc
+	err := c.call(c.long, http.MethodPost, addr, "/internal/v1/checkpoint", checkpointReq{Origin: origin}, &resp)
 	return resp.Seq, err
 }
 

@@ -13,6 +13,7 @@ import (
 	"selfheal/internal/engine"
 	"selfheal/internal/httpapi"
 	"selfheal/internal/obs"
+	"selfheal/internal/recovery"
 	"selfheal/internal/shard"
 	"selfheal/internal/triage"
 	"selfheal/internal/wf"
@@ -45,9 +46,20 @@ type Config struct {
 	// change, no window crosses a locally quiesced footprint, and a stale
 	// verdict rewinds a window to the stamper's state.
 	SubmitWindow int
+	// SnapshotEvery is how many entries commit above the last checkpoint
+	// before the sequencer stamps the next checkpoint record, at the end of
+	// the group that reaches it (default 4096, as selfheal-server
+	// -snapshot-every; negative disables automatic checkpoints). Every
+	// replica that applies the record snapshots its state beside its journal
+	// and forgets the history the snapshot covers.
+	SnapshotEvery int
 	// Registry receives the cluster metrics (nil disables them).
 	Registry *obs.Registry
 }
+
+// DefaultSnapshotEvery is the checkpoint interval Config.SnapshotEvery 0
+// selects.
+const DefaultSnapshotEvery = 4096
 
 // Node is one member of the networked deployment: a full replica of the
 // record stream plus the executor, replication and incident machinery. It
@@ -95,6 +107,7 @@ type Node struct {
 	alertsReported atomic.Int64
 	alertsLost     atomic.Int64
 	alertsAnalyzed atomic.Int64
+	alertsHorizon  atomic.Int64
 }
 
 // New builds a node: ring derivation, journal replay, sequencer election.
@@ -114,6 +127,9 @@ func New(cfg Config) (*Node, error) {
 	if cfg.SubmitWindow <= 0 {
 		cfg.SubmitWindow = 32
 	}
+	if cfg.SnapshotEvery == 0 {
+		cfg.SnapshotEvery = DefaultSnapshotEvery
+	}
 	ids := make([]string, 0, len(cfg.Peers))
 	for id := range cfg.Peers {
 		ids = append(ids, id)
@@ -132,13 +148,11 @@ func New(cfg Config) (*Node, error) {
 	n.stopCtx, n.stopCancel = context.WithCancel(context.Background())
 	n.pushCond = sync.NewCond(&n.pushMu)
 	n.gateCond = sync.NewCond(&n.gateMu)
-	n.journal = &memFrames{}
+	n.journal = newMemFrames()
 	if cfg.Dir != "" {
-		j, err := loadJournal(cfg.Dir, cfg.NodeID, n.rep)
-		if err != nil {
+		if err := n.openJournal(); err != nil {
 			return nil, err
 		}
-		n.journal = j
 		n.o.recordsApplied(n.rep.Applied())
 	}
 	if n.ring.Stamper() == cfg.NodeID {
@@ -227,7 +241,8 @@ func (n *Node) peerAddr(id string) string { return n.cfg.Peers[id] }
 func (n *Node) stamperAddr() string       { return n.peerAddr(n.ring.Stamper()) }
 
 // catchUp pulls the stream from the most advanced reachable peer until the
-// replica reaches that peer's position (the -join boot mode).
+// replica reaches that peer's position (the -join boot mode). A position
+// beneath the peer's horizon first installs the peer's snapshot.
 func (n *Node) catchUp() error {
 	target, from := 0, ""
 	for _, id := range n.ring.Members() {
@@ -243,22 +258,37 @@ func (n *Node) catchUp() error {
 		}
 	}
 	for from != "" && n.rep.Applied() < target {
-		body, err := n.client.fetchCommits(n.peerAddr(from), n.rep.Applied(), 512)
+		at := n.rep.Applied()
+		body, err := n.client.fetchCommits(n.peerAddr(from), at, 512)
+		switch {
+		case errors.Is(err, errBelowHorizon):
+			err = n.installFrom(from)
+		case err == nil:
+			err = n.applyFrames(body)
+		}
 		if err != nil {
 			return fmt.Errorf("cluster: join catch-up from %s: %w", from, err)
 		}
-		if len(body) == 0 {
-			return fmt.Errorf("cluster: join catch-up stalled at %d of %d", n.rep.Applied(), target)
-		}
-		if err := n.applyFrames(body); err != nil {
-			return err
+		if n.rep.Applied() == at {
+			return fmt.Errorf("cluster: join catch-up stalled at %d of %d", at, target)
 		}
 	}
 	return nil
 }
 
+// installFrom installs a peer's latest snapshot (GET /internal/v1/snapshot)
+// in place of the replica.
+func (n *Node) installFrom(peer string) error {
+	snap, err := n.client.fetchSnapshot(n.peerAddr(peer))
+	if err != nil {
+		return err
+	}
+	return n.installSnapshot(snap)
+}
+
 // pullLoop is the follower's catch-up fallback behind the stamper's push:
-// it polls the stamper (then any peer) for records past the local cursor.
+// it polls the stamper (then any peer) for records past the local cursor,
+// installing a peer's snapshot first when the peer has retired them.
 func (n *Node) pullLoop() {
 	defer n.wg.Done()
 	peers := []string{n.ring.Stamper()}
@@ -270,7 +300,15 @@ func (n *Node) pullLoop() {
 	for !n.stopped() {
 		progressed := false
 		for _, id := range peers {
-			body, err := n.client.fetchCommits(n.peerAddr(id), n.rep.Applied(), 512)
+			at := n.rep.Applied()
+			body, err := n.client.fetchCommits(n.peerAddr(id), at, 512)
+			if errors.Is(err, errBelowHorizon) {
+				if n.installFrom(id) == nil && n.rep.Applied() > at {
+					progressed = true
+					break
+				}
+				continue
+			}
 			if err != nil || len(body) == 0 {
 				continue
 			}
@@ -725,11 +763,12 @@ func (n *Node) ReportAlerts(alerts []triage.Alert) (admitted, dropped int, err e
 			}
 		}
 	}
-	// Presence next, against the full local replica.
+	// Presence next, against the local replica: an instance a checkpoint
+	// forgot is history that is gone, not a lookup miss.
 	for _, a := range alerts {
 		for _, id := range a.Bad {
-			if !n.rep.HasInstance(id) {
-				return 0, 0, fmt.Errorf("cluster: alert instance %q: %w", id, engine.ErrUnknownRun)
+			if err := n.checkAlertInstance(id); err != nil {
+				return 0, 0, err
 			}
 		}
 	}
@@ -763,6 +802,21 @@ func (n *Node) ReportAlerts(alerts []triage.Alert) (admitted, dropped int, err e
 		dropped += dr
 	}
 	return admitted, dropped, nil
+}
+
+// checkAlertInstance refuses an alert instance the replica does not hold:
+// with recovery.ErrHorizon (HTTP 410 below_horizon) when it lies beneath the
+// snapshot horizon, as the single node refuses it, else as unknown.
+func (n *Node) checkAlertInstance(id wlog.InstanceID) error {
+	if n.rep.HasInstance(id) {
+		return nil
+	}
+	if n.rep.belowHorizon(id) {
+		n.alertsHorizon.Add(1)
+		n.o.belowHorizon()
+		return fmt.Errorf("cluster: alert instance %q lies beneath the snapshot horizon: %w", id, recovery.ErrHorizon)
+	}
+	return fmt.Errorf("cluster: alert instance %q: %w", id, engine.ErrUnknownRun)
 }
 
 // admitAlert enqueues one alert on the bounded incident queue.
@@ -822,17 +876,18 @@ func (n *Node) MetricsDoc() shard.Metrics {
 		}
 	}
 	return shard.Metrics{
-		AlertsReported: int(n.alertsReported.Load()),
-		AlertsLost:     int(n.alertsLost.Load()),
-		AlertsAnalyzed: int(n.alertsAnalyzed.Load()),
-		UnitsExecuted:  st.units,
-		RecoveryErrors: st.errors,
-		Undone:         st.undone,
-		Redone:         st.redone,
-		NewExecuted:    st.newExec,
-		RunsSubmitted:  len(ids),
-		RunsCompleted:  completed,
-		NormalSteps:    normal,
+		AlertsReported:     int(n.alertsReported.Load()),
+		AlertsLost:         int(n.alertsLost.Load()),
+		AlertsAnalyzed:     int(n.alertsAnalyzed.Load()),
+		AlertsBelowHorizon: int(n.alertsHorizon.Load()),
+		UnitsExecuted:      st.units,
+		RecoveryErrors:     st.errors,
+		Undone:             st.undone,
+		Redone:             st.redone,
+		NewExecuted:        st.newExec,
+		RunsSubmitted:      len(ids),
+		RunsCompleted:      completed,
+		NormalSteps:        normal,
 	}
 }
 
@@ -863,10 +918,28 @@ func (n *Node) InjectForged(run, task string, reads []string, writes map[string]
 	return inst, nil
 }
 
-// Checkpoint is unsupported: the replicated stream (plus per-node journals)
-// is the cluster's durability story.
+// Checkpoint asks the sequencer for a checkpoint record now and returns once
+// the local replica has applied it and stored its snapshot: every replica
+// that applies the record checkpoints at the same stream position.
 func (n *Node) Checkpoint(ctx context.Context) error {
-	return errors.New("cluster: nodes do not checkpoint; the replicated record stream is durable")
+	var seq int
+	var err error
+	if n.st != nil {
+		seq, err = n.st.Checkpoint(n.cfg.NodeID)
+	} else {
+		n.o.proxied("chaos/checkpoint")
+		seq, err = n.client.checkpoint(n.stamperAddr(), n.cfg.NodeID)
+	}
+	if err != nil {
+		return err
+	}
+	if err := n.rep.WaitApplied(ctx, seq); err != nil {
+		return err
+	}
+	// A follower applies the record and stores the snapshot under applyMu.
+	n.applyMu.Lock()
+	n.applyMu.Unlock()
+	return nil
 }
 
 // WaitIdle blocks until the whole cluster is quiescent: every member caught

@@ -9,7 +9,7 @@ import (
 	"selfheal/internal/wlog"
 )
 
-// Record kinds: the three deterministic state-machine transitions every
+// Record kinds: the four deterministic state-machine transitions every
 // replica applies in stream order.
 const (
 	// KindSpec registers a run (spec + first-writer-wins init seeding).
@@ -20,6 +20,10 @@ const (
 	// KindRepair runs the Theorem-1..4 repair for the accused instances at
 	// this stream position, on every node.
 	KindRepair = "repair"
+	// KindCheckpoint makes every replica capture a snapshot of its state at
+	// this stream position, store it beside its journal, and forget what the
+	// snapshot covers (replica.applyCheckpoint).
+	KindCheckpoint = "checkpoint"
 )
 
 // Record is one position of the replicated cluster stream. Seq is dense and
@@ -44,6 +48,17 @@ type Record struct {
 
 	// KindRepair field.
 	Bad []string `json:"bad,omitempty"`
+
+	// built is the spec record's compiled spec and init map, set only on the
+	// stamper, which compiled the document to validate it: applying the
+	// record then reuses them instead of compiling the document again.
+	built *builtSpec
+}
+
+// builtSpec is one registration compiled through the replica's intern table.
+type builtSpec struct {
+	spec *wf.Spec
+	init map[data.Key]data.Value
 }
 
 // MarshalJSON and UnmarshalJSON are the JSON boundary of a record (the

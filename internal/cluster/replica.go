@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"slices"
@@ -9,6 +10,7 @@ import (
 	"sync"
 
 	"selfheal/internal/data"
+	"selfheal/internal/durable"
 	"selfheal/internal/recovery"
 	"selfheal/internal/wf"
 	"selfheal/internal/wfjson"
@@ -23,6 +25,10 @@ type runState struct {
 	// doneAt is the seq of the record that completed the run: the run reads
 	// as done only once the published cursor covers it (RunDone).
 	doneAt int
+	// specSeq is the seq of the run's spec record, where a checkpoint finds
+	// the run's document (0 for a run restored from a snapshot, whose
+	// document the replica keeps in docs).
+	specSeq int
 }
 
 // visitCounts holds one counter per task a run has executed, sorted by task:
@@ -48,6 +54,15 @@ func (v visitCounts) get(task wf.TaskID) int {
 	return 0
 }
 
+// toMap returns the counts as the map a snapshot's run record carries.
+func (v visitCounts) toMap() map[wf.TaskID]int {
+	m := make(map[wf.TaskID]int, len(v))
+	for _, tv := range v {
+		m[tv.task] = tv.n
+	}
+	return m
+}
+
 // set records that the run executed task n times.
 func (v *visitCounts) set(task wf.TaskID, n int) {
 	i, ok := v.search(task)
@@ -64,13 +79,17 @@ type repairStats struct {
 	lastAudit                                               error
 }
 
-// replica is the deterministic state machine every node holds: the full
-// system log, the versioned store, the run specifications and every run's
-// execution frontier, all derived by applying the record stream in order.
-// The stream itself is not kept here: the node's frame log holds it, as the
-// bytes the journal and the wire carry.
+// replica is the deterministic state machine every node holds: the system
+// log, the versioned store, the run specifications and every run's execution
+// frontier, all derived by applying the record stream in order. The stream
+// itself is not kept here: the node's frame log holds it, as the bytes the
+// journal and the wire carry.
 // Two replicas at the same applied position are byte-identical — including
-// after repairs, which execute at a fixed stream position with Parallel=1.
+// after repairs, which execute at a fixed stream position with Parallel=1,
+// and after checkpoints, which forget the same history at the same position.
+// Above the last checkpoint's horizon the log, the store history and the
+// runs are complete; beneath it only the snapshot's state survives, as
+// compacted store chains and a tombstone per retired run.
 type replica struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -95,6 +114,25 @@ type replica struct {
 	// strings, lists, compute bodies and footprint with the other runs'.
 	tab *wf.Interner
 
+	// tombs holds the runs retired beneath the horizon: all a checkpoint
+	// keeps of a run that was done when it applied.
+	tombs map[string]struct{}
+	// epoch is the last checkpoint's horizon: the LSN the log is based at and
+	// the position the store is compacted at (0 before any checkpoint).
+	epoch int
+	// preEpoch are the runs live at the last checkpoint with entries beneath
+	// it: a repair whose damage reaches their footprint would need their
+	// truncated history, and is refused.
+	preEpoch map[string]bool
+	// docs holds the spec document of every run live at the last checkpoint
+	// or restored from a snapshot: the next snapshot needs it, and by then
+	// the journal may have retired the run's spec record. A run registered
+	// since the last checkpoint still has its spec record (runState.specSeq).
+	docs map[string][]byte
+	// ckpt is the capture of the checkpoint record just applied, held until
+	// the node takes it (takeCheckpoint) to complete and store the snapshot.
+	ckpt *capture
+
 	ropts recovery.Options
 	stats repairStats
 }
@@ -107,6 +145,8 @@ func newReplica() *replica {
 		runs:   make(map[string]*runState),
 		active: make(map[string]struct{}),
 		tab:    wf.NewInterner(),
+		tombs:  make(map[string]struct{}),
+		docs:   make(map[string][]byte),
 		// Parallel=1 pins the repair schedule: every replica computes the
 		// identical result at the identical stream position. The repair is
 		// damage-scoped: clean components are neither replayed nor resynced.
@@ -203,6 +243,8 @@ func (r *replica) applyLocked(rec *Record) (applied bool, err error) {
 		err = r.applyEntry(rec)
 	case KindRepair:
 		r.applyRepair(rec)
+	case KindCheckpoint:
+		r.applyCheckpoint(rec)
 	default:
 		err = fmt.Errorf("cluster: record %d has unknown kind %q", rec.Seq, rec.Kind)
 	}
@@ -217,12 +259,19 @@ func (r *replica) applyLocked(rec *Record) (applied bool, err error) {
 }
 
 func (r *replica) applySpec(rec *Record) error {
-	spec, init, err := wfjson.BuildIn(r.tab, rec.Spec)
-	if err != nil {
-		return fmt.Errorf("cluster: record %d spec: %w", rec.Seq, err)
-	}
-	if _, dup := r.specs[rec.Run]; dup {
+	if r.hasRunLocked(rec.Run) {
 		return fmt.Errorf("cluster: record %d: run %s already registered", rec.Seq, rec.Run)
+	}
+	var spec *wf.Spec
+	var init map[data.Key]data.Value
+	if b := rec.built; b != nil {
+		spec, init = b.spec, b.init
+	} else {
+		var err error
+		spec, init, err = wfjson.BuildIn(r.tab, rec.Spec)
+		if err != nil {
+			return fmt.Errorf("cluster: record %d spec: %w", rec.Seq, err)
+		}
 	}
 	// First writer wins, decided at this stream position — deterministic
 	// on every replica regardless of map iteration order because Init only
@@ -233,7 +282,7 @@ func (r *replica) applySpec(rec *Record) error {
 		}
 	}
 	r.specs[rec.Run] = spec
-	r.runs[rec.Run] = &runState{cur: spec.Start}
+	r.runs[rec.Run] = &runState{cur: spec.Start, specSeq: rec.Seq}
 	r.active[rec.Run] = struct{}{}
 	return nil
 }
@@ -312,16 +361,25 @@ func internEntry(e *wlog.Entry, spec *wf.Spec, task *wf.Task) {
 }
 
 // applyRepair runs the deterministic repair at this stream position. A
-// repair that fails to compute is recorded (the recovery-error oracle
-// surfaces it) but does not poison the stream: every replica fails it
-// identically, so they stay convergent.
+// repair that fails to compute, or that needs history beneath the horizon
+// (checkHorizon), is recorded (the recovery-error oracle surfaces it) but
+// does not poison the stream: every replica fails it identically, so they
+// stay convergent.
 func (r *replica) applyRepair(rec *Record) {
 	bad := make([]wlog.InstanceID, len(rec.Bad))
 	for i, s := range rec.Bad {
 		bad[i] = wlog.InstanceID(s)
 	}
-	res, err := recovery.Repair(r.store, r.log, r.specsCopy(), bad, r.ropts)
 	r.stats.units++
+	err := r.checkHorizon(bad)
+	var res *recovery.Result
+	if err == nil {
+		// A store compacted at a checkpoint refuses an undo that needs a
+		// version beneath it instead of misreading the gap.
+		ropts := r.ropts
+		ropts.CompactionHorizon = float64(r.epoch)
+		res, err = recovery.Repair(r.store, r.log, r.specsCopy(), bad, ropts)
+	}
 	if err != nil {
 		r.stats.errors++
 		r.stats.lastErr = fmt.Errorf("cluster: repair at record %d: %w", rec.Seq, err)
@@ -360,6 +418,212 @@ func (r *replica) applyRepair(rec *Record) {
 	}
 }
 
+// checkHorizon refuses, with recovery.ErrHorizon, a repair that would need
+// history the last checkpoint forgot — shard.Service.checkHorizon's rule on
+// the replicated state: an accused instance beneath the horizon, or damage
+// reaching the footprint of a run with entries beneath it (its resync would
+// walk a truncated trace). Every replica holds the same state at the record,
+// so every replica refuses the same repairs with the same error.
+func (r *replica) checkHorizon(bad []wlog.InstanceID) error {
+	for _, id := range bad {
+		if _, ok := r.log.Get(id); !ok {
+			return fmt.Errorf("cluster: accused instance %s lies beneath the snapshot horizon (epoch %d): %w", id, r.epoch, recovery.ErrHorizon)
+		}
+	}
+	if len(r.preEpoch) == 0 {
+		return nil
+	}
+	dkeys := recovery.DamageKeyClosure(r.log, r.specs, bad)
+	for _, run := range sortedKeyList(r.preEpoch) {
+		sp := r.specs[run]
+		if sp == nil {
+			continue
+		}
+		for _, k := range sp.Footprint() {
+			if dkeys[k] {
+				return fmt.Errorf("cluster: damage closure reaches run %s with history before the snapshot horizon (epoch %d): %w",
+					run, r.epoch, recovery.ErrHorizon)
+			}
+		}
+	}
+	return nil
+}
+
+// applyCheckpoint captures the replica's state at a checkpoint record —
+// store chains, the live runs' frontiers, and a tombstone for every run done
+// by now, all of whose entries lie beneath the epoch — and forgets what the
+// capture covers, exactly as a restart from it would (forget). The capture
+// waits in ckpt for the node, which adds the documents of the live runs
+// registered since the last checkpoint from their spec records and stores
+// the snapshot beside its journal.
+func (r *replica) applyCheckpoint(rec *Record) {
+	snap := &durable.Snapshot{
+		Seq:   uint64(rec.Seq),
+		Epoch: r.log.Len(),
+		Specs: make(map[string]durable.SpecState, len(r.active)),
+		Runs:  make(map[string]durable.RunState, len(r.active)),
+		Tombs: make(map[string]durable.Tombstone, len(r.tombs)+len(r.runs)-len(r.active)),
+	}
+	need := make(map[string]int)
+	for run := range r.tombs {
+		snap.Tombs[run] = durable.Tombstone{Status: durable.RunDone}
+	}
+	for run, rs := range r.runs {
+		if rs.done {
+			snap.Tombs[run] = durable.Tombstone{Status: durable.RunDone}
+			continue
+		}
+		snap.Runs[run] = durable.RunState{Cur: rs.cur, Visits: rs.visits.toMap(), Status: durable.RunActive}
+		if doc, ok := r.docs[run]; ok {
+			snap.Specs[run] = durable.SpecState{JSON: doc}
+		} else {
+			need[run] = rs.specSeq
+		}
+	}
+	r.forget(snap.Horizon())
+	// Compacted already, so the copy holds no history beneath the epoch.
+	snap.Chains = r.store.ChainsCopy()
+	r.ckpt = &capture{snap: snap, need: need}
+}
+
+// capture is a snapshot taken at a checkpoint record, missing the documents
+// of the live runs registered since the checkpoint before: need maps each of
+// them to its spec record's seq.
+type capture struct {
+	snap *durable.Snapshot
+	need map[string]int
+}
+
+// takeCheckpoint returns the capture of the checkpoint record the replica
+// just applied, or nil when the last record was not one.
+func (r *replica) takeCheckpoint() *capture {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	ck := r.ckpt
+	r.ckpt = nil
+	return ck
+}
+
+// adoptDocs keeps the documents a completed capture gathered for the live
+// runs it covered, so the next checkpoint has them after the journal retires
+// their spec records.
+func (r *replica) adoptDocs(docs map[string][]byte) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	for run, doc := range docs {
+		if r.runs[run] != nil {
+			r.docs[run] = doc
+		}
+	}
+}
+
+// forget drops what a restart from the snapshot behind h would not bring
+// back — the log prefix at or below the epoch, the store history beneath
+// it, every retired run but its tombstone (run state, compiled spec and
+// document), and every intern-table entry only retired specs referenced —
+// and remembers the epoch and the pre-epoch runs repairs are checked
+// against. The maps are rebuilt rather than pruned: a Go map keeps its peak
+// size after deletes. A live checkpoint (applyCheckpoint) and a restore
+// (restore) both end here, so they leave the same state behind; the single
+// node's shard.Service.forget forgets the same things.
+func (r *replica) forget(h durable.Horizon) {
+	r.log.TruncateBefore(h.Epoch)
+	r.store.CompactBefore(float64(h.Epoch))
+	specs := make(map[string]*wf.Spec, len(r.active))
+	runs := make(map[string]*runState, len(r.active))
+	docs := make(map[string][]byte, len(r.active))
+	for run, rs := range r.runs {
+		if _, gone := h.Tombs[run]; gone {
+			continue
+		}
+		specs[run], runs[run] = r.specs[run], rs
+		if doc, ok := r.docs[run]; ok {
+			docs[run] = doc
+		}
+	}
+	active := make(map[string]struct{}, len(r.active))
+	for run := range r.active {
+		active[run] = struct{}{}
+	}
+	tombs := make(map[string]struct{}, len(h.Tombs))
+	for run := range h.Tombs {
+		tombs[run] = struct{}{}
+	}
+	r.specs, r.runs, r.active, r.tombs, r.docs = specs, runs, active, tombs, docs
+	r.tab.Retain(specs)
+	r.epoch, r.preEpoch = h.Epoch, h.PreEpoch
+}
+
+// restore replaces the replica's whole state with a snapshot's: the state a
+// replica that applied the stream through snap.Seq holds. Boot restores the
+// node's own latest snapshot; a node too far behind its peers restores
+// theirs.
+func (r *replica) restore(snap *durable.Snapshot) error {
+	h := snap.Horizon()
+	specs := make(map[string]*wf.Spec, len(snap.Runs))
+	runs := make(map[string]*runState, len(snap.Runs))
+	docs := make(map[string][]byte, len(snap.Runs))
+	active := make(map[string]struct{}, len(snap.Runs))
+	for run, rs := range snap.Runs {
+		if _, gone := h.Tombs[run]; gone {
+			continue
+		}
+		sp, ok := snap.Specs[run]
+		if !ok {
+			return fmt.Errorf("cluster: snapshot %d: live run %s has no spec", snap.Seq, run)
+		}
+		spec, _, err := wfjson.DecodeIn(r.tab, bytes.NewReader(sp.JSON))
+		if err != nil {
+			return fmt.Errorf("cluster: snapshot %d: spec of run %s: %w", snap.Seq, run, err)
+		}
+		st := &runState{cur: r.tab.TaskID(string(rs.Cur))}
+		for t, n := range rs.Visits {
+			st.visits.set(r.tab.TaskID(string(t)), n)
+		}
+		specs[run], runs[run], docs[run], active[run] = spec, st, sp.JSON, struct{}{}
+	}
+	store, err := data.NewStoreFromChains(snap.Chains)
+	if err != nil {
+		return fmt.Errorf("cluster: snapshot %d: %w", snap.Seq, err)
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.log, r.store = wlog.NewAt(snap.Epoch), store
+	r.specs, r.runs, r.active, r.docs = specs, runs, active, docs
+	r.applied, r.published, r.ckpt = int(snap.Seq), int(snap.Seq), nil
+	r.forget(h)
+	r.cond.Broadcast()
+	return nil
+}
+
+// entriesSinceCheckpoint counts the entry LSNs committed above the last
+// checkpoint's horizon: the stamper's checkpoint trigger.
+func (r *replica) entriesSinceCheckpoint() int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.log.Len() - r.epoch
+}
+
+// belowHorizon reports whether a well-formed instance absent from the log
+// lies beneath the horizon: its run was retired there, or is a live run
+// whose executions of the task the truncated log no longer holds.
+func (r *replica) belowHorizon(id wlog.InstanceID) bool {
+	run, task, visit, err := wlog.ParseInstance(id)
+	if err != nil {
+		return false
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if _, gone := r.tombs[run]; gone {
+		return true
+	}
+	if _, ok := r.log.Get(id); ok || !r.preEpoch[run] {
+		return false
+	}
+	rs := r.runs[run]
+	return rs != nil && visit <= rs.visits.get(task)
+}
+
 func (r *replica) specsCopy() map[string]*wf.Spec {
 	out := make(map[string]*wf.Spec, len(r.specs))
 	for k, v := range r.specs {
@@ -370,13 +634,15 @@ func (r *replica) specsCopy() map[string]*wf.Spec {
 
 // Frontier returns a run's current execution position: the task to execute
 // next, the visit number that execution would commit, and whether the run
-// exists / is done.
+// exists / is done. A run retired beneath the horizon is done, with no
+// position.
 func (r *replica) Frontier(run string) (cur wf.TaskID, visit int, done, ok bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	rs := r.runs[run]
 	if rs == nil {
-		return "", 0, false, false
+		_, gone := r.tombs[run]
+		return "", 0, gone, gone
 	}
 	return rs.cur, rs.visits.get(rs.cur) + 1, rs.done, true
 }
@@ -401,11 +667,24 @@ func (r *replica) Spec(run string) *wf.Spec {
 	return r.specs[run]
 }
 
-// HasRun reports whether the run is registered.
+// HasRun reports whether the run is registered, retired runs included.
 func (r *replica) HasRun(run string) bool {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.runs[run] != nil
+	return r.hasRunLocked(run)
+}
+
+func (r *replica) hasRunLocked(run string) bool {
+	_, gone := r.tombs[run]
+	return gone || r.runs[run] != nil
+}
+
+// Retired reports whether the run was retired beneath the horizon.
+func (r *replica) Retired(run string) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	_, gone := r.tombs[run]
+	return gone
 }
 
 // ActiveRuns returns the IDs of runs that are not done, sorted.
@@ -420,12 +699,15 @@ func (r *replica) ActiveRuns() []string {
 	return out
 }
 
-// RunIDs returns every registered run ID, sorted.
+// RunIDs returns every registered run ID, retired runs included, sorted.
 func (r *replica) RunIDs() []string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]string, 0, len(r.runs))
+	out := make([]string, 0, len(r.runs)+len(r.tombs))
 	for id := range r.runs {
+		out = append(out, id)
+	}
+	for id := range r.tombs {
 		out = append(out, id)
 	}
 	sort.Strings(out)
@@ -435,13 +717,15 @@ func (r *replica) RunIDs() []string {
 // RunDone reports whether a run exists and has durably completed: on the
 // stamper, which applies a group before its fsync, a run whose completing
 // record is not yet published still reads as active. A follower publishes
-// on apply, so there done is done.
+// on apply, so there done is done — and a run retired beneath the horizon
+// is done everywhere.
 func (r *replica) RunDone(run string) (done, ok bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	rs := r.runs[run]
 	if rs == nil {
-		return false, false
+		_, gone := r.tombs[run]
+		return gone, gone
 	}
 	return rs.done && rs.doneAt <= r.published, true
 }

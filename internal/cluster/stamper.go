@@ -18,7 +18,8 @@ const (
 	// SubOK: the entry was stamped; Seq is its stream position.
 	SubOK = "ok"
 	// SubDup: the instance is already committed (a retransmit after a lost
-	// response) — benign; Seq is the stamper's current position.
+	// response), or its run was retired beneath the checkpoint horizon —
+	// benign; Seq is the stamper's current position.
 	SubDup = "dup"
 	// SubStale: the submission's frontier or read versions no longer match
 	// the stamper's replica. The executor catches its replica up to Seq
@@ -52,9 +53,15 @@ type SubmitResult struct {
 // to the replication cursor and wakes every submitter. A registration is a
 // job whose spec record precedes its run's first window of entries, so the
 // two share a group; SubmitEntry is the degenerate one-entry batch.
+//
+// The stamper also decides when the cluster checkpoints: a checkpoint record
+// follows the first group that brings Config.SnapshotEvery entries above the
+// last checkpoint's horizon, so every replica forgets at the same position.
 type stamper struct {
 	n  *Node
 	mu sync.Mutex
+	// every is Config.SnapshotEvery: the checkpoint trigger (≤ 0 disables).
+	every int
 	// pausedKeys is the admission gate of partial quiescence: while an
 	// incident holds keys, no entry touching them is stamped, anywhere in
 	// the cluster — even from nodes that were not asked to quiesce
@@ -85,7 +92,7 @@ type stampJob struct {
 }
 
 func newStamper(n *Node) *stamper {
-	s := &stamper{n: n, pausedKeys: make(map[data.Key]bool)}
+	s := &stamper{n: n, every: n.cfg.SnapshotEvery, pausedKeys: make(map[data.Key]bool)}
 	s.qcond = sync.NewCond(&s.qmu)
 	return s
 }
@@ -195,10 +202,11 @@ func (s *stamper) stampJobs(jobs []*stampJob) {
 		}
 		s.n.o.stampBatch(stamped)
 	}
-	s.mu.Unlock()
 	for _, job := range jobs {
 		close(job.done)
 	}
+	s.maybeCheckpointLocked()
+	s.mu.Unlock()
 }
 
 // rebaseWindowReads places each read of an entry the same job stamped before
@@ -239,7 +247,7 @@ func (s *stamper) commitLocked(first, n int, buf []byte) error {
 func (s *stamper) validateEntryLocked(ej *EntryJSON) (SubmitResult, bool) {
 	rep := s.n.rep
 	inst := wlog.FormatInstance(ej.Run, wf.TaskID(ej.Task), ej.Visit)
-	if rep.HasInstance(inst) {
+	if rep.HasInstance(inst) || rep.Retired(ej.Run) {
 		return SubmitResult{Status: SubDup, Seq: rep.Applied()}, false
 	}
 	if ej.Forged {
@@ -303,9 +311,10 @@ func (s *stamper) SubmitEntries(origin string, entries []*EntryJSON) ([]SubmitRe
 // run's first window of entries (speculated at admission; possibly none):
 // the spec record first, then each entry validated exactly as SubmitEntries
 // validates it, in the same group and so under the same fsync. It returns
-// the spec's seq and one verdict per entry.
+// the spec's seq and one verdict per entry. The spec is compiled once, here:
+// the record carries the compiled spec to its application.
 func (s *stamper) SubmitSpec(origin, run string, doc *wfjson.SpecJSON, entries []*EntryJSON) (int, []SubmitResult, error) {
-	_, init, err := wfjson.BuildIn(s.n.rep.tab, doc)
+	built, init, err := wfjson.BuildIn(s.n.rep.tab, doc)
 	if err != nil {
 		return 0, nil, fmt.Errorf("cluster: run %s: %w: %v", run, engine.ErrBadSpec, err)
 	}
@@ -313,7 +322,7 @@ func (s *stamper) SubmitSpec(origin, run string, doc *wfjson.SpecJSON, entries [
 	for k, v := range init {
 		initW[string(k)] = int64(v)
 	}
-	spec := &Record{Kind: KindSpec, Origin: origin, Run: run, Spec: doc, Init: initW}
+	spec := &Record{Kind: KindSpec, Origin: origin, Run: run, Spec: doc, Init: initW, built: &builtSpec{built, init}}
 	results, err := s.submit(&stampJob{origin: origin, spec: spec, entries: entries})
 	if err != nil {
 		return 0, nil, err
@@ -353,6 +362,51 @@ func (s *stamper) stampLocked(rec *Record) (int, error) {
 	if err := s.commitLocked(rec.Seq, 1, encodeFramedRecord(nil, rec)); err != nil {
 		return 0, err
 	}
+	s.n.o.recordStamped(rec.Kind)
+	s.maybeCheckpointLocked()
+	return rec.Seq, nil
+}
+
+// maybeCheckpointLocked stamps a checkpoint record once SnapshotEvery entries
+// have committed above the last checkpoint's horizon — at a group boundary,
+// like the single node's checkpoint trigger (WAL.EntriesSinceSnapshot).
+// Callers hold s.mu; a failure is sticky in s.err.
+func (s *stamper) maybeCheckpointLocked() {
+	if s.every > 0 && s.n.rep.entriesSinceCheckpoint() >= s.every {
+		_, _ = s.checkpointLocked(s.n.cfg.NodeID)
+	}
+}
+
+// Checkpoint stamps a checkpoint record now (Node.Checkpoint) and returns its
+// seq once this replica has applied it and stored its snapshot.
+func (s *stamper) Checkpoint(origin string) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.checkpointLocked(origin)
+}
+
+// checkpointLocked stamps a checkpoint record as a group of one. Unlike every
+// other record, its frame is made durable before the replica applies it: the
+// snapshot it produces covers every record up to it, and must never cover one
+// the journal could still lose. Callers hold s.mu.
+func (s *stamper) checkpointLocked(origin string) (int, error) {
+	if s.err != nil {
+		return 0, s.err
+	}
+	rec := &Record{Kind: KindCheckpoint, Origin: origin, Seq: s.n.rep.Applied() + 1}
+	if err := s.n.journalAppend(rec.Seq, 1, encodeFramedRecord(nil, rec)); err != nil {
+		s.err = fmt.Errorf("cluster: stamper journal: %w", err)
+		return 0, s.err
+	}
+	if err := s.n.rep.applyStamped(rec); err != nil {
+		s.err = err
+		return 0, err
+	}
+	if ck := s.n.rep.takeCheckpoint(); ck != nil {
+		s.n.completeCheckpoint(ck)
+	}
+	s.n.rep.PublishTo(rec.Seq)
+	s.n.wakePushers()
 	s.n.o.recordStamped(rec.Kind)
 	return rec.Seq, nil
 }
@@ -398,12 +452,15 @@ func (s *stamper) SubmitForge(origin, run, task string, reads []string, writes m
 }
 
 // SubmitRepair stamps a repair record for the accused instances. The caller
-// (the incident leader) has already quiesced the damaged keys' owners.
+// (the incident leader) has already quiesced the damaged keys' owners. An
+// instance a checkpoint buried since the alert's admission still gets its
+// record: every replica refuses the repair alike (replica.checkHorizon), and
+// counts the refusal.
 func (s *stamper) SubmitRepair(origin string, bad []string) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, id := range bad {
-		if !s.n.rep.HasInstance(wlog.InstanceID(id)) {
+		if inst := wlog.InstanceID(id); !s.n.rep.HasInstance(inst) && !s.n.rep.belowHorizon(inst) {
 			return 0, fmt.Errorf("cluster: repair names unknown instance %s: %w", id, engine.ErrUnknownRun)
 		}
 	}
@@ -450,6 +507,12 @@ func (n *Node) pusher(peerID string) {
 			return
 		}
 		body, err := n.framesAfter(sent, 256)
+		// A peer beneath the horizon installs a snapshot through its pull
+		// loop; meanwhile an empty push just reads its position.
+		probe := errors.Is(err, errBelowHorizon)
+		if probe {
+			body, err = nil, nil
+		}
 		var applied int
 		if err == nil {
 			applied, err = n.client.pushCommits(n.peerAddr(peerID), body)
@@ -467,7 +530,11 @@ func (n *Node) pusher(peerID string) {
 			// The peer did not advance: it either restarted behind us
 			// (rewind and resend) or is wedged mid-apply — back off briefly
 			// so a stuck peer cannot turn this loop hot.
-			if !n.sleep(20 * time.Millisecond) {
+			pause := 20 * time.Millisecond
+			if probe {
+				pause = 100 * time.Millisecond
+			}
+			if !n.sleep(pause) {
 				return
 			}
 		}

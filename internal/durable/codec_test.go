@@ -144,7 +144,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		},
 		Alerts: map[uint64][]wlog.InstanceID{7: {"r:t:1"}, 9: {"r:u:1", "r:v:2"}},
 	}
-	body := encodeSnapshot(s)
+	body := EncodeSnapshot(s)
 	got, err := DecodeSnapshot(body)
 	if err != nil {
 		t.Fatalf("DecodeSnapshot: %v", err)
@@ -152,7 +152,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(s, got) {
 		t.Errorf("snapshot round trip:\n want %+v\n got  %+v", s, got)
 	}
-	if !bytes.Equal(body, encodeSnapshot(s)) {
+	if !bytes.Equal(body, EncodeSnapshot(s)) {
 		t.Error("two encodings of the same snapshot differ")
 	}
 	// The horizon reads retired runs as tombstones, whichever record kind

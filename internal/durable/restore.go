@@ -89,7 +89,7 @@ type keyOp struct {
 // Called once from Open, before the writer goroutine starts.
 func (w *WAL) restore(tab *wf.Interner) (*State, error) {
 	start := time.Now()
-	snap, err := loadLatestSnapshot(w.dir)
+	snap, err := LoadLatestSnapshot(w.dir, snapPrefix)
 	if err != nil {
 		return nil, err
 	}

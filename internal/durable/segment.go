@@ -85,7 +85,14 @@ const (
 func segName(prefix string, firstSeq uint64) string {
 	return fmt.Sprintf("%s%016d%s", prefix, firstSeq, segSuffix)
 }
-func snapName(seq uint64) string { return fmt.Sprintf("%s%016d%s", snapPrefix, seq, snapSuffix) }
+func snapName(seq uint64) string { return SnapshotFile(snapPrefix, seq) }
+
+// SnapshotFile is the name of the snapshot covering records 1..seq among the
+// snapshot files stored under prefix: "snap-" for the WAL, "<node-id>.snap-"
+// for a cluster node.
+func SnapshotFile(prefix string, seq uint64) string {
+	return fmt.Sprintf("%s%016d%s", prefix, seq, snapSuffix)
+}
 
 // parseNumbered extracts the sequence number from a segment or snapshot
 // file name.
@@ -488,6 +495,63 @@ func (l *SegmentLog) rotate() error {
 	}
 	l.f, l.size = f, 0
 	l.segs = append(l.segs, l.next)
+	return nil
+}
+
+// Rotate closes the active segment and starts the next one at Next(), so the
+// records appended so far and the ones to come never share a file: a caller
+// that retires by checkpoint (Retire) aligns segments with its checkpoints.
+// A still-empty active segment is kept. A failure is sticky, as in Append.
+func (l *SegmentLog) Rotate() error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.err != nil {
+		return l.err
+	}
+	if l.size == 0 {
+		return nil
+	}
+	if err := l.rotate(); err != nil {
+		l.err = fmt.Errorf("durable: segment rotation: %w", err)
+	}
+	return l.err
+}
+
+// Reset removes every segment and restarts the log empty at sequence number
+// next, as OpenSegmentLog on an empty directory with start next would: a
+// caller that installed a snapshot covering records 1..next-1 from elsewhere
+// drops the records it held below it.
+func (l *SegmentLog) Reset(next uint64) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.err != nil {
+		return l.err
+	}
+	if l.f != nil {
+		l.f.Close()
+		l.f = nil
+	}
+	for _, seg := range l.segs {
+		os.Remove(filepath.Join(l.dir, segName(l.prefix, seg)))
+	}
+	f, err := os.OpenFile(filepath.Join(l.dir, segName(l.prefix, next)), os.O_CREATE|os.O_TRUNC|os.O_WRONLY|os.O_APPEND, 0o644)
+	if err == nil && !l.noSync {
+		err = syncDir(l.dir)
+	}
+	if err != nil {
+		if f != nil {
+			f.Close()
+		}
+		l.err = fmt.Errorf("durable: segment reset: %w", err)
+		return l.err
+	}
+	l.f, l.size, l.segs, l.next = f, 0, []uint64{next}, next
+	if l.rd != nil {
+		l.rmu.Lock()
+		l.rd.drop()
+		l.rd.segs, l.rd.first, l.rd.end = []uint64{next}, next, nil
+		l.rmu.Unlock()
+	}
 	return nil
 }
 

@@ -119,9 +119,10 @@ func (s *Snapshot) Horizon() Horizon {
 	return h
 }
 
-// encodeSnapshot serializes a snapshot as a sequence of framed records
-// ending in a footer. Deterministic: all maps are emitted in sorted order.
-func encodeSnapshot(s *Snapshot) []byte {
+// EncodeSnapshot serializes a snapshot as a sequence of framed records
+// ending in a footer — a snapshot file's bytes. Deterministic: all maps are
+// emitted in sorted order, so equal snapshots encode to equal bytes.
+func EncodeSnapshot(s *Snapshot) []byte {
 	var out []byte
 	records := 0
 	emit := func(payload []byte) {
@@ -351,13 +352,32 @@ func DecodeSnapshot(b []byte) (*Snapshot, error) {
 	return s, nil
 }
 
-// WriteSnapshot durably persists a snapshot (temp file + fsync + rename +
-// directory fsync), then retires every snapshot before it and every
-// segment fully covered by it. On success, restores start from this
-// snapshot; on any failure the previous snapshot still governs.
+// WriteSnapshot durably persists a snapshot (WriteSnapshotFile), then
+// retires every segment fully covered by it. On success, restores start from
+// this snapshot; on any failure the previous snapshot still governs.
 func (w *WAL) WriteSnapshot(s *Snapshot) error {
-	body := encodeSnapshot(s)
-	final := filepath.Join(w.dir, snapName(s.Seq))
+	if err := WriteSnapshotFile(w.dir, snapPrefix, s.Seq, EncodeSnapshot(s), w.opts.NoSync); err != nil {
+		return err
+	}
+	w.o.snapshots.Inc()
+
+	w.mu.Lock()
+	w.snapSeq = s.Seq
+	w.snapEpoch = s.Epoch
+	w.mu.Unlock()
+
+	w.log.Retire(s.Seq)
+	w.o.segments.Set(int64(w.log.Segments()))
+	return nil
+}
+
+// WriteSnapshotFile stores body as the snapshot covering records 1..seq
+// among the snapshots under prefix in dir (SnapshotFile): temp file + fsync +
+// rename + directory fsync (no syncs with noSync), so a crash leaves either
+// the previous snapshot or this one, never a torn file. Once it is in place,
+// every older snapshot under prefix is deleted.
+func WriteSnapshotFile(dir, prefix string, seq uint64, body []byte, noSync bool) error {
+	final := filepath.Join(dir, SnapshotFile(prefix, seq))
 	tmp := final + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
@@ -368,7 +388,7 @@ func (w *WAL) WriteSnapshot(s *Snapshot) error {
 		os.Remove(tmp)
 		return err
 	}
-	if !w.opts.NoSync {
+	if !noSync {
 		if err := f.Sync(); err != nil {
 			f.Close()
 			os.Remove(tmp)
@@ -383,56 +403,48 @@ func (w *WAL) WriteSnapshot(s *Snapshot) error {
 		os.Remove(tmp)
 		return err
 	}
-	if !w.opts.NoSync {
-		if err := syncDir(w.dir); err != nil {
+	if !noSync {
+		if err := syncDir(dir); err != nil {
 			return err
 		}
 	}
-	w.o.snapshots.Inc()
-
-	w.mu.Lock()
-	w.snapSeq = s.Seq
-	w.snapEpoch = s.Epoch
-	w.mu.Unlock()
-
-	w.retire(s.Seq)
-	return nil
-}
-
-// retire deletes snapshots older than seq and the segments it covers.
-func (w *WAL) retire(seq uint64) {
-	if nums, err := listNumbered(w.dir, snapPrefix, snapSuffix); err == nil {
+	if nums, err := listNumbered(dir, prefix, snapSuffix); err == nil {
 		for _, n := range nums {
 			if n < seq {
-				os.Remove(filepath.Join(w.dir, snapName(n)))
+				os.Remove(filepath.Join(dir, SnapshotFile(prefix, n)))
 			}
 		}
 	}
-	w.log.Retire(seq)
-	w.o.segments.Set(int64(w.log.Segments()))
+	return nil
 }
 
-// loadLatestSnapshot returns the newest complete snapshot in dir, or nil
-// when none exists.
-func loadLatestSnapshot(dir string) (*Snapshot, error) {
-	nums, err := listNumbered(dir, snapPrefix, snapSuffix)
-	if err != nil {
-		return nil, err
-	}
-	if len(nums) == 0 {
-		return nil, nil
+// LatestSnapshotFile returns the newest snapshot file under prefix in dir —
+// the sequence number its name carries and its bytes, undecoded — or a nil
+// body when there is none.
+func LatestSnapshotFile(dir, prefix string) (uint64, []byte, error) {
+	nums, err := listNumbered(dir, prefix, snapSuffix)
+	if err != nil || len(nums) == 0 {
+		return 0, nil, err
 	}
 	latest := nums[len(nums)-1]
-	b, err := os.ReadFile(filepath.Join(dir, snapName(latest)))
-	if err != nil {
+	b, err := os.ReadFile(filepath.Join(dir, SnapshotFile(prefix, latest)))
+	return latest, b, err
+}
+
+// LoadLatestSnapshot decodes the newest complete snapshot under prefix in
+// dir, or returns nil when none exists. A file that does not decode, or whose
+// header names another sequence number than its file name, is an error.
+func LoadLatestSnapshot(dir, prefix string) (*Snapshot, error) {
+	seq, b, err := LatestSnapshotFile(dir, prefix)
+	if err != nil || b == nil {
 		return nil, err
 	}
 	s, err := DecodeSnapshot(b)
 	if err != nil {
-		return nil, fmt.Errorf("durable: snapshot %s: %w", snapName(latest), err)
+		return nil, fmt.Errorf("durable: snapshot %s: %w", SnapshotFile(prefix, seq), err)
 	}
-	if s.Seq != latest {
-		return nil, fmt.Errorf("durable: snapshot %s claims seq %d", snapName(latest), s.Seq)
+	if s.Seq != seq {
+		return nil, fmt.Errorf("durable: snapshot %s claims seq %d", SnapshotFile(prefix, seq), s.Seq)
 	}
 	return s, nil
 }

@@ -89,6 +89,9 @@ const (
 	MClusterJournalErrors       = "cluster_journal_errors_total"
 	MClusterReconcilePickups    = "cluster_reconcile_pickups_total"
 	MClusterRunsDoneAtAdmission = "cluster_runs_done_at_admission_total"
+	MClusterSnapshots           = "cluster_snapshots_total"
+	MClusterSnapshotSeconds     = "cluster_snapshot_seconds"
+	MClusterSnapshotInstalls    = "cluster_snapshot_installs_total"
 
 	// internal/durable — the segmented write-ahead log (Ancora/PAPERS.md).
 	MWalFsyncSeconds    = "wal_fsync_seconds"
@@ -186,6 +189,9 @@ func Catalog() []Def {
 		{MClusterJournalErrors, "counter", "—", "§VII", "Record-journal append failures (the replica stays ahead of its journal; -join catch-up heals the gap)."},
 		{MClusterReconcilePickups, "counter", "—", "§VII", "Stalled runs the reconciler started a driver for (no token moved them for a whole reconcile interval)."},
 		{MClusterRunsDoneAtAdmission, "counter", "—", "§VII", "Runs this node registered whose first window, stamped in the spec's group, completed them (no token, no further submission)."},
+		{MClusterSnapshots, "counter", "—", "§III", "Snapshots this node stored at checkpoint records (its replica then forgot the history each covers)."},
+		{MClusterSnapshotSeconds, "histogram", "—", "§III", "Time to complete a checkpoint record's snapshot: gather the live runs' documents, encode, write and fsync the file, retire segments."},
+		{MClusterSnapshotInstalls, "counter", "—", "§III", "Peer snapshots this node installed because the records it lacked were retired beneath the peers' horizon (-join or a follower that fell a checkpoint interval behind)."},
 		{MWalFsyncSeconds, "histogram", "—", "§I", "Wall-clock latency of one group-commit fsync."},
 		{MWalGroupEntries, "histogram", "—", "§II.A", "Records made durable by one fsync (the achieved group-commit fold)."},
 		{MWalAppendedBytes, "counter", "—", "§II.A", "Bytes appended to WAL segments."},

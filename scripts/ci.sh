@@ -42,6 +42,20 @@ fi
 # the owners with the same store.
 go test -race -count=20 -run '^(TestRunCommitsAtAdmission|TestAdmissionWindowsFromOnePosition|TestAdmissionWindowFallsBack)$' ./internal/cluster/
 
+# Cluster nodes checkpoint and forget (docs/CLUSTER.md "Checkpoints"): a
+# checkpoint record makes every replica store a byte-identical snapshot and
+# forget what it covers; a rebooted follower equals a live peer; -join
+# below the peers' horizon starts from a snapshot; an alert or a repair
+# beneath the horizon is refused alike everywhere.
+go test -race -count=10 -run '^(TestSnapshotsByteIdentical|TestClusterRestartEqualsLive|TestJoinBelowHorizon|TestClusterAlertBelowHorizon|TestReplicaRefusesRepairBelowHorizon|TestStamperStampsRepairBelowHorizon|TestMemFramesCheckpointRetiresPrevious)$' ./internal/cluster/
+if grep -rn --include='*.go' --exclude='*_test.go' 'do not checkpoint' internal/cluster/; then
+    echo "checkpoint gate: internal/cluster refuses checkpoints again (Node.Checkpoint must stamp a checkpoint record)" >&2
+    exit 1
+fi
+# The checkpoint record is a new kind byte: the journal and wire bytes of
+# the earlier records are unchanged, so a journal written before it opens.
+go test -count=1 -run '^TestJournalFromParentCommit$' ./internal/cluster/
+
 # No-map-per-entry gate: a committed instance's reads and writes live in
 # sorted slices (wlog.Entry). Outside tests the map shape may appear only in
 # the helper that converts it.
@@ -230,9 +244,11 @@ echo "CRASH SMOKE OK"
 
 # Cluster smoke (docs/CLUSTER.md): a 3-node cluster of real processes —
 # cross-node run, forged attack, SIGKILL a follower mid-repair, rejoin it
-# with -join, a batched commit storm with a SIGKILL mid-batch, and a
-# windowed chain run, each ending with byte-identical stores on every node
-# (scripts/clustersmoke orchestrates the processes itself).
+# with -join, a batched commit storm with a SIGKILL mid-batch, a windowed
+# chain run, and forced checkpoints until the first segments retire, then a
+# SIGKILLed, wiped follower rejoining from a snapshot — each ending with
+# byte-identical stores on every node (scripts/clustersmoke orchestrates
+# the processes itself).
 "$tmpdir/clustersmoke" "$tmpdir/selfheal-server"
 
 # Fuzz smoke (docs/FUZZING.md): a fixed-seed campaign against the healthy

@@ -26,7 +26,13 @@
 //     default 32-task window: its first 32 tasks commit at admission, and
 //     its tail forms an owner window in another process, reached by a
 //     control token the admission node hands off; require the final
-//     stores byte-identical with the chain's last value in place.
+//     stores byte-identical with the chain's last value in place;
+//  9. force checkpoints through a follower (POST /api/v1/chaos/checkpoint)
+//     with forged batches between them, until every node has retired its
+//     first journal segment and the journal directories stop growing; then
+//     SIGKILL follower c, wipe its directory and restart it with -join: it
+//     installs a peer's snapshot, takes the frames above it, and every
+//     node's store must be byte-identical.
 //
 // Exits 0 and prints "CLUSTER SMOKE OK" on success; any deviation is fatal.
 //
@@ -208,6 +214,79 @@ func (s *smoke) run() {
 
 	s.batchedCommitStorm()
 	s.windowedChainRun(ring)
+	s.checkpointRejoin()
+}
+
+// checkpointRejoin forces three checkpoints with a forged batch storm before
+// each. The second retires every node's first journal segment; the third
+// shows the directories no longer grow with the stream. A follower then
+// SIGKILLed, wiped and restarted with -join starts from a peer's snapshot.
+func (s *smoke) checkpointRejoin() {
+	var sizes []int64
+	for round := 0; round < 3; round++ {
+		for bi := 0; bi < 4; bi++ {
+			entries := make([]map[string]any, 16)
+			for i := range entries {
+				entries[i] = map[string]any{
+					"run": "ckstorm", "task": fmt.Sprintf("r%d-%02d-%02d", round, bi, i), "visit": 1,
+					"forged": true, "writes": map[string]int64{"ckstormk": int64(100*round + 16*bi + i)},
+				}
+			}
+			s.post("a", "/internal/v1/submit", map[string]any{"origin": "smoke", "entries": entries}, nil)
+		}
+		s.post("b", "/api/v1/chaos/checkpoint", nil, nil)
+		s.drain("a")
+		sizes = append(sizes, s.dirBytes("a"))
+	}
+	for _, id := range ids {
+		dir := filepath.Join(s.tmp, "node-"+id)
+		if _, err := os.Stat(filepath.Join(dir, id+".wal-0000000000000001.seg")); !os.IsNotExist(err) {
+			log.Fatalf("node %s still holds its first journal segment after two checkpoints (%v)", id, err)
+		}
+		if snaps, _ := filepath.Glob(filepath.Join(dir, id+".snap-*.snap")); len(snaps) != 1 {
+			log.Fatalf("node %s holds %d snapshot files, want the latest only", id, len(snaps))
+		}
+	}
+	if sizes[2] > sizes[1]+sizes[1]/4 {
+		log.Fatalf("node a's directory grew from %d to %d bytes over a checkpoint interval of the same traffic", sizes[1], sizes[2])
+	}
+
+	proc := s.procs["c"]
+	if err := proc.Process.Kill(); err != nil {
+		log.Fatalf("SIGKILL node c: %v", err)
+	}
+	proc.Wait()
+	delete(s.procs, "c")
+	if err := os.RemoveAll(filepath.Join(s.tmp, "node-c")); err != nil {
+		log.Fatal(err)
+	}
+	s.startNode("c", true)
+	s.waitUp("c")
+	s.drain("a")
+	ref := s.store("a")
+	for _, id := range ids {
+		if got := s.store(id); !bytes.Equal(got, ref) {
+			log.Fatalf("post-join divergence: node %s store differs from node a:\n%s\n---\n%s", id, got, ref)
+		}
+	}
+	if snaps, _ := filepath.Glob(filepath.Join(s.tmp, "node-c", "c.snap-*.snap")); len(snaps) != 1 {
+		log.Fatalf("the joined node holds %d snapshot files, want the one it installed", len(snaps))
+	}
+}
+
+// dirBytes totals the sizes of the files in a node's cluster directory.
+func (s *smoke) dirBytes(id string) int64 {
+	ents, err := os.ReadDir(filepath.Join(s.tmp, "node-"+id))
+	if err != nil {
+		log.Fatal(err)
+	}
+	var n int64
+	for _, e := range ents {
+		if info, err := e.Info(); err == nil {
+			n += info.Size()
+		}
+	}
+	return n
 }
 
 // batchedCommitStorm drives the group-commit path directly: sequential
