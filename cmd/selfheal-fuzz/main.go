@@ -66,6 +66,7 @@ func main() {
 	}
 
 	params := fuzz.DefaultParams()
+	params.Checkpoints = 1
 	factory := func() (fuzz.Target, error) {
 		return fuzz.NewInProcTarget(fuzz.InProcOptions{
 			Strict: *strict, Triage: *triageOn,
@@ -73,7 +74,7 @@ func main() {
 		})
 	}
 	if *durableMode {
-		params.Checkpoints, params.Restarts = 1, 2
+		params.Restarts = 2
 		self, err := os.Executable()
 		if err != nil {
 			log.Fatal(err)

@@ -99,14 +99,10 @@ func parsePeers(s string) (map[string]string, error) {
 
 // serveCluster boots the process as one cluster member and blocks until a
 // termination signal.
-// -snapshot-every 0 disables checkpoints, as it does with -durable.
 func serveCluster(addr, nodeID, peersFlag, dir string, join bool, hold time.Duration, window, snapEvery int) {
 	peers, err := parsePeers(peersFlag)
 	if err != nil {
 		log.Fatal(err)
-	}
-	if snapEvery == 0 {
-		snapEvery = -1
 	}
 	reg := obs.NewRegistry()
 	node, err := cluster.New(cluster.Config{
@@ -167,7 +163,7 @@ func main() {
 	strict := flag.Bool("strict", false, "Theorem-4 strict mode: quiesce shards for whole SCAN+RECOVERY")
 	triageOn := flag.Bool("triage", false, "streaming alert triage: cone coalescing, covered-alert prefilter, Report-time dedupe (docs/TRIAGE.md)")
 	durableDir := flag.String("durable", "", "WAL directory: persist all state and restore it on boot (docs/DURABILITY.md)")
-	snapEvery := flag.Int("snapshot-every", 4096, "with -durable or -peers, checkpoint once this many entries committed past the latest snapshot (0 disables)")
+	snapEvery := flag.Int("snapshot-every", durable.DefaultSnapshotEvery, "checkpoint interval in committed entries: with -durable or -peers, snapshot and forget at the head once this many entries committed past the horizon; in memory, forget three intervals beneath the head (0 disables)")
 	chaos := flag.Bool("chaos", false, "mount the white-box chaos routes under /api/v1/chaos (fuzzing only, docs/FUZZING.md)")
 	audit := flag.Bool("audit", false, "validate every repair schedule against the Theorem-3 partial orders (GET /api/v1/chaos/verify)")
 	faultSkipRepair := flag.Bool("fault-skip-repair", false, "FAULT INJECTION: recovery worker discards units without repairing (mutation smoke only)")
@@ -178,6 +174,9 @@ func main() {
 	quiesceHold := flag.Duration("quiesce-hold", 0, "cluster mode: extend each incident's partial-quiescence window (testing)")
 	submitWindow := flag.Int("submit-window", 0, "cluster mode: executor pipelining window, entries per batched submission (0 = default 32, 1 = per-record)")
 	flag.Parse()
+	if *snapEvery == 0 {
+		*snapEvery = -1 // the Config fields read 0 as the default
+	}
 
 	if *nodeID != "" || *peersFlag != "" {
 		if *nodeID == "" || *peersFlag == "" {
@@ -187,7 +186,7 @@ func main() {
 		return
 	}
 
-	cfg := shard.Config{Shards: *shards, Strict: *strict, AuditRepairs: *audit}
+	cfg := shard.Config{Shards: *shards, Strict: *strict, AuditRepairs: *audit, SnapshotEvery: *snapEvery}
 	cfg.Fault.SkipRepair = *faultSkipRepair
 	if *triageOn {
 		cfg.Triage = triage.All()
@@ -196,7 +195,6 @@ func main() {
 	var svc *shard.Service
 	var err error
 	if *durableDir != "" {
-		cfg.SnapshotEvery = *snapEvery
 		svc, err = shard.NewDurable(cfg, *durableDir, durable.Options{})
 		if err == nil {
 			if n, d := svc.ReplayStats(); n > 0 || d > 0 {

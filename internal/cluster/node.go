@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"selfheal/internal/data"
+	"selfheal/internal/durable"
 	"selfheal/internal/engine"
 	"selfheal/internal/httpapi"
 	"selfheal/internal/obs"
@@ -56,10 +57,6 @@ type Config struct {
 	// Registry receives the cluster metrics (nil disables them).
 	Registry *obs.Registry
 }
-
-// DefaultSnapshotEvery is the checkpoint interval Config.SnapshotEvery 0
-// selects.
-const DefaultSnapshotEvery = 4096
 
 // Node is one member of the networked deployment: a full replica of the
 // record stream plus the executor, replication and incident machinery. It
@@ -128,7 +125,7 @@ func New(cfg Config) (*Node, error) {
 		cfg.SubmitWindow = 32
 	}
 	if cfg.SnapshotEvery == 0 {
-		cfg.SnapshotEvery = DefaultSnapshotEvery
+		cfg.SnapshotEvery = durable.DefaultSnapshotEvery
 	}
 	ids := make([]string, 0, len(cfg.Peers))
 	for id := range cfg.Peers {

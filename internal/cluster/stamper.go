@@ -369,7 +369,7 @@ func (s *stamper) stampLocked(rec *Record) (int, error) {
 
 // maybeCheckpointLocked stamps a checkpoint record once SnapshotEvery entries
 // have committed above the last checkpoint's horizon — at a group boundary,
-// like the single node's checkpoint trigger (WAL.EntriesSinceSnapshot).
+// like the single node's durable checkpoint trigger (shard snapshotLoop).
 // Callers hold s.mu; a failure is sticky in s.err.
 func (s *stamper) maybeCheckpointLocked() {
 	if s.every > 0 && s.n.rep.entriesSinceCheckpoint() >= s.every {

@@ -165,6 +165,32 @@ func (ig *IncrementalGraph) Frontier() Frontier {
 	return ig.cur.clone()
 }
 
+// FrontierAt returns the frontier at an older epoch: the generation's seed
+// folded over its entries up to epoch, exactly what NewIncremental over the
+// log prefix ending at epoch would hold. Folded entries never change, so the
+// fold runs outside the lock and commits keep landing meanwhile. An epoch
+// outside the folded range is refused.
+func (ig *IncrementalGraph) FrontierAt(epoch int) (Frontier, error) {
+	ig.mu.RLock()
+	gen, cur := ig.folded, ig.cur.Epoch
+	if epoch == cur {
+		defer ig.mu.RUnlock()
+		return ig.cur.clone(), nil
+	}
+	n := sort.Search(len(gen.entries), func(i int) bool { return gen.entries[i].LSN > epoch })
+	prefix := gen.entries[:n]
+	ig.mu.RUnlock()
+	if epoch < gen.seed.Epoch || epoch > cur {
+		return Frontier{}, fmt.Errorf("deps: frontier at epoch %d outside the folded range %d..%d", epoch, gen.seed.Epoch, cur)
+	}
+	f := gen.seed.clone()
+	for _, e := range prefix {
+		f.fold(e, func(relation, wlog.InstanceID, data.Key) {})
+	}
+	f.Epoch = epoch
+	return f, nil
+}
+
 // NewIncrementalFrom returns an IncrementalGraph seeded from a frontier and
 // subscribed to log: entries already committed (the restored log suffix) are
 // folded immediately and every future commit is folded at Append time. The
@@ -216,28 +242,39 @@ func (ig *IncrementalGraph) Snapshot() *Graph {
 }
 
 // Rebase forgets the folded entries at or below f.Epoch — the log prefix a
-// durable snapshot covers — and continues from f, the frontier at that
+// snapshot or a horizon covers — and continues from f, the frontier at that
 // epoch: the entries above it are folded again into a fresh generation, so
 // the graph ends up exactly as NewIncrementalFrom(f) over the same suffix
-// would build it, at a cost proportional to the suffix. Views taken before
+// would build it, at a cost proportional to the suffix. The refold runs
+// outside the lock, so commits keep folding meanwhile; only the entries they
+// appended in between are folded under it, at the swap. Views taken before
 // keep reading the generation they pinned. A frontier outside the graph's
 // folded range is refused; one at the current seed is a no-op.
 func (ig *IncrementalGraph) Rebase(f Frontier) error {
-	ig.mu.Lock()
-	defer ig.mu.Unlock()
-	if f.Epoch < ig.seed.Epoch || f.Epoch > ig.cur.Epoch {
-		return fmt.Errorf("deps: rebase at epoch %d outside the folded range %d..%d", f.Epoch, ig.seed.Epoch, ig.cur.Epoch)
+	ig.mu.RLock()
+	gen, cur, folded := ig.folded, ig.cur.Epoch, ig.entries
+	ig.mu.RUnlock()
+	if f.Epoch < gen.seed.Epoch || f.Epoch > cur {
+		return fmt.Errorf("deps: rebase at epoch %d outside the folded range %d..%d", f.Epoch, gen.seed.Epoch, cur)
 	}
-	if f.Epoch == ig.seed.Epoch {
+	if f.Epoch == gen.seed.Epoch {
 		return nil
 	}
-	i := sort.Search(len(ig.entries), func(i int) bool { return ig.entries[i].LSN > f.Epoch })
-	suffix := ig.entries[i:]
-	ig.folded = &folded{lock: &ig.mu, adj: make(map[wlog.InstanceID][]succ), seed: f.clone()}
-	ig.cur = f.clone()
-	for _, e := range suffix {
-		ig.appendLocked(e)
+	next := newIncremental(f)
+	next.lock = &ig.mu
+	i := sort.Search(len(folded), func(i int) bool { return folded[i].LSN > f.Epoch })
+	for _, e := range folded[i:] {
+		next.appendLocked(e)
 	}
+	ig.mu.Lock()
+	defer ig.mu.Unlock()
+	if ig.folded != gen {
+		return fmt.Errorf("deps: concurrent rebase at epoch %d", f.Epoch)
+	}
+	for _, e := range ig.entries[len(folded):] {
+		next.appendLocked(e)
+	}
+	ig.folded, ig.cur = next.folded, next.cur
 	return nil
 }
 

@@ -423,6 +423,118 @@ func TestRebaseEqualsSeededGraph(t *testing.T) {
 	}
 }
 
+// TestFrontierAt: the frontier at an older epoch equals the one a graph over
+// the log prefix ending there holds, in the first generation and after a
+// rebase, and an epoch outside the folded range is refused.
+func TestFrontierAt(t *testing.T) {
+	for seed := int64(0); seed < 12; seed++ {
+		s, err := scenario.Random(seed, scenario.DefaultRandomConfig(), true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		entries := s.Log().Entries()
+		live := wlog.New()
+		g := deps.NewIncremental(live)
+		for _, e := range entries {
+			appendCopy(t, live, e)
+		}
+		check := func(label string, epoch int) {
+			t.Helper()
+			prefix := wlog.New()
+			want := deps.NewIncremental(prefix)
+			for _, e := range entries[:epoch] {
+				appendCopy(t, prefix, e)
+			}
+			got, err := g.FrontierAt(epoch)
+			if err != nil {
+				t.Fatalf("seed %d %s: FrontierAt(%d): %v", seed, label, epoch, err)
+			}
+			if w := want.Frontier(); !reflect.DeepEqual(got, w) {
+				t.Fatalf("seed %d %s: FrontierAt(%d) differs from the prefix graph's frontier:\n got %+v\nwant %+v", seed, label, epoch, got, w)
+			}
+		}
+		n := len(entries)
+		for _, epoch := range []int{0, 1, n / 3, n / 2, n - 1, n} {
+			check("first generation", epoch)
+		}
+		cut := n / 3
+		f, err := g.FrontierAt(cut)
+		if err != nil {
+			t.Fatal(err)
+		}
+		live.TruncateBefore(cut)
+		if err := g.Rebase(f); err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		for _, epoch := range []int{cut, cut + 1, (cut + n) / 2, n} {
+			check("rebased", epoch)
+		}
+		for _, epoch := range []int{cut - 1, n + 1} {
+			if _, err := g.FrontierAt(epoch); err == nil {
+				t.Fatalf("seed %d: FrontierAt(%d) outside the folded range %d..%d accepted", seed, epoch, cut, n)
+			}
+		}
+	}
+}
+
+// TestRebaseRacesAppend (run under -race): a rebase refolds the suffix while
+// the log's commit hook keeps appending, and the graph it leaves equals one
+// seeded at the rebase epoch and fed the whole suffix — no entry appended
+// during the refold is lost or folded twice.
+func TestRebaseRacesAppend(t *testing.T) {
+	cfg := scenario.DefaultRandomConfig()
+	cfg.Runs = 8
+	for seed := int64(0); seed < 8; seed++ {
+		s, err := scenario.Random(seed, cfg, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		entries := s.Log().Entries()
+		n := len(entries)
+		cut, start := n/4, n/2
+		live := wlog.New()
+		g := deps.NewIncremental(live)
+		for _, e := range entries[:start] {
+			appendCopy(t, live, e)
+		}
+		f, err := g.FrontierAt(cut)
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() { done <- g.Rebase(f) }()
+		for _, e := range entries[start:] {
+			appendCopy(t, live, e)
+		}
+		if err := <-done; err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+
+		seeded := wlog.NewAt(cut)
+		for _, e := range entries[cut:] {
+			appendCopy(t, seeded, e)
+		}
+		want := deps.NewIncrementalFrom(seeded, f)
+		got, wantG := g.Snapshot(), want.Snapshot()
+		if got.Epoch() != wantG.Epoch() || !reflect.DeepEqual(g.Frontier(), want.Frontier()) {
+			t.Fatalf("seed %d: rebased graph at epoch %d, seeded at %d, or frontiers differ", seed, got.Epoch(), wantG.Epoch())
+		}
+		for _, c := range []struct {
+			name      string
+			got, want []deps.Edge
+		}{
+			{"flow", got.Flow(), wantG.Flow()},
+			{"anti", got.Anti(), wantG.Anti()},
+			{"output", got.Output(), wantG.Output()},
+		} {
+			if !reflect.DeepEqual(c.got, c.want) {
+				t.Fatalf("seed %d: %s edges after a rebase racing appends differ from the seeded graph's", seed, c.name)
+			}
+		}
+		checkAdjacency(t, fmt.Sprintf("seed %d rebased under appends", seed), got)
+	}
+}
+
 // TestSnapshotReadersRaceAppend (run under -race): snapshot readers walk the
 // adjacency container while the log's commit hook keeps appending to it, and
 // no walk may ever deliver a successor committed after its snapshot's epoch.

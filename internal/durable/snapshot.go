@@ -25,13 +25,21 @@ import (
 )
 
 // Run status strings carried by snapshots; the shard layer maps its
-// internal run states onto these.
+// internal run states onto these. RunForged only ever appears in a
+// tombstone: it names an attacker's run nobody registered, whose forged
+// entries lie beneath the horizon, so an alert naming one is refused as
+// below the horizon rather than as unknown.
 const (
 	RunActive   = "active"
 	RunDeferred = "deferred"
 	RunDone     = "done"
 	RunFailed   = "failed"
+	RunForged   = "forged"
 )
+
+// DefaultSnapshotEvery is the checkpoint interval, in committed entries,
+// that a zero SnapshotEvery selects in shard.Config and cluster.Config.
+const DefaultSnapshotEvery = 4096
 
 // SpecState is a registered run's durable registration: the wfjson
 // document it was submitted with and the initial store values actually

@@ -315,14 +315,6 @@ func (w *WAL) LastLSN() int {
 	return w.lastLSN
 }
 
-// EntriesSinceSnapshot returns how many entry LSNs have been enqueued
-// beyond the latest snapshot's epoch — the checkpoint trigger input.
-func (w *WAL) EntriesSinceSnapshot() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.lastLSN - w.snapEpoch
-}
-
 // SnapshotEpoch returns the entry-LSN horizon of the latest snapshot
 // (0 when none exists).
 func (w *WAL) SnapshotEpoch() int {

@@ -7,10 +7,11 @@ import (
 )
 
 // TestCorpusRegression replays every committed reproducer in
-// testdata/corpus against a healthy durable in-process service. Each entry
-// is the shrunk schedule of a bug the fuzzer once found; after the fix it
-// must report zero violations, forever. Runs under -race with the normal
-// test suite.
+// testdata/corpus against a healthy in-process service, durable and in
+// memory (where a checkpoint forgets without a snapshot). Each entry is the
+// shrunk schedule of a bug the fuzzer once found; after the fix it must
+// report zero violations, forever. Runs under -race with the normal test
+// suite.
 func TestCorpusRegression(t *testing.T) {
 	corpus, err := LoadCorpus("testdata/corpus")
 	if err != nil {
@@ -23,17 +24,21 @@ func TestCorpusRegression(t *testing.T) {
 	for name, entry := range corpus {
 		entry := entry
 		t.Run(name, func(t *testing.T) {
-			tgt, err := NewInProcTarget(InProcOptions{Dir: t.TempDir()})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer tgt.Close()
-			rep, err := r.RunEpisode(tgt, entry.Schedule)
-			if err != nil {
-				t.Fatalf("harness: %v", err)
-			}
-			for _, v := range rep.Violations {
-				t.Errorf("regression: %s", v)
+			for mode, dir := range map[string]string{"durable": t.TempDir(), "memory": ""} {
+				t.Run(mode, func(t *testing.T) {
+					tgt, err := NewInProcTarget(InProcOptions{Dir: dir})
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer tgt.Close()
+					rep, err := r.RunEpisode(tgt, entry.Schedule)
+					if err != nil {
+						t.Fatalf("harness: %v", err)
+					}
+					for _, v := range rep.Violations {
+						t.Errorf("regression: %s", v)
+					}
+				})
 			}
 		})
 	}

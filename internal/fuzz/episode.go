@@ -16,7 +16,7 @@ import (
 )
 
 // ErrRestartUnsupported is returned by targets that cannot crash-restart
-// (non-durable servers lose everything; restart ops are skipped on them).
+// (in-memory servers lose everything; restart ops are skipped on them).
 var ErrRestartUnsupported = errors.New("fuzz: target does not support restart")
 
 // A Target is one live service under test. Episodes need reset semantics:
@@ -25,8 +25,8 @@ type Target interface {
 	// BaseURL is the server's current root, e.g. "http://127.0.0.1:41327".
 	// It may change across Restart.
 	BaseURL() string
-	// Durable reports whether the target persists state (checkpoints and
-	// restarts are meaningful).
+	// Durable reports whether the target persists state (restarts are
+	// meaningful; checkpoints are on every target).
 	Durable() bool
 	// Restart crash-restarts the server on its persistent state and
 	// returns once it serves again, or ErrRestartUnsupported.
@@ -39,8 +39,8 @@ type Target interface {
 type Report struct {
 	// Violations lists every failed oracle; empty means the episode passed.
 	Violations []Violation
-	// Ops counts executed schedule operations (restarts/checkpoints
-	// skipped on incapable targets are not counted).
+	// Ops counts executed schedule operations (restarts skipped on
+	// incapable targets are not counted).
 	Ops int
 }
 
@@ -84,9 +84,6 @@ func (r *Runner) RunEpisode(t Target, sch *Schedule) (*Report, error) {
 		case OpAlert:
 			err = c.alert(op.Batch)
 		case OpCheckpoint:
-			if !t.Durable() {
-				continue
-			}
 			err = c.checkpoint()
 		case OpDrain:
 			err = c.drain()

@@ -67,6 +67,27 @@ func TestEpisodeDurableRestartPasses(t *testing.T) {
 	}
 }
 
+// An in-memory target passes episodes that interleave checkpoints: each one
+// forgets the history beneath the head, and later forges are still repaired
+// to the attack-free state.
+func TestEpisodeMemoryCheckpointPasses(t *testing.T) {
+	p := DefaultParams()
+	p.Checkpoints = 2
+	for _, seed := range []int64{11, 12, 13} {
+		sch := GenSchedule(seed, p)
+		rep, err := runner().runOn(inprocFactory(InProcOptions{}), sch)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if rep.Ops != len(sch.Ops) {
+			t.Fatalf("seed %d: %d of %d ops executed", seed, rep.Ops, len(sch.Ops))
+		}
+		for _, v := range rep.Violations {
+			t.Errorf("seed %d: unexpected violation %s", seed, v)
+		}
+	}
+}
+
 // The mutation smoke: with the skip-repair fault injected, the benign-store
 // oracle must fire, and shrinking must produce a smaller schedule that
 // still reproduces it — the end-to-end proof the fuzzer can find real

@@ -27,8 +27,8 @@ type GenParams struct {
 	// the attack-free state (the accused task is undone and re-executed
 	// with identical results).
 	FalseAccuseProb float64
-	// Checkpoints and Restarts interleave durable snapshots and
-	// crash-restarts; only meaningful on targets that support them.
+	// Checkpoints and Restarts interleave checkpoints (on every target)
+	// and crash-restarts (only on targets that support them).
 	Checkpoints int
 	Restarts    int
 	// DrainProb is the probability of a mid-schedule drain between phases,

@@ -19,8 +19,9 @@ const (
 	// OpAlert reports a batch of IDS alerts (POST /api/v1/alerts),
 	// retrying until the whole batch is admitted.
 	OpAlert OpKind = "alert"
-	// OpCheckpoint forces a durable snapshot (POST /api/v1/chaos/checkpoint);
-	// ignored on non-durable targets.
+	// OpCheckpoint moves the horizon to the head (POST
+	// /api/v1/chaos/checkpoint): a durable target writes a snapshot, an
+	// in-memory one forgets without one.
 	OpCheckpoint OpKind = "checkpoint"
 	// OpDrain waits until recovery is drained and all runs retired.
 	OpDrain OpKind = "drain"

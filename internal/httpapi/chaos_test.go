@@ -117,10 +117,10 @@ func TestChaosRejectsMalformed(t *testing.T) {
 		t.Fatalf("bogus wait mode: status %d body %s", resp.StatusCode, body)
 	}
 
-	// Checkpoint on a non-durable service is a client error, not a crash.
+	// Checkpoint needs no WAL: an in-memory service forgets at the head.
 	resp, body = doJSON(t, "POST", ts.URL+"/api/v1/chaos/checkpoint", nil)
-	if resp.StatusCode != http.StatusConflict {
-		t.Fatalf("checkpoint non-durable: status %d body %s", resp.StatusCode, body)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("checkpoint in memory: status %d body %s", resp.StatusCode, body)
 	}
 }
 

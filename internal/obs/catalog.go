@@ -68,6 +68,7 @@ const (
 	MShardRunsFailed     = "shard_runs_failed_total"
 	MShardQuiesceSeconds = "shard_quiesce_seconds"
 	MShardQuiescedShards = "shard_quiesced_shards"
+	MShardForgetSeconds  = "shard_forget_seconds"
 
 	// internal/httpapi — the analysis service.
 	MHTTPRequests       = "http_requests_total"
@@ -128,7 +129,7 @@ func Catalog() []Def {
 		{MEngineStepSeconds, "histogram", "—", "Fig 2", "Wall-clock latency of one engine task execution and commit."},
 		{MAlertsReported, "counter", "λ_a", "§IV.C", "IDS alerts delivered to the runtime (arrival process)."},
 		{MAlertsLost, "counter", "P_l", "Def. 3", "IDS alerts dropped because the alert buffer was full."},
-		{MAlertsBelowHorizon, "counter", "—", "§III", "IDS alerts refused because they name an instance of a run retired beneath the durable snapshot horizon."},
+		{MAlertsBelowHorizon, "counter", "—", "§III", "IDS alerts refused because they name an instance of a run retired or forged beneath the horizon."},
 		{MAlertsAnalyzed, "counter", "μ_s", "§IV.C", "Alerts the analyzer turned into units of recovery tasks."},
 		{MUnitsExecuted, "counter", "ξ_r", "§IV.C", "Units of recovery tasks executed by the scheduler."},
 		{MNormalSteps, "counter", "—", "§IV.C", "Normal workflow task executions scheduled in NORMAL state."},
@@ -172,6 +173,7 @@ func Catalog() []Def {
 		{MShardRunsFailed, "counter", "—", "§VII", "Sharded runs aborted by a task failure."},
 		{MShardQuiesceSeconds, "histogram", "ξ_r", "§IV.C", "Wall-clock time the shards were quiesced for one recovery-unit repair."},
 		{MShardQuiescedShards, "histogram", "—", "§IV", "Shards paused for one recovery-unit repair (partial quiescence scope)."},
+		{MShardForgetSeconds, "histogram", "—", "§III", "Time the commit pipeline stalled while the service forgot the history beneath a new horizon."},
 		{MHTTPRequests, "counter", "—", "—", "HTTP requests served, labeled by route."},
 		{MHTTPRequestSeconds, "histogram", "—", "—", "HTTP request latency across all routes."},
 		{MClusterRecordsStamped, "counter", "—", "§VII", "Records assigned a stream position by this node's sequencer, labeled by kind."},

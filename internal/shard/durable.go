@@ -23,26 +23,24 @@
 //     log entries, so the record is the only durable trace of the rewrite —
 //     synced before the unit retires.
 //
-// Checkpoints (Service.Checkpoint, or automatic via Config.SnapshotEvery)
-// quiesce the shards briefly, capture a Snapshot through the commit
-// pipeline, write it, and then forget what it covers — the log and graph
-// prefix, the store history beneath the epoch, every retired run but its
-// tombstone — exactly as a restart from it would (Service.forget); the WAL
-// retires every segment the snapshot covers. See docs/DURABILITY.md.
+// A durable checkpoint (Service.Checkpoint, or automatic via
+// Config.SnapshotEvery) quiesces the shards briefly, captures a Snapshot
+// through the commit pipeline, writes it, and then forgets what it covers —
+// the log and graph prefix, the store history beneath the epoch, every
+// retired run but its tombstone — exactly as a restart from it would
+// (Service.forget, horizon.go); the WAL retires every segment the snapshot
+// covers. See docs/DURABILITY.md.
 package shard
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"sort"
 	"time"
 
-	"selfheal/internal/data"
 	"selfheal/internal/deps"
 	"selfheal/internal/durable"
 	"selfheal/internal/engine"
-	"selfheal/internal/recovery"
 	"selfheal/internal/triage"
 	"selfheal/internal/wf"
 	"selfheal/internal/wfjson"
@@ -79,7 +77,7 @@ func NewDurable(cfg Config, dir string, dopts durable.Options) (*Service, error)
 		liveAlerts:     make(map[uint64][]wlog.InstanceID, len(st.Alerts)),
 		specStates:     make(map[string]durable.SpecState, len(st.Specs)),
 		restoredAlerts: st.Alerts,
-		ckptCh:         make(chan chan error),
+		ckptCh:         make(chan ckptReq),
 	}
 	// Attach the WAL after the graph: OnAppend hooks run in subscription
 	// order, and the graph must observe an entry before its record can be
@@ -133,7 +131,11 @@ func NewDurable(cfg Config, dir string, dopts durable.Options) (*Service, error)
 		}
 		s.metrics.RunsSubmitted++
 	}
-	s.metrics.RunsSubmitted += len(st.Tombs)
+	for _, tb := range st.Tombs {
+		if tb.Status != durable.RunForged {
+			s.metrics.RunsSubmitted++
+		}
+	}
 	// The restore already built the state at the horizon; the step that
 	// forgets it registers the tombstones and the pre-epoch runs, as a live
 	// checkpoint does.
@@ -141,6 +143,7 @@ func NewDurable(cfg Config, dir string, dopts durable.Options) (*Service, error)
 		_ = wal.Close()
 		return nil, err
 	}
+	s.retain()
 	// Deliveries sit in the (buffered) inboxes until Start spins the
 	// workers up.
 	s.exec.deliver(resume)
@@ -176,34 +179,10 @@ func (s *Service) SubmitRunSpec(id string, sj *wfjson.SpecJSON) error {
 	return s.register(id, spec, init, doc)
 }
 
-// Checkpoint forces a durable snapshot now: shards quiesce briefly while
-// the state is captured, the snapshot file is written and synced, covered
-// WAL segments are retired, and the service forgets what the snapshot
-// covers (forget). Returns an error on a non-durable service.
-func (s *Service) Checkpoint(ctx context.Context) error {
-	if s.wal == nil {
-		return fmt.Errorf("shard: service has no durable WAL")
-	}
-	resp := make(chan error, 1)
-	select {
-	case s.ckptCh <- resp:
-	case <-ctx.Done():
-		return ctx.Err()
-	case <-s.stopCh:
-		return durable.ErrClosed
-	}
-	select {
-	case err := <-resp:
-		return err
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-// checkpoint runs on the recovery goroutine (never concurrent with a
-// repair or an analysis, so no pinned graph view spans it): quiesce,
-// capture, write, forget.
-func (s *Service) checkpoint() error {
+// snapshot is the durable checkpoint, on the recovery goroutine: quiesce,
+// capture, write, then forget what the snapshot covers, at its epoch — the
+// head at the capture — so that a restart from it equals the live service.
+func (s *Service) snapshot(auto bool) error {
 	s.submitMu.Lock()
 	defer s.submitMu.Unlock()
 
@@ -215,6 +194,9 @@ func (s *Service) checkpoint() error {
 	}
 	var snap *durable.Snapshot
 	_ = s.com.exec(func() error { snap = s.gatherSnapshot(); return nil }) // cannot fail
+	if s.captureHook != nil {
+		s.captureHook(snap)
+	}
 	if !held {
 		s.exec.resumeAll()
 	}
@@ -227,54 +209,8 @@ func (s *Service) checkpoint() error {
 		return err
 	}
 	// Only after the snapshot is durable may the service forget the history
-	// it covers. CompactBefore keeps the latest version at or below the
-	// horizon as a checkpoint version — repairs of post-epoch damage still
-	// read correct pre-state values. Inside the commit pipeline: no commit
-	// lands while the log and graph drop their prefix.
-	return s.com.exec(func() error {
-		s.eng.Store().CompactBefore(float64(snap.Epoch))
-		return s.forget(snap.Horizon())
-	})
-}
-
-// forget drops what a restart from the snapshot behind h would not bring
-// back: the log prefix at or below the epoch (hooks stay subscribed), the
-// dependence graph's prefix (it resumes from the snapshot's frontier and
-// refolds only the suffix), every retired run but its tombstone — the run
-// record, the engine run, the compiled spec and the wfjson document — and
-// every intern-table entry only retired specs referenced.
-// The live runs with history beneath the epoch become the pre-epoch set
-// repairs are checked against. NewDurable runs it on the restored state,
-// where the log and graph already start at the horizon; checkpoint runs it
-// live inside the commit pipeline. One construction, so a restart and a
-// checkpoint leave the same state behind (TestRestartEqualsLive).
-func (s *Service) forget(h durable.Horizon) error {
-	s.eng.Log().TruncateBefore(h.Epoch)
-	if err := s.graph.Rebase(h.Graph); err != nil {
-		return err
-	}
-	s.exec.bury(h.Tombs)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	// Rebuilt rather than pruned: a Go map keeps its peak size after
-	// deletes.
-	specs := make(map[string]*wf.Spec)
-	for id, sp := range s.specs {
-		if _, gone := h.Tombs[id]; !gone {
-			specs[id] = sp
-		}
-	}
-	states := make(map[string]durable.SpecState)
-	for id, ss := range s.specStates {
-		if _, gone := h.Tombs[id]; !gone {
-			states[id] = ss
-		}
-	}
-	s.specs, s.specStates = specs, states
-	s.tab.Retain(specs)
-	s.preEpoch = h.PreEpoch
-	s.durableEpoch = h.Epoch
-	return nil
+	// it covers.
+	return s.forgetLive(snap.Horizon(), auto)
 }
 
 // gatherSnapshot captures the full system state. Runs on the committer
@@ -283,9 +219,10 @@ func (s *Service) forget(h durable.Horizon) error {
 // concurrent writer, so Seq and the live-alert set are captured together
 // under alertMu — an alert admitted after the capture has a record beyond
 // Seq and replays from the log. Every run retired by now is captured as a
-// tombstone: all its entries lie at or below the epoch.
+// tombstone, and so is every run nobody registered that has a forged entry
+// in the log: all their entries lie at or below the epoch.
 func (s *Service) gatherSnapshot() *durable.Snapshot {
-	runs, tombs := s.exec.capture()
+	runs, tombs := s.exec.capture(s.eng.Log().Runs())
 	snap := &durable.Snapshot{
 		Epoch:  s.eng.Log().Len(),
 		Chains: s.eng.Store().ChainsCopy(),
@@ -311,43 +248,8 @@ func (s *Service) gatherSnapshot() *durable.Snapshot {
 	return snap
 }
 
-// snapshotLoop drives automatic checkpoints: once SnapshotEvery entries
-// have committed past the latest snapshot, a checkpoint request is queued
-// to the recovery goroutine.
-func (s *Service) snapshotLoop() {
-	defer s.wg.Done()
-	t := time.NewTicker(50 * time.Millisecond)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.stopCh:
-			return
-		case <-t.C:
-		}
-		if s.wal.EntriesSinceSnapshot() < s.cfg.SnapshotEvery {
-			continue
-		}
-		resp := make(chan error, 1)
-		select {
-		case s.ckptCh <- resp:
-		case <-s.stopCh:
-			return
-		}
-		select {
-		case err := <-resp:
-			if err != nil {
-				s.mu.Lock()
-				s.lastRecovery = fmt.Errorf("shard: checkpoint failed: %w", err)
-				s.mu.Unlock()
-			}
-		case <-s.stopCh:
-			return
-		}
-	}
-}
-
 // feedRestoredAlerts re-queues the alerts a previous process admitted but
-// never acked. Alerts naming instances before the snapshot horizon cannot
+// never acked. Alerts naming instances before the horizon cannot
 // be analyzed against the truncated log: they are acked and counted lost.
 func (s *Service) feedRestoredAlerts() {
 	defer s.wg.Done()
@@ -412,63 +314,4 @@ func (s *Service) ackAlerts(ids []uint64) {
 	// A write failure here is deliberately ignored: the WAL error is
 	// sticky and surfaces on the next commit acknowledgement.
 	_ = s.wal.AppendAck(ids)
-}
-
-// checkHorizon refuses, with recovery.ErrHorizon, a repair that would need
-// history the snapshot horizon truncated. A service without a WAL never
-// truncates: its log holds every accused instance and no run is pre-epoch.
-func (s *Service) checkHorizon(u *unit, dkeys map[data.Key]bool) error {
-	s.mu.Lock()
-	epoch := s.durableEpoch
-	pre := make(map[string]*wf.Spec, len(s.preEpoch))
-	for run := range s.preEpoch {
-		if sp := s.specs[run]; sp != nil {
-			pre[run] = sp
-		}
-	}
-	s.mu.Unlock()
-
-	// A checkpoint that landed between an alert's admission and its repair
-	// has forgotten the accused instances: their history is gone.
-	for _, id := range u.bad {
-		if _, ok := s.eng.Log().Get(id); !ok {
-			return fmt.Errorf("shard: accused instance %s lies beneath the snapshot horizon (epoch %d): %w", id, epoch, recovery.ErrHorizon)
-		}
-	}
-
-	// Boot-horizon refusal: a repair whose damage closure touches a run
-	// with pre-snapshot commits would resync that run against a truncated
-	// trace (wrong visit counters, invisible early writes). Refuse loudly
-	// rather than install a silently wrong repair. Retired runs whose
-	// entries all sit beneath the snapshot are exempt: they are frozen
-	// history, never replayed or resynced — their surviving effect is the
-	// checkpoint boundary versions, which post-snapshot repairs expose by
-	// undoing the damage layered on top.
-	for run, sp := range pre {
-		if s.runFrozen(run) {
-			continue
-		}
-		for _, k := range sp.Footprint() {
-			if dkeys[k] {
-				return fmt.Errorf("shard: damage closure reaches run %s with history before the boot snapshot (epoch %d): %w",
-					run, epoch, recovery.ErrHorizon)
-			}
-		}
-	}
-	return nil
-}
-
-// runFrozen reports whether run is retired with no log entries above the
-// snapshot horizon: frozen history whose only surviving effect is the
-// checkpoint boundary versions. Such runs are never replayed or resynced,
-// so repairs touching their key footprints are sound.
-func (s *Service) runFrozen(run string) bool {
-	x := s.exec
-	x.mu.Lock()
-	rs, ok := x.runs[run]
-	x.mu.Unlock()
-	if !ok || (rs.state != RunDone && rs.state != RunFailed) {
-		return false
-	}
-	return len(s.eng.Log().Trace(run, false)) == 0
 }

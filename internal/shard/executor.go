@@ -38,6 +38,12 @@ const (
 	RunFailed
 )
 
+// runForged is the state of a tombstone that names an attacker's run nobody
+// registered (durable.RunForged): an alert naming one of its instances is
+// answered as below the horizon, while status queries and listings still
+// know no such run.
+const runForged RunStatus = -1
+
 // String returns the lowercase wire name used by the HTTP API.
 func (s RunStatus) String() string {
 	switch s {
@@ -49,6 +55,8 @@ func (s RunStatus) String() string {
 		return "done"
 	case RunFailed:
 		return "failed"
+	case runForged:
+		return durable.RunForged
 	default:
 		return "unknown"
 	}
@@ -63,12 +71,12 @@ type runState struct {
 	err   error // terminal error for RunFailed
 }
 
-// tombstone is what the executor keeps of a run retired beneath a durable
-// snapshot horizon (Service.forget): enough for RunInfo and Runs and to
-// refuse the ID's reuse. Kept per run forever, so kept small.
+// tombstone is what the executor keeps of a run retired beneath the horizon
+// (Service.forget): enough for RunInfo and Runs and to refuse the ID's reuse.
+// Kept per run forever, so kept small.
 type tombstone struct {
 	err   string
-	state RunStatus // RunDone or RunFailed
+	state RunStatus // RunDone, RunFailed or runForged
 }
 
 // executor partitions runs across shard workers. The dispatcher invariant
@@ -328,39 +336,63 @@ func (x *executor) tombstoned(id string) bool {
 
 // capture records every run's durable state for a snapshot: the live runs'
 // frontiers, and a tombstone for every run retired by now — the earlier
-// tombstones and the runs retired since. Callers hold all shards quiesced:
-// the run objects' frontiers and visit counters are read without their
-// owning workers' cooperation.
-func (x *executor) capture() (map[string]durable.RunState, map[string]durable.Tombstone) {
+// tombstones and the runs retired since — and for every run of logged (the
+// runs with entries in the log) nobody registered, which only forges write.
+// Callers hold all shards quiesced: the run objects' frontiers and visit
+// counters are read without their owning workers' cooperation.
+func (x *executor) capture(logged []string) (map[string]durable.RunState, map[string]durable.Tombstone) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
 	runs := make(map[string]durable.RunState)
-	tombs := make(map[string]durable.Tombstone, len(x.tombs))
-	for id, tb := range x.tombs {
-		tombs[id] = durable.Tombstone{Status: tb.state.String(), Err: tb.err}
-	}
+	tombs := x.tombstonesLocked()
 	for id, rs := range x.runs {
-		var errMsg string
-		if rs.err != nil {
-			errMsg = rs.err.Error()
-		}
-		if rs.state == RunDone || rs.state == RunFailed {
-			tombs[id] = durable.Tombstone{Status: rs.state.String(), Err: errMsg}
+		tb := rs.tombstone()
+		if rs.retired() {
+			tombs[id] = tb
 			continue
 		}
 		runs[id] = durable.RunState{
 			Cur:    rs.run.Current(),
 			Visits: rs.run.VisitCounts(),
-			Status: rs.state.String(),
-			Err:    errMsg,
+			Status: tb.Status,
+			Err:    tb.Err,
+		}
+	}
+	for _, id := range logged {
+		if _, ok := x.runs[id]; !ok {
+			if _, ok := tombs[id]; !ok {
+				tombs[id] = durable.Tombstone{Status: durable.RunForged}
+			}
 		}
 	}
 	return runs, tombs
 }
 
+// tombstonesLocked returns the tombstones in their snapshot form. Callers
+// hold x.mu.
+func (x *executor) tombstonesLocked() map[string]durable.Tombstone {
+	tombs := make(map[string]durable.Tombstone, len(x.tombs))
+	for id, tb := range x.tombs {
+		tombs[id] = durable.Tombstone{Status: tb.state.String(), Err: tb.err}
+	}
+	return tombs
+}
+
+// retired reports whether the run reached a final state. Callers hold x.mu.
+func (rs *runState) retired() bool { return rs.state == RunDone || rs.state == RunFailed }
+
+// tombstone is the run's status and error in their snapshot form. Callers
+// hold x.mu.
+func (rs *runState) tombstone() durable.Tombstone {
+	tb := durable.Tombstone{Status: rs.state.String()}
+	if rs.err != nil {
+		tb.Err = rs.err.Error()
+	}
+	return tb
+}
+
 // bury reduces every run in tombs to its tombstone: the run record, its
-// engine run and the spec it points to are released. The live-run map is
-// rebuilt rather than pruned — a Go map keeps its peak size after deletes.
+// engine run and the spec it points to are released (prune).
 func (x *executor) bury(tombs map[string]durable.Tombstone) {
 	x.mu.Lock()
 	defer x.mu.Unlock()
@@ -369,18 +401,15 @@ func (x *executor) bury(tombs map[string]durable.Tombstone) {
 			delete(x.undurable, rs) // a snapshot covers only the durable prefix
 		}
 		state := RunDone
-		if tb.Status == durable.RunFailed {
+		switch tb.Status {
+		case durable.RunFailed:
 			state = RunFailed
+		case durable.RunForged:
+			state = runForged
 		}
 		x.tombs[id] = tombstone{err: tb.Err, state: state}
 	}
-	live := make(map[string]*runState)
-	for id, rs := range x.runs {
-		if _, gone := tombs[id]; !gone {
-			live[id] = rs
-		}
-	}
-	x.runs = live
+	x.runs = prune(x.runs, tombs)
 }
 
 // deliver hands placed runs to their shards' inboxes without ever blocking

@@ -25,12 +25,13 @@ import (
 // beside the log; 2 056 B while an entry held its reads and writes in two maps
 // and a run its visit counters in a third; 2 827 B before the single-copy
 // dependence graph and the shared instance-ID string; EXPERIMENTS.md "Live
-// heap per committed instance"). Everything counted here stays resident for
-// the whole history — recovery can be asked about any committed instance — so
-// this is the slope of the service's memory.
+// heap per committed instance"). Everything counted here stays resident until
+// a checkpoint forgets it — one to two intervals of history in memory, where
+// recovery can be asked about any instance above the horizon — so this is the
+// slope of the service's memory between horizons.
 const footprintBudget = 1370
 
-// tombstoneBudget is the live heap a durable service may keep per run a
+// tombstoneBudget is the live heap a service may keep per run a
 // checkpoint retired, in bytes: the 24 B tombstone and its 16 B key in a
 // slot of the executor's map, the map's spare slots and the ID string come
 // to ~100 B measured; the rest is headroom for the map's power-of-two growth
@@ -38,9 +39,8 @@ const footprintBudget = 1370
 // — may survive the checkpoint.
 const tombstoneBudget = 160
 
-// TestRunStateSize: every submitted run keeps its runState until a durable
-// checkpoint retires it — for the whole history on an in-memory service —
-// and 64 B is a size class: one more int moves it to 80 B (+0.46 MB on the
+// TestRunStateSize: every submitted run keeps its runState until a
+// checkpoint retires it, and 64 B is a size class: one more int moves it to 80 B (+0.46 MB on the
 // benchmark's steady-mem). State only one mode reads lives elsewhere: the
 // durable executor keeps the retirement LSN of a run not yet durable in its
 // undurable FIFO, not in the run's record.
@@ -113,6 +113,72 @@ func TestResidentHeapBoundedByHorizon(t *testing.T) {
 	}
 }
 
+// TestMemoryHeapBoundedByHorizon is the in-memory twin of
+// TestResidentHeapBoundedByHorizon: a service without a WAL forgets too. N
+// runs are committed and checkpointed, then 10N more — over at least three
+// automatic checkpoint intervals, each forgetting memoryTrail intervals
+// beneath the head — and checkpointed again. Between the two readings the
+// live heap may grow by tombstoneBudget per run retired and by nothing per
+// instance beneath the horizon.
+func TestMemoryHeapBoundedByHorizon(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector inflates allocations")
+	}
+	const tenants, first, rounds, every = 16, 12, 11 * 12, 512
+	docs := make([][]*wfjson.SpecJSON, tenants)
+	for i := range docs {
+		rng := rand.New(rand.NewSource(int64(i) + 1))
+		cfg := wf.GenConfig{Tasks: 8, Keys: 6, MaxReads: 2, MaxWrites: 2, BranchProb: 0.3, Prefix: fmt.Sprintf("a%d_", i)}
+		for j := 0; j < rounds; j++ {
+			bp := wf.GenerateBlueprint(fmt.Sprintf("a%d-r%d", i, j), cfg, rng)
+			docs[i] = append(docs[i], wfjson.FromBlueprint(bp))
+		}
+	}
+	svc := startService(t, Config{Shards: 4, SnapshotEvery: every})
+	commit := func(from, to int) {
+		for j := from; j < to; j++ {
+			for i := range docs {
+				if err := svc.SubmitRunSpec(docs[i][j].Name, docs[i][j]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			waitIdle(t, svc)
+		}
+	}
+	checkpoint := func() {
+		if err := svc.Checkpoint(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	commit(0, first)
+	checkpoint()
+	before, horizon := liveHeap(), svc.Log().Len()
+	commit(first, rounds)
+	// Automatic checkpoints trail the head; give the last one a tick to
+	// land before the forced one.
+	waitHorizon(t, svc, svc.Log().Len()-(memoryTrail+1)*every)
+	if forgot := svc.Log().Base() - horizon; forgot < 3*every {
+		t.Fatalf("automatic checkpoints forgot %d entries, want at least 3 intervals of %d", forgot, every)
+	}
+	checkpoint()
+	after := liveHeap()
+	runtime.KeepAlive(docs) // live at both readings, so not in the difference
+
+	retired := tenants * (rounds - first)
+	instances := svc.Log().Len() - horizon
+	growth := float64(after) - float64(before)
+	t.Logf("%d more runs, %d instances beneath the horizon: the live heap grew %.0f B, %.0f B per retired run (budget %d)",
+		retired, instances, growth, growth/float64(retired), tombstoneBudget)
+	if svc.Log().Len() != svc.Log().Base() {
+		t.Fatalf("the idle service still holds log entries %d..%d beneath its checkpoint", svc.Log().Base()+1, svc.Log().Len())
+	}
+	if growth > float64(tombstoneBudget*retired) {
+		t.Fatalf("the live heap grew %.0f B over %d retired runs and %d instances beneath the horizon; budget %d B per retired run, 0 per instance",
+			growth, retired, instances, tombstoneBudget)
+	}
+}
+
 // liveHeap returns HeapAlloc after two forced collections (the second one
 // finishes what the first one's sweep left).
 func liveHeap() uint64 {
@@ -144,7 +210,9 @@ func TestFootprintPerInstance(t *testing.T) {
 		}
 	}
 
-	svc := startService(t, Config{Shards: 4})
+	// The figure is the slope of a service that forgets nothing, so the
+	// history must stay resident: no automatic checkpoint.
+	svc := startService(t, Config{Shards: 4, SnapshotEvery: -1})
 	before := liveHeap()
 	for j := 0; j < perTenant; j++ {
 		for i := range docs {

@@ -116,8 +116,9 @@ func assertRestartEqualsLive(t *testing.T, svc *Service, dir, label string, forg
 
 	// The same alerts get the same answers: an instance of a tombstoned run
 	// is refused as below the horizon, one of a run nobody registered is
-	// unknown, and the latest forge — above the horizon unless a checkpoint
-	// came between — is admitted (and repaired by the live service).
+	// unknown, and the latest forge is admitted (and repaired by the live
+	// service) — or, when a checkpoint came between, refused as below the
+	// horizon from its forged run's tombstone.
 	ids := make([]string, 0, len(live.tombs))
 	for id := range live.tombs {
 		ids = append(ids, id)
@@ -145,76 +146,137 @@ func assertRestartEqualsLive(t *testing.T, svc *Service, dir, label string, forg
 	return len(live.preEpoch), len(live.tombs)
 }
 
+// horizonEpisode drives a seeded episode of runs, forged tasks with their
+// alerts, and checkpoints at random points on a durable service — with runs
+// in flight, so some straddle the horizon — and calls checked after every
+// checkpoint. It returns how many checkpoints it took.
+func horizonEpisode(t *testing.T, svc *Service, seed int64, checked func(label string, forged []wlog.InstanceID)) int {
+	t.Helper()
+	const ops, tenants = 48, 3
+	rng := rand.New(rand.NewSource(seed))
+	gen := wf.GenConfig{Tasks: 6, Keys: 5, MaxReads: 2, MaxWrites: 2, BranchProb: 0.3}
+	var forged []wlog.InstanceID
+	checkpoints := 0
+	for op := 0; op < ops; op++ {
+		label := fmt.Sprintf("seed %d op %d", seed, op)
+		tenant := rng.Intn(tenants)
+		gen.Prefix = fmt.Sprintf("s%d_%d_", seed, tenant)
+		switch r := rng.Intn(10); {
+		case r < 6:
+			name := fmt.Sprintf("s%d-r%d", seed, op)
+			doc := wfjson.FromBlueprint(wf.GenerateBlueprint(name, gen, rng))
+			if err := svc.SubmitRunSpec(name, doc); err != nil && !errors.Is(err, ErrQueueFull) {
+				t.Fatalf("%s: %v", label, err)
+			}
+		case r < 8:
+			k := gen.PoolKey(rng.Intn(gen.Keys))
+			inst, err := svc.InjectForged("intruder", wf.TaskID(fmt.Sprintf("f%d", op)),
+				[]data.Key{k}, map[data.Key]data.Value{k: data.Value(-1 - op)})
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			forged = append(forged, inst)
+			if err := svc.Report([]wlog.InstanceID{inst}); err != nil && !errors.Is(err, ErrQueueFull) {
+				t.Fatalf("%s: %v", label, err)
+			}
+		default:
+			// Whether a generated run is still in flight at the
+			// checkpoint is up to the scheduler, and on a loaded box an
+			// episode could end with none. One long run, held from its
+			// first step until the checkpoint resumes the shards,
+			// straddles the horizon unless a repair finishing in between
+			// releases its shard early.
+			name := fmt.Sprintf("s%d-straddle%d", seed, op)
+			if err := svc.SubmitRunSpec(name, durableDoc(name, 64)); err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(50 * time.Microsecond) {
+				if info, err := svc.RunInfo(name); err == nil && info.Steps > 0 {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("%s: run %s never stepped", label, name)
+				}
+			}
+			svc.exec.pauseAll()
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			err := svc.Checkpoint(ctx)
+			cancel()
+			if err != nil {
+				t.Fatalf("%s: checkpoint: %v", label, err)
+			}
+			checked(label, forged)
+			checkpoints++
+		}
+	}
+	return checkpoints
+}
+
 // TestRestartEqualsLive: a checkpoint forgets, while the service runs,
-// exactly what a restart from its snapshot forgets. Seeded episodes of runs,
-// forged tasks with their alerts, and checkpoints at random points — with
-// runs in flight, so some straddle the horizon — compare the live service
-// after every checkpoint with a service booted on a copy of its directory.
+// exactly what a restart from its snapshot forgets. Seeded episodes compare
+// the live service after every checkpoint with a service booted on a copy of
+// its directory.
 func TestRestartEqualsLive(t *testing.T) {
-	const seeds, ops, tenants = 6, 48, 3
+	const seeds = 6
 	checkpoints, pre, tombs := 0, 0, 0
 	for seed := int64(1); seed <= seeds; seed++ {
-		rng := rand.New(rand.NewSource(seed))
 		dir := t.TempDir()
 		svc := startDurable(t, dir, Config{Shards: 2}, durable.Options{NoSync: true})
-		gen := wf.GenConfig{Tasks: 6, Keys: 5, MaxReads: 2, MaxWrites: 2, BranchProb: 0.3}
-		var forged []wlog.InstanceID
-		for op := 0; op < ops; op++ {
-			label := fmt.Sprintf("seed %d op %d", seed, op)
-			tenant := rng.Intn(tenants)
-			gen.Prefix = fmt.Sprintf("s%d_%d_", seed, tenant)
-			switch r := rng.Intn(10); {
-			case r < 6:
-				name := fmt.Sprintf("s%d-r%d", seed, op)
-				doc := wfjson.FromBlueprint(wf.GenerateBlueprint(name, gen, rng))
-				if err := svc.SubmitRunSpec(name, doc); err != nil && !errors.Is(err, ErrQueueFull) {
-					t.Fatalf("%s: %v", label, err)
-				}
-			case r < 8:
-				k := gen.PoolKey(rng.Intn(gen.Keys))
-				inst, err := svc.InjectForged("intruder", wf.TaskID(fmt.Sprintf("f%d", op)),
-					[]data.Key{k}, map[data.Key]data.Value{k: data.Value(-1 - op)})
-				if err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				forged = append(forged, inst)
-				if err := svc.Report([]wlog.InstanceID{inst}); err != nil && !errors.Is(err, ErrQueueFull) {
-					t.Fatalf("%s: %v", label, err)
-				}
-			default:
-				// Whether a generated run is still in flight at the
-				// checkpoint is up to the scheduler, and on a loaded box
-				// an episode could end with none. One long run, held from
-				// its first step until the checkpoint resumes the shards,
-				// straddles the horizon unless a repair finishing in
-				// between releases its shard early.
-				name := fmt.Sprintf("s%d-straddle%d", seed, op)
-				if err := svc.SubmitRunSpec(name, durableDoc(name, 64)); err != nil {
-					t.Fatalf("%s: %v", label, err)
-				}
-				for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(50 * time.Microsecond) {
-					if info, err := svc.RunInfo(name); err == nil && info.Steps > 0 {
-						break
-					}
-					if time.Now().After(deadline) {
-						t.Fatalf("%s: run %s never stepped", label, name)
-					}
-				}
-				svc.exec.pauseAll()
-				ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-				err := svc.Checkpoint(ctx)
-				cancel()
-				if err != nil {
-					t.Fatalf("%s: checkpoint: %v", label, err)
-				}
-				p, tb := assertRestartEqualsLive(t, svc, dir, label, forged)
-				checkpoints, pre, tombs = checkpoints+1, pre+p, tombs+tb
-			}
-		}
+		checkpoints += horizonEpisode(t, svc, seed, func(label string, forged []wlog.InstanceID) {
+			p, tb := assertRestartEqualsLive(t, svc, dir, label, forged)
+			pre, tombs = pre+p, tombs+tb
+		})
 	}
 	t.Logf("%d checkpoints compared, %d pre-epoch runs and %d tombstones among them", checkpoints, pre, tombs)
 	if checkpoints < seeds || pre == 0 || tombs == 0 {
 		t.Fatalf("%d checkpoints, %d pre-epoch runs, %d tombstones: the episodes are near-vacuous", checkpoints, pre, tombs)
+	}
+}
+
+// TestHorizonAtHeadEqualsSnapshot: the horizon an in-memory service computes
+// from its live state (horizonAt) is, at the head of a quiesced service,
+// exactly the one a durable checkpoint derives from its snapshot — the same
+// epoch, frontier, tombstones (forged runs' included) and pre-epoch set, once
+// the tombstones of earlier checkpoints, which horizonAt leaves out, are
+// added. The seeded episodes of TestRestartEqualsLive compare the two at
+// every checkpoint, under the checkpoint's own pause.
+func TestHorizonAtHeadEqualsSnapshot(t *testing.T) {
+	const seeds = 4
+	compared, pre, forgedTombs := 0, 0, 0
+	for seed := int64(1); seed <= seeds; seed++ {
+		svc := startDurable(t, t.TempDir(), Config{Shards: 2}, durable.Options{NoSync: true})
+		var mismatch error
+		svc.captureHook = func(snap *durable.Snapshot) {
+			got, err := svc.horizonAt(snap.Epoch)
+			svc.exec.mu.Lock()
+			for id, tb := range svc.exec.tombstonesLocked() {
+				got.Tombs[id] = tb
+			}
+			svc.exec.mu.Unlock()
+			want := snap.Horizon()
+			switch {
+			case err != nil:
+				mismatch = err
+			case !reflect.DeepEqual(got, want):
+				mismatch = fmt.Errorf("horizonAt(%d) differs from the snapshot's horizon:\n got %+v\nwant %+v", snap.Epoch, got, want)
+			}
+			compared++
+			pre += len(want.PreEpoch)
+			for _, tb := range want.Tombs {
+				if tb.Status == durable.RunForged {
+					forgedTombs++
+				}
+			}
+		}
+		horizonEpisode(t, svc, seed, func(label string, _ []wlog.InstanceID) {
+			if mismatch != nil {
+				t.Fatalf("%s: %v", label, mismatch)
+			}
+		})
+	}
+	t.Logf("%d horizons compared, %d pre-epoch runs and %d forged-run tombstones among them", compared, pre, forgedTombs)
+	if compared < seeds || pre == 0 || forgedTombs == 0 {
+		t.Fatalf("%d horizons, %d pre-epoch runs, %d forged-run tombstones: the episodes are near-vacuous", compared, pre, forgedTombs)
 	}
 }
 

@@ -51,10 +51,15 @@ type Config struct {
 	// per-alert pipeline the §V CTMC models. See internal/triage and
 	// docs/TRIAGE.md.
 	Triage triage.Options
-	// SnapshotEvery triggers an automatic durable checkpoint once this
-	// many log entries have committed beyond the latest snapshot. Durable
-	// services only (NewDurable); 0 disables automatic checkpoints —
-	// restores replay the whole log. See docs/DURABILITY.md.
+	// SnapshotEvery is the checkpoint interval in committed entries: how
+	// far the horizon moves each time the service forgets. A durable
+	// service (NewDurable) snapshots and forgets at the head once this many
+	// entries have committed past its horizon; an in-memory one forgets
+	// three intervals beneath the head, so it keeps between three and four
+	// intervals of history for alerts that arrive late. 0 selects
+	// durable.DefaultSnapshotEvery; a negative value disables automatic
+	// checkpoints, and the service then forgets only on Checkpoint. See
+	// docs/DURABILITY.md.
 	SnapshotEvery int
 	// AuditRepairs validates every installed repair's schedule against the
 	// Theorem-3 partial orders (recovery.AuditSchedule) and accumulates
@@ -100,6 +105,9 @@ func (c Config) withDefaults() Config {
 	}
 	if c.RecoveryBuf < 1 {
 		c.RecoveryBuf = 4
+	}
+	if c.SnapshotEvery == 0 {
+		c.SnapshotEvery = durable.DefaultSnapshotEvery
 	}
 	return c
 }
@@ -154,8 +162,8 @@ type Metrics struct {
 	// queued (only nonzero with Triage.Dedupe).
 	AlertsDeduped int `json:"alerts_deduped"`
 	// AlertsBelowHorizon counts alerts refused with recovery.ErrHorizon:
-	// they named an instance of a run retired beneath the durable snapshot
-	// horizon, whose history is gone (durable services only).
+	// they named an instance of a run retired (or forged) beneath the
+	// horizon, whose history is gone.
 	AlertsBelowHorizon int `json:"alerts_below_horizon"`
 	// AuditViolations counts Theorem-3 partial-order violations found by
 	// the per-repair schedule audit (only maintained with
@@ -239,8 +247,11 @@ type Service struct {
 
 	// pinHook, when set by a test, runs inside pinView between the graph
 	// snapshot and the spec copy; closureHook runs inside repair between
-	// the damage-key closure and the pause of the shards owning it.
+	// the damage-key closure and the pause of the shards owning it;
+	// captureHook runs on the recovery goroutine right after a durable
+	// checkpoint's capture, with the shards still quiesced.
 	pinHook, closureHook func()
+	captureHook          func(*durable.Snapshot)
 
 	// cover holds the damage-closure signatures of queued and executing
 	// units for the covered-alert prefilter (Triage.Prefilter); checked
@@ -258,24 +269,28 @@ type Service struct {
 	stopCh chan struct{}
 	wg     sync.WaitGroup
 
+	// The horizon, in every mode (forget): epoch (under mu) is the log's
+	// base and the store's compaction horizon; preEpoch marks the runs whose
+	// history beneath it was truncated (repairs touching their footprints
+	// are refused with recovery.ErrHorizon). ckptCh carries checkpoint
+	// requests to the recovery goroutine; retained is the intern table's
+	// size after its last rebuild (retain, recovery goroutine only).
+	epoch    int
+	preEpoch map[string]bool
+	ckptCh   chan ckptReq
+	retained int
+
 	// Durable mode (NewDurable); all nil/zero otherwise. wal is the
 	// write-ahead log every commit is logged to; specStates keeps the live
-	// runs' wfjson documents for checkpoints; preEpoch marks the live runs
-	// whose history beneath the snapshot horizon was truncated (repairs
-	// touching their footprints are refused with recovery.ErrHorizon).
-	// submitMu serializes durable submissions against checkpoints; alertMu
-	// guards liveAlerts and the WAL alert/ack records; durableEpoch (under
-	// mu) is the current snapshot horizon: the log's base and the store's
-	// compaction horizon.
+	// runs' wfjson documents for checkpoints. submitMu serializes durable
+	// submissions against checkpoints; alertMu guards liveAlerts and the WAL
+	// alert/ack records.
 	wal            *durable.WAL
 	submitMu       sync.Mutex
 	alertMu        sync.Mutex
 	liveAlerts     map[uint64][]wlog.InstanceID
 	specStates     map[string]durable.SpecState
-	preEpoch       map[string]bool
-	durableEpoch   int
 	restoredAlerts []durable.PendingAlert
-	ckptCh         chan chan error
 
 	o svcObs
 }
@@ -291,7 +306,7 @@ type svcObs struct {
 	batches, entries                 *obs.Counter
 	runsCompleted, runsFailed        *obs.Counter
 	alertDepth, unitDepth, deferDpth *obs.Gauge
-	quiesceSeconds                   *obs.Histogram
+	quiesceSeconds, forgetSeconds    *obs.Histogram
 	quiescedShards                   *obs.Histogram
 	coneSize, coalesceRatio          *obs.Histogram
 	stepsByShard                     []*obs.Counter
@@ -317,6 +332,7 @@ func New(cfg Config, store *data.Store) (*Service, error) {
 		cover:       triage.NewCoverage(),
 		pendingKeys: make(map[string]int),
 		stopCh:      make(chan struct{}),
+		ckptCh:      make(chan ckptReq),
 	}
 	s.exec = newExecutor(eng, s.com, cfg.Shards, cfg.Inbox, cfg.DeferMax)
 	return s, nil
@@ -352,6 +368,8 @@ func (s *Service) Observe(reg *obs.Registry) {
 			obs.LatencyBuckets),
 		quiescedShards: reg.Histogram(obs.MShardQuiescedShards,
 			obs.TickBuckets),
+		forgetSeconds: reg.Histogram(obs.MShardForgetSeconds,
+			obs.LatencyBuckets),
 		cones:         reg.Counter(obs.MTriageCones),
 		prefiltered:   reg.Counter(obs.MTriagePrefilterHits),
 		deduped:       reg.Counter(obs.MTriageDeduped),
@@ -390,15 +408,13 @@ func (s *Service) Start() {
 		s.exec.start()
 		s.wg.Add(1)
 		go s.recoveryLoop()
-		if s.wal != nil {
-			if len(s.restoredAlerts) > 0 {
-				s.wg.Add(1)
-				go s.feedRestoredAlerts()
-			}
-			if s.cfg.SnapshotEvery > 0 {
-				s.wg.Add(1)
-				go s.snapshotLoop()
-			}
+		if len(s.restoredAlerts) > 0 {
+			s.wg.Add(1)
+			go s.feedRestoredAlerts()
+		}
+		if s.cfg.SnapshotEvery > 0 {
+			s.wg.Add(1)
+			go s.snapshotLoop()
 		}
 	})
 }
@@ -515,8 +531,8 @@ func (s *Service) registerLocked(id string, spec *wf.Spec, init map[data.Key]dat
 
 // RunInfo returns the status of a submitted run; unknown IDs wrap
 // engine.ErrUnknownRun. Steps counts the run's entries in the log, which
-// holds only the suffix above the snapshot horizon on a durable service: a
-// run retired beneath it reports its final status with no steps.
+// holds only the suffix above the horizon: a run retired beneath it reports
+// its final status with no steps.
 func (s *Service) RunInfo(id string) (RunInfo, error) {
 	x := s.exec
 	x.mu.Lock()
@@ -527,7 +543,7 @@ func (s *Service) RunInfo(id string) (RunInfo, error) {
 		if err != nil {
 			info.Error = err.Error()
 		}
-	} else if tb, ok := x.tombs[id]; ok {
+	} else if tb, ok := x.tombs[id]; ok && tb.state != runForged {
 		info.Status, info.Error = tb.state.String(), tb.err
 	} else {
 		x.mu.Unlock()
@@ -538,7 +554,8 @@ func (s *Service) RunInfo(id string) (RunInfo, error) {
 	return info, nil
 }
 
-// Runs lists every submitted run, sorted by ID.
+// Runs lists every submitted run, sorted by ID; a forged run was never
+// submitted and is not listed.
 func (s *Service) Runs() []RunInfo {
 	x := s.exec
 	x.mu.Lock()
@@ -563,8 +580,8 @@ func (s *Service) Runs() []RunInfo {
 // Report delivers an IDS alert naming malicious committed instances. A full
 // alert queue drops the alert, counts it lost and returns ErrQueueFull;
 // alerts naming instances absent from the log wrap engine.ErrUnknownRun, or
-// recovery.ErrHorizon when the instance's run was retired beneath the
-// durable snapshot horizon. Safe from any goroutine.
+// recovery.ErrHorizon when the instance's run was retired (or forged)
+// beneath the horizon. Safe from any goroutine.
 func (s *Service) Report(bad []wlog.InstanceID) error {
 	_, dropped, err := s.ReportAlerts([]triage.Alert{{Bad: bad}})
 	if err != nil {
@@ -590,7 +607,7 @@ func (s *Service) ReportAlerts(alerts []triage.Alert) (admitted, dropped int, er
 	// Syntax over the whole batch first: a malformed ID anywhere is a bad
 	// request (400) regardless of position, while a well-formed ID absent
 	// from the log is a lookup miss (404) — or, when its run was retired
-	// beneath the snapshot horizon, history that is gone (ErrHorizon).
+	// or forged beneath the horizon, history that is gone (ErrHorizon).
 	for _, a := range alerts {
 		if len(a.Bad) == 0 {
 			return 0, 0, fmt.Errorf("shard: %w: alert names no instances", engine.ErrBadSpec)
@@ -609,10 +626,10 @@ func (s *Service) ReportAlerts(alerts []triage.Alert) (admitted, dropped int, er
 			if run, _, _, _ := wlog.ParseInstance(id); s.exec.tombstoned(run) {
 				s.mu.Lock()
 				s.metrics.AlertsBelowHorizon++
-				epoch := s.durableEpoch
+				epoch := s.epoch
 				s.mu.Unlock()
 				s.o.belowHorizon.Inc()
-				return 0, 0, fmt.Errorf("shard: alert names %s, of run %s retired beneath the snapshot horizon (epoch %d): %w",
+				return 0, 0, fmt.Errorf("shard: alert names %s, of run %s retired or forged beneath the horizon (epoch %d): %w",
 					id, run, epoch, recovery.ErrHorizon)
 			}
 			return 0, 0, fmt.Errorf("shard: alert names unknown instance %s: %w", id, engine.ErrUnknownRun)
@@ -831,17 +848,16 @@ func (s *Service) recoveryLoop() {
 	defer s.wg.Done()
 	defer s.releaseGate()
 	for {
-		// Alerts first: SCAN precedes RECOVERY. Checkpoint requests (nil
-		// channel on non-durable services) are served between units so a
-		// snapshot never interleaves with a repair installation.
+		// Alerts first: SCAN precedes RECOVERY. Checkpoint requests are
+		// served between units, so a horizon never moves during a repair.
 		select {
 		case <-s.stopCh:
 			return
 		case a := <-s.alerts:
 			s.handleBatch(s.drainAlerts(a))
 			continue
-		case resp := <-s.ckptCh:
-			resp <- s.checkpoint()
+		case req := <-s.ckptCh:
+			req.resp <- s.checkpoint(req.auto)
 			continue
 		default:
 		}
@@ -857,8 +873,8 @@ func (s *Service) recoveryLoop() {
 			return
 		case a := <-s.alerts:
 			s.handleBatch(s.drainAlerts(a))
-		case resp := <-s.ckptCh:
-			resp <- s.checkpoint()
+		case req := <-s.ckptCh:
+			req.resp <- s.checkpoint(req.auto)
 		}
 	}
 }
@@ -1111,7 +1127,7 @@ func (s *Service) executeUnit() {
 // against an epoch-pinned snapshot, and merges the repaired chains into the
 // live store (install). Clean shards keep committing past the pinned epoch
 // throughout; the scoped repair never reads their chains. A repair that
-// would need history beneath the snapshot horizon is refused with
+// would need history beneath the horizon is refused with
 // recovery.ErrHorizon.
 //
 // Soundness of the scoping is re-checked after the fact: if the repair's
@@ -1165,14 +1181,14 @@ func (s *Service) repair(u *unit) error {
 func (s *Service) repairPinned(u *unit) (*recovery.Result, map[string]*wf.Spec, error) {
 	g, specs := s.pinView()
 	s.mu.Lock()
-	horizon := s.durableEpoch
+	horizon := s.epoch
 	s.mu.Unlock()
 	ropts := s.cfg.Repair
 	ropts.ScopeToDamage = true
 	ropts.Epoch = g.Epoch()
-	// Defense in depth: a durable store was compacted at the checkpoint
-	// epoch; an undo that needs an older version fails with ErrHorizon
-	// instead of misattributing the missing history to an earlier repair.
+	// Defense in depth: the store was compacted at the horizon's epoch; an
+	// undo that needs an older version fails with ErrHorizon instead of
+	// misattributing the missing history to an earlier repair.
 	ropts.CompactionHorizon = float64(horizon)
 	if ropts.Parallel == 0 {
 		ropts.Parallel = s.cfg.Shards

@@ -205,30 +205,33 @@ func (in *Interner) Seal(spec *Spec) {
 // canonical copies are theirs, so a spec compiled later shares with them.
 // The service calls it where it forgets retired runs, next to the maps it
 // rebuilds there; a table that never forgot would keep every retired run's
-// distinct facts. A spec compiled while Retain runs is still correct; it may
-// only hold copies the rebuilt table does not know, and so share less.
+// distinct facts. The new table is built aside and swapped in, so compiling
+// never waits for it: a spec compiled while Retain runs is still correct; it
+// may only hold copies the rebuilt table does not know, and so share less.
 func (in *Interner) Retain(specs map[string]*Spec) {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	in.reset()
+	next := &Interner{seed: in.seed}
+	next.reset()
 	for _, sp := range specs {
-		adopt(in, in.keys, sp.footprint)
+		adopt(next, next.keys, sp.footprint)
 		for _, t := range sp.Tasks {
-			in.str(string(t.ID))
-			adopt(in, in.ids, t.Next)
-			adopt(in, in.keys, t.Reads)
-			adopt(in, in.keys, t.Writes)
+			next.str(string(t.ID))
+			adopt(next, next.ids, t.Next)
+			adopt(next, next.keys, t.Reads)
+			adopt(next, next.keys, t.Writes)
 			if b := t.sum; b != nil {
-				if k := (sumKey{b.bias, first(t.Writes)}); in.sums[k] == nil {
-					in.sums[k] = b
+				if k := (sumKey{b.bias, first(t.Writes)}); next.sums[k] == nil {
+					next.sums[k] = b
 				}
 			}
 		}
 	}
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	in.strs, in.keys, in.ids, in.sums = next.strs, next.keys, next.ids, next.sums
 }
 
 // adopt makes a live list (and its strings) canonical unless an equal one
-// already is. Callers hold mu.
+// already is. Callers own the table.
 func adopt[T ~string](in *Interner, table map[uint64][]T, l []T) {
 	if len(l) == 0 {
 		return
@@ -239,6 +242,13 @@ func adopt[T ~string](in *Interner, table map[uint64][]T, l []T) {
 	for _, s := range l {
 		in.str(string(s))
 	}
+}
+
+// Len returns how many facts the table holds: strings, lists and bodies.
+func (in *Interner) Len() int {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	return len(in.strs) + len(in.keys) + len(in.ids) + len(in.sums)
 }
 
 // Check verifies that every interned list still holds what it was interned

@@ -271,10 +271,12 @@ func NewAt(base int) *Log {
 // TruncateBefore drops every entry at or below lsn in place, turning the log
 // into the one NewAt(lsn) plus the same suffix would build: the base moves to
 // lsn, lookups for dropped instances miss and traces cover only the suffix.
-// OnAppend hooks stay registered. The indexes are rebuilt from the suffix
-// rather than pruned, because a Go map keeps its peak size after deletes and
-// the point of truncating is to release the prefix. A durable checkpoint
-// calls it once the snapshot covering the prefix is on disk.
+// OnAppend hooks stay registered. A Go map keeps its peak size after
+// deletes, so when most of the log goes (a snapshot at the head) the indexes
+// are rebuilt from the suffix, to release the prefix; when most stays (a
+// horizon trailing the head) the prefix is deleted from them, at a cost that
+// follows what is dropped. A checkpoint calls it once nothing needs the
+// prefix any more.
 func (l *Log) TruncateBefore(lsn int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -282,14 +284,31 @@ func (l *Log) TruncateBefore(lsn int) {
 	if n <= 0 {
 		return
 	}
-	kept := slices.Clone(l.entries[n:])
+	dropped, kept := l.entries[:n], slices.Clone(l.entries[n:])
 	l.base += n
 	l.entries = kept
-	l.byInst = make(map[InstanceID]*Entry, len(kept))
-	l.byRun = make(map[string][]*Entry)
-	for _, e := range kept {
-		l.byInst[e.id] = e
-		l.byRun[e.Run] = append(l.byRun[e.Run], e)
+	if len(kept) < n {
+		l.byInst = make(map[InstanceID]*Entry, len(kept))
+		l.byRun = make(map[string][]*Entry)
+		for _, e := range kept {
+			l.byInst[e.id] = e
+			l.byRun[e.Run] = append(l.byRun[e.Run], e)
+		}
+	} else {
+		// A run's entries are in LSN order, so its dropped ones are a
+		// prefix of its list; what is left is copied off the old array.
+		cut := make(map[string]int)
+		for _, e := range dropped {
+			delete(l.byInst, e.id)
+			cut[e.Run]++
+		}
+		for run, k := range cut {
+			if rest := l.byRun[run][k:]; len(rest) > 0 {
+				l.byRun[run] = slices.Clone(rest)
+			} else {
+				delete(l.byRun, run)
+			}
+		}
 	}
 	l.o.entries.Set(int64(len(l.entries)))
 }

@@ -145,7 +145,8 @@ func TestOnAppendBackfillAndOrder(t *testing.T) {
 
 // TestTruncateBeforeEqualsNewAt: truncating a log in place leaves what
 // NewAt(lsn) plus the same suffix builds — base, length, lookups, traces and
-// run list — and the hooks subscribed before keep observing new appends.
+// run list — whether most of it is dropped or most is kept, and the hooks
+// subscribed before keep observing new appends.
 func TestTruncateBeforeEqualsNewAt(t *testing.T) {
 	entries := func() []*Entry {
 		return []*Entry{
@@ -154,34 +155,42 @@ func TestTruncateBeforeEqualsNewAt(t *testing.T) {
 			{Run: "r3", Task: "t1", Visit: 1}, {Run: "r1", Task: "t3", Visit: 1},
 		}
 	}
-	l := New()
-	var hooked []int
-	l.OnAppend(func(e *Entry) { hooked = append(hooked, e.LSN) })
-	for _, e := range entries() {
-		mustAppend(t, l, e)
-	}
-	l.TruncateBefore(3)
-	l.TruncateBefore(2) // beneath the base: a no-op
+	for _, cut := range []int{1, 3, 5} {
+		l := New()
+		var hooked []int
+		l.OnAppend(func(e *Entry) { hooked = append(hooked, e.LSN) })
+		for _, e := range entries() {
+			mustAppend(t, l, e)
+		}
+		l.TruncateBefore(cut)
+		l.TruncateBefore(cut - 1) // beneath the base: a no-op
 
-	want := NewAt(3)
-	for _, e := range entries()[3:] {
-		mustAppend(t, want, e)
-	}
-	if l.Base() != 3 || l.Len() != 6 {
-		t.Fatalf("truncated log base %d length %d, want 3 and 6", l.Base(), l.Len())
-	}
-	if !reflect.DeepEqual(ids(l.Entries()), ids(want.Entries())) || !reflect.DeepEqual(l.Runs(), want.Runs()) {
-		t.Fatalf("truncated log holds %v over runs %v, want %v over %v", ids(l.Entries()), l.Runs(), ids(want.Entries()), want.Runs())
-	}
-	if _, ok := l.Get("r2/t1#1"); ok {
-		t.Error("an instance beneath the base is still found")
-	}
-	if got := ids(l.Trace("r1", true)); !reflect.DeepEqual(got, []InstanceID{"r1/t3#1"}) {
-		t.Errorf("trace of r1 after truncation %v, want only its suffix", got)
-	}
-	mustAppend(t, l, &Entry{Run: "r2", Task: "t2", Visit: 1})
-	if !reflect.DeepEqual(hooked, []int{1, 2, 3, 4, 5, 6, 7}) {
-		t.Errorf("hook saw LSNs %v, want 1..7", hooked)
+		want := NewAt(cut)
+		for _, e := range entries()[cut:] {
+			mustAppend(t, want, e)
+		}
+		if l.Base() != cut || l.Len() != 6 {
+			t.Fatalf("cut %d: truncated log base %d length %d, want %d and 6", cut, l.Base(), l.Len(), cut)
+		}
+		if !reflect.DeepEqual(ids(l.Entries()), ids(want.Entries())) || !reflect.DeepEqual(l.Runs(), want.Runs()) {
+			t.Fatalf("cut %d: truncated log holds %v over runs %v, want %v over %v", cut, ids(l.Entries()), l.Runs(), ids(want.Entries()), want.Runs())
+		}
+		for _, e := range entries() {
+			_, got := l.Get(e.ID())
+			_, keep := want.Get(e.ID())
+			if got != keep {
+				t.Errorf("cut %d: Get(%s) = %v, want %v", cut, e.ID(), got, keep)
+			}
+		}
+		for _, run := range []string{"r1", "r2", "r3", "x"} {
+			if got, w := ids(l.Trace(run, true)), ids(want.Trace(run, true)); !reflect.DeepEqual(got, w) {
+				t.Errorf("cut %d: trace of %s after truncation %v, want %v", cut, run, got, w)
+			}
+		}
+		mustAppend(t, l, &Entry{Run: "r2", Task: "t2", Visit: 1})
+		if !reflect.DeepEqual(hooked, []int{1, 2, 3, 4, 5, 6, 7}) {
+			t.Errorf("cut %d: hook saw LSNs %v, want 1..7", cut, hooked)
+		}
 	}
 }
 

@@ -23,7 +23,7 @@ go test -race ./...
 # The race pass above skips them (the detector inflates allocations), so they
 # run once here without -race, next to the allocations-per-committed-step
 # bound (which the race pass does run).
-go test -run '^(TestFootprintPerInstance|TestResidentHeapBoundedByHorizon)$' -count=1 -v ./internal/shard/
+go test -run '^(TestFootprintPerInstance|TestResidentHeapBoundedByHorizon|TestMemoryHeapBoundedByHorizon)$' -count=1 -v ./internal/shard/
 go test -run '^TestReplicaFootprint$' -count=1 -v ./internal/cluster/
 go test -run '^TestStepAllocations$' -count=1 -v ./internal/engine/
 
@@ -108,6 +108,21 @@ go test -race -count=20 -run '^(TestDoneImpliesDurable|TestSubmitAckImpliesSpecD
 # pre-epoch set a restart from a copy of its directory rebuilds, and both
 # answer alerts alike — below the horizon with a typed refusal.
 go test -race -count=3 -run '^(TestRestartEqualsLive|TestAlertBelowHorizon)$' ./internal/shard/
+
+# One horizon in every mode (docs/DURABILITY.md): an in-memory service
+# forgets an interval beneath its head — an alert that late is still
+# repaired, one two intervals late is a 410 — through a consistent cut no
+# retired run straddles; an alert on a forge beneath the horizon is a 410 in
+# every mode; and at the head of a quiesced service the horizon computed
+# from live state is exactly the snapshot's. Checkpoint needs no WAL, and
+# the snapshot formats of earlier commits still open.
+go test -race -count=10 -run '^(TestMemoryHeapBoundedByHorizon|TestMemoryHorizonKeepsDetectionWindow|TestMemoryHorizonRetiredStraddler|TestAlertOnForgedRunBelowHorizon|TestHorizonAtHeadEqualsSnapshot)$' ./internal/shard/
+go test -count=1 -run '^TestFrontierAt$' ./internal/deps/
+if grep -rn --include='*.go' --exclude='*_test.go' 'service has no durable WAL' .; then
+    echo "horizon gate: a service refuses to checkpoint without a WAL (in-memory services forget too)" >&2
+    exit 1
+fi
+go test -count=1 -run '^TestWALFromParentCommit$' ./internal/shard/
 
 # The Strict-mode lost-init defect showed up in ~1 % of these episodes (a
 # full repair queued ahead of a submission's init seeding); 200 runs keep
