@@ -23,13 +23,14 @@ import (
 // closure wins (goroutine + channel overhead dominates tiny graphs).
 const parallelClosureThreshold = 4096
 
-// closureAt computes the →_f* closure of seed over the first n folded
-// entries. Seed members are included in the result.
+// closureAt computes the →_f* closure of seed over the folded entries before
+// ordinal n. Seed members are included in the result. Visited sets are
+// indexed by an ordinal's offset from the generation's base.
 func (gen *folded) closureAt(seed map[wlog.InstanceID]bool, n int) map[wlog.InstanceID]bool {
 	gen.lock.RLock()
 	defer gen.lock.RUnlock()
 	workers := runtime.GOMAXPROCS(0)
-	if workers > 1 && n >= parallelClosureThreshold {
+	if workers > 1 && n-gen.base >= parallelClosureThreshold {
 		return gen.closureParallel(seed, n, workers)
 	}
 	return gen.closureSerial(seed, n)
@@ -53,10 +54,10 @@ func (b bitset) add(i int) bool {
 // closureSerial is the single-threaded DFS. Callers hold the graph's lock.
 func (gen *folded) closureSerial(seed map[wlog.InstanceID]bool, n int) map[wlog.InstanceID]bool {
 	out := make(map[wlog.InstanceID]bool, len(seed))
-	visited := newBitset(n)
+	visited := newBitset(n - gen.base)
 	var stack []int
 	push := func(ord int) {
-		if visited.add(ord) {
+		if visited.add(ord - gen.base) {
 			stack = append(stack, ord)
 		}
 	}
@@ -65,7 +66,7 @@ func (gen *folded) closureSerial(seed map[wlog.InstanceID]bool, n int) map[wlog.
 		gen.walk(relFlow, id, n, push)
 	}
 	for len(stack) > 0 {
-		id := gen.entries[stack[len(stack)-1]].ID()
+		id := gen.entry(stack[len(stack)-1]).ID()
 		stack = stack[:len(stack)-1]
 		out[id] = true
 		gen.walk(relFlow, id, n, push)
@@ -82,15 +83,19 @@ func (gen *folded) closureParallel(seed map[wlog.InstanceID]bool, n, workers int
 	}
 	mask, shift := shards-1, bits.TrailingZeros(uint(shards))
 
-	// Shard s owns the ordinals with low bits s; its bitset is indexed by
-	// the remaining high bits.
+	// Shard s owns the ordinals whose offset from the base has low bits s;
+	// its bitset is indexed by the offset's remaining high bits. Frontiers
+	// and outboxes hold offsets.
 	visited := make([]bitset, shards)
 	for s := range visited {
-		visited[s] = newBitset(n>>shift + 1)
+		visited[s] = newBitset((n-gen.base)>>shift + 1)
 	}
 	// route sends id's successors to the outbox of the shard owning each.
 	route := func(boxes [][]int, id wlog.InstanceID) {
-		gen.walk(relFlow, id, n, func(ord int) { boxes[ord&mask] = append(boxes[ord&mask], ord) })
+		gen.walk(relFlow, id, n, func(ord int) {
+			off := ord - gen.base
+			boxes[off&mask] = append(boxes[off&mask], off)
+		})
 	}
 
 	out := make(map[wlog.InstanceID]bool, len(seed))
@@ -114,9 +119,9 @@ func (gen *folded) closureParallel(seed map[wlog.InstanceID]bool, n, workers int
 					if boxes == nil {
 						continue
 					}
-					for _, ord := range boxes[d] {
-						if visited[d].add(ord >> shift) {
-							frontier[d] = append(frontier[d], ord)
+					for _, off := range boxes[d] {
+						if visited[d].add(off >> shift) {
+							frontier[d] = append(frontier[d], off)
 						}
 					}
 				}
@@ -129,8 +134,8 @@ func (gen *folded) closureParallel(seed map[wlog.InstanceID]bool, n, workers int
 		active := false
 		outbox = make([][][]int, shards)
 		for s := 0; s < shards; s++ {
-			for _, ord := range frontier[s] {
-				out[gen.entries[ord].ID()] = true
+			for _, off := range frontier[s] {
+				out[gen.entry(gen.base+off).ID()] = true
 			}
 			if len(frontier[s]) == 0 {
 				continue
@@ -140,8 +145,8 @@ func (gen *folded) closureParallel(seed map[wlog.InstanceID]bool, n, workers int
 			go func(s int) {
 				defer wg.Done()
 				boxes := make([][]int, shards)
-				for _, ord := range frontier[s] {
-					route(boxes, gen.entries[ord].ID())
+				for _, off := range frontier[s] {
+					route(boxes, gen.entry(gen.base+off).ID())
 				}
 				outbox[s] = boxes
 			}(s)

@@ -45,7 +45,7 @@ func randomChainGraph(n, k int, rng *rand.Rand) *IncrementalGraph {
 func TestClosureParallelMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	ig := randomChainGraph(5000, 32, rng)
-	n := len(ig.entries)
+	n := ig.end
 	epochs := []int{n, n / 2, n / 7}
 	for trial := 0; trial < 25; trial++ {
 		seed := map[wlog.InstanceID]bool{}
@@ -69,7 +69,7 @@ func TestClosureParallelMatchesSerial(t *testing.T) {
 // an empty seed.
 func TestClosureParallelEmptySeed(t *testing.T) {
 	ig := randomChainGraph(100, 4, rand.New(rand.NewSource(1)))
-	got := ig.closureParallel(map[wlog.InstanceID]bool{}, len(ig.entries), 4)
+	got := ig.closureParallel(map[wlog.InstanceID]bool{}, ig.end, 4)
 	if len(got) != 0 {
 		t.Fatalf("empty seed produced %d members", len(got))
 	}

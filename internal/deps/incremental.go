@@ -7,7 +7,7 @@
 //     it (output deps and anti-dep resolution need nothing older),
 //   - one adjacency container holding every edge exactly once, as a
 //     (successor ordinal, relation) word under its source instance,
-//   - the list of folded entries, which turns an ordinal back into the
+//   - the folded entries by ordinal, which turn an ordinal back into the
 //     successor's instance ID.
 //
 // Snapshot() returns an immutable *Graph view pinned to the epoch (the LSN
@@ -37,11 +37,11 @@ const (
 )
 
 // succ is one adjacency record — the whole stored form of an edge: the
-// successor's ordinal (its index in its generation's entries, which for a
-// log-fed graph is its LSN offset by the generation's seed epoch) shifted over
-// the relation. An edge is created by its successor's commit, so a source's
-// records are in ascending ordinal order and "beyond the snapshot" is
-// "ordinal ≥ snapshot length".
+// successor's ordinal (its position in the graph's fold order, counted from
+// the chain's origin and never rewritten by a Rebase that drops a prefix)
+// shifted over the relation. An edge is created by its successor's commit,
+// so a source's records are in ascending ordinal order and "beyond the
+// snapshot" is "ordinal ≥ the snapshot's end".
 type succ uint64
 
 func (s succ) ord() int      { return int(s >> 2) }
@@ -57,25 +57,95 @@ type IncrementalGraph struct {
 	// cur is the fold state after the last entry (cur.Epoch is the graph's
 	// epoch).
 	cur Frontier
+	// dropping is what the last FrontierAt learned on its way to an older
+	// epoch: the sources of every edge into the entries it folded, which
+	// are the edges a Rebase to that epoch drops. One fold serves both.
+	dropping struct {
+		gen     *folded
+		epoch   int
+		sources map[wlog.InstanceID]bool
+	}
 }
 
 // folded is one generation of the graph: the entries folded since its seed
 // and the edges they closed. A view pins the generation it was taken from,
 // so a Rebase never moves an ordinal under a reader.
+//
+// A Rebase that keeps most of the history drops a prefix instead of
+// refolding (dropPrefix): the next generation continues the same ordinals
+// and shares this one's entry chunks and adjacency container, and this one
+// keeps, in saved, every adjacency list the drop trimmed, as it saw it. A
+// generation's chain is the run of generations linked by next; they share
+// one adjacency container, until a drop gives the next generation a fresh
+// one.
 type folded struct {
 	lock *sync.RWMutex // the owning graph's mu
-	// entries are the folded entries in commit order; an entry's index is
-	// the ordinal adjacency records name it by.
-	entries []*wlog.Entry
+	// base and end bound the generation's ordinals: it holds the entries
+	// base..end-1, in commit order.
+	base, end int
+	// chunks hold the entries by ordinal (entry). A generation shares
+	// every chunk it keeps with the one it replaced, so dropping a prefix
+	// copies a directory of chunk pointers, never the entries, and at most
+	// one chunk of dropped entries stays reachable.
+	chunks []*chunk
 	// adj holds every edge once, under its source. Sources are keyed by
 	// instance ID because a source may predate the generation (a
 	// frontier-seeded graph after a restore or a Rebase, a graph over a
 	// partial log) and so have no ordinal; successors were folded by
 	// definition.
 	adj map[wlog.InstanceID][]succ
+	// next is the generation a prefix drop replaced this one by, and
+	// saved the adjacency lists that drop trimmed, untrimmed: a view of
+	// this generation reads them there (list).
+	next  *folded
+	saved map[wlog.InstanceID][]succ
+	// deleted counts the sources prefix drops deleted from the adjacency
+	// container since it was built (dropPrefix).
+	deleted int
 	// seed is the fold state before the first entry, from which the
 	// edge-list views re-fold.
 	seed Frontier
+}
+
+// chunkBits sizes the blocks folded entries are stored in.
+const chunkBits = 8
+
+const chunkMask = 1<<chunkBits - 1
+
+type chunk [1 << chunkBits]*wlog.Entry
+
+// entry returns the entry with ordinal ord, which the generation holds.
+func (gen *folded) entry(ord int) *wlog.Entry {
+	return gen.chunks[ord>>chunkBits-gen.base>>chunkBits][ord&chunkMask]
+}
+
+// push stores e at the next ordinal and returns it. Callers hold the write
+// lock (or own the generation alone).
+func (gen *folded) push(e *wlog.Entry) int {
+	ord := gen.end
+	if ord&chunkMask == 0 {
+		gen.chunks = append(gen.chunks, new(chunk))
+	}
+	gen.chunks[len(gen.chunks)-1][ord&chunkMask] = e
+	gen.end++
+	return ord
+}
+
+// search returns the first ordinal of the generation whose entry's LSN is
+// above lsn (end if none is).
+func (gen *folded) search(lsn int) int {
+	return gen.base + sort.Search(gen.end-gen.base, func(i int) bool { return gen.entry(gen.base+i).LSN > lsn })
+}
+
+// list returns from's adjacency list as the generation saw it: trimmed by no
+// later prefix drop of its chain. Callers hold the lock.
+func (gen *folded) list(from wlog.InstanceID) []succ {
+	for g := gen; g.next != nil; g = g.next {
+		if l, ok := g.saved[from]; ok {
+			return l
+		}
+	}
+	return gen.adj[from]
 }
 
 // NewIncremental returns an IncrementalGraph subscribed to log: entries
@@ -168,8 +238,9 @@ func (ig *IncrementalGraph) Frontier() Frontier {
 // FrontierAt returns the frontier at an older epoch: the generation's seed
 // folded over its entries up to epoch, exactly what NewIncremental over the
 // log prefix ending at epoch would hold. Folded entries never change, so the
-// fold runs outside the lock and commits keep landing meanwhile. An epoch
-// outside the folded range is refused.
+// fold runs outside the lock and commits keep landing meanwhile. The fold
+// also finds the edges a Rebase to epoch drops, which that Rebase then
+// reuses. An epoch outside the folded range is refused.
 func (ig *IncrementalGraph) FrontierAt(epoch int) (Frontier, error) {
 	ig.mu.RLock()
 	gen, cur := ig.folded, ig.cur.Epoch
@@ -177,18 +248,28 @@ func (ig *IncrementalGraph) FrontierAt(epoch int) (Frontier, error) {
 		defer ig.mu.RUnlock()
 		return ig.cur.clone(), nil
 	}
-	n := sort.Search(len(gen.entries), func(i int) bool { return gen.entries[i].LSN > epoch })
-	prefix := gen.entries[:n]
+	view := *gen // the chunk directory as of now; later pushes land beyond end
 	ig.mu.RUnlock()
 	if epoch < gen.seed.Epoch || epoch > cur {
 		return Frontier{}, fmt.Errorf("deps: frontier at epoch %d outside the folded range %d..%d", epoch, gen.seed.Epoch, cur)
 	}
 	f := gen.seed.clone()
-	for _, e := range prefix {
-		f.fold(e, func(relation, wlog.InstanceID, data.Key) {})
-	}
+	sources := view.foldTo(&f, view.search(epoch))
 	f.Epoch = epoch
+	ig.mu.Lock()
+	ig.dropping.gen, ig.dropping.epoch, ig.dropping.sources = gen, epoch, sources
+	ig.mu.Unlock()
 	return f, nil
+}
+
+// foldTo folds the generation's entries from its base up to ordinal n into
+// f and returns the sources of the edges into them.
+func (gen *folded) foldTo(f *Frontier, n int) map[wlog.InstanceID]bool {
+	sources := make(map[wlog.InstanceID]bool)
+	for ord := gen.base; ord < n; ord++ {
+		f.fold(gen.entry(ord), func(_ relation, from wlog.InstanceID, _ data.Key) { sources[from] = true })
+	}
+	return sources
 }
 
 // NewIncrementalFrom returns an IncrementalGraph seeded from a frontier and
@@ -218,8 +299,7 @@ func (ig *IncrementalGraph) Append(e *wlog.Entry) {
 }
 
 func (ig *IncrementalGraph) appendLocked(e *wlog.Entry) {
-	to := succ(len(ig.entries)) << 2
-	ig.entries = append(ig.entries, e)
+	to := succ(ig.push(e)) << 2
 	ig.cur.fold(e, func(rel relation, from wlog.InstanceID, _ data.Key) {
 		ig.adj[from] = append(ig.adj[from], to|succ(rel))
 	})
@@ -238,21 +318,27 @@ func (ig *IncrementalGraph) Epoch() int {
 func (ig *IncrementalGraph) Snapshot() *Graph {
 	ig.mu.RLock()
 	defer ig.mu.RUnlock()
-	return &Graph{g: ig.folded, epoch: ig.cur.Epoch, n: len(ig.entries)}
+	return &Graph{g: ig.folded, epoch: ig.cur.Epoch, n: ig.end}
 }
 
 // Rebase forgets the folded entries at or below f.Epoch — the log prefix a
 // snapshot or a horizon covers — and continues from f, the frontier at that
-// epoch: the entries above it are folded again into a fresh generation, so
-// the graph ends up exactly as NewIncrementalFrom(f) over the same suffix
-// would build it, at a cost proportional to the suffix. The refold runs
-// outside the lock, so commits keep folding meanwhile; only the entries they
-// appended in between are folded under it, at the swap. Views taken before
-// keep reading the generation they pinned. A frontier outside the graph's
-// folded range is refused; one at the current seed is a no-op.
+// epoch (FrontierAt, or a snapshot's), so the graph ends up exactly as
+// NewIncrementalFrom(f) over the same suffix would build it. Its cost follows
+// the smaller side of the cut: when most of the history stays (a horizon
+// trailing the head) the prefix is dropped (dropPrefix); when most goes (a
+// checkpoint at the head) the suffix is refolded into a fresh generation,
+// which releases the prefix's adjacency container. Either way the folding
+// runs outside the lock, so commits keep folding meanwhile; under it run
+// only the swap and, for a dropped prefix, the trims of the lists it names.
+// Views taken before keep reading the generation they pinned. The
+// graph may keep f as its seed, so the caller must not modify it afterwards.
+// A frontier outside the graph's folded range is refused; one at the current
+// seed is a no-op.
 func (ig *IncrementalGraph) Rebase(f Frontier) error {
 	ig.mu.RLock()
-	gen, cur, folded := ig.folded, ig.cur.Epoch, ig.entries
+	gen, cur, known := ig.folded, ig.cur.Epoch, ig.dropping
+	view := *gen // the chunk directory as of now; later pushes land beyond end
 	ig.mu.RUnlock()
 	if f.Epoch < gen.seed.Epoch || f.Epoch > cur {
 		return fmt.Errorf("deps: rebase at epoch %d outside the folded range %d..%d", f.Epoch, gen.seed.Epoch, cur)
@@ -260,29 +346,106 @@ func (ig *IncrementalGraph) Rebase(f Frontier) error {
 	if f.Epoch == gen.seed.Epoch {
 		return nil
 	}
+	cut := view.search(f.Epoch)
+	if view.end-cut >= cut-view.base {
+		if known.gen == gen && known.epoch == f.Epoch {
+			return ig.dropPrefix(gen, cut, f, known.sources)
+		}
+		seed := gen.seed.clone()
+		sources := view.foldTo(&seed, cut)
+		seed.Epoch = f.Epoch
+		return ig.dropPrefix(gen, cut, seed, sources)
+	}
 	next := newIncremental(f)
 	next.lock = &ig.mu
-	i := sort.Search(len(folded), func(i int) bool { return folded[i].LSN > f.Epoch })
-	for _, e := range folded[i:] {
-		next.appendLocked(e)
+	for ord := cut; ord < view.end; ord++ {
+		next.appendLocked(view.entry(ord))
 	}
 	ig.mu.Lock()
 	defer ig.mu.Unlock()
 	if ig.folded != gen {
 		return fmt.Errorf("deps: concurrent rebase at epoch %d", f.Epoch)
 	}
-	for _, e := range ig.entries[len(folded):] {
-		next.appendLocked(e)
+	for ord := view.end; ord < gen.end; ord++ {
+		next.appendLocked(gen.entry(ord))
 	}
-	ig.folded, ig.cur = next.folded, next.cur
+	ig.folded, ig.cur, ig.dropping = next.folded, next.cur, next.dropping
 	return nil
 }
 
-// walk invokes fn with the ordinal of every rel-successor of from among the
-// first n folded entries, in commit order, one call per edge (per-key
-// multiplicity preserved). Callers hold the graph's lock.
+// dropPrefix replaces gen by a generation without the entries beneath
+// ordinal cut and without the edges into them, whose sources the fold of the
+// dropped entries from gen's seed found (FrontierAt, or Rebase itself). Each
+// source's records of them are a prefix of its adjacency list (records are
+// in ordinal order), which is resliced off in the shared container after gen
+// saved the list for its views. The kept entries are neither refolded nor
+// copied, and their ordinals stay. seed, the frontier at the cut, seeds the
+// next generation, which keeps it; the current frontier does not move.
+//
+// A Go map keeps the slots of deleted keys until it grows, and a map that
+// keeps losing old keys and gaining new ones grows without growing in
+// size. So once a quarter of the container's sources have been deleted
+// since it was built, the next generation gets a fresh container instead,
+// holding the same lists (the records are not copied) minus what the drop
+// trims; gen keeps the old one untouched. That copies the container's
+// headers once per quarter of it dropped: a constant per dropped entry.
+func (ig *IncrementalGraph) dropPrefix(gen *folded, cut int, seed Frontier, sources map[wlog.InstanceID]bool) error {
+	trim := func(l []succ) []succ {
+		i := 0
+		for i < len(l) && l[i].ord() < cut {
+			i++
+		}
+		return l[i:]
+	}
+
+	ig.mu.Lock()
+	defer ig.mu.Unlock()
+	if ig.folded != gen {
+		return fmt.Errorf("deps: concurrent rebase at epoch %d", seed.Epoch)
+	}
+	ig.dropping.gen, ig.dropping.sources = nil, nil
+	next := &folded{
+		lock:    gen.lock,
+		base:    cut,
+		end:     gen.end,
+		chunks:  slices.Clone(gen.chunks[cut>>chunkBits-gen.base>>chunkBits:]),
+		adj:     gen.adj,
+		seed:    seed,
+		deleted: gen.deleted,
+	}
+	if 4*gen.deleted >= len(gen.adj) {
+		next.adj, next.deleted = make(map[wlog.InstanceID][]succ, len(gen.adj)), 0
+		for from, l := range gen.adj {
+			if sources[from] {
+				l = trim(l)
+			}
+			if len(l) > 0 {
+				next.adj[from] = l
+			}
+		}
+		ig.folded = next
+		return nil
+	}
+	gen.saved = make(map[wlog.InstanceID][]succ, len(sources))
+	for from := range sources {
+		l := gen.adj[from]
+		gen.saved[from] = l
+		if l = trim(l); len(l) == 0 {
+			delete(gen.adj, from)
+			next.deleted++
+		} else {
+			gen.adj[from] = l
+		}
+	}
+	gen.next, ig.folded = next, next
+	return nil
+}
+
+// walk invokes fn with the ordinal of every rel-successor of from before
+// ordinal n, in commit order, one call per edge (per-key multiplicity
+// preserved). Callers hold the graph's lock.
 func (gen *folded) walk(rel relation, from wlog.InstanceID, n int, fn func(ord int)) {
-	for _, s := range gen.adj[from] {
+	for _, s := range gen.list(from) {
 		if s.ord() >= n {
 			break // records are in commit order: nothing later qualifies
 		}
@@ -296,10 +459,10 @@ func (gen *folded) walk(rel relation, from wlog.InstanceID, n int, fn func(ord i
 func (gen *folded) succAt(rel relation, from wlog.InstanceID, n int, fn func(to wlog.InstanceID)) {
 	gen.lock.RLock()
 	defer gen.lock.RUnlock()
-	gen.walk(rel, from, n, func(ord int) { fn(gen.entries[ord].ID()) })
+	gen.walk(rel, from, n, func(ord int) { fn(gen.entry(ord).ID()) })
 }
 
-// edgesAt derives the rel edge list of the first n folded entries by
+// edgesAt derives the rel edge list of the entries before ordinal n by
 // re-folding them from the seed frontier — the cold path behind Flow, Anti
 // and Output (rendering and tests); analysis and repair walk succAt.
 func (gen *folded) edgesAt(rel relation, n int) []Edge {
@@ -307,7 +470,8 @@ func (gen *folded) edgesAt(rel relation, n int) []Edge {
 	defer gen.lock.RUnlock()
 	f := gen.seed.clone()
 	var out []Edge
-	for _, e := range gen.entries[:n] {
+	for ord := gen.base; ord < n; ord++ {
+		e := gen.entry(ord)
 		f.fold(e, func(r relation, from wlog.InstanceID, k data.Key) {
 			if r == rel {
 				out = append(out, Edge{From: from, To: e.ID(), Key: k})

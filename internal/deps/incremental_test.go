@@ -421,6 +421,171 @@ func TestRebaseEqualsSeededGraph(t *testing.T) {
 			t.Fatalf("seed %d: a view taken before the rebase changed", seed)
 		}
 	}
+	t.Run("chain", rebaseChain)
+}
+
+// pinnedView is a graph view with the edges it showed when it was taken.
+type pinnedView struct {
+	label              string
+	g                  *deps.Graph
+	flow, anti, output []deps.Edge
+}
+
+func pin(label string, g *deps.Graph) pinnedView {
+	return pinnedView{label, g, g.Flow(), g.Anti(), g.Output()}
+}
+
+// check requires the view to show the same edges and successor walks as when
+// it was taken.
+func (v pinnedView) check(t *testing.T, when string) {
+	t.Helper()
+	if !reflect.DeepEqual(v.g.Flow(), v.flow) || !reflect.DeepEqual(v.g.Anti(), v.anti) || !reflect.DeepEqual(v.g.Output(), v.output) {
+		t.Fatalf("%s: the view %s changed", when, v.label)
+	}
+	checkAdjacency(t, when+": view "+v.label, v.g)
+}
+
+// seededAt is the graph a restart builds at cut: seeded from the frontier of
+// a graph over entries[:cut] and fed entries[cut:head].
+func seededAt(t *testing.T, entries []*wlog.Entry, cut, head int) (*deps.IncrementalGraph, deps.Frontier) {
+	t.Helper()
+	prefix := wlog.New()
+	pg := deps.NewIncremental(prefix)
+	for _, e := range entries[:cut] {
+		appendCopy(t, prefix, e)
+	}
+	seeded := wlog.NewAt(cut)
+	for _, e := range entries[cut:head] {
+		appendCopy(t, seeded, e)
+	}
+	return deps.NewIncrementalFrom(seeded, pg.Frontier()), pg.Frontier()
+}
+
+// assertSameGraph requires got to hold exactly what want holds.
+func assertSameGraph(t *testing.T, label string, got, want *deps.IncrementalGraph) {
+	t.Helper()
+	gs, ws := got.Snapshot(), want.Snapshot()
+	if gs.Epoch() != ws.Epoch() || !reflect.DeepEqual(got.Frontier(), want.Frontier()) {
+		t.Fatalf("%s: graph at epoch %d, seeded at %d, or frontiers differ", label, gs.Epoch(), ws.Epoch())
+	}
+	for _, c := range []struct {
+		name      string
+		got, want []deps.Edge
+	}{
+		{"flow", gs.Flow(), ws.Flow()},
+		{"anti", gs.Anti(), ws.Anti()},
+		{"output", gs.Output(), ws.Output()},
+	} {
+		if !reflect.DeepEqual(c.got, c.want) {
+			t.Fatalf("%s: %s edges differ from the seeded graph's:\n got %v\nwant %v", label, c.name, c.got, c.want)
+		}
+	}
+	checkAdjacency(t, label, gs)
+}
+
+// rebaseChain is TestRebaseEqualsSeededGraph for a horizon that trails the
+// head tick by tick: 50 small rebases, commits landing between them, each
+// leave the graph a restart seeded at its cut would build, and no view taken
+// before any of them changes — through the prefix drops that keep the
+// ordinals and share the entry chunks (crossing chunk boundaries), and
+// through the rebases that refold into a fresh generation: mid-chain, once
+// the drops outweigh what is kept, and at the head.
+func rebaseChain(t *testing.T) {
+	cfg := scenario.DefaultRandomConfig()
+	cfg.Runs = 200
+	for seed := int64(0); seed < 3; seed++ {
+		s, err := scenario.Random(seed, cfg, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		entries := s.Log().Entries()
+		n := len(entries)
+		if n < 600 {
+			t.Fatalf("seed %d: %d entries, want at least 600 to cross entry chunks", seed, n)
+		}
+		live := wlog.New()
+		g := deps.NewIncremental(live)
+		const steps = 50
+		head, prev := 0, 0
+		var views []pinnedView
+		for step := 0; step <= steps; step++ {
+			next := n/4 + (n-n/4)*step/steps
+			for _, e := range entries[head:next] {
+				appendCopy(t, live, e)
+			}
+			head = next
+			label := fmt.Sprintf("seed %d step %d", seed, step)
+			views = append(views, pin(label, g.Snapshot()))
+			// Mostly half the history is kept; now and then much less,
+			// so a drop outweighs what is kept and the graph refolds
+			// mid-chain.
+			cut := max(prev+1, head/2)
+			if step%7 == 6 {
+				cut = prev + (head-prev)*2/3
+			}
+			if step == steps {
+				cut = head
+			}
+			want, f := seededAt(t, entries, cut, head)
+			live.TruncateBefore(cut)
+			if err := g.Rebase(f); err != nil {
+				t.Fatalf("%s: rebase at %d: %v", label, cut, err)
+			}
+			prev = cut
+			assertSameGraph(t, fmt.Sprintf("%s: rebased at %d of %d", label, cut, head), g, want)
+			checked := views[len(views)-1:]
+			if step%10 == 0 || step == steps {
+				checked = views
+			}
+			for _, v := range checked {
+				v.check(t, label)
+			}
+		}
+	}
+}
+
+// TestRebaseCostFollowsDropped: a rebase that keeps most of the history does
+// not refold what it keeps. Dropping the same 64 entries from a graph whose
+// kept suffix is ten times longer allocates no more.
+func TestRebaseCostFollowsDropped(t *testing.T) {
+	const dropped, keys = 64, 16
+	allocs := func(kept int) float64 {
+		graphs := make([]*deps.IncrementalGraph, 2) // AllocsPerRun warms up once
+		fronts := make([]deps.Frontier, len(graphs))
+		for i := range graphs {
+			l := wlog.New()
+			graphs[i] = deps.NewIncremental(l)
+			var last [keys]string
+			for j := 0; j < dropped+kept; j++ {
+				rk, wk := data.Key(fmt.Sprintf("k%d", j%keys)), j*7%keys
+				e := &wlog.Entry{Run: fmt.Sprintf("r%d", j), Task: "t", Visit: 1,
+					Reads:  []wlog.Read{{Key: rk, ReadObs: wlog.ReadObs{Writer: last[j%keys]}}},
+					Writes: []wlog.Write{{Key: data.Key(fmt.Sprintf("k%d", wk)), Value: data.Value(j)}}}
+				if _, err := l.Append(e); err != nil {
+					t.Fatal(err)
+				}
+				last[wk] = string(e.ID())
+			}
+			f, err := graphs[i].FrontierAt(dropped)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fronts[i] = f
+		}
+		i := 0
+		return testing.AllocsPerRun(1, func() {
+			if err := graphs[i].Rebase(fronts[i]); err != nil {
+				t.Fatal(err)
+			}
+			i++
+		})
+	}
+	short, long := allocs(10*dropped), allocs(100*dropped)
+	t.Logf("one rebase dropping %d entries: %.0f allocations with %d kept, %.0f with %d kept", dropped, short, 10*dropped, long, 100*dropped)
+	if long > short {
+		t.Fatalf("dropping %d entries allocated %.0f times with %d kept but %.0f times with %d kept: the rebase refolds what it keeps",
+			dropped, short, 10*dropped, long, 100*dropped)
+	}
 }
 
 // TestFrontierAt: the frontier at an older epoch equals the one a graph over

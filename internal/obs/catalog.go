@@ -69,6 +69,7 @@ const (
 	MShardQuiesceSeconds = "shard_quiesce_seconds"
 	MShardQuiescedShards = "shard_quiesced_shards"
 	MShardForgetSeconds  = "shard_forget_seconds"
+	MShardForgotten      = "shard_forgotten_entries_total"
 
 	// internal/httpapi — the analysis service.
 	MHTTPRequests       = "http_requests_total"
@@ -122,7 +123,7 @@ type Def struct {
 func Catalog() []Def {
 	return []Def{
 		{MWlogAppends, "counter", "—", "§II.A", "Task executions committed to the system log."},
-		{MWlogEntries, "gauge", "—", "§II.A", "Current length of the system log."},
+		{MWlogEntries, "gauge", "—", "§II.A", "Entries resident in the system log: those above the horizon."},
 		{MWlogHookSeconds, "sum", "—", "§II.C", "Total time spent in commit hooks (incremental dependence maintenance)."},
 		{MEngineCommits, "counter", "—", "Fig 2", "Normal workflow task commits executed by the engine."},
 		{MEngineForged, "counter", "—", "§II.B", "Forged task instances injected outside any workflow specification."},
@@ -174,6 +175,7 @@ func Catalog() []Def {
 		{MShardQuiesceSeconds, "histogram", "ξ_r", "§IV.C", "Wall-clock time the shards were quiesced for one recovery-unit repair."},
 		{MShardQuiescedShards, "histogram", "—", "§IV", "Shards paused for one recovery-unit repair (partial quiescence scope)."},
 		{MShardForgetSeconds, "histogram", "—", "§III", "Time the commit pipeline stalled while the service forgot the history beneath a new horizon."},
+		{MShardForgotten, "counter", "—", "§III", "Log entries the moving horizon dropped: with shard_forget_seconds, the forget cost per entry."},
 		{MHTTPRequests, "counter", "—", "—", "HTTP requests served, labeled by route."},
 		{MHTTPRequestSeconds, "histogram", "—", "—", "HTTP request latency across all routes."},
 		{MClusterRecordsStamped, "counter", "—", "§VII", "Records assigned a stream position by this node's sequencer, labeled by kind."},

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"maps"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -95,8 +96,12 @@ type executor struct {
 	mu sync.Mutex
 	// runs holds every live run: placed, deferred, or retired since the
 	// last checkpoint; tombs the runs a checkpoint retired for good.
-	runs     map[string]*runState
-	tombs    map[string]tombstone
+	runs  map[string]*runState
+	tombs map[string]tombstone
+	// bare holds the runs that retired without an entry in the log, until
+	// a checkpoint buries them: the horizon finds every other run by its
+	// entries (Service.horizonAt).
+	bare     []string
 	keyOwner map[data.Key]int  // shard currently owning the key
 	keyRefs  map[data.Key]int  // active runs on the owner touching it
 	recKeys  map[data.Key]bool // keys under recovery; placements touching them defer
@@ -313,6 +318,7 @@ func (x *executor) adoptRestored(r *engine.Run, spec *wf.Spec, status RunStatus,
 	x.runs[r.ID] = rs
 	if status == RunDone || status == RunFailed {
 		rs.shard = 0
+		x.noteBareLocked(r.ID)
 		return nil
 	}
 	rs.keys = spec.Footprint()
@@ -324,6 +330,14 @@ func (x *executor) adoptRestored(r *engine.Run, spec *wf.Spec, status RunStatus,
 	x.deferred = append(x.deferred, rs)
 	x.obs.deferred.Set(int64(len(x.deferred)))
 	return nil
+}
+
+// noteBareLocked records a run that just retired in bare if the log holds no
+// entry of it. Callers hold x.mu.
+func (x *executor) noteBareLocked(id string) {
+	if _, _, ok := x.eng.Log().RunSpan(id); !ok {
+		x.bare = append(x.bare, id)
+	}
 }
 
 // tombstoned reports whether id names a run a checkpoint retired for good.
@@ -410,6 +424,7 @@ func (x *executor) bury(tombs map[string]durable.Tombstone) {
 		x.tombs[id] = tombstone{err: tb.Err, state: state}
 	}
 	x.runs = prune(x.runs, tombs)
+	x.bare = slices.DeleteFunc(x.bare, func(id string) bool { _, gone := tombs[id]; return gone })
 }
 
 // deliver hands placed runs to their shards' inboxes without ever blocking
@@ -477,6 +492,7 @@ func (x *executor) finish(rs *runState, state RunStatus, err error) {
 	x.mu.Lock()
 	rs.state = state
 	rs.err = err
+	x.noteBareLocked(rs.run.ID)
 	if state == RunDone && x.durable != nil {
 		// Keys are released now: a later step's records follow this run's
 		// in the WAL, so no crash keeps them and loses this run's.

@@ -10,10 +10,10 @@
 //     snapshot must equal the live service;
 //   - an in-memory service has nothing to restart from, and an IDS reports
 //     an attack only after a detection delay (§IV.D). It forgets
-//     memoryTrail intervals beneath the head, without pausing the shards,
-//     so an alert that late still finds the history it names. Checkpoint
-//     forgets at the head, for a caller that knows every attack has been
-//     repaired.
+//     memoryTrail intervals beneath the head, tick by tick and without
+//     pausing the shards, so an alert that late still finds the history it
+//     names. Checkpoint forgets at the head, for a caller that knows every
+//     attack has been repaired.
 //
 // Beneath the horizon, an alert naming an instance of a retired or forged
 // run is refused with recovery.ErrHorizon, and so is a repair whose damage
@@ -32,6 +32,7 @@ import (
 	"selfheal/internal/durable"
 	"selfheal/internal/recovery"
 	"selfheal/internal/wf"
+	"selfheal/internal/wlog"
 )
 
 // ckptReq asks the recovery goroutine to move the horizon. auto marks the
@@ -67,7 +68,9 @@ func (s *Service) Checkpoint(ctx context.Context) error {
 // checkpoint runs on the recovery goroutine, never concurrent with a repair
 // or an analysis, so no pinned graph view spans it. A durable service
 // snapshots and forgets at the head; an in-memory one forgets at the head
-// when asked to, and memoryTrail intervals beneath it automatically.
+// when asked to, and memoryTrail intervals beneath it automatically — unless
+// a retired run straddling the target holds the horizon where it is, which
+// leaves nothing to drop.
 func (s *Service) checkpoint(auto bool) error {
 	if s.wal != nil {
 		return s.snapshot(auto)
@@ -80,6 +83,9 @@ func (s *Service) checkpoint(auto bool) error {
 	if err != nil {
 		return err
 	}
+	if auto && h.Epoch <= s.eng.Log().Base() {
+		return nil
+	}
 	return s.forgetLive(h, auto)
 }
 
@@ -87,20 +93,22 @@ func (s *Service) checkpoint(auto bool) error {
 // no commit lands while the log drops its prefix and the runs are buried.
 // CompactBefore keeps the latest version at or below the epoch as a
 // checkpoint version, so repairs of damage above it still read correct
-// pre-state values. The horizon was computed outside, the graph refolds the
-// history above the epoch before (Rebase, while commits keep folding; only
-// this goroutine pins graph views, so none reads it in between, and
-// forget's Rebase finds it done), and the intern table is rebuilt after, so
-// this is the whole stall of the pipeline (shard_forget_seconds).
+// pre-state values. The horizon was computed outside, the graph drops its
+// prefix before (Rebase, while commits keep folding; only this goroutine
+// pins graph views, so none reads it in between, and forget's Rebase finds
+// it done), and the intern table is rebuilt after, so this is the whole
+// stall of the pipeline (shard_forget_seconds), and the entries it drops
+// are counted (shard_forgotten_entries_total).
 func (s *Service) forgetLive(h durable.Horizon, auto bool) error {
 	if err := s.graph.Rebase(h.Graph); err != nil {
 		return err
 	}
 	err := s.com.exec(func() error {
-		start := time.Now()
+		start, base := time.Now(), s.eng.Log().Base()
 		s.eng.Store().CompactBefore(float64(h.Epoch))
 		err := s.forget(h)
 		s.o.forgetSeconds.Observe(time.Since(start).Seconds())
+		s.o.forgotten.Add(int64(s.eng.Log().Base() - base))
 		return err
 	})
 	if err == nil && (!auto || 4*s.tab.Len() >= 5*s.retained) {
@@ -183,40 +191,62 @@ func (s *Service) retain() {
 // with an entry at or below E — a forge's, whose alerts get ErrHorizon
 // rather than a lookup miss — and marks pre-epoch every live run with an
 // entry at or below E, by LSN: a run that started above E is not. A run
-// already pre-epoch stays so until it is buried. Its Tombs are only the
-// runs it buries, not the earlier tombstones, so its cost follows the
-// history above the previous horizon and not the uptime. At the head of a
-// quiesced service, with the earlier tombstones added, this is exactly the
-// horizon of the snapshot captured there (TestHorizonAtHeadEqualsSnapshot).
+// already pre-epoch stays so until it is buried. At the head of a quiesced
+// service, with the earlier tombstones added, this is exactly the horizon of
+// the snapshot captured there (TestHorizonAtHeadEqualsSnapshot).
+//
+// Its cost follows what the horizon may drop, not what the service keeps:
+// only a run with an entry in (base, target] can straddle the target, be
+// buried or turn pre-epoch, besides the runs already pre-epoch and the runs
+// that retired without an entry (executor.bare), so only those are
+// classified, each by its first and last LSN from the log's per-run index.
+// Every other run started above target, where E cannot reach. The Tombs are
+// only the runs it buries, not the earlier tombstones.
 func (s *Service) horizonAt(target int) (durable.Horizon, error) {
-	// Run states before the log: a run registered after this reading
-	// commits only above target, so every run with an entry at or below
-	// it is classified here.
+	log := s.eng.Log()
+	cand := make(map[string]bool)
+	log.Range(func(e *wlog.Entry) bool {
+		if e.LSN > target {
+			return false
+		}
+		if e.Run != "" {
+			cand[e.Run] = true
+		}
+		return true
+	})
+	s.mu.Lock()
+	wasPre := s.preEpoch
+	s.mu.Unlock()
+	for id := range wasPre {
+		cand[id] = true
+	}
+
+	// Run states before their spans: a run that retires after this reading
+	// is classified live, which buries nothing it still writes.
 	x := s.exec
-	x.mu.Lock()
 	retired := make(map[string]durable.Tombstone)
-	live := make(map[string]bool, len(x.runs))
-	for id, rs := range x.runs {
-		if rs.retired() {
+	live := make(map[string]bool)
+	x.mu.Lock()
+	for _, id := range x.bare {
+		cand[id] = true
+	}
+	for id := range cand {
+		switch rs, ok := x.runs[id]; {
+		case !ok:
+		case rs.retired():
 			retired[id] = rs.tombstone()
-		} else {
+		default:
 			live[id] = true
 		}
 	}
 	x.mu.Unlock()
-	s.mu.Lock()
-	wasPre := s.preEpoch
-	s.mu.Unlock()
 
 	type span struct{ first, last int }
-	spans := make(map[string]span)
-	for _, e := range s.eng.Log().Entries() {
-		sp, ok := spans[e.Run]
-		if !ok {
-			sp.first = e.LSN
+	spans := make(map[string]span, len(cand))
+	for id := range cand {
+		if first, last, ok := log.RunSpan(id); ok {
+			spans[id] = span{first, last}
 		}
-		sp.last = e.LSN
-		spans[e.Run] = sp
 	}
 
 	// Walk the retired runs by descending last entry, moving E beneath
@@ -230,7 +260,7 @@ func (s *Service) horizonAt(target int) (durable.Horizon, error) {
 		}
 	}
 	slices.SortFunc(cuts, func(a, b span) int { return b.last - a.last })
-	epoch := max(target, s.eng.Log().Base())
+	epoch := max(target, log.Base())
 	for _, sp := range cuts {
 		if sp.last <= epoch {
 			break
@@ -256,7 +286,7 @@ func (s *Service) horizonAt(target int) (durable.Horizon, error) {
 	}
 	var forged []string
 	for id, sp := range spans {
-		if sp.first > epoch || id == "" {
+		if sp.first > epoch {
 			continue
 		}
 		if _, done := retired[id]; live[id] {
@@ -295,14 +325,19 @@ func (s *Service) trail() int {
 	return memoryTrail * s.cfg.SnapshotEvery
 }
 
-// snapshotLoop drives automatic checkpoints. A durable service forgets at
-// the head once SnapshotEvery entries have committed past its horizon. An
-// in-memory one trails the head by memoryTrail intervals: it forgets once
-// the trailing target is an interval past its horizon, so it keeps between
-// memoryTrail and memoryTrail + 1 intervals of history.
+// snapshotLoop drives automatic checkpoints. A durable service snapshots
+// and forgets at the head once SnapshotEvery entries have committed past its
+// horizon: a snapshot costs what it writes. An in-memory one trails the head
+// by memoryTrail intervals and moves its horizon up to that target on every
+// tick the target has passed it, at a cost that follows the entries it
+// drops, so it keeps memoryTrail intervals of history plus what one tick
+// commits.
 func (s *Service) snapshotLoop() {
 	defer s.wg.Done()
-	trail := s.trail()
+	trail, due := s.trail(), s.cfg.SnapshotEvery
+	if s.wal == nil {
+		due = 1
+	}
 	t := time.NewTicker(50 * time.Millisecond)
 	defer t.Stop()
 	for {
@@ -314,7 +349,7 @@ func (s *Service) snapshotLoop() {
 		s.mu.Lock()
 		epoch := s.epoch
 		s.mu.Unlock()
-		if s.eng.Log().Len()-trail-epoch < s.cfg.SnapshotEvery {
+		if s.eng.Log().Len()-trail-epoch < due {
 			continue
 		}
 		resp := make(chan error, 1)

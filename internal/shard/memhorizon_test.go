@@ -93,17 +93,18 @@ func assertRepairedToBenign(t *testing.T, w *serial) {
 
 // TestMemoryHorizonKeepsDetectionWindow: an in-memory service forgets
 // memoryTrail intervals beneath its head, so an alert that arrives one entry
-// short of that after its forge, across an automatic checkpoint, still finds
+// short of that after its forge, across automatic checkpoints, still finds
 // the forge's history and is repaired to the attack-free store; one that
-// arrives more than an interval later still names history that is gone, and
-// is refused as below the horizon.
+// arrives a few entries later, once a tick has moved the horizon, names
+// history that is gone, and is refused as below the horizon.
 func TestMemoryHorizonKeepsDetectionWindow(t *testing.T) {
 	const every, trail = 64, memoryTrail * 64
 	svc := startService(t, Config{Shards: 2, SnapshotEvery: every})
 	w := &serial{t: t, svc: svc}
 
-	// No checkpoint before trail + every entries; the first lands while the
-	// alert is pending, at most trail entries beneath the head.
+	// No checkpoint before trail entries; from then on each tick moves the
+	// horizon to trail entries beneath the head, never past the forge while
+	// the alert is pending.
 	w.fill(100)
 	w.run("v", chainSpec("v", 4, 0))
 	inst, err := svc.InjectForged("atk1", "x", []data.Key{"v.k4"}, map[data.Key]data.Value{"v.k4": -1})
@@ -127,13 +128,92 @@ func TestMemoryHorizonKeepsDetectionWindow(t *testing.T) {
 		t.Fatal(err)
 	}
 	forged = svc.Log().Len()
-	w.fill(forged + trail + every + 8)
+	w.fill(forged + trail + 8)
 	waitHorizon(t, svc, forged)
 	if err := svc.Report([]wlog.InstanceID{inst}); !errors.Is(err, recovery.ErrHorizon) {
 		t.Fatalf("an alert %d entries after its forge, beneath the horizon %d: %v, want ErrHorizon", svc.Log().Len()-forged, svc.Log().Base(), err)
 	}
 	if n := svc.Metrics().AlertsBelowHorizon; n != 1 {
 		t.Fatalf("%d below-horizon refusals counted, want 1", n)
+	}
+}
+
+// TestMemoryHorizonTrailsEveryTick: under sustained commits an in-memory
+// service holds its trail plus what committed since its last tick, not a
+// fourth interval. Sampled across at least 20 ticks, the resident log never
+// exceeds the trail plus the entries committed over the last few ticks (an
+// allowance for a late tick) plus a few entries a retired run straddling the
+// target may hold beneath it.
+func TestMemoryHorizonTrailsEveryTick(t *testing.T) {
+	const every, trail = 128, memoryTrail * 128
+	const window, slack, samples = 250 * time.Millisecond, 32, 30
+	svc := startService(t, Config{Shards: 2, SnapshotEvery: every})
+	stop := make(chan struct{})
+	done := make(chan error, 1)
+	go func() {
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				done <- nil
+				return
+			default:
+			}
+			id := fmt.Sprintf("r%d", i)
+			if err := svc.SubmitRun(id, chainSpec(id, 4, 0)); err != nil && !errors.Is(err, ErrQueueFull) {
+				done <- err
+				return
+			}
+			pace := time.Millisecond // fill the trail quickly
+			if svc.Log().Len() > trail+every {
+				pace = 20 * time.Millisecond // then about 200 entries a second
+			}
+			time.Sleep(pace)
+		}
+	}()
+	defer func() {
+		close(stop)
+		if err := <-done; err != nil {
+			t.Fatal(err)
+		}
+	}()
+	waitHorizon(t, svc, every)
+
+	type sample struct {
+		at        time.Time
+		len, base int
+	}
+	var hist []sample
+	moves, checked, worst := 0, 0, -1<<31
+	for checked < samples {
+		time.Sleep(window / 5)
+		s := sample{at: time.Now(), len: svc.Log().Len()}
+		s.base = svc.Log().Base() // after the length: a forget in between only lowers the reading
+		hist = append(hist, s)
+		if len(hist) > 1 && s.base > hist[len(hist)-2].base {
+			moves++
+		}
+		// The commits since the latest sample at least a window old
+		// cover those since the service's last tick.
+		since := -1
+		for _, h := range hist {
+			if s.at.Sub(h.at) >= window {
+				since = h.len
+			}
+		}
+		if since < 0 {
+			continue
+		}
+		checked++
+		worst = max(worst, s.len-s.base-trail-(s.len-since))
+		if resident, allowed := s.len-s.base, trail+(s.len-since)+slack; resident > allowed {
+			t.Fatalf("sample %d: %d entries resident (%d..%d), more than the trail %d plus %d committed in the last %v plus %d",
+				len(hist), resident, s.base+1, s.len, trail, s.len-since, window, slack)
+		}
+	}
+	t.Logf("%d samples checked, the horizon moved at %d of %d; at worst %d entries resident beyond the trail and the window's commits (slack %d)",
+		checked, moves, len(hist), worst, slack)
+	if moves < samples/3 {
+		t.Fatalf("the horizon moved at %d of %d samples, %v apart: it does not trail the head tick by tick", moves, len(hist), window/5)
 	}
 }
 

@@ -51,12 +51,12 @@ type Config struct {
 	// per-alert pipeline the §V CTMC models. See internal/triage and
 	// docs/TRIAGE.md.
 	Triage triage.Options
-	// SnapshotEvery is the checkpoint interval in committed entries: how
-	// far the horizon moves each time the service forgets. A durable
-	// service (NewDurable) snapshots and forgets at the head once this many
-	// entries have committed past its horizon; an in-memory one forgets
-	// three intervals beneath the head, so it keeps between three and four
-	// intervals of history for alerts that arrive late. 0 selects
+	// SnapshotEvery is the checkpoint interval in committed entries. A
+	// durable service (NewDurable) snapshots and forgets at the head once
+	// this many entries have committed past its horizon; an in-memory one
+	// keeps its horizon three intervals beneath the head, moving it up
+	// every 50 ms tick, so it keeps three intervals of history (plus what
+	// one tick commits) for alerts that arrive late. 0 selects
 	// durable.DefaultSnapshotEvery; a negative value disables automatic
 	// checkpoints, and the service then forgets only on Checkpoint. See
 	// docs/DURABILITY.md.
@@ -307,6 +307,7 @@ type svcObs struct {
 	runsCompleted, runsFailed        *obs.Counter
 	alertDepth, unitDepth, deferDpth *obs.Gauge
 	quiesceSeconds, forgetSeconds    *obs.Histogram
+	forgotten                        *obs.Counter
 	quiescedShards                   *obs.Histogram
 	coneSize, coalesceRatio          *obs.Histogram
 	stepsByShard                     []*obs.Counter
@@ -370,6 +371,7 @@ func (s *Service) Observe(reg *obs.Registry) {
 			obs.TickBuckets),
 		forgetSeconds: reg.Histogram(obs.MShardForgetSeconds,
 			obs.LatencyBuckets),
+		forgotten:     reg.Counter(obs.MShardForgotten),
 		cones:         reg.Counter(obs.MTriageCones),
 		prefiltered:   reg.Counter(obs.MTriagePrefilterHits),
 		deduped:       reg.Counter(obs.MTriageDeduped),

@@ -274,9 +274,11 @@ func NewAt(base int) *Log {
 // OnAppend hooks stay registered. A Go map keeps its peak size after
 // deletes, so when most of the log goes (a snapshot at the head) the indexes
 // are rebuilt from the suffix, to release the prefix; when most stays (a
-// horizon trailing the head) the prefix is deleted from them, at a cost that
-// follows what is dropped. A checkpoint calls it once nothing needs the
-// prefix any more.
+// horizon trailing the head) the dropped slots are cleared and the slices
+// resliced past them, and the prefix is deleted from the indexes, at a cost
+// that follows what is dropped — append's growth later moves what is kept
+// off the old arrays. A checkpoint calls it once nothing needs the prefix
+// any more.
 func (l *Log) TruncateBefore(lsn int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -284,33 +286,40 @@ func (l *Log) TruncateBefore(lsn int) {
 	if n <= 0 {
 		return
 	}
-	dropped, kept := l.entries[:n], slices.Clone(l.entries[n:])
 	l.base += n
-	l.entries = kept
-	if len(kept) < n {
-		l.byInst = make(map[InstanceID]*Entry, len(kept))
+	if kept := len(l.entries) - n; kept < n {
+		l.entries = slices.Clone(l.entries[n:])
+		l.byInst = make(map[InstanceID]*Entry, kept)
 		l.byRun = make(map[string][]*Entry)
-		for _, e := range kept {
+		for _, e := range l.entries {
 			l.byInst[e.id] = e
 			l.byRun[e.Run] = append(l.byRun[e.Run], e)
 		}
 	} else {
 		// A run's entries are in LSN order, so its dropped ones are a
-		// prefix of its list; what is left is copied off the old array.
+		// prefix of its list.
 		cut := make(map[string]int)
-		for _, e := range dropped {
+		for _, e := range l.entries[:n] {
 			delete(l.byInst, e.id)
 			cut[e.Run]++
 		}
+		l.entries = dropFront(l.entries, n)
 		for run, k := range cut {
-			if rest := l.byRun[run][k:]; len(rest) > 0 {
-				l.byRun[run] = slices.Clone(rest)
+			if rest := dropFront(l.byRun[run], k); len(rest) > 0 {
+				l.byRun[run] = rest
 			} else {
 				delete(l.byRun, run)
 			}
 		}
 	}
 	l.o.entries.Set(int64(len(l.entries)))
+}
+
+// dropFront returns s without its first n elements, cleared in the array so
+// it no longer holds on to them.
+func dropFront(s []*Entry, n int) []*Entry {
+	clear(s[:n])
+	return s[n:]
 }
 
 // Append commits e, assigning the next LSN. It returns the assigned LSN and
@@ -408,6 +417,18 @@ func (l *Log) Base() int {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
 	return l.base
+}
+
+// RunSpan returns the LSNs of the first and the last entry of run in the
+// log (forged included), and false when the log holds none.
+func (l *Log) RunSpan(run string) (first, last int, ok bool) {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	seq := l.byRun[run]
+	if len(seq) == 0 {
+		return 0, 0, false
+	}
+	return seq[0].LSN, seq[len(seq)-1].LSN, true
 }
 
 // Range invokes fn for each committed entry in LSN order until fn returns

@@ -145,7 +145,7 @@ func TestOnAppendBackfillAndOrder(t *testing.T) {
 
 // TestTruncateBeforeEqualsNewAt: truncating a log in place leaves what
 // NewAt(lsn) plus the same suffix builds — base, length, lookups, traces and
-// run list — whether most of it is dropped or most is kept, and the hooks
+// run list and per-run spans — whether most of it is dropped or most is kept, and the hooks
 // subscribed before keep observing new appends.
 func TestTruncateBeforeEqualsNewAt(t *testing.T) {
 	entries := func() []*Entry {
@@ -185,6 +185,11 @@ func TestTruncateBeforeEqualsNewAt(t *testing.T) {
 		for _, run := range []string{"r1", "r2", "r3", "x"} {
 			if got, w := ids(l.Trace(run, true)), ids(want.Trace(run, true)); !reflect.DeepEqual(got, w) {
 				t.Errorf("cut %d: trace of %s after truncation %v, want %v", cut, run, got, w)
+			}
+			f, last, ok := l.RunSpan(run)
+			wf, wlast, wok := want.RunSpan(run)
+			if f != wf || last != wlast || ok != wok {
+				t.Errorf("cut %d: span of %s after truncation %d..%d (%v), want %d..%d (%v)", cut, run, f, last, ok, wf, wlast, wok)
 			}
 		}
 		mustAppend(t, l, &Entry{Run: "r2", Task: "t2", Visit: 1})

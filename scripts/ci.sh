@@ -110,14 +110,19 @@ go test -race -count=20 -run '^(TestDoneImpliesDurable|TestSubmitAckImpliesSpecD
 go test -race -count=3 -run '^(TestRestartEqualsLive|TestAlertBelowHorizon)$' ./internal/shard/
 
 # One horizon in every mode (docs/DURABILITY.md): an in-memory service
-# forgets an interval beneath its head — an alert that late is still
-# repaired, one two intervals late is a 410 — through a consistent cut no
+# keeps its horizon three intervals beneath its head and moves it every
+# tick — an alert that late is still repaired, one a few entries later is a
+# 410 after one tick, and under sustained commits nothing beyond the trail
+# and one tick's commits stays resident — through a consistent cut no
 # retired run straddles; an alert on a forge beneath the horizon is a 410 in
-# every mode; and at the head of a quiesced service the horizon computed
-# from live state is exactly the snapshot's. Checkpoint needs no WAL, and
-# the snapshot formats of earlier commits still open.
-go test -race -count=10 -run '^(TestMemoryHeapBoundedByHorizon|TestMemoryHorizonKeepsDetectionWindow|TestMemoryHorizonRetiredStraddler|TestAlertOnForgedRunBelowHorizon|TestHorizonAtHeadEqualsSnapshot)$' ./internal/shard/
-go test -count=1 -run '^TestFrontierAt$' ./internal/deps/
+# every mode; the horizon computed from what it may drop equals the full
+# scan's, and at the head of a quiesced service the snapshot's; the graph
+# drops a prefix at a cost that does not follow what it keeps, and equals a
+# graph seeded at each cut of a chain of small rebases. Checkpoint needs no
+# WAL, and the snapshot formats of earlier commits still open.
+go test -race -count=10 -run '^(TestMemoryHeapBoundedByHorizon|TestMemoryHorizonKeepsDetectionWindow|TestMemoryHorizonTrailsEveryTick|TestMemoryHorizonRetiredStraddler|TestAlertOnForgedRunBelowHorizon|TestHorizonAtHeadEqualsSnapshot|TestHorizonAtEqualsFullScan)$' ./internal/shard/
+go test -race -count=10 -run '^(TestRebaseEqualsSeededGraph|TestRebaseCostFollowsDropped|TestRebaseRacesAppend)$' ./internal/deps/
+go test -count=1 -run '^(TestFrontierAt|TestTruncateBeforeEqualsNewAt)$' ./internal/deps/ ./internal/wlog/
 if grep -rn --include='*.go' --exclude='*_test.go' 'service has no durable WAL' .; then
     echo "horizon gate: a service refuses to checkpoint without a WAL (in-memory services forget too)" >&2
     exit 1
