@@ -1,14 +1,14 @@
 // Damage-assessment closure: the →_f* reachability of Theorem 1 computed
-// over the adjacency container. Every instance the traversal discovers is a
-// successor and so has an ordinal: visited sets are bitsets over ordinals and
-// frontiers are integer slices; instance IDs appear only at the ends (the
-// seed, the adjacency lookup, the result). Small graphs use a serial DFS;
-// past a size threshold the closure switches to a sharded worker-pool BFS —
-// level-synchronous, with the visited set partitioned across shards so
-// workers never contend on a shared word. Each round every shard expands its
-// frontier into per-destination outboxes, then every shard merges the
-// inboxes addressed to it; ownership is by the ordinal's low bits, so no
-// locks are needed inside a round.
+// over the successor lists. Every instance the traversal discovers is a
+// successor and so has an ordinal, and its list sits at that ordinal:
+// visited sets are bitsets over ordinals and frontiers are integer slices;
+// instance IDs appear only at the ends (the seed's lookup, the result).
+// Small graphs use a serial DFS; past a size threshold the closure switches
+// to a sharded worker-pool BFS — level-synchronous, with the visited set
+// partitioned across shards so workers never contend on a shared word. Each
+// round every shard expands its frontier into per-destination outboxes, then
+// every shard merges the inboxes addressed to it; ownership is by the
+// ordinal's low bits, so no locks are needed inside a round.
 package deps
 
 import (
@@ -63,19 +63,19 @@ func (gen *folded) closureSerial(seed map[wlog.InstanceID]bool, n int) map[wlog.
 	}
 	for id := range seed {
 		out[id] = true
-		gen.walk(relFlow, id, n, push)
+		gen.adjacency(id).each(relFlow, n, push)
 	}
 	for len(stack) > 0 {
-		id := gen.entry(stack[len(stack)-1]).ID()
+		ord := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		out[id] = true
-		gen.walk(relFlow, id, n, push)
+		out[gen.entry(ord).ID()] = true
+		gen.listAt(ord).each(relFlow, n, push)
 	}
 	return out
 }
 
 // closureParallel is the sharded worker-pool BFS. Callers hold the graph's
-// lock (read), so the adjacency container is immutable for the duration.
+// lock (read), so the successor lists are immutable for the duration.
 func (gen *folded) closureParallel(seed map[wlog.InstanceID]bool, n, workers int) map[wlog.InstanceID]bool {
 	shards := 1
 	for shards < workers && shards < 16 {
@@ -90,9 +90,9 @@ func (gen *folded) closureParallel(seed map[wlog.InstanceID]bool, n, workers int
 	for s := range visited {
 		visited[s] = newBitset((n-gen.base)>>shift + 1)
 	}
-	// route sends id's successors to the outbox of the shard owning each.
-	route := func(boxes [][]int, id wlog.InstanceID) {
-		gen.walk(relFlow, id, n, func(ord int) {
+	// route sends l's successors to the outbox of the shard owning each.
+	route := func(boxes [][]int, l adjList) {
+		l.each(relFlow, n, func(ord int) {
 			off := ord - gen.base
 			boxes[off&mask] = append(boxes[off&mask], off)
 		})
@@ -102,7 +102,7 @@ func (gen *folded) closureParallel(seed map[wlog.InstanceID]bool, n, workers int
 	seedBoxes := make([][]int, shards)
 	for id := range seed {
 		out[id] = true
-		route(seedBoxes, id)
+		route(seedBoxes, gen.adjacency(id))
 	}
 	outbox := [][][]int{seedBoxes}
 
@@ -146,7 +146,7 @@ func (gen *folded) closureParallel(seed map[wlog.InstanceID]bool, n, workers int
 				defer wg.Done()
 				boxes := make([][]int, shards)
 				for _, off := range frontier[s] {
-					route(boxes, gen.entry(gen.base+off).ID())
+					route(boxes, gen.listAt(gen.base+off))
 				}
 				outbox[s] = boxes
 			}(s)

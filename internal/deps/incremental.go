@@ -5,10 +5,11 @@
 //
 //   - the frontier: per key, the writer chain's tail and the readers since
 //     it (output deps and anti-dep resolution need nothing older),
-//   - one adjacency container holding every edge exactly once, as a
-//     (successor ordinal, relation) word under its source instance,
-//   - the folded entries by ordinal, which turn an ordinal back into the
-//     successor's instance ID.
+//   - the folded entries by ordinal, in chunks that also hold each entry's
+//     successor list — every edge stored once, as a pointer-free record
+//     under its source — and an index from instance ID to ordinal,
+//   - a small table of the lists of sources the graph never folded (the
+//     instances of the frontier it was seeded from).
 //
 // Snapshot() returns an immutable *Graph view pinned to the epoch (the LSN
 // of the last folded entry): edges and closure results never include work
@@ -19,6 +20,8 @@ package deps
 
 import (
 	"fmt"
+	"hash/maphash"
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -36,16 +39,67 @@ const (
 	relOutput
 )
 
-// succ is one adjacency record — the whole stored form of an edge: the
-// successor's ordinal (its position in the graph's fold order, counted from
-// the chain's origin and never rewritten by a Rebase that drops a prefix)
-// shifted over the relation. An edge is created by its successor's commit,
-// so a source's records are in ascending ordinal order and "beyond the
-// snapshot" is "ordinal ≥ the snapshot's end".
-type succ uint64
+// rec is one adjacency record — the whole stored form of an edge: how far
+// the successor's ordinal (its position in the graph's fold order, counted
+// from the chain's origin and never rewritten by a Rebase) lies beyond the
+// list's origin, shifted over the relation stored one up, so no record is 0.
+// An edge is created by its successor's commit, so edges point forward and a
+// list's records are in ascending ordinal order: "beyond the snapshot" is
+// "ordinal ≥ the snapshot's end".
+type rec uint32
 
-func (s succ) ord() int      { return int(s >> 2) }
-func (s succ) rel() relation { return relation(s & 3) }
+func newRec(rel relation, origin, to int) rec { return rec(to-origin)<<2 | rec(rel+1) }
+
+// adjList is a source's successor list, counted from origin (the source's
+// own ordinal, or the base of the generation that first gave an unfolded
+// source a list): the records in head, up to its first 0, then those in
+// more. Only a folded entry has a head: its first records, in its chunk,
+// each in 16 bits; a record too far for those, and every record after it,
+// goes to more.
+type adjList struct {
+	origin int
+	head   []uint16
+	more   []rec
+}
+
+// all yields every successor in the list, its ordinal and the relation, in
+// commit order, until yield returns false.
+func (l adjList) all(yield func(to int, rel relation) bool) {
+	for _, r := range l.head {
+		if r != 0 && !yield(l.origin+int(r>>2), relation(r&3)-1) {
+			return
+		}
+	}
+	for _, r := range l.more {
+		if !yield(l.origin+int(r>>2), relation(r&3)-1) {
+			return
+		}
+	}
+}
+
+// each invokes fn with the ordinal of every rel-successor before ordinal n,
+// in commit order, one call per edge (per-key multiplicity preserved).
+func (l adjList) each(rel relation, n int, fn func(ord int)) {
+	l.all(func(to int, r relation) bool {
+		if to < n && r == rel {
+			fn(to)
+		}
+		return to < n // records are in commit order: nothing later qualifies
+	})
+}
+
+// from returns the list's successors from ordinal cut on, as a list
+// beneath, in records of its own.
+func (l adjList) from(cut int) adjList {
+	out := adjList{origin: l.origin}
+	l.all(func(to int, rel relation) bool {
+		if to >= cut {
+			out.more = append(out.more, newRec(rel, l.origin, to))
+		}
+		return true
+	})
+	return out
+}
 
 // IncrementalGraph maintains the dependence relations of a growing log.
 // Safe for concurrent use: Append (driven by the log's commit hook) and
@@ -57,95 +111,153 @@ type IncrementalGraph struct {
 	// cur is the fold state after the last entry (cur.Epoch is the graph's
 	// epoch).
 	cur Frontier
-	// dropping is what the last FrontierAt learned on its way to an older
-	// epoch: the sources of every edge into the entries it folded, which
-	// are the edges a Rebase to that epoch drops. One fold serves both.
-	dropping struct {
-		gen     *folded
-		epoch   int
-		sources map[wlog.InstanceID]bool
-	}
 }
 
 // folded is one generation of the graph: the entries folded since its seed
-// and the edges they closed. A view pins the generation it was taken from,
-// so a Rebase never moves an ordinal under a reader.
-//
-// A Rebase that keeps most of the history drops a prefix instead of
-// refolding (dropPrefix): the next generation continues the same ordinals
-// and shares this one's entry chunks and adjacency container, and this one
-// keeps, in saved, every adjacency list the drop trimmed, as it saw it. A
-// generation's chain is the run of generations linked by next; they share
-// one adjacency container, until a drop gives the next generation a fresh
-// one.
+// and the edges out of them. A view pins the generation it was taken from,
+// so a Rebase never moves an ordinal under a reader: the next generation
+// continues the same ordinals and shares the entry chunks it keeps,
+// successor lists included.
 type folded struct {
 	lock *sync.RWMutex // the owning graph's mu
 	// base and end bound the generation's ordinals: it holds the entries
 	// base..end-1, in commit order.
 	base, end int
-	// chunks hold the entries by ordinal (entry). A generation shares
-	// every chunk it keeps with the one it replaced, so dropping a prefix
-	// copies a directory of chunk pointers, never the entries, and at most
-	// one chunk of dropped entries stays reachable.
+	// chunks hold the entries by ordinal, each with its successor list. A
+	// generation shares every chunk it keeps with the one it replaced but
+	// the one its base lies inside, which it copies from the base on: a
+	// drop copies a directory of chunk pointers and at most one chunk, and
+	// no dropped entry stays reachable.
 	chunks []*chunk
-	// adj holds every edge once, under its source. Sources are keyed by
-	// instance ID because a source may predate the generation (a
-	// frontier-seeded graph after a restore or a Rebase, a graph over a
-	// partial log) and so have no ordinal; successors were folded by
-	// definition.
-	adj map[wlog.InstanceID][]succ
-	// next is the generation a prefix drop replaced this one by, and
-	// saved the adjacency lists that drop trimmed, untrimmed: a view of
-	// this generation reads them there (list).
-	next  *folded
-	saved map[wlog.InstanceID][]succ
-	// deleted counts the sources prefix drops deleted from the adjacency
-	// container since it was built (dropPrefix).
-	deleted int
+	// beneath holds the lists of the sources the generation did not fold:
+	// the seed frontier's instances (a restore, a Rebase), and readers'
+	// writers a partial log never held. Only those still owed an edge into
+	// the generation are kept, so it is bounded by the frontier, not the
+	// window.
+	beneath map[wlog.InstanceID]adjList
 	// seed is the fold state before the first entry, from which the
 	// edge-list views re-fold.
 	seed Frontier
 }
 
-// chunkBits sizes the blocks folded entries are stored in.
+// chunkBits sizes the blocks folded entries are stored in: an entry's slot
+// in its chunk fits a byte.
 const chunkBits = 8
 
 const chunkMask = 1<<chunkBits - 1
 
-type chunk [1 << chunkBits]*wlog.Entry
+// inlineRecs is how many successor records an entry keeps in its chunk's
+// head, in 16 bits each, which holds successors up to 1<<14 ordinals away;
+// the rest of a list continues in the chunk's more. It fits nineteen lists
+// in twenty on the heal-storm workload (a mean of 3.7 records).
+const inlineRecs = 6
 
-// entry returns the entry with ordinal ord, which the generation holds.
-func (gen *folded) entry(ord int) *wlog.Entry {
-	return gen.chunks[ord>>chunkBits-gen.base>>chunkBits][ord&chunkMask]
+// chunk holds 1<<chunkBits consecutive folded entries, each entry's
+// successor list (records counted from the entry's ordinal: the head in
+// heads, the rest in more under the entry's slot), and an index of their
+// instance IDs: an open-addressed table at half load whose slots hold a hash
+// tag over the entry's slot (0 is empty).
+type chunk struct {
+	entries [1 << chunkBits]*wlog.Entry
+	heads   [1 << chunkBits][inlineRecs]uint16
+	more    map[uint8][]rec
+	ids     [2 << chunkBits]uint16
 }
 
-// push stores e at the next ordinal and returns it. Callers hold the write
-// lock (or own the generation alone).
+// idSeed keys the chunk ID indexes; all of them, so chunks move between
+// generations as they are.
+var idSeed = maphash.MakeSeed()
+
+// chunkOf returns the chunk holding ordinal ord, which the generation holds.
+func (gen *folded) chunkOf(ord int) *chunk {
+	return gen.chunks[ord>>chunkBits-gen.base>>chunkBits]
+}
+
+// entry returns the entry with ordinal ord, which the generation holds.
+func (gen *folded) entry(ord int) *wlog.Entry { return gen.chunkOf(ord).entries[ord&chunkMask] }
+
+// listAt returns the successor list of the folded entry with ordinal ord.
+func (gen *folded) listAt(ord int) adjList {
+	c := gen.chunkOf(ord)
+	return adjList{ord, c.heads[ord&chunkMask][:], c.more[uint8(ord)]}
+}
+
+// push stores e at the next ordinal, enters its ID into the chunk's index
+// and returns the ordinal. Callers hold the write lock (or own the
+// generation alone).
 func (gen *folded) push(e *wlog.Entry) int {
 	ord := gen.end
 	if ord&chunkMask == 0 {
-		gen.chunks = append(gen.chunks, new(chunk))
+		gen.chunks = append(gen.chunks, &chunk{more: make(map[uint8][]rec)})
 	}
-	gen.chunks[len(gen.chunks)-1][ord&chunkMask] = e
+	c := gen.chunks[len(gen.chunks)-1]
+	c.entries[ord&chunkMask] = e
+	h := maphash.String(idSeed, string(e.ID()))
+	for i := h; ; i++ {
+		if s := &c.ids[i%uint64(len(c.ids))]; *s == 0 {
+			*s = uint16(h>>56|0x80)<<8 | uint16(ord&chunkMask)
+			break
+		}
+	}
 	gen.end++
 	return ord
+}
+
+// from returns a copy of the chunk without its entries beneath slot: the
+// first chunk of a generation whose base lies inside it, which so lets go
+// of the dropped entries. Their IDs stay in the copied index, matching no
+// entry. The copy starts from the chunk's lists; a list that grows later
+// grows in the copy's heads or in the overflow map both share, past the
+// end of any view of the chunk.
+func (c *chunk) from(slot int) *chunk {
+	cp := *c
+	clear(cp.entries[:slot])
+	return &cp
+}
+
+// adjacency returns from's successor list: in its chunk if the generation
+// folded it (its ID found in a chunk's index, newest chunk first), else
+// beneath, where a source without one gets an empty list counted from the
+// base. Callers hold the lock.
+func (gen *folded) adjacency(from wlog.InstanceID) adjList {
+	h := maphash.String(idSeed, string(from))
+	tag := uint16(h>>56|0x80) << 8
+	for ci := len(gen.chunks) - 1; ci >= 0; ci-- {
+		c := gen.chunks[ci]
+		for i := h; c.ids[i%uint64(len(c.ids))] != 0; i++ {
+			v := c.ids[i%uint64(len(c.ids))]
+			if e := c.entries[v&0xff]; v&0xff00 == tag && e != nil && e.ID() == from {
+				return gen.listAt((gen.base>>chunkBits+ci)<<chunkBits | int(v&0xff))
+			}
+		}
+	}
+	if l, ok := gen.beneath[from]; ok {
+		return l
+	}
+	return adjList{origin: gen.base}
+}
+
+// link records the edge from → to, the ordinal being folded. Callers hold
+// the write lock (or own the generation alone).
+func (gen *folded) link(rel relation, from wlog.InstanceID, to int) {
+	l := gen.adjacency(from)
+	r := newRec(rel, l.origin, to)
+	if l.head == nil {
+		l.more = append(l.more, r)
+		gen.beneath[from] = l
+		return
+	}
+	if i := slices.Index(l.head, 0); i >= 0 && r <= math.MaxUint16 {
+		l.head[i] = uint16(r) // a later record lies further still, so order holds
+		return
+	}
+	gen.chunkOf(l.origin).more[uint8(l.origin)] = append(l.more, r)
 }
 
 // search returns the first ordinal of the generation whose entry's LSN is
 // above lsn (end if none is).
 func (gen *folded) search(lsn int) int {
 	return gen.base + sort.Search(gen.end-gen.base, func(i int) bool { return gen.entry(gen.base+i).LSN > lsn })
-}
-
-// list returns from's adjacency list as the generation saw it: trimmed by no
-// later prefix drop of its chain. Callers hold the lock.
-func (gen *folded) list(from wlog.InstanceID) []succ {
-	for g := gen; g.next != nil; g = g.next {
-		if l, ok := g.saved[from]; ok {
-			return l
-		}
-	}
-	return gen.adj[from]
 }
 
 // NewIncremental returns an IncrementalGraph subscribed to log: entries
@@ -238,9 +350,8 @@ func (ig *IncrementalGraph) Frontier() Frontier {
 // FrontierAt returns the frontier at an older epoch: the generation's seed
 // folded over its entries up to epoch, exactly what NewIncremental over the
 // log prefix ending at epoch would hold. Folded entries never change, so the
-// fold runs outside the lock and commits keep landing meanwhile. The fold
-// also finds the edges a Rebase to epoch drops, which that Rebase then
-// reuses. An epoch outside the folded range is refused.
+// fold runs outside the lock and commits keep landing meanwhile. An epoch
+// outside the folded range is refused.
 func (ig *IncrementalGraph) FrontierAt(epoch int) (Frontier, error) {
 	ig.mu.RLock()
 	gen, cur := ig.folded, ig.cur.Epoch
@@ -254,22 +365,11 @@ func (ig *IncrementalGraph) FrontierAt(epoch int) (Frontier, error) {
 		return Frontier{}, fmt.Errorf("deps: frontier at epoch %d outside the folded range %d..%d", epoch, gen.seed.Epoch, cur)
 	}
 	f := gen.seed.clone()
-	sources := view.foldTo(&f, view.search(epoch))
-	f.Epoch = epoch
-	ig.mu.Lock()
-	ig.dropping.gen, ig.dropping.epoch, ig.dropping.sources = gen, epoch, sources
-	ig.mu.Unlock()
-	return f, nil
-}
-
-// foldTo folds the generation's entries from its base up to ordinal n into
-// f and returns the sources of the edges into them.
-func (gen *folded) foldTo(f *Frontier, n int) map[wlog.InstanceID]bool {
-	sources := make(map[wlog.InstanceID]bool)
-	for ord := gen.base; ord < n; ord++ {
-		f.fold(gen.entry(ord), func(_ relation, from wlog.InstanceID, _ data.Key) { sources[from] = true })
+	for ord, n := view.base, view.search(epoch); ord < n; ord++ {
+		f.fold(view.entry(ord), func(relation, wlog.InstanceID, data.Key) {})
 	}
-	return sources
+	f.Epoch = epoch
+	return f, nil
 }
 
 // NewIncrementalFrom returns an IncrementalGraph seeded from a frontier and
@@ -285,31 +385,20 @@ func NewIncrementalFrom(log *wlog.Log, f Frontier) *IncrementalGraph {
 
 func newIncremental(f Frontier) *IncrementalGraph {
 	ig := &IncrementalGraph{cur: f.clone()}
-	ig.folded = &folded{lock: &ig.mu, adj: make(map[wlog.InstanceID][]succ), seed: f.clone()}
+	ig.folded = &folded{lock: &ig.mu, beneath: make(map[wlog.InstanceID]adjList), seed: f.clone()}
 	return ig
 }
 
 // Append folds one committed entry into the graph: O(Δ) in the entry's
-// read/write set sizes, independent of total log length. Entries must be
-// appended in LSN order (the log's OnAppend hook guarantees this).
+// read/write set sizes, each edge's source found by probing the chunk
+// indexes newest first (a recent source in the first few, one beneath the
+// base after all of them). Entries must be appended in LSN order (the log's
+// OnAppend hook guarantees this).
 func (ig *IncrementalGraph) Append(e *wlog.Entry) {
 	ig.mu.Lock()
 	defer ig.mu.Unlock()
-	ig.appendLocked(e)
-}
-
-func (ig *IncrementalGraph) appendLocked(e *wlog.Entry) {
-	to := succ(ig.push(e)) << 2
-	ig.cur.fold(e, func(rel relation, from wlog.InstanceID, _ data.Key) {
-		ig.adj[from] = append(ig.adj[from], to|succ(rel))
-	})
-}
-
-// Epoch returns the LSN of the last folded entry.
-func (ig *IncrementalGraph) Epoch() int {
-	ig.mu.RLock()
-	defer ig.mu.RUnlock()
-	return ig.cur.Epoch
+	to := ig.push(e)
+	ig.cur.fold(e, func(rel relation, from wlog.InstanceID, _ data.Key) { ig.link(rel, from, to) })
 }
 
 // Snapshot returns an immutable view of the graph at the current epoch.
@@ -324,142 +413,63 @@ func (ig *IncrementalGraph) Snapshot() *Graph {
 // Rebase forgets the folded entries at or below f.Epoch — the log prefix a
 // snapshot or a horizon covers — and continues from f, the frontier at that
 // epoch (FrontierAt, or a snapshot's), so the graph ends up exactly as
-// NewIncrementalFrom(f) over the same suffix would build it. Its cost follows
-// the smaller side of the cut: when most of the history stays (a horizon
-// trailing the head) the prefix is dropped (dropPrefix); when most goes (a
-// checkpoint at the head) the suffix is refolded into a fresh generation,
-// which releases the prefix's adjacency container. Either way the folding
-// runs outside the lock, so commits keep folding meanwhile; under it run
-// only the swap and, for a dropped prefix, the trims of the lists it names.
-// Views taken before keep reading the generation they pinned. The
-// graph may keep f as its seed, so the caller must not modify it afterwards.
-// A frontier outside the graph's folded range is refused; one at the current
-// seed is a no-op.
+// NewIncrementalFrom(f) over the same suffix would build it. It drops the
+// prefix: the next generation keeps the ordinals and the chunks from the
+// cut's on (the cut's own copied from the cut), and a dropped source's list
+// goes with its chunk unless it still names a kept successor, which moves it
+// beneath. Nothing kept is refolded, so the cost, all of it under the lock,
+// follows the dropped entries, one chunk and the lists beneath. Views taken
+// before keep reading the generation they pinned. The graph keeps f as its
+// seed, so the caller must not modify it afterwards. A frontier outside the
+// graph's folded range is refused; one at the current seed is a no-op.
 func (ig *IncrementalGraph) Rebase(f Frontier) error {
-	ig.mu.RLock()
-	gen, cur, known := ig.folded, ig.cur.Epoch, ig.dropping
-	view := *gen // the chunk directory as of now; later pushes land beyond end
-	ig.mu.RUnlock()
-	if f.Epoch < gen.seed.Epoch || f.Epoch > cur {
-		return fmt.Errorf("deps: rebase at epoch %d outside the folded range %d..%d", f.Epoch, gen.seed.Epoch, cur)
+	ig.mu.Lock()
+	defer ig.mu.Unlock()
+	gen := ig.folded
+	if f.Epoch < gen.seed.Epoch || f.Epoch > ig.cur.Epoch {
+		return fmt.Errorf("deps: rebase at epoch %d outside the folded range %d..%d", f.Epoch, gen.seed.Epoch, ig.cur.Epoch)
 	}
 	if f.Epoch == gen.seed.Epoch {
 		return nil
 	}
-	cut := view.search(f.Epoch)
-	if view.end-cut >= cut-view.base {
-		if known.gen == gen && known.epoch == f.Epoch {
-			return ig.dropPrefix(gen, cut, f, known.sources)
-		}
-		seed := gen.seed.clone()
-		sources := view.foldTo(&seed, cut)
-		seed.Epoch = f.Epoch
-		return ig.dropPrefix(gen, cut, seed, sources)
-	}
-	next := newIncremental(f)
-	next.lock = &ig.mu
-	for ord := cut; ord < view.end; ord++ {
-		next.appendLocked(view.entry(ord))
-	}
-	ig.mu.Lock()
-	defer ig.mu.Unlock()
-	if ig.folded != gen {
-		return fmt.Errorf("deps: concurrent rebase at epoch %d", f.Epoch)
-	}
-	for ord := view.end; ord < gen.end; ord++ {
-		next.appendLocked(gen.entry(ord))
-	}
-	ig.folded, ig.cur, ig.dropping = next.folded, next.cur, next.dropping
-	return nil
-}
-
-// dropPrefix replaces gen by a generation without the entries beneath
-// ordinal cut and without the edges into them, whose sources the fold of the
-// dropped entries from gen's seed found (FrontierAt, or Rebase itself). Each
-// source's records of them are a prefix of its adjacency list (records are
-// in ordinal order), which is resliced off in the shared container after gen
-// saved the list for its views. The kept entries are neither refolded nor
-// copied, and their ordinals stay. seed, the frontier at the cut, seeds the
-// next generation, which keeps it; the current frontier does not move.
-//
-// A Go map keeps the slots of deleted keys until it grows, and a map that
-// keeps losing old keys and gaining new ones grows without growing in
-// size. So once a quarter of the container's sources have been deleted
-// since it was built, the next generation gets a fresh container instead,
-// holding the same lists (the records are not copied) minus what the drop
-// trims; gen keeps the old one untouched. That copies the container's
-// headers once per quarter of it dropped: a constant per dropped entry.
-func (ig *IncrementalGraph) dropPrefix(gen *folded, cut int, seed Frontier, sources map[wlog.InstanceID]bool) error {
-	trim := func(l []succ) []succ {
-		i := 0
-		for i < len(l) && l[i].ord() < cut {
-			i++
-		}
-		return l[i:]
-	}
-
-	ig.mu.Lock()
-	defer ig.mu.Unlock()
-	if ig.folded != gen {
-		return fmt.Errorf("deps: concurrent rebase at epoch %d", seed.Epoch)
-	}
-	ig.dropping.gen, ig.dropping.sources = nil, nil
+	cut := gen.search(f.Epoch)
 	next := &folded{
 		lock:    gen.lock,
 		base:    cut,
 		end:     gen.end,
 		chunks:  slices.Clone(gen.chunks[cut>>chunkBits-gen.base>>chunkBits:]),
-		adj:     gen.adj,
-		seed:    seed,
-		deleted: gen.deleted,
+		beneath: make(map[wlog.InstanceID]adjList),
+		seed:    f,
 	}
-	if 4*gen.deleted >= len(gen.adj) {
-		next.adj, next.deleted = make(map[wlog.InstanceID][]succ, len(gen.adj)), 0
-		for from, l := range gen.adj {
-			if sources[from] {
-				l = trim(l)
-			}
-			if len(l) > 0 {
-				next.adj[from] = l
-			}
-		}
-		ig.folded = next
-		return nil
+	if cut&chunkMask != 0 {
+		next.chunks[0] = next.chunks[0].from(cut & chunkMask)
 	}
-	gen.saved = make(map[wlog.InstanceID][]succ, len(sources))
-	for from := range sources {
-		l := gen.adj[from]
-		gen.saved[from] = l
-		if l = trim(l); len(l) == 0 {
-			delete(gen.adj, from)
-			next.deleted++
-		} else {
-			gen.adj[from] = l
+	if cut == gen.end {
+		// Nothing is kept, so the fold state is f's: a copy of it also
+		// sheds what the old state's maps grew to.
+		ig.cur = f.clone()
+	}
+	keep := func(from wlog.InstanceID, l adjList) {
+		if l = l.from(cut); len(l.more) > 0 {
+			next.beneath[from] = l
 		}
 	}
-	gen.next, ig.folded = next, next
+	for from, l := range gen.beneath {
+		keep(from, l)
+	}
+	for ord := gen.base; ord < cut; ord++ {
+		keep(gen.entry(ord).ID(), gen.listAt(ord))
+	}
+	ig.folded = next
 	return nil
 }
 
-// walk invokes fn with the ordinal of every rel-successor of from before
-// ordinal n, in commit order, one call per edge (per-key multiplicity
-// preserved). Callers hold the graph's lock.
-func (gen *folded) walk(rel relation, from wlog.InstanceID, n int, fn func(ord int)) {
-	for _, s := range gen.list(from) {
-		if s.ord() >= n {
-			break // records are in commit order: nothing later qualifies
-		}
-		if s.rel() == rel {
-			fn(s.ord())
-		}
-	}
-}
-
-// succAt is walk under the read lock, delivering instance IDs.
+// succAt invokes fn with every rel-successor of from before ordinal n, under
+// the read lock.
 func (gen *folded) succAt(rel relation, from wlog.InstanceID, n int, fn func(to wlog.InstanceID)) {
 	gen.lock.RLock()
 	defer gen.lock.RUnlock()
-	gen.walk(rel, from, n, func(ord int) { fn(gen.entry(ord).ID()) })
+	gen.adjacency(from).each(rel, n, func(ord int) { fn(gen.entry(ord).ID()) })
 }
 
 // edgesAt derives the rel edge list of the entries before ordinal n by

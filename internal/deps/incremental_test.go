@@ -252,8 +252,8 @@ func TestSnapshotEpochIsolation(t *testing.T) {
 		}
 	}
 	// The live graph has moved on.
-	if g.Epoch() != len(entries) {
-		t.Fatalf("live epoch %d, want %d", g.Epoch(), len(entries))
+	if got := g.Snapshot().Epoch(); got != len(entries) {
+		t.Fatalf("live epoch %d, want %d", got, len(entries))
 	}
 }
 
@@ -424,25 +424,64 @@ func TestRebaseEqualsSeededGraph(t *testing.T) {
 	t.Run("chain", rebaseChain)
 }
 
-// pinnedView is a graph view with the edges it showed when it was taken.
+// pinnedView is a graph view with the edges it showed when it was taken, and
+// the graph a restart seeded at the view's base would build over the entries
+// it holds.
 type pinnedView struct {
 	label              string
 	g                  *deps.Graph
 	flow, anti, output []deps.Edge
+	seeded             *deps.Graph
+	held               []*wlog.Entry
 }
 
-func pin(label string, g *deps.Graph) pinnedView {
-	return pinnedView{label, g, g.Flow(), g.Anti(), g.Output()}
+func pin(label string, g, seeded *deps.Graph, held []*wlog.Entry) pinnedView {
+	return pinnedView{label, g, g.Flow(), g.Anti(), g.Output(), seeded, held}
 }
 
 // check requires the view to show the same edges and successor walks as when
-// it was taken.
+// it was taken, and to answer every query as the seeded graph does.
 func (v pinnedView) check(t *testing.T, when string) {
 	t.Helper()
 	if !reflect.DeepEqual(v.g.Flow(), v.flow) || !reflect.DeepEqual(v.g.Anti(), v.anti) || !reflect.DeepEqual(v.g.Output(), v.output) {
 		t.Fatalf("%s: the view %s changed", when, v.label)
 	}
 	checkAdjacency(t, when+": view "+v.label, v.g)
+	sameAnswers(t, when+": view "+v.label, v.g, v.seeded, v.held)
+}
+
+// sameAnswers requires got to answer as want does, for every held entry and
+// every source of an edge into one: the flow, anti and output successors, in
+// order, and the readers closure.
+func sameAnswers(t *testing.T, label string, got, want *deps.Graph, held []*wlog.Entry) {
+	t.Helper()
+	ids := make(map[wlog.InstanceID]bool, len(held))
+	for _, e := range held {
+		ids[e.ID()] = true
+	}
+	for _, edges := range [][]deps.Edge{want.Flow(), want.Anti(), want.Output()} {
+		for _, e := range edges {
+			ids[e.From] = true
+		}
+	}
+	for id := range ids {
+		for _, rel := range []struct {
+			name      string
+			got, want func(wlog.InstanceID, func(wlog.InstanceID))
+		}{
+			{"flow", got.FlowSuccessors, want.FlowSuccessors},
+			{"anti", got.AntiSuccessors, want.AntiSuccessors},
+			{"output", got.OutputSuccessors, want.OutputSuccessors},
+		} {
+			if g, w := successorsOf(rel.got, id), successorsOf(rel.want, id); !reflect.DeepEqual(g, w) {
+				t.Fatalf("%s: %s successors of %s = %v, the seeded graph's %v", label, rel.name, id, g, w)
+			}
+		}
+		seed := map[wlog.InstanceID]bool{id: true}
+		if g, w := got.ReadersClosure(seed), want.ReadersClosure(seed); !reflect.DeepEqual(g, w) {
+			t.Fatalf("%s: readers closure of %s has %d members, the seeded graph's %d", label, id, len(g), len(w))
+		}
+	}
 }
 
 // seededAt is the graph a restart builds at cut: seeded from the frontier of
@@ -485,11 +524,11 @@ func assertSameGraph(t *testing.T, label string, got, want *deps.IncrementalGrap
 
 // rebaseChain is TestRebaseEqualsSeededGraph for a horizon that trails the
 // head tick by tick: 50 small rebases, commits landing between them, each
-// leave the graph a restart seeded at its cut would build, and no view taken
-// before any of them changes — through the prefix drops that keep the
-// ordinals and share the entry chunks (crossing chunk boundaries), and
-// through the rebases that refold into a fresh generation: mid-chain, once
-// the drops outweigh what is kept, and at the head.
+// leave the graph a restart seeded at its cut would build, and every view
+// taken before any of them keeps answering as a graph seeded at its own base
+// over the entries it holds — through prefix drops that keep the ordinals
+// and share the entry chunks (crossing chunk boundaries), drops that
+// outweigh what is kept, and a drop at the head.
 func rebaseChain(t *testing.T) {
 	cfg := scenario.DefaultRandomConfig()
 	cfg.Runs = 200
@@ -515,10 +554,10 @@ func rebaseChain(t *testing.T) {
 			}
 			head = next
 			label := fmt.Sprintf("seed %d step %d", seed, step)
-			views = append(views, pin(label, g.Snapshot()))
+			seeded, _ := seededAt(t, entries, prev, head)
+			views = append(views, pin(label, g.Snapshot(), seeded.Snapshot(), entries[prev:head]))
 			// Mostly half the history is kept; now and then much less,
-			// so a drop outweighs what is kept and the graph refolds
-			// mid-chain.
+			// so a drop outweighs what is kept.
 			cut := max(prev+1, head/2)
 			if step%7 == 6 {
 				cut = prev + (head-prev)*2/3
@@ -642,10 +681,10 @@ func TestFrontierAt(t *testing.T) {
 	}
 }
 
-// TestRebaseRacesAppend (run under -race): a rebase refolds the suffix while
-// the log's commit hook keeps appending, and the graph it leaves equals one
-// seeded at the rebase epoch and fed the whole suffix — no entry appended
-// during the refold is lost or folded twice.
+// TestRebaseRacesAppend (run under -race): a rebase runs while the log's
+// commit hook keeps appending, and the graph it leaves equals one seeded at
+// the rebase epoch and fed the whole suffix — no entry appended around the
+// rebase is lost or folded twice.
 func TestRebaseRacesAppend(t *testing.T) {
 	cfg := scenario.DefaultRandomConfig()
 	cfg.Runs = 8
@@ -767,4 +806,63 @@ func TestSnapshotReadersRaceAppend(t *testing.T) {
 	if got, want := g.Snapshot().Flow(), deps.Build(s.Log()).Flow(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("flow edges after the concurrent fold differ from batch Build")
 	}
+}
+
+// TestFarSuccessors: a chunk keeps an entry's first successors in 16 bits
+// each, which reach 1<<14 ordinals; a successor further away, and every one
+// after it, is kept beyond them. The walks still deliver every edge in
+// commit order, before and after a rebase that drops the source, and
+// answer as a graph seeded at the cut does.
+func TestFarSuccessors(t *testing.T) {
+	var entries []*wlog.Entry
+	add := func(run string, read []data.Key, writer wlog.InstanceID, write data.Key) {
+		e := &wlog.Entry{LSN: len(entries) + 1, Run: run, Task: "t", Visit: 1,
+			Writes: []wlog.Write{{Key: write, Value: 1}}}
+		for _, k := range read {
+			e.Reads = append(e.Reads, wlog.Read{Key: k, ReadObs: wlog.ReadObs{Writer: string(writer)}})
+		}
+		entries = append(entries, e)
+	}
+	src := wlog.InstanceID("src/t#1")
+	add("src", nil, "", "hot")
+	add("near", []data.Key{"hot"}, src, "near")
+	for i := 0; i < 20000; i++ {
+		add(fmt.Sprintf("fill%d", i), nil, "", data.Key(fmt.Sprintf("f%d", i)))
+	}
+	for i := 0; i < 3; i++ {
+		add(fmt.Sprintf("far%d", i), []data.Key{"hot"}, src, data.Key(fmt.Sprintf("far%d", i)))
+	}
+	add("over", nil, "", "hot")
+
+	live := wlog.New()
+	g := deps.NewIncremental(live)
+	for _, e := range entries {
+		appendCopy(t, live, e)
+	}
+	snap := g.Snapshot()
+	want := []wlog.InstanceID{"near/t#1", "far0/t#1", "far1/t#1", "far2/t#1"}
+	if got := successorsOf(snap.FlowSuccessors, src); !reflect.DeepEqual(got, want) {
+		t.Fatalf("flow successors of %s = %v, want %v", src, got, want)
+	}
+	if got := successorsOf(snap.OutputSuccessors, src); !reflect.DeepEqual(got, []wlog.InstanceID{"over/t#1"}) {
+		t.Fatalf("output successors of %s = %v, want [over/t#1]", src, got)
+	}
+	if got := len(snap.ReadersClosure(map[wlog.InstanceID]bool{src: true})); got != 5 {
+		t.Fatalf("readers closure of %s has %d members, want 5", src, got)
+	}
+	checkAdjacency(t, "far successors", snap)
+
+	cut, head := 10, len(entries)
+	seeded, f := seededAt(t, entries, cut, head)
+	live.TruncateBefore(cut)
+	if err := g.Rebase(f); err != nil {
+		t.Fatal(err)
+	}
+	assertSameGraph(t, "far successors rebased", g, seeded)
+	sameAnswers(t, "far successors rebased", g.Snapshot(), seeded.Snapshot(), entries[cut:])
+	full := wlog.New()
+	for _, e := range entries {
+		appendCopy(t, full, e)
+	}
+	sameAnswers(t, "far successors, a view from before the rebase", snap, deps.Build(full), entries)
 }

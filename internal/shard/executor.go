@@ -440,8 +440,9 @@ func (x *executor) deliver(dispatch []*runState) {
 }
 
 // placeLocked picks a shard for rs per the ownership rule: zero owning
-// shards → least loaded; one owning shard → that shard (keeps overlapping
-// runs serialized); more than one → no sound placement (defer).
+// shards → least loaded, ties by the run ID's hash; one owning shard → that
+// shard (keeps overlapping runs serialized); more than one → no sound
+// placement (defer).
 func (x *executor) placeLocked(rs *runState) (int, bool) {
 	// Runs touching keys under recovery wait out the repair: their chains
 	// are being rewritten, and reading them mid-repair would commit stale
@@ -466,10 +467,22 @@ func (x *executor) placeLocked(rs *runState) (int, bool) {
 	if owner >= 0 {
 		return owner, true
 	}
-	least := 0
+	// Ties between equally loaded shards go to the first one from a shard
+	// picked by the run ID's hash, so runs arriving one at a time spread
+	// over idle shards instead of all landing on shard 0. (canAdmit asks
+	// with no run: only whether a shard exists matters there.)
+	start := 0
+	if rs.run != nil {
+		h := uint32(2166136261) // FNV-1a
+		for i := 0; i < len(rs.run.ID); i++ {
+			h = (h ^ uint32(rs.run.ID[i])) * 16777619
+		}
+		start = int(h % uint32(len(x.load)))
+	}
+	least := start
 	for i := 1; i < len(x.load); i++ {
-		if x.load[i] < x.load[least] {
-			least = i
+		if s := (start + i) % len(x.load); x.load[s] < x.load[least] {
+			least = s
 		}
 	}
 	return least, true

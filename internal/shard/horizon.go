@@ -121,7 +121,7 @@ func (s *Service) forgetLive(h durable.Horizon, auto bool) error {
 // back: every run in h.Tombs but its tombstone — the run record, the engine
 // run, the compiled spec and the wfjson document — the log prefix at or
 // below the epoch (hooks stay subscribed), and the dependence graph's prefix
-// (it resumes from h's frontier and refolds only the suffix); retain then
+// (it resumes from h's frontier and keeps the suffix it folded); retain then
 // drops every intern-table entry only the buried specs referenced. The runs
 // are buried first, so an alert that misses the truncated log finds the
 // tombstone. The runs in h.PreEpoch become the pre-epoch set repairs are
@@ -423,8 +423,9 @@ func (s *Service) runFrozen(run string) bool {
 	x := s.exec
 	x.mu.Lock()
 	rs, ok := x.runs[run]
+	retired := ok && rs.retired() // a worker retires a run under x.mu
 	x.mu.Unlock()
-	if !ok || !rs.retired() {
+	if !retired {
 		return false
 	}
 	return len(s.eng.Log().Trace(run, false)) == 0

@@ -153,6 +153,29 @@ func TestDispatcherPlacement(t *testing.T) {
 	}
 }
 
+// TestPlacementSpreadsTies: disjoint runs that arrive and finish one at a
+// time find every shard equally idle, and the tie must not go to shard 0
+// each time. 64 of them over 4 shards give every shard at least 8.
+func TestPlacementSpreadsTies(t *testing.T) {
+	eng := engine.New(data.NewStore(), wlog.New())
+	x := newExecutor(eng, newCommitter(eng, 1, 1), 4, 64, 1)
+	per := make([]int, 4)
+	for i := 0; i < 64; i++ {
+		id := fmt.Sprintf("run-%d", i)
+		if err := x.submit(id, chainSpec(id, 2, 0)); err != nil {
+			t.Fatal(err)
+		}
+		rs := x.runs[id]
+		per[rs.shard]++
+		x.finish(rs, RunDone, nil)
+	}
+	for shard, n := range per {
+		if n < 8 {
+			t.Fatalf("shard %d got %d of 64 runs placed one at a time (per shard: %v), want at least 8 each", shard, n, per)
+		}
+	}
+}
+
 // TestShardedSerializable runs a mixed workload (disjoint-key runs plus runs
 // sharing a key namespace) across 4 shards and proves the three acceptance
 // properties: the log is serializable in LSN order, the final store equals

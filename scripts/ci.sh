@@ -121,8 +121,18 @@ go test -race -count=3 -run '^(TestRestartEqualsLive|TestAlertBelowHorizon)$' ./
 # graph seeded at each cut of a chain of small rebases. Checkpoint needs no
 # WAL, and the snapshot formats of earlier commits still open.
 go test -race -count=10 -run '^(TestMemoryHeapBoundedByHorizon|TestMemoryHorizonKeepsDetectionWindow|TestMemoryHorizonTrailsEveryTick|TestMemoryHorizonRetiredStraddler|TestAlertOnForgedRunBelowHorizon|TestHorizonAtHeadEqualsSnapshot|TestHorizonAtEqualsFullScan)$' ./internal/shard/
-go test -race -count=10 -run '^(TestRebaseEqualsSeededGraph|TestRebaseCostFollowsDropped|TestRebaseRacesAppend)$' ./internal/deps/
+go test -race -count=10 -run '^(TestRebaseEqualsSeededGraph|TestRebaseCostFollowsDropped|TestRebaseRacesAppend|TestFarSuccessors|TestBytesPerResidentEntry)$' ./internal/deps/
 go test -count=1 -run '^(TestFrontierAt|TestTruncateBeforeEqualsNewAt)$' ./internal/deps/ ./internal/wlog/
+# The graph keeps each entry's successor list in the entry chunks, by
+# ordinal (docs/ARCHITECTURE.md "The dependence graph"): no container keyed
+# by instance ID holds a list per source, and the graph's heap per resident
+# entry stays under half of what that container took (the race pass above
+# skips the footprint test).
+if grep -rn --include='*.go' --exclude='*_test.go' 'map\[wlog\.InstanceID\]\[\]succ' internal/deps/; then
+    echo "graph gate: an instance-ID-keyed adjacency container in internal/deps (successor lists live in the entry chunks)" >&2
+    exit 1
+fi
+go test -count=1 -run '^TestBytesPerResidentEntry$' -v ./internal/deps/
 if grep -rn --include='*.go' --exclude='*_test.go' 'service has no durable WAL' .; then
     echo "horizon gate: a service refuses to checkpoint without a WAL (in-memory services forget too)" >&2
     exit 1
