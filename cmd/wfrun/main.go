@@ -81,8 +81,8 @@ func run(out io.Writer, specPath, attack string, corrupt data.Value, dump string
 	}
 	eng := engine.New(st, wlog.New())
 	if attack != "" {
-		task, ok := spec.Tasks[wf.TaskID(attack)]
-		if !ok {
+		task := spec.Task(wf.TaskID(attack))
+		if task == nil {
 			return fmt.Errorf("attack target %q not in workflow", attack)
 		}
 		writes := append([]data.Key(nil), task.Writes...)

@@ -134,7 +134,7 @@ func frontierAt(log *wlog.Log, run string, spec *wf.Spec) (wf.TaskID, bool) {
 		return spec.Start, false
 	}
 	last := trace[len(trace)-1]
-	task := spec.Tasks[last.Task]
+	task := spec.Task(last.Task)
 	switch {
 	case len(task.Next) == 0:
 		return "", true

@@ -112,7 +112,7 @@ func Run(cfg Config) (*Report, error) {
 		spec := specs[run]
 		task := wf.TaskID(fmt.Sprintf("t%d", rng.Intn(len(spec.Tasks))))
 		corrupt := data.Value(5000 + rng.Intn(1000))
-		writes := append([]data.Key(nil), spec.Tasks[task].Writes...)
+		writes := append([]data.Key(nil), spec.Task(task).Writes...)
 		sys.Engine().AddAttack(engine.Attack{
 			Run: run, Task: task,
 			Compute: func(map[data.Key]data.Value) map[data.Key]data.Value {

@@ -10,6 +10,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -652,5 +654,56 @@ func TestJournalSpansSegments(t *testing.T) {
 	defer n.Stop()
 	if got := n.ClusterDoc().(cluster.ClusterInfo).Applied; got != applied {
 		t.Fatalf("healed journal replays to %d, want %d", got, applied)
+	}
+}
+
+// TestForwardedAlertWaitsForForge: an alert reported on a node that holds
+// the accused forge can reach the incident leader before replication does.
+// The forward carries the reporter's applied position and the leader waits
+// for it, so the alert is admitted, not refused as naming an unknown run.
+func TestForwardedAlertWaitsForForge(t *testing.T) {
+	ids := []string{"a", "b", "c"}
+	h := startCluster(t, ids, false, nil)
+	ring := cluster.NewRing(ids)
+	stamper := ring.Stamper()
+	// The run's leader is not the stamper, so it learns of the forge only
+	// by replication.
+	run := "victim"
+	for i := 0; ring.OwnerOfRun(run) == stamper; i++ {
+		run = fmt.Sprintf("victim%d", i)
+	}
+	leader := ring.OwnerOfRun(run)
+	damaged := keysByOwner(ids, 1)[stamper][0]
+	entry := h.nodes[stamper]
+	if err := entry.SubmitRunSpec(run, chainSpec([]string{damaged}, 5)); err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	waitRunDone(t, entry, run, 10*time.Second)
+	h.waitIdle(stamper, 10*time.Second)
+	clean := entry.StoreSnapshot()[damaged]
+
+	var once sync.Once
+	hold := holdReplication(h, leader)
+	release := func() { once.Do(hold) }
+	defer release()
+	inst, err := entry.InjectForged(run, "evil", nil, map[string]int64{damaged: 999})
+	if err != nil {
+		t.Fatalf("forge: %v", err)
+	}
+	if slices.Contains(h.nodes[leader].Trace(run), inst) {
+		t.Fatal("the leader applied the forge while replication to it was held")
+	}
+	time.AfterFunc(300*time.Millisecond, release)
+	admitted, _, err := entry.ReportAlerts([]triage.Alert{{Bad: []wlog.InstanceID{inst}}})
+	if err != nil {
+		t.Fatalf("alert forwarded ahead of the forge: %v", err)
+	}
+	if admitted != 1 {
+		t.Fatalf("%d alerts admitted, want 1", admitted)
+	}
+	h.waitIdle(stamper, 10*time.Second)
+	h.assertStoresIdentical()
+	if got := h.nodes[leader].StoreSnapshot()[damaged]; got != clean {
+		t.Errorf("%s = %d after the incident its alert opened, want the clean %d", damaged, got, clean)
 	}
 }

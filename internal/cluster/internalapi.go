@@ -144,6 +144,9 @@ type releaseReq struct {
 
 type alertForwardReq struct {
 	Bad []string `json:"bad"`
+	// After is the forwarder's applied seq: it holds every accused
+	// instance, and the leader waits to hold them too before it refuses.
+	After int `json:"after,omitempty"`
 }
 
 type alertForwardResp struct {
@@ -482,6 +485,10 @@ func (n *Node) handleAlertForward(w http.ResponseWriter, r *http.Request) {
 		}
 		bad[i] = wlog.InstanceID(s)
 	}
+	// The forwarder found every instance on its replica; this one may not
+	// have applied them yet. A failed wait (the forwarder gave up) leaves
+	// the checks below to answer from what is here.
+	_ = n.rep.WaitApplied(r.Context(), req.After)
 	for _, id := range bad {
 		if err := n.checkAlertInstance(id); err != nil {
 			writeMappedErr(w, err)
@@ -697,9 +704,9 @@ func (c *peerClient) release(addr string, keys []string, after int) error {
 	return c.call(c.short, http.MethodPost, addr, "/internal/v1/release", releaseReq{Keys: keys, After: after}, nil)
 }
 
-func (c *peerClient) forwardAlert(addr string, bad []string) (int, int, error) {
+func (c *peerClient) forwardAlert(addr string, bad []string, after int) (int, int, error) {
 	var resp alertForwardResp
-	err := c.call(c.short, http.MethodPost, addr, "/internal/v1/alerts", alertForwardReq{Bad: bad}, &resp)
+	err := c.call(c.short, http.MethodPost, addr, "/internal/v1/alerts", alertForwardReq{Bad: bad, After: after}, &resp)
 	if err != nil {
 		return 0, 0, err
 	}

@@ -406,7 +406,7 @@ func (n *Node) runLoop(run string) {
 		if spec == nil {
 			return
 		}
-		task := spec.Tasks[cur]
+		task := spec.Task(cur)
 		if task == nil {
 			return
 		}
@@ -476,7 +476,7 @@ func (n *Node) speculate(run string, spec *wf.Spec, cur wf.TaskID, visit int, vi
 	overlay := make(map[string]ReadObsJSON)
 	batch := make([]*EntryJSON, 0, window)
 	for len(batch) < window {
-		task := spec.Tasks[cur]
+		task := spec.Task(cur)
 		if task == nil || n.gateBlocked(task) {
 			break
 		}
@@ -495,19 +495,10 @@ func (n *Node) speculate(run string, spec *wf.Spec, cur wf.TaskID, visit int, vi
 			vals[k] = data.Value(o.Value)
 		}
 		written := make(map[string]int64, len(task.Writes))
-		if task.Compute != nil {
-			out := task.Compute(vals)
-			for _, k := range task.Writes {
-				written[string(k)] = int64(out[k])
-			}
-		} else {
-			for _, k := range task.Writes {
-				written[string(k)] = 0
-			}
-		}
+		next := task.Eval(vals, func(k data.Key, v data.Value) { written[string(k)] = int64(v) })
 		chosen := ""
 		if len(task.Next) > 1 {
-			chosen = string(task.Choose(vals))
+			chosen = string(next)
 		}
 		batch = append(batch, &EntryJSON{
 			Run:    run,
@@ -522,14 +513,10 @@ func (n *Node) speculate(run string, spec *wf.Spec, cur wf.TaskID, visit int, vi
 			overlay[k] = ReadObsJSON{Value: v, Writer: string(inst)}
 		}
 		visits.set(cur, visit)
-		if len(task.Next) == 0 {
+		if next == "" {
 			break // the run completes inside this window
 		}
-		if len(task.Next) == 1 {
-			cur = task.Next[0]
-		} else {
-			cur = wf.TaskID(chosen)
-		}
+		cur = next
 		visit = visits.get(cur) + 1
 	}
 	return batch
@@ -781,7 +768,7 @@ func (n *Node) ReportAlerts(alerts []triage.Alert) (admitted, dropped int, err e
 			continue
 		}
 		n.o.proxied("alerts")
-		ad, dr, ferr := n.client.forwardAlert(n.peerAddr(leader), instanceStrings(a.Bad))
+		ad, dr, ferr := n.client.forwardAlert(n.peerAddr(leader), instanceStrings(a.Bad), n.rep.Applied())
 		if ferr != nil {
 			var ae *apiError
 			if errors.As(ferr, &ae) {

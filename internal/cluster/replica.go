@@ -111,7 +111,7 @@ type replica struct {
 	active map[string]struct{}
 	// tab is this replica's intern table: every spec compiled here (applied,
 	// speculated at admission, or validated by the stamper) shares its
-	// strings, lists, compute bodies and footprint with the other runs'.
+	// strings, lists and footprint with the other runs'.
 	tab *wf.Interner
 
 	// tombs holds the runs retired beneath the horizon: all a checkpoint
@@ -306,7 +306,7 @@ func (r *replica) applyEntry(rec *Record) error {
 			return fmt.Errorf("cluster: record %d: entry for unregistered run %s", rec.Seq, e.Run)
 		}
 		spec := r.specs[e.Run]
-		if task = spec.Tasks[e.Task]; task == nil {
+		if task = spec.Task(e.Task); task == nil {
 			return fmt.Errorf("cluster: record %d: run %s has no task %s", rec.Seq, e.Run, e.Task)
 		}
 		internEntry(e, spec, task)

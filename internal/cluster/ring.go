@@ -94,7 +94,7 @@ func (r *Ring) OwnerOfRun(run string) string {
 // Tying execution to data ownership is what makes a multi-task workflow's
 // control token hop between nodes.
 func (r *Ring) OwnerOfTask(run string, spec *wf.Spec, task wf.TaskID) string {
-	t := spec.Tasks[task]
+	t := spec.Task(task)
 	if t == nil || len(t.Writes) == 0 {
 		return r.OwnerOfRun(run)
 	}

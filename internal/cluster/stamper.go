@@ -260,7 +260,7 @@ func (s *stamper) validateEntryLocked(ej *EntryJSON) (SubmitResult, bool) {
 	if spec == nil {
 		return SubmitResult{Status: SubStale, Seq: rep.Applied(), Reason: "unknown run"}, false
 	}
-	task := spec.Tasks[wf.TaskID(ej.Task)]
+	task := spec.Task(wf.TaskID(ej.Task))
 	if task == nil {
 		return SubmitResult{Status: SubStale, Seq: rep.Applied(), Reason: "unknown task"}, false
 	}

@@ -186,8 +186,8 @@ func PotentialFlowFromUnexecuted(log *wlog.Log, spec *wf.Spec, tk wf.TaskID) []w
 // PotentialFlowFromUnexecutedAt is PotentialFlowFromUnexecuted restricted to
 // entries with LSN ≤ maxLSN.
 func PotentialFlowFromUnexecutedAt(log *wlog.Log, spec *wf.Spec, tk wf.TaskID, maxLSN int) []wlog.InstanceID {
-	task, ok := spec.Tasks[tk]
-	if !ok {
+	task := spec.Task(tk)
+	if task == nil {
 		return nil
 	}
 	writes := make(map[data.Key]bool, len(task.Writes))

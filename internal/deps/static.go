@@ -49,7 +49,8 @@ func StaticOutput(s *wf.Spec) []StaticEdge {
 // if key is in its dstSet — it is the first to touch the key again).
 func staticReach(s *wf.Spec, srcSet, dstSet func(*wf.Task) []data.Key) []StaticEdge {
 	var out []StaticEdge
-	for fromID, from := range s.Tasks {
+	for i := range s.Tasks {
+		from := &s.Tasks[i]
 		for _, key := range srcSet(from) {
 			// BFS from from's successors; interior writers of key mask
 			// further propagation.
@@ -62,9 +63,9 @@ func staticReach(s *wf.Spec, srcSet, dstSet func(*wf.Task) []data.Key) []StaticE
 					continue
 				}
 				seen[cur] = true
-				task := s.Tasks[cur]
+				task := s.Task(cur)
 				if containsKeyIn(dstSet(task), key) {
-					out = append(out, StaticEdge{From: fromID, To: cur, Key: key})
+					out = append(out, StaticEdge{From: from.ID, To: cur, Key: key})
 				}
 				if containsKeyIn(task.Writes, key) {
 					continue // masked beyond this writer

@@ -26,13 +26,8 @@ func Workflow(s *wf.Spec) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "digraph %s {\n", quote(s.Name))
 	sb.WriteString("  rankdir=LR;\n")
-	ids := make([]string, 0, len(s.Tasks))
-	for id := range s.Tasks {
-		ids = append(ids, string(id))
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		t := s.Tasks[wf.TaskID(id)]
+	for _, t := range s.Tasks {
+		id := string(t.ID)
 		attrs := []string{fmt.Sprintf("label=%s", quote(id))}
 		switch {
 		case len(t.Next) > 1:
@@ -47,9 +42,9 @@ func Workflow(s *wf.Spec) string {
 		}
 		fmt.Fprintf(&sb, "  %s [%s];\n", quote(id), strings.Join(attrs, ", "))
 	}
-	for _, id := range ids {
-		for _, n := range s.Tasks[wf.TaskID(id)].Next {
-			fmt.Fprintf(&sb, "  %s -> %s;\n", quote(id), quote(string(n)))
+	for _, t := range s.Tasks {
+		for _, n := range t.Next {
+			fmt.Fprintf(&sb, "  %s -> %s;\n", quote(string(t.ID)), quote(string(n)))
 		}
 	}
 	sb.WriteString("}\n")

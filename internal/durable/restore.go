@@ -285,8 +285,8 @@ func foldEntry(st *State, e *wlog.Entry) error {
 	}
 	if !e.Forged {
 		spec := st.Workflows[e.Run]
-		task, ok := spec.Tasks[e.Task]
-		if !ok {
+		task := spec.Task(e.Task)
+		if task == nil {
 			return fmt.Errorf("durable: entry %s names task outside its spec", e.ID())
 		}
 		switch {

@@ -21,6 +21,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -222,7 +223,7 @@ func (e *Engine) RestoreRun(id string, spec *wf.Spec, cur wf.TaskID, visits map[
 		return nil, err
 	}
 	if !done && !failed {
-		if _, ok := spec.Tasks[cur]; !ok {
+		if spec.Task(cur) == nil {
 			return nil, fmt.Errorf("engine: restore of %s at unknown task %q", id, cur)
 		}
 	}
@@ -242,7 +243,7 @@ func (e *Engine) RestoreRun(id string, spec *wf.Spec, cur wf.TaskID, visits map[
 // next visit number.
 func (e *Engine) Resync(r *Run, cur wf.TaskID, done bool) error {
 	if !done {
-		if _, ok := r.Spec.Tasks[cur]; !ok {
+		if r.Spec.Task(cur) == nil {
 			return fmt.Errorf("engine: resync of %s to unknown task %q", r.ID, cur)
 		}
 	}
@@ -285,7 +286,7 @@ func (e *Engine) Prepare(r *Run) (*Prepared, error) {
 	if r.done {
 		return nil, nil
 	}
-	task := r.Spec.Tasks[r.cur]
+	task := r.Spec.Task(r.cur)
 	visit := r.visit(r.cur)
 	*visit++
 	entry := &wlog.Entry{Run: r.ID, Task: r.cur, Visit: *visit}
@@ -304,44 +305,38 @@ func (e *Engine) Prepare(r *Run) (*Prepared, error) {
 	var reads map[data.Key]data.Value
 	entry.Reads, reads = observe(e.Store(), task.Reads)
 
-	compute := task.Compute
-	if attack != nil && attack.Compute != nil {
-		compute = attack.Compute
-	}
-	var out map[data.Key]data.Value // nil: every write is zero
-	if compute != nil {
-		out = compute(reads)
+	if attack != nil && (attack.Compute != nil || attack.Choose != nil) {
+		forged := *task
+		if attack.Compute != nil {
+			forged.Compute = attack.Compute
+		}
+		if attack.Choose != nil {
+			forged.Choose = attack.Choose
+		}
+		task = &forged
 	}
 	if len(task.Writes) > 0 {
 		entry.Writes = make([]wlog.Write, 0, len(task.Writes))
 	}
-	for _, k := range task.Writes {
-		if _, dup := entry.Wrote(k); !dup {
-			entry.Writes = append(entry.Writes, wlog.Write{Key: k, Value: out[k]})
+	next := task.Eval(reads, func(k data.Key, v data.Value) {
+		for i := range entry.Writes {
+			if entry.Writes[i].Key == k { // a key listed twice keeps its last value
+				entry.Writes[i].Value = v
+				return
+			}
 		}
-	}
+		entry.Writes = append(entry.Writes, wlog.Write{Key: k, Value: v})
+	})
 	// Each key once, so all that is left to establish is the key order.
 	if err := entry.Normalize(); err != nil {
 		return nil, err
 	}
-	p := &Prepared{run: r, entry: entry}
-
-	// Branch selection for choice nodes.
-	switch {
-	case len(task.Next) == 0:
-		p.done = true
-	case len(task.Next) == 1:
-		p.next = task.Next[0]
-	default:
-		choose := task.Choose
-		if attack != nil && attack.Choose != nil {
-			choose = attack.Choose
+	p := &Prepared{run: r, entry: entry, next: next, done: len(task.Next) == 0}
+	if len(task.Next) > 1 {
+		if !slices.Contains(task.Next, next) {
+			return nil, fmt.Errorf("engine: %s chose invalid successor %q", inst, next)
 		}
-		p.next = choose(reads)
-		if !validNext(task, p.next) {
-			return nil, fmt.Errorf("engine: %s chose invalid successor %q", inst, p.next)
-		}
-		entry.Chosen = p.next
+		entry.Chosen = next
 	}
 	return p, nil
 }
@@ -445,15 +440,6 @@ func (e *Engine) observeStep(start time.Time) {
 	e.o.stepSeconds.Observe(time.Since(start).Seconds())
 }
 
-func validNext(task *wf.Task, next wf.TaskID) bool {
-	for _, n := range task.Next {
-		if n == next {
-			return true
-		}
-	}
-	return false
-}
-
 // ResumeRuns reconstructs the in-flight runs of a (reloaded) log: for every
 // run recorded in the engine's log that has a spec, a Run positioned at its
 // committed frontier is returned — complete runs come back Done. Together
@@ -483,7 +469,7 @@ func (e *Engine) ResumeRuns(specs map[string]*wf.Spec) ([]*Run, error) {
 			continue
 		}
 		last := trace[len(trace)-1]
-		task := spec.Tasks[last.Task]
+		task := spec.Task(last.Task)
 		var cur wf.TaskID
 		done := false
 		switch {

@@ -322,8 +322,8 @@ func TestInjectForged(t *testing.T) {
 
 func TestNewRunRejectsInvalid(t *testing.T) {
 	eng := engine.New(data.NewStore(), wlog.New())
-	bad := &wf.Spec{Name: "x", Start: "nope", Tasks: map[wf.TaskID]*wf.Task{
-		"t": {ID: "t"},
+	bad := &wf.Spec{Name: "x", Start: "nope", Tasks: []wf.Task{
+		{ID: "t"},
 	}}
 	if _, err := eng.NewRun("r", bad); err == nil {
 		t.Error("invalid spec accepted")

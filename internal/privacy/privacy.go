@@ -38,11 +38,11 @@ func Project(s *wf.Spec) *wf.Spec {
 	out := &wf.Spec{
 		Name:  s.Name,
 		Start: s.Start,
-		Tasks: make(map[wf.TaskID]*wf.Task, len(s.Tasks)),
+		Tasks: make([]wf.Task, len(s.Tasks)),
 	}
-	for id, t := range s.Tasks {
-		id, t := id, t
-		nt := &wf.Task{
+	for i, t := range s.Tasks {
+		id := t.ID
+		out.Tasks[i] = wf.Task{
 			ID:     id,
 			Next:   append([]wf.TaskID(nil), t.Next...),
 			Reads:  append([]data.Key(nil), t.Reads...),
@@ -52,11 +52,10 @@ func Project(s *wf.Spec) *wf.Spec {
 			},
 		}
 		if len(t.Next) > 1 {
-			nt.Choose = func(map[data.Key]data.Value) wf.TaskID {
+			out.Tasks[i].Choose = func(map[data.Key]data.Value) wf.TaskID {
 				panic(&ErrOpaque{Spec: s.Name, Task: id})
 			}
 		}
-		out.Tasks[id] = nt
 	}
 	return out
 }

@@ -27,8 +27,8 @@ func TestProjectionPreservesStructure(t *testing.T) {
 	if p.Start != wf1.Start || len(p.Tasks) != len(wf1.Tasks) {
 		t.Fatal("projection changed the graph skeleton")
 	}
-	for id, orig := range wf1.Tasks {
-		proj := p.Tasks[id]
+	for i, orig := range wf1.Tasks {
+		id, proj := orig.ID, p.Tasks[i]
 		if !reflect.DeepEqual(proj.Next, orig.Next) {
 			t.Errorf("%s: edges differ", id)
 		}
@@ -45,8 +45,8 @@ func TestProjectionPreservesStructure(t *testing.T) {
 func TestProjectionIsolatedFromOriginal(t *testing.T) {
 	wf1, _ := wf.Fig1Specs()
 	p := privacy.Project(wf1)
-	p.Tasks["t1"].Next[0] = "t6"
-	if wf1.Tasks["t1"].Next[0] != "t2" {
+	p.Task("t1").Next[0] = "t6"
+	if wf1.Task("t1").Next[0] != "t2" {
 		t.Error("projection shares edge slices with the original")
 	}
 }

@@ -318,7 +318,7 @@ func (res *Result) Frontiers(specs map[string]*wf.Spec) map[string]RunFrontier {
 // frontierAfter is a run's frontier once last, its latest non-undo action,
 // has executed.
 func frontierAfter(last *Action, spec *wf.Spec) (cur wf.TaskID, done bool) {
-	if len(spec.Tasks[last.Task].Next) == 0 {
+	if len(spec.Task(last.Task).Next) == 0 {
 		return "", true
 	}
 	return last.Next, false
@@ -531,7 +531,7 @@ func newWalker(run string, spec *wf.Spec, log *wlog.Log, opts Options) *walker {
 		return w
 	}
 	lastTask := trace[len(trace)-1].Task
-	w.complete = len(spec.Tasks[lastTask].Next) == 0
+	w.complete = len(spec.Task(lastTask).Next) == 0
 	return w
 }
 
@@ -573,7 +573,7 @@ func (w *walker) step(st *data.Store, log *wlog.Log, undo map[wlog.InstanceID]bo
 	entry, matched := w.remaining[key]
 	repositioned := matched && float64(entry.LSN) <= w.prevEpos
 
-	task := w.spec.Tasks[w.cur]
+	task := w.spec.Task(w.cur)
 	w.visits[w.cur] = key.visit
 	inst := wlog.FormatInstance(w.run, w.cur, key.visit)
 
@@ -615,15 +615,7 @@ func (w *walker) step(st *data.Store, log *wlog.Log, undo map[wlog.InstanceID]bo
 			// a decision that no longer matches the recorded one means
 			// the instance is damage (it will be redone next
 			// iteration), and the walk must follow the corrected path.
-			reads := make(map[data.Key]data.Value, len(task.Reads))
-			for _, k := range task.Reads {
-				if v, ok := st.GetBefore(k, epos); ok {
-					reads[k] = v.Value
-				} else {
-					reads[k] = 0
-				}
-			}
-			next = task.Choose(reads)
+			next = task.Successor(readsBefore(st, task.Reads, epos))
 			if !containsID(task.Next, next) {
 				return fmt.Errorf("recovery: %s re-derived invalid successor %q", inst, next)
 			}
@@ -637,36 +629,13 @@ func (w *walker) step(st *data.Store, log *wlog.Log, undo map[wlog.InstanceID]bo
 	default:
 		// REDO at the original position, or an inserted execution
 		// (new-path instance, or a repositioned original).
-		reads := make(map[data.Key]data.Value, len(task.Reads))
-		for _, k := range task.Reads {
-			if v, ok := st.GetBefore(k, epos); ok {
-				reads[k] = v.Value
-			} else {
-				reads[k] = 0
-			}
-		}
 		written := make(map[data.Key]data.Value, len(task.Writes))
-		if task.Compute != nil {
-			out := task.Compute(reads)
-			for _, k := range task.Writes {
-				written[k] = out[k]
-			}
-		} else {
-			for _, k := range task.Writes {
-				written[k] = 0
-			}
-		}
+		next = task.Eval(readsBefore(st, task.Reads, epos), func(k data.Key, v data.Value) { written[k] = v })
 		for k, v := range written {
 			st.Write(k, v, epos, string(inst), true)
 		}
-		switch {
-		case len(task.Next) == 1:
-			next = task.Next[0]
-		case len(task.Next) > 1:
-			next = task.Choose(reads)
-			if !containsID(task.Next, next) {
-				return fmt.Errorf("recovery: %s redo chose invalid successor %q", inst, next)
-			}
+		if len(task.Next) > 1 && !containsID(task.Next, next) {
+			return fmt.Errorf("recovery: %s redo chose invalid successor %q", inst, next)
 		}
 		kind := ActRedo
 		if !matched {
@@ -727,6 +696,17 @@ func (w *walker) verifyKept(st *data.Store, e *wlog.Entry) bool {
 		}
 	}
 	return true
+}
+
+// readsBefore is the value view of keys at position epos: the latest
+// version of each before epos, or 0 where there is none.
+func readsBefore(st *data.Store, keys []data.Key, epos float64) map[data.Key]data.Value {
+	reads := make(map[data.Key]data.Value, len(keys))
+	for _, k := range keys {
+		v, _ := st.GetBefore(k, epos)
+		reads[k] = v.Value
+	}
+	return reads
 }
 
 func containsID(ids []wf.TaskID, id wf.TaskID) bool {

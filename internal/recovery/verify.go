@@ -83,31 +83,13 @@ func VerifyResult(res *Result, log *wlog.Log, specs map[string]*wf.Spec) []error
 					"spec: run %s action %d is %s, expected %s", run, i, a.Task, cur))
 				break
 			}
-			task := spec.Tasks[a.Task]
-
-			// Reconstruct the reads visible at the action's position.
-			reads := make(map[data.Key]data.Value, len(task.Reads))
-			for _, k := range task.Reads {
-				if v, ok := st.GetBefore(k, a.Epos); ok {
-					reads[k] = v.Value
-				} else {
-					reads[k] = 0
-				}
-			}
+			task := spec.Task(a.Task)
 
 			// Value check: stored versions must equal the benign
-			// recomputation.
+			// recomputation over the reads visible at the action's
+			// position.
 			want := make(map[data.Key]data.Value, len(task.Writes))
-			if task.Compute != nil {
-				out := task.Compute(reads)
-				for _, k := range task.Writes {
-					want[k] = out[k]
-				}
-			} else {
-				for _, k := range task.Writes {
-					want[k] = 0
-				}
-			}
+			next := task.Eval(readsBefore(st, task.Reads, a.Epos), func(k data.Key, v data.Value) { want[k] = v })
 			// The instance's versions: a redo writes the task's declared
 			// keys, a kept instance the keys its log entry lists.
 			keys := task.Writes
@@ -136,26 +118,18 @@ func VerifyResult(res *Result, log *wlog.Log, specs map[string]*wf.Spec) []error
 			}
 
 			// Successor check.
-			var next wf.TaskID
-			switch {
-			case len(task.Next) == 0:
-				if i != len(actions)-1 {
-					errs = append(errs, fmt.Errorf(
-						"spec: run %s continues past end node %s", run, a.Task))
-				}
-			case len(task.Next) == 1:
-				next = task.Next[0]
-			default:
-				next = task.Choose(reads)
+			if len(task.Next) == 0 && i != len(actions)-1 {
+				errs = append(errs, fmt.Errorf(
+					"spec: run %s continues past end node %s", run, a.Task))
 			}
 			cur = next
 		}
 		// An originally complete run must be complete after repair.
 		if trace := log.Trace(run, false); len(trace) > 0 {
 			lastTask := trace[len(trace)-1].Task
-			if len(spec.Tasks[lastTask].Next) == 0 && len(actions) > 0 {
+			if len(spec.Task(lastTask).Next) == 0 && len(actions) > 0 {
 				finalTask := actions[len(actions)-1].Task
-				if len(spec.Tasks[finalTask].Next) != 0 {
+				if len(spec.Task(finalTask).Next) != 0 {
 					errs = append(errs, fmt.Errorf(
 						"spec: run %s was complete before repair but corrected history ends mid-workflow at %s", run, finalTask))
 				}

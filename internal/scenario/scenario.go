@@ -145,7 +145,7 @@ func Random(seed int64, cfg RandomConfig, attack bool) (*Scenario, error) {
 				Task: h.task,
 				Compute: func(map[data.Key]data.Value) map[data.Key]data.Value {
 					out := make(map[data.Key]data.Value)
-					for _, k := range specs[h.run].Tasks[h.task].Writes {
+					for _, k := range specs[h.run].Task(h.task).Writes {
 						out[k] = corrupt
 					}
 					return out

@@ -84,8 +84,8 @@ func TestRandomCleanTwinAlignment(t *testing.T) {
 			if len(sa.Tasks) != len(sc.Tasks) {
 				t.Fatalf("seed %d run %s: task counts differ", seed, run)
 			}
-			for id, ta := range sa.Tasks {
-				tc := sc.Tasks[id]
+			for _, ta := range sa.Tasks {
+				id, tc := ta.ID, sc.Task(ta.ID)
 				if tc == nil || len(ta.Next) != len(tc.Next) {
 					t.Fatalf("seed %d run %s task %s: structure differs", seed, run, id)
 				}

@@ -3,7 +3,6 @@ package selfheal_test
 import (
 	"context"
 	"math/rand"
-	"sort"
 	"testing"
 
 	"selfheal/internal/data"
@@ -48,7 +47,7 @@ func TestPropertyRuntimeMidRunRecovery(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		writes := append([]data.Key(nil), spec.Tasks[target].Writes...)
+		writes := append([]data.Key(nil), spec.Task(target).Writes...)
 		sys.Engine().AddAttack(engine.Attack{
 			Run: "r", Task: target,
 			Compute: func(map[data.Key]data.Value) map[data.Key]data.Value {
@@ -107,11 +106,6 @@ func buildRandomWorkloadFixed(seed int64) (*wf.Spec, map[data.Key]data.Value, wf
 	for i := 0; i < cfg.Keys; i++ {
 		init[wf.GenKey(i)] = data.Value(rng.Intn(20))
 	}
-	ids := make([]wf.TaskID, 0, len(spec.Tasks))
-	for id := range spec.Tasks {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	target := ids[rng.Intn(len(ids))]
+	target := spec.Tasks[rng.Intn(len(spec.Tasks))].ID
 	return spec, init, target
 }

@@ -256,7 +256,7 @@ func TestShardedSerializable(t *testing.T) {
 // status codes.
 func TestSubmitAndLookupErrors(t *testing.T) {
 	svc := startService(t, Config{Shards: 2})
-	bad := &wf.Spec{Name: "bad", Start: "missing", Tasks: map[wf.TaskID]*wf.Task{}}
+	bad := &wf.Spec{Name: "bad", Start: "missing", Tasks: nil}
 	if err := svc.SubmitRun("r", bad); !errors.Is(err, engine.ErrBadSpec) {
 		t.Fatalf("bad spec: err = %v, want ErrBadSpec", err)
 	}

@@ -8,12 +8,12 @@ import (
 )
 
 // A Blueprint is a fully serializable workflow description: every task body
-// is a sum-plus-bias compute (SumCompute) and every choice is a threshold
-// branch (ThresholdChoose), so the whole workflow round-trips through the
-// wfjson wire format without loss. GenerateBlueprint produces randomized
-// blueprints for the stateful API fuzzer (internal/fuzz), which must submit
-// the exact document it can later replay — a bare *Spec with closure task
-// bodies has no serializable form.
+// is a sum-plus-bias compute and every choice is a threshold branch (both
+// data in the compiled Task.Body), so the whole workflow round-trips
+// through the wfjson wire format without loss. GenerateBlueprint produces
+// randomized blueprints for the stateful API fuzzer (internal/fuzz), which
+// must submit the exact document it can later replay — a bare *Spec with
+// closure task bodies has no serializable form.
 type Blueprint struct {
 	// Name identifies the workflow.
 	Name string `json:"name"`
@@ -32,15 +32,15 @@ type BlueprintTask struct {
 	Next   []TaskID   `json:"next,omitempty"`
 	Reads  []data.Key `json:"reads,omitempty"`
 	Writes []data.Key `json:"writes,omitempty"`
-	// Bias is the constant added to the sum of reads (SumCompute).
+	// Bias is the constant added to the sum of reads (Body.Sum).
 	Bias data.Value `json:"bias,omitempty"`
 	// Choose declares the threshold branch of a two-successor choice node;
 	// nil for non-choice tasks.
 	Choose *BlueprintChoose `json:"choose,omitempty"`
 }
 
-// BlueprintChoose is a serializable ThresholdChoose: pick Low when the value
-// of Key is below Threshold, High otherwise.
+// BlueprintChoose is a serializable threshold branch (Task.BranchOn): pick
+// Low when the value of Key is below Threshold, High otherwise.
 type BlueprintChoose struct {
 	Key       data.Key   `json:"key"`
 	Threshold data.Value `json:"threshold"`
@@ -49,31 +49,27 @@ type BlueprintChoose struct {
 }
 
 // Spec compiles the blueprint into an executable, validated specification.
-// The compilation uses exactly the primitives the wfjson decoder uses
-// (SumCompute, ThresholdChoose), so a blueprint submitted over the wire and
-// a blueprint compiled locally execute identically.
+// The compilation yields exactly the task data the wfjson decoder yields
+// (Task.Body), so a blueprint submitted over the wire and a
+// blueprint compiled locally execute identically.
 func (b *Blueprint) Spec() (*Spec, error) {
-	spec := &Spec{
-		Name:  b.Name,
-		Start: b.Start,
-		Tasks: make(map[TaskID]*Task, len(b.Tasks)),
-	}
-	for _, bt := range b.Tasks {
-		t := &Task{
+	spec := &Spec{Name: b.Name, Start: b.Start, Tasks: make([]Task, len(b.Tasks))}
+	for i, bt := range b.Tasks {
+		t := &spec.Tasks[i]
+		*t = Task{
 			ID:     bt.ID,
 			Next:   append([]TaskID(nil), bt.Next...),
 			Reads:  append([]data.Key(nil), bt.Reads...),
 			Writes: append([]data.Key(nil), bt.Writes...),
+			Body:   Body{Sum: true, Bias: bt.Bias},
 		}
-		t.Compute = SumCompute(bt.Bias, t.Writes...)
 		if c := bt.Choose; c != nil {
-			t.Choose = ThresholdChoose(c.Key, c.Threshold, c.Low, c.High)
+			if err := t.BranchOn(c.Key, c.Threshold, c.Low, c.High); err != nil {
+				return nil, fmt.Errorf("wf: blueprint %s: %w", b.Name, err)
+			}
 		}
-		if _, dup := spec.Tasks[t.ID]; dup {
-			return nil, fmt.Errorf("wf: blueprint %s: duplicate task %q", b.Name, bt.ID)
-		}
-		spec.Tasks[t.ID] = t
 	}
+	SortTasks(spec.Tasks)
 	if err := spec.Validate(); err != nil {
 		return nil, err
 	}

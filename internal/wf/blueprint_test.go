@@ -28,9 +28,9 @@ func TestGenerateBlueprintAlwaysValid(t *testing.T) {
 		if len(spec.Tasks) != cfg.Tasks {
 			t.Fatalf("seed %d: %d tasks, want %d", seed, len(spec.Tasks), cfg.Tasks)
 		}
-		for id, task := range spec.Tasks {
+		for _, task := range spec.Tasks {
 			if len(task.Next) > 2 {
-				t.Fatalf("seed %d: task %s has %d successors", seed, id, len(task.Next))
+				t.Fatalf("seed %d: task %s has %d successors", seed, task.ID, len(task.Next))
 			}
 		}
 	}
@@ -101,24 +101,20 @@ func runBlueprintSpec(t *testing.T, store *data.Store, spec *Spec) {
 		if steps > 10*len(spec.Tasks) {
 			t.Fatal("blueprint execution does not terminate")
 		}
-		task := spec.Tasks[cur]
+		task := spec.Task(cur)
 		reads := make(map[data.Key]data.Value, len(task.Reads))
 		for _, k := range task.Reads {
 			if ver, ok := store.Get(k); ok {
 				reads[k] = ver.Value
 			}
 		}
-		for k, v := range task.Compute(reads) {
+		next := task.Eval(reads, func(k data.Key, v data.Value) {
 			store.Write(k, v, pos, string(cur), false)
 			pos++
-		}
-		switch {
-		case len(task.Next) == 0:
+		})
+		if next == "" {
 			return
-		case task.Choose != nil:
-			cur = task.Choose(reads)
-		default:
-			cur = task.Next[0]
 		}
+		cur = next
 	}
 }

@@ -7,8 +7,8 @@ import (
 )
 
 // Builder assembles a Spec incrementally. It exists so that examples and
-// tests can declare workflows without writing map literals; Build validates
-// the result.
+// tests can declare workflows without writing task literals; Build sorts
+// the tasks by ID and validates the result.
 type Builder struct {
 	spec *Spec
 	err  error
@@ -16,59 +16,58 @@ type Builder struct {
 
 // NewBuilder starts a workflow named name whose entry task is start.
 func NewBuilder(name string, start TaskID) *Builder {
-	return &Builder{spec: &Spec{
-		Name:  name,
-		Start: start,
-		Tasks: make(map[TaskID]*Task),
-	}}
+	return &Builder{spec: &Spec{Name: name, Start: start}}
 }
 
-// TaskBuilder configures one task.
+// TaskBuilder configures one task: the i-th the Builder declared.
 type TaskBuilder struct {
 	b *Builder
-	t *Task
+	i int
 }
+
+func (tb *TaskBuilder) t() *Task { return &tb.b.spec.Tasks[tb.i] }
 
 // End returns the parent Builder so task declarations can be chained.
 func (tb *TaskBuilder) End() *Builder { return tb.b }
 
 // Task declares (or returns, if already declared) the task with the given ID.
 func (b *Builder) Task(id TaskID) *TaskBuilder {
-	if t, ok := b.spec.Tasks[id]; ok {
-		return &TaskBuilder{b: b, t: t}
+	for i := range b.spec.Tasks {
+		if b.spec.Tasks[i].ID == id {
+			return &TaskBuilder{b: b, i: i}
+		}
 	}
-	t := &Task{ID: id}
-	b.spec.Tasks[id] = t
-	return &TaskBuilder{b: b, t: t}
+	b.spec.Tasks = append(b.spec.Tasks, Task{ID: id})
+	return &TaskBuilder{b: b, i: len(b.spec.Tasks) - 1}
 }
 
 // Reads sets the task's read set.
 func (tb *TaskBuilder) Reads(keys ...data.Key) *TaskBuilder {
-	tb.t.Reads = keys
+	tb.t().Reads = keys
 	return tb
 }
 
 // Writes sets the task's write set.
 func (tb *TaskBuilder) Writes(keys ...data.Key) *TaskBuilder {
-	tb.t.Writes = keys
+	tb.t().Writes = keys
 	return tb
 }
 
 // Compute sets the task's compute function.
 func (tb *TaskBuilder) Compute(f ComputeFunc) *TaskBuilder {
-	tb.t.Compute = f
+	tb.t().Compute = f
 	return tb
 }
 
 // Then appends successor edges.
 func (tb *TaskBuilder) Then(next ...TaskID) *TaskBuilder {
-	tb.t.Next = append(tb.t.Next, next...)
+	tb.t().Next = append(tb.t().Next, next...)
 	return tb
 }
 
 // ChooseBy sets the branch-selection function for a choice node.
 func (tb *TaskBuilder) ChooseBy(f ChooseFunc) *TaskBuilder {
-	tb.t.Choose = f
+	tb.t().Choose = f
 	return tb
 }
 
@@ -77,6 +76,7 @@ func (b *Builder) Build() (*Spec, error) {
 	if b.err != nil {
 		return nil, b.err
 	}
+	SortTasks(b.spec.Tasks)
 	if err := b.spec.Validate(); err != nil {
 		return nil, fmt.Errorf("build: %w", err)
 	}

@@ -68,9 +68,11 @@ func Generate(name string, cfg GenConfig, rng *rand.Rand) *Spec {
 	for i := range ids {
 		ids[i] = TaskID(fmt.Sprintf("t%d", i))
 	}
-	spec := &Spec{Name: name, Start: ids[0], Tasks: make(map[TaskID]*Task, cfg.Tasks)}
+	// tasks[i] is ids[i] until the final sort.
+	tasks := make([]Task, cfg.Tasks)
 	for i, id := range ids {
-		t := &Task{ID: id}
+		t := &tasks[i]
+		t.ID = id
 		// Read set: random subset of the pool.
 		nr := rng.Intn(cfg.MaxReads + 1)
 		seen := make(map[data.Key]bool, nr)
@@ -90,17 +92,14 @@ func Generate(name string, cfg GenConfig, rng *rand.Rand) *Spec {
 			}
 		}
 		t.Compute = SumCompute(data.Value(7*i+1), t.Writes...)
-		spec.Tasks[id] = t
-		_ = i
 	}
 	// Forward edges: each task i>0 gets one incoming edge from a random
 	// earlier task; then optional branching out-edges.
 	for i := 1; i < cfg.Tasks; i++ {
-		from := ids[rng.Intn(i)]
-		addEdge(spec.Tasks[from], ids[i])
+		addEdge(&tasks[rng.Intn(i)], ids[i])
 	}
 	for i := 0; i < cfg.Tasks-1; i++ {
-		t := spec.Tasks[ids[i]]
+		t := &tasks[i]
 		if len(t.Next) == 1 && rng.Float64() < cfg.BranchProb {
 			// Add a second forward successor to form a choice.
 			j := i + 1 + rng.Intn(cfg.Tasks-i-1)
@@ -108,8 +107,8 @@ func Generate(name string, cfg GenConfig, rng *rand.Rand) *Spec {
 		}
 	}
 	// Attach Choose functions to all multi-successor nodes.
-	for _, t := range spec.Tasks {
-		if len(t.Next) > 1 {
+	for i := range tasks {
+		if t := &tasks[i]; len(t.Next) > 1 {
 			t.Choose = genChoose(t)
 		}
 	}
@@ -132,7 +131,7 @@ func Generate(name string, cfg GenConfig, rng *rand.Rand) *Spec {
 			span = cfg.Tasks - 1
 		}
 		gi := 1 + rng.Intn(span)
-		gate := spec.Tasks[ids[gi]]
+		gate := &tasks[gi]
 		if len(gate.Next) != 1 {
 			continue
 		}
@@ -144,6 +143,8 @@ func Generate(name string, cfg GenConfig, rng *rand.Rand) *Spec {
 		addLoopGate(gate, target, bound)
 		applied++
 	}
+	SortTasks(tasks)
+	spec := &Spec{Name: name, Start: ids[0], Tasks: tasks}
 	if err := spec.Validate(); err != nil {
 		panic(fmt.Sprintf("wf: generated workflow invalid: %v", err))
 	}

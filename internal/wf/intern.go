@@ -11,12 +11,12 @@ import (
 )
 
 // An Interner keeps one canonical copy of every spec fact a service
-// compiles: key and task-ID strings, the Reads, Writes and Next lists, the
-// sum-plus-bias compute body per (bias, write list), and each spec's key
-// footprint. §II.A's model is one specification with many instances; runs
-// of one tenant repeat the same keys, lists and bodies, and compiling them
-// through one table makes every run point at the same copy instead of
-// holding its own.
+// compiles: key and task-ID strings, the Reads, Writes and Next lists, and
+// each spec's key footprint. §II.A's model is one specification with many
+// instances; runs of one tenant repeat the same keys and lists, and
+// compiling them through one table makes every run point at the same copy
+// instead of holding its own. Task bodies are plain data in the task
+// (Task.Body), so the table holds no body.
 //
 // Everything the table hands out is shared and read-only: no caller may
 // modify an interned list in place (Check verifies it). A table belongs to
@@ -29,29 +29,6 @@ type Interner struct {
 	strs map[string]string
 	keys map[uint64][]data.Key // by listHash
 	ids  map[uint64][]TaskID   // by listHash
-	sums map[sumKey]*sumBody
-}
-
-// sumBody is one interned SumCompute closure over a canonical write list,
-// with its bias, so Retain can find it again from a live task.
-type sumBody struct {
-	bias data.Value
-	fn   ComputeFunc
-}
-
-// sumKey identifies a body: the bias and the canonical write list's array.
-type sumKey struct {
-	bias   data.Value
-	writes *data.Key // nil for an empty write list
-}
-
-// first returns the address of a list's first element: the identity of a
-// canonical list, since no two share an array.
-func first[T any](list []T) *T {
-	if len(list) == 0 {
-		return nil
-	}
-	return &list[0]
 }
 
 // NewInterner returns an empty table.
@@ -65,7 +42,6 @@ func (in *Interner) reset() {
 	in.strs = make(map[string]string)
 	in.keys = make(map[uint64][]data.Key)
 	in.ids = make(map[uint64][]TaskID)
-	in.sums = make(map[sumKey]*sumBody)
 }
 
 // listHash is the hash a list is interned under: each element's length, then
@@ -158,32 +134,23 @@ func (in *Interner) TaskID(s string) TaskID {
 	return TaskID(in.str(s))
 }
 
-// Task compiles one sum-plus-bias task (SumCompute over its write list)
-// through the table: its ID, its three lists and its compute body are the
-// canonical copies. Choose is left to the caller.
-func (in *Interner) Task(id string, next, reads, writes []string, bias data.Value) *Task {
+// Task compiles one sum-plus-bias task (Body.Sum) through the table: its ID
+// and its three lists are the canonical copies. The branch is left to the
+// caller (Task.BranchOn).
+func (in *Interner) Task(id string, next, reads, writes []string, bias data.Value) Task {
 	if in == nil {
-		t := &Task{ID: TaskID(id), Next: convert[TaskID](next),
-			Reads: convert[data.Key](reads), Writes: convert[data.Key](writes)}
-		t.Compute = SumCompute(bias, t.Writes...)
-		return t
+		return Task{ID: TaskID(id), Next: convert[TaskID](next),
+			Reads: convert[data.Key](reads), Writes: convert[data.Key](writes), Body: Body{Sum: true, Bias: bias}}
 	}
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	t := &Task{
+	return Task{
 		ID:     TaskID(in.str(id)),
 		Next:   list(in, in.ids, next),
 		Reads:  list(in, in.keys, reads),
 		Writes: list(in, in.keys, writes),
+		Body:   Body{Sum: true, Bias: bias},
 	}
-	k := sumKey{bias, first(t.Writes)}
-	b := in.sums[k]
-	if b == nil {
-		b = &sumBody{bias: bias, fn: SumCompute(bias, t.Writes...)}
-		in.sums[k] = b
-	}
-	t.Compute, t.sum = b.fn, b
-	return t
 }
 
 // Seal records a compiled spec's footprint (Spec.Footprint), computed once
@@ -201,7 +168,7 @@ func (in *Interner) Seal(spec *Spec) {
 }
 
 // Retain rebuilds the table from the live specs alone: afterwards it holds
-// exactly the strings, lists, bodies and footprints they reference, and the
+// exactly the strings, lists and footprints they reference, and the
 // canonical copies are theirs, so a spec compiled later shares with them.
 // The service calls it where it forgets retired runs, next to the maps it
 // rebuilds there; a table that never forgot would keep every retired run's
@@ -213,21 +180,17 @@ func (in *Interner) Retain(specs map[string]*Spec) {
 	next.reset()
 	for _, sp := range specs {
 		adopt(next, next.keys, sp.footprint)
-		for _, t := range sp.Tasks {
+		for i := range sp.Tasks {
+			t := &sp.Tasks[i]
 			next.str(string(t.ID))
 			adopt(next, next.ids, t.Next)
 			adopt(next, next.keys, t.Reads)
 			adopt(next, next.keys, t.Writes)
-			if b := t.sum; b != nil {
-				if k := (sumKey{b.bias, first(t.Writes)}); next.sums[k] == nil {
-					next.sums[k] = b
-				}
-			}
 		}
 	}
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	in.strs, in.keys, in.ids, in.sums = next.strs, next.keys, next.ids, next.sums
+	in.strs, in.keys, in.ids = next.strs, next.keys, next.ids
 }
 
 // adopt makes a live list (and its strings) canonical unless an equal one
@@ -244,11 +207,11 @@ func adopt[T ~string](in *Interner, table map[uint64][]T, l []T) {
 	}
 }
 
-// Len returns how many facts the table holds: strings, lists and bodies.
+// Len returns how many facts the table holds: strings and lists.
 func (in *Interner) Len() int {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	return len(in.strs) + len(in.keys) + len(in.ids) + len(in.sums)
+	return len(in.strs) + len(in.keys) + len(in.ids)
 }
 
 // Check verifies that every interned list still holds what it was interned
@@ -270,12 +233,11 @@ func (in *Interner) Check() error {
 	return nil
 }
 
-// Size reports how many distinct strings, lists and compute bodies the table
-// holds.
-func (in *Interner) Size() (strs, lists, bodies int) {
+// Size reports how many distinct strings and lists the table holds.
+func (in *Interner) Size() (strs, lists int) {
 	in.mu.Lock()
 	defer in.mu.Unlock()
-	return len(in.strs), len(in.keys) + len(in.ids), len(in.sums)
+	return len(in.strs), len(in.keys) + len(in.ids)
 }
 
 // Footprint returns the sorted set of every key the spec's tasks read or

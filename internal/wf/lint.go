@@ -50,14 +50,9 @@ func Lint(s *Spec) []Warning {
 		}
 	}
 
-	ids := make([]TaskID, 0, len(s.Tasks))
-	for id := range s.Tasks {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-
-	for _, id := range ids {
-		t := s.Tasks[id]
+	for i := range s.Tasks {
+		t := &s.Tasks[i]
+		id := t.ID
 		if len(t.Next) > 1 && len(t.Writes) == 0 {
 			out = append(out, Warning{Task: id,
 				Msg: "choice node writes nothing: its decision leaves no data trail for recovery"})
@@ -92,7 +87,7 @@ func Lint(s *Spec) []Warning {
 		}
 		hasChoice := false
 		for _, id := range comp {
-			if len(s.Tasks[id].Next) > 1 {
+			if len(s.Task(id).Next) > 1 {
 				hasChoice = true
 				break
 			}
@@ -124,7 +119,7 @@ func sccs(s *Spec) [][]TaskID {
 		next++
 		stack = append(stack, v)
 		onStack[v] = true
-		for _, w := range s.Tasks[v].Next {
+		for _, w := range s.Task(v).Next {
 			if _, seen := index[w]; !seen {
 				strong(w)
 				if low[w] < low[v] {
@@ -148,14 +143,9 @@ func sccs(s *Spec) [][]TaskID {
 			out = append(out, comp)
 		}
 	}
-	ids := make([]TaskID, 0, len(s.Tasks))
-	for id := range s.Tasks {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	for _, id := range ids {
-		if _, seen := index[id]; !seen {
-			strong(id)
+	for _, t := range s.Tasks {
+		if _, seen := index[t.ID]; !seen {
+			strong(t.ID)
 		}
 	}
 	return out

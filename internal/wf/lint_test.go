@@ -80,18 +80,18 @@ func TestLintInescapableCycle(t *testing.T) {
 	s := &Spec{
 		Name:  "trap",
 		Start: "a",
-		Tasks: map[TaskID]*Task{
-			"a": {ID: "a", Next: []TaskID{"b"}, Writes: data_k("x")},
-			"b": {ID: "b", Next: []TaskID{"c"}, Reads: data_k("x"), Writes: data_k("x")},
-			"c": {ID: "c", Next: []TaskID{"b", "end"}, Reads: data_k("x"), Writes: data_k("x")},
+		Tasks: []Task{
+			{ID: "a", Next: []TaskID{"b"}, Writes: data_k("x")},
+			{ID: "b", Next: []TaskID{"c"}, Reads: data_k("x"), Writes: data_k("x")},
+			{ID: "c", Next: []TaskID{"b", "end"}, Reads: data_k("x"), Writes: data_k("x"),
+				Choose: ThresholdChoose("x", 3, "b", "end")},
 			// d-e form an inescapable loop reachable from end? Keep it
 			// simple: make end → d → e → d.
-			"end": {ID: "end", Next: []TaskID{"d"}, Reads: data_k("x")},
-			"d":   {ID: "d", Next: []TaskID{"e"}, Writes: data_k("y")},
-			"e":   {ID: "e", Next: []TaskID{"d"}, Reads: data_k("y"), Writes: data_k("y")},
+			{ID: "d", Next: []TaskID{"e"}, Writes: data_k("y")},
+			{ID: "e", Next: []TaskID{"d"}, Reads: data_k("y"), Writes: data_k("y")},
+			{ID: "end", Next: []TaskID{"d"}, Reads: data_k("x")},
 		},
 	}
-	s.Tasks["c"].Choose = ThresholdChoose("x", 3, "b", "end")
 	// d/e loop has no exit at all, so the spec has no reachable end node —
 	// Validate rejects it; Lint reports that as its single finding.
 	ws := Lint(s)

@@ -12,7 +12,9 @@ package wf
 
 import (
 	"fmt"
-	"sort"
+	"math"
+	"slices"
+	"strings"
 
 	"selfheal/internal/data"
 )
@@ -35,19 +37,112 @@ type Task struct {
 	// ID is the task's name, unique within the workflow.
 	ID TaskID
 	// Next lists the immediate successors. Empty for end nodes. A task
-	// with more than one successor is a choice node and must set Choose.
+	// with more than one successor is a choice node and must set Choose
+	// or a branch in Body.
 	Next []TaskID
 	// Reads and Writes are the task's static read and write sets.
 	Reads, Writes []data.Key
-	// Compute produces the task's writes; nil means "write zeros".
+	// Compute produces the writes of a hand-built task; nil runs Body.
 	Compute ComputeFunc
-	// Choose picks the successor for choice nodes; nil otherwise.
+	// Choose picks the successor of a hand-built choice node; nil runs
+	// Body's branch.
 	Choose ChooseFunc
-
-	// sum is the interned body behind Compute when an Interner compiled
-	// the task; nil otherwise.
-	sum *sumBody
+	// Body is the task's body as data: what wfjson and blueprints compile
+	// to.
+	Body Body
 }
+
+// Body is a task body as plain data — SumCompute and ThresholdChoose
+// without the closures — so a compiled body holds no pointer and costs no
+// allocation beyond the spec's one task array.
+type Body struct {
+	// Bias is the sum body's constant.
+	Bias data.Value
+	// Threshold, Key, Low and High are a choice node's threshold branch,
+	// declared by Branch: take Next[Low] when the value of Reads[Key] is
+	// below Threshold, Next[High] otherwise. A Key past the end of Reads
+	// names a key the task does not read, which reads as 0.
+	Threshold data.Value
+	// Sum marks the sum body: every key of Writes gets the sum of the
+	// values read, plus Bias, plus the key's index in Writes. Without Sum
+	// or Compute a task writes zeros.
+	Sum            bool
+	Branch         bool
+	Key, Low, High uint8
+}
+
+// Eval runs the task's body over reads, the values the task read (a key
+// missing from reads reads as 0): it calls write once per entry of Writes,
+// in order, with the value the body writes there, and returns the successor
+// the task takes (Successor). The body is Compute when set, else the sum
+// body when Body.Sum is set, else zeros. It is the one evaluator every
+// runtime executes, redoes and verifies a task with.
+func (t *Task) Eval(reads map[data.Key]data.Value, write func(data.Key, data.Value)) TaskID {
+	switch {
+	case t.Compute != nil:
+		out := t.Compute(reads)
+		for _, k := range t.Writes {
+			write(k, out[k])
+		}
+	case t.Body.Sum:
+		sum := t.Body.Bias
+		for _, v := range reads {
+			sum += v
+		}
+		for i, k := range t.Writes {
+			write(k, sum+data.Value(i))
+		}
+	default:
+		for _, k := range t.Writes {
+			write(k, 0)
+		}
+	}
+	return t.Successor(reads)
+}
+
+// Successor returns the task the run takes after t given the values t read:
+// "" at an end node, the one successor of a plain node, and for a choice
+// node what Choose picks when set, else what Body's branch picks.
+func (t *Task) Successor(reads map[data.Key]data.Value) TaskID {
+	switch {
+	case len(t.Next) == 0:
+		return ""
+	case len(t.Next) == 1:
+		return t.Next[0]
+	case t.Choose != nil:
+		return t.Choose(reads)
+	}
+	b := t.Body
+	var v data.Value
+	if int(b.Key) < len(t.Reads) {
+		v = reads[t.Reads[b.Key]]
+	}
+	if v < b.Threshold {
+		return t.Next[b.Low]
+	}
+	return t.Next[b.High]
+}
+
+// BranchOn declares the task's threshold branch: take low when the value of
+// key is below threshold, high otherwise. Both must be successors of t.
+func (t *Task) BranchOn(key data.Key, threshold data.Value, low, high TaskID) error {
+	lo, hi := slices.Index(t.Next, low), slices.Index(t.Next, high)
+	if lo < 0 || hi < 0 || max(lo, hi) > math.MaxUint8 {
+		return fmt.Errorf("wf: task %q branches to %q/%q, not both among its successors %v", t.ID, low, high, t.Next)
+	}
+	k := slices.Index(t.Reads, key)
+	if k < 0 {
+		k = math.MaxUint8 // not read: reads as 0
+	} else if k >= math.MaxUint8 {
+		return fmt.Errorf("wf: task %q branches on its read number %d; at most %d are addressable", t.ID, k, math.MaxUint8)
+	}
+	t.Body.Branch, t.Body.Threshold = true, threshold
+	t.Body.Key, t.Body.Low, t.Body.High = uint8(k), uint8(lo), uint8(hi)
+	return nil
+}
+
+// chooses reports whether the task declares a branch selection.
+func (t *Task) chooses() bool { return t.Choose != nil || t.Body.Branch }
 
 // Spec is a complete workflow specification.
 type Spec struct {
@@ -55,16 +150,33 @@ type Spec struct {
 	Name string
 	// Start is the 0-indegree entry task.
 	Start TaskID
-	// Tasks maps IDs to task definitions.
-	Tasks map[TaskID]*Task
+	// Tasks holds the task definitions sorted by ID, one array per spec.
+	Tasks []Task
 
 	// footprint caches Footprint once the spec is sealed (Interner.Seal).
 	footprint []data.Key
 }
 
-// Validate checks the structural invariants of the specification: the start
-// task exists and has no predecessors, every edge endpoint exists, choice
-// nodes have Choose functions, non-choice nodes do not, every task is
+// Task returns the task named id, or nil if the spec has none.
+func (s *Spec) Task(id TaskID) *Task {
+	i, ok := slices.BinarySearchFunc(s.Tasks, id, func(t Task, id TaskID) int {
+		return strings.Compare(string(t.ID), string(id))
+	})
+	if !ok {
+		return nil
+	}
+	return &s.Tasks[i]
+}
+
+// SortTasks puts tasks in the order Spec.Tasks keeps: by ID.
+func SortTasks(tasks []Task) {
+	slices.SortFunc(tasks, func(a, b Task) int { return strings.Compare(string(a.ID), string(b.ID)) })
+}
+
+// Validate checks the structural invariants of the specification: tasks are
+// sorted by unique ID, the start task exists and has no predecessors, every
+// edge endpoint exists, choice nodes choose (Choose or a branch whose
+// successor indexes are in range), non-choice nodes do not, every task is
 // reachable from the start, and at least one end node is reachable.
 func (s *Spec) Validate() error {
 	if s.Name == "" {
@@ -73,22 +185,24 @@ func (s *Spec) Validate() error {
 	if len(s.Tasks) == 0 {
 		return fmt.Errorf("wf %s: no tasks", s.Name)
 	}
-	start, ok := s.Tasks[s.Start]
-	if !ok {
+	// Task looks tasks up by binary search, so the order comes first.
+	for i := 1; i < len(s.Tasks); i++ {
+		if prev, id := s.Tasks[i-1].ID, s.Tasks[i].ID; prev == id {
+			return fmt.Errorf("wf %s: duplicate task %q", s.Name, id)
+		} else if prev > id {
+			return fmt.Errorf("wf %s: task %q listed after %q (tasks are sorted by ID)", s.Name, id, prev)
+		}
+	}
+	if s.Task(s.Start) == nil {
 		return fmt.Errorf("wf %s: start task %q not defined", s.Name, s.Start)
 	}
-	_ = start
 	indeg := make(map[TaskID]int, len(s.Tasks))
-	for id, t := range s.Tasks {
-		if t == nil {
-			return fmt.Errorf("wf %s: task %q is nil", s.Name, id)
-		}
-		if t.ID != id {
-			return fmt.Errorf("wf %s: task map key %q != task ID %q", s.Name, id, t.ID)
-		}
+	for i := range s.Tasks {
+		t := &s.Tasks[i]
+		id := t.ID
 		seen := make(map[TaskID]bool, len(t.Next))
 		for _, n := range t.Next {
-			if _, ok := s.Tasks[n]; !ok {
+			if s.Task(n) == nil {
 				return fmt.Errorf("wf %s: task %q has edge to undefined task %q", s.Name, id, n)
 			}
 			if seen[n] {
@@ -97,11 +211,14 @@ func (s *Spec) Validate() error {
 			seen[n] = true
 			indeg[n]++
 		}
-		if len(t.Next) > 1 && t.Choose == nil {
+		if len(t.Next) > 1 && !t.chooses() {
 			return fmt.Errorf("wf %s: choice task %q has no Choose function", s.Name, id)
 		}
-		if len(t.Next) <= 1 && t.Choose != nil {
+		if len(t.Next) <= 1 && t.chooses() {
 			return fmt.Errorf("wf %s: non-choice task %q has a Choose function", s.Name, id)
+		}
+		if b := t.Body; b.Branch && (int(b.Low) >= len(t.Next) || int(b.High) >= len(t.Next)) {
+			return fmt.Errorf("wf %s: task %q branches to a successor it does not have", s.Name, id)
 		}
 		for _, k := range append(append([]data.Key{}, t.Reads...), t.Writes...) {
 			if k == "" {
@@ -113,9 +230,9 @@ func (s *Spec) Validate() error {
 		return fmt.Errorf("wf %s: start task %q has predecessors", s.Name, s.Start)
 	}
 	reach := s.ReachableFrom(s.Start)
-	for id := range s.Tasks {
-		if !reach[id] {
-			return fmt.Errorf("wf %s: task %q unreachable from start", s.Name, id)
+	for _, t := range s.Tasks {
+		if !reach[t.ID] {
+			return fmt.Errorf("wf %s: task %q unreachable from start", s.Name, t.ID)
 		}
 	}
 	if len(s.Ends()) == 0 {
@@ -127,12 +244,11 @@ func (s *Spec) Validate() error {
 // Ends returns the 0-outdegree tasks, sorted by ID.
 func (s *Spec) Ends() []TaskID {
 	var out []TaskID
-	for id, t := range s.Tasks {
+	for _, t := range s.Tasks {
 		if len(t.Next) == 0 {
-			out = append(out, id)
+			out = append(out, t.ID)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
@@ -153,7 +269,7 @@ func (s *Spec) reachableExcluding(id, excluded TaskID) map[TaskID]bool {
 	for len(stack) > 0 {
 		cur := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		for _, n := range s.Tasks[cur].Next {
+		for _, n := range s.Task(cur).Next {
 			if n == excluded || seen[n] {
 				continue
 			}
@@ -169,7 +285,7 @@ func (s *Spec) reachableExcluding(id, excluded TaskID) map[TaskID]bool {
 func (s *Spec) canReachEndExcluding(from, excluded TaskID) bool {
 	reach := s.reachableExcluding(from, excluded)
 	for id := range reach {
-		if len(s.Tasks[id].Next) == 0 {
+		if len(s.Task(id).Next) == 0 {
 			return true
 		}
 	}
@@ -192,8 +308,8 @@ func (s *Spec) Unavoidable(id TaskID) bool {
 // to. Dominant nodes are exactly the choice nodes whose decision determines
 // whether to executes.
 func (s *Spec) ControlDep(from, to TaskID) bool {
-	f, ok := s.Tasks[from]
-	if !ok || len(f.Next) <= 1 {
+	f := s.Task(from)
+	if f == nil || len(f.Next) <= 1 {
 		return false
 	}
 	if from == to {
@@ -214,14 +330,11 @@ func (s *Spec) ControlDep(from, to TaskID) bool {
 // through intermediate choice nodes.
 func (s *Spec) ControlClosure() map[TaskID]map[TaskID]bool {
 	direct := make(map[TaskID]map[TaskID]bool)
-	for from := range s.Tasks {
-		if len(s.Tasks[from].Next) <= 1 {
-			continue
-		}
+	for _, from := range s.ChoiceNodes() {
 		set := make(map[TaskID]bool)
-		for to := range s.Tasks {
-			if s.ControlDep(from, to) {
-				set[to] = true
+		for _, to := range s.Tasks {
+			if s.ControlDep(from, to.ID) {
+				set[to.ID] = true
 			}
 		}
 		if len(set) > 0 {
@@ -250,12 +363,11 @@ func (s *Spec) ControlClosure() map[TaskID]map[TaskID]bool {
 // ChoiceNodes returns the IDs of all choice (dominant) nodes, sorted.
 func (s *Spec) ChoiceNodes() []TaskID {
 	var out []TaskID
-	for id, t := range s.Tasks {
+	for _, t := range s.Tasks {
 		if len(t.Next) > 1 {
-			out = append(out, id)
+			out = append(out, t.ID)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
@@ -277,12 +389,12 @@ func (s *Spec) Paths(maxVisits int) [][]TaskID {
 		}
 		visits[id]++
 		cur = append(cur, id)
-		if len(s.Tasks[id].Next) == 0 {
+		if next := s.Task(id).Next; len(next) == 0 {
 			path := make([]TaskID, len(cur))
 			copy(path, cur)
 			out = append(out, path)
 		} else {
-			for _, n := range s.Tasks[id].Next {
+			for _, n := range next {
 				dfs(n)
 			}
 		}

@@ -47,27 +47,38 @@ func TestValidateErrors(t *testing.T) {
 	}{
 		{"missing start", func(s *Spec) { s.Start = "nope" }, "start task"},
 		{"edge to undefined", func(s *Spec) {
-			s.Tasks["join"].Next = []TaskID{"ghost"}
+			s.Task("join").Next = []TaskID{"ghost"}
 		}, "undefined task"},
 		{"duplicate edge", func(s *Spec) {
-			s.Tasks["a"].Next = []TaskID{"join", "join"}
+			s.Task("a").Next = []TaskID{"join", "join"}
 		}, "duplicate edge"},
 		{"choice without Choose", func(s *Spec) {
-			s.Tasks["choice"].Choose = nil
+			s.Task("choice").Choose = nil
 		}, "no Choose"},
 		{"non-choice with Choose", func(s *Spec) {
-			s.Tasks["a"].Choose = func(map[data.Key]data.Value) TaskID { return "join" }
+			s.Task("a").Choose = func(map[data.Key]data.Value) TaskID { return "join" }
 		}, "non-choice"},
 		{"start with predecessors", func(s *Spec) {
-			s.Tasks["join"].Next = []TaskID{"start"}
+			s.Task("join").Next = []TaskID{"start"}
 		}, "has predecessors"},
 		{"unreachable task", func(s *Spec) {
-			s.Tasks["orphan"] = &Task{ID: "orphan"}
+			s.Tasks = append(s.Tasks, Task{ID: "orphan"})
+			SortTasks(s.Tasks)
 		}, "unreachable"},
 		{"empty key", func(s *Spec) {
-			s.Tasks["a"].Reads = []data.Key{""}
+			s.Task("a").Reads = []data.Key{""}
 		}, "empty data key"},
 		{"no name", func(s *Spec) { s.Name = "" }, "no name"},
+		{"tasks out of order", func(s *Spec) {
+			s.Tasks[0], s.Tasks[1] = s.Tasks[1], s.Tasks[0]
+		}, "sorted by ID"},
+		{"duplicate task", func(s *Spec) {
+			s.Tasks = append(s.Tasks, s.Tasks[len(s.Tasks)-1])
+		}, "duplicate task"},
+		{"branch past the successors", func(s *Spec) {
+			c := s.Task("choice")
+			c.Choose, c.Body = nil, Body{Branch: true, High: 2}
+		}, "branches to a successor"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -165,10 +176,10 @@ func TestControlDepFig1(t *testing.T) {
 		}
 	}
 	// The linear wf2 has no control dependences at all.
-	for from := range wf2.Tasks {
-		for to := range wf2.Tasks {
-			if wf2.ControlDep(from, to) {
-				t.Errorf("linear workflow has control dep %s → %s", from, to)
+	for _, from := range wf2.Tasks {
+		for _, to := range wf2.Tasks {
+			if wf2.ControlDep(from.ID, to.ID) {
+				t.Errorf("linear workflow has control dep %s → %s", from.ID, to.ID)
 			}
 		}
 	}
@@ -312,9 +323,9 @@ func TestGenerateDeterministicPerSeed(t *testing.T) {
 	if len(a.Tasks) != len(b.Tasks) {
 		t.Fatal("same seed produced different task counts")
 	}
-	for id, ta := range a.Tasks {
-		tb, ok := b.Tasks[id]
-		if !ok {
+	for _, ta := range a.Tasks {
+		id, tb := ta.ID, b.Task(ta.ID)
+		if tb == nil {
 			t.Fatalf("task %s missing in second generation", id)
 		}
 		if len(ta.Next) != len(tb.Next) || len(ta.Reads) != len(tb.Reads) {
@@ -339,9 +350,9 @@ func TestGenerateWithCyclesTerminates(t *testing.T) {
 		}
 		// Detect an actual back edge: a choice node with a successor
 		// earlier in the topological numbering.
-		for id, task := range s.Tasks {
+		for _, task := range s.Tasks {
 			for _, n := range task.Next {
-				if lessTaskNum(n, id) {
+				if lessTaskNum(n, task.ID) {
 					cyclic++
 				}
 			}

@@ -25,6 +25,15 @@ func build(t *testing.T, tab *wf.Interner, doc *SpecJSON, name string) *wf.Spec 
 	return spec
 }
 
+// evalAll runs a task's body over reads: what it writes, and its successor
+// under the key "next".
+func evalAll(t *wf.Task, reads map[data.Key]data.Value) map[data.Key]data.Value {
+	out := make(map[data.Key]data.Value)
+	next := t.Eval(reads, func(k data.Key, v data.Value) { out[k] = v })
+	out["next:"+data.Key(next)] = 1
+	return out
+}
+
 func sameArray[T any](a, b []T) bool {
 	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
@@ -39,8 +48,9 @@ func sharesAll(a, b *wf.Spec) error {
 	if !sameArray(a.Footprint(), b.Footprint()) {
 		return fmt.Errorf("footprints %v and %v are separate copies", a.Footprint(), b.Footprint())
 	}
-	for id, ta := range a.Tasks {
-		tb := b.Tasks[id]
+	for i := range a.Tasks {
+		ta, tb := &a.Tasks[i], &b.Tasks[i]
+		id := ta.ID
 		switch {
 		case !sameString(ta.ID, tb.ID):
 			return fmt.Errorf("task %s: two ID strings", id)
@@ -69,14 +79,11 @@ func TestBuildInSharesSpecFacts(t *testing.T) {
 	if err := sharesAll(a, b); err != nil {
 		t.Fatal(err)
 	}
-	strs, lists, bodies := tab.Size()
+	strs, lists := tab.Size()
 	// One more spec of the same shape adds nothing to the table.
 	build(t, tab, &doc, "r3")
-	if s2, l2, b2 := tab.Size(); s2 != strs || l2 != lists || b2 != bodies {
-		t.Fatalf("a third spec of the same shape grew the table from %d/%d/%d to %d/%d/%d", strs, lists, bodies, s2, l2, b2)
-	}
-	if bodies != len(doc.Tasks) {
-		t.Fatalf("%d compute bodies for %d tasks with distinct (bias, writes)", bodies, len(doc.Tasks))
+	if s2, l2 := tab.Size(); s2 != strs || l2 != lists {
+		t.Fatalf("a third spec of the same shape grew the table from %d/%d to %d/%d", strs, lists, s2, l2)
 	}
 
 	x, y := build(t, nil, &doc, "r1"), build(t, nil, &doc, "r2")
@@ -84,13 +91,14 @@ func TestBuildInSharesSpecFacts(t *testing.T) {
 		t.Fatal("specs compiled without a table share their facts")
 	}
 	reads := map[data.Key]data.Value{"a": 3, "b": 4, "c": 5, "e": 6}
-	for id, ta := range a.Tasks {
-		tx := x.Tasks[id]
-		if !reflect.DeepEqual(ta.Next, tx.Next) || !reflect.DeepEqual(ta.Reads, tx.Reads) || !reflect.DeepEqual(ta.Writes, tx.Writes) {
-			t.Fatalf("task %s compiles differently through the table", id)
+	for i := range a.Tasks {
+		ta, tx := &a.Tasks[i], &x.Tasks[i]
+		if !reflect.DeepEqual(*ta, *tx) {
+			t.Fatalf("task %s compiles to %+v through the table, %+v without", ta.ID, *ta, *tx)
 		}
-		if got, want := ta.Compute(reads), tx.Compute(reads); !reflect.DeepEqual(got, want) {
-			t.Fatalf("task %s computes %v through the table, %v without", id, got, want)
+		got, want := evalAll(ta, reads), evalAll(tx, reads)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("task %s computes %v through the table, %v without", ta.ID, got, want)
 		}
 	}
 	if !reflect.DeepEqual(a.Footprint(), x.Footprint()) {
@@ -147,9 +155,9 @@ func TestRetainForgets(t *testing.T) {
 	tab.Retain(map[string]*wf.Spec{"live": live})
 	alone := wf.NewInterner()
 	build(t, alone, liveDoc, "live")
-	s1, l1, b1 := tab.Size()
-	if s2, l2, b2 := alone.Size(); s1 != s2 || l1 != l2 || b1 != b2 {
-		t.Fatalf("retained table holds %d/%d/%d strings/lists/bodies, a table of the live spec alone %d/%d/%d", s1, l1, b1, s2, l2, b2)
+	s1, l1 := tab.Size()
+	if s2, l2 := alone.Size(); s1 != s2 || l1 != l2 {
+		t.Fatalf("retained table holds %d/%d strings/lists, a table of the live spec alone %d/%d", s1, l1, s2, l2)
 	}
 	if err := sharesAll(live, build(t, tab, liveDoc, "live2")); err != nil {
 		t.Fatalf("a spec compiled after Retain: %v", err)
@@ -161,8 +169,8 @@ func TestRetainForgets(t *testing.T) {
 		t.Fatal(err)
 	}
 	tab.Retain(nil)
-	if s, l, b := tab.Size(); s+l+b != 0 {
-		t.Fatalf("a table retaining no spec holds %d strings, %d lists, %d bodies", s, l, b)
+	if s, l := tab.Size(); s+l != 0 {
+		t.Fatalf("a table retaining no spec holds %d strings, %d lists", s, l)
 	}
 }
 
@@ -178,7 +186,7 @@ func TestCheckCatchesInPlaceMutation(t *testing.T) {
 	if err := tab.Check(); err != nil {
 		t.Fatal(err)
 	}
-	spec.Tasks["t4"].Reads[0] = "z"
+	spec.Task("t4").Reads[0] = "z"
 	if err := tab.Check(); err == nil {
 		t.Fatal("Check passed a key list modified in place")
 	}

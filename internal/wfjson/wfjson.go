@@ -1,9 +1,12 @@
-// Package wfjson decodes workflow specifications from JSON for the wfrun
-// command-line tool. Task bodies are declarative: every task computes, for
-// each key in its write set, the sum of its reads plus a per-task bias
-// (wf.SumCompute); choice nodes branch on a threshold over one key
-// (wf.ThresholdChoose). This covers the value-sensitive workflows the
-// recovery theory needs while keeping specifications serializable.
+// Package wfjson decodes workflow specifications from JSON: the documents
+// POST /api/v1/runs accepts, the spec records of the WAL and the cluster
+// journal, and wfrun's input. Task bodies are declarative and stay data
+// when compiled (wf.Body): every task writes, to each key in its write set,
+// the sum of its reads plus a per-task bias; choice nodes branch on a
+// threshold over one key. This covers the
+// value-sensitive workflows the recovery theory needs while keeping
+// specifications serializable, and a compiled spec one task array with no
+// closures.
 package wfjson
 
 import (
@@ -66,28 +69,28 @@ func Build(sj *SpecJSON) (*wf.Spec, map[data.Key]data.Value, error) {
 }
 
 // BuildIn is Build compiling through a service's intern table: the spec's
-// strings, lists, compute bodies and footprint are the table's canonical,
-// read-only copies, shared with every other spec the table compiled. A nil
-// table interns nothing.
+// strings, lists and footprint are the table's canonical, read-only copies,
+// shared with every other spec the table compiled. A nil table interns
+// nothing.
 func BuildIn(in *wf.Interner, sj *SpecJSON) (*wf.Spec, map[data.Key]data.Value, error) {
 	spec := &wf.Spec{
 		Name:  sj.Name,
 		Start: in.TaskID(sj.Start),
-		Tasks: make(map[wf.TaskID]*wf.Task, len(sj.Tasks)),
+		Tasks: make([]wf.Task, len(sj.Tasks)),
 	}
-	for _, tj := range sj.Tasks {
+	for i, tj := range sj.Tasks {
 		if tj.ID == "" {
 			return nil, nil, fmt.Errorf("wfjson: task with empty id")
 		}
-		t := in.Task(tj.ID, tj.Next, tj.Reads, tj.Writes, data.Value(tj.Bias))
+		t := &spec.Tasks[i]
+		*t = in.Task(tj.ID, tj.Next, tj.Reads, tj.Writes, data.Value(tj.Bias))
 		if c := tj.Choose; c != nil {
-			t.Choose = wf.ThresholdChoose(in.Key(c.Key), data.Value(c.Threshold), in.TaskID(c.Low), in.TaskID(c.High))
+			if err := t.BranchOn(data.Key(c.Key), data.Value(c.Threshold), wf.TaskID(c.Low), wf.TaskID(c.High)); err != nil {
+				return nil, nil, fmt.Errorf("wfjson: %w", err)
+			}
 		}
-		if _, dup := spec.Tasks[t.ID]; dup {
-			return nil, nil, fmt.Errorf("wfjson: duplicate task %q", tj.ID)
-		}
-		spec.Tasks[t.ID] = t
 	}
+	wf.SortTasks(spec.Tasks)
 	if err := spec.Validate(); err != nil {
 		return nil, nil, err
 	}

@@ -7,6 +7,7 @@ import (
 
 	"selfheal/internal/data"
 	"selfheal/internal/engine"
+	"selfheal/internal/wf"
 	"selfheal/internal/wlog"
 )
 
@@ -38,8 +39,8 @@ func TestDecodeValidSpec(t *testing.T) {
 	if init["e"] != 0 {
 		t.Errorf("init = %v", init)
 	}
-	if spec.Tasks["t2"].Choose == nil {
-		t.Error("choice node lost its Choose")
+	if b := spec.Task("t2").Body; b != (wf.Body{Bias: 1, Threshold: 50, Sum: true, Branch: true, Key: 0, Low: 1, High: 0}) {
+		t.Errorf("choice node compiled to branch %+v", b)
 	}
 }
 
@@ -81,6 +82,7 @@ func TestDecodeRejectsBadSpecs(t *testing.T) {
 		{"duplicate task", `{"name":"x","start":"t","tasks":[{"id":"t"},{"id":"t"}]}`},
 		{"undefined edge", `{"name":"x","start":"t","tasks":[{"id":"t","next":["ghost"]}]}`},
 		{"choice without choose", `{"name":"x","start":"t","tasks":[{"id":"t","next":["a","b"]},{"id":"a"},{"id":"b"}]}`},
+		{"choose beyond next", `{"name":"x","start":"t","tasks":[{"id":"t","next":["a","b"],"choose":{"key":"k","threshold":1,"low":"a","high":"c"}},{"id":"a","next":["c"]},{"id":"b"},{"id":"c"}]}`},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

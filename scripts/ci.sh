@@ -74,6 +74,26 @@ go test -race -count=20 -run '^(TestBuildInSharesSpecFacts|TestSealedFootprintMa
 go test -race -count=20 -run '^(TestRunsOfOneTenantShareSpecFacts|TestInternedListsSurviveRepairs)$' ./internal/shard/
 go test -race -count=20 -run '^(TestActiveRunsMatchFullScan|TestClusterFuzzEquivalence)$' ./internal/cluster/
 
+# A compiled spec is data (docs/ARCHITECTURE.md "The compiled spec"): one
+# task array sorted by ID, and the body of every wire task as fields of the
+# task, which the one evaluator (wf.Task.Eval) runs exactly as SumCompute and
+# ThresholdChoose would; a compiled bench-shaped spec stays under its heap
+# bound, and a committed step under its allocation bound. Neither the wire
+# compiler nor blueprints may build closures again, and the task map may not
+# come back.
+go test -race -count=5 -run '^(TestCompiledBodyMatchesClosures|TestBytesPerCompiledSpec)$' ./internal/wfjson/
+go test -race -count=5 -run '^TestStepAllocations$' ./internal/engine/
+if grep -nE --include='*.go' --exclude='*_test.go' -r -e 'SumCompute\(' -e 'ThresholdChoose\(' internal/wfjson/ internal/wf/blueprint.go ||
+    grep -n 'map\[TaskID\]\*Task' internal/wf/spec.go; then
+    echo "spec gate: a closure body in the wire compiler or blueprints, or a task map in wf.Spec (a compiled spec is one task array of data)" >&2
+    exit 1
+fi
+
+# An alert forwarded to its incident leader carries the forwarder's applied
+# position, and the leader waits for it before refusing an instance it has
+# not applied yet (docs/CLUSTER.md).
+go test -race -count=10 -run '^TestForwardedAlertWaitsForForge$' ./internal/cluster/
+
 # Table gate: outside tests, shard and cluster code compiles long-lived specs
 # only through the service's intern table (wfjson.BuildIn, durable.OpenIn
 # with the table), never through a path that gives a run private copies.
