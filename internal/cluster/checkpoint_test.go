@@ -323,7 +323,7 @@ func TestClusterRestartEqualsLive(t *testing.T) {
 			got.Undone != want.Undone || got.Redone != want.Redone {
 			t.Errorf("node %s repair accounting %+v, stamper %+v", id, got, want)
 		}
-		if v := h.nodes[id].VerifyDoc(); !strings.Contains(v.RecoveryError, "snapshot horizon") {
+		if v := h.nodes[id].VerifyDoc(); !strings.Contains(v.RecoveryError, "beneath the horizon") {
 			t.Errorf("node %s: recovery error %q, want the horizon refusal", id, v.RecoveryError)
 		}
 	}
@@ -381,10 +381,12 @@ func TestJoinBelowHorizon(t *testing.T) {
 	}
 }
 
-// An alert naming an instance a checkpoint retired is refused with the typed
-// horizon error — HTTP 410 below_horizon — on the stamper and on a follower
-// alike, and counted; a repair record that names one anyway (an alert that
-// raced the checkpoint) is refused by the replica that applies it.
+// An alert naming an instance a checkpoint retired — a finished run's, or a
+// forge's that no run registered — is refused with the typed horizon error
+// — HTTP 410 below_horizon — on the stamper and on a follower alike, and
+// counted; the forged run is listed nowhere. A repair record that names one
+// anyway (an alert that raced the checkpoint) is refused by the replica that
+// applies it.
 func TestClusterAlertBelowHorizon(t *testing.T) {
 	ids := []string{"a", "b"}
 	h := startCluster(t, ids, false, nil)
@@ -393,6 +395,10 @@ func TestClusterAlertBelowHorizon(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitRunDone(t, h.nodes["b"], "r", 10*time.Second)
+	forged, err := h.nodes["b"].InjectForged("intruder", "evil", nil, map[string]int64{"loot": -1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := h.nodes["b"].Checkpoint(context.Background()); err != nil {
 		t.Fatalf("forced checkpoint: %v", err)
 	}
@@ -402,8 +408,17 @@ func TestClusterAlertBelowHorizon(t *testing.T) {
 		if !errors.Is(err, recovery.ErrHorizon) {
 			t.Errorf("alert via %s on a retired run's instance: %v, want ErrHorizon", id, err)
 		}
-		if m := h.nodes[id].MetricsDoc(); m.AlertsBelowHorizon != 1 {
-			t.Errorf("node %s counted %d alerts below the horizon, want 1", id, m.AlertsBelowHorizon)
+		if _, _, err := h.nodes[id].ReportAlerts([]triage.Alert{{Bad: []wlog.InstanceID{forged}}}); !errors.Is(err, recovery.ErrHorizon) {
+			t.Errorf("alert via %s on a forge beneath the horizon: %v, want ErrHorizon", id, err)
+		}
+		if m := h.nodes[id].MetricsDoc(); m.AlertsBelowHorizon != 2 {
+			t.Errorf("node %s counted %d alerts below the horizon, want 2", id, m.AlertsBelowHorizon)
+		}
+		if _, err := h.nodes[id].RunInfo("intruder"); !errors.Is(err, engine.ErrUnknownRun) {
+			t.Errorf("RunInfo(intruder) via %s = %v, want unknown", id, err)
+		}
+		if runs := h.nodes[id].Runs(); len(runs) != 1 || runs[0].ID != "r" {
+			t.Errorf("node %s lists %+v, want only r", id, runs)
 		}
 		resp, err := http.Post(h.url(id)+"/api/v1/alerts", "application/json", strings.NewReader(`{"bad":["r/t1#1"]}`))
 		if err != nil {

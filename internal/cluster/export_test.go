@@ -1,9 +1,6 @@
 package cluster
 
-import (
-	"fmt"
-	"time"
-)
+import "time"
 
 // SetJournalSegmentBytes makes node journals rotate at n bytes, so a short
 // test stream spans several segments; the returned func restores the default.
@@ -39,30 +36,8 @@ func (n *Node) FrontierOf(run string) Frontier {
 // end it: the replica keeps applying, and nothing more is journaled.
 func (n *Node) CloseJournal() { n.journal.Close() }
 
-// CheckReplica compares what the node's replica keeps derived against full
-// scans: the active-run set against every run's done flag, and every list of
-// its intern table against the entry it was interned under.
+// CheckReplica checks every list of the node's intern table against the
+// entry it was interned under.
 func (n *Node) CheckReplica() error {
-	if err := n.rep.checkActive(); err != nil {
-		return err
-	}
 	return n.rep.tab.Check()
-}
-
-// checkActive reports the first difference between the active-run set and a
-// scan of every registered run.
-func (r *replica) checkActive() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for id, rs := range r.runs {
-		if _, in := r.active[id]; in == rs.done {
-			return fmt.Errorf("cluster: run %s is done=%v but in the active set=%v", id, rs.done, in)
-		}
-	}
-	for id := range r.active {
-		if r.runs[id] == nil {
-			return fmt.Errorf("cluster: the active set names unregistered run %s", id)
-		}
-	}
-	return nil
 }

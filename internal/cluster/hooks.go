@@ -60,4 +60,4 @@ func (h hooks) pausedKeys(n int)    { h.reg.Gauge(obs.MClusterPausedKeys).Set(in
 func (h hooks) incident()           { h.reg.Counter(obs.MClusterIncidents).Inc() }
 func (h hooks) reconcilePickup()    { h.reg.Counter(obs.MClusterReconcilePickups).Inc() }
 func (h hooks) runDoneAtAdmission() { h.reg.Counter(obs.MClusterRunsDoneAtAdmission).Inc() }
-func (h hooks) belowHorizon()       { h.reg.Counter(obs.MAlertsBelowHorizon).Inc() }
+func (h hooks) alertBelowHorizon()  { h.reg.Counter(obs.MAlertsBelowHorizon).Inc() }

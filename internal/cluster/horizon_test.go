@@ -23,7 +23,7 @@ func TestReplicaRefusesRepairBelowHorizon(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := n.StoreSnapshot()
-	if !n.rep.Retired("m") || n.rep.HasInstance("m/t1#1") || !n.rep.belowHorizon("m/t1#1") {
+	if !n.rep.Retired("m") || n.rep.HasInstance("m/t1#1") || !n.rep.state().BelowHorizon("m/t1#1") {
 		t.Fatalf("the checkpoint did not retire run m beneath the horizon")
 	}
 	if err := n.applyFrames(wireBody(recs[6:])); err != nil {

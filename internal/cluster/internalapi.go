@@ -219,7 +219,7 @@ func (n *Node) statusSnapshot() statusDoc {
 	return statusDoc{
 		Node:       n.cfg.NodeID,
 		Applied:    n.servable(),
-		ActiveRuns: len(n.rep.ActiveRuns()),
+		ActiveRuns: len(n.rep.state().Live()),
 		Alerts:     int(n.pendingAlerts.Load()),
 		Incident:   n.inIncident.Load(),
 		State:      n.StateString(),

@@ -340,7 +340,7 @@ func (n *Node) reconcileLoop() {
 	seen := make(map[string]pos)
 	for n.sleep(reconcileInterval) {
 		now := make(map[string]pos)
-		for _, run := range n.rep.ActiveRuns() {
+		for _, run := range n.rep.state().Live() {
 			cur, visit, _, ok := n.rep.Frontier(run)
 			if !ok {
 				continue
@@ -402,7 +402,7 @@ func (n *Node) runLoop(run string) {
 		if !ok || done {
 			return
 		}
-		spec := n.rep.Spec(run)
+		spec := n.rep.state().Spec(run)
 		if spec == nil {
 			return
 		}
@@ -470,7 +470,7 @@ func (n *Node) executeWindow(run string, spec *wf.Spec, cur wf.TaskID, visit int
 // also at any task after the head that another node owns (the head itself
 // was ownership-checked by runLoop, or runs here because its owner is
 // unreachable).
-func (n *Node) speculate(run string, spec *wf.Spec, cur wf.TaskID, visit int, visits visitCounts,
+func (n *Node) speculate(run string, spec *wf.Spec, cur wf.TaskID, visit int, visits map[wf.TaskID]int,
 	base func(data.Key) wlog.ReadObs, owned bool) []*EntryJSON {
 	window := n.cfg.SubmitWindow
 	overlay := make(map[string]ReadObsJSON)
@@ -512,12 +512,12 @@ func (n *Node) speculate(run string, spec *wf.Spec, cur wf.TaskID, visit int, vi
 		for k, v := range written {
 			overlay[k] = ReadObsJSON{Value: v, Writer: string(inst)}
 		}
-		visits.set(cur, visit)
+		visits[cur] = visit
 		if next == "" {
 			break // the run completes inside this window
 		}
 		cur = next
-		visit = visits.get(cur) + 1
+		visit = visits[cur] + 1
 	}
 	return batch
 }
@@ -684,7 +684,7 @@ func (n *Node) SubmitRunSpec(id string, doc *wfjson.SpecJSON) error {
 		}
 		return o
 	}
-	window := n.speculate(id, spec, spec.Start, 1, nil, base, false)
+	window := n.speculate(id, spec, spec.Start, 1, make(map[wf.TaskID]int), base, false)
 	seq, results, err := n.submitSpec(id, doc, window)
 	if err != nil {
 		return err
@@ -713,12 +713,12 @@ func (n *Node) RunInfo(id string) (shard.RunInfo, error) {
 	if done {
 		status = "done"
 	}
-	return shard.RunInfo{ID: id, Status: status, Shard: n.ring.OwnerIndexOfRun(id), Steps: n.rep.Steps(id)}, nil
+	return shard.RunInfo{ID: id, Status: status, Shard: n.ring.OwnerIndexOfRun(id), Steps: len(n.rep.state().Log().Trace(id, false))}, nil
 }
 
 // Runs lists every run, sorted by ID.
 func (n *Node) Runs() []shard.RunInfo {
-	ids := n.rep.RunIDs()
+	ids := n.rep.state().IDs()
 	out := make([]shard.RunInfo, 0, len(ids))
 	for _, id := range ids {
 		if info, err := n.RunInfo(id); err == nil {
@@ -729,7 +729,14 @@ func (n *Node) Runs() []shard.RunInfo {
 }
 
 // Trace returns a run's committed instance IDs, forged included.
-func (n *Node) Trace(run string) []wlog.InstanceID { return n.rep.Trace(run, true) }
+func (n *Node) Trace(run string) []wlog.InstanceID {
+	entries := n.rep.state().Log().Trace(run, true)
+	out := make([]wlog.InstanceID, len(entries))
+	for i, e := range entries {
+		out[i] = e.ID()
+	}
+	return out
+}
 
 // ReportAlerts validates a batch and routes each alert to its incident
 // leader (the accused run's owner), falling back to leading locally when
@@ -795,9 +802,9 @@ func (n *Node) checkAlertInstance(id wlog.InstanceID) error {
 	if n.rep.HasInstance(id) {
 		return nil
 	}
-	if n.rep.belowHorizon(id) {
+	if n.rep.state().BelowHorizon(id) {
 		n.alertsHorizon.Add(1)
-		n.o.belowHorizon()
+		n.o.alertBelowHorizon()
 		return fmt.Errorf("cluster: alert instance %q lies beneath the snapshot horizon: %w", id, recovery.ErrHorizon)
 	}
 	return fmt.Errorf("cluster: alert instance %q: %w", id, engine.ErrUnknownRun)
@@ -845,7 +852,7 @@ func (n *Node) QueueLengths() (int, int, int) {
 // MetricsDoc summarizes this node's view of the cluster's accounting.
 func (n *Node) MetricsDoc() shard.Metrics {
 	st := n.rep.Stats()
-	ids := n.rep.RunIDs()
+	ids := n.rep.state().IDs()
 	completed := 0
 	for _, id := range ids {
 		if done, _ := n.rep.RunDone(id); done {
@@ -853,7 +860,7 @@ func (n *Node) MetricsDoc() shard.Metrics {
 		}
 	}
 	normal := 0
-	_, entries := n.rep.LogEntries()
+	entries := n.rep.state().Log().Entries()
 	for _, e := range entries {
 		if !e.Forged {
 			normal++
@@ -877,7 +884,7 @@ func (n *Node) MetricsDoc() shard.Metrics {
 
 // StoreSnapshot returns the committed value of every key.
 func (n *Node) StoreSnapshot() map[string]int64 {
-	snap := n.rep.Snapshot()
+	snap := n.rep.state().Store().Snapshot()
 	out := make(map[string]int64, len(snap))
 	for k, v := range snap {
 		out[string(k)] = int64(v)
@@ -964,7 +971,7 @@ func (n *Node) clusterQuiescent(wantRunsDone bool) bool {
 	if n.pendingAlerts.Load() > 0 || n.inIncident.Load() {
 		return false
 	}
-	if wantRunsDone && len(n.rep.ActiveRuns()) > 0 {
+	if wantRunsDone && len(n.rep.state().Live()) > 0 {
 		return false
 	}
 	applied := make(map[string]int, len(n.cfg.Peers))
@@ -996,7 +1003,8 @@ func (n *Node) clusterQuiescent(wantRunsDone bool) bool {
 
 // LogDoc returns the replica's committed log.
 func (n *Node) LogDoc() (int, []httpapi.LogEntry) {
-	base, entries := n.rep.LogEntries()
+	log := n.rep.state().Log()
+	base, entries := log.Base(), log.Entries()
 	out := make([]httpapi.LogEntry, 0, len(entries))
 	for _, e := range entries {
 		out = append(out, httpapi.LogEntry{
@@ -1014,7 +1022,7 @@ func (n *Node) LogDoc() (int, []httpapi.LogEntry) {
 // VerifyDoc returns this replica's soundness verdicts for the fuzz oracles.
 func (n *Node) VerifyDoc() httpapi.VerifyDoc {
 	doc := httpapi.VerifyDoc{State: n.StateString(), CheckIndex: "ok"}
-	if err := n.rep.CheckIndex(); err != nil {
+	if err := n.rep.state().Store().CheckIndex(); err != nil {
 		doc.CheckIndex = err.Error()
 	}
 	st := n.rep.Stats()

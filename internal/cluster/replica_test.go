@@ -48,6 +48,18 @@ func repairStream() []Record {
 	return recs
 }
 
+// runPos is one run's frontier and visit counts on a replica.
+type runPos struct {
+	cur    wf.TaskID
+	done   bool
+	visits map[wf.TaskID]int
+}
+
+func posOf(rep *replica, run string) runPos {
+	rs := rep.m.Run(run)
+	return runPos{rs.Current(), rs.Done(), rs.VisitCounts()}
+}
+
 // TestRepairResyncsOnlyRewrittenRuns: a repair moves exactly the runs its
 // schedule names onto their corrected frontiers — the frontiers and visit
 // counts a resync of every registered run through Result.Frontier and the
@@ -63,23 +75,23 @@ func TestRepairResyncsOnlyRewrittenRuns(t *testing.T) {
 	if cur, _, _, _ := rep.Frontier("r1"); cur != "hi" {
 		t.Fatalf("r1 is at %s before the repair, want hi", cur)
 	}
-	untouched := make(map[string]runState)
+	untouched := make(map[string]runPos)
 	for _, run := range []string{"r3", "r4"} {
-		rs := *rep.runs[run]
-		rs.visits = slices.Clone(rs.visits)
-		untouched[run] = rs
+		untouched[run] = posOf(rep, run)
 	}
 
 	// The resync the repair must reproduce, computed the old way: every
 	// registered run asked through Frontier on the same repair result.
-	res, err := recovery.Repair(rep.store, rep.log, rep.specsCopy(), []wlog.InstanceID{"attacker/evil#1"}, rep.ropts)
+	specs := rep.m.Specs()
+	res, err := recovery.Repair(rep.m.Store(), rep.m.Log(), specs, []wlog.InstanceID{"attacker/evil#1"},
+		recovery.Options{Parallel: 1, ScopeToDamage: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// The damage-scoped repair replays only the component the forged x
 	// reaches, so its schedule names r1 and r2 — not r3, whose committed
 	// instance lies in a clean component, nor r4, which committed nothing.
-	fronts := res.Frontiers(rep.specs)
+	fronts := res.Frontiers(specs)
 	var named []string
 	for run := range fronts {
 		named = append(named, run)
@@ -87,14 +99,9 @@ func TestRepairResyncsOnlyRewrittenRuns(t *testing.T) {
 	if slices.Sort(named); !reflect.DeepEqual(named, []string{"r1", "r2"}) {
 		t.Fatalf("the schedule names runs %v, want [r1 r2]", named)
 	}
-	type state struct {
-		cur    wf.TaskID
-		done   bool
-		visits map[wf.TaskID]int
-	}
-	want := make(map[string]state)
-	for run := range rep.runs {
-		cur, done, ok := res.Frontier(run, rep.specs[run])
+	want := make(map[string]runPos)
+	for run, spec := range specs {
+		cur, done, ok := res.Frontier(run, spec)
 		if f, grouped := fronts[run]; ok != grouped || ok && f != (recovery.RunFrontier{Cur: cur, Done: done}) {
 			t.Fatalf("run %s: Frontier says (%s, %v, %v), Frontiers %+v (%v)", run, cur, done, ok, f, grouped)
 		}
@@ -102,10 +109,10 @@ func TestRepairResyncsOnlyRewrittenRuns(t *testing.T) {
 			continue
 		}
 		visits := make(map[wf.TaskID]int)
-		for _, e := range rep.log.Trace(run, true) {
+		for _, e := range rep.m.Log().Trace(run, true) {
 			visits[e.Task] = max(visits[e.Task], e.Visit)
 		}
-		want[run] = state{cur, done, visits}
+		want[run] = runPos{cur, done, visits}
 	}
 
 	if ok, err := rep.Apply(&recs[len(recs)-1]); !ok || err != nil {
@@ -115,12 +122,7 @@ func TestRepairResyncsOnlyRewrittenRuns(t *testing.T) {
 		t.Fatalf("repair stats %+v, want 2 redone and no error", st)
 	}
 	for run, w := range want {
-		rs := rep.runs[run]
-		got := state{rs.cur, rs.done, make(map[wf.TaskID]int)}
-		for _, tv := range rs.visits {
-			got.visits[tv.task] = tv.n
-		}
-		if !reflect.DeepEqual(got, w) {
+		if got := posOf(rep, run); !reflect.DeepEqual(got, w) {
 			t.Errorf("run %s resynced to %+v, want %+v", run, got, w)
 		}
 	}
@@ -128,32 +130,16 @@ func TestRepairResyncsOnlyRewrittenRuns(t *testing.T) {
 		t.Errorf("r1 frontier %s#%d (done %v), want lo#1: the corrected x takes the low branch", cur, visit, done)
 	}
 	for run, was := range untouched {
-		if got := *rep.runs[run]; !reflect.DeepEqual(got, was) {
+		if got := posOf(rep, run); !reflect.DeepEqual(got, was) {
 			t.Errorf("the repair moved %s: %+v, was %+v", run, got, was)
 		}
 	}
 }
 
-// A run's visit counters stay sorted by task whatever order the tasks
-// execute in, and a counter is found again where it was set.
-func TestVisitCountsSorted(t *testing.T) {
-	var v visitCounts
-	for i, task := range []wf.TaskID{"m", "c", "x", "a", "c", "m"} {
-		v.set(task, i+1)
-	}
-	want := visitCounts{{"a", 4}, {"c", 5}, {"m", 6}, {"x", 3}}
-	if !reflect.DeepEqual(v, want) {
-		t.Fatalf("visit counters %v, want %v", v, want)
-	}
-	if v.get("c") != 5 || v.get("b") != 0 {
-		t.Fatalf("get: c=%d b=%d, want 5 and 0", v.get("c"), v.get("b"))
-	}
-}
-
-// TestActiveRunsMatchFullScan: the active-run set follows every change of a
-// run's done flag — registration, an entry completing a run, and a repair
-// resync that completes one — and equals a scan of every registered run
-// after each record. r5 took the forged branch (t0 → hi → hi2) and stands at
+// TestActiveRunsMatchFullScan: the active runs — those the machine records
+// live — follow every change of a run's done flag — registration, an entry
+// completing a run, and a repair resync that completes one — and equal a
+// scan of every registered run's frontier after each record. r5 took the forged branch (t0 → hi → hi2) and stands at
 // hi2; the corrected x takes t0 → lo, an end, within the two actions r5 had
 // committed, so the repair completes it. r6 completes on its own. The
 // stream's other runs stay active, as repairStream describes.
@@ -181,11 +167,17 @@ func TestActiveRunsMatchFullScan(t *testing.T) {
 		if ok, err := rep.Apply(&recs[i]); !ok || err != nil {
 			t.Fatalf("record %d: applied %v, %v", i+1, ok, err)
 		}
-		if err := rep.checkActive(); err != nil {
-			t.Fatalf("after record %d (%s): %v", i+1, recs[i].Kind, err)
+		var scan []string
+		for _, id := range rep.m.IDs() {
+			if _, _, done, _ := rep.Frontier(id); !done {
+				scan = append(scan, id)
+			}
+		}
+		if got := rep.m.Live(); !reflect.DeepEqual(got, scan) {
+			t.Fatalf("after record %d (%s): ActiveRuns = %v, a scan of the frontiers %v", i+1, recs[i].Kind, got, scan)
 		}
 		if i == len(recs)-2 {
-			if got, want := rep.ActiveRuns(), []string{"r1", "r2", "r3", "r4", "r5"}; !reflect.DeepEqual(got, want) {
+			if got, want := rep.m.Live(), []string{"r1", "r2", "r3", "r4", "r5"}; !reflect.DeepEqual(got, want) {
 				t.Fatalf("ActiveRuns before the repair = %v, want %v", got, want)
 			}
 		}
@@ -193,7 +185,7 @@ func TestActiveRunsMatchFullScan(t *testing.T) {
 	if done, _ := rep.RunDone("r5"); !done {
 		t.Fatal("the repair did not complete r5 on its corrected path")
 	}
-	if got, want := rep.ActiveRuns(), []string{"r1", "r2", "r3", "r4"}; !reflect.DeepEqual(got, want) {
+	if got, want := rep.m.Live(), []string{"r1", "r2", "r3", "r4"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("ActiveRuns = %v, want %v", got, want)
 	}
 	if err := rep.tab.Check(); err != nil {

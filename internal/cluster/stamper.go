@@ -159,7 +159,7 @@ func (s *stamper) stampJobs(jobs []*stampJob) {
 	}
 	for _, job := range jobs {
 		if job.spec != nil {
-			if s.n.rep.HasRun(job.spec.Run) {
+			if s.n.rep.state().Has(job.spec.Run) {
 				job.err = fmt.Errorf("cluster: run %s: %w", job.spec.Run, engine.ErrRunExists)
 				continue
 			}
@@ -256,7 +256,7 @@ func (s *stamper) validateEntryLocked(ej *EntryJSON) (SubmitResult, bool) {
 		// exactly as SubmitForge admits them.
 		return SubmitResult{}, true
 	}
-	spec := rep.Spec(ej.Run)
+	spec := rep.state().Spec(ej.Run)
 	if spec == nil {
 		return SubmitResult{Status: SubStale, Seq: rep.Applied(), Reason: "unknown run"}, false
 	}
@@ -454,13 +454,13 @@ func (s *stamper) SubmitForge(origin, run, task string, reads []string, writes m
 // SubmitRepair stamps a repair record for the accused instances. The caller
 // (the incident leader) has already quiesced the damaged keys' owners. An
 // instance a checkpoint buried since the alert's admission still gets its
-// record: every replica refuses the repair alike (replica.checkHorizon), and
-// counts the refusal.
+// record: every replica refuses the repair alike
+// (machine.Machine.CheckHorizon), and counts the refusal.
 func (s *stamper) SubmitRepair(origin string, bad []string) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, id := range bad {
-		if inst := wlog.InstanceID(id); !s.n.rep.HasInstance(inst) && !s.n.rep.belowHorizon(inst) {
+		if inst := wlog.InstanceID(id); !s.n.rep.HasInstance(inst) && !s.n.rep.state().BelowHorizon(inst) {
 			return 0, fmt.Errorf("cluster: repair names unknown instance %s: %w", id, engine.ErrUnknownRun)
 		}
 	}

@@ -50,8 +50,8 @@ func TestStamperReportsDoneOnlyWhenDurable(t *testing.T) {
 	applied := func() bool {
 		n.rep.mu.Lock()
 		defer n.rep.mu.Unlock()
-		rs := n.rep.runs["r"]
-		return rs != nil && rs.done
+		rs := n.rep.m.Run("r")
+		return rs != nil && rs.Done()
 	}
 	for complete := false; !complete; {
 		select {

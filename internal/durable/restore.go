@@ -103,40 +103,14 @@ func (w *WAL) restore(tab *wf.Interner) (*State, error) {
 		return nil, err
 	}
 
-	st := &State{
-		Horizon:   Horizon{Tombs: make(map[string]Tombstone), PreEpoch: make(map[string]bool)},
-		Specs:     make(map[string]SpecState),
-		Workflows: make(map[string]*wf.Spec),
-		Runs:      make(map[string]RunState),
+	st, err := snapshotState(snap, tab)
+	if err != nil {
+		return nil, err
 	}
 	chains := make(map[data.Key][]data.Version)
 	liveAlerts := make(map[uint64][]wlog.InstanceID)
 	if snap != nil {
-		st.Horizon = snap.Horizon()
 		chains = snap.Chains
-		// Tombstoned runs can never run again: their specs are not built.
-		for run, sp := range snap.Specs {
-			if _, gone := st.Tombs[run]; gone {
-				continue
-			}
-			spec, _, err := wfjson.DecodeIn(tab, bytes.NewReader(sp.JSON))
-			if err != nil {
-				return nil, fmt.Errorf("durable: snapshot spec %s: %w", run, err)
-			}
-			st.Specs[run] = sp
-			st.Workflows[run] = spec
-		}
-		for run, rs := range snap.Runs {
-			if _, gone := st.Tombs[run]; gone {
-				continue
-			}
-			st.Runs[run] = RunState{
-				Cur:    rs.Cur,
-				Visits: copyVisits(rs.Visits),
-				Status: rs.Status,
-				Err:    rs.Err,
-			}
-		}
 		for id, bad := range snap.Alerts {
 			liveAlerts[id] = bad
 		}
@@ -263,6 +237,61 @@ func (w *WAL) restore(tab *wf.Interner) (*State, error) {
 	st.ReplayDuration = time.Since(start)
 	w.replayed = len(records)
 	w.replayDur = st.ReplayDuration
+	return st, nil
+}
+
+// Restore rebuilds the state snap captured, with nothing replayed past it:
+// how a cluster replica boots from its own snapshot or installs a peer's.
+// Its log is empty and based at the snapshot's epoch; its store holds the
+// snapshot's chains.
+func Restore(snap *Snapshot, tab *wf.Interner) (*State, error) {
+	st, err := snapshotState(snap, tab)
+	if err != nil {
+		return nil, err
+	}
+	if st.Store, err = data.NewStoreFromChains(snap.Chains); err != nil {
+		return nil, fmt.Errorf("durable: snapshot %d: %w", snap.Seq, err)
+	}
+	st.Log = wlog.NewAt(snap.Epoch)
+	return st, nil
+}
+
+// snapshotState returns the horizon, the live runs' specs, compiled into
+// tab, and their frontiers that snap records — the empty state when snap is
+// nil. Tombstoned runs can never run again: their specs are not built.
+func snapshotState(snap *Snapshot, tab *wf.Interner) (*State, error) {
+	st := &State{
+		Horizon:   Horizon{Tombs: make(map[string]Tombstone), PreEpoch: make(map[string]bool)},
+		Specs:     make(map[string]SpecState),
+		Workflows: make(map[string]*wf.Spec),
+		Runs:      make(map[string]RunState),
+	}
+	if snap == nil {
+		return st, nil
+	}
+	st.Horizon = snap.Horizon()
+	for run, sp := range snap.Specs {
+		if _, gone := st.Tombs[run]; gone {
+			continue
+		}
+		spec, _, err := wfjson.DecodeIn(tab, bytes.NewReader(sp.JSON))
+		if err != nil {
+			return nil, fmt.Errorf("durable: snapshot %d: spec of run %s: %w", snap.Seq, run, err)
+		}
+		st.Specs[run] = sp
+		st.Workflows[run] = spec
+	}
+	for run, rs := range snap.Runs {
+		if _, gone := st.Tombs[run]; gone {
+			continue
+		}
+		st.Runs[run] = RunState{
+			Cur:    rs.Cur,
+			Visits: copyVisits(rs.Visits),
+			Status: rs.Status,
+			Err:    rs.Err,
+		}
+	}
 	return st, nil
 }
 

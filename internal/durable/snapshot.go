@@ -30,11 +30,10 @@ import (
 // entries lie beneath the horizon, so an alert naming one is refused as
 // below the horizon rather than as unknown.
 const (
-	RunActive   = "active"
-	RunDeferred = "deferred"
-	RunDone     = "done"
-	RunFailed   = "failed"
-	RunForged   = "forged"
+	RunActive = "active"
+	RunDone   = "done"
+	RunFailed = "failed"
+	RunForged = "forged"
 )
 
 // DefaultSnapshotEvery is the checkpoint interval, in committed entries,

@@ -84,6 +84,32 @@ func (r *Run) Done() bool { return r.done }
 // Current returns the task the run will execute next.
 func (r *Run) Current() wf.TaskID { return r.cur }
 
+// Visits returns how often the run has executed task.
+func (r *Run) Visits(task wf.TaskID) int {
+	for _, v := range r.visits {
+		if v.task == task {
+			return v.n
+		}
+	}
+	return 0
+}
+
+// Follow advances the run past a committed entry of its own that was
+// prepared elsewhere — how a replica applies a commit it did not execute:
+// the task's visit counter becomes the entry's visit, and the frontier
+// moves to the task's successor, the entry's choice, or past the end.
+func (r *Run) Follow(e *wlog.Entry) {
+	*r.visit(e.Task) = e.Visit
+	switch next := r.Spec.Task(e.Task).Next; {
+	case len(next) == 0:
+		r.done = true
+	case len(next) == 1:
+		r.cur = next[0]
+	default:
+		r.cur = e.Chosen
+	}
+}
+
 // VisitCounts returns a copy of the run's per-task visit counters — the
 // state a durable snapshot persists so a restored run keeps minting instance
 // IDs that never collide with entries committed before the snapshot, even
@@ -416,6 +442,20 @@ func (e *Engine) CommitBatch(ps []*Prepared) error {
 	return nil
 }
 
+// CommitEntry appends an entry prepared elsewhere — a forged one, or a
+// replicated commit — to the log and applies its writes at the LSN it got.
+func (e *Engine) CommitEntry(entry *wlog.Entry) error {
+	inst := entry.CacheID()
+	lsn, err := e.log.Append(entry)
+	if err != nil {
+		return fmt.Errorf("engine: commit %s: %w", inst, err)
+	}
+	for _, w := range entry.Writes {
+		e.store.Write(w.Key, w.Value, float64(lsn), string(inst), false)
+	}
+	return nil
+}
+
 // Step executes the run's next task and commits it. It returns true when the
 // run has completed (including when it was already complete).
 func (e *Engine) Step(r *Run) (bool, error) {
@@ -550,17 +590,11 @@ func (e *Engine) RunAll(ctx context.Context, runs ...*Run) error {
 // Forged tasks are identified in the log and are undone — never redone —
 // during recovery.
 func (e *Engine) InjectForged(run string, task wf.TaskID, readKeys []data.Key, writes map[data.Key]data.Value) (wlog.InstanceID, error) {
-	store := e.Store()
 	entry := &wlog.Entry{Run: run, Task: task, Visit: 1, Forged: true, Writes: wlog.WritesOf(writes)}
-	entry.Reads, _ = observe(store, readKeys) // in the caller's order; Append sorts
-	inst := entry.CacheID()
-	lsn, err := e.log.Append(entry)
-	if err != nil {
-		return "", fmt.Errorf("engine: inject forged %s: %w", inst, err)
+	entry.Reads, _ = observe(e.store, readKeys) // in the caller's order; Append sorts
+	if err := e.CommitEntry(entry); err != nil {
+		return "", fmt.Errorf("engine: inject forged: %w", err)
 	}
 	e.o.forged.Inc()
-	for _, w := range entry.Writes {
-		store.Write(w.Key, w.Value, float64(lsn), string(inst), false)
-	}
-	return inst, nil
+	return entry.ID(), nil
 }

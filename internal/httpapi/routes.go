@@ -85,13 +85,13 @@ func Table() []Route {
 				"404": "unknown run ID"}},
 		{Method: "POST", Pattern: "/api/v1/alerts", Family: FamV1,
 			Summary: "deliver IDS alerts",
-			Desc:    "Admits a single alert (bad) and/or a batch; the whole request is validated before anything is queued. Malformed instance IDs are a 400; well-formed IDs absent from the log are a 404, or a 410 when their run retired (or was forged) beneath the horizon.",
+			Desc:    "Admits a single alert (bad) and/or a batch; the whole request is validated before anything is queued. Malformed instance IDs are a 400; well-formed IDs absent from the log are a 404, or a 410 when they lie beneath the horizon: an instance of a run retired or forged there, or one a live run made there before a checkpoint truncated it.",
 			Body:    true,
 			Responses: map[string]string{
 				"202": "queued; admitted/dropped counts and the service state",
 				"400": "malformed body or malformed instance ID",
 				"404": "well-formed instance ID absent from the log",
-				"410": "instance of a run retired or forged beneath the horizon (below_horizon)",
+				"410": "instance beneath the horizon: of a run retired or forged there, or truncated from a live run (below_horizon)",
 				"429": "alert buffer dropped the whole batch (Retry-After set)"}},
 		{Method: "GET", Pattern: "/api/v1/state", Family: FamV1,
 			Summary:   "service state",

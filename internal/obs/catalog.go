@@ -130,7 +130,7 @@ func Catalog() []Def {
 		{MEngineStepSeconds, "histogram", "—", "Fig 2", "Wall-clock latency of one engine task execution and commit."},
 		{MAlertsReported, "counter", "λ_a", "§IV.C", "IDS alerts delivered to the runtime (arrival process)."},
 		{MAlertsLost, "counter", "P_l", "Def. 3", "IDS alerts dropped because the alert buffer was full."},
-		{MAlertsBelowHorizon, "counter", "—", "§III", "IDS alerts refused because they name an instance of a run retired or forged beneath the horizon."},
+		{MAlertsBelowHorizon, "counter", "—", "§III", "IDS alerts refused because they name an instance beneath the horizon: of a run retired or forged there, or truncated from a live run."},
 		{MAlertsAnalyzed, "counter", "μ_s", "§IV.C", "Alerts the analyzer turned into units of recovery tasks."},
 		{MUnitsExecuted, "counter", "ξ_r", "§IV.C", "Units of recovery tasks executed by the scheduler."},
 		{MNormalSteps, "counter", "—", "§IV.C", "Normal workflow task executions scheduled in NORMAL state."},

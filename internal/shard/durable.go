@@ -28,19 +28,19 @@
 // through the commit pipeline, writes it, and then forgets what it covers —
 // the log and graph prefix, the store history beneath the epoch, every
 // retired run but its tombstone — exactly as a restart from it would
-// (Service.forget, horizon.go); the WAL retires every segment the snapshot
-// covers. See docs/DURABILITY.md.
+// (machine.Machine.Forget, which machine.Restore ends in too); the WAL
+// retires every segment the snapshot covers. See docs/DURABILITY.md.
 package shard
 
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 	"time"
 
 	"selfheal/internal/deps"
 	"selfheal/internal/durable"
 	"selfheal/internal/engine"
+	"selfheal/internal/machine"
 	"selfheal/internal/triage"
 	"selfheal/internal/wf"
 	"selfheal/internal/wfjson"
@@ -58,24 +58,30 @@ func NewDurable(cfg Config, dir string, dopts durable.Options) (*Service, error)
 	if err != nil {
 		return nil, err
 	}
-	eng := engine.New(st.Store, st.Log)
+	// The restore built the state at the horizon; the machine forgets it
+	// there, registering the tombstones and the pre-epoch runs, as a live
+	// checkpoint does.
+	m, err := machine.Restore(tab, st)
+	if err != nil {
+		_ = wal.Close()
+		return nil, err
+	}
 	s := &Service{
 		cfg: cfg,
-		eng: eng,
-		tab: tab,
+		m:   m,
+		eng: m.Engine(),
 		// The graph resumes from the snapshot frontier and folds only the
 		// restored log suffix (the OnAppend catch-up), not the full
 		// history.
 		graph:          deps.NewIncrementalFrom(st.Log, st.Graph),
-		com:            newCommitter(eng, cfg.BatchMax, cfg.CommitQueue),
-		specs:          make(map[string]*wf.Spec, len(st.Workflows)),
+		com:            newCommitter(m.Engine(), cfg.BatchMax, cfg.CommitQueue),
 		alerts:         make(chan alert, cfg.AlertBuf),
 		cover:          triage.NewCoverage(),
 		pendingKeys:    make(map[string]int),
 		stopCh:         make(chan struct{}),
 		wal:            wal,
 		liveAlerts:     make(map[uint64][]wlog.InstanceID, len(st.Alerts)),
-		specStates:     make(map[string]durable.SpecState, len(st.Specs)),
+		specStates:     st.Specs,
 		restoredAlerts: st.Alerts,
 		ckptCh:         make(chan ckptReq),
 	}
@@ -84,69 +90,19 @@ func NewDurable(cfg Config, dir string, dopts durable.Options) (*Service, error)
 	// flushed (the graph is snapshot state; the WAL record is its replay).
 	wal.AttachLog(st.Log)
 	s.com.fault = func() error { _, err := wal.Durable(); return err }
-	s.exec = newExecutor(eng, s.com, cfg.Shards, cfg.Inbox, cfg.DeferMax)
-	s.exec.durable, s.exec.undurable = wal.Durable, make(map[*runState]int)
-
-	for id, sp := range st.Workflows {
-		s.specs[id] = sp
-	}
-	for id, ss := range st.Specs {
-		s.specStates[id] = ss
-	}
+	s.exec = newExecutor(m, s.com, cfg.Shards, cfg.Inbox, cfg.DeferMax)
+	s.exec.durable, s.exec.undurable = wal.Durable, make(map[string]int)
 	for _, pa := range st.Alerts {
 		s.liveAlerts[pa.ID] = pa.Bad
 	}
 
-	ids := make([]string, 0, len(st.Runs))
-	for id := range st.Runs {
-		ids = append(ids, id)
+	// Every run a previous life registered counts as submitted; the live
+	// ones are placed again, and sit in the (buffered) inboxes until Start
+	// spins the workers up.
+	s.metrics.RunsSubmitted = len(m.IDs())
+	for _, id := range m.Live() {
+		_ = s.exec.submit(&m.Run(id).Run, true) // a restored run cannot be refused
 	}
-	sort.Strings(ids)
-	var resume []*runState
-	for _, id := range ids {
-		rs := st.Runs[id]
-		spec := st.Workflows[id]
-		if spec == nil {
-			_ = wal.Close()
-			return nil, fmt.Errorf("shard: restored run %s has no spec", id)
-		}
-		status := RunActive
-		switch {
-		case rs.Status == durable.RunDone:
-			status = RunDone
-		case rs.Status == durable.RunFailed:
-			status = RunFailed
-		case rs.Cur == "":
-			// A repair moved the run past its end, and the checkpoint
-			// caught it before its worker retired it: it is done.
-			status = RunDone
-		}
-		r, err := eng.RestoreRun(id, spec, rs.Cur, rs.Visits, status == RunDone, status == RunFailed)
-		if err != nil {
-			_ = wal.Close()
-			return nil, fmt.Errorf("shard: restoring run %s: %w", id, err)
-		}
-		if placed := s.exec.adoptRestored(r, spec, status, rs.Err); placed != nil {
-			resume = append(resume, placed)
-		}
-		s.metrics.RunsSubmitted++
-	}
-	for _, tb := range st.Tombs {
-		if tb.Status != durable.RunForged {
-			s.metrics.RunsSubmitted++
-		}
-	}
-	// The restore already built the state at the horizon; the step that
-	// forgets it registers the tombstones and the pre-epoch runs, as a live
-	// checkpoint does.
-	if err := s.forget(st.Horizon); err != nil {
-		_ = wal.Close()
-		return nil, err
-	}
-	s.retain()
-	// Deliveries sit in the (buffered) inboxes until Start spins the
-	// workers up.
-	s.exec.deliver(resume)
 	return s, nil
 }
 
@@ -166,7 +122,7 @@ func (s *Service) ReplayStats() (records int, d time.Duration) {
 // the run in the WAL, and the call returns once the record is on disk.
 // Errors wrap engine.ErrBadSpec, engine.ErrRunExists or ErrQueueFull.
 func (s *Service) SubmitRunSpec(id string, sj *wfjson.SpecJSON) error {
-	spec, init, err := wfjson.BuildIn(s.tab, sj)
+	spec, init, err := wfjson.BuildIn(s.m.Tab(), sj)
 	if err != nil {
 		return fmt.Errorf("shard: run %s spec: %w: %w", id, engine.ErrBadSpec, err)
 	}
@@ -222,18 +178,12 @@ func (s *Service) snapshot(auto bool) error {
 // tombstone, and so is every run nobody registered that has a forged entry
 // in the log: all their entries lie at or below the epoch.
 func (s *Service) gatherSnapshot() *durable.Snapshot {
-	runs, tombs := s.exec.capture(s.eng.Log().Runs())
-	snap := &durable.Snapshot{
-		Epoch:  s.eng.Log().Len(),
-		Chains: s.eng.Store().ChainsCopy(),
-		Graph:  s.graph.Frontier(),
-		Specs:  make(map[string]durable.SpecState, len(runs)),
-		Runs:   runs,
-		Tombs:  tombs,
-	}
+	snap := s.m.Capture()
+	snap.Graph = s.graph.Frontier()
+	snap.Specs = make(map[string]durable.SpecState, len(snap.Runs))
 	s.mu.Lock()
 	for id, ss := range s.specStates {
-		if _, gone := tombs[id]; !gone {
+		if _, gone := snap.Tombs[id]; !gone {
 			snap.Specs[id] = ss
 		}
 	}

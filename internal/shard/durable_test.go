@@ -234,10 +234,7 @@ func TestCheckpointOfRunRepairedPastItsEnd(t *testing.T) {
 	if err := svc.SubmitRunSpec("x", durableDoc("x", 3)); err != nil {
 		t.Fatal(err)
 	}
-	svc.exec.mu.Lock()
-	rs := svc.exec.runs["x"]
-	svc.exec.mu.Unlock()
-	if err := svc.eng.Resync(rs.run, "", true); err != nil { // as install's resyncActive would
+	if err := svc.eng.Resync(&svc.m.Run("x").Run, "", true); err != nil { // as machine.Install would
 		t.Fatal(err)
 	}
 	if err := svc.Checkpoint(context.Background()); err != nil {

@@ -5,17 +5,15 @@ import (
 	"errors"
 	"fmt"
 	"maps"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"selfheal/internal/data"
-	"selfheal/internal/durable"
 	"selfheal/internal/engine"
+	"selfheal/internal/machine"
 	"selfheal/internal/obs"
-	"selfheal/internal/wf"
 )
 
 // ErrQueueFull marks a submission rejected by a bounded queue: the deferred
@@ -39,12 +37,6 @@ const (
 	RunFailed
 )
 
-// runForged is the state of a tombstone that names an attacker's run nobody
-// registered (durable.RunForged): an alert naming one of its instances is
-// answered as below the horizon, while status queries and listings still
-// know no such run.
-const runForged RunStatus = -1
-
 // String returns the lowercase wire name used by the HTTP API.
 func (s RunStatus) String() string {
 	switch s {
@@ -56,28 +48,18 @@ func (s RunStatus) String() string {
 		return "done"
 	case RunFailed:
 		return "failed"
-	case runForged:
-		return durable.RunForged
 	default:
 		return "unknown"
 	}
 }
 
-// runState is the executor's bookkeeping for one submitted run.
+// runState is the executor's placement of one live run; the run's frontier
+// and, once it retires, its status live in the machine.
 type runState struct {
 	run   *engine.Run
 	keys  []data.Key // the spec's footprint (shared, read-only); nil once retired
 	shard int        // owning shard; -1 while deferred
-	state RunStatus
-	err   error // terminal error for RunFailed
-}
-
-// tombstone is what the executor keeps of a run retired beneath the horizon
-// (Service.forget): enough for RunInfo and Runs and to refuse the ID's reuse.
-// Kept per run forever, so kept small.
-type tombstone struct {
-	err   string
-	state RunStatus // RunDone, RunFailed or runForged
+	state RunStatus  // RunActive or RunDeferred
 }
 
 // executor partitions runs across shard workers. The dispatcher invariant
@@ -89,19 +71,16 @@ type tombstone struct {
 // as if the steps had been executed one at a time (shard_test.go replays
 // the log to verify this).
 type executor struct {
+	m     *machine.Machine
 	eng   *engine.Engine
 	com   *committer
 	gates []*gate // one quiesce gate per shard
 
 	mu sync.Mutex
-	// runs holds every live run: placed, deferred, or retired since the
-	// last checkpoint; tombs the runs a checkpoint retired for good.
-	runs  map[string]*runState
-	tombs map[string]tombstone
-	// bare holds the runs that retired without an entry in the log, until
-	// a checkpoint buries them: the horizon finds every other run by its
-	// entries (Service.horizonAt).
-	bare     []string
+	// runs holds every live run, placed or deferred; a run leaves it when
+	// it retires, and the machine records its final status (finish). Lock
+	// order: mu, then the machine's.
+	runs     map[string]*runState
 	keyOwner map[data.Key]int  // shard currently owning the key
 	keyRefs  map[data.Key]int  // active runs on the owner touching it
 	recKeys  map[data.Key]bool // keys under recovery; placements touching them defer
@@ -111,7 +90,7 @@ type executor struct {
 	// Durable mode only: the WAL's durable LSN and error, and each run retired
 	// done → log length at retirement, until the WAL covers it.
 	durable   func() (int, error)
-	undurable map[*runState]int
+	undurable map[string]int
 
 	workers []*worker
 	stopCh  chan struct{}
@@ -145,7 +124,7 @@ func (o execObs) load(shard, n int) {
 	}
 }
 
-func newExecutor(eng *engine.Engine, com *committer, shards, inbox, deferMax int) *executor {
+func newExecutor(m *machine.Machine, com *committer, shards, inbox, deferMax int) *executor {
 	if shards < 1 {
 		shards = 1
 	}
@@ -156,10 +135,10 @@ func newExecutor(eng *engine.Engine, com *committer, shards, inbox, deferMax int
 		deferMax = 0
 	}
 	x := &executor{
-		eng:      eng,
+		m:        m,
+		eng:      m.Engine(),
 		com:      com,
 		runs:     make(map[string]*runState),
-		tombs:    make(map[string]tombstone),
 		keyOwner: make(map[data.Key]int),
 		keyRefs:  make(map[data.Key]int),
 		recKeys:  make(map[data.Key]bool),
@@ -246,37 +225,28 @@ func (x *executor) endRecovery(paused []int) {
 	x.deliver(dispatch)
 }
 
-// submit registers a run and dispatches it to a shard — or defers it when
-// its footprint conflicts across shards. Returns ErrRunExists, ErrBadSpec
-// (via engine.NewRun) or ErrQueueFull.
-func (x *executor) submit(id string, spec *wf.Spec) error {
-	r, err := x.eng.NewRun(id, spec)
-	if err != nil {
-		return err
-	}
-	rs := &runState{run: r, keys: spec.Footprint(), shard: -1}
-
+// submit dispatches a registered run to a shard — or defers it when its
+// footprint conflicts across shards. A full deferred queue rejects it with
+// ErrQueueFull, unless the run is restored: rebuilt from a durable snapshot
+// and replay, it was admitted in a previous life, so it defers past
+// deferMax.
+func (x *executor) submit(r *engine.Run, restored bool) error {
+	rs := &runState{run: r, keys: r.Spec.Footprint(), shard: -1}
 	x.mu.Lock()
-	_, live := x.runs[id]
-	if _, gone := x.tombs[id]; live || gone {
-		x.mu.Unlock()
-		return fmt.Errorf("shard: run %s: %w", id, engine.ErrRunExists)
-	}
 	shard, ok := x.placeLocked(rs)
+	if !ok && !restored && len(x.deferred) >= x.deferMax {
+		x.mu.Unlock()
+		return fmt.Errorf("shard: run %s conflicts across shards and the deferred queue is full: %w", r.ID, ErrQueueFull)
+	}
+	x.runs[r.ID] = rs
 	if !ok {
-		if len(x.deferred) >= x.deferMax {
-			x.mu.Unlock()
-			return fmt.Errorf("shard: run %s conflicts across shards and the deferred queue is full: %w", id, ErrQueueFull)
-		}
 		rs.state = RunDeferred
 		x.deferred = append(x.deferred, rs)
-		x.runs[id] = rs
 		x.obs.deferred.Set(int64(len(x.deferred)))
 		x.mu.Unlock()
 		return nil
 	}
 	x.claimLocked(rs, shard)
-	x.runs[id] = rs
 	x.mu.Unlock()
 
 	// The inbox is sized for bursts; a full inbox only delays delivery,
@@ -299,132 +269,6 @@ func (x *executor) canAdmit(keys []data.Key) bool {
 		return true
 	}
 	return len(x.deferred) < x.deferMax
-}
-
-// adoptRestored registers a run rebuilt from a durable snapshot and replay.
-// Retired runs (done/failed) are registered for RunInfo lookups only; live
-// runs are placed like fresh submissions, except that restore never
-// rejects — a run that cannot be placed goes to the deferred queue even
-// past deferMax, because it was already admitted in a previous life.
-// Returns the run to deliver once the workers start (nil when retired or
-// deferred).
-func (x *executor) adoptRestored(r *engine.Run, spec *wf.Spec, status RunStatus, errMsg string) *runState {
-	rs := &runState{run: r, shard: -1, state: status}
-	if errMsg != "" {
-		rs.err = errors.New(errMsg)
-	}
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	x.runs[r.ID] = rs
-	if status == RunDone || status == RunFailed {
-		rs.shard = 0
-		x.noteBareLocked(r.ID)
-		return nil
-	}
-	rs.keys = spec.Footprint()
-	if shard, ok := x.placeLocked(rs); ok {
-		x.claimLocked(rs, shard)
-		return rs
-	}
-	rs.state = RunDeferred
-	x.deferred = append(x.deferred, rs)
-	x.obs.deferred.Set(int64(len(x.deferred)))
-	return nil
-}
-
-// noteBareLocked records a run that just retired in bare if the log holds no
-// entry of it. Callers hold x.mu.
-func (x *executor) noteBareLocked(id string) {
-	if _, _, ok := x.eng.Log().RunSpan(id); !ok {
-		x.bare = append(x.bare, id)
-	}
-}
-
-// tombstoned reports whether id names a run a checkpoint retired for good.
-func (x *executor) tombstoned(id string) bool {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	_, gone := x.tombs[id]
-	return gone
-}
-
-// capture records every run's durable state for a snapshot: the live runs'
-// frontiers, and a tombstone for every run retired by now — the earlier
-// tombstones and the runs retired since — and for every run of logged (the
-// runs with entries in the log) nobody registered, which only forges write.
-// Callers hold all shards quiesced: the run objects' frontiers and visit
-// counters are read without their owning workers' cooperation.
-func (x *executor) capture(logged []string) (map[string]durable.RunState, map[string]durable.Tombstone) {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	runs := make(map[string]durable.RunState)
-	tombs := x.tombstonesLocked()
-	for id, rs := range x.runs {
-		tb := rs.tombstone()
-		if rs.retired() {
-			tombs[id] = tb
-			continue
-		}
-		runs[id] = durable.RunState{
-			Cur:    rs.run.Current(),
-			Visits: rs.run.VisitCounts(),
-			Status: tb.Status,
-			Err:    tb.Err,
-		}
-	}
-	for _, id := range logged {
-		if _, ok := x.runs[id]; !ok {
-			if _, ok := tombs[id]; !ok {
-				tombs[id] = durable.Tombstone{Status: durable.RunForged}
-			}
-		}
-	}
-	return runs, tombs
-}
-
-// tombstonesLocked returns the tombstones in their snapshot form. Callers
-// hold x.mu.
-func (x *executor) tombstonesLocked() map[string]durable.Tombstone {
-	tombs := make(map[string]durable.Tombstone, len(x.tombs))
-	for id, tb := range x.tombs {
-		tombs[id] = durable.Tombstone{Status: tb.state.String(), Err: tb.err}
-	}
-	return tombs
-}
-
-// retired reports whether the run reached a final state. Callers hold x.mu.
-func (rs *runState) retired() bool { return rs.state == RunDone || rs.state == RunFailed }
-
-// tombstone is the run's status and error in their snapshot form. Callers
-// hold x.mu.
-func (rs *runState) tombstone() durable.Tombstone {
-	tb := durable.Tombstone{Status: rs.state.String()}
-	if rs.err != nil {
-		tb.Err = rs.err.Error()
-	}
-	return tb
-}
-
-// bury reduces every run in tombs to its tombstone: the run record, its
-// engine run and the spec it points to are released (prune).
-func (x *executor) bury(tombs map[string]durable.Tombstone) {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	for id, tb := range tombs {
-		if rs, ok := x.runs[id]; ok {
-			delete(x.undurable, rs) // a snapshot covers only the durable prefix
-		}
-		state := RunDone
-		switch tb.Status {
-		case durable.RunFailed:
-			state = RunFailed
-		case durable.RunForged:
-			state = runForged
-		}
-		x.tombs[id] = tombstone{err: tb.Err, state: state}
-	}
-	x.runs = prune(x.runs, tombs)
-	x.bare = slices.DeleteFunc(x.bare, func(id string) bool { _, gone := tombs[id]; return gone })
 }
 
 // deliver hands placed runs to their shards' inboxes without ever blocking
@@ -503,15 +347,18 @@ func (x *executor) claimLocked(rs *runState, shard int) {
 // deferred runs that became placeable.
 func (x *executor) finish(rs *runState, state RunStatus, err error) {
 	x.mu.Lock()
-	rs.state = state
-	rs.err = err
-	x.noteBareLocked(rs.run.ID)
+	delete(x.runs, rs.run.ID)
+	if state == RunDone {
+		x.m.Retire(rs.run.ID, machine.Done, "")
+	} else {
+		x.m.Retire(rs.run.ID, machine.Failed, errString(err))
+	}
 	if state == RunDone && x.durable != nil {
 		// Keys are released now: a later step's records follow this run's
 		// in the WAL, so no crash keeps them and loses this run's.
 		lsn, _ := x.durable()
-		maps.DeleteFunc(x.undurable, func(_ *runState, at int) bool { return at <= lsn })
-		x.undurable[rs] = x.eng.Log().Len()
+		maps.DeleteFunc(x.undurable, func(_ string, at int) bool { return at <= lsn })
+		x.undurable[rs.run.ID] = x.eng.Log().Len()
 	}
 	for _, k := range rs.keys {
 		if x.keyRefs[k]--; x.keyRefs[k] == 0 {
@@ -519,8 +366,7 @@ func (x *executor) finish(rs *runState, state RunStatus, err error) {
 			delete(x.keyOwner, k)
 		}
 	}
-	// Placement was the footprint's only reader, and the run record itself
-	// stays for the whole history.
+	// Placement was the footprint's only reader.
 	rs.keys = nil
 	x.load[rs.shard]--
 	x.obs.load(rs.shard, x.load[rs.shard])
@@ -541,16 +387,25 @@ func (x *executor) finish(rs *runState, state RunStatus, err error) {
 	x.deliver(dispatch)
 }
 
-// statusLocked is rs's published status: done only once the WAL covers its
-// retirement, failed with the WAL's error if it never will. Callers hold x.mu.
-func (x *executor) statusLocked(rs *runState) (RunStatus, error) {
-	at, ok := x.undurable[rs]
+// errString is err's message, or "" for none.
+func errString(err error) string {
+	if err == nil {
+		return ""
+	}
+	return err.Error()
+}
+
+// doneLocked is the published status of run id, retired done: done only
+// once the WAL covers its retirement, failed with the WAL's error if it never
+// will. Callers hold x.mu.
+func (x *executor) doneLocked(id string) (RunStatus, error) {
+	at, ok := x.undurable[id]
 	if !ok {
-		return rs.state, rs.err
+		return RunDone, nil
 	}
 	switch lsn, err := x.durable(); {
 	case at <= lsn:
-		delete(x.undurable, rs)
+		delete(x.undurable, id)
 		return RunDone, nil
 	case err != nil:
 		return RunFailed, err
@@ -603,22 +458,6 @@ func (x *executor) waitIdle(ctx context.Context) error {
 		case <-time.After(200 * time.Microsecond):
 		}
 	}
-}
-
-// activeRuns returns the runs currently assigned to shards (not deferred,
-// not retired). Recovery resync mutates a run's frontier, so callers must
-// hold the owning shard of every run they touch quiesced; runs on unpaused
-// shards may only be skipped, never dereferenced into engine state.
-func (x *executor) activeRuns() []*runState {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	var out []*runState
-	for _, rs := range x.runs {
-		if rs.state == RunActive {
-			out = append(out, rs)
-		}
-	}
-	return out
 }
 
 // worker is one shard: a goroutine stepping its assigned runs round-robin,

@@ -13,6 +13,7 @@ import (
 	"selfheal/internal/deps"
 	"selfheal/internal/durable"
 	"selfheal/internal/engine"
+	"selfheal/internal/machine"
 	"selfheal/internal/wf"
 	"selfheal/internal/wfjson"
 	"selfheal/internal/wlog"
@@ -32,29 +33,30 @@ import (
 const footprintBudget = 1370
 
 // tombstoneBudget is the live heap a service may keep per run a
-// checkpoint retired, in bytes: the 24 B tombstone and its 16 B key in a
-// slot of the executor's map, the map's spare slots and the ID string come
+// checkpoint retired, in bytes: the 1 B tombstone and its 16 B key in a
+// slot of the machine's map, the map's spare slots and the ID string come
 // to ~100 B measured; the rest is headroom for the map's power-of-two growth
 // steps. Nothing else of a retired run — its spec, its document, its entries
 // — may survive the checkpoint.
 const tombstoneBudget = 160
 
-// TestRunStateSize: every submitted run keeps its runState until a
-// checkpoint retires it, and 64 B is a size class: one more int moves it to 80 B (+0.46 MB on the
-// benchmark's steady-mem). State only one mode reads lives elsewhere: the
-// durable executor keeps the retirement LSN of a run not yet durable in its
-// undurable FIFO, not in the run's record.
+// TestRunStateSize: every live run keeps its placement record until it
+// retires, and 48 B is a size class: one more int moves it to 64 B. State
+// only one mode reads lives elsewhere: the durable executor keeps the
+// retirement LSN of a run not yet durable in its undurable map, and the
+// machine keeps the run's frontier and final status.
 func TestRunStateSize(t *testing.T) {
-	if got := unsafe.Sizeof(runState{}); got != 64 {
-		t.Fatalf("runState is %d B, want 64", got)
+	if got := unsafe.Sizeof(runState{}); got != 48 {
+		t.Fatalf("runState is %d B, want 48", got)
 	}
 }
 
 // TestTombstoneSize: a tombstone is kept per retired run forever, stored by
-// value in the executor's map, so its size is paid per run ever registered.
+// value in the machine's map, so its size is paid per run ever registered:
+// one status byte (a failed run's error sits in a map of its own).
 func TestTombstoneSize(t *testing.T) {
-	if got := unsafe.Sizeof(tombstone{}); got != 24 {
-		t.Fatalf("tombstone is %d B, want 24", got)
+	if got := unsafe.Sizeof(machine.Status(0)); got != 1 {
+		t.Fatalf("a tombstone is %d B, want 1", got)
 	}
 }
 
@@ -266,8 +268,12 @@ func TestFootprintPerInstance(t *testing.T) {
 	runsB := measure(func() any {
 		eng := engine.New(data.NewStore(), wlog.New())
 		var runs []*engine.Run
-		for id, rs := range svc.exec.runs { // idle service: nothing else touches the runs
-			r, err := eng.RestoreRun(id, rs.run.Spec, rs.run.Current(), rs.run.VisitCounts(), rs.run.Done(), rs.run.Failed())
+		for _, id := range svc.m.IDs() { // idle service: nothing else touches the runs
+			rs := svc.m.Run(id)
+			if rs == nil {
+				continue
+			}
+			r, err := eng.RestoreRun(id, rs.Spec, rs.Current(), rs.VisitCounts(), rs.Done(), rs.Failed())
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -26,14 +26,14 @@ import (
 // log (base and entries), the dependence graph's edges, the store chains,
 // every run's status and the pre-epoch set.
 type horizonView struct {
-	base                int
-	entries             [][]byte
-	flow, anti, output  []deps.Edge
-	chains              map[data.Key][]data.Version
-	runs                []RunInfo
-	preEpoch            map[string]bool
-	tombs               map[string]tombstone
-	specs, states, live int
+	base               int
+	entries            [][]byte
+	flow, anti, output []deps.Edge
+	chains             map[data.Key][]data.Version
+	runs               []RunInfo
+	preEpoch           map[string]bool
+	tombs              map[string]durable.Tombstone
+	specs, states      int
 }
 
 func viewOf(s *Service) horizonView {
@@ -48,14 +48,10 @@ func viewOf(s *Service) horizonView {
 	for i := range v.runs {
 		v.runs[i].Shard = 0 // placement is scheduling state, not durable state
 	}
+	v.preEpoch, v.tombs, v.specs = s.m.PreEpoch(), s.m.Tombs(), len(s.m.Specs())
 	s.mu.Lock()
-	v.preEpoch = maps.Clone(s.preEpoch)
-	v.specs, v.states = len(s.specs), len(s.specStates)
+	v.states = len(s.specStates)
 	s.mu.Unlock()
-	s.exec.mu.Lock()
-	v.tombs = maps.Clone(s.exec.tombs)
-	v.live = len(s.exec.runs)
-	s.exec.mu.Unlock()
 	return v
 }
 
@@ -104,14 +100,14 @@ func assertRestartEqualsLive(t *testing.T, svc *Service, dir, label string, forg
 		{"runs", live.runs, back.runs},
 		{"pre-epoch runs", live.preEpoch, back.preEpoch},
 		{"tombstones", live.tombs, back.tombs},
-		{"live runs, specs and documents", []int{live.live, live.specs, live.states}, []int{back.live, back.specs, back.states}},
+		{"specs and documents", []int{live.specs, live.states}, []int{back.specs, back.states}},
 	} {
 		if !reflect.DeepEqual(c.live, c.back) {
 			t.Fatalf("%s: %s differ between the live service and its restart:\n live    %+v\n restart %+v", label, c.what, c.live, c.back)
 		}
 	}
-	if live.specs != live.live || live.states != live.live {
-		t.Fatalf("%s: %d live runs keep %d specs and %d documents", label, live.live, live.specs, live.states)
+	if live.specs != live.states {
+		t.Fatalf("%s: %d unburied runs keep %d documents", label, live.specs, live.states)
 	}
 
 	// The same alerts get the same answers: an instance of a tombstoned run
@@ -234,11 +230,11 @@ func TestRestartEqualsLive(t *testing.T) {
 }
 
 // TestHorizonAtHeadEqualsSnapshot: the horizon an in-memory service computes
-// from its live state (horizonAt) is, at the head of a quiesced service,
-// exactly the one a durable checkpoint derives from its snapshot — the same
-// epoch, frontier, tombstones (forged runs' included) and pre-epoch set, once
-// the tombstones of earlier checkpoints, which horizonAt leaves out, are
-// added. The seeded episodes of TestRestartEqualsLive compare the two at
+// from its live state (machine.Machine.HorizonAt, with the graph's frontier
+// at its epoch) is, at the head of a quiesced service, exactly the one a
+// durable checkpoint derives from its snapshot — the same epoch, frontier,
+// tombstones (forged runs' included) and pre-epoch set, once the tombstones
+// of earlier checkpoints, which HorizonAt leaves out, are added. The seeded episodes of TestRestartEqualsLive compare the two at
 // every checkpoint, under the checkpoint's own pause.
 func TestHorizonAtHeadEqualsSnapshot(t *testing.T) {
 	const seeds = 4
@@ -247,18 +243,16 @@ func TestHorizonAtHeadEqualsSnapshot(t *testing.T) {
 		svc := startDurable(t, t.TempDir(), Config{Shards: 2}, durable.Options{NoSync: true})
 		var mismatch error
 		svc.captureHook = func(snap *durable.Snapshot) {
-			got, err := svc.horizonAt(snap.Epoch)
-			svc.exec.mu.Lock()
-			for id, tb := range svc.exec.tombstonesLocked() {
-				got.Tombs[id] = tb
-			}
-			svc.exec.mu.Unlock()
+			got := svc.m.HorizonAt(snap.Epoch)
+			var err error
+			got.Graph, err = svc.graph.FrontierAt(got.Epoch)
+			maps.Copy(got.Tombs, svc.m.Tombs())
 			want := snap.Horizon()
 			switch {
 			case err != nil:
 				mismatch = err
 			case !reflect.DeepEqual(got, want):
-				mismatch = fmt.Errorf("horizonAt(%d) differs from the snapshot's horizon:\n got %+v\nwant %+v", snap.Epoch, got, want)
+				mismatch = fmt.Errorf("HorizonAt(%d) differs from the snapshot's horizon:\n got %+v\nwant %+v", snap.Epoch, got, want)
 			}
 			compared++
 			pre += len(want.PreEpoch)

@@ -33,7 +33,7 @@ func TestRunsOfOneTenantShareSpecFacts(t *testing.T) {
 	}
 	waitIdle(t, svc)
 	svc.mu.Lock()
-	r1, r2, r3 := svc.specs["r1"], svc.specs["r2"], svc.specs["r3"]
+	r1, r2, r3 := svc.m.Spec("r1"), svc.m.Spec("r2"), svc.m.Spec("r3")
 	svc.mu.Unlock()
 
 	same := func(what string, a, b unsafe.Pointer) {
@@ -121,7 +121,7 @@ func TestInternedListsSurviveRepairs(t *testing.T) {
 				if op%8 == 7 {
 					waitIdle(t, svc)
 					drainRecovery(t, svc)
-					if err := svc.tab.Check(); err != nil {
+					if err := svc.m.Tab().Check(); err != nil {
 						t.Fatalf("op %d: %v", op, err)
 					}
 				}
@@ -133,13 +133,13 @@ func TestInternedListsSurviveRepairs(t *testing.T) {
 			if m.UnitsExecuted == 0 || m.Redone+m.Undone == 0 {
 				t.Fatalf("the episode repaired nothing (%+v)", m)
 			}
-			if err := svc.tab.Check(); err != nil {
+			if err := svc.m.Tab().Check(); err != nil {
 				t.Fatal(err)
 			}
 			t.Logf("%d repairs, %d undone, %d redone", m.UnitsExecuted, m.Undone, m.Redone)
 			if mode == "durable" {
 				checkpoint()
-				if s, l := svc.tab.Size(); s+l != 0 {
+				if s, l := svc.m.Tab().Size(); s+l != 0 {
 					t.Fatalf("every run is retired, and the table still holds %d strings, %d lists", s, l)
 				}
 			}

@@ -240,10 +240,7 @@ func TestMemoryHorizonRetiredStraddler(t *testing.T) {
 	if info, err := svc.RunInfo("s"); err != nil || info.Steps != 41 {
 		t.Fatalf("RunInfo(s) = %+v, %v; want all 41 steps above the horizon", info, err)
 	}
-	svc.mu.Lock()
-	pre := svc.preEpoch["s"]
-	svc.mu.Unlock()
-	if pre {
+	if svc.m.PreEpoch()["s"] {
 		t.Fatal("the straddler is pre-epoch; every repair reaching its keys would be refused")
 	}
 
@@ -301,6 +298,64 @@ func TestAlertOnForgedRunBelowHorizon(t *testing.T) {
 				}
 				if m := s.Metrics(); m.RunsSubmitted != 1 || m.AlertsBelowHorizon != 1 {
 					t.Errorf("%s: %d runs submitted, %d below-horizon refusals; want 1 and 1", label, m.RunsSubmitted, m.AlertsBelowHorizon)
+				}
+			}
+			check(mode, svc)
+			if mode == "durable" {
+				svc.Stop()
+				check("restarted", boot())
+			}
+		})
+	}
+}
+
+// TestAlertOnPreEpochRunBelowHorizon: a checkpoint that lands while a run is
+// live truncates the run's first instances, and the run goes on above the
+// horizon. An alert naming one of the truncated instances is a 410 — the
+// history is gone, as for a retired run's — in memory, durable, and after a
+// durable restart, while one naming a visit the run never made stays
+// unknown. The run takes exactly three steps before the checkpoint, driven
+// by hand with every shard paused.
+func TestAlertOnPreEpochRunBelowHorizon(t *testing.T) {
+	for _, mode := range []string{"memory", "durable"} {
+		t.Run(mode, func(t *testing.T) {
+			dir := t.TempDir()
+			boot := func() *Service {
+				if mode == "memory" {
+					return startService(t, Config{Shards: 2})
+				}
+				return newDurableSvc(t, dir, Config{Shards: 2})
+			}
+			svc := boot()
+			svc.exec.pauseAll()
+			if err := svc.SubmitRunSpec("slow", durableDoc("slow", 40)); err != nil {
+				t.Fatal(err)
+			}
+			run := &svc.m.Run("slow").Run
+			for i := 0; i < 3; i++ {
+				if err := svc.com.exec(func() error { _, err := svc.eng.Step(run); return err }); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := svc.Checkpoint(context.Background()); err != nil {
+				t.Fatal(err)
+			}
+			svc.exec.resumeAll()
+			if !svc.m.PreEpoch()["slow"] {
+				t.Fatal("the checkpoint did not make the live run pre-epoch")
+			}
+			check := func(label string, s *Service) {
+				t.Helper()
+				for _, id := range []wlog.InstanceID{"slow/t1#1", "slow/t3#1"} {
+					if err := s.Report([]wlog.InstanceID{id}); !errors.Is(err, recovery.ErrHorizon) {
+						t.Errorf("%s: alert on %s, truncated from a live run = %v, want ErrHorizon", label, id, err)
+					}
+				}
+				if err := s.Report([]wlog.InstanceID{"slow/t1#2"}); !errors.Is(err, engine.ErrUnknownRun) {
+					t.Errorf("%s: alert on a visit the run never made = %v, want ErrUnknownRun", label, err)
+				}
+				if n := s.Metrics().AlertsBelowHorizon; n != 2 {
+					t.Errorf("%s: %d below-horizon refusals counted, want 2", label, n)
 				}
 			}
 			check(mode, svc)

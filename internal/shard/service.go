@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 	"sync"
 	"time"
 
@@ -12,6 +11,7 @@ import (
 	"selfheal/internal/deps"
 	"selfheal/internal/durable"
 	"selfheal/internal/engine"
+	"selfheal/internal/machine"
 	"selfheal/internal/obs"
 	"selfheal/internal/recovery"
 	"selfheal/internal/stg"
@@ -162,8 +162,8 @@ type Metrics struct {
 	// queued (only nonzero with Triage.Dedupe).
 	AlertsDeduped int `json:"alerts_deduped"`
 	// AlertsBelowHorizon counts alerts refused with recovery.ErrHorizon:
-	// they named an instance of a run retired (or forged) beneath the
-	// horizon, whose history is gone.
+	// they named an instance beneath the horizon, whose history is gone
+	// (machine.Machine.BelowHorizon).
 	AlertsBelowHorizon int `json:"alerts_below_horizon"`
 	// AuditViolations counts Theorem-3 partial-order violations found by
 	// the per-repair schedule audit (only maintained with
@@ -219,7 +219,11 @@ type unit struct {
 //
 // Concurrency contract: every exported method is safe from any goroutine.
 type Service struct {
-	cfg   Config
+	cfg Config
+	// m is the replicated state — engine, specs and their intern table, run
+	// frontiers, tombstones and the horizon — which the service forgets,
+	// checks, captures, restores and repairs through; eng is its engine.
+	m     *machine.Machine
 	eng   *engine.Engine
 	graph *deps.IncrementalGraph
 	com   *committer
@@ -227,14 +231,7 @@ type Service struct {
 
 	alerts chan alert
 
-	// tab is the service's intern table: every spec SubmitRunSpec compiles
-	// (and a durable restore rebuilds) shares its strings, lists, compute
-	// bodies and footprint with every other run's; forget retains only what
-	// the live specs reference.
-	tab *wf.Interner
-
 	mu            sync.Mutex
-	specs         map[string]*wf.Spec
 	unitQ         []*unit
 	alertsQueued  int
 	analyzing     bool
@@ -269,20 +266,13 @@ type Service struct {
 	stopCh chan struct{}
 	wg     sync.WaitGroup
 
-	// The horizon, in every mode (forget): epoch (under mu) is the log's
-	// base and the store's compaction horizon; preEpoch marks the runs whose
-	// history beneath it was truncated (repairs touching their footprints
-	// are refused with recovery.ErrHorizon). ckptCh carries checkpoint
-	// requests to the recovery goroutine; retained is the intern table's
-	// size after its last rebuild (retain, recovery goroutine only).
-	epoch    int
-	preEpoch map[string]bool
-	ckptCh   chan ckptReq
-	retained int
+	// ckptCh carries checkpoint requests to the recovery goroutine, which
+	// moves the horizon (horizon.go).
+	ckptCh chan ckptReq
 
 	// Durable mode (NewDurable); all nil/zero otherwise. wal is the
-	// write-ahead log every commit is logged to; specStates keeps the live
-	// runs' wfjson documents for checkpoints. submitMu serializes durable
+	// write-ahead log every commit is logged to; specStates (under mu) keeps
+	// the live runs' wfjson documents for checkpoints. submitMu serializes durable
 	// submissions against checkpoints; alertMu guards liveAlerts and the WAL
 	// alert/ack records.
 	wal            *durable.WAL
@@ -321,21 +311,20 @@ func New(cfg Config, store *data.Store) (*Service, error) {
 	if store == nil {
 		store = data.NewStore()
 	}
-	eng := engine.New(store, wlog.New())
+	m := machine.New(store, wlog.New(), wf.NewInterner())
 	s := &Service{
 		cfg:         cfg,
-		eng:         eng,
-		graph:       deps.NewIncremental(eng.Log()),
-		com:         newCommitter(eng, cfg.BatchMax, cfg.CommitQueue),
-		tab:         wf.NewInterner(),
-		specs:       make(map[string]*wf.Spec),
+		m:           m,
+		eng:         m.Engine(),
+		graph:       deps.NewIncremental(m.Log()),
+		com:         newCommitter(m.Engine(), cfg.BatchMax, cfg.CommitQueue),
 		alerts:      make(chan alert, cfg.AlertBuf),
 		cover:       triage.NewCoverage(),
 		pendingKeys: make(map[string]int),
 		stopCh:      make(chan struct{}),
 		ckptCh:      make(chan ckptReq),
 	}
-	s.exec = newExecutor(eng, s.com, cfg.Shards, cfg.Inbox, cfg.DeferMax)
+	s.exec = newExecutor(m, s.com, cfg.Shards, cfg.Inbox, cfg.DeferMax)
 	return s, nil
 }
 
@@ -475,28 +464,19 @@ func (s *Service) register(id string, spec *wf.Spec, init map[data.Key]data.Valu
 }
 
 func (s *Service) registerLocked(id string, spec *wf.Spec, init map[data.Key]data.Value, doc []byte) error {
-	s.mu.Lock()
-	_, dup := s.specs[id]
-	s.mu.Unlock()
-	if dup || s.exec.tombstoned(id) {
+	if s.m.Has(id) {
 		return fmt.Errorf("shard: run %s: %w", id, engine.ErrRunExists)
 	}
 	if !s.exec.canAdmit(spec.Footprint()) {
 		return fmt.Errorf("shard: run %s conflicts across shards and the deferred queue is full: %w", id, ErrQueueFull)
 	}
 
-	applied := make(map[data.Key]data.Value)
+	var applied map[data.Key]data.Value
 	if len(init) > 0 || s.wal != nil {
 		// Exclusive with group commits, so a concurrent commit can never
 		// slip a version under an Init.
 		if err := s.com.exec(func() error {
-			store := s.eng.Store()
-			for k, v := range init {
-				if _, ok := store.Get(k); !ok {
-					store.Init(k, v)
-					applied[k] = v
-				}
-			}
+			applied = s.m.Init(init)
 			if s.wal == nil {
 				return nil
 			}
@@ -508,19 +488,22 @@ func (s *Service) registerLocked(id string, spec *wf.Spec, init map[data.Key]dat
 
 	// Register the spec before the first commit can land, so a concurrent
 	// damage analysis never sees a spec-less run.
-	s.mu.Lock()
-	s.specs[id] = spec
-	if s.wal != nil {
-		s.specStates[id] = durable.SpecState{JSON: doc, Init: applied}
+	r, err := s.m.Register(id, spec)
+	if err != nil {
+		return err
 	}
-	s.mu.Unlock()
-	if err := s.exec.submit(id, spec); err != nil {
+	if s.wal != nil {
+		s.mu.Lock()
+		s.specStates[id] = durable.SpecState{JSON: doc, Init: applied}
+		s.mu.Unlock()
+	}
+	if err := s.exec.submit(&r.Run, false); err != nil {
 		// A repair that began after the admission check can make the run
 		// unplaceable with the deferred queue full. Unregister so the
 		// in-memory maps stay consistent; an orphaned spec record restores
 		// an idle run.
+		s.m.Unregister(id)
 		s.mu.Lock()
-		delete(s.specs, id)
 		delete(s.specStates, id)
 		s.mu.Unlock()
 		return err
@@ -540,14 +523,14 @@ func (s *Service) RunInfo(id string) (RunInfo, error) {
 	x.mu.Lock()
 	info := RunInfo{ID: id}
 	if rs, ok := x.runs[id]; ok {
-		state, err := x.statusLocked(rs)
-		info.Status, info.Shard = state.String(), rs.shard
-		if err != nil {
-			info.Error = err.Error()
-		}
-	} else if tb, ok := x.tombs[id]; ok && tb.state != runForged {
-		info.Status, info.Error = tb.state.String(), tb.err
+		info.Status, info.Shard = rs.state.String(), rs.shard
+	} else if st, msg, ok := s.m.Status(id); ok && st == machine.Done {
+		state, err := x.doneLocked(id)
+		info.Status, info.Error = state.String(), errString(err)
+	} else if ok && st == machine.Failed {
+		info.Status, info.Error = RunFailed.String(), msg
 	} else {
+		// Unknown, forged by an attacker, or registered but not yet placed.
 		x.mu.Unlock()
 		return RunInfo{}, fmt.Errorf("shard: run %s: %w", id, engine.ErrUnknownRun)
 	}
@@ -559,17 +542,7 @@ func (s *Service) RunInfo(id string) (RunInfo, error) {
 // Runs lists every submitted run, sorted by ID; a forged run was never
 // submitted and is not listed.
 func (s *Service) Runs() []RunInfo {
-	x := s.exec
-	x.mu.Lock()
-	ids := make([]string, 0, len(x.runs)+len(x.tombs))
-	for id := range x.runs {
-		ids = append(ids, id)
-	}
-	for id := range x.tombs {
-		ids = append(ids, id)
-	}
-	x.mu.Unlock()
-	sort.Strings(ids)
+	ids := s.m.IDs()
 	out := make([]RunInfo, 0, len(ids))
 	for _, id := range ids {
 		if info, err := s.RunInfo(id); err == nil {
@@ -582,8 +555,8 @@ func (s *Service) Runs() []RunInfo {
 // Report delivers an IDS alert naming malicious committed instances. A full
 // alert queue drops the alert, counts it lost and returns ErrQueueFull;
 // alerts naming instances absent from the log wrap engine.ErrUnknownRun, or
-// recovery.ErrHorizon when the instance's run was retired (or forged)
-// beneath the horizon. Safe from any goroutine.
+// recovery.ErrHorizon when the instance lies beneath the horizon
+// (machine.Machine.BelowHorizon). Safe from any goroutine.
 func (s *Service) Report(bad []wlog.InstanceID) error {
 	_, dropped, err := s.ReportAlerts([]triage.Alert{{Bad: bad}})
 	if err != nil {
@@ -608,8 +581,8 @@ func (s *Service) ReportAlerts(alerts []triage.Alert) (admitted, dropped int, er
 	}
 	// Syntax over the whole batch first: a malformed ID anywhere is a bad
 	// request (400) regardless of position, while a well-formed ID absent
-	// from the log is a lookup miss (404) — or, when its run was retired
-	// or forged beneath the horizon, history that is gone (ErrHorizon).
+	// from the log is a lookup miss (404) — or, when it lies beneath the
+	// horizon, history that is gone (ErrHorizon).
 	for _, a := range alerts {
 		if len(a.Bad) == 0 {
 			return 0, 0, fmt.Errorf("shard: %w: alert names no instances", engine.ErrBadSpec)
@@ -625,14 +598,13 @@ func (s *Service) ReportAlerts(alerts []triage.Alert) (admitted, dropped int, er
 			if _, ok := s.eng.Log().Get(id); ok {
 				continue
 			}
-			if run, _, _, _ := wlog.ParseInstance(id); s.exec.tombstoned(run) {
+			if s.m.BelowHorizon(id) {
 				s.mu.Lock()
 				s.metrics.AlertsBelowHorizon++
-				epoch := s.epoch
 				s.mu.Unlock()
 				s.o.belowHorizon.Inc()
-				return 0, 0, fmt.Errorf("shard: alert names %s, of run %s retired or forged beneath the horizon (epoch %d): %w",
-					id, run, epoch, recovery.ErrHorizon)
+				return 0, 0, fmt.Errorf("shard: alert names %s, beneath the horizon (epoch %d): %w",
+					id, s.m.Epoch(), recovery.ErrHorizon)
 			}
 			return 0, 0, fmt.Errorf("shard: alert names unknown instance %s: %w", id, engine.ErrUnknownRun)
 		}
@@ -1058,18 +1030,7 @@ func (s *Service) pinView() (*deps.Graph, map[string]*wf.Spec) {
 	if s.pinHook != nil {
 		s.pinHook()
 	}
-	s.mu.Lock()
-	specs := s.specsCopyLocked()
-	s.mu.Unlock()
-	return g, specs
-}
-
-func (s *Service) specsCopyLocked() map[string]*wf.Spec {
-	specs := make(map[string]*wf.Spec, len(s.specs))
-	for id, sp := range s.specs {
-		specs[id] = sp
-	}
-	return specs
+	return g, s.m.Specs()
 }
 
 // executeUnit runs the repair for the head recovery unit. The repair
@@ -1130,7 +1091,7 @@ func (s *Service) executeUnit() {
 // live store (install). Clean shards keep committing past the pinned epoch
 // throughout; the scoped repair never reads their chains. A repair that
 // would need history beneath the horizon is refused with
-// recovery.ErrHorizon.
+// recovery.ErrHorizon (machine.Machine.CheckHorizon).
 //
 // Soundness of the scoping is re-checked after the fact: if the repair's
 // own damage closure escaped the quiesced key set (a footprint-bridging
@@ -1139,7 +1100,7 @@ func (s *Service) executeUnit() {
 // damage-scoped, with every shard quiesced.
 func (s *Service) repair(u *unit) error {
 	dkeys := s.damageKeyClosure(u)
-	if err := s.checkHorizon(u, dkeys); err != nil {
+	if err := s.m.CheckHorizon(u.bad, dkeys); err != nil {
 		return err
 	}
 	if s.closureHook != nil {
@@ -1154,7 +1115,7 @@ func (s *Service) repair(u *unit) error {
 	quiesceStart := time.Now()
 	// The damaged shards are drained: every commit in a damaged component
 	// is at or below the epoch of the snapshot taken now.
-	res, specs, err := s.repairPinned(u)
+	res, err := s.repairPinned(u)
 	if err == nil && quiesced < s.cfg.Shards && !coveredBy(res.DamagedKeys, dkeys) {
 		// Coverage violation: the damage reaches keys outside the
 		// quiesced set, which a still-running shard may be committing to.
@@ -1162,10 +1123,10 @@ func (s *Service) repair(u *unit) error {
 		// so the check only matters while some shard runs.
 		s.exec.pauseAll()
 		quiesced = s.cfg.Shards
-		res, specs, err = s.repairPinned(u)
+		res, err = s.repairPinned(u)
 	}
 	if err == nil {
-		err = s.install(res, specs)
+		err = s.install(res)
 	}
 	if !s.cfg.Strict {
 		if quiesced == s.cfg.Shards {
@@ -1180,37 +1141,27 @@ func (s *Service) repair(u *unit) error {
 // repairPinned computes u's damage-scoped repair against a view pinned now.
 // Clean shards keep committing and registering runs, which is why the specs
 // are copied only after the snapshot (pinView).
-func (s *Service) repairPinned(u *unit) (*recovery.Result, map[string]*wf.Spec, error) {
+func (s *Service) repairPinned(u *unit) (*recovery.Result, error) {
 	g, specs := s.pinView()
-	s.mu.Lock()
-	horizon := s.epoch
-	s.mu.Unlock()
 	ropts := s.cfg.Repair
-	ropts.ScopeToDamage = true
 	ropts.Epoch = g.Epoch()
-	// Defense in depth: the store was compacted at the horizon's epoch; an
-	// undo that needs an older version fails with ErrHorizon instead of
-	// misattributing the missing history to an earlier repair.
-	ropts.CompactionHorizon = float64(horizon)
 	if ropts.Parallel == 0 {
 		ropts.Parallel = s.cfg.Shards
 	}
-	res, err := recovery.RepairGraph(g, s.eng.Store(), s.eng.Log(), specs, u.bad, ropts)
-	return res, specs, err
+	return s.m.Repair(g, specs, u.bad, ropts)
 }
 
-// install merges a scoped repair's damaged chains into the live store,
-// resyncs the runs it rewrote and, with a WAL, writes the adopt record: the
-// replacement chain of every damaged key (nil = deleted) plus the resynced
-// run frontiers. It runs inside com.exec: exclusive with every group commit,
-// so clean shards observe either the pre- or post-repair chains, never a
-// torn mix, and the record lands before any later commit's entry record.
-// The record is synced before the shards resume: a run the repair moved past
-// its end must not read done first.
-func (s *Service) install(res *recovery.Result, specs map[string]*wf.Spec) error {
+// install merges a scoped repair's damaged chains into the live store and
+// resyncs the runs it rewrote (machine.Machine.Install) and, with a WAL,
+// writes the adopt record: the replacement chain of every damaged key (nil =
+// deleted) plus the resynced run frontiers. It runs inside com.exec:
+// exclusive with every group commit, so clean shards observe either the pre-
+// or post-repair chains, never a torn mix, and the record lands before any
+// later commit's entry record. The record is synced before the shards
+// resume: a run the repair moved past its end must not read done first.
+func (s *Service) install(res *recovery.Result) error {
 	err := s.com.exec(func() error {
-		s.eng.Store().AdoptChains(res.Store, res.DamagedKeys)
-		fronts, err := s.resyncActive(res, specs)
+		fronts, err := s.m.Install(res)
 		if err != nil {
 			return err
 		}
@@ -1230,26 +1181,6 @@ func (s *Service) install(res *recovery.Result, specs map[string]*wf.Spec) error
 		return err
 	}
 	return s.wal.Sync()
-}
-
-// resyncActive moves every in-flight run the repair rewrote onto its
-// corrected frontier. A scoped repair produces schedule actions only for
-// damaged-component runs, whose owning shards are paused — Frontier returns
-// ok=false for every run on a still-stepping shard, which is only skipped.
-// The returned frontiers feed the durable adopt record (ignored otherwise).
-func (s *Service) resyncActive(res *recovery.Result, specs map[string]*wf.Spec) ([]durable.RunFrontier, error) {
-	var fronts []durable.RunFrontier
-	for _, rs := range s.exec.activeRuns() {
-		cur, done, ok := res.Frontier(rs.run.ID, specs[rs.run.ID])
-		if !ok {
-			continue
-		}
-		if e := s.eng.Resync(rs.run, cur, done); e != nil {
-			return nil, fmt.Errorf("resync %s: %w", rs.run.ID, e)
-		}
-		fronts = append(fronts, durable.RunFrontier{Run: rs.run.ID, Cur: cur, Done: done})
-	}
-	return fronts, nil
 }
 
 func (s *Service) recordRepairStats(res *recovery.Result) {
@@ -1292,11 +1223,8 @@ func coveredBy(damaged []data.Key, dkeys map[data.Key]bool) bool {
 
 // damageKeyClosure computes the §IV quiesce scope for a unit: the union of
 // the key-footprint components containing any key an instance in the
-// worst-case undo set read or wrote (recovery.DamageKeyClosure, shared with
+// worst-case undo set read or wrote (machine.Machine.DamageKeys, shared with
 // the cluster's partial-quiescence coordinator).
 func (s *Service) damageKeyClosure(u *unit) map[data.Key]bool {
-	s.mu.Lock()
-	specs := s.specsCopyLocked()
-	s.mu.Unlock()
-	return recovery.DamageKeyClosure(s.eng.Log(), specs, u.an.WorstCaseUndo(), u.bad)
+	return s.m.DamageKeys(u.an.WorstCaseUndo(), u.bad)
 }

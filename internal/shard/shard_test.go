@@ -10,6 +10,7 @@ import (
 	"selfheal/internal/data"
 	"selfheal/internal/deps"
 	"selfheal/internal/engine"
+	"selfheal/internal/machine"
 	"selfheal/internal/selfheal"
 	"selfheal/internal/stg"
 	"selfheal/internal/triage"
@@ -95,16 +96,35 @@ func verifySerialInLSNOrder(t *testing.T, log *wlog.Log) *data.Store {
 	return st
 }
 
+// testExecutor returns an unstarted executor over a fresh machine.
+func testExecutor(shards, inbox, deferMax int) *executor {
+	m := machine.New(data.NewStore(), wlog.New(), wf.NewInterner())
+	return newExecutor(m, newCommitter(m.Engine(), 1, 1), shards, inbox, deferMax)
+}
+
+// submitTo registers a run with x's machine and submits it, as
+// Service.register does.
+func submitTo(x *executor, id string, spec *wf.Spec) error {
+	r, err := x.m.Register(id, spec)
+	if err != nil {
+		return err
+	}
+	if err := x.submit(&r.Run, false); err != nil {
+		x.m.Unregister(id)
+		return err
+	}
+	return nil
+}
+
 // TestDispatcherPlacement exercises the key-ownership rules deterministically
 // against an unstarted executor (no workers consume the inboxes).
 func TestDispatcherPlacement(t *testing.T) {
-	eng := engine.New(data.NewStore(), wlog.New())
-	x := newExecutor(eng, newCommitter(eng, 1, 1), 2, 8, 1)
+	x := testExecutor(2, 8, 1)
 
-	if err := x.submit("A", chainSpec("a", 3, 0)); err != nil {
+	if err := submitTo(x, "A", chainSpec("a", 3, 0)); err != nil {
 		t.Fatal(err)
 	}
-	if err := x.submit("B", chainSpec("b", 3, 0)); err != nil {
+	if err := submitTo(x, "B", chainSpec("b", 3, 0)); err != nil {
 		t.Fatal(err)
 	}
 	if x.runs["A"].shard == x.runs["B"].shard {
@@ -113,7 +133,7 @@ func TestDispatcherPlacement(t *testing.T) {
 
 	// C overlaps A: must land on A's shard, not the least-loaded one.
 	specAC := chainSpec("a", 3, 0)
-	if err := x.submit("C", specAC); err != nil {
+	if err := submitTo(x, "C", specAC); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := x.runs["C"].shard, x.runs["A"].shard; got != want {
@@ -124,7 +144,7 @@ func TestDispatcherPlacement(t *testing.T) {
 	mixed := wf.NewBuilder("m", "t1").
 		Task("t1").Reads("a.k3", "b.k3").Writes("m.k1").Compute(wf.SumCompute(1, "m.k1")).
 		End().MustBuild()
-	if err := x.submit("D", mixed); err != nil {
+	if err := submitTo(x, "D", mixed); err != nil {
 		t.Fatal(err)
 	}
 	if x.runs["D"].state != RunDeferred {
@@ -134,10 +154,10 @@ func TestDispatcherPlacement(t *testing.T) {
 	mixed2 := wf.NewBuilder("m2", "t1").
 		Task("t1").Reads("a.k1", "b.k1").Writes("m2.k1").Compute(wf.SumCompute(1, "m2.k1")).
 		End().MustBuild()
-	if err := x.submit("E", mixed2); !errors.Is(err, ErrQueueFull) {
+	if err := submitTo(x, "E", mixed2); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("submit E: err = %v, want ErrQueueFull", err)
 	}
-	if err := x.submit("A", chainSpec("a", 3, 0)); !errors.Is(err, engine.ErrRunExists) {
+	if err := submitTo(x, "A", chainSpec("a", 3, 0)); !errors.Is(err, engine.ErrRunExists) {
 		t.Fatalf("duplicate submit: err = %v, want ErrRunExists", err)
 	}
 
@@ -157,12 +177,11 @@ func TestDispatcherPlacement(t *testing.T) {
 // time find every shard equally idle, and the tie must not go to shard 0
 // each time. 64 of them over 4 shards give every shard at least 8.
 func TestPlacementSpreadsTies(t *testing.T) {
-	eng := engine.New(data.NewStore(), wlog.New())
-	x := newExecutor(eng, newCommitter(eng, 1, 1), 4, 64, 1)
+	x := testExecutor(4, 64, 1)
 	per := make([]int, 4)
 	for i := 0; i < 64; i++ {
 		id := fmt.Sprintf("run-%d", i)
-		if err := x.submit(id, chainSpec(id, 2, 0)); err != nil {
+		if err := submitTo(x, id, chainSpec(id, 2, 0)); err != nil {
 			t.Fatal(err)
 		}
 		rs := x.runs[id]

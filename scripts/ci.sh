@@ -69,7 +69,7 @@ fi
 # interning"): runs of one tenant share their lists, strings and footprint,
 # no repair, resync or restore writes into a shared list, a checkpoint's
 # table keeps only what live specs reference, and a cluster replica's
-# active-run set equals a full scan of its runs after forges and repairs.
+# active runs equal a scan of its run frontiers after forges and repairs.
 go test -race -count=20 -run '^(TestBuildInSharesSpecFacts|TestSealedFootprintMatchesScan|TestRetainForgets|TestCheckCatchesInPlaceMutation)$' ./internal/wfjson/
 go test -race -count=20 -run '^(TestRunsOfOneTenantShareSpecFacts|TestInternedListsSurviveRepairs)$' ./internal/shard/
 go test -race -count=20 -run '^(TestActiveRunsMatchFullScan|TestClusterFuzzEquivalence)$' ./internal/cluster/
@@ -135,12 +135,14 @@ go test -race -count=3 -run '^(TestRestartEqualsLive|TestAlertBelowHorizon)$' ./
 # 410 after one tick, and under sustained commits nothing beyond the trail
 # and one tick's commits stays resident — through a consistent cut no
 # retired run straddles; an alert on a forge beneath the horizon is a 410 in
-# every mode; the horizon computed from what it may drop equals the full
-# scan's, and at the head of a quiesced service the snapshot's; the graph
+# every mode, and so is one on a live run's instance a checkpoint truncated;
+# the horizon computed from what it may drop equals the full scan's (in
+# internal/machine, below), and at the head of a quiesced service the
+# snapshot's; the graph
 # drops a prefix at a cost that does not follow what it keeps, and equals a
 # graph seeded at each cut of a chain of small rebases. Checkpoint needs no
 # WAL, and the snapshot formats of earlier commits still open.
-go test -race -count=10 -run '^(TestMemoryHeapBoundedByHorizon|TestMemoryHorizonKeepsDetectionWindow|TestMemoryHorizonTrailsEveryTick|TestMemoryHorizonRetiredStraddler|TestAlertOnForgedRunBelowHorizon|TestHorizonAtHeadEqualsSnapshot|TestHorizonAtEqualsFullScan)$' ./internal/shard/
+go test -race -count=10 -run '^(TestMemoryHeapBoundedByHorizon|TestMemoryHorizonKeepsDetectionWindow|TestMemoryHorizonTrailsEveryTick|TestMemoryHorizonRetiredStraddler|TestAlertOnForgedRunBelowHorizon|TestAlertOnPreEpochRunBelowHorizon|TestHorizonAtHeadEqualsSnapshot)$' ./internal/shard/
 go test -race -count=10 -run '^(TestRebaseEqualsSeededGraph|TestRebaseCostFollowsDropped|TestRebaseRacesAppend|TestFarSuccessors|TestBytesPerResidentEntry)$' ./internal/deps/
 go test -count=1 -run '^(TestFrontierAt|TestTruncateBeforeEqualsNewAt)$' ./internal/deps/ ./internal/wlog/
 # The graph keeps each entry's successor list in the entry chunks, by
@@ -175,12 +177,34 @@ if grep -rn --include='*.go' --exclude='*_test.go' 'SwapStore' .; then
     echo "install gate: a store swap; repairs merge their chains (data.Store.AdoptChains)" >&2
     exit 1
 fi
-repair_fns=$(grep -rn --include='*.go' --exclude='*_test.go' 'recovery\.RepairGraph(' internal/shard/ | wc -l)
+repair_fns=$(grep -rn --include='*.go' --exclude='*_test.go' 'recovery\.RepairGraph(' internal/shard/ internal/cluster/ internal/machine/ | wc -l)
 if [ "$repair_fns" -ne 1 ]; then
-    echo "install gate: internal/shard calls recovery.RepairGraph from $repair_fns sites, want the one repair path" >&2
+    echo "install gate: the runtimes call recovery.RepairGraph from $repair_fns sites, want the one repair path (machine.Machine.Repair)" >&2
     exit 1
 fi
 go test -race -count=20 -run '^(TestRunRegisteredWhileRepairPins|TestCoverageViolationFallsBackScoped|TestRefusedRegistrationLeavesNoTrace|TestSubmitInitSurvivesQueuedFullRepair)$' ./internal/shard/
+
+# One state machine under both runtimes (docs/ARCHITECTURE.md "The
+# machine"): shard.Service and the cluster replica forget, compute a
+# horizon, check a repair against it, answer the 410 and capture a snapshot
+# through internal/machine, so each has exactly one definition across the
+# runtimes, and the replica neither repairs over a whole-log rebuild of its
+# own nor counts visits beside the engine's run. The horizon oracle runs on
+# the machine both runtimes call, and a seeded episode captures to the same
+# bytes through either runtime.
+for fn in forget horizonAt checkHorizon belowHorizon capture; do
+    defs=$(grep -rniE --include='*.go' --exclude='*_test.go' "^func (\([^)]*\) )?$fn\(" internal/shard/ internal/cluster/ internal/machine/ | wc -l)
+    if [ "$defs" -ne 1 ]; then
+        echo "machine gate: $defs definitions of $fn across internal/shard, internal/cluster and internal/machine, want the machine's one" >&2
+        exit 1
+    fi
+done
+if grep -rnE --include='*.go' --exclude='*_test.go' -e 'recovery\.Repair\(' -e 'type visitCounts' internal/cluster/; then
+    echo "machine gate: internal/cluster repairs or counts visits itself (machine.Machine.Repair, engine.Run)" >&2
+    exit 1
+fi
+go test -race -count=10 -run '^TestHorizonAtEqualsFullScan$' ./internal/machine/
+go test -race -count=10 -run '^(TestRuntimesCaptureAlike|TestRepairResyncsOnlyRewrittenRuns)$' ./internal/cluster/
 
 # The end-to-end benchmark is its own module (bench/, `replace selfheal =>
 # ../`) compiled against internal packages: vet and its toy-size tests here
