@@ -316,7 +316,7 @@ func (e *Engine) Prepare(r *Run) (*Prepared, error) {
 	visit := r.visit(r.cur)
 	*visit++
 	entry := &wlog.Entry{Run: r.ID, Task: r.cur, Visit: *visit}
-	// The one formatting of this instance's ID: the log index, the
+	// The one formatting of this instance's ID: the log's lookups, the
 	// dependence graph and the store's versions all share this string.
 	inst := entry.CacheID()
 	attack := e.attack(inst)

@@ -1,10 +1,12 @@
 package httpapi
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"testing"
 	"time"
 
@@ -267,6 +269,31 @@ func TestAlertPartialDropRetryAfter(t *testing.T) {
 	}
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("429 without Retry-After")
+	}
+}
+
+// TestOpenAPIEncodedOnce: the document a server serves is encoded once, at
+// mount, and its bytes, status and content type are exactly those encoding
+// it on every request wrote, for every server's families.
+func TestOpenAPIEncodedOnce(t *testing.T) {
+	for _, fams := range [][]string{
+		{FamLegacy, FamV1},
+		{FamLegacy, FamV1, FamMetrics},
+		{FamLegacy, FamV1, FamChaos},
+		{FamLegacy, FamV1, FamChaos, FamCluster, FamMetrics},
+	} {
+		want := httptest.NewRecorder()
+		writeJSON(want, http.StatusOK, OpenAPIDoc(fams...))
+		serve := handleOpenAPI(fams...)
+		for i := 0; i < 2; i++ {
+			got := httptest.NewRecorder()
+			serve(got, httptest.NewRequest("GET", "/api/v1/openapi.json", nil))
+			if got.Code != want.Code || got.Header().Get("Content-Type") != want.Header().Get("Content-Type") ||
+				!bytes.Equal(got.Body.Bytes(), want.Body.Bytes()) {
+				t.Fatalf("families %v, request %d: served %d %q (%d bytes), want %d %q (%d bytes)", fams, i,
+					got.Code, got.Header().Get("Content-Type"), got.Body.Len(), want.Code, want.Header().Get("Content-Type"), want.Body.Len())
+			}
+		}
 	}
 }
 

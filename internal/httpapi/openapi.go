@@ -1,6 +1,8 @@
 package httpapi
 
 import (
+	"encoding/json"
+	"fmt"
 	"net/http"
 	"regexp"
 	"sort"
@@ -114,10 +116,21 @@ func responsesOf(r Route) map[string]any {
 	return out
 }
 
-// handleOpenAPI serves the generated document for a server's families.
+// handleOpenAPI serves the generated document for a server's families. It
+// is encoded once, at mount, into the bytes writeJSON would write for it
+// (json.Encoder.Encode: Marshal's output and a newline), so the tree of
+// maps does not stay alive behind the handler.
 func handleOpenAPI(families ...string) http.HandlerFunc {
-	doc := OpenAPIDoc(families...)
+	doc, err := json.Marshal(OpenAPIDoc(families...))
+	if err != nil {
+		// Maps of strings, slices and bools always encode: only a bug
+		// gets here.
+		panic(fmt.Sprintf("httpapi: encoding the OpenAPI document: %v", err))
+	}
+	doc = append(doc, '\n')
 	return func(w http.ResponseWriter, _ *http.Request) {
-		writeJSON(w, http.StatusOK, doc)
+		w.Header().Set("Content-Type", "application/json")
+		w.WriteHeader(http.StatusOK)
+		_, _ = w.Write(doc) // a failed write is the client's loss, as in writeJSON
 	}
 }

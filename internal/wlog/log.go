@@ -190,8 +190,8 @@ func (e *Entry) ID() InstanceID {
 }
 
 // CacheID formats the entry's instance ID once and keeps it, so the log's
-// index, the dependence graph and the store's versions all share one string
-// per committed instance. Only the goroutine that owns a not yet
+// lookups, the dependence graph and the store's versions all share one
+// string per committed instance. Only the goroutine that owns a not yet
 // published entry may call it (the engine while preparing a step; the log,
 // under its lock, for entries that arrive without one); Run, Task and Visit
 // must not change afterwards.
@@ -209,9 +209,9 @@ type Log struct {
 	// (0 for a complete log): entries holds LSNs base+1..base+len(entries).
 	base    int
 	entries []*Entry
-	byInst  map[InstanceID]*Entry
-	// byRun indexes entries per run (forged included) so Trace and Succ
-	// are O(run length) instead of O(log length).
+	// byRun indexes entries per run (forged included), in LSN order: the
+	// log's one lookup structure. Trace and Succ are O(run length) instead
+	// of O(log length), and an instance is found through its run (find).
 	byRun map[string][]*Entry
 	// hooks are commit observers registered via OnAppend.
 	hooks []func(*Entry)
@@ -261,24 +261,19 @@ func NewAt(base int) *Log {
 	if base < 0 {
 		base = 0
 	}
-	return &Log{
-		base:   base,
-		byInst: make(map[InstanceID]*Entry),
-		byRun:  make(map[string][]*Entry),
-	}
+	return &Log{base: base, byRun: make(map[string][]*Entry)}
 }
 
 // TruncateBefore drops every entry at or below lsn in place, turning the log
 // into the one NewAt(lsn) plus the same suffix would build: the base moves to
 // lsn, lookups for dropped instances miss and traces cover only the suffix.
 // OnAppend hooks stay registered. A Go map keeps its peak size after
-// deletes, so when most of the log goes (a snapshot at the head) the indexes
-// are rebuilt from the suffix, to release the prefix; when most stays (a
-// horizon trailing the head) the dropped slots are cleared and the slices
-// resliced past them, and the prefix is deleted from the indexes, at a cost
-// that follows what is dropped — append's growth later moves what is kept
-// off the old arrays. A checkpoint calls it once nothing needs the prefix
-// any more.
+// deletes, so when most of the log goes (a snapshot at the head) the run
+// index is rebuilt from the suffix, to release the prefix; when most stays
+// (a horizon trailing the head) the dropped slots are cleared and the
+// slices resliced past them, at a cost that follows what is dropped —
+// append's growth later moves what is kept off the old arrays. A checkpoint
+// calls it once nothing needs the prefix any more.
 func (l *Log) TruncateBefore(lsn int) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -287,39 +282,35 @@ func (l *Log) TruncateBefore(lsn int) {
 		return
 	}
 	l.base += n
-	if kept := len(l.entries) - n; kept < n {
+	if len(l.entries)-n < n {
 		l.entries = slices.Clone(l.entries[n:])
-		l.byInst = make(map[InstanceID]*Entry, kept)
 		l.byRun = make(map[string][]*Entry)
 		for _, e := range l.entries {
-			l.byInst[e.id] = e
 			l.byRun[e.Run] = append(l.byRun[e.Run], e)
 		}
 	} else {
-		// A run's entries are in LSN order, so its dropped ones are a
-		// prefix of its list.
-		cut := make(map[string]int)
+		// A run's entries are in LSN order, so each dropped entry is the
+		// front of its run's list when its turn comes. Dropped slots are
+		// cleared so the arrays no longer hold on to them.
 		for _, e := range l.entries[:n] {
-			delete(l.byInst, e.id)
-			cut[e.Run]++
+			seq := l.byRun[e.Run]
+			seq[0] = nil
+			l.setRun(e.Run, seq[1:])
 		}
-		l.entries = dropFront(l.entries, n)
-		for run, k := range cut {
-			if rest := dropFront(l.byRun[run], k); len(rest) > 0 {
-				l.byRun[run] = rest
-			} else {
-				delete(l.byRun, run)
-			}
-		}
+		clear(l.entries[:n])
+		l.entries = l.entries[n:]
 	}
 	l.o.entries.Set(int64(len(l.entries)))
 }
 
-// dropFront returns s without its first n elements, cleared in the array so
-// it no longer holds on to them.
-func dropFront(s []*Entry, n int) []*Entry {
-	clear(s[:n])
-	return s[n:]
+// setRun stores seq as run's resident entries, and forgets the run once it
+// has none, so Runs lists only runs the log holds.
+func (l *Log) setRun(run string, seq []*Entry) {
+	if len(seq) == 0 {
+		delete(l.byRun, run)
+		return
+	}
+	l.byRun[run] = seq
 }
 
 // Append commits e, assigning the next LSN. It returns the assigned LSN and
@@ -347,27 +338,29 @@ func (l *Log) AppendBatch(entries []*Entry) (int, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	// Index first: a collision with a committed entry or with an earlier
-	// entry of this batch shows up as an occupied slot, and the batch's own
-	// slots are rolled back so nothing is appended.
+	// entry of this batch is found through its run, and the batch's own
+	// entries are taken off their runs' tails again, last first, so nothing
+	// is appended.
 	for i, e := range entries {
 		id := e.CacheID()
 		err := e.Normalize()
-		if _, dup := l.byInst[id]; dup {
+		if l.find(id) != nil {
 			err = fmt.Errorf("wlog: duplicate instance %s", id)
 		}
 		if err != nil {
-			for _, prev := range entries[:i] {
-				delete(l.byInst, prev.id)
+			for j := i - 1; j >= 0; j-- {
+				seq := l.byRun[entries[j].Run]
+				seq[len(seq)-1] = nil
+				l.setRun(entries[j].Run, seq[:len(seq)-1])
 			}
 			return 0, err
 		}
-		l.byInst[id] = e
+		l.byRun[e.Run] = append(l.byRun[e.Run], e)
 	}
 	first := l.base + len(l.entries) + 1
 	for i, e := range entries {
 		e.LSN = first + i
 		l.entries = append(l.entries, e)
-		l.byRun[e.Run] = append(l.byRun[e.Run], e)
 	}
 	l.o.appends.Add(int64(len(entries)))
 	l.o.entries.Set(int64(len(l.entries)))
@@ -455,12 +448,40 @@ func (l *Log) Entries() []*Entry {
 	return out
 }
 
-// Get returns the entry for an instance ID.
+// Get returns the entry for an instance ID. It costs a probe of the run
+// index and a scan of that run's resident entries from the newest.
 func (l *Log) Get(id InstanceID) (*Entry, bool) {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	e, ok := l.byInst[id]
-	return e, ok
+	e := l.find(id)
+	return e, e != nil
+}
+
+// find resolves id through its run, under the caller's lock. The run is
+// what precedes some '/' ahead of the last '#' (the visit's): the first
+// such '/' for every ID the system forms, a later one for a run ID that
+// holds a '/' itself, so each candidate is probed in turn. The run's
+// entries are scanned from the newest, the visit ruling out most of a
+// cyclic run's, and the entry's cached ID decides: the log treats IDs as
+// opaque, and one no entry formats to resolves to nil.
+func (l *Log) find(id InstanceID) *Entry {
+	hash := strings.LastIndexByte(string(id), '#')
+	visit, err := strconv.Atoi(string(id[hash+1:]))
+	if err != nil {
+		return nil
+	}
+	for slash := range hash {
+		if id[slash] != '/' {
+			continue
+		}
+		seq := l.byRun[string(id[:slash])]
+		for i := len(seq) - 1; i >= 0; i-- {
+			if e := seq[i]; e.Visit == visit && e.id == id {
+				return e
+			}
+		}
+	}
+	return nil
 }
 
 // Trace returns the subsequence of the log belonging to the given run
@@ -501,15 +522,13 @@ func (l *Log) Runs() []string {
 // same run's trace (§II.A). Forged entries are excluded.
 func (l *Log) Succ(id InstanceID) map[InstanceID]bool {
 	l.mu.RLock()
-	e, ok := l.byInst[id]
-	l.mu.RUnlock()
+	defer l.mu.RUnlock()
 	out := make(map[InstanceID]bool)
-	if !ok {
-		return out
-	}
-	for _, s := range l.Trace(e.Run, false) {
-		if s.LSN > e.LSN {
-			out[s.ID()] = true
+	if e := l.find(id); e != nil {
+		for _, s := range l.byRun[e.Run] {
+			if s.LSN > e.LSN && !s.Forged {
+				out[s.id] = true
+			}
 		}
 	}
 	return out
@@ -520,7 +539,6 @@ func (l *Log) Succ(id InstanceID) map[InstanceID]bool {
 func (l *Log) Precedes(a, b InstanceID) bool {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	ea, oka := l.byInst[a]
-	eb, okb := l.byInst[b]
-	return oka && okb && ea.LSN < eb.LSN
+	ea, eb := l.find(a), l.find(b)
+	return ea != nil && eb != nil && ea.LSN < eb.LSN
 }

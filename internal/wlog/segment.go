@@ -40,17 +40,10 @@ func MergeSegments(segments ...[]StampedEntry) (*Log, error) {
 	}
 	merged := New()
 	for _, se := range all {
-		e := se.Entry
-		cp := &Entry{
-			Run:    e.Run,
-			Task:   e.Task,
-			Visit:  e.Visit,
-			Forged: e.Forged,
-			Reads:  e.Reads,
-			Writes: e.Writes,
-			Chosen: e.Chosen,
-		}
-		if _, err := merged.Append(cp); err != nil {
+		// A struct copy: Append assigns the LSN, and the cached instance
+		// ID stays valid, since Run, Task and Visit come with it.
+		cp := *se.Entry
+		if _, err := merged.Append(&cp); err != nil {
 			return nil, fmt.Errorf("wlog: merge: %w", err)
 		}
 	}

@@ -144,7 +144,7 @@ go test -race -count=3 -run '^(TestRestartEqualsLive|TestAlertBelowHorizon)$' ./
 # WAL, and the snapshot formats of earlier commits still open.
 go test -race -count=10 -run '^(TestMemoryHeapBoundedByHorizon|TestMemoryHorizonKeepsDetectionWindow|TestMemoryHorizonTrailsEveryTick|TestMemoryHorizonRetiredStraddler|TestAlertOnForgedRunBelowHorizon|TestAlertOnPreEpochRunBelowHorizon|TestHorizonAtHeadEqualsSnapshot)$' ./internal/shard/
 go test -race -count=10 -run '^(TestRebaseEqualsSeededGraph|TestRebaseCostFollowsDropped|TestRebaseRacesAppend|TestFarSuccessors|TestBytesPerResidentEntry)$' ./internal/deps/
-go test -count=1 -run '^(TestFrontierAt|TestTruncateBeforeEqualsNewAt)$' ./internal/deps/ ./internal/wlog/
+go test -count=1 -run '^(TestFrontierAt|TestTruncateBeforeEqualsNewAt|TestLookupsMatchIDMap|TestIndexBytesPerResidentEntry)$' -v ./internal/deps/ ./internal/wlog/
 # The graph keeps each entry's successor list in the entry chunks, by
 # ordinal (docs/ARCHITECTURE.md "The dependence graph"): no container keyed
 # by instance ID holds a list per source, and the graph's heap per resident
@@ -155,6 +155,17 @@ if grep -rn --include='*.go' --exclude='*_test.go' 'map\[wlog\.InstanceID\]\[\]s
     exit 1
 fi
 go test -count=1 -run '^TestBytesPerResidentEntry$' -v ./internal/deps/
+# The log's one lookup structure is its run index (docs/ARCHITECTURE.md):
+# an instance is found through its run, so no map keyed by instance ID sits
+# beside it. Lookups and duplicate refusals agree with such a map over a
+# seeded stream with truncations on both branches, and the log's own heap
+# per resident entry stays under the bound the ID map broke (the footprint
+# test runs on the non-race line above).
+if grep -rn --include='*.go' --exclude='*_test.go' 'map\[InstanceID\]\*Entry' internal/wlog/; then
+    echo "log gate: an instance-ID map in internal/wlog (an instance is found through its run's entries)" >&2
+    exit 1
+fi
+go test -race -count=10 -run '^(TestLookupsMatchIDMap|TestAppendBatchAtomicOnDuplicate)$' ./internal/wlog/
 if grep -rn --include='*.go' --exclude='*_test.go' 'service has no durable WAL' .; then
     echo "horizon gate: a service refuses to checkpoint without a WAL (in-memory services forget too)" >&2
     exit 1
