@@ -68,7 +68,7 @@ func TestCampaignWithEagerAndConcurrentModes(t *testing.T) {
 	}{
 		{"concurrent", func(c *Config) { c.System.Concurrent = true }},
 		{"eager", func(c *Config) { c.System.EagerRecovery = true }},
-		{"coalesce", func(c *Config) { c.System.CoalesceAlerts = true }},
+		{"coalesce", func(c *Config) { c.System.Triage.Coalesce = true }},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			cfg := DefaultConfig(5)

@@ -3,9 +3,11 @@ package cluster_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"strings"
 	"sync"
@@ -13,10 +15,13 @@ import (
 	"time"
 
 	"selfheal/internal/cluster"
+	"selfheal/internal/data"
 	"selfheal/internal/durable"
 	"selfheal/internal/engine"
+	"selfheal/internal/httpapi"
 	"selfheal/internal/obs"
 	"selfheal/internal/recovery"
+	"selfheal/internal/shard"
 	"selfheal/internal/triage"
 	"selfheal/internal/wlog"
 )
@@ -430,6 +435,59 @@ func TestClusterAlertBelowHorizon(t *testing.T) {
 		}
 		if _, _, err := h.nodes[id].ReportAlerts([]triage.Alert{{Bad: []wlog.InstanceID{"ghost/t0#1"}}}); !errors.Is(err, engine.ErrUnknownRun) {
 			t.Errorf("alert via %s on an instance that never ran: %v, want unknown", id, err)
+		}
+	}
+	// A single node with the same history answers the same IDs with the
+	// same statuses: both runtimes admit alerts through one check.
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	svc, err := shard.New(shard.Config{Shards: 1}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.Start()
+	t.Cleanup(svc.Stop)
+	if err := svc.SubmitRunSpec("r", chainSpec([]string{keys["a"][0], keys["b"][0]}, 1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.WaitIdle(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if inst, err := svc.InjectForged("intruder", "evil", nil, map[data.Key]data.Value{"loot": -1}); err != nil || inst != forged {
+		t.Fatalf("single-node forge %s, %v, want %s", inst, err, forged)
+	}
+	if err := svc.Checkpoint(ctx); err != nil {
+		t.Fatal(err)
+	}
+	single := httptest.NewServer(httpapi.Server(nil, svc))
+	t.Cleanup(single.Close)
+	urls := map[string]string{"node a": h.url("a"), "node b": h.url("b"), "single node": single.URL}
+	for _, c := range []struct {
+		body, code string
+		status     int
+	}{
+		{`{"bad":["r/t#0"]}`, "bad_request", http.StatusBadRequest},
+		{`{"batch":[["ghost/t0#1"],["r/t#0"]]}`, "bad_request", http.StatusBadRequest},
+		{`{"bad":[]}`, "bad_request", http.StatusBadRequest},
+		{`{"bad":["ghost/t0#1"]}`, "not_found", http.StatusNotFound},
+		{`{"bad":["r/t0#1"]}`, "below_horizon", http.StatusGone},
+		{`{"bad":["r/t9#1"]}`, "below_horizon", http.StatusGone}, // any instance of a buried run
+		{`{"bad":["` + string(forged) + `"]}`, "below_horizon", http.StatusGone},
+	} {
+		for name, url := range urls {
+			resp, err := http.Post(url+"/api/v1/alerts", "application/json", strings.NewReader(c.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var env struct {
+				Error struct{ Code string } `json:"error"`
+			}
+			derr := json.NewDecoder(resp.Body).Decode(&env)
+			resp.Body.Close()
+			if resp.StatusCode != c.status || derr != nil || env.Error.Code != c.code {
+				t.Errorf("POST /api/v1/alerts %s via %s: HTTP %d %q (%v), want %d %q",
+					c.body, name, resp.StatusCode, env.Error.Code, derr, c.status, c.code)
+			}
 		}
 	}
 	if info, err := h.nodes["b"].RunInfo("r"); err != nil || info.Status != "done" || info.Steps != 0 {

@@ -29,8 +29,8 @@ func TestReplicaRefusesRepairBelowHorizon(t *testing.T) {
 	if err := n.applyFrames(wireBody(recs[6:])); err != nil {
 		t.Fatal(err)
 	}
-	st := n.rep.Stats()
-	if st.units != 2 || st.errors != 1 || !errors.Is(st.lastErr, recovery.ErrHorizon) {
+	st := n.rep.tally.Counts()
+	if st.Units != 1 || st.Errors != 1 || !errors.Is(st.LastErr, recovery.ErrHorizon) {
 		t.Fatalf("repair accounting %+v, want the second repair refused with ErrHorizon", st)
 	}
 	if after := n.StoreSnapshot(); !equalStores(before, after) {
@@ -79,7 +79,7 @@ func TestStamperStampsRepairBelowHorizon(t *testing.T) {
 	if err := n.rep.WaitApplied(context.Background(), seq); err != nil {
 		t.Fatal(err)
 	}
-	if st := n.rep.Stats(); st.errors != 1 || !errors.Is(st.lastErr, recovery.ErrHorizon) {
+	if st := n.rep.tally.Counts(); st.Errors != 1 || !errors.Is(st.LastErr, recovery.ErrHorizon) {
 		t.Fatalf("repair accounting %+v, want one ErrHorizon refusal", st)
 	}
 	if got := n.StoreSnapshot()["k"]; got != 4 {

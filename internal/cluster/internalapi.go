@@ -15,6 +15,7 @@ import (
 	"selfheal/internal/engine"
 	"selfheal/internal/recovery"
 	"selfheal/internal/shard"
+	"selfheal/internal/triage"
 	"selfheal/internal/wfjson"
 	"selfheal/internal/wlog"
 )
@@ -479,21 +480,15 @@ func (n *Node) handleAlertForward(w http.ResponseWriter, r *http.Request) {
 	}
 	bad := make([]wlog.InstanceID, len(req.Bad))
 	for i, s := range req.Bad {
-		if _, _, _, err := wlog.ParseInstance(wlog.InstanceID(s)); err != nil {
-			writeInternalErr(w, http.StatusBadRequest, "bad_request", "malformed instance "+s)
-			return
-		}
 		bad[i] = wlog.InstanceID(s)
 	}
 	// The forwarder found every instance on its replica; this one may not
 	// have applied them yet. A failed wait (the forwarder gave up) leaves
-	// the checks below to answer from what is here.
+	// the check to answer from what is here.
 	_ = n.rep.WaitApplied(r.Context(), req.After)
-	for _, id := range bad {
-		if err := n.checkAlertInstance(id); err != nil {
-			writeMappedErr(w, err)
-			return
-		}
+	if err := n.checkAlerts([]triage.Alert{{Bad: bad}}); err != nil {
+		writeMappedErr(w, err)
+		return
 	}
 	resp := alertForwardResp{}
 	if n.admitAlert(bad) {

@@ -742,26 +742,8 @@ func (n *Node) Trace(run string) []wlog.InstanceID {
 // leader (the accused run's owner), falling back to leading locally when
 // the leader is unreachable.
 func (n *Node) ReportAlerts(alerts []triage.Alert) (admitted, dropped int, err error) {
-	// Syntax over the whole batch first: a malformed ID anywhere is a bad
-	// request regardless of position.
-	for _, a := range alerts {
-		if len(a.Bad) == 0 {
-			return 0, 0, fmt.Errorf("cluster: %w: empty alert", engine.ErrBadSpec)
-		}
-		for _, id := range a.Bad {
-			if _, _, _, perr := wlog.ParseInstance(id); perr != nil {
-				return 0, 0, fmt.Errorf("cluster: alert instance %q: %w", id, engine.ErrBadSpec)
-			}
-		}
-	}
-	// Presence next, against the local replica: an instance a checkpoint
-	// forgot is history that is gone, not a lookup miss.
-	for _, a := range alerts {
-		for _, id := range a.Bad {
-			if err := n.checkAlertInstance(id); err != nil {
-				return 0, 0, err
-			}
-		}
+	if err := n.checkAlerts(alerts); err != nil {
+		return 0, 0, err
 	}
 	for _, a := range alerts {
 		run, _, _, _ := wlog.ParseInstance(a.Bad[0])
@@ -795,19 +777,16 @@ func (n *Node) ReportAlerts(alerts []triage.Alert) (admitted, dropped int, err e
 	return admitted, dropped, nil
 }
 
-// checkAlertInstance refuses an alert instance the replica does not hold:
-// with recovery.ErrHorizon (HTTP 410 below_horizon) when it lies beneath the
-// snapshot horizon, as the single node refuses it, else as unknown.
-func (n *Node) checkAlertInstance(id wlog.InstanceID) error {
-	if n.rep.HasInstance(id) {
-		return nil
-	}
-	if n.rep.state().BelowHorizon(id) {
+// checkAlerts admits a batch against the local replica the way every
+// runtime does (machine.Machine.CheckAlerts), counting a refusal beneath
+// the horizon.
+func (n *Node) checkAlerts(alerts []triage.Alert) error {
+	err := n.rep.state().CheckAlerts(alerts)
+	if errors.Is(err, recovery.ErrHorizon) {
 		n.alertsHorizon.Add(1)
 		n.o.alertBelowHorizon()
-		return fmt.Errorf("cluster: alert instance %q lies beneath the snapshot horizon: %w", id, recovery.ErrHorizon)
 	}
-	return fmt.Errorf("cluster: alert instance %q: %w", id, engine.ErrUnknownRun)
+	return err
 }
 
 // admitAlert enqueues one alert on the bounded incident queue.
@@ -851,7 +830,7 @@ func (n *Node) QueueLengths() (int, int, int) {
 
 // MetricsDoc summarizes this node's view of the cluster's accounting.
 func (n *Node) MetricsDoc() shard.Metrics {
-	st := n.rep.Stats()
+	st := n.rep.tally.Counts()
 	ids := n.rep.state().IDs()
 	completed := 0
 	for _, id := range ids {
@@ -871,11 +850,11 @@ func (n *Node) MetricsDoc() shard.Metrics {
 		AlertsLost:         int(n.alertsLost.Load()),
 		AlertsAnalyzed:     int(n.alertsAnalyzed.Load()),
 		AlertsBelowHorizon: int(n.alertsHorizon.Load()),
-		UnitsExecuted:      st.units,
-		RecoveryErrors:     st.errors,
-		Undone:             st.undone,
-		Redone:             st.redone,
-		NewExecuted:        st.newExec,
+		UnitsExecuted:      st.Units + st.Errors, // every repair record applied
+		RecoveryErrors:     st.Errors,
+		Undone:             st.Undone,
+		Redone:             st.Redone,
+		NewExecuted:        st.NewExecuted,
 		RunsSubmitted:      len(ids),
 		RunsCompleted:      completed,
 		NormalSteps:        normal,
@@ -1025,13 +1004,13 @@ func (n *Node) VerifyDoc() httpapi.VerifyDoc {
 	if err := n.rep.state().Store().CheckIndex(); err != nil {
 		doc.CheckIndex = err.Error()
 	}
-	st := n.rep.Stats()
-	doc.AuditViolations = st.auditViolations
-	if st.lastAudit != nil {
-		doc.AuditError = st.lastAudit.Error()
+	st := n.rep.tally.Counts()
+	doc.AuditViolations = st.AuditViolations
+	if st.LastAudit != nil {
+		doc.AuditError = st.LastAudit.Error()
 	}
-	if st.lastErr != nil {
-		doc.RecoveryError = st.lastErr.Error()
+	if st.LastErr != nil {
+		doc.RecoveryError = st.LastErr.Error()
 	}
 	return doc
 }

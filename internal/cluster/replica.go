@@ -10,19 +10,13 @@ import (
 	"selfheal/internal/data"
 	"selfheal/internal/deps"
 	"selfheal/internal/durable"
+	"selfheal/internal/engine"
 	"selfheal/internal/machine"
 	"selfheal/internal/recovery"
 	"selfheal/internal/wf"
 	"selfheal/internal/wfjson"
 	"selfheal/internal/wlog"
 )
-
-// repairStats accumulates the replica's deterministic repair accounting.
-type repairStats struct {
-	units, undone, redone, newExec, errors, auditViolations int
-	lastErr                                                 error
-	lastAudit                                               error
-}
 
 // doneAt is a run completed by a record the replica has applied but not yet
 // published.
@@ -77,13 +71,15 @@ type replica struct {
 	ckpt *capture
 
 	ropts recovery.Options
-	stats repairStats
+	// tally is the deterministic repair accounting; every repair record
+	// audits its schedule.
+	tally machine.Tally
 }
 
 func newReplica() *replica {
 	tab := wf.NewInterner()
 	r := &replica{
-		m:       machine.New(data.NewStore(), wlog.New(), tab),
+		m:       machine.New(engine.New(data.NewStore(), wlog.New()), tab),
 		tab:     tab,
 		docs:    make(map[string][]byte),
 		specSeq: make(map[string]int),
@@ -259,7 +255,6 @@ func (r *replica) applyRepair(rec *Record) {
 	for i, s := range rec.Bad {
 		bad[i] = wlog.InstanceID(s)
 	}
-	r.stats.units++
 	err := r.m.CheckHorizon(bad, nil)
 	var res *recovery.Result
 	if err == nil {
@@ -270,17 +265,10 @@ func (r *replica) applyRepair(rec *Record) {
 		fronts, err = r.m.Install(res)
 	}
 	if err != nil {
-		r.stats.errors++
-		r.stats.lastErr = fmt.Errorf("cluster: repair at record %d: %w", rec.Seq, err)
+		r.tally.Fail(fmt.Errorf("cluster: repair at record %d: %w", rec.Seq, err))
 		return
 	}
-	r.stats.undone += len(res.Undone)
-	r.stats.redone += len(res.Redone)
-	r.stats.newExec += len(res.NewExecuted)
-	if audit := recovery.AuditSchedule(res); len(audit) > 0 {
-		r.stats.auditViolations += len(audit)
-		r.stats.lastAudit = fmt.Errorf("cluster: repair schedule violates Theorem-3 orders: %w", audit[0])
-	}
+	r.tally.Record(res, true)
 	// A run the repair moved past its end is done at this record.
 	for _, f := range fronts {
 		if f.Done {
@@ -449,13 +437,6 @@ func (r *replica) RunDone(run string) (done, ok bool) {
 		return false, true
 	}
 	return !slices.ContainsFunc(r.unpublished, func(d doneAt) bool { return d.run == run }), true
-}
-
-// Stats returns a copy of the repair accounting.
-func (r *replica) Stats() repairStats {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.stats
 }
 
 // HasInstance reports whether an instance is committed in the log.

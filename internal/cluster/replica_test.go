@@ -118,7 +118,7 @@ func TestRepairResyncsOnlyRewrittenRuns(t *testing.T) {
 	if ok, err := rep.Apply(&recs[len(recs)-1]); !ok || err != nil {
 		t.Fatalf("repair record: applied %v, %v", ok, err)
 	}
-	if st := rep.Stats(); st.errors != 0 || st.redone != 2 {
+	if st := rep.tally.Counts(); st.Errors != 0 || st.Redone != 2 {
 		t.Fatalf("repair stats %+v, want 2 redone and no error", st)
 	}
 	for run, w := range want {

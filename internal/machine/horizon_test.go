@@ -116,7 +116,7 @@ func (m *Machine) horizonAtFullScan(target int) durable.Horizon {
 func episode(t *testing.T, seed int64, ops int, check func(m *Machine, committed []wlog.InstanceID)) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	m := New(data.NewStore(), wlog.New(), wf.NewInterner())
+	m := New(engine.New(data.NewStore(), wlog.New()), wf.NewInterner())
 	eng := m.Engine()
 	gen := wf.GenConfig{Tasks: 6, Keys: 5, MaxReads: 2, MaxWrites: 2, BranchProb: 0.3, Prefix: fmt.Sprintf("s%d_", seed)}
 	var live []string

@@ -1,10 +1,12 @@
 // Package machine is the replicated state of a self-healing workflow
-// service and the one implementation of what a horizon does to it. Both
-// runtimes hold a Machine — shard.Service behind its shards and committer,
-// a cluster replica behind its record stream — and forget, check, capture,
-// restore and repair only through it, so a restart from a snapshot, a live
-// checkpoint and every deployment mode leave the same state behind and
-// answer the same alerts alike.
+// service and the one implementation of what a horizon does to it. Every
+// runtime holds a Machine — selfheal.System behind its tick loop,
+// shard.Service behind its shards and committer, a cluster replica behind
+// its record stream — and admits alerts, forgets, checks, captures,
+// restores and repairs only through it, so a restart from a snapshot, a
+// live checkpoint and every deployment mode leave the same state behind
+// and answer the same alerts alike. Tally is the repair accounting each
+// runtime keeps beside it.
 //
 // A Machine holds exactly what a restart from a snapshot must reproduce: the
 // engine (log and store), the compiled specs and their intern table, every
@@ -32,6 +34,7 @@ import (
 	"selfheal/internal/durable"
 	"selfheal/internal/engine"
 	"selfheal/internal/recovery"
+	"selfheal/internal/triage"
 	"selfheal/internal/wf"
 	"selfheal/internal/wlog"
 )
@@ -96,10 +99,11 @@ type Machine struct {
 	pre   map[string]map[wf.TaskID]int
 }
 
-// New returns an empty machine over store and log, compiling specs into tab.
-func New(store *data.Store, log *wlog.Log, tab *wf.Interner) *Machine {
+// New returns a machine over eng — its log, its store and the attacks
+// registered on it — with no run registered, compiling specs into tab.
+func New(eng *engine.Engine, tab *wf.Interner) *Machine {
 	return &Machine{
-		eng:   engine.New(store, log),
+		eng:   eng,
 		tab:   tab,
 		specs: make(map[string]*wf.Spec),
 		runs:  make(map[string]*Run),
@@ -113,7 +117,7 @@ func New(store *data.Store, log *wlog.Log, tab *wf.Interner) *Machine {
 // replayed past it — and forgets what the horizon covers, exactly as the
 // live checkpoint that wrote the snapshot did (Forget).
 func Restore(tab *wf.Interner, st *durable.State) (*Machine, error) {
-	m := New(st.Store, st.Log, tab)
+	m := New(engine.New(st.Store, st.Log), tab)
 	m.pre = make(map[string]map[wf.TaskID]int, len(st.PreEpoch))
 	for id, rs := range st.Runs {
 		spec := st.Workflows[id]
@@ -679,6 +683,44 @@ func (m *Machine) DamageKeys(seeds ...[]wlog.InstanceID) map[data.Key]bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return recovery.DamageKeyClosure(m.eng.Log(), m.specs, seeds...)
+}
+
+// CheckAlerts admits a batch of alerts the way every runtime does, before
+// it queues any: syntax over the whole batch first, so an empty alert, or an
+// instance ID anywhere that is malformed and not in the log, wraps
+// engine.ErrBadSpec (400); then presence, so an instance absent from the
+// log wraps recovery.ErrHorizon (410) when it lies beneath the horizon
+// (BelowHorizon) and engine.ErrUnknownRun (404) otherwise.
+func (m *Machine) CheckAlerts(alerts []triage.Alert) error {
+	for _, a := range alerts {
+		if len(a.Bad) == 0 {
+			return fmt.Errorf("machine: %w: alert names no instances", engine.ErrBadSpec)
+		}
+		for _, id := range a.Bad {
+			if _, _, _, err := wlog.ParseInstance(id); err != nil && !m.logged(id) {
+				return fmt.Errorf("machine: %w: malformed instance ID: %v", engine.ErrBadSpec, err)
+			}
+		}
+	}
+	for _, a := range alerts {
+		for _, id := range a.Bad {
+			if m.logged(id) {
+				continue
+			}
+			if m.BelowHorizon(id) {
+				return fmt.Errorf("machine: alert names %s, beneath the horizon (epoch %d): %w", id, m.Epoch(), recovery.ErrHorizon)
+			}
+			return fmt.Errorf("machine: alert names unknown instance %s: %w", id, engine.ErrUnknownRun)
+		}
+	}
+	return nil
+}
+
+// logged reports whether id is committed in the log. A forge in no run's
+// name has an ID ParseInstance refuses, and is still accused by it.
+func (m *Machine) logged(id wlog.InstanceID) bool {
+	_, ok := m.eng.Log().Get(id)
+	return ok
 }
 
 // BelowHorizon reports whether a well-formed instance absent from the log

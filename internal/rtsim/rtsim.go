@@ -10,7 +10,10 @@
 // exercises the production code path end to end, so a divergence between the
 // implementation's state machine and the model (for example in the
 // full-buffer drain rule or the Theorem-4 gating) shows up as a loss or
-// occupancy mismatch.
+// occupancy mismatch. The analyzer and the repair it drives are the ones the
+// sharded service runs (triage.Stage, machine.Machine); only the §IV.C tick
+// discipline is selfheal's own, and RunTriaged passes its triage.Options to
+// selfheal.Config unchanged.
 package rtsim
 
 import (
@@ -112,13 +115,7 @@ func run(p stg.Params, horizon float64, seed int64, opts triage.Options, reg *ob
 		return nil, err
 	}
 	sys, err := selfheal.NewWithEngine(
-		selfheal.Config{
-			AlertBuf:         p.AlertBuf,
-			RecoveryBuf:      p.RecoveryBuf,
-			CoalesceAlerts:   opts.Coalesce,
-			PrefilterCovered: opts.Prefilter,
-			DedupeAlerts:     opts.Dedupe,
-		},
+		selfheal.Config{AlertBuf: p.AlertBuf, RecoveryBuf: p.RecoveryBuf, Triage: opts},
 		sc.Engine, sc.Specs)
 	if err != nil {
 		return nil, err

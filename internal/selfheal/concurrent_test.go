@@ -9,6 +9,7 @@ import (
 	"selfheal/internal/scenario"
 	"selfheal/internal/selfheal"
 	"selfheal/internal/stg"
+	"selfheal/internal/triage"
 	"selfheal/internal/wlog"
 )
 
@@ -137,12 +138,12 @@ func TestConcurrentModeWithCleanWorkload(t *testing.T) {
 	}
 }
 
-// TestCoalesceAlertsBatchesAnalysis: with CoalesceAlerts, a burst of queued
+// TestCoalesceAlertsBatchesAnalysis: with Triage.Coalesce, a burst of queued
 // alerts becomes one unit of recovery tasks covering the union of reports,
 // and the final state is identical to per-alert processing.
 func TestCoalesceAlertsBatchesAnalysis(t *testing.T) {
 	mk := func(coalesce bool) *selfheal.System {
-		cfg := selfheal.Config{AlertBuf: 8, RecoveryBuf: 8, CoalesceAlerts: coalesce}
+		cfg := selfheal.Config{AlertBuf: 8, RecoveryBuf: 8, Triage: triage.Options{Coalesce: coalesce}}
 		sys := newFig1System(t, cfg, true)
 		if err := sys.RunToCompletion(context.Background(), 100); err != nil {
 			t.Fatal(err)

@@ -1,8 +1,6 @@
 package selfheal
 
 import (
-	"time"
-
 	"selfheal/internal/obs"
 	"selfheal/internal/stg"
 )
@@ -10,16 +8,13 @@ import (
 // sysObs is the runtime's instrumentation. The zero value is "off": every
 // metric pointer is nil and the nil-safe obs primitives swallow all
 // updates, so an uninstrumented System pays only the enabled check on the
-// paths that need a time.Now or a State() computation.
+// paths that need a State() computation.
 type sysObs struct {
 	enabled bool
 
-	reported, lost, analyzed    *obs.Counter
-	units, normalSteps          *obs.Counter
-	concurrentSteps, eagerUnit  *obs.Counter
-	undone, redone, newExec     *obs.Counter
-	cones, prefiltered, deduped *obs.Counter
-	coneSize, coalesceRatio     *obs.Histogram
+	reported, lost             *obs.Counter
+	normalSteps                *obs.Counter
+	concurrentSteps, eagerUnit *obs.Counter
 
 	// ticks counts processed ticks per state class, indexed by stg.Class.
 	ticks [3]*obs.Counter
@@ -29,40 +24,30 @@ type sysObs struct {
 	alertDepth, recoveryDepth, state *obs.Gauge
 	transitions                      *obs.Counter
 
-	analyzeSeconds                  *obs.Histogram
-	repairSeconds, repairAnalyze    *obs.Histogram
-	repairUndo, repairRedo          *obs.Histogram
-	repairComponents, repairWorkers *obs.Histogram
-	prevState                       stg.Class
-	ticksInState                    int64
+	repairSeconds *obs.Histogram
+	prevState     stg.Class
+	ticksInState  int64
 }
 
-// Observe wires the runtime, its engine and its log into reg — the metric
-// catalog is docs/OBSERVABILITY.md. Call it before driving the system; a
-// nil registry leaves instrumentation off (the default).
+// Observe wires the runtime, its engine, its log, its analyzer stage and
+// its repair tally into reg — the metric catalog is docs/OBSERVABILITY.md.
+// Call it before driving the system; a nil registry leaves instrumentation
+// off (the default).
 func (s *System) Observe(reg *obs.Registry) {
 	if reg == nil {
 		return
 	}
-	s.eng.Observe(reg)
-	s.eng.Log().Observe(reg)
+	s.Engine().Observe(reg)
+	s.Log().Observe(reg)
+	s.stage.Observe(reg)
+	s.tally.Observe(reg)
 	s.o = sysObs{
 		enabled:         true,
 		reported:        reg.Counter(obs.MAlertsReported),
 		lost:            reg.Counter(obs.MAlertsLost),
-		analyzed:        reg.Counter(obs.MAlertsAnalyzed),
-		units:           reg.Counter(obs.MUnitsExecuted),
 		normalSteps:     reg.Counter(obs.MNormalSteps),
 		concurrentSteps: reg.Counter(obs.MConcurrentNormalSteps),
 		eagerUnit:       reg.Counter(obs.MEagerUnits),
-		undone:          reg.Counter(obs.MUndone),
-		redone:          reg.Counter(obs.MRedone),
-		newExec:         reg.Counter(obs.MNewExecuted),
-		cones:           reg.Counter(obs.MTriageCones),
-		prefiltered:     reg.Counter(obs.MTriagePrefilterHits),
-		deduped:         reg.Counter(obs.MTriageDeduped),
-		coneSize:        reg.Histogram(obs.MTriageConeSize, obs.TickBuckets),
-		coalesceRatio:   reg.Histogram(obs.MTriageCoalesceRatio, obs.TickBuckets),
 		ticks: [3]*obs.Counter{
 			stg.Normal:   reg.Counter(obs.MTicksNormal),
 			stg.Scan:     reg.Counter(obs.MTicksScan),
@@ -73,39 +58,16 @@ func (s *System) Observe(reg *obs.Registry) {
 			stg.Scan:     reg.Histogram(obs.MDwellScanTicks, obs.TickBuckets),
 			stg.Recovery: reg.Histogram(obs.MDwellRecoveryTicks, obs.TickBuckets),
 		},
-		alertDepth:       reg.Gauge(obs.MAlertQueueDepth),
-		recoveryDepth:    reg.Gauge(obs.MRecoveryQueueDepth),
-		state:            reg.Gauge(obs.MState),
-		transitions:      reg.Counter(obs.MStateTransitions),
-		analyzeSeconds:   reg.Histogram(obs.MAnalyzeSeconds, obs.LatencyBuckets),
-		repairSeconds:    reg.Histogram(obs.MRepairSeconds, obs.LatencyBuckets),
-		repairAnalyze:    reg.Histogram(obs.MRepairAnalyzeSeconds, obs.LatencyBuckets),
-		repairUndo:       reg.Histogram(obs.MRepairUndoSeconds, obs.LatencyBuckets),
-		repairRedo:       reg.Histogram(obs.MRepairRedoSeconds, obs.LatencyBuckets),
-		repairComponents: reg.Histogram(obs.MRepairComponents, obs.TickBuckets),
-		repairWorkers:    reg.Histogram(obs.MRepairWorkers, obs.TickBuckets),
-		prevState:        s.State(),
+		alertDepth:    reg.Gauge(obs.MAlertQueueDepth),
+		recoveryDepth: reg.Gauge(obs.MRecoveryQueueDepth),
+		state:         reg.Gauge(obs.MState),
+		transitions:   reg.Counter(obs.MStateTransitions),
+		repairSeconds: reg.Histogram(obs.MRepairSeconds, obs.LatencyBuckets),
+		prevState:     s.State(),
 	}
 	s.o.state.Set(int64(s.o.prevState))
 	s.o.alertDepth.Set(int64(len(s.alertQ)))
 	s.o.recoveryDepth.Set(int64(len(s.recoveryQ)))
-}
-
-// now returns the wall clock only when instrumentation is on, so the
-// uninstrumented hot paths never call time.Now.
-func (o *sysObs) now() time.Time {
-	if !o.enabled {
-		return time.Time{}
-	}
-	return time.Now()
-}
-
-// observeLatency records the elapsed time since a now() stamp.
-func (o *sysObs) observeLatency(h *obs.Histogram, start time.Time) {
-	if !o.enabled {
-		return
-	}
-	h.Observe(time.Since(start).Seconds())
 }
 
 // queues refreshes the depth gauges (STG coordinates a and r).

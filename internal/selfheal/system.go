@@ -20,6 +20,12 @@
 // simulations control time; Serve wraps it in a goroutine with channels for
 // production-style use.
 //
+// Only that tick discipline is the package's own. The analyzer is the
+// triage.Stage the sharded service runs too (Config.Triage selects its
+// mechanisms), and runs register, repair and resync through a
+// machine.Machine, the state every runtime holds; repairs are counted by
+// its machine.Tally.
+//
 // The runtime is fully instrumented through the observability layer
 // (internal/obs): Observe wires alert/loss/analysis counters, queue-depth
 // gauges, NORMAL/SCAN/RECOVERY tick counts and dwell-time histograms, and
@@ -34,10 +40,13 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"time"
 
 	"selfheal/internal/data"
 	"selfheal/internal/deps"
+	"selfheal/internal/durable"
 	"selfheal/internal/engine"
+	"selfheal/internal/machine"
 	"selfheal/internal/recovery"
 	"selfheal/internal/stg"
 	"selfheal/internal/triage"
@@ -46,24 +55,7 @@ import (
 )
 
 // Alert is one IDS report: the set of instances found malicious.
-type Alert struct {
-	// Bad lists the malicious task instances.
-	Bad []wlog.InstanceID
-}
-
-// Unit is one unit of recovery tasks: the analysis produced for one alert
-// or one coalesced damage cone (§IV.C: "1 unit of recovery tasks
-// corresponds to a set of tasks for repairing damages caused by 1 attack").
-type Unit struct {
-	// Alert is the originating report (with CoalesceAlerts, the folded
-	// union of the cone's member reports).
-	Alert Alert
-	// Analysis is the static damage assessment for the alert.
-	Analysis *recovery.Analysis
-	// release re-arms the covered-alert prefilter when the unit completes;
-	// nil when PrefilterCovered is off.
-	release func()
-}
+type Alert = triage.Alert
 
 // Config sizes the system.
 type Config struct {
@@ -87,31 +79,16 @@ type Config struct {
 	// recovery work. The default (false) is the paper's strict
 	// correctness strategy: Theorem-4 gating.
 	Concurrent bool
-	// CoalesceAlerts makes the analyzer drain the whole alert queue per
-	// SCAN tick and partition the drained batch into damage cones
-	// (triage.Partition over an epoch-pinned dependence snapshot): one
-	// unit of recovery tasks per cone instead of one per alert. Under
-	// bursts this trades many redundant analyses for a few independent
-	// ones — the §IV.D observation that analysis cost grows with queued
-	// work, turned into an optimization. Alerts from independent attacks
-	// stay in separate units, preserving the §IV.C unit-per-attack
-	// discipline. The analyzer may transiently push the recovery queue
-	// past RecoveryBuf when one batch yields several cones; the forced
-	// drain (§IV.E) reclaims the excess before the next analysis.
-	CoalesceAlerts bool
-	// PrefilterCovered drops a drained alert without analysis when its
-	// bad set lies entirely inside the damage closure (DefiniteUndo) of a
-	// queued or executing recovery unit: that unit's repair re-analyzes
-	// the full log at execution time, so the alert's damage is already
-	// scheduled for undo and (Theorem 2) redo. The signature re-arms on
-	// unit completion, so later alerts trigger fresh analyses.
-	PrefilterCovered bool
-	// DedupeAlerts absorbs a Report whose bad set is already queued
-	// (order- and multiplicity-insensitive) instead of consuming buffer
-	// space and an analysis on the repeat. Off by default: the CTMC
-	// baseline and the drop-accounting tests count every repeat
-	// individually.
-	DedupeAlerts bool
+	// Triage selects the analyzer's streaming mechanisms — cone
+	// coalescing, the covered-alert prefilter and Report-time dedupe — run
+	// by the analyzer stage every runtime shares (triage.Stage). With
+	// Coalesce, one SCAN tick drains the whole alert queue into one unit
+	// per damage cone, so the recovery queue may transiently exceed
+	// RecoveryBuf; the forced drain (§IV.E) reclaims the excess before the
+	// next analysis. The zero value is the per-alert pipeline the CTMC
+	// models; Dedupe off also keeps every repeat counted individually, as
+	// the drop-accounting tests expect. See docs/TRIAGE.md.
+	Triage triage.Options
 	// EagerRecovery selects the second strategy of §III.D ("obtain
 	// concurrency while taking risks of corrupting tasks"): recovery
 	// units execute even while IDS alerts are still queued, instead of
@@ -150,7 +127,7 @@ type Metrics struct {
 	// recovery unit's damage closure already covered their bad set.
 	AlertsPrefiltered int
 	// AlertsDeduped counts Report-time absorptions of bad sets already
-	// queued (only nonzero with DedupeAlerts).
+	// queued (only nonzero with Triage.Dedupe).
 	AlertsDeduped int
 }
 
@@ -163,10 +140,14 @@ type Metrics struct {
 // architecture assumes. The fully concurrent execution layer (normal
 // processing on worker shards while recovery proceeds) is internal/shard.
 type System struct {
-	cfg    Config
-	eng    *engine.Engine
-	specs  map[string]*wf.Spec
-	runs   []*engine.Run
+	cfg Config
+	// m is the state every runtime holds — engine, specs, run frontiers —
+	// which the system registers, repairs and installs through.
+	m *machine.Machine
+	// runs are the runs StartRun registered, stepped round-robin; a run
+	// leaves the machine's live set when it completes, by a step or by a
+	// repair, so a later repair never resyncs it.
+	runs   []*machine.Run
 	nextRn int
 
 	// graph is the incrementally maintained dependence graph: every commit
@@ -174,25 +155,21 @@ type System struct {
 	// consistent snapshot instead of rescanning the log — alert handling no
 	// longer scales with total log length.
 	graph *deps.IncrementalGraph
+	// stage is the analyzer (Config.Triage); tally the repair accounting.
+	stage *triage.Stage
+	tally machine.Tally
 
 	// mu guards the queues, the metrics and the in-progress flags; the
 	// expensive analysis and repair work runs outside the lock so a
 	// concurrent Report never blocks behind a recovery unit.
 	mu        sync.Mutex
 	alertQ    []Alert
-	recoveryQ []*Unit
+	recoveryQ []*triage.Unit
 	metrics   Metrics
 	// analyzing/executing mark a dequeued alert (unit) whose work is still
 	// in flight, so State never transiently under-classifies the system
 	// while the lock is released for the heavy lifting.
 	analyzing, executing bool
-
-	// cover holds the damage-closure signatures of queued and executing
-	// units for the covered-alert prefilter (PrefilterCovered).
-	cover *triage.Coverage
-	// pendingKeys refcounts the canonical bad-set keys sitting unanalyzed
-	// in alertQ for Report-time dedupe (DedupeAlerts); guarded by mu.
-	pendingKeys map[string]int
 
 	// o is the optional observability wiring (Observe); zero means off.
 	o sysObs
@@ -213,7 +190,9 @@ func New(cfg Config, store *data.Store) (*System, error) {
 // NewWithEngine builds a system that adopts an existing engine (and its
 // committed history) together with the specs of the runs already in its
 // log. Used to put the self-healing runtime in charge of a workload that
-// executed before the runtime started.
+// executed before the runtime started. The engine stays the one Engine
+// returns and runs step on, so attacks registered on it still fire; the
+// adopted runs are repaired but never stepped or resynced.
 func NewWithEngine(cfg Config, eng *engine.Engine, specs map[string]*wf.Spec) (*System, error) {
 	if cfg.AlertBuf < 1 || cfg.RecoveryBuf < 1 {
 		return nil, fmt.Errorf("selfheal: buffers must be ≥ 1, got %d/%d", cfg.AlertBuf, cfg.RecoveryBuf)
@@ -222,51 +201,53 @@ func NewWithEngine(cfg Config, eng *engine.Engine, specs map[string]*wf.Spec) (*
 		return nil, fmt.Errorf("selfheal: nil engine")
 	}
 	s := &System{
-		cfg:         cfg,
-		eng:         eng,
-		specs:       make(map[string]*wf.Spec),
-		cover:       triage.NewCoverage(),
-		pendingKeys: make(map[string]int),
+		cfg:   cfg,
+		m:     machine.New(eng, wf.NewInterner()),
+		stage: triage.NewStage(cfg.Triage),
+		// Subscribe the incremental dependence graph to the engine's log:
+		// history already committed is folded in now, future commits fold
+		// in at Append time.
+		graph: deps.NewIncremental(eng.Log()),
 	}
 	for run, spec := range specs {
-		s.specs[run] = spec
+		if _, err := s.m.Register(run, spec); err != nil {
+			return nil, err
+		}
+		s.m.Retire(run, machine.Done, "")
 	}
-	// Subscribe the incremental dependence graph to the engine's log:
-	// history already committed is folded in now, future commits fold in
-	// at Append time.
-	s.graph = deps.NewIncremental(eng.Log())
 	return s, nil
 }
 
 // Engine exposes the underlying engine (attack injection in tests and
 // examples goes through it).
-func (s *System) Engine() *engine.Engine { return s.eng }
+func (s *System) Engine() *engine.Engine { return s.m.Engine() }
 
 // Store returns the current (possibly repaired) store.
-func (s *System) Store() *data.Store { return s.eng.Store() }
+func (s *System) Store() *data.Store { return s.m.Store() }
 
 // Log returns the system log.
-func (s *System) Log() *wlog.Log { return s.eng.Log() }
+func (s *System) Log() *wlog.Log { return s.m.Log() }
 
 // Metrics returns a copy of the counters. Safe from any goroutine.
 func (s *System) Metrics() Metrics {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.metrics
+	m := s.metrics
+	s.mu.Unlock()
+	tc, rc := s.stage.Counts(), s.tally.Counts()
+	m.AlertsAnalyzed, m.ConesAnalyzed = tc.Analyzed, tc.Cones
+	m.AlertsPrefiltered, m.AlertsDeduped = tc.Prefiltered, tc.Deduped
+	m.UnitsExecuted, m.Undone, m.Redone, m.NewExecuted = rc.Units, rc.Undone, rc.Redone, rc.NewExecuted
+	return m
 }
 
 // StartRun registers a workflow run for normal processing. Reusing a run ID
 // returns an error wrapping engine.ErrRunExists.
 func (s *System) StartRun(id string, spec *wf.Spec) error {
-	if _, dup := s.specs[id]; dup {
-		return fmt.Errorf("selfheal: run %s: %w", id, engine.ErrRunExists)
-	}
-	r, err := s.eng.NewRun(id, spec)
+	r, err := s.m.Register(id, spec)
 	if err != nil {
 		return err
 	}
 	s.runs = append(s.runs, r)
-	s.specs[id] = spec
 	return nil
 }
 
@@ -296,7 +277,7 @@ func (s *System) QueueLengths() (int, int) {
 }
 
 // Report delivers an IDS alert. It returns false when the alert buffer is
-// full and the alert is lost. With DedupeAlerts, a repeat of a bad set
+// full and the alert is lost. With Triage.Dedupe, a repeat of a bad set
 // already queued is absorbed without consuming buffer space and reports
 // true: the queued twin's analysis covers it. Report is safe to call from
 // any goroutine, concurrently with the tick loop.
@@ -305,12 +286,8 @@ func (s *System) Report(a Alert) bool {
 	defer s.mu.Unlock()
 	s.metrics.AlertsReported++
 	s.o.reported.Inc()
-	if s.cfg.DedupeAlerts {
-		if s.pendingKeys[triage.Key(a.Bad)] > 0 {
-			s.metrics.AlertsDeduped++
-			s.o.deduped.Inc()
-			return true
-		}
+	if s.stage.Absorbs(a.Bad) {
+		return true
 	}
 	if len(s.alertQ) >= s.cfg.AlertBuf {
 		s.metrics.AlertsLost++
@@ -318,9 +295,7 @@ func (s *System) Report(a Alert) bool {
 		return false
 	}
 	s.alertQ = append(s.alertQ, a)
-	if s.cfg.DedupeAlerts {
-		s.pendingKeys[triage.Key(a.Bad)]++
-	}
+	s.stage.Queued(a.Bad)
 	if s.o.enabled {
 		s.o.queues(len(s.alertQ), len(s.recoveryQ))
 		s.o.checkState(s.stateLocked())
@@ -408,13 +383,13 @@ func (s *System) tick() error {
 	}
 }
 
-// analyzeAlert drains the head alert (or, with CoalesceAlerts, the whole
-// alert queue), prefilters alerts already covered by in-flight units, and
-// turns each remaining damage cone into a unit of recovery tasks.
+// analyzeAlert drains the head alert (with Triage.Coalesce, the whole alert
+// queue) into the analyzer stage, which turns it into units of recovery
+// tasks over one epoch-pinned snapshot of the dependence graph.
 func (s *System) analyzeAlert() error {
 	s.mu.Lock()
 	take := 1
-	if s.cfg.CoalesceAlerts {
+	if s.cfg.Triage.Coalesce {
 		take = len(s.alertQ)
 	}
 	if len(s.alertQ) == 0 {
@@ -423,83 +398,27 @@ func (s *System) analyzeAlert() error {
 	}
 	// Validate every drained alert before consuming anything: an alert
 	// naming an unlogged instance fails the tick with the queue intact.
-	for _, a := range s.alertQ[:take] {
-		for _, id := range a.Bad {
-			if _, ok := s.eng.Log().Get(id); !ok {
-				s.mu.Unlock()
-				return fmt.Errorf("selfheal: alert names unknown instance %s", id)
-			}
-		}
+	if err := s.m.CheckAlerts(s.alertQ[:take]); err != nil {
+		s.mu.Unlock()
+		return fmt.Errorf("selfheal: %w", err)
 	}
-	batch := make([]triage.Alert, 0, take)
-	prefiltered := 0
-	for _, a := range s.alertQ[:take] {
-		if s.cfg.DedupeAlerts {
-			k := triage.Key(a.Bad)
-			if s.pendingKeys[k]--; s.pendingKeys[k] <= 0 {
-				delete(s.pendingKeys, k)
-			}
-		}
-		if s.cfg.PrefilterCovered && s.cover.Covered(a.Bad) {
-			prefiltered++
-			continue
-		}
-		batch = append(batch, triage.Alert{Bad: a.Bad})
-	}
+	batch := s.alertQ[:take:take]
 	s.alertQ = s.alertQ[take:]
-	s.metrics.AlertsPrefiltered += prefiltered
 	// The heavy analysis runs outside the lock; analyzing keeps the state
 	// classified SCAN so concurrent observers never see a transient gap.
 	s.analyzing = true
 	s.mu.Unlock()
-	s.o.prefiltered.Add(int64(prefiltered))
 
-	// Partition the surviving batch into damage cones over one epoch-pinned
-	// snapshot; without coalescing the single alert is its own cone.
-	g := s.graph.Snapshot()
-	var cones []triage.Cone
-	switch {
-	case len(batch) == 0:
-		// Every drained alert was covered by an in-flight unit.
-	case s.cfg.CoalesceAlerts:
-		cones = triage.Partition(g, batch)
-	default:
-		cones = []triage.Cone{triage.ConeOf(batch[0])}
-	}
-
-	units := make([]*Unit, 0, len(cones))
-	for _, c := range cones {
-		analyzeStart := s.o.now()
-		an := recovery.AnalyzeGraph(g, s.eng.Log(), s.specs, c.Bad)
-		s.o.observeLatency(s.o.analyzeSeconds, analyzeStart)
-		u := &Unit{Alert: Alert{Bad: c.Bad}, Analysis: an}
-		if s.cfg.PrefilterCovered {
-			// Signature = DefiniteUndo: the instances this unit's repair is
-			// guaranteed to undo (and, per Theorem 2, re-execute where
-			// legitimate). Candidate undos are excluded — covering an alert
-			// with work that might not happen would be unsound.
-			u.release = s.cover.Arm(an.DefiniteUndo)
-		}
-		units = append(units, u)
-		s.o.coneSize.Observe(float64(c.Alerts))
-	}
-	if len(cones) > 0 && s.o.enabled {
-		s.o.coalesceRatio.Observe(float64(len(batch)) / float64(len(cones)))
-	}
-
+	units := s.stage.Analyze(s.graph.Snapshot(), s.m.Log(), s.m.Specs(), batch)
 	s.mu.Lock()
 	s.analyzing = false
 	s.recoveryQ = append(s.recoveryQ, units...)
-	s.metrics.AlertsAnalyzed += len(batch)
-	s.metrics.ConesAnalyzed += len(cones)
 	s.mu.Unlock()
-	s.o.analyzed.Add(int64(len(batch)))
-	s.o.cones.Add(int64(len(cones)))
 	return nil
 }
 
-// executeUnit runs the repair for the head recovery unit and installs it in
-// the live store.
+// executeUnit repairs the head recovery unit and installs the repair in
+// the live store, moving the runs it rewrote onto their corrected frontiers.
 func (s *System) executeUnit() error {
 	s.mu.Lock()
 	if len(s.recoveryQ) == 0 {
@@ -512,11 +431,7 @@ func (s *System) executeUnit() error {
 	// classified RECOVERY for concurrent observers until it lands.
 	s.executing = true
 	s.mu.Unlock()
-	if u.release != nil {
-		// Re-arm the covered-alert prefilter once the unit is done (even on
-		// a failed repair — the failed unit no longer covers anything).
-		defer u.release()
-	}
+	defer u.Done()
 	defer func() {
 		s.mu.Lock()
 		s.executing = false
@@ -525,48 +440,20 @@ func (s *System) executeUnit() error {
 	// A fresh snapshot (not the unit's analysis-time one): normal tasks
 	// may have committed since the alert was analyzed (Concurrent mode),
 	// and the repair must fold them into the damage closure.
-	// The repair is damage-scoped and its chains are merged into the live
-	// store: clean components are neither replayed nor copied back.
-	repairStart := s.o.now()
-	opts := s.cfg.Repair
-	opts.ScopeToDamage = true
-	res, err := recovery.RepairGraph(s.graph.Snapshot(), s.eng.Store(), s.eng.Log(), s.specs, u.Alert.Bad, opts)
+	start := time.Now()
+	res, err := s.m.Repair(s.graph.Snapshot(), nil, u.Bad, s.cfg.Repair)
+	var fronts []durable.RunFrontier
+	if err == nil {
+		fronts, err = s.m.Install(res)
+	}
 	if err != nil {
 		return fmt.Errorf("selfheal: recovery unit failed: %w", err)
 	}
-	s.o.observeLatency(s.o.repairSeconds, repairStart)
-	if s.o.enabled {
-		s.o.repairAnalyze.Observe(res.Phases.Analyze.Seconds())
-		s.o.repairUndo.Observe(res.Phases.Undo.Seconds())
-		s.o.repairRedo.Observe(res.Phases.Redo.Seconds())
-		s.o.repairComponents.Observe(float64(res.Components))
-		s.o.repairWorkers.Observe(float64(res.Workers))
-	}
-	s.eng.Store().AdoptChains(res.Store, res.DamagedKeys)
-	s.mu.Lock()
-	s.metrics.UnitsExecuted++
-	s.metrics.Undone += len(res.Undone)
-	s.metrics.Redone += len(res.Redone)
-	s.metrics.NewExecuted += len(res.NewExecuted)
-	s.mu.Unlock()
-	s.o.units.Inc()
-	s.o.undone.Add(int64(len(res.Undone)))
-	s.o.redone.Add(int64(len(res.Redone)))
-	s.o.newExec.Add(int64(len(res.NewExecuted)))
-
-	// Resynchronize in-flight runs whose execution path the repair
-	// rewrote: they must continue from the corrected frontier, not the
-	// stale one.
-	for _, r := range s.runs {
-		if r.Done() {
-			continue
-		}
-		cur, done, ok := res.Frontier(r.ID, s.specs[r.ID])
-		if !ok {
-			continue
-		}
-		if err := s.eng.Resync(r, cur, done); err != nil {
-			return fmt.Errorf("selfheal: resync %s: %w", r.ID, err)
+	s.o.repairSeconds.Observe(time.Since(start).Seconds())
+	s.tally.Record(res, false)
+	for _, f := range fronts {
+		if f.Done {
+			s.m.Retire(f.Run, machine.Done, "")
 		}
 	}
 	return nil
@@ -584,7 +471,13 @@ func (s *System) stepNormal() error {
 			continue
 		}
 		s.nextRn = (s.nextRn + i + 1) % n
-		if _, err := s.eng.Step(r); err != nil {
+		done, err := s.m.Engine().Step(&r.Run)
+		if r.Failed() {
+			s.m.Retire(r.ID, machine.Failed, "")
+		} else if done {
+			s.m.Retire(r.ID, machine.Done, "")
+		}
+		if err != nil {
 			return err
 		}
 		s.mu.Lock()
@@ -625,7 +518,7 @@ func (s *System) RunToCompletion(ctx context.Context, maxTicks int) error {
 		err := s.Tick()
 		switch {
 		case errors.Is(err, ErrIdle):
-			if s.State() == stg.Normal && s.allDone() {
+			if s.State() == stg.Normal && !s.hasNormalWork() {
 				return nil
 			}
 		case err != nil:
@@ -643,13 +536,4 @@ func (s *System) hasNormalWork() bool {
 		}
 	}
 	return false
-}
-
-func (s *System) allDone() bool {
-	for _, r := range s.runs {
-		if !r.Done() {
-			return false
-		}
-	}
-	return true
 }

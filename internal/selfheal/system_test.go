@@ -287,13 +287,13 @@ func TestRepeatedAlertsSameAttackIdempotent(t *testing.T) {
 }
 
 // TestRepeatedAlertsDedupedAtReport extends the idempotent-repeat property:
-// with DedupeAlerts on, the second identical report is absorbed at Report
+// with Triage.Dedupe on, the second identical report is absorbed at Report
 // time — it still returns true (the alert IS accounted for), but only one
 // copy occupies the bounded queue and only one analysis runs, and the repair
 // is exactly as correct as the double-analysis path.
 func TestRepeatedAlertsDedupedAtReport(t *testing.T) {
 	cfg := defaultCfg()
-	cfg.DedupeAlerts = true
+	cfg.Triage.Dedupe = true
 	sys := newFig1System(t, cfg, true)
 	if err := sys.RunToCompletion(context.Background(), 100); err != nil {
 		t.Fatal(err)

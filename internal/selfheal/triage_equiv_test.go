@@ -9,6 +9,7 @@ import (
 	"selfheal/internal/data"
 	"selfheal/internal/scenario"
 	"selfheal/internal/selfheal"
+	"selfheal/internal/triage"
 	"selfheal/internal/wf"
 	"selfheal/internal/wlog"
 )
@@ -56,12 +57,7 @@ func TestTriageEquivalentToNaive(t *testing.T) {
 				t.Fatal(err)
 			}
 			triaged, err := selfheal.NewWithEngine(
-				selfheal.Config{
-					AlertBuf: 256, RecoveryBuf: 4,
-					CoalesceAlerts:   true,
-					PrefilterCovered: true,
-					DedupeAlerts:     true,
-				},
+				selfheal.Config{AlertBuf: 256, RecoveryBuf: 4, Triage: triage.All()},
 				scB.Engine, scB.Specs)
 			if err != nil {
 				t.Fatal(err)

@@ -66,31 +66,16 @@ func NewDurable(cfg Config, dir string, dopts durable.Options) (*Service, error)
 		_ = wal.Close()
 		return nil, err
 	}
-	s := &Service{
-		cfg: cfg,
-		m:   m,
-		eng: m.Engine(),
-		// The graph resumes from the snapshot frontier and folds only the
-		// restored log suffix (the OnAppend catch-up), not the full
-		// history.
-		graph:          deps.NewIncrementalFrom(st.Log, st.Graph),
-		com:            newCommitter(m.Engine(), cfg.BatchMax, cfg.CommitQueue),
-		alerts:         make(chan alert, cfg.AlertBuf),
-		cover:          triage.NewCoverage(),
-		pendingKeys:    make(map[string]int),
-		stopCh:         make(chan struct{}),
-		wal:            wal,
-		liveAlerts:     make(map[uint64][]wlog.InstanceID, len(st.Alerts)),
-		specStates:     st.Specs,
-		restoredAlerts: st.Alerts,
-		ckptCh:         make(chan ckptReq),
-	}
+	// The graph resumes from the snapshot frontier and folds only the
+	// restored log suffix (the OnAppend catch-up), not the full history.
+	s := newService(cfg, m, deps.NewIncrementalFrom(st.Log, st.Graph))
+	s.wal, s.specStates, s.restoredAlerts = wal, st.Specs, st.Alerts
+	s.liveAlerts = make(map[uint64][]wlog.InstanceID, len(st.Alerts))
 	// Attach the WAL after the graph: OnAppend hooks run in subscription
 	// order, and the graph must observe an entry before its record can be
 	// flushed (the graph is snapshot state; the WAL record is its replay).
 	wal.AttachLog(st.Log)
 	s.com.fault = func() error { _, err := wal.Durable(); return err }
-	s.exec = newExecutor(m, s.com, cfg.Shards, cfg.Inbox, cfg.DeferMax)
 	s.exec.durable, s.exec.undurable = wal.Durable, make(map[string]int)
 	for _, pa := range st.Alerts {
 		s.liveAlerts[pa.ID] = pa.Bad
@@ -204,14 +189,7 @@ func (s *Service) gatherSnapshot() *durable.Snapshot {
 func (s *Service) feedRestoredAlerts() {
 	defer s.wg.Done()
 	for _, pa := range s.restoredAlerts {
-		valid := true
-		for _, id := range pa.Bad {
-			if _, ok := s.eng.Log().Get(id); !ok {
-				valid = false
-				break
-			}
-		}
-		if !valid {
+		if s.m.CheckAlerts([]triage.Alert{{Bad: pa.Bad}}) != nil {
 			s.mu.Lock()
 			s.metrics.AlertsLost++
 			s.mu.Unlock()

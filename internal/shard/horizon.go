@@ -166,9 +166,7 @@ func (s *Service) snapshotLoop() {
 		select {
 		case err := <-resp:
 			if err != nil {
-				s.mu.Lock()
-				s.lastRecovery = fmt.Errorf("shard: checkpoint failed: %w", err)
-				s.mu.Unlock()
+				s.tally.Note(fmt.Errorf("shard: checkpoint failed: %w", err))
 			}
 		case <-s.stopCh:
 			return

@@ -293,7 +293,8 @@ func TestAlertBelowHorizon(t *testing.T) {
 		t.Fatal(err)
 	}
 	g, specs := svc.pinView()
-	u := &unit{bad: []wlog.InstanceID{inst}, an: recovery.AnalyzeGraph(g, svc.Log(), specs, []wlog.InstanceID{inst})}
+	bad := []wlog.InstanceID{inst}
+	u := &unit{Unit: &triage.Unit{Cone: triage.Cone{Bad: bad}, Analysis: recovery.AnalyzeGraph(g, svc.Log(), specs, bad)}}
 	if err := svc.Checkpoint(context.Background()); err != nil {
 		t.Fatal(err)
 	}

@@ -6,6 +6,7 @@ import (
 
 	"selfheal/internal/data"
 	"selfheal/internal/recovery"
+	"selfheal/internal/triage"
 	"selfheal/internal/wlog"
 )
 
@@ -29,7 +30,7 @@ func TestSubmitInitSurvivesQueuedFullRepair(t *testing.T) {
 	}
 	bad := []wlog.InstanceID{forged}
 	g, specs := svc.pinView()
-	u := &unit{bad: bad, an: recovery.AnalyzeGraph(g, svc.Log(), specs, bad)}
+	u := &unit{Unit: &triage.Unit{Cone: triage.Cone{Bad: bad}, Analysis: recovery.AnalyzeGraph(g, svc.Log(), specs, bad)}}
 
 	running, release := make(chan struct{}), make(chan struct{})
 	blocker := make(chan error, 1)

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"sync"
@@ -201,11 +202,7 @@ type ackGroup struct {
 
 // unit is one analyzed unit of recovery tasks.
 type unit struct {
-	bad []wlog.InstanceID
-	an  *recovery.Analysis
-	// release re-arms the covered-alert prefilter when the unit completes;
-	// nil when Triage.Prefilter is off.
-	release func()
+	*triage.Unit
 	// group refcounts the durable ack for the alert batch this unit came
 	// from; nil in non-durable mode.
 	group *ackGroup
@@ -237,8 +234,6 @@ type Service struct {
 	analyzing     bool
 	executing     bool
 	metrics       Metrics
-	lastRecovery  error
-	lastAudit     error
 	gateHeld      bool // recovery goroutine only; under mu for State readers
 	startStopOnce struct{ started, stopped sync.Once }
 
@@ -250,14 +245,11 @@ type Service struct {
 	pinHook, closureHook func()
 	captureHook          func(*durable.Snapshot)
 
-	// cover holds the damage-closure signatures of queued and executing
-	// units for the covered-alert prefilter (Triage.Prefilter); checked
-	// and armed only by the recovery goroutine.
-	cover *triage.Coverage
-	// pendingKeys refcounts the canonical bad-set keys sitting unanalyzed
-	// in the alert channel for Report-time dedupe (Triage.Dedupe);
-	// guarded by mu.
-	pendingKeys map[string]int
+	// stage is the analyzer (Config.Triage), run by the recovery
+	// goroutine; tally the repair accounting, whose last error is also a
+	// failed checkpoint's.
+	stage *triage.Stage
+	tally machine.Tally
 	// drainSecPerAlert is the EWMA of measured alert-consumption cost
 	// (seconds per drained alert), feeding RetryAfterSeconds; guarded by
 	// mu, 0 until the first batch is handled.
@@ -288,18 +280,13 @@ type Service struct {
 // svcObs is the service's optional instrumentation; zero means off
 // (obs handles are nil-safe).
 type svcObs struct {
-	enabled                          bool
-	reported, lost, analyzed, units  *obs.Counter
-	belowHorizon                     *obs.Counter
-	undone, redone, newExec          *obs.Counter
-	cones, prefiltered, deduped      *obs.Counter
+	reported, lost, belowHorizon     *obs.Counter
 	batches, entries                 *obs.Counter
 	runsCompleted, runsFailed        *obs.Counter
 	alertDepth, unitDepth, deferDpth *obs.Gauge
 	quiesceSeconds, forgetSeconds    *obs.Histogram
 	forgotten                        *obs.Counter
 	quiescedShards                   *obs.Histogram
-	coneSize, coalesceRatio          *obs.Histogram
 	stepsByShard                     []*obs.Counter
 	activeByShard                    []*obs.Gauge
 }
@@ -311,21 +298,26 @@ func New(cfg Config, store *data.Store) (*Service, error) {
 	if store == nil {
 		store = data.NewStore()
 	}
-	m := machine.New(store, wlog.New(), wf.NewInterner())
+	m := machine.New(engine.New(store, wlog.New()), wf.NewInterner())
+	return newService(cfg, m, deps.NewIncremental(m.Log())), nil
+}
+
+// newService assembles a service over m and its dependence graph, with its
+// commit pipeline, executor and analyzer; New and NewDurable add the rest.
+func newService(cfg Config, m *machine.Machine, graph *deps.IncrementalGraph) *Service {
 	s := &Service{
-		cfg:         cfg,
-		m:           m,
-		eng:         m.Engine(),
-		graph:       deps.NewIncremental(m.Log()),
-		com:         newCommitter(m.Engine(), cfg.BatchMax, cfg.CommitQueue),
-		alerts:      make(chan alert, cfg.AlertBuf),
-		cover:       triage.NewCoverage(),
-		pendingKeys: make(map[string]int),
-		stopCh:      make(chan struct{}),
-		ckptCh:      make(chan ckptReq),
+		cfg:    cfg,
+		m:      m,
+		eng:    m.Engine(),
+		graph:  graph,
+		com:    newCommitter(m.Engine(), cfg.BatchMax, cfg.CommitQueue),
+		alerts: make(chan alert, cfg.AlertBuf),
+		stage:  triage.NewStage(cfg.Triage),
+		stopCh: make(chan struct{}),
+		ckptCh: make(chan ckptReq),
 	}
 	s.exec = newExecutor(m, s.com, cfg.Shards, cfg.Inbox, cfg.DeferMax)
-	return s, nil
+	return s
 }
 
 // Observe wires the service's instrumentation into reg: the engine's and
@@ -337,16 +329,12 @@ func (s *Service) Observe(reg *obs.Registry) {
 	}
 	s.eng.Observe(reg)
 	s.eng.Log().Observe(reg)
+	s.stage.Observe(reg)
+	s.tally.Observe(reg)
 	s.o = svcObs{
-		enabled:       true,
 		reported:      reg.Counter(obs.MAlertsReported),
 		lost:          reg.Counter(obs.MAlertsLost),
 		belowHorizon:  reg.Counter(obs.MAlertsBelowHorizon),
-		analyzed:      reg.Counter(obs.MAlertsAnalyzed),
-		units:         reg.Counter(obs.MUnitsExecuted),
-		undone:        reg.Counter(obs.MUndone),
-		redone:        reg.Counter(obs.MRedone),
-		newExec:       reg.Counter(obs.MNewExecuted),
 		batches:       reg.Counter(obs.MShardCommitBatches),
 		entries:       reg.Counter(obs.MShardCommitEntries),
 		runsCompleted: reg.Counter(obs.MShardRunsCompleted),
@@ -360,12 +348,7 @@ func (s *Service) Observe(reg *obs.Registry) {
 			obs.TickBuckets),
 		forgetSeconds: reg.Histogram(obs.MShardForgetSeconds,
 			obs.LatencyBuckets),
-		forgotten:     reg.Counter(obs.MShardForgotten),
-		cones:         reg.Counter(obs.MTriageCones),
-		prefiltered:   reg.Counter(obs.MTriagePrefilterHits),
-		deduped:       reg.Counter(obs.MTriageDeduped),
-		coneSize:      reg.Histogram(obs.MTriageConeSize, obs.TickBuckets),
-		coalesceRatio: reg.Histogram(obs.MTriageCoalesceRatio, obs.TickBuckets),
+		forgotten: reg.Counter(obs.MShardForgotten),
 	}
 	for i := 0; i < s.cfg.Shards; i++ {
 		s.o.stepsByShard = append(s.o.stepsByShard,
@@ -579,46 +562,23 @@ func (s *Service) ReportAlerts(alerts []triage.Alert) (admitted, dropped int, er
 	if len(alerts) == 0 {
 		return 0, 0, fmt.Errorf("shard: %w: empty alert batch", engine.ErrBadSpec)
 	}
-	// Syntax over the whole batch first: a malformed ID anywhere is a bad
-	// request (400) regardless of position, while a well-formed ID absent
-	// from the log is a lookup miss (404) — or, when it lies beneath the
-	// horizon, history that is gone (ErrHorizon).
-	for _, a := range alerts {
-		if len(a.Bad) == 0 {
-			return 0, 0, fmt.Errorf("shard: %w: alert names no instances", engine.ErrBadSpec)
+	if err := s.m.CheckAlerts(alerts); err != nil {
+		if errors.Is(err, recovery.ErrHorizon) {
+			s.mu.Lock()
+			s.metrics.AlertsBelowHorizon++
+			s.mu.Unlock()
+			s.o.belowHorizon.Inc()
 		}
-		for _, id := range a.Bad {
-			if _, _, _, perr := wlog.ParseInstance(id); perr != nil {
-				return 0, 0, fmt.Errorf("shard: %w: malformed instance ID: %v", engine.ErrBadSpec, perr)
-			}
-		}
-	}
-	for _, a := range alerts {
-		for _, id := range a.Bad {
-			if _, ok := s.eng.Log().Get(id); ok {
-				continue
-			}
-			if s.m.BelowHorizon(id) {
-				s.mu.Lock()
-				s.metrics.AlertsBelowHorizon++
-				s.mu.Unlock()
-				s.o.belowHorizon.Inc()
-				return 0, 0, fmt.Errorf("shard: alert names %s, beneath the horizon (epoch %d): %w",
-					id, s.m.Epoch(), recovery.ErrHorizon)
-			}
-			return 0, 0, fmt.Errorf("shard: alert names unknown instance %s: %w", id, engine.ErrUnknownRun)
-		}
+		return 0, 0, fmt.Errorf("shard: %w", err)
 	}
 	wrote := false
 	s.mu.Lock()
 	for _, a := range alerts {
 		s.metrics.AlertsReported++
 		s.o.reported.Inc()
-		if s.cfg.Triage.Dedupe && s.pendingKeys[triage.Key(a.Bad)] > 0 {
+		if s.stage.Absorbs(a.Bad) {
 			// Absorbed by a queued twin; the twin's durable record (if
 			// any) covers the same repair, so no WAL record is written.
-			s.metrics.AlertsDeduped++
-			s.o.deduped.Inc()
 			admitted++
 			continue
 		}
@@ -646,9 +606,7 @@ func (s *Service) ReportAlerts(alerts []triage.Alert) (admitted, dropped int, er
 		}
 		s.alerts <- alert{bad: a.Bad, walID: walID}
 		s.alertsQueued++
-		if s.cfg.Triage.Dedupe {
-			s.pendingKeys[triage.Key(a.Bad)]++
-		}
+		s.stage.Queued(a.Bad)
 		admitted++
 	}
 	s.o.alertDepth.Set(int64(s.alertsQueued))
@@ -731,6 +689,11 @@ func (s *Service) Metrics() Metrics {
 	s.mu.Lock()
 	m := s.metrics
 	s.mu.Unlock()
+	tc, rc := s.stage.Counts(), s.tally.Counts()
+	m.AlertsAnalyzed, m.ConesAnalyzed = tc.Analyzed, tc.Cones
+	m.AlertsPrefiltered, m.AlertsDeduped = tc.Prefiltered, tc.Deduped
+	m.UnitsExecuted, m.RecoveryErrors, m.AuditViolations = rc.Units, rc.Errors, rc.AuditViolations
+	m.Undone, m.Redone, m.NewExecuted = rc.Undone, rc.Redone, rc.NewExecuted
 	m.CommitBatches = int(s.com.batches.Load())
 	m.CommitEntries = int(s.com.entries.Load())
 	m.RunsCompleted = int(s.exec.completed.Load())
@@ -743,20 +706,13 @@ func (s *Service) Metrics() Metrics {
 	return m
 }
 
-// LastRecoveryError returns the most recent failed repair, if any.
-func (s *Service) LastRecoveryError() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lastRecovery
-}
+// LastRecoveryError returns the most recent failed repair or checkpoint,
+// if any.
+func (s *Service) LastRecoveryError() error { return s.tally.Counts().LastErr }
 
 // LastAuditError returns the most recent Theorem-3 schedule-audit
 // violation, if any (Config.AuditRepairs).
-func (s *Service) LastAuditError() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.lastAudit
-}
+func (s *Service) LastAuditError() error { return s.tally.Counts().LastAudit }
 
 // InjectForged commits a forged task through the commit pipeline, so the
 // injection serializes with concurrent group commits exactly like any other
@@ -902,14 +858,13 @@ func (s *Service) releaseGate() {
 	}
 }
 
-// handleBatch triages one drained batch of alerts into units of recovery
-// tasks: prefiltered alerts (bad set already inside an in-flight unit's
-// damage closure) are dropped, the survivors are partitioned into damage
-// cones, and each cone gets one AnalyzeGraph call. The damage analysis runs
-// fully concurrently with normal stepping (except in Strict mode): it reads
-// an epoch-pinned snapshot of the incremental dependence graph, so
-// concurrent commits never tear the view. With triage off the batch is one
-// alert and one analysis — the legacy per-alert pipeline.
+// handleBatch turns one drained batch of alerts into units of recovery
+// tasks through the analyzer stage (triage.Stage.Analyze), which reads an
+// epoch-pinned snapshot of the incremental dependence graph, so the
+// analysis runs fully concurrently with normal stepping (except in Strict
+// mode) and concurrent commits never tear the view. Only the recovery
+// goroutine analyzes and releases units, so a covering unit can never
+// complete between the prefilter's check and the alert being dropped.
 func (s *Service) handleBatch(batch []alert) {
 	start := time.Now()
 	if s.cfg.Strict {
@@ -926,54 +881,17 @@ func (s *Service) handleBatch(batch []alert) {
 	s.alertsQueued -= len(batch)
 	s.analyzing = true
 	s.o.alertDepth.Set(int64(s.alertsQueued))
-	if s.cfg.Triage.Dedupe {
-		for _, a := range batch {
-			k := triage.Key(a.bad)
-			if s.pendingKeys[k]--; s.pendingKeys[k] <= 0 {
-				delete(s.pendingKeys, k)
-			}
-		}
-	}
 	s.mu.Unlock()
 
-	// Covered-alert prefilter: only the recovery goroutine checks, arms and
-	// releases coverage, so a covering unit can never complete between the
-	// check here and the alert being dropped.
-	survivors := make([]triage.Alert, 0, len(batch))
-	prefiltered := 0
-	for _, a := range batch {
-		if s.cfg.Triage.Prefilter && s.cover.Covered(a.bad) {
-			prefiltered++
-			continue
-		}
-		survivors = append(survivors, triage.Alert{Bad: a.bad})
+	alerts := make([]triage.Alert, len(batch))
+	for i, a := range batch {
+		alerts[i] = triage.Alert{Bad: a.bad}
 	}
-
 	g, specs := s.pinView()
-	var cones []triage.Cone
-	switch {
-	case len(survivors) == 0:
-		// Every drained alert was covered by an in-flight unit.
-	case s.cfg.Triage.Coalesce:
-		cones = triage.Partition(g, survivors)
-	default:
-		cones = []triage.Cone{triage.ConeOf(survivors[0])}
-	}
-	units := make([]*unit, 0, len(cones))
-	for _, c := range cones {
-		an := recovery.AnalyzeGraph(g, s.eng.Log(), specs, c.Bad)
-		u := &unit{bad: c.Bad, an: an}
-		if s.cfg.Triage.Prefilter {
-			// Signature = DefiniteUndo: the instances this unit's repair is
-			// guaranteed to undo (and, per Theorem 2, re-execute where
-			// legitimate); candidate undos are excluded.
-			u.release = s.cover.Arm(an.DefiniteUndo)
-		}
-		units = append(units, u)
-		s.o.coneSize.Observe(float64(c.Alerts))
-	}
-	if len(cones) > 0 && s.o.enabled {
-		s.o.coalesceRatio.Observe(float64(len(survivors)) / float64(len(cones)))
+	analyzed := s.stage.Analyze(g, s.eng.Log(), specs, alerts)
+	units := make([]*unit, len(analyzed))
+	for i, tu := range analyzed {
+		units[i] = &unit{Unit: tu}
 	}
 
 	if s.wal != nil {
@@ -1002,9 +920,6 @@ func (s *Service) handleBatch(batch []alert) {
 	s.mu.Lock()
 	s.analyzing = false
 	s.unitQ = append(s.unitQ, units...)
-	s.metrics.AlertsAnalyzed += len(survivors)
-	s.metrics.ConesAnalyzed += len(cones)
-	s.metrics.AlertsPrefiltered += prefiltered
 	if s.drainSecPerAlert == 0 {
 		s.drainSecPerAlert = perAlert
 	} else {
@@ -1012,9 +927,6 @@ func (s *Service) handleBatch(batch []alert) {
 	}
 	s.o.unitDepth.Set(int64(len(s.unitQ)))
 	s.mu.Unlock()
-	s.o.analyzed.Add(int64(len(survivors)))
-	s.o.cones.Add(int64(len(cones)))
-	s.o.prefiltered.Add(int64(prefiltered))
 }
 
 // pinView pins the dependence graph at the current epoch and then copies
@@ -1048,11 +960,7 @@ func (s *Service) executeUnit() {
 	s.executing = true
 	s.o.unitDepth.Set(int64(len(s.unitQ)))
 	s.mu.Unlock()
-	if u.release != nil {
-		// Re-arm the covered-alert prefilter once the unit is done (even on
-		// a failed repair — the failed unit no longer covers anything).
-		defer u.release()
-	}
+	defer u.Done()
 	defer func() {
 		s.mu.Lock()
 		s.executing = false
@@ -1062,24 +970,14 @@ func (s *Service) executeUnit() {
 		}
 	}()
 
-	var err error
 	if s.cfg.Fault.SkipRepair {
 		// Deliberate soundness fault (mutation smoke): consume the unit
 		// without repairing anything. The accounting still runs so the
 		// faulty service looks healthy from the outside — exactly the
 		// failure the fuzzing oracles must catch.
-		s.mu.Lock()
-		s.metrics.UnitsExecuted++
-		s.mu.Unlock()
-		s.o.units.Inc()
-	} else {
-		err = s.repair(u)
-	}
-	if err != nil {
-		s.mu.Lock()
-		s.metrics.RecoveryErrors++
-		s.lastRecovery = fmt.Errorf("shard: recovery unit failed: %w", err)
-		s.mu.Unlock()
+		s.tally.Record(&recovery.Result{}, false)
+	} else if err := s.repair(u); err != nil {
+		s.tally.Fail(fmt.Errorf("shard: recovery unit failed: %w", err))
 	}
 }
 
@@ -1099,8 +997,10 @@ func (s *Service) executeUnit() {
 // the result is discarded and the unit is repaired again, still
 // damage-scoped, with every shard quiesced.
 func (s *Service) repair(u *unit) error {
-	dkeys := s.damageKeyClosure(u)
-	if err := s.m.CheckHorizon(u.bad, dkeys); err != nil {
+	// The §IV quiesce scope: the key-footprint components holding a key an
+	// instance of the worst-case undo set read or wrote.
+	dkeys := s.m.DamageKeys(u.Analysis.WorstCaseUndo(), u.Bad)
+	if err := s.m.CheckHorizon(u.Bad, dkeys); err != nil {
 		return err
 	}
 	if s.closureHook != nil {
@@ -1134,7 +1034,8 @@ func (s *Service) repair(u *unit) error {
 		}
 		s.exec.endRecovery(paused)
 	}
-	s.observeQuiesce(quiesceStart, quiesced)
+	s.o.quiesceSeconds.Observe(time.Since(quiesceStart).Seconds())
+	s.o.quiescedShards.Observe(float64(quiesced))
 	return err
 }
 
@@ -1148,7 +1049,7 @@ func (s *Service) repairPinned(u *unit) (*recovery.Result, error) {
 	if ropts.Parallel == 0 {
 		ropts.Parallel = s.cfg.Shards
 	}
-	return s.m.Repair(g, specs, u.bad, ropts)
+	return s.m.Repair(g, specs, u.Bad, ropts)
 }
 
 // install merges a scoped repair's damaged chains into the live store and
@@ -1174,41 +1075,13 @@ func (s *Service) install(res *recovery.Result) error {
 				return err
 			}
 		}
-		s.recordRepairStats(res)
+		s.tally.Record(res, s.cfg.AuditRepairs)
 		return nil
 	})
 	if err != nil || s.wal == nil {
 		return err
 	}
 	return s.wal.Sync()
-}
-
-func (s *Service) recordRepairStats(res *recovery.Result) {
-	var audit []error
-	if s.cfg.AuditRepairs {
-		audit = recovery.AuditSchedule(res)
-	}
-	s.mu.Lock()
-	s.metrics.UnitsExecuted++
-	s.metrics.Undone += len(res.Undone)
-	s.metrics.Redone += len(res.Redone)
-	s.metrics.NewExecuted += len(res.NewExecuted)
-	if len(audit) > 0 {
-		s.metrics.AuditViolations += len(audit)
-		s.lastAudit = fmt.Errorf("shard: repair schedule violates Theorem-3 orders: %w", audit[0])
-	}
-	s.mu.Unlock()
-	s.o.units.Inc()
-	s.o.undone.Add(int64(len(res.Undone)))
-	s.o.redone.Add(int64(len(res.Redone)))
-	s.o.newExec.Add(int64(len(res.NewExecuted)))
-}
-
-func (s *Service) observeQuiesce(start time.Time, shards int) {
-	if s.o.enabled {
-		s.o.quiesceSeconds.Observe(time.Since(start).Seconds())
-		s.o.quiescedShards.Observe(float64(shards))
-	}
 }
 
 // coveredBy reports whether every repaired key was inside the quiesced set.
@@ -1219,12 +1092,4 @@ func coveredBy(damaged []data.Key, dkeys map[data.Key]bool) bool {
 		}
 	}
 	return true
-}
-
-// damageKeyClosure computes the §IV quiesce scope for a unit: the union of
-// the key-footprint components containing any key an instance in the
-// worst-case undo set read or wrote (machine.Machine.DamageKeys, shared with
-// the cluster's partial-quiescence coordinator).
-func (s *Service) damageKeyClosure(u *unit) map[data.Key]bool {
-	return s.m.DamageKeys(u.an.WorstCaseUndo(), u.bad)
 }

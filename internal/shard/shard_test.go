@@ -11,6 +11,7 @@ import (
 	"selfheal/internal/deps"
 	"selfheal/internal/engine"
 	"selfheal/internal/machine"
+	"selfheal/internal/obs"
 	"selfheal/internal/selfheal"
 	"selfheal/internal/stg"
 	"selfheal/internal/triage"
@@ -98,7 +99,7 @@ func verifySerialInLSNOrder(t *testing.T, log *wlog.Log) *data.Store {
 
 // testExecutor returns an unstarted executor over a fresh machine.
 func testExecutor(shards, inbox, deferMax int) *executor {
-	m := machine.New(data.NewStore(), wlog.New(), wf.NewInterner())
+	m := machine.New(engine.New(data.NewStore(), wlog.New()), wf.NewInterner())
 	return newExecutor(m, newCommitter(m.Engine(), 1, 1), shards, inbox, deferMax)
 }
 
@@ -611,6 +612,39 @@ func TestForgedInjectionRecovery(t *testing.T) {
 	}
 	if m := svc.Metrics(); m.Undone < 1 {
 		t.Fatalf("forged instance not undone: %+v", m)
+	}
+}
+
+// TestRepairPhasesObserved runs one incident on an observed service and
+// finds the analysis and every repair phase measured: the analyzer stage
+// times its one analysis, and the repair tally records the repair's
+// analyze, undo and redo phases, its components and its workers.
+func TestRepairPhasesObserved(t *testing.T) {
+	svc, err := New(Config{Shards: 2}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	svc.Observe(reg)
+	svc.Start()
+	t.Cleanup(svc.Stop)
+	if err := svc.SubmitRun("v1", chainSpec("v1", 4, 0)); err != nil {
+		t.Fatal(err)
+	}
+	waitIdle(t, svc)
+	if err := svc.Report([]wlog.InstanceID{"v1/t2#1"}); err != nil {
+		t.Fatal(err)
+	}
+	waitIdle(t, svc)
+	snap := reg.Snapshot()
+	for _, h := range []string{obs.MAnalyzeSeconds, obs.MRepairAnalyzeSeconds, obs.MRepairUndoSeconds,
+		obs.MRepairRedoSeconds, obs.MRepairComponents, obs.MRepairWorkers} {
+		if n := snap[h+"_count"]; n != 1 {
+			t.Errorf("%s observed %v times, want once", h, n)
+		}
+	}
+	if m := svc.Metrics(); m.UnitsExecuted != 1 || m.Undone < 1 || snap[obs.MUndone] != float64(m.Undone) {
+		t.Errorf("metrics %+v, %v undone observed", m, snap[obs.MUndone])
 	}
 }
 

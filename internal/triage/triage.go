@@ -16,7 +16,7 @@
 //     deps.Graph snapshot — intersect are folded into one Cone, producing
 //     one AnalyzeGraph call per cone instead of per alert. A union-find
 //     over closure membership keeps the partition O(cone) per alert.
-//   - Covered-alert prefilter (Coverage): a refcounted signature set over
+//   - Covered-alert prefilter: a refcounted signature set over
 //     the damage closures of in-flight recovery units. An alert whose bad
 //     set lies entirely inside a queued or executing unit's closure is
 //     dropped in O(|bad|): the unit's repair re-analyzes the log at
@@ -28,15 +28,16 @@
 //     already sitting in the alert queue is absorbed without consuming
 //     buffer space or an analysis.
 //
-// The package is pure mechanism: internal/selfheal wires it into the
-// deterministic tick runtime and internal/shard into the concurrent
-// service. docs/TRIAGE.md maps each mechanism to the paper's loss model.
+// Stage composes them into the recovery analyzer of Fig 2, the one both
+// runtimes that analyze alerts run: internal/selfheal under its
+// deterministic tick discipline and internal/shard on its recovery
+// goroutine, each with its own queue. docs/TRIAGE.md maps each mechanism
+// to the paper's loss model.
 package triage
 
 import (
 	"sort"
 	"strings"
-	"sync"
 
 	"selfheal/internal/deps"
 	"selfheal/internal/wlog"
@@ -116,12 +117,6 @@ func Partition(g *deps.Graph, alerts []Alert) []Cone {
 		}
 		return parent[i]
 	}
-	union := func(a, b int) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			parent[ra] = rb
-		}
-	}
 
 	// claimed maps each closure instance to the first alert that reached
 	// it; a second alert reaching it proves the cones intersect.
@@ -134,36 +129,27 @@ func Partition(g *deps.Graph, alerts []Alert) []Cone {
 		}
 		for id := range g.ReadersClosure(seed) {
 			if j, ok := claimed[id]; ok {
-				union(i, j)
+				parent[find(i)] = find(j)
 			} else {
 				claimed[id] = i
 			}
 		}
 	}
 
-	// Fold each group's bad sets into one deduplicated cone.
-	byRoot := make(map[int]*Cone)
-	seen := make(map[int]map[wlog.InstanceID]bool)
+	// Fold each group's bad sets into one cone, groups in order of their
+	// first alert, then cones by their smallest bad instance.
+	groups := make(map[int][]Alert)
+	var roots []int
 	for i, a := range alerts {
 		r := find(i)
-		c := byRoot[r]
-		if c == nil {
-			c = &Cone{}
-			byRoot[r] = c
-			seen[r] = make(map[wlog.InstanceID]bool)
+		if groups[r] == nil {
+			roots = append(roots, r)
 		}
-		c.Alerts++
-		for _, id := range a.Bad {
-			if !seen[r][id] {
-				seen[r][id] = true
-				c.Bad = append(c.Bad, id)
-			}
-		}
+		groups[r] = append(groups[r], a)
 	}
-	out := make([]Cone, 0, len(byRoot))
-	for _, c := range byRoot {
-		sort.Slice(c.Bad, func(i, j int) bool { return c.Bad[i] < c.Bad[j] })
-		out = append(out, *c)
+	out := make([]Cone, len(roots))
+	for i, r := range roots {
+		out[i] = fold(groups[r])
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Bad[0] < out[j].Bad[0] })
 	return out
@@ -172,80 +158,20 @@ func Partition(g *deps.Graph, alerts []Alert) []Cone {
 // ConeOf wraps a single alert as its own cone — the degenerate partition
 // the per-alert pipeline uses — deduplicating and sorting its bad set
 // without touching the dependence graph.
-func ConeOf(a Alert) Cone {
-	seen := make(map[wlog.InstanceID]bool, len(a.Bad))
-	c := Cone{Alerts: 1}
-	for _, id := range a.Bad {
-		if !seen[id] {
-			seen[id] = true
-			c.Bad = append(c.Bad, id)
+func ConeOf(a Alert) Cone { return fold([]Alert{a}) }
+
+// fold unions the alerts' bad sets into one deduplicated, sorted cone.
+func fold(alerts []Alert) Cone {
+	seen := make(map[wlog.InstanceID]bool)
+	c := Cone{Alerts: len(alerts)}
+	for _, a := range alerts {
+		for _, id := range a.Bad {
+			if !seen[id] {
+				seen[id] = true
+				c.Bad = append(c.Bad, id)
+			}
 		}
 	}
 	sort.Slice(c.Bad, func(i, j int) bool { return c.Bad[i] < c.Bad[j] })
 	return c
-}
-
-// Coverage tracks the damage-cone signatures of in-flight recovery units
-// for the covered-alert prefilter. Membership is refcounted so overlapping
-// units compose: an instance stays covered until every unit whose closure
-// contains it has completed. Safe for concurrent use.
-type Coverage struct {
-	mu    sync.Mutex
-	refs  map[wlog.InstanceID]int
-	armed int
-}
-
-// NewCoverage returns an empty Coverage.
-func NewCoverage() *Coverage {
-	return &Coverage{refs: make(map[wlog.InstanceID]int)}
-}
-
-// Arm registers one unit's damage-closure signature (typically the
-// analysis's DefiniteUndo set — the instances the unit's repair is
-// guaranteed to undo and, per Theorem 2, re-execute where legitimate) and
-// returns the release that re-arms the prefilter when the unit completes.
-// Release is idempotent.
-func (c *Coverage) Arm(closure []wlog.InstanceID) func() {
-	c.mu.Lock()
-	for _, id := range closure {
-		c.refs[id]++
-	}
-	c.armed++
-	c.mu.Unlock()
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			c.mu.Lock()
-			for _, id := range closure {
-				if c.refs[id]--; c.refs[id] <= 0 {
-					delete(c.refs, id)
-				}
-			}
-			c.armed--
-			c.mu.Unlock()
-		})
-	}
-}
-
-// Covered reports whether every instance in bad lies inside some in-flight
-// unit's signature — O(|bad|). An empty bad set is never covered.
-func (c *Coverage) Covered(bad []wlog.InstanceID) bool {
-	if len(bad) == 0 {
-		return false
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, id := range bad {
-		if c.refs[id] == 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// InFlight returns the number of armed, unreleased unit signatures.
-func (c *Coverage) InFlight() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.armed
 }

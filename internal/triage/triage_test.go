@@ -2,10 +2,12 @@ package triage_test
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"selfheal/internal/data"
 	"selfheal/internal/deps"
+	"selfheal/internal/obs"
 	"selfheal/internal/triage"
 	"selfheal/internal/wf"
 	"selfheal/internal/wlog"
@@ -110,40 +112,97 @@ func TestPartitionEpochPinned(t *testing.T) {
 	}
 }
 
-func TestCoverageArmCoveredRelease(t *testing.T) {
-	c := triage.NewCoverage()
-	closure := []wlog.InstanceID{id("a", 1), id("a", 2), id("a", 3)}
-	if c.Covered(closure[:1]) {
-		t.Fatal("empty coverage covered an alert")
+// TestStage drives the analyzer stage every runtime shares over the two
+// chains (a's closures nest a1 ⊃ a2 ⊃ a3; b is disjoint from a). Each step
+// reports its alerts, drains the ones no queued twin absorbed into one
+// Analyze call, checks the units' bad sets and then marks units done, by
+// their number across the case. Every case checks that each unit had
+// exactly one analysis, of its own cone.
+func TestStage(t *testing.T) {
+	a1, a2, a3, b1 := id("a", 1), id("a", 2), id("a", 3), id("b", 1)
+	type ids = []wlog.InstanceID
+	type step struct {
+		alerts, cones []ids
+		done          []int
 	}
-	release := c.Arm(closure)
-	if c.InFlight() != 1 {
-		t.Fatalf("in-flight = %d, want 1", c.InFlight())
-	}
-	if !c.Covered([]wlog.InstanceID{id("a", 2), id("a", 3)}) {
-		t.Error("subset of armed closure not covered")
-	}
-	if c.Covered([]wlog.InstanceID{id("a", 2), id("b", 1)}) {
-		t.Error("alert escaping the closure reported covered")
-	}
-	if c.Covered(nil) {
-		t.Error("empty bad set reported covered")
-	}
-
-	// Overlapping signatures refcount: the shared instance stays covered
-	// until both units complete.
-	release2 := c.Arm(closure[:2])
-	release()
-	release() // idempotent
-	if !c.Covered(closure[:2]) {
-		t.Error("instances of the still-armed unit uncovered after sibling release")
-	}
-	if c.Covered(closure[2:]) {
-		t.Error("instance only the released unit covered is still covered")
-	}
-	release2()
-	if c.InFlight() != 0 || c.Covered(closure[:1]) {
-		t.Error("coverage did not re-arm after all units completed")
+	cases := []struct {
+		name  string
+		opts  triage.Options
+		steps []step
+		want  triage.Counts
+	}{{
+		name: "per-alert cones",
+		steps: []step{
+			{alerts: []ids{{a1}, {b1}, {a3}, {a1}}, cones: []ids{{a1}, {b1}, {a3}, {a1}}},
+		},
+		want: triage.Counts{Analyzed: 4, Cones: 4},
+	}, {
+		name: "coalesced cones",
+		opts: triage.Options{Coalesce: true},
+		steps: []step{
+			{alerts: []ids{{a1}, {b1}, {a3}, {a1}}, cones: []ids{{a1, a3}, {b1}}},
+		},
+		want: triage.Counts{Analyzed: 4, Cones: 2},
+	}, {
+		name: "dedupe absorbs a queued twin, and releases it when drained",
+		opts: triage.Options{Dedupe: true},
+		steps: []step{
+			{alerts: []ids{{a1}, {a1}, {b1, a1}, {a1, b1}}, cones: []ids{{a1}, {a1, b1}}},
+			{alerts: []ids{{a1}}, cones: []ids{{a1}}},
+		},
+		want: triage.Counts{Analyzed: 3, Cones: 3, Deduped: 2},
+	}, {
+		name: "prefilter drops covered alerts until every covering unit is done",
+		opts: triage.Options{Prefilter: true},
+		steps: []step{
+			// Both survive: the batch is checked before either unit arms.
+			{alerts: []ids{{a1}, {a3}}, cones: []ids{{a1}, {a3}}},
+			{alerts: []ids{{a2}, {a2, b1}}, cones: []ids{{a2, b1}}, done: []int{0}},
+			// a3 stays covered by unit 1 (and 2), a2 by unit 2 alone.
+			{alerts: []ids{{a3}, {a1}}, cones: []ids{{a1}}, done: []int{1, 2, 1, 3}},
+			{alerts: []ids{{a3}, {b1}}, cones: []ids{{a3}, {b1}}},
+		},
+		want: triage.Counts{Analyzed: 6, Cones: 6, Prefiltered: 2},
+	}}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			l, g := buildTwoChains(t)
+			reg := obs.NewRegistry()
+			s := triage.NewStage(tc.opts)
+			s.Observe(reg)
+			var units []*triage.Unit
+			for i, st := range tc.steps {
+				var batch []triage.Alert
+				for _, bad := range st.alerts {
+					if !s.Absorbs(bad) {
+						s.Queued(bad)
+						batch = append(batch, triage.Alert{Bad: bad})
+					}
+				}
+				got := s.Analyze(g.Snapshot(), l, nil, batch)
+				if len(got) != len(st.cones) {
+					t.Fatalf("step %d: %d units, want %d", i, len(got), len(st.cones))
+				}
+				for j, u := range got {
+					want := append(ids(nil), st.cones[j]...)
+					slices.Sort(want)
+					if !slices.Equal(u.Bad, want) || !slices.Equal(u.Analysis.Bad, want) {
+						t.Errorf("step %d unit %d: cone %v analyzed as %v, want %v", i, j, u.Bad, u.Analysis.Bad, want)
+					}
+				}
+				units = append(units, got...)
+				for _, n := range st.done {
+					units[n].Done()
+				}
+			}
+			if got := s.Counts(); got != tc.want {
+				t.Errorf("counts %+v, want %+v", got, tc.want)
+			}
+			snap := reg.Snapshot()
+			if n := snap[obs.MAnalyzeSeconds+"_count"]; int(n) != len(units) || snap[obs.MTriageCones] != n {
+				t.Errorf("%v analyses timed and %v counted for %d units", n, snap[obs.MTriageCones], len(units))
+			}
+		})
 	}
 }
 

@@ -188,25 +188,25 @@ if grep -rn --include='*.go' --exclude='*_test.go' 'SwapStore' .; then
     echo "install gate: a store swap; repairs merge their chains (data.Store.AdoptChains)" >&2
     exit 1
 fi
-repair_fns=$(grep -rn --include='*.go' --exclude='*_test.go' 'recovery\.RepairGraph(' internal/shard/ internal/cluster/ internal/machine/ | wc -l)
+repair_fns=$(grep -rn --include='*.go' --exclude='*_test.go' 'recovery\.RepairGraph(' internal/shard/ internal/cluster/ internal/machine/ internal/selfheal/ | wc -l)
 if [ "$repair_fns" -ne 1 ]; then
     echo "install gate: the runtimes call recovery.RepairGraph from $repair_fns sites, want the one repair path (machine.Machine.Repair)" >&2
     exit 1
 fi
 go test -race -count=20 -run '^(TestRunRegisteredWhileRepairPins|TestCoverageViolationFallsBackScoped|TestRefusedRegistrationLeavesNoTrace|TestSubmitInitSurvivesQueuedFullRepair)$' ./internal/shard/
 
-# One state machine under both runtimes (docs/ARCHITECTURE.md "The
-# machine"): shard.Service and the cluster replica forget, compute a
-# horizon, check a repair against it, answer the 410 and capture a snapshot
-# through internal/machine, so each has exactly one definition across the
-# runtimes, and the replica neither repairs over a whole-log rebuild of its
-# own nor counts visits beside the engine's run. The horizon oracle runs on
-# the machine both runtimes call, and a seeded episode captures to the same
-# bytes through either runtime.
+# One state machine under every runtime (docs/ARCHITECTURE.md "The
+# machine"): selfheal.System, shard.Service and the cluster replica forget,
+# compute a horizon, check a repair against it, answer the 410 and capture
+# a snapshot through internal/machine, so each has exactly one definition
+# across the runtimes, and the replica neither repairs over a whole-log
+# rebuild of its own nor counts visits beside the engine's run. The horizon
+# oracle runs on the machine the runtimes call, and a seeded episode
+# captures to the same bytes through the shard and the cluster.
 for fn in forget horizonAt checkHorizon belowHorizon capture; do
-    defs=$(grep -rniE --include='*.go' --exclude='*_test.go' "^func (\([^)]*\) )?$fn\(" internal/shard/ internal/cluster/ internal/machine/ | wc -l)
+    defs=$(grep -rniE --include='*.go' --exclude='*_test.go' "^func (\([^)]*\) )?$fn\(" internal/shard/ internal/cluster/ internal/machine/ internal/selfheal/ | wc -l)
     if [ "$defs" -ne 1 ]; then
-        echo "machine gate: $defs definitions of $fn across internal/shard, internal/cluster and internal/machine, want the machine's one" >&2
+        echo "machine gate: $defs definitions of $fn across internal/shard, internal/cluster, internal/selfheal and internal/machine, want the machine's one" >&2
         exit 1
     fi
 done
@@ -216,6 +216,24 @@ if grep -rnE --include='*.go' --exclude='*_test.go' -e 'recovery\.Repair\(' -e '
 fi
 go test -race -count=10 -run '^TestHorizonAtEqualsFullScan$' ./internal/machine/
 go test -race -count=10 -run '^(TestRuntimesCaptureAlike|TestRepairResyncsOnlyRewrittenRuns)$' ./internal/cluster/
+
+# One analyzer under every runtime (docs/TRIAGE.md): selfheal.System and
+# shard.Service turn drained alerts into units of recovery tasks through
+# triage.Stage, the one site that analyzes a damage cone, partitions a
+# batch and arms the covered-alert prefilter; both admit alerts through
+# machine.Machine.CheckAlerts, and the shard measures its repairs' phases
+# through the repair tally every runtime keeps (machine.Tally).
+analyze_fns=$(grep -rn --include='*.go' --exclude='*_test.go' 'recovery\.AnalyzeGraph(' internal/shard/ internal/selfheal/ internal/triage/ | wc -l)
+if [ "$analyze_fns" -ne 1 ]; then
+    echo "analyzer gate: recovery.AnalyzeGraph is called from $analyze_fns sites, want the analyzer stage's one (triage.Stage.Analyze)" >&2
+    exit 1
+fi
+if grep -rnE --include='*.go' --exclude='*_test.go' -e 'triage\.NewCoverage\(' -e 'triage\.Partition\(' internal/shard/ internal/selfheal/; then
+    echo "analyzer gate: a runtime partitions alerts or arms the prefilter itself (triage.Stage)" >&2
+    exit 1
+fi
+go test -race -count=10 -run '^TestStage$' ./internal/triage/
+go test -race -count=10 -run '^TestRepairPhasesObserved$' ./internal/shard/
 
 # The end-to-end benchmark is its own module (bench/, `replace selfheal =>
 # ../`) compiled against internal packages: vet and its toy-size tests here
