@@ -6,7 +6,9 @@ import (
 	"sort"
 
 	"selfheal/internal/durable"
+	"selfheal/internal/machine"
 	"selfheal/internal/wfjson"
+	"selfheal/internal/wlog"
 )
 
 // Binary record codec. Every record — in the per-node journal and in the
@@ -14,7 +16,7 @@ import (
 // (durable.AppendFrame: [len][crc][payload]) built from internal/durable's
 // field primitives, whose payload is:
 //
-//	kind    byte   (1=spec 2=entry 3=repair 4=checkpoint)
+//	kind    byte   (1=spec 2=entry 3=repair 4=checkpoint 5=adopt; 3 is decoded, never stamped)
 //	seq     uvarint
 //	origin  string (uvarint length + bytes)
 //	kind-specific body
@@ -24,14 +26,19 @@ import (
 // durable's entry body (durable.AppendEntryBody), byte for byte what the
 // single-node WAL writes after its kind byte: its leading LSN field carries
 // the LSN the stamper's log assigned, which every replica checks against
-// its own on apply. A checkpoint record has no body. Map keys are sorted, so encoding is deterministic: the
-// same record always produces the same bytes on every node.
+// its own on apply. An adopt body is durable's adopt body
+// (durable.AppendAdoptBody), what the single-node WAL writes after its
+// stamp, followed by the repair's undone, redone and newly-executed counts
+// as uvarints. A checkpoint record has no body. Map keys are sorted, so
+// encoding is deterministic: the same record always produces the same bytes
+// on every node.
 
 const (
 	recSpec       byte = 1
 	recEntry      byte = 2
 	recRepair     byte = 3
 	recCheckpoint byte = 4
+	recAdopt      byte = 5
 )
 
 // recordsContentType marks a binary framed-record request/response body on
@@ -49,8 +56,10 @@ func encodeRecord(dst []byte, rec *Record) []byte {
 		dst = append(dst, recRepair)
 	case KindCheckpoint:
 		dst = append(dst, recCheckpoint)
+	case KindAdopt:
+		dst = append(dst, recAdopt)
 	default:
-		// Unknown kinds cannot be stamped (the stamper only emits the four
+		// Unknown kinds cannot be stamped (the stamper only emits the kinds
 		// above); encode as an explicit zero so decode rejects it loudly.
 		dst = append(dst, 0)
 	}
@@ -79,8 +88,13 @@ func encodeRecord(dst []byte, rec *Record) []byte {
 	case KindRepair:
 		dst = durable.AppendUvarint(dst, uint64(len(rec.Bad)))
 		for _, id := range rec.Bad {
-			dst = durable.AppendString(dst, id)
+			dst = durable.AppendString(dst, string(id))
 		}
+	case KindAdopt:
+		dst = durable.AppendAdoptBody(dst, rec.Adopt.Adopt)
+		dst = durable.AppendUvarint(dst, uint64(rec.Adopt.Undone))
+		dst = durable.AppendUvarint(dst, uint64(rec.Adopt.Redone))
+		dst = durable.AppendUvarint(dst, uint64(rec.Adopt.NewExecuted))
 	}
 	return dst
 }
@@ -116,12 +130,16 @@ func decodeRecord(p []byte) (*Record, error) {
 	case recRepair:
 		rec.Kind = KindRepair
 		n := r.Uvarint()
-		rec.Bad = make([]string, 0, min(n, uint64(len(p))))
+		rec.Bad = make([]wlog.InstanceID, 0, min(n, uint64(len(p))))
 		for i := uint64(0); i < n && r.Err() == nil; i++ {
-			rec.Bad = append(rec.Bad, r.Str())
+			rec.Bad = append(rec.Bad, wlog.InstanceID(r.Str()))
 		}
 	case recCheckpoint:
 		rec.Kind = KindCheckpoint
+	case recAdopt:
+		rec.Kind = KindAdopt
+		rec.Adopt = &machine.Effect{Adopt: r.AdoptBody()}
+		rec.Adopt.Undone, rec.Adopt.Redone, rec.Adopt.NewExecuted = int(r.Uvarint()), int(r.Uvarint()), int(r.Uvarint())
 	default:
 		return nil, fmt.Errorf("cluster: record codec: unknown kind byte %d", kind)
 	}

@@ -3,6 +3,7 @@ package cluster_test
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"net/http"
@@ -70,13 +71,17 @@ func commits(t *testing.T, h *harness, query string) []byte {
 }
 
 // TestJournalFromParentCommit is the journal and wire compatibility check of
-// the map-to-slice change of wlog.Entry. testdata/journal_pr17 is the journal
-// journalWorkload left on commit 2596ec3 (PR 17); journal_pr17_store.json and
-// journal_pr17_commits.json are that commit's /api/v1/store and JSON
-// /internal/v1/commits bodies for it (its codec=bin body is the journal's own
-// bytes: one framed record per stream position). A node of this code booted
-// on the journal must serve the same three documents, and the same workload
-// must leave the same journal.
+// the map-to-slice change of wlog.Entry and of the adopt record.
+// testdata/journal_pr17 is the journal journalWorkload left on commit
+// 2596ec3; journal_pr17_store.json and journal_pr17_commits.json are
+// that commit's /api/v1/store and JSON /internal/v1/commits bodies for it
+// (its codec=bin body is the journal's own bytes: one framed record per
+// stream position). A node of this code booted on the journal must serve the
+// same three documents — its repair record replays through the compute the
+// stamper now runs. The same workload must leave the same journal frame for
+// frame, except that the repair is now stamped as its effect, an adopt
+// record at the same position, and a node booted on that journal must
+// serve the same store.
 func TestJournalFromParentCommit(t *testing.T) {
 	const seg = "a.wal-0000000000000001.seg"
 	read := func(name string) []byte {
@@ -86,16 +91,19 @@ func TestJournalFromParentCommit(t *testing.T) {
 		}
 		return b
 	}
-	journal := read(filepath.Join("journal_pr17", seg))
+	journal, store := read(filepath.Join("journal_pr17", seg)), read("journal_pr17_store.json")
+	bootOn := func(journal []byte) *harness {
+		return startCluster(t, []string{"a"}, true, func(_ string, cfg *cluster.Config) {
+			// Before the node boots: put the journal where it looks.
+			if err := os.WriteFile(filepath.Join(cfg.Dir, seg), journal, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
 
-	h := startCluster(t, []string{"a"}, true, func(_ string, cfg *cluster.Config) {
-		// Before the node boots: put the parent's journal where it looks.
-		if err := os.WriteFile(filepath.Join(cfg.Dir, seg), journal, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if got, want := h.rawStore("a"), read("journal_pr17_store.json"); !bytes.Equal(got, want) {
-		t.Errorf("the parent's journal replays to store %s, want %s", got, want)
+	h := bootOn(journal)
+	if got := h.rawStore("a"); !bytes.Equal(got, store) {
+		t.Errorf("the parent's journal replays to store %s, want %s", got, store)
 	}
 	if got, want := commits(t, h, ""), read("journal_pr17_commits.json"); !bytes.Equal(got, want) {
 		t.Errorf("JSON commits document differs from the parent's:\n%s\nwant\n%s", got, want)
@@ -111,7 +119,52 @@ func TestJournalFromParentCommit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(got, journal) {
-		t.Errorf("the workload's journal (%d bytes) differs from the parent's (%d bytes)", len(got), len(journal))
+	gotFrames, wantFrames := frames(t, got), frames(t, journal)
+	if len(gotFrames) != len(wantFrames) {
+		t.Fatalf("the workload's journal holds %d records, the parent's %d", len(gotFrames), len(wantFrames))
 	}
+	adopts := 0
+	for i, want := range wantFrames {
+		if want[0] != recRepair {
+			if !bytes.Equal(gotFrames[i], want) {
+				t.Errorf("record %d differs from the parent's", i+1)
+			}
+			continue
+		}
+		adopts++
+		if gotFrames[i][0] != recAdopt || !bytes.Equal(gotFrames[i][1:2], want[1:2]) {
+			t.Errorf("record %d: kind %d seq %d, want the adopt record (kind %d) at the repair's seq %d",
+				i+1, gotFrames[i][0], gotFrames[i][1], recAdopt, want[1])
+		}
+		t.Logf("record %d: the adopt frame is %d B, the parent's repair frame %d B", i+1, 8+len(gotFrames[i]), 8+len(want))
+	}
+	if adopts != 1 {
+		t.Fatalf("the parent's journal holds %d repair records, want 1", adopts)
+	}
+	if got := bootOn(got).rawStore("a"); !bytes.Equal(got, store) {
+		t.Errorf("the workload's journal replays to store %s, want %s", got, store)
+	}
+}
+
+// The kind bytes of a repair and an adopt record (internal/cluster/codec.go).
+const recRepair, recAdopt = 3, 5
+
+// frames splits a journal segment into its record payloads: each frame is a
+// little-endian length, a CRC and the payload, whose first byte is the kind
+// and whose second is the seq (a one-byte uvarint in a short stream).
+func frames(t *testing.T, b []byte) [][]byte {
+	t.Helper()
+	var out [][]byte
+	for len(b) > 0 {
+		if len(b) < 8 {
+			t.Fatalf("a torn frame header: %d bytes", len(b))
+		}
+		n := 8 + int(binary.LittleEndian.Uint32(b))
+		if n > len(b) || n < 10 {
+			t.Fatalf("a frame of %d bytes in %d", n, len(b))
+		}
+		out = append(out, b[8:n])
+		b = b[n:]
+	}
+	return out
 }

@@ -6,8 +6,10 @@ import (
 	"errors"
 	"testing"
 
+	"selfheal/internal/engine"
 	"selfheal/internal/recovery"
 	"selfheal/internal/wfjson"
+	"selfheal/internal/wlog"
 )
 
 // A repair record naming an instance beneath the horizon — an alert that
@@ -17,7 +19,7 @@ func TestReplicaRefusesRepairBelowHorizon(t *testing.T) {
 	recs := sampleRecords()
 	recs = append(recs,
 		Record{Seq: 6, Kind: KindCheckpoint, Origin: "n0"},
-		Record{Seq: 7, Kind: KindRepair, Origin: "n0", Bad: []string{"m/t1#1"}})
+		Record{Seq: 7, Kind: KindRepair, Origin: "n0", Bad: []wlog.InstanceID{"m/t1#1"}})
 	n := newFollower(t, t.TempDir())
 	if err := n.applyFrames(wireBody(recs[:6])); err != nil {
 		t.Fatal(err)
@@ -51,9 +53,11 @@ func equalStores(a, b map[string]int64) bool {
 }
 
 // On the stamper, a repair naming an instance a checkpoint has since buried
-// is still stamped, so every replica refuses it alike; one naming an
-// instance that never existed is refused at submission.
-func TestStamperStampsRepairBelowHorizon(t *testing.T) {
+// is refused where it is computed: the stamper answers the incident leader
+// with the typed horizon error and stamps nothing, so the stream position
+// and the store stay as they were; one naming an instance that never
+// existed is refused as unknown.
+func TestStamperRefusesRepairBelowHorizon(t *testing.T) {
 	n, err := New(Config{NodeID: "s"})
 	if err != nil {
 		t.Fatal(err)
@@ -69,21 +73,18 @@ func TestStamperStampsRepairBelowHorizon(t *testing.T) {
 	if err := n.Checkpoint(context.Background()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := n.st.SubmitRepair("s", []string{"ghost/t0#1"}); err == nil {
-		t.Fatalf("a repair naming an instance that never ran was stamped")
+	applied, before := n.rep.Applied(), n.StoreSnapshot()
+	if _, err := n.st.SubmitRepair("s", []wlog.InstanceID{"ghost/t0#1"}); !errors.Is(err, engine.ErrUnknownRun) {
+		t.Fatalf("a repair naming an instance that never ran: %v, want ErrUnknownRun", err)
 	}
-	seq, err := n.st.SubmitRepair("s", []string{"r/t0#1"})
-	if err != nil {
-		t.Fatalf("repair naming a buried instance: %v", err)
+	if _, err := n.st.SubmitRepair("s", []wlog.InstanceID{"r/t0#1"}); !errors.Is(err, recovery.ErrHorizon) {
+		t.Fatalf("a repair naming a buried instance: %v, want ErrHorizon", err)
 	}
-	if err := n.rep.WaitApplied(context.Background(), seq); err != nil {
-		t.Fatal(err)
+	if got := n.rep.Applied(); got != applied {
+		t.Fatalf("the refused repairs moved the stream from record %d to %d", applied, got)
 	}
-	if st := n.rep.tally.Counts(); st.Errors != 1 || !errors.Is(st.LastErr, recovery.ErrHorizon) {
-		t.Fatalf("repair accounting %+v, want one ErrHorizon refusal", st)
-	}
-	if got := n.StoreSnapshot()["k"]; got != 4 {
-		t.Fatalf("k = %d after a refused repair, want 4", got)
+	if after := n.StoreSnapshot(); !equalStores(before, after) {
+		t.Fatalf("a refused repair changed the store: %v → %v", before, after)
 	}
 }
 
@@ -93,7 +94,7 @@ func TestMemFramesCheckpointRetiresPrevious(t *testing.T) {
 	m := newMemFrames()
 	var all []byte
 	for i := 1; i <= 10; i++ {
-		frame := encodeFramedRecord(nil, &Record{Seq: i, Kind: KindRepair, Bad: []string{"x/t#1"}})
+		frame := encodeFramedRecord(nil, &Record{Seq: i, Kind: KindRepair, Bad: []wlog.InstanceID{"x/t#1"}})
 		all = append(all, frame...)
 		if err := m.Append(uint64(i), frame, 1); err != nil {
 			t.Fatal(err)

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"fmt"
 	"sort"
 	"time"
 
@@ -11,7 +12,7 @@ import (
 
 // incidentWorker is the per-node incident leader loop: it drains the
 // bounded alert queue in batches and runs each batch through the full
-// assess → quiesce → repair → release sequence. A node only receives
+// quiesce → repair → release sequence. A node only receives
 // alerts it leads (the accused run's owner routes them here), so incident
 // leadership is distributed per run.
 func (n *Node) incidentWorker() {
@@ -41,10 +42,13 @@ func (n *Node) incidentWorker() {
 	}
 }
 
-// runIncident leads one incident: distributed damage assessment, partial
-// quiescence of the nodes owning damaged keys, a replicated repair record,
-// then release. Dead peers are tolerated at every step — the repair itself
-// is sound regardless because it executes at a fixed stream position.
+// runIncident leads one incident: partial quiescence of the nodes owning
+// the damaged keys, which the leader's own replica computes (every replica
+// holds the same log), then the repair, which the stamper computes once and
+// stamps as an adopt record, then release. Dead peers are tolerated at every
+// step — the repair itself is sound regardless because it is computed at a
+// fixed stream position. A repair the stamper refuses is counted here, once
+// in the cluster.
 func (n *Node) runIncident(batch [][]wlog.InstanceID) {
 	n.o.incident()
 	seen := make(map[wlog.InstanceID]bool)
@@ -59,7 +63,7 @@ func (n *Node) runIncident(batch [][]wlog.InstanceID) {
 	}
 	sort.Slice(bad, func(i, j int) bool { return bad[i] < bad[j] })
 
-	keys := n.assessDamage(bad)
+	keys := n.rep.DamageKeys(bad)
 
 	// Quiesce only the nodes owning damaged keys (§IV partial quiescence),
 	// plus the sequencer's admission gate: a clean node may still own a
@@ -77,10 +81,10 @@ func (n *Node) runIncident(batch [][]wlog.InstanceID) {
 		_ = n.client.quiesce(n.peerAddr(t), keys)
 	}
 
-	seq, err := n.submitRepair(instanceStrings(bad))
+	seq, err := n.submitRepair(bad)
 	if err != nil {
-		// The repair could not be stamped (e.g. the accused instances are
-		// not in the log): release at the current position and move on.
+		// Nothing was stamped: release at the current position.
+		n.rep.tally.Fail(fmt.Errorf("cluster: repair of %v: %w", bad, err))
 		seq = n.rep.Applied()
 	} else {
 		ctx, cancel := context.WithTimeout(n.stopCtx, 30*time.Second)
@@ -99,32 +103,4 @@ func (n *Node) runIncident(batch [][]wlog.InstanceID) {
 		}
 		_ = n.client.release(n.peerAddr(t), keys, seq)
 	}
-}
-
-// assessDamage fans the damage-key closure out across the membership: the
-// accused instances are partitioned by hash, each member computes the
-// closure of its partition on its own replica, and the leader unions the
-// results. Any unreachable member's partition is assessed locally instead.
-func (n *Node) assessDamage(bad []wlog.InstanceID) []string {
-	members := n.ring.Members()
-	parts := make(map[string][]wlog.InstanceID)
-	for _, id := range bad {
-		m := members[int(hash32(string(id))%uint32(len(members)))]
-		parts[m] = append(parts[m], id)
-	}
-	keys := make(map[string]bool)
-	for m, part := range parts {
-		var ks []string
-		var err error
-		if m != n.cfg.NodeID {
-			ks, err = n.client.assess(n.peerAddr(m), instanceStrings(part))
-		}
-		if m == n.cfg.NodeID || err != nil {
-			ks = n.rep.DamageKeys(part)
-		}
-		for _, k := range ks {
-			keys[k] = true
-		}
-	}
-	return sortedKeyList(keys)
 }

@@ -113,8 +113,8 @@ type forgeResp struct {
 }
 
 type repairReq struct {
-	Origin string   `json:"origin"`
-	Bad    []string `json:"bad"`
+	Origin string            `json:"origin"`
+	Bad    []wlog.InstanceID `json:"bad"`
 }
 
 type checkpointReq struct {
@@ -124,14 +124,6 @@ type checkpointReq struct {
 type tokenReq struct {
 	Run   string `json:"run"`
 	After int    `json:"after"`
-}
-
-type assessReq struct {
-	Bad []string `json:"bad"`
-}
-
-type assessResp struct {
-	Keys []string `json:"keys"`
 }
 
 type quiesceReq struct {
@@ -144,7 +136,7 @@ type releaseReq struct {
 }
 
 type alertForwardReq struct {
-	Bad []string `json:"bad"`
+	Bad []wlog.InstanceID `json:"bad"`
 	// After is the forwarder's applied seq: it holds every accused
 	// instance, and the leader waits to hold them too before it refuses.
 	After int `json:"after,omitempty"`
@@ -170,7 +162,6 @@ func (n *Node) InternalHandler() http.Handler {
 	mux.HandleFunc("POST /internal/v1/repair", n.handleRepair)
 	mux.HandleFunc("POST /internal/v1/checkpoint", n.handleCheckpoint)
 	mux.HandleFunc("POST /internal/v1/tokens", n.handleToken)
-	mux.HandleFunc("POST /internal/v1/assess", n.handleAssess)
 	mux.HandleFunc("POST /internal/v1/quiesce", n.handleQuiesce)
 	mux.HandleFunc("POST /internal/v1/release", n.handleRelease)
 	mux.HandleFunc("POST /internal/v1/alerts", n.handleAlertForward)
@@ -436,25 +427,6 @@ func (n *Node) handleToken(w http.ResponseWriter, r *http.Request) {
 	writeInternalJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
-func (n *Node) handleAssess(w http.ResponseWriter, r *http.Request) {
-	var req assessReq
-	if !decodeInternal(w, r, &req) {
-		return
-	}
-	bad := make([]wlog.InstanceID, len(req.Bad))
-	for i, s := range req.Bad {
-		bad[i] = wlog.InstanceID(s)
-		// A replica that has not applied an accused instance yet would
-		// report no damage for it; refuse, so the leader — which has it —
-		// assesses this partition itself.
-		if !n.rep.HasInstance(bad[i]) {
-			writeInternalErr(w, http.StatusNotFound, "not_found", "instance "+s+" not applied here yet")
-			return
-		}
-	}
-	writeInternalJSON(w, http.StatusOK, assessResp{Keys: n.rep.DamageKeys(bad)})
-}
-
 func (n *Node) handleQuiesce(w http.ResponseWriter, r *http.Request) {
 	var req quiesceReq
 	if !decodeInternal(w, r, &req) {
@@ -478,20 +450,16 @@ func (n *Node) handleAlertForward(w http.ResponseWriter, r *http.Request) {
 	if !decodeInternal(w, r, &req) {
 		return
 	}
-	bad := make([]wlog.InstanceID, len(req.Bad))
-	for i, s := range req.Bad {
-		bad[i] = wlog.InstanceID(s)
-	}
 	// The forwarder found every instance on its replica; this one may not
 	// have applied them yet. A failed wait (the forwarder gave up) leaves
 	// the check to answer from what is here.
 	_ = n.rep.WaitApplied(r.Context(), req.After)
-	if err := n.checkAlerts([]triage.Alert{{Bad: bad}}); err != nil {
+	if err := n.checkAlerts([]triage.Alert{{Bad: req.Bad}}); err != nil {
 		writeMappedErr(w, err)
 		return
 	}
 	resp := alertForwardResp{}
-	if n.admitAlert(bad) {
+	if n.admitAlert(req.Bad) {
 		resp.Admitted = 1
 	} else {
 		resp.Dropped = 1
@@ -500,8 +468,8 @@ func (n *Node) handleAlertForward(w http.ResponseWriter, r *http.Request) {
 }
 
 // peerClient is the node-to-node HTTP client: short timeouts for the chatty
-// control plane, long ones for submissions (a push may apply a repair on
-// the receiving replica before responding).
+// control plane, long ones for submissions (a repair is computed on the
+// stamper before it answers).
 type peerClient struct {
 	short *http.Client
 	long  *http.Client
@@ -667,7 +635,7 @@ func (c *peerClient) submitForge(addr, origin, run, task string, reads []string,
 	return wlog.InstanceID(resp.Instance), resp.Seq, err
 }
 
-func (c *peerClient) submitRepair(addr, origin string, bad []string) (int, error) {
+func (c *peerClient) submitRepair(addr, origin string, bad []wlog.InstanceID) (int, error) {
 	var resp seqDoc
 	err := c.call(c.long, http.MethodPost, addr, "/internal/v1/repair", repairReq{Origin: origin, Bad: bad}, &resp)
 	return resp.Seq, err
@@ -683,14 +651,6 @@ func (c *peerClient) sendToken(addr, run string, after int) error {
 	return c.call(c.short, http.MethodPost, addr, "/internal/v1/tokens", tokenReq{Run: run, After: after}, nil)
 }
 
-func (c *peerClient) assess(addr string, bad []string) ([]string, error) {
-	var resp assessResp
-	if err := c.call(c.short, http.MethodPost, addr, "/internal/v1/assess", assessReq{Bad: bad}, &resp); err != nil {
-		return nil, err
-	}
-	return resp.Keys, nil
-}
-
 func (c *peerClient) quiesce(addr string, keys []string) error {
 	return c.call(c.short, http.MethodPost, addr, "/internal/v1/quiesce", quiesceReq{Keys: keys}, nil)
 }
@@ -699,7 +659,7 @@ func (c *peerClient) release(addr string, keys []string, after int) error {
 	return c.call(c.short, http.MethodPost, addr, "/internal/v1/release", releaseReq{Keys: keys, After: after}, nil)
 }
 
-func (c *peerClient) forwardAlert(addr string, bad []string, after int) (int, int, error) {
+func (c *peerClient) forwardAlert(addr string, bad []wlog.InstanceID, after int) (int, int, error) {
 	var resp alertForwardResp
 	err := c.call(c.short, http.MethodPost, addr, "/internal/v1/alerts", alertForwardReq{Bad: bad, After: after}, &resp)
 	if err != nil {

@@ -651,7 +651,7 @@ func (n *Node) submitForge(run, task string, reads []string, writes map[string]i
 	return n.client.submitForge(n.stamperAddr(), n.cfg.NodeID, run, task, reads, writes)
 }
 
-func (n *Node) submitRepair(bad []string) (int, error) {
+func (n *Node) submitRepair(bad []wlog.InstanceID) (int, error) {
 	if n.st != nil {
 		return n.st.SubmitRepair(n.cfg.NodeID, bad)
 	}
@@ -757,7 +757,7 @@ func (n *Node) ReportAlerts(alerts []triage.Alert) (admitted, dropped int, err e
 			continue
 		}
 		n.o.proxied("alerts")
-		ad, dr, ferr := n.client.forwardAlert(n.peerAddr(leader), instanceStrings(a.Bad), n.rep.Applied())
+		ad, dr, ferr := n.client.forwardAlert(n.peerAddr(leader), a.Bad, n.rep.Applied())
 		if ferr != nil {
 			var ae *apiError
 			if errors.As(ferr, &ae) {
@@ -850,7 +850,7 @@ func (n *Node) MetricsDoc() shard.Metrics {
 		AlertsLost:         int(n.alertsLost.Load()),
 		AlertsAnalyzed:     int(n.alertsAnalyzed.Load()),
 		AlertsBelowHorizon: int(n.alertsHorizon.Load()),
-		UnitsExecuted:      st.Units + st.Errors, // every repair record applied
+		UnitsExecuted:      st.Units,
 		RecoveryErrors:     st.Errors,
 		Undone:             st.Undone,
 		Redone:             st.Redone,
@@ -1052,14 +1052,6 @@ func (n *Node) ClusterDoc() any {
 		info.Members = append(info.Members, m)
 	}
 	return info
-}
-
-func instanceStrings(ids []wlog.InstanceID) []string {
-	out := make([]string, len(ids))
-	for i, id := range ids {
-		out[i] = string(id)
-	}
-	return out
 }
 
 func sortedKeyList(set map[string]bool) []string {

@@ -4,21 +4,28 @@ import (
 	"encoding/json"
 
 	"selfheal/internal/data"
+	"selfheal/internal/machine"
 	"selfheal/internal/wf"
 	"selfheal/internal/wfjson"
 	"selfheal/internal/wlog"
 )
 
-// Record kinds: the four deterministic state-machine transitions every
-// replica applies in stream order.
+// Record kinds: the deterministic state-machine transitions every replica
+// applies in stream order.
 const (
 	// KindSpec registers a run (spec + first-writer-wins init seeding).
 	KindSpec = "spec"
 	// KindEntry commits one task instance (normal or forged) with the
 	// stamper's authoritative read observations.
 	KindEntry = "entry"
-	// KindRepair runs the Theorem-1..4 repair for the accused instances at
-	// this stream position, on every node.
+	// KindAdopt installs a repair's effect, which the stamper computed once
+	// at this stream position (stamper.SubmitRepair): the WAL's adopt body
+	// plus the repair's counts (machine.Effect).
+	KindAdopt = "adopt"
+	// KindRepair is decode-only: the accused set of a repair that an earlier
+	// stamper left for every replica to compute at this position. Nothing
+	// stamps it any more; a journal that holds one still replays, through
+	// the same compute and install the stamper runs.
 	KindRepair = "repair"
 	// KindCheckpoint makes every replica capture a snapshot of its state at
 	// this stream position, store it beside its journal, and forget what the
@@ -46,8 +53,11 @@ type Record struct {
 	// JSON it travels as "entry" in the EntryJSON shape.
 	Entry *wlog.Entry `json:"-"`
 
+	// KindAdopt field.
+	Adopt *machine.Effect `json:"adopt,omitempty"`
+
 	// KindRepair field.
-	Bad []string `json:"bad,omitempty"`
+	Bad []wlog.InstanceID `json:"bad,omitempty"`
 
 	// built is the spec record's compiled spec and init map, set only on the
 	// stamper, which compiled the document to validate it: applying the

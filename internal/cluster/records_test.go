@@ -6,8 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -16,6 +14,7 @@ import (
 
 	"selfheal/internal/data"
 	"selfheal/internal/durable"
+	"selfheal/internal/machine"
 	"selfheal/internal/obs"
 	"selfheal/internal/wfjson"
 	"selfheal/internal/wlog"
@@ -50,17 +49,31 @@ func sampleRecords() []Record {
 			Reads:  wlog.ReadsOf(map[data.Key]wlog.ReadObs{"b": {Value: 15, Writer: "m/t1#1", WriterPos: 2}}),
 			Writes: wlog.WritesOf(map[data.Key]data.Value{"b": -999}),
 		}},
-		{Seq: 5, Kind: KindRepair, Origin: "n1", Bad: []string{"ghost/f#1"}},
+		{Seq: 5, Kind: KindRepair, Origin: "n1", Bad: []wlog.InstanceID{"ghost/f#1"}},
 	}
 }
 
 // The binary codec must round-trip every record kind exactly (Spec compares
 // through its JSON form: the document is embedded as JSON bytes), and the
 // body of an entry record must be durable's entry body: the WAL's own
-// decoder reads it, LSN included, and the WAL's encoder produces it.
+// decoder reads it, LSN included, and the WAL's encoder produces it. An
+// adopt record's body is durable's adopt body followed by its counts.
 func TestRecordCodecRoundTrip(t *testing.T) {
-	for _, rec := range sampleRecords() {
+	adopt := Record{Seq: 6, Kind: KindAdopt, Origin: "n0", Adopt: &machine.Effect{
+		Adopt: durable.Adopt{
+			Fronts: []durable.RunFrontier{{Run: "m", Cur: "t1"}, {Run: "n", Done: true}},
+			Chains: map[data.Key][]data.Version{
+				"b":    {{Pos: 1, Writer: "m/t0#1", Value: 8}, {Pos: 2.5, Writer: "m/t1#1", Value: 3, Recovery: true}},
+				"gone": nil,
+			},
+		},
+		Undone: 2, Redone: 1, NewExecuted: 1,
+	}}
+	for _, rec := range append(sampleRecords(), adopt) {
 		payload := encodeRecord(nil, &rec)
+		if rec.Kind == KindAdopt && !bytes.HasSuffix(payload, append(durable.AppendAdoptBody(nil, rec.Adopt.Adopt), 2, 1, 1)) {
+			t.Fatalf("record %d: adopt body is not durable's adopt body and the counts", rec.Seq)
+		}
 		got, err := decodeRecord(payload)
 		if err != nil {
 			t.Fatalf("decode record %d: %v", rec.Seq, err)
@@ -301,28 +314,6 @@ func TestFollowerJournalFailureIsSticky(t *testing.T) {
 	defer n2.Stop()
 	if got := n2.rep.Applied(); got != 2 {
 		t.Fatalf("journal replayed to %d, want the 2-record prefix", got)
-	}
-}
-
-// A replica asked to assess an instance it has not applied yet must refuse
-// (the incident leader then assesses that partition itself) instead of
-// answering "no damage" — which left the damaged keys unquiesced whenever
-// the assessing peer lagged the forge by a record.
-func TestAssessRefusesUnappliedInstance(t *testing.T) {
-	dir := t.TempDir()
-	writeJournal(t, dir, samplePayloads()[:3])
-	n, err := New(Config{NodeID: "n1", Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer n.Stop()
-	for bad, want := range map[string]int{"m/t1#1": http.StatusOK, "ghost/f#1": http.StatusNotFound} {
-		body := strings.NewReader(`{"bad":["` + bad + `"]}`)
-		rr := httptest.NewRecorder()
-		n.InternalHandler().ServeHTTP(rr, httptest.NewRequest("POST", "/internal/v1/assess", body))
-		if rr.Code != want {
-			t.Errorf("assess %s: HTTP %d, want %d (%s)", bad, rr.Code, want, rr.Body)
-		}
 	}
 }
 

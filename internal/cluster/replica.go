@@ -32,8 +32,9 @@ type doneAt struct {
 // itself is not kept here: the node's frame log holds it, as the bytes the
 // journal and the wire carry.
 // Two replicas at the same applied position are byte-identical — including
-// after repairs, which execute at a fixed stream position with Parallel=1,
-// and after checkpoints, which forget the same history at the same position.
+// after repairs, whose effect every replica installs at the same stream
+// position, and after checkpoints, which forget the same history at the
+// same position.
 // Above the last checkpoint's horizon the log, the store history and the
 // runs are complete; beneath it only the snapshot's state survives, as
 // compacted store chains and a tombstone per retired or forged run.
@@ -71,8 +72,9 @@ type replica struct {
 	ckpt *capture
 
 	ropts recovery.Options
-	// tally is the deterministic repair accounting; every repair record
-	// audits its schedule.
+	// tally is the repair accounting: every replica counts the repairs it
+	// installs alike; the one that computed a repair also audits its
+	// schedule, and an incident leader counts a repair the stamper refused.
 	tally machine.Tally
 }
 
@@ -83,8 +85,8 @@ func newReplica() *replica {
 		tab:     tab,
 		docs:    make(map[string][]byte),
 		specSeq: make(map[string]int),
-		// Parallel=1 pins the repair schedule: every replica computes the
-		// identical result at the identical stream position.
+		// Parallel=1 pins the repair schedule: a legacy repair record
+		// computes the identical result on every replica that applies it.
 		ropts: recovery.Options{Parallel: 1},
 	}
 	r.cond = sync.NewCond(&r.mu)
@@ -186,8 +188,10 @@ func (r *replica) applyLocked(rec *Record) (applied bool, err error) {
 		err = r.applySpec(rec)
 	case KindEntry:
 		err = r.applyEntry(rec)
+	case KindAdopt:
+		err = r.applyAdopt(rec.Seq, rec.Adopt)
 	case KindRepair:
-		r.applyRepair(rec)
+		err = r.applyRepair(rec)
 	case KindCheckpoint:
 		r.applyCheckpoint(rec)
 	default:
@@ -245,37 +249,56 @@ func (r *replica) applyEntry(rec *Record) error {
 	return nil
 }
 
-// applyRepair runs the deterministic repair at this stream position over a
-// dependence graph of the resident log. A repair that fails to compute, or
-// that needs history beneath the horizon (machine.Machine.CheckHorizon), is
-// recorded (the recovery-error oracle surfaces it) but does not poison the
-// stream: every replica fails it identically, so they stay convergent.
-func (r *replica) applyRepair(rec *Record) {
-	bad := make([]wlog.InstanceID, len(rec.Bad))
-	for i, s := range rec.Bad {
-		bad[i] = wlog.InstanceID(s)
+// repair computes, at the stream head, the repair of the accused instances
+// over a dependence graph of the resident log, audits its schedule, and
+// returns its effect: the one analysis and repair of a cluster incident, run
+// by the stamper (stamper.SubmitRepair) and by a replica applying a legacy
+// repair record. A repair that needs history beneath the horizon is refused
+// (machine.Machine.CheckHorizon) with recovery.ErrHorizon. Callers
+// serialize it with every application: the stamper holds s.mu, the one lock
+// its replica applies under, and a replica holds r.mu.
+func (r *replica) repair(bad []wlog.InstanceID) (machine.Effect, error) {
+	if err := r.m.CheckHorizon(bad, nil); err != nil {
+		return machine.Effect{}, err
 	}
-	err := r.m.CheckHorizon(bad, nil)
-	var res *recovery.Result
-	if err == nil {
-		res, err = r.m.Repair(deps.Build(r.m.Log()), nil, bad, r.ropts)
-	}
-	var fronts []durable.RunFrontier
-	if err == nil {
-		fronts, err = r.m.Install(res)
-	}
+	res, err := r.m.Repair(deps.Build(r.m.Log()), nil, bad, r.ropts)
 	if err != nil {
-		r.tally.Fail(fmt.Errorf("cluster: repair at record %d: %w", rec.Seq, err))
-		return
+		return machine.Effect{}, err
 	}
-	r.tally.Record(res, true)
+	r.tally.Computed(res, true)
+	return r.m.EffectOf(res), nil
+}
+
+// applyAdopt installs a repair's effect at this stream position
+// (machine.Machine.Install), the one install path of every replica, the
+// stamper's included, and counts it.
+func (r *replica) applyAdopt(seq int, eff *machine.Effect) error {
+	if err := r.m.Install(*eff); err != nil {
+		return fmt.Errorf("cluster: record %d: %w", seq, err)
+	}
+	r.tally.Installed(*eff)
 	// A run the repair moved past its end is done at this record.
-	for _, f := range fronts {
+	for _, f := range eff.Fronts {
 		if f.Done {
 			r.m.Retire(f.Run, machine.Done, "")
-			r.unpublished = append(r.unpublished, doneAt{f.Run, rec.Seq})
+			r.unpublished = append(r.unpublished, doneAt{f.Run, seq})
 		}
 	}
+	return nil
+}
+
+// applyRepair applies a legacy repair record: the repair is computed here,
+// as the stamper computes it for an adopt record, and installed as the
+// adopt record's effect is. A repair that fails to compute is counted (the
+// recovery-error oracle surfaces it) but does not poison the stream: every
+// replica fails it identically, so they stay convergent.
+func (r *replica) applyRepair(rec *Record) error {
+	eff, err := r.repair(rec.Bad)
+	if err != nil {
+		r.tally.Fail(fmt.Errorf("cluster: repair at record %d: %w", rec.Seq, err))
+		return nil
+	}
+	return r.applyAdopt(rec.Seq, &eff)
 }
 
 // applyCheckpoint forgets, at a checkpoint record, everything beneath the
@@ -448,7 +471,7 @@ func (r *replica) HasInstance(id wlog.InstanceID) bool {
 }
 
 // DamageKeys computes the damage-key closure of the accused instances on
-// this replica (the distributed-assessment partition step).
+// this replica: the keys an incident leader quiesces.
 func (r *replica) DamageKeys(bad []wlog.InstanceID) []string {
 	r.mu.Lock()
 	closure := r.m.DamageKeys(bad)

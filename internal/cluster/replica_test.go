@@ -1,11 +1,13 @@
 package cluster
 
 import (
+	"bytes"
 	"reflect"
 	"slices"
 	"testing"
 
 	"selfheal/internal/data"
+	"selfheal/internal/durable"
 	"selfheal/internal/recovery"
 	"selfheal/internal/wf"
 	"selfheal/internal/wfjson"
@@ -39,7 +41,7 @@ func repairStream() []Record {
 		entry(2, "r1", "t0", map[data.Key]wlog.ReadObs{"x": forged}, map[data.Key]data.Value{"a": 1000}),
 		entry(3, "r2", "t0", map[data.Key]wlog.ReadObs{"x": forged}, map[data.Key]data.Value{"d": 1000}),
 		entry(4, "r3", "t0", map[data.Key]wlog.ReadObs{"z": {WriterPos: wlog.MissingPos}}, map[data.Key]data.Value{"f": 1}),
-		{Kind: KindRepair, Bad: []string{"attacker/evil#1"}},
+		{Kind: KindRepair, Bad: []wlog.InstanceID{"attacker/evil#1"}},
 	}
 	recs[5].Entry.Chosen = "hi" // x read 999: r1 took the high branch
 	for i := range recs {
@@ -133,6 +135,59 @@ func TestRepairResyncsOnlyRewrittenRuns(t *testing.T) {
 		if got := posOf(rep, run); !reflect.DeepEqual(got, was) {
 			t.Errorf("the repair moved %s: %+v, was %+v", run, got, was)
 		}
+	}
+}
+
+// TestAdoptEqualsLegacyRepair is the differential check of repairing once:
+// repairStream goes through two replicas. One applies the legacy repair
+// record and computes the repair itself; the other is handed, at the same
+// position, the adopt record the stamper's compute produced there, through
+// the binary codec, and only installs it. Both end with the same capture,
+// traces, frontiers and repair counts.
+func TestAdoptEqualsLegacyRepair(t *testing.T) {
+	recs := repairStream()
+	legacy, follower, stamper := newReplica(), newReplica(), newReplica()
+	for i := range recs[:len(recs)-1] {
+		for _, rep := range []*replica{legacy, follower, stamper} {
+			if ok, err := rep.Apply(&recs[i]); !ok || err != nil {
+				t.Fatalf("record %d: applied %v, %v", i+1, ok, err)
+			}
+		}
+	}
+	last := &recs[len(recs)-1]
+	if ok, err := legacy.Apply(last); !ok || err != nil {
+		t.Fatalf("repair record: applied %v, %v", ok, err)
+	}
+	eff, err := stamper.repair(last.Bad)
+	if err != nil {
+		t.Fatal(err)
+	}
+	adopt, err := decodeRecord(encodeRecord(nil, &Record{Seq: last.Seq, Kind: KindAdopt, Adopt: &eff}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := follower.Apply(adopt); !ok || err != nil {
+		t.Fatalf("adopt record: applied %v, %v", ok, err)
+	}
+
+	if got, want := durable.EncodeSnapshot(follower.m.Capture()), durable.EncodeSnapshot(legacy.m.Capture()); !bytes.Equal(got, want) {
+		t.Errorf("captures differ:\n adopt  %+v\n legacy %+v", follower.m.Capture(), legacy.m.Capture())
+	}
+	for _, run := range legacy.m.IDs() {
+		if got, want := follower.m.Log().Trace(run, true), legacy.m.Log().Trace(run, true); !reflect.DeepEqual(got, want) {
+			t.Errorf("run %s: trace %v after the adopt, %v after the legacy repair", run, got, want)
+		}
+		if got, want := posOf(follower, run), posOf(legacy, run); !reflect.DeepEqual(got, want) {
+			t.Errorf("run %s: frontier %+v after the adopt, %+v after the legacy repair", run, got, want)
+		}
+	}
+	got, want := follower.tally.Counts(), legacy.tally.Counts()
+	if got.Units != 1 || got.Units != want.Units || got.Undone != want.Undone || got.Redone != want.Redone ||
+		got.NewExecuted != want.NewExecuted || got.Errors != 0 || want.Errors != 0 {
+		t.Errorf("repair counts %+v after the adopt, %+v after the legacy repair", got, want)
+	}
+	if err := follower.tab.Check(); err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -21,11 +21,11 @@
 // by the node owning the hash of its ID, and each task by the node owning
 // the task's first write key — so such a workflow's control token genuinely
 // travels between processes. Repairs are coordinated per incident by the
-// accused run's owner (the repair leader), which fans the damage assessment
-// out across the membership, quiesces only the nodes owning damaged keys
-// (§IV partial quiescence), and has the stamper place a repair record in
-// the stream; every node then runs the same deterministic repair at the
-// same position.
+// accused run's owner (the repair leader), which computes the damaged keys
+// on its own replica, quiesces only the nodes owning them (§IV partial
+// quiescence), and asks the stamper for the repair: the stamper computes it
+// once at the stream head and stamps its effect as an adopt record, which
+// every node installs at the same position.
 package cluster
 
 import (

@@ -38,9 +38,10 @@ type SubmitResult struct {
 }
 
 // stamper is the cluster's single sequencer: the lowest-sorted member. It
-// owns the dense record stream — every spec, entry and repair record is
-// validated against the stamper's replica and stamped under one mutex, so
-// the stream is a serialization of the whole cluster's commits. Entry
+// owns the dense record stream — every spec and entry record is validated,
+// and every adopt record computed, against the stamper's replica and
+// stamped under one mutex, so the stream is a serialization of the whole
+// cluster's commits. Entry
 // submissions carry the executor's optimistic read observations; the
 // stamper re-reads its own replica and rejects any submission whose
 // observations are no longer current (the §VII merge discipline as OCC).
@@ -350,7 +351,7 @@ func (s *stamper) submit(job *stampJob) ([]SubmitResult, error) {
 
 // stampLocked assigns the next stream position to one record, applies it
 // and commits it as a group of one (one fsync) — the direct path for the
-// rare forge and repair records. Callers hold s.mu.
+// rare forge and adopt records. Callers hold s.mu.
 func (s *stamper) stampLocked(rec *Record) (int, error) {
 	if s.err != nil {
 		return 0, s.err
@@ -451,20 +452,27 @@ func (s *stamper) SubmitForge(origin, run, task string, reads []string, writes m
 	return inst, seq, nil
 }
 
-// SubmitRepair stamps a repair record for the accused instances. The caller
-// (the incident leader) has already quiesced the damaged keys' owners. An
-// instance a checkpoint buried since the alert's admission still gets its
-// record: every replica refuses the repair alike
-// (machine.Machine.CheckHorizon), and counts the refusal.
-func (s *stamper) SubmitRepair(origin string, bad []string) (int, error) {
+// SubmitRepair computes the repair of the accused instances at the stream
+// head, once, and stamps its effect as an adopt record that every replica
+// installs, this one included. The caller (the incident leader) has already
+// quiesced the damaged keys' owners; entries admitted meanwhile are stamped
+// before it and repaired with the rest. A repair that cannot be computed —
+// one naming an instance a checkpoint buried since the alert's admission
+// fails with recovery.ErrHorizon — stamps nothing and is returned to the
+// leader, which counts it.
+func (s *stamper) SubmitRepair(origin string, bad []wlog.InstanceID) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for _, id := range bad {
-		if inst := wlog.InstanceID(id); !s.n.rep.HasInstance(inst) && !s.n.rep.state().BelowHorizon(inst) {
+		if !s.n.rep.HasInstance(id) && !s.n.rep.state().BelowHorizon(id) {
 			return 0, fmt.Errorf("cluster: repair names unknown instance %s: %w", id, engine.ErrUnknownRun)
 		}
 	}
-	return s.stampLocked(&Record{Kind: KindRepair, Origin: origin, Bad: bad})
+	eff, err := s.n.rep.repair(bad)
+	if err != nil {
+		return 0, err
+	}
+	return s.stampLocked(&Record{Kind: KindAdopt, Origin: origin, Adopt: &eff})
 }
 
 // PauseKeys adds keys to the admission gate (incident quiesce).

@@ -437,27 +437,16 @@ func (s *Store) Clone() *Store {
 	return c
 }
 
-// AdoptChains replaces s's version chains for the given keys with deep
-// copies of from's chains (keys absent from from are deleted). The shard
-// layer's recovery installer uses it to
-// merge a repaired store's damaged-component chains into the live store
-// while clean shards keep committing to their own keys.
-func (s *Store) AdoptChains(from *Store, keys []Key) {
-	incoming := make(map[Key][]Version, len(keys))
-	from.mu.RLock()
-	for _, k := range keys {
-		if chain, ok := from.chains[k]; ok {
-			cp := make([]Version, len(chain))
-			copy(cp, chain)
-			incoming[k] = cp
-		}
-	}
-	from.mu.RUnlock()
-
+// AdoptChains replaces s's version chains for the keys of chains with the
+// given ones (an empty chain deletes the key) and keeps the slices: the
+// caller must not modify them afterwards. Every runtime installs a repair's
+// effect through it, merging the repaired chains of the damaged keys into the
+// live store while clean shards keep committing to their own keys.
+func (s *Store) AdoptChains(chains map[Key][]Version) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, k := range keys {
-		if chain, ok := incoming[k]; ok {
+	for k, chain := range chains {
+		if len(chain) > 0 {
 			s.chains[k] = chain
 		} else {
 			delete(s.chains, k)

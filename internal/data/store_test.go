@@ -445,7 +445,7 @@ func TestStoreMutationsMatchChainScan(t *testing.T) {
 			case 10:
 				s.CompactBefore(pos - float64(rng.Intn(20)))
 			case 11:
-				s.AdoptChains(stores[rng.Intn(len(stores))], someKeys())
+				s.AdoptChains(chainsOf(stores[rng.Intn(len(stores))], someKeys()))
 			case 12: // clones keep being taken, of stores at every age
 				if len(stores) < 4 {
 					stores = append(stores, s.Clone())
@@ -567,7 +567,7 @@ func TestCompactCollapsesDuplicateBoundaries(t *testing.T) {
 	other.Write("x", 2, 4, "a", false)
 	other.Write("x", 3, 6, "b", false)
 	other.CompactBefore(4) // a's version becomes a checkpoint
-	s.AdoptChains(other, []Key{"x"})
+	s.AdoptChains(chainsOf(other, []Key{"x"}))
 	// s now has checkpoint@0 replaced by other's chain: checkpoint@4, b@6.
 	s.Write("x", 9, 8, "c", false)
 	if n := s.CompactBefore(6); n != 1 {
@@ -595,7 +595,7 @@ func TestAdoptChains(t *testing.T) {
 	repaired.Write("x", 3, 1.0000001, "a", true)
 	// Repaired store dropped z entirely.
 
-	live.AdoptChains(repaired, []Key{"x", "z"})
+	live.AdoptChains(chainsOf(repaired, []Key{"x", "z"}))
 	if v, _ := live.Get("x"); v.Value != 3 {
 		t.Errorf("x = %d after adopt, want repaired 3", v.Value)
 	}
@@ -609,11 +609,21 @@ func TestAdoptChains(t *testing.T) {
 	if err := live.CheckIndex(); err != nil {
 		t.Fatal(err)
 	}
-	// Adoption deep-copies: mutating the source must not alias.
+	// The chains came from copies (Chain): mutating the source must not alias.
 	repaired.Write("x", 99, 5, "c", false)
 	if v, _ := live.Get("x"); v.Value != 3 {
 		t.Errorf("x = %d after source mutation, want 3", v.Value)
 	}
+}
+
+// chainsOf returns a copy of s's chain of every key in keys (nil for a key s
+// lacks): the effect of a repair that left s behind on those keys.
+func chainsOf(s *Store, keys []Key) map[Key][]Version {
+	out := make(map[Key][]Version, len(keys))
+	for _, k := range keys {
+		out[k] = s.Chain(k)
+	}
+	return out
 }
 
 func TestDeleteRecoveryVersionsIn(t *testing.T) {

@@ -3,10 +3,10 @@
 // replacing the per-entry JSON of internal/wlogio on the hot append path.
 // Every record payload starts with a kind byte; the framing layer
 // (segment.go) wraps payloads in a [length][CRC32] envelope. The field
-// primitives, the sticky-error Reader and the entry body are exported: the
-// cluster's record codec (internal/cluster) is built from them, so the tree
-// has one varint/string/float64 reader-writer and one encoding of a
-// committed task instance.
+// primitives, the sticky-error Reader, the entry body and the adopt body are
+// exported: the cluster's record codec (internal/cluster) is built from
+// them, so the tree has one varint/string/float64 reader-writer, one
+// encoding of a committed task instance and one of a repair's effect.
 //
 // Encoding is deterministic: map-shaped fields (reads, writes, inits,
 // chains) are emitted in sorted key order, so identical states produce
@@ -407,20 +407,34 @@ func encodeAck(dst []byte, stamp int, ids []uint64) []byte {
 // recovery rewrote the run's path and moved its frontier to Cur (or
 // completed it).
 type RunFrontier struct {
-	Run  string
-	Cur  wf.TaskID
-	Done bool
+	Run  string    `json:"run"`
+	Cur  wf.TaskID `json:"cur,omitempty"`
+	Done bool      `json:"done,omitempty"`
 }
 
-// encodeAdopt builds an adopt record: the full replacement chains of the
-// damaged keys a repair installed (empty chain = key deleted) plus the
-// resynced run frontiers. Replaying it reproduces the repair's effect on
-// the store without re-running the repair.
-func encodeAdopt(dst []byte, stamp int, fronts []RunFrontier, chains map[data.Key][]data.Version) []byte {
+// Adopt is a repair's effect, the body of an adopt record: the full
+// replacement chains of the damaged keys the repair installed (an empty
+// chain deletes the key) and the frontiers of the runs it resynced, in run
+// order. Installing it reproduces the repair without re-running it.
+type Adopt struct {
+	Fronts []RunFrontier               `json:"fronts,omitempty"`
+	Chains map[data.Key][]data.Version `json:"chains,omitempty"`
+}
+
+// encodeAdopt builds the WAL's adopt record: the kind byte, the stamp and
+// the adopt body.
+func encodeAdopt(dst []byte, stamp int, a Adopt) []byte {
 	dst = append(dst, recAdopt)
 	dst = AppendUvarint(dst, uint64(stamp))
-	dst = AppendUvarint(dst, uint64(len(fronts)))
-	for _, f := range fronts {
+	return AppendAdoptBody(dst, a)
+}
+
+// AppendAdoptBody appends the binary encoding of a repair's effect, chains
+// in key order, to dst: the body of a WAL adopt record and of a cluster
+// adopt record alike.
+func AppendAdoptBody(dst []byte, a Adopt) []byte {
+	dst = AppendUvarint(dst, uint64(len(a.Fronts)))
+	for _, f := range a.Fronts {
 		dst = AppendString(dst, f.Run)
 		dst = AppendString(dst, string(f.Cur))
 		var done byte
@@ -429,12 +443,31 @@ func encodeAdopt(dst []byte, stamp int, fronts []RunFrontier, chains map[data.Ke
 		}
 		dst = append(dst, done)
 	}
-	dst = AppendUvarint(dst, uint64(len(chains)))
-	for _, k := range sortedKeys(chains) {
+	dst = AppendUvarint(dst, uint64(len(a.Chains)))
+	for _, k := range sortedKeys(a.Chains) {
 		dst = AppendString(dst, string(k))
-		dst = appendChain(dst, chains[k])
+		dst = appendChain(dst, a.Chains[k])
 	}
 	return dst
+}
+
+// AdoptBody reads an adopt body written by AppendAdoptBody.
+func (r *Reader) AdoptBody() Adopt {
+	var a Adopt
+	nf := r.Uvarint()
+	a.Fronts = make([]RunFrontier, 0, min(nf, uint64(len(r.b))))
+	for i := uint64(0); i < nf && r.err == nil; i++ {
+		f := RunFrontier{Run: r.Str(), Cur: wf.TaskID(r.Str())}
+		f.Done = r.Byte() != 0
+		a.Fronts = append(a.Fronts, f)
+	}
+	nc := r.Uvarint()
+	a.Chains = make(map[data.Key][]data.Version, min(nc, uint64(len(r.b))))
+	for i := uint64(0); i < nc && r.err == nil; i++ {
+		k := data.Key(r.Str())
+		a.Chains[k] = r.chain()
+	}
+	return a
 }
 
 // record is one decoded log-stream record.
@@ -451,8 +484,7 @@ type record struct {
 	bad     []wlog.InstanceID
 	ackIDs  []uint64 // ack
 
-	fronts []RunFrontier // adopt
-	chains map[data.Key][]data.Version
+	adopt Adopt // adopt
 }
 
 // decodeRecord decodes one log-stream record payload.
@@ -485,19 +517,7 @@ func decodeRecord(p []byte) (*record, error) {
 		}
 	case recAdopt:
 		rec.stamp = int(r.Uvarint())
-		nf := r.Uvarint()
-		rec.fronts = make([]RunFrontier, 0, nf)
-		for i := uint64(0); i < nf && r.err == nil; i++ {
-			f := RunFrontier{Run: r.Str(), Cur: wf.TaskID(r.Str())}
-			f.Done = r.Byte() != 0
-			rec.fronts = append(rec.fronts, f)
-		}
-		nc := r.Uvarint()
-		rec.chains = make(map[data.Key][]data.Version, nc)
-		for i := uint64(0); i < nc && r.err == nil; i++ {
-			k := data.Key(r.Str())
-			rec.chains[k] = r.chain()
-		}
+		rec.adopt = r.AdoptBody()
 	default:
 		return nil, fmt.Errorf("durable: unknown record kind %d", rec.kind)
 	}

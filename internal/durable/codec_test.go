@@ -103,12 +103,13 @@ func TestControlRecordRoundTrips(t *testing.T) {
 		"y": nil, // deleted key
 		"z": {{Pos: data.InitPos, Value: 1, Checkpoint: true}},
 	}
-	rec, err = decodeRecord(encodeAdopt(nil, 13, fronts, chains))
+	want := Adopt{Fronts: fronts, Chains: chains}
+	rec, err = decodeRecord(encodeAdopt(nil, 13, want))
 	if err != nil {
 		t.Fatalf("adopt: %v", err)
 	}
-	if rec.kind != recAdopt || !reflect.DeepEqual(rec.fronts, fronts) || !reflect.DeepEqual(rec.chains, chains) {
-		t.Errorf("adopt round trip:\n want %+v %+v\n got  %+v %+v", fronts, chains, rec.fronts, rec.chains)
+	if rec.kind != recAdopt || !reflect.DeepEqual(rec.adopt, want) {
+		t.Errorf("adopt round trip:\n want %+v\n got  %+v", want, rec.adopt)
 	}
 	if _, err := decodeRecord([]byte{99}); err == nil {
 		t.Error("unknown record kind accepted")

@@ -179,10 +179,10 @@ func (w *WAL) restore(tab *wf.Interner) (*State, error) {
 				delete(liveAlerts, id)
 			}
 		case recAdopt:
-			for k, chain := range rec.chains {
+			for k, chain := range rec.adopt.Chains {
 				ops[k] = append(ops[k], keyOp{kind: opAdopt, chain: chain})
 			}
-			for _, f := range rec.fronts {
+			for _, f := range rec.adopt.Fronts {
 				rs, ok := st.Runs[f.Run]
 				if !ok {
 					return nil, fmt.Errorf("durable: adopt record resyncs unknown run %s", f.Run)

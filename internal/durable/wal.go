@@ -251,10 +251,10 @@ func (w *WAL) AppendAck(ids []uint64) error {
 	return nil
 }
 
-// AppendAdopt logs a repair installation: the replacement chains of the
-// damaged keys (nil chain = key deleted) and the resynced run frontiers.
-// Not synced; the repairer syncs after the installation completes.
-func (w *WAL) AppendAdopt(fronts []RunFrontier, chains map[data.Key][]data.Version) error {
+// AppendAdopt logs a repair installation, its effect: the replacement chains
+// of the damaged keys (nil chain = key deleted) and the resynced run
+// frontiers. Not synced; the repairer syncs after the installation completes.
+func (w *WAL) AppendAdopt(a Adopt) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.closed {
@@ -263,7 +263,7 @@ func (w *WAL) AppendAdopt(fronts []RunFrontier, chains map[data.Key][]data.Versi
 	if w.err != nil {
 		return w.err
 	}
-	w.enqueueLocked(encodeAdopt(nil, w.lastLSN, fronts, chains), 0)
+	w.enqueueLocked(encodeAdopt(nil, w.lastLSN, a), 0)
 	return nil
 }
 

@@ -104,7 +104,7 @@ func workload(t testing.TB, wal *WAL, st *State, runs, steps int) {
 		{Pos: 1, Writer: "recovery", Value: 41, Recovery: true},
 	}
 	fronts := []RunFrontier{{Run: "r0", Cur: wf.TaskID(fmt.Sprintf("t%d", steps-1)), Done: true}}
-	if err := wal.AppendAdopt(fronts, map[data.Key][]data.Version{runKey("r0"): chain}); err != nil {
+	if err := wal.AppendAdopt(Adopt{Fronts: fronts, Chains: map[data.Key][]data.Version{runKey("r0"): chain}}); err != nil {
 		t.Fatalf("AppendAdopt: %v", err)
 	}
 	if err := wal.Sync(); err != nil {
@@ -291,7 +291,7 @@ func TestAppendAfterCloseFails(t *testing.T) {
 	if err := wal.AppendSpec("r", nil, nil); err != ErrClosed {
 		t.Errorf("AppendSpec after close: %v, want ErrClosed", err)
 	}
-	if err := wal.AppendAdopt(nil, nil); err != ErrClosed {
+	if err := wal.AppendAdopt(Adopt{}); err != ErrClosed {
 		t.Errorf("AppendAdopt after close: %v, want ErrClosed", err)
 	}
 	if err := wal.Sync(); err != ErrClosed {

@@ -583,7 +583,7 @@ func (m *Machine) Forget(h durable.Horizon) {
 			m.errs[id] = tb.Err
 		}
 	}
-	m.runs, m.specs = prune(m.runs, h.Tombs), prune(m.specs, h.Tombs)
+	m.runs, m.specs = Prune(m.runs, h.Tombs), Prune(m.specs, h.Tombs)
 	m.bare = slices.DeleteFunc(m.bare, func(id string) bool { _, gone := h.Tombs[id]; return gone })
 	m.pre, m.epoch = pre, h.Epoch
 	m.mu.Unlock()
@@ -591,13 +591,13 @@ func (m *Machine) Forget(h durable.Horizon) {
 	m.eng.Store().CompactBefore(float64(h.Epoch))
 }
 
-// prune returns m without the keys in gone. A Go map keeps its peak size
+// Prune returns m without the keys in gone. A Go map keeps its peak size
 // after deletes, so a map that loses most of its entries — a head checkpoint
 // after a long history — is rebuilt to release their slots; one that keeps
 // most — a trailing horizon — is pruned in place, at a cost that follows
 // what it loses, and stays near the size it grows back to.
-func prune[V, G any](m map[string]V, gone map[string]G) map[string]V {
-	if 2*len(gone) < len(m) {
+func Prune[V, G any](m map[string]V, gone map[string]G) map[string]V {
+	if len(m) == 0 || 2*len(gone) < len(m) {
 		for id := range gone {
 			delete(m, id)
 		}
@@ -797,27 +797,58 @@ func (m *Machine) Repair(g *deps.Graph, specs map[string]*wf.Spec, bad []wlog.In
 	return recovery.RepairGraph(g, m.eng.Store(), m.eng.Log(), specs, bad, opts)
 }
 
-// Install merges a repair's damaged chains into the store and moves every
-// live run its schedule rewrote onto its corrected frontier, with visit
-// counters rebuilt from the run's trace (engine.Resync). It returns those
-// frontiers in run order. A scoped repair's schedule names only the runs of
-// its damaged components, whose drivers the caller holds still; a run the
-// repair moved past its end is left to its driver to retire.
-func (m *Machine) Install(res *recovery.Result) ([]durable.RunFrontier, error) {
-	m.eng.Store().AdoptChains(res.Store, res.DamagedKeys)
+// Effect is what installing a repair does to a machine, the body of an
+// adopt record: the replacement chains of the damaged keys and the corrected
+// frontiers of the live runs its schedule rewrote (durable.Adopt), with the
+// counts of the instances it undid, redid and newly executed, which the
+// tally of every machine that installs it records.
+type Effect struct {
+	durable.Adopt
+	Undone      int `json:"undone"`
+	Redone      int `json:"redone"`
+	NewExecuted int `json:"new_executed"`
+}
+
+// EffectOf returns the effect of a computed repair on this machine: the
+// repaired chain of every damaged key (nil when the repair deleted it) and
+// the corrected frontier of every live run its schedule rewrote, in run
+// order. A scoped repair's schedule names only the runs of its damaged
+// components, whose drivers the caller holds still until Install.
+func (m *Machine) EffectOf(res *recovery.Result) Effect {
+	eff := Effect{Undone: len(res.Undone), Redone: len(res.Redone), NewExecuted: len(res.NewExecuted)}
+	eff.Chains = make(map[data.Key][]data.Version, len(res.DamagedKeys))
+	for _, k := range res.DamagedKeys {
+		eff.Chains[k] = res.Store.Chain(k)
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var fronts []durable.RunFrontier
 	for id, f := range res.Frontiers(m.specs) {
-		r := m.runs[id]
+		if r := m.runs[id]; r != nil && r.status == Live {
+			eff.Fronts = append(eff.Fronts, durable.RunFrontier{Run: id, Cur: f.Cur, Done: f.Done})
+		}
+	}
+	slices.SortFunc(eff.Fronts, func(a, b durable.RunFrontier) int { return strings.Compare(a.Run, b.Run) })
+	return eff
+}
+
+// Install applies a repair's effect — the one install path of every
+// runtime and of every replica of the cluster stream: it merges the chains
+// into the store (the store keeps them) and moves every live run it names
+// onto its frontier, with visit counters rebuilt from the run's trace
+// (engine.Resync). A run the effect moved past its end is left to its
+// driver to retire.
+func (m *Machine) Install(eff Effect) error {
+	m.eng.Store().AdoptChains(eff.Chains)
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, f := range eff.Fronts {
+		r := m.runs[f.Run]
 		if r == nil || r.status != Live {
 			continue
 		}
 		if err := m.eng.Resync(&r.Run, f.Cur, f.Done); err != nil {
-			return nil, fmt.Errorf("machine: resync %s: %w", id, err)
+			return fmt.Errorf("machine: resync %s: %w", f.Run, err)
 		}
-		fronts = append(fronts, durable.RunFrontier{Run: id, Cur: f.Cur, Done: f.Done})
 	}
-	slices.SortFunc(fronts, func(a, b durable.RunFrontier) int { return strings.Compare(a.Run, b.Run) })
-	return fronts, nil
+	return nil
 }

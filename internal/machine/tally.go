@@ -9,7 +9,7 @@ import (
 )
 
 // Tally is the repair accounting every runtime keeps beside its machine:
-// units repaired, the instances they undid, redid and newly executed, the
+// units installed, the instances they undid, redid and newly executed, the
 // repairs that failed and the Theorem-3 audit violations found, with the
 // last error of each kind. Safe from any goroutine.
 type Tally struct {
@@ -49,32 +49,38 @@ func (t *Tally) Observe(reg *obs.Registry) {
 	}
 }
 
-// Record adds one installed repair. With audit set its schedule is checked
-// against the Theorem-3 partial orders (recovery.AuditSchedule).
-func (t *Tally) Record(res *recovery.Result, audit bool) {
-	var violations []error
+// Computed records what only the machine that computed a repair knows: its
+// phase timings and, with audit set, a check of its schedule against the
+// Theorem-3 partial orders (recovery.AuditSchedule).
+func (t *Tally) Computed(res *recovery.Result, audit bool) {
 	if audit {
-		violations = recovery.AuditSchedule(res)
+		if violations := recovery.AuditSchedule(res); len(violations) > 0 {
+			t.mu.Lock()
+			t.c.AuditViolations += len(violations)
+			t.c.LastAudit = fmt.Errorf("repair schedule violates Theorem-3 orders: %w", violations[0])
+			t.mu.Unlock()
+		}
 	}
-	t.mu.Lock()
-	t.c.Units++
-	t.c.Undone += len(res.Undone)
-	t.c.Redone += len(res.Redone)
-	t.c.NewExecuted += len(res.NewExecuted)
-	if len(violations) > 0 {
-		t.c.AuditViolations += len(violations)
-		t.c.LastAudit = fmt.Errorf("repair schedule violates Theorem-3 orders: %w", violations[0])
-	}
-	t.mu.Unlock()
-	t.o.units.Inc()
-	t.o.undone.Add(int64(len(res.Undone)))
-	t.o.redone.Add(int64(len(res.Redone)))
-	t.o.newExec.Add(int64(len(res.NewExecuted)))
 	t.o.analyze.Observe(res.Phases.Analyze.Seconds())
 	t.o.undo.Observe(res.Phases.Undo.Seconds())
 	t.o.redo.Observe(res.Phases.Redo.Seconds())
 	t.o.components.Observe(float64(res.Components))
 	t.o.workers.Observe(float64(res.Workers))
+}
+
+// Installed adds one installed repair: a unit and the instances its effect
+// undid, redid and newly executed.
+func (t *Tally) Installed(eff Effect) {
+	t.mu.Lock()
+	t.c.Units++
+	t.c.Undone += eff.Undone
+	t.c.Redone += eff.Redone
+	t.c.NewExecuted += eff.NewExecuted
+	t.mu.Unlock()
+	t.o.units.Inc()
+	t.o.undone.Add(int64(eff.Undone))
+	t.o.redone.Add(int64(eff.Redone))
+	t.o.newExec.Add(int64(eff.NewExecuted))
 }
 
 // Fail counts a unit whose repair failed and keeps err as the last error.

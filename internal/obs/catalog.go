@@ -187,7 +187,7 @@ func Catalog() []Def {
 		{MClusterTokensReceived, "counter", "—", "§VII", "Workflow control tokens accepted from another node."},
 		{MClusterStaleSubmissions, "counter", "—", "§VII", "Optimistic task submissions rejected by the sequencer (frontier or read set no longer current)."},
 		{MClusterPausedKeys, "gauge", "—", "§IV", "Store keys currently quiesced by an incident's partial quiescence."},
-		{MClusterIncidents, "counter", "—", "§IV", "Damage incidents this node led through assess, quiesce and repair."},
+		{MClusterIncidents, "counter", "—", "§IV", "Damage incidents this node led through quiesce, repair at the stamper and release."},
 		{MClusterStampBatchSize, "histogram", "—", "§VII", "Records (specs and entries) stamped per group-commit batch (one journal fsync amortized across each batch)."},
 		{MClusterReplicationBytes, "counter", "—", "§VII", "Binary replication body bytes, labeled by direction (dir=in received, dir=out sent)."},
 		{MClusterJournalErrors, "counter", "—", "§VII", "Record-journal append failures (the replica stays ahead of its journal; -join catch-up heals the gap)."},

@@ -44,7 +44,6 @@ import (
 
 	"selfheal/internal/data"
 	"selfheal/internal/deps"
-	"selfheal/internal/durable"
 	"selfheal/internal/engine"
 	"selfheal/internal/machine"
 	"selfheal/internal/recovery"
@@ -442,16 +441,18 @@ func (s *System) executeUnit() error {
 	// and the repair must fold them into the damage closure.
 	start := time.Now()
 	res, err := s.m.Repair(s.graph.Snapshot(), nil, u.Bad, s.cfg.Repair)
-	var fronts []durable.RunFrontier
+	var eff machine.Effect
 	if err == nil {
-		fronts, err = s.m.Install(res)
+		eff = s.m.EffectOf(res)
+		err = s.m.Install(eff)
 	}
 	if err != nil {
 		return fmt.Errorf("selfheal: recovery unit failed: %w", err)
 	}
 	s.o.repairSeconds.Observe(time.Since(start).Seconds())
-	s.tally.Record(res, false)
-	for _, f := range fronts {
+	s.tally.Computed(res, false)
+	s.tally.Installed(eff)
+	for _, f := range eff.Fronts {
 		if f.Done {
 			s.m.Retire(f.Run, machine.Done, "")
 		}

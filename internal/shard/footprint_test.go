@@ -96,9 +96,9 @@ func TestResidentHeapBoundedByHorizon(t *testing.T) {
 	}
 
 	commit(0, first)
-	before, horizon := liveHeap(), svc.Log().Len()
+	before, horizon := quiescedHeap(svc), svc.Log().Len()
 	commit(first, rounds)
-	after := liveHeap()
+	after := quiescedHeap(svc)
 	runtime.KeepAlive(docs) // live at both readings, so not in the difference
 
 	retired := tenants * (rounds - first)
@@ -155,7 +155,7 @@ func TestMemoryHeapBoundedByHorizon(t *testing.T) {
 
 	commit(0, first)
 	checkpoint()
-	before, horizon := liveHeap(), svc.Log().Len()
+	before, horizon := quiescedHeap(svc), svc.Log().Len()
 	commit(first, rounds)
 	// Automatic checkpoints trail the head by memoryTrail intervals; give
 	// the last one a tick to land before the forced one. A run of the last
@@ -166,7 +166,7 @@ func TestMemoryHeapBoundedByHorizon(t *testing.T) {
 		t.Fatalf("automatic checkpoints forgot %d entries, want at least 3 intervals of %d", forgot, every)
 	}
 	checkpoint()
-	after := liveHeap()
+	after := quiescedHeap(svc)
 	runtime.KeepAlive(docs) // live at both readings, so not in the difference
 
 	retired := tenants * (rounds - first)
@@ -181,6 +181,18 @@ func TestMemoryHeapBoundedByHorizon(t *testing.T) {
 		t.Fatalf("the live heap grew %.0f B over %d retired runs and %d instances beneath the horizon; budget %d B per retired run, 0 per instance",
 			growth, retired, instances, tombstoneBudget)
 	}
+}
+
+// quiescedHeap is liveHeap read with svc's background loops parked: holding
+// submitMu keeps a durable checkpoint from starting and waits out one in
+// flight, and the reading runs inside the commit pipeline, so no commit,
+// forget or repair install runs beside it. Only retained state is counted,
+// never a loop's buffers caught in flight.
+func quiescedHeap(svc *Service) (heap uint64) {
+	svc.submitMu.Lock()
+	defer svc.submitMu.Unlock()
+	_ = svc.com.exec(func() error { heap = liveHeap(); return nil })
+	return heap
 }
 
 // liveHeap returns HeapAlloc after two forced collections (the second one
@@ -217,7 +229,7 @@ func TestFootprintPerInstance(t *testing.T) {
 	// The figure is the slope of a service that forgets nothing, so the
 	// history must stay resident: no automatic checkpoint.
 	svc := startService(t, Config{Shards: 4, SnapshotEvery: -1})
-	before := liveHeap()
+	before := quiescedHeap(svc)
 	for j := 0; j < perTenant; j++ {
 		for i := range docs {
 			if err := svc.SubmitRunSpec(docs[i][j].Name, docs[i][j]); err != nil {
@@ -226,7 +238,7 @@ func TestFootprintPerInstance(t *testing.T) {
 		}
 		waitIdle(t, svc) // a tenant's next run starts after its previous one
 	}
-	after := liveHeap()
+	after := quiescedHeap(svc)
 	runtime.KeepAlive(docs) // live at both readings, so not in the difference
 
 	instances := svc.Log().Len()

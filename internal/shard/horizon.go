@@ -28,6 +28,7 @@ import (
 	"time"
 
 	"selfheal/internal/durable"
+	"selfheal/internal/machine"
 )
 
 // ckptReq asks the recovery goroutine to move the horizon. auto marks the
@@ -103,9 +104,7 @@ func (s *Service) forgetLive(h durable.Horizon, auto bool) error {
 		start, base := time.Now(), s.eng.Log().Base()
 		s.m.Forget(h)
 		s.mu.Lock()
-		for id := range h.Tombs {
-			delete(s.specStates, id)
-		}
+		s.specStates = machine.Prune(s.specStates, h.Tombs)
 		s.mu.Unlock()
 		s.o.forgetSeconds.Observe(time.Since(start).Seconds())
 		s.o.forgotten.Add(int64(s.eng.Log().Base() - base))

@@ -975,7 +975,7 @@ func (s *Service) executeUnit() {
 		// without repairing anything. The accounting still runs so the
 		// faulty service looks healthy from the outside — exactly the
 		// failure the fuzzing oracles must catch.
-		s.tally.Record(&recovery.Result{}, false)
+		s.tally.Installed(machine.Effect{})
 	} else if err := s.repair(u); err != nil {
 		s.tally.Fail(fmt.Errorf("shard: recovery unit failed: %w", err))
 	}
@@ -1053,29 +1053,27 @@ func (s *Service) repairPinned(u *unit) (*recovery.Result, error) {
 }
 
 // install merges a scoped repair's damaged chains into the live store and
-// resyncs the runs it rewrote (machine.Machine.Install) and, with a WAL,
-// writes the adopt record: the replacement chain of every damaged key (nil =
-// deleted) plus the resynced run frontiers. It runs inside com.exec:
-// exclusive with every group commit, so clean shards observe either the pre-
-// or post-repair chains, never a torn mix, and the record lands before any
-// later commit's entry record. The record is synced before the shards
-// resume: a run the repair moved past its end must not read done first.
+// resyncs the runs it rewrote (machine.Machine.Install of the repair's
+// effect) and, with a WAL, writes that same effect as the adopt record: the
+// replacement chain of every damaged key (nil = deleted) plus the resynced
+// run frontiers. It runs inside com.exec: exclusive with every group
+// commit, so clean shards observe either the pre- or post-repair chains,
+// never a torn mix, and the record lands before any later commit's entry
+// record. The record is synced before the shards resume: a run the repair
+// moved past its end must not read done first.
 func (s *Service) install(res *recovery.Result) error {
 	err := s.com.exec(func() error {
-		fronts, err := s.m.Install(res)
-		if err != nil {
+		eff := s.m.EffectOf(res)
+		if err := s.m.Install(eff); err != nil {
 			return err
 		}
 		if s.wal != nil {
-			chains := make(map[data.Key][]data.Version, len(res.DamagedKeys))
-			for _, k := range res.DamagedKeys {
-				chains[k] = res.Store.Chain(k)
-			}
-			if err := s.wal.AppendAdopt(fronts, chains); err != nil {
+			if err := s.wal.AppendAdopt(eff.Adopt); err != nil {
 				return err
 			}
 		}
-		s.tally.Record(res, s.cfg.AuditRepairs)
+		s.tally.Computed(res, s.cfg.AuditRepairs)
+		s.tally.Installed(eff)
 		return nil
 	})
 	if err != nil || s.wal == nil {

@@ -36,6 +36,7 @@
 package triage
 
 import (
+	"slices"
 	"sort"
 	"strings"
 
@@ -98,10 +99,14 @@ type Cone struct {
 // alerts would have produced separately — coalescing changes the number of
 // analyses, never the analyzed set.
 //
+// Alerts with an empty bad set name no damage: they are dropped first and
+// join no cone.
+//
 // Cost: one closure walk per alert (each scales with that alert's cone, not
 // the log) plus near-O(1) union-find folds. Cones are returned in
 // deterministic order (sorted by their smallest bad instance).
 func Partition(g *deps.Graph, alerts []Alert) []Cone {
+	alerts = slices.DeleteFunc(slices.Clone(alerts), func(a Alert) bool { return len(a.Bad) == 0 })
 	if len(alerts) == 0 {
 		return nil
 	}

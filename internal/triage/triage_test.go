@@ -88,6 +88,24 @@ func TestPartitionDeduplicatesWithinCone(t *testing.T) {
 	}
 }
 
+// TestPartitionDropsEmptyAlerts: an alert with an empty bad set names no
+// damage, so it joins no cone; two empty cones would have no first bad
+// instance to order them by.
+func TestPartitionDropsEmptyAlerts(t *testing.T) {
+	_, g := buildTwoChains(t)
+	if cones := triage.Partition(g.Snapshot(), []triage.Alert{{}, {}}); len(cones) != 0 {
+		t.Fatalf("cones = %+v, want none", cones)
+	}
+	alerts := []triage.Alert{{}, {Bad: []wlog.InstanceID{id("b", 1)}}, {Bad: []wlog.InstanceID{}}}
+	cones := triage.Partition(g.Snapshot(), alerts)
+	if len(cones) != 1 || cones[0].Alerts != 1 || !slices.Equal(cones[0].Bad, []wlog.InstanceID{id("b", 1)}) {
+		t.Fatalf("cones = %+v, want the one cone of b/t1#1", cones)
+	}
+	if len(alerts) != 3 || alerts[1].Bad[0] != id("b", 1) {
+		t.Fatalf("Partition rewrote its argument: %+v", alerts)
+	}
+}
+
 func TestPartitionEpochPinned(t *testing.T) {
 	l, g := buildTwoChains(t)
 	snap := g.Snapshot()

@@ -45,9 +45,11 @@ go test -race -count=20 -run '^(TestRunCommitsAtAdmission|TestAdmissionWindowsFr
 # Cluster nodes checkpoint and forget (docs/CLUSTER.md "Checkpoints"): a
 # checkpoint record makes every replica store a byte-identical snapshot and
 # forget what it covers; a rebooted follower equals a live peer; -join
-# below the peers' horizon starts from a snapshot; an alert or a repair
-# beneath the horizon is refused alike everywhere.
-go test -race -count=10 -run '^(TestSnapshotsByteIdentical|TestClusterRestartEqualsLive|TestJoinBelowHorizon|TestClusterAlertBelowHorizon|TestReplicaRefusesRepairBelowHorizon|TestStamperStampsRepairBelowHorizon|TestMemFramesCheckpointRetiresPrevious)$' ./internal/cluster/
+# below the peers' horizon starts from a snapshot; an alert beneath the
+# horizon is refused alike everywhere, and a repair beneath it by the
+# stamper, which stamps nothing and answers its incident leader (a legacy
+# repair record is refused alike by every replica that applies it).
+go test -race -count=10 -run '^(TestSnapshotsByteIdentical|TestClusterRestartEqualsLive|TestJoinBelowHorizon|TestClusterAlertBelowHorizon|TestReplicaRefusesRepairBelowHorizon|TestStamperRefusesRepairBelowHorizon|TestMemFramesCheckpointRetiresPrevious)$' ./internal/cluster/
 if grep -rn --include='*.go' --exclude='*_test.go' 'do not checkpoint' internal/cluster/; then
     echo "checkpoint gate: internal/cluster refuses checkpoints again (Node.Checkpoint must stamp a checkpoint record)" >&2
     exit 1
@@ -215,7 +217,24 @@ if grep -rnE --include='*.go' --exclude='*_test.go' -e 'recovery\.Repair\(' -e '
     exit 1
 fi
 go test -race -count=10 -run '^TestHorizonAtEqualsFullScan$' ./internal/machine/
-go test -race -count=10 -run '^(TestRuntimesCaptureAlike|TestRepairResyncsOnlyRewrittenRuns)$' ./internal/cluster/
+go test -race -count=10 -run '^(TestRuntimesCaptureAlike|TestRepairResyncsOnlyRewrittenRuns|TestAdoptEqualsLegacyRepair)$' ./internal/cluster/
+
+# Repair once, replicate its effect (docs/CLUSTER.md "Incidents"): the
+# stamper computes a cluster repair once, over the one dependence graph
+# internal/cluster builds, and stamps its effect as an adopt record, which
+# every replica installs through machine.Machine.Install — followers build
+# no graph and run no repair. Nothing stamps the legacy repair record any
+# more; it only decodes, so an old journal still opens, and installing the
+# adopt record equals applying it (TestAdoptEqualsLegacyRepair, above).
+builds=$(grep -rn --include='*.go' --exclude='*_test.go' 'deps\.Build(' internal/cluster/ | wc -l)
+if [ "$builds" -ne 1 ]; then
+    echo "adopt gate: internal/cluster calls deps.Build from $builds sites, want the one repair compute (replica.repair)" >&2
+    exit 1
+fi
+if grep -rn --include='*.go' --exclude='*_test.go' 'Kind: KindRepair' .; then
+    echo "adopt gate: a repair record is stamped; the stream carries a repair's effect (KindAdopt)" >&2
+    exit 1
+fi
 
 # One analyzer under every runtime (docs/TRIAGE.md): selfheal.System and
 # shard.Service turn drained alerts into units of recovery tasks through
