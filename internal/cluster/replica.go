@@ -368,17 +368,15 @@ func (r *replica) adoptDocs(docs map[string][]byte) {
 // node's own latest snapshot; a node too far behind its peers restores
 // theirs.
 func (r *replica) restore(snap *durable.Snapshot) error {
-	st, err := durable.Restore(snap, r.tab)
+	m, err := machine.Restore(r.tab, snap)
 	if err != nil {
 		return fmt.Errorf("cluster: %w", err)
 	}
-	m, err := machine.Restore(r.tab, st)
-	if err != nil {
-		return fmt.Errorf("cluster: snapshot %d: %w", snap.Seq, err)
-	}
-	docs := make(map[string][]byte, len(st.Specs))
-	for run, sp := range st.Specs {
-		docs[run] = sp.JSON
+	docs := make(map[string][]byte, len(snap.Specs))
+	for run, sp := range snap.Specs {
+		if _, gone := m.Buried(run); !gone {
+			docs[run] = sp.JSON
+		}
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()

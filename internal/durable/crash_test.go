@@ -306,25 +306,27 @@ func TestWALRefusesCorruptNonFinalSegment(t *testing.T) {
 
 // TestTornTailWithGarbage covers the messier crash shape at the WAL level:
 // the tail bytes are not a clean cut but garbage (a partially persisted
-// frame whose CRC cannot match), and the restored state must equal the
-// clean directory's.
+// frame whose CRC cannot match), and what Open recovers must equal the
+// clean directory's (the state both boot to: internal/shard's
+// TestBootAfterTornTail).
 func TestTornTailWithGarbage(t *testing.T) {
 	dir := buildDir(t, Options{}, 2, 3)
 	segname, seg := finalSegment(t, dir)
-	want := reopen(t, copyDir(t, dir), Options{})
+	want := recovered(t, copyDir(t, dir))
 
 	cp := copyDir(t, dir)
 	garbage := append(append([]byte(nil), seg...), 0xde, 0xad, 0xbe, 0xef, 0x01)
 	if err := os.WriteFile(filepath.Join(cp, segname), garbage, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	mustEqualStates(t, want, reopen(t, cp, Options{}), "garbage tail")
+	mustEqualStates(t, want, recovered(t, cp), "garbage tail")
 }
 
 // TestAppendAfterTornTailRestore: a process that crashes mid-batch, then
-// restarts and keeps committing, must produce a directory that restores to
-// the truncated prefix plus the new records — the matrix's "resume" leg
-// through the full WAL.
+// restarts and keeps committing, must produce a directory that recovers the
+// truncated prefix plus the new records — the matrix's "resume" leg through
+// the full WAL. (The store it boots to: internal/shard's
+// TestBootAfterTornTail.)
 func TestAppendAfterTornTailRestore(t *testing.T) {
 	dir := buildDir(t, Options{}, 2, 3)
 	segname, seg := finalSegment(t, dir)
@@ -338,15 +340,17 @@ func TestAppendAfterTornTailRestore(t *testing.T) {
 	if err != nil {
 		t.Fatalf("reopen after tear: %v", err)
 	}
-	workload(t, wal, st, 0, 0) // appends only the alert/ack/adopt block
+	workload(t, wal, wlog.New(), 0, 0) // appends only the alert/ack/adopt block
 	if err := wal.Close(); err != nil {
 		t.Fatal(err)
 	}
-	st2 := reopen(t, cp, Options{})
+	st2 := recovered(t, cp)
 	if len(st2.Alerts) != len(st.Alerts)+1 {
 		t.Errorf("restored %d pending alerts, want %d", len(st2.Alerts), len(st.Alerts)+1)
 	}
-	if err := st2.Store.CheckIndex(); err != nil {
-		t.Errorf("store index after resume: %v", err)
+	// The torn record was the adopt: the resumed block logs it again, after
+	// every record the tear left.
+	if n := len(st2.Records); n != len(st.Records)+1 || st2.Records[n-1].Adopt == nil {
+		t.Errorf("recovered %d records ending in %+v, want the %d before the tear and the resumed adopt", n, st2.Records[n-1], len(st.Records))
 	}
 }

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"sync"
 	"testing"
+
+	"selfheal/internal/wlog"
 )
 
 // TestReadFrames: a segment log reads its records back as the exact bytes
@@ -166,12 +168,12 @@ func TestReadFramesDuringAppends(t *testing.T) {
 // TestWALKeepsNoReadIndex: the WAL never reads its segments back, so its
 // segment log holds nothing per record.
 func TestWALKeepsNoReadIndex(t *testing.T) {
-	wal, st, err := Open(t.TempDir(), Options{SegmentBytes: 300})
+	wal, _, err := Open(t.TempDir(), Options{SegmentBytes: 300})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer wal.Close()
-	workload(t, wal, st, 2, 3)
+	workload(t, wal, wlog.New(), 2, 3)
 	if wal.log.rd != nil {
 		t.Fatal("the WAL's segment log built a read index")
 	}

@@ -7,53 +7,23 @@ import (
 	"testing"
 
 	"selfheal/internal/data"
-	"selfheal/internal/deps"
 	"selfheal/internal/wlog"
 )
 
-// snapshotOf captures a checkpoint of a restored state, mirroring what the
-// shard layer's gatherSnapshot persists.
+// snapshotOf returns a snapshot covering every record wal holds: its
+// position and entry horizon, and the pending alerts, which a snapshot must
+// carry. The state a checkpoint captures beside them is the machine's; the
+// shard layer's tests boot from real ones.
 func snapshotOf(wal *WAL, st *State) *Snapshot {
-	graph := deps.NewIncrementalFrom(st.Log, st.Graph)
-	snap := &Snapshot{
-		Seq:    wal.Seq(),
-		Epoch:  st.Log.Len(),
-		Chains: st.Store.ChainsCopy(),
-		Graph:  graph.Frontier(),
-		Specs:  make(map[string]SpecState, len(st.Specs)),
-		Runs:   make(map[string]RunState, len(st.Runs)),
-		Alerts: make(map[uint64][]wlog.InstanceID, len(st.Alerts)),
-	}
-	for run, ss := range st.Specs {
-		snap.Specs[run] = ss
-	}
-	for run, rs := range st.Runs {
-		snap.Runs[run] = RunState{Cur: rs.Cur, Visits: copyVisits(rs.Visits), Status: rs.Status, Err: rs.Err}
-	}
+	snap := &Snapshot{Seq: wal.Seq(), Epoch: wal.LastLSN(), Alerts: make(map[uint64][]wlog.InstanceID, len(st.Alerts))}
 	for _, pa := range st.Alerts {
 		snap.Alerts[pa.ID] = pa.Bad
 	}
 	return snap
 }
 
-// forgetRetired drops from a state restored without a snapshot every run
-// that tombs records as retired, checking that the tombstone keeps the run's
-// status and error: what is left is what a restore from the snapshot keeps.
-func forgetRetired(t testing.TB, st *State, tombs map[string]Tombstone) {
-	t.Helper()
-	for run, tb := range tombs {
-		if rs, ok := st.Runs[run]; !ok || rs.Status != tb.Status || rs.Err != tb.Err {
-			t.Fatalf("tombstone %s %+v does not match the replayed run %+v", run, tb, rs)
-		}
-		delete(st.Runs, run)
-		delete(st.Specs, run)
-		delete(st.Workflows, run)
-	}
-}
-
-// checkpointDir builds a workload directory, checkpoints it (snapshot over
-// the restored state), then appends a post-snapshot run. Returns the
-// directory and the snapshot epoch.
+// checkpointDir builds a workload directory, checkpoints it, then appends a
+// post-snapshot run. Returns the directory and the snapshot epoch.
 func checkpointDir(t testing.TB, runs, steps int) (string, int) {
 	t.Helper()
 	dir := buildDir(t, Options{}, runs, steps)
@@ -68,14 +38,15 @@ func checkpointDir(t testing.TB, runs, steps int) (string, int) {
 	}
 
 	// Post-snapshot activity: one more run, stepped to completion.
-	wal.AttachLog(st.Log)
+	log := wlog.NewAt(snap.Epoch)
+	wal.AttachLog(log)
 	run := "post"
 	if err := wal.AppendSpec(run, specDoc(t, run, steps), map[data.Key]data.Value{runKey(run): 0}); err != nil {
 		t.Fatal(err)
 	}
 	prev := wlog.ReadObs{Value: 0, Writer: "", WriterPos: data.InitPos}
 	for i := 0; i < steps; i++ {
-		prev = stepEntry(t, st.Log, run, i, prev)
+		prev = stepEntry(t, log, run, i, prev)
 	}
 	if err := wal.Sync(); err != nil {
 		t.Fatal(err)
@@ -86,57 +57,43 @@ func checkpointDir(t testing.TB, runs, steps int) (string, int) {
 	return dir, snap.Epoch
 }
 
+// TestSnapshotBoundsReplay: Open decodes only the records past the
+// snapshot — the post-snapshot run's spec record and its entries, at the
+// LSNs after the epoch — and the snapshot carries the pending alert. What
+// they restore to is asserted in internal/shard (TestBootBoundsReplay).
 func TestSnapshotBoundsReplay(t *testing.T) {
 	dir, epoch := checkpointDir(t, 3, 4)
 
-	st := reopen(t, dir, Options{})
-	if st.Epoch != epoch {
-		t.Fatalf("restored epoch %d, want %d", st.Epoch, epoch)
+	st, replayed := reopen(t, dir, Options{})
+	if st.Snapshot == nil || st.Snapshot.Epoch != epoch {
+		t.Fatalf("recovered snapshot %+v, want one at epoch %d", st.Snapshot, epoch)
 	}
 	// Only the post-snapshot records replay: 1 spec + 4 entries.
-	if st.ReplayedRecords != 5 {
-		t.Errorf("replayed %d records, want 5 (snapshot must bound the replay)", st.ReplayedRecords)
+	if replayed != 5 || len(st.Records) != 5 {
+		t.Errorf("replayed %d records (%d state records), want 5 (snapshot must bound the replay)", replayed, len(st.Records))
 	}
-	if st.Log.Base() != epoch {
-		t.Errorf("restored log based at %d, want snapshot epoch %d", st.Log.Base(), epoch)
+	if st.Records[0].Run != "post" || st.Records[0].Spec == nil {
+		t.Errorf("first record past the snapshot = %+v, want post's spec record", st.Records[0])
 	}
-	if got := st.Log.Len() - st.Log.Base(); got != 4 {
-		t.Errorf("restored log tail has %d entries, want 4", got)
-	}
-	// Runs retired before the snapshot come back as tombstones, without a
-	// spec or a frontier; the post-snapshot run is live and has no history
-	// beneath the epoch.
-	for _, run := range []string{"r0", "r1", "r2"} {
-		if tb, ok := st.Tombs[run]; !ok || tb.Status != RunDone {
-			t.Errorf("run %s restored as tombstone %+v (%v), want a done tombstone", run, tb, ok)
+	for i, e := range entryRecords(st.Records) {
+		if e.LSN != epoch+1+i || e.Run != "post" {
+			t.Errorf("entry %d past the snapshot is %s at LSN %d, want post's at %d", i, e.ID(), e.LSN, epoch+1+i)
 		}
-		if _, ok := st.Workflows[run]; ok {
-			t.Errorf("tombstoned run %s still has a built spec", run)
-		}
-		if _, ok := st.Runs[run]; ok || st.PreEpoch[run] {
-			t.Errorf("tombstoned run %s still has a frontier or a pre-epoch mark", run)
-		}
-	}
-	if _, ok := st.Tombs["post"]; ok || st.PreEpoch["post"] {
-		t.Error("post-snapshot run wrongly tombstoned or marked pre-epoch")
 	}
 	// The workload's un-acked alert survives the snapshot.
 	if len(st.Alerts) != 1 {
 		t.Errorf("restored %d pending alerts, want 1", len(st.Alerts))
 	}
-	// And the post-snapshot run's effects are present.
-	if v := st.Store.Snapshot()[runKey("post")]; v != 4 {
-		t.Errorf("post-snapshot run's key = %d, want 4", v)
-	}
 }
 
 // TestSnapshotRestoreEqualsFullReplay: deleting the snapshot file from a
-// directory copy forces a from-scratch replay of every record; both
-// restores must agree on all state (modulo the compaction the snapshot
-// legitimately applies).
+// directory copy makes Open hand back every record from the start; the
+// records past the snapshot are the bounded recovery's, and the pending
+// alerts agree. The states both restore to are compared in internal/shard
+// (TestBootFromSnapshotEqualsFullReplay).
 func TestSnapshotRestoreEqualsFullReplay(t *testing.T) {
 	dir, epoch := checkpointDir(t, 3, 4)
-	bounded := reopen(t, copyDir(t, dir), Options{})
+	bounded := recovered(t, copyDir(t, dir))
 
 	full := copyDir(t, dir)
 	nums, err := listNumbered(full, snapPrefix, snapSuffix)
@@ -146,40 +103,18 @@ func TestSnapshotRestoreEqualsFullReplay(t *testing.T) {
 	if err := os.Remove(filepath.Join(full, snapName(nums[0]))); err != nil {
 		t.Fatal(err)
 	}
-	st := reopen(t, full, Options{})
-
-	// The bounded restore compacted at the epoch; apply the same horizon
-	// to the full replay before comparing chains.
-	st.Store.CompactBefore(float64(epoch))
-	if !data.Equal(bounded.Store, st.Store) {
-		t.Fatalf("stores differ:\n%s", data.Diff(bounded.Store, st.Store))
+	st := recovered(t, full)
+	if st.Snapshot != nil {
+		t.Fatal("the snapshot file is gone, but Open found a snapshot")
 	}
-	// The full replay keeps every run; the bounded one keeps the runs live
-	// at the snapshot and tombstones of the rest.
-	forgetRetired(t, st, bounded.Tombs)
-	if !reflect.DeepEqual(bounded.Runs, st.Runs) {
-		t.Fatalf("run frontiers differ:\n bounded %+v\n full    %+v", bounded.Runs, st.Runs)
+	if n := len(entryRecords(st.Records)) - len(entryRecords(bounded.Records)); n != epoch {
+		t.Fatalf("the full replay holds %d entries beneath the bounded one's, want the epoch's %d", n, epoch)
+	}
+	if tail := st.Records[len(st.Records)-len(bounded.Records):]; !reflect.DeepEqual(tail, bounded.Records) {
+		t.Fatalf("records past the snapshot differ: %+v vs %+v", tail, bounded.Records)
 	}
 	if !reflect.DeepEqual(bounded.Alerts, st.Alerts) {
 		t.Fatalf("alerts differ: %+v vs %+v", bounded.Alerts, st.Alerts)
-	}
-	if !reflect.DeepEqual(bounded.Specs, st.Specs) {
-		t.Fatal("specs differ")
-	}
-	// Log tails beyond the epoch must match entry for entry.
-	var boundedTail, fullTail [][]byte
-	bounded.Log.Range(func(e *wlog.Entry) bool {
-		boundedTail = append(boundedTail, EncodeEntry(nil, e))
-		return true
-	})
-	st.Log.Range(func(e *wlog.Entry) bool {
-		if e.LSN > epoch {
-			fullTail = append(fullTail, EncodeEntry(nil, e))
-		}
-		return true
-	})
-	if !reflect.DeepEqual(boundedTail, fullTail) {
-		t.Fatalf("log tails differ: %d vs %d entries", len(boundedTail), len(fullTail))
 	}
 }
 
@@ -207,16 +142,10 @@ func TestSnapshotRetiresSegments(t *testing.T) {
 	if err := wal.Close(); err != nil {
 		t.Fatal(err)
 	}
-	// The retired layout still restores, to the same state.
-	st2 := reopen(t, dir, Options{})
-	if st2.Epoch != snap.Epoch {
-		t.Errorf("restored epoch %d, want %d", st2.Epoch, snap.Epoch)
-	}
-	// Every run had retired before the checkpoint: it comes back as a
-	// tombstone with the same status.
-	forgetRetired(t, st, st2.Tombs)
-	if len(st.Runs) != 0 || len(st2.Runs) != 0 {
-		t.Errorf("runs left live across checkpoint:\n %+v\n %+v", st.Runs, st2.Runs)
+	// The retired layout still opens, to the snapshot and nothing past it.
+	st2 := recovered(t, dir)
+	if st2.Snapshot == nil || st2.Snapshot.Epoch != snap.Epoch || len(st2.Records) != 0 {
+		t.Errorf("recovered snapshot %+v and %d records, want the snapshot at epoch %d alone", st2.Snapshot, len(st2.Records), snap.Epoch)
 	}
 
 	// A second checkpoint supersedes the first: exactly one snapshot file
@@ -239,18 +168,18 @@ func TestSnapshotRetiresSegments(t *testing.T) {
 	if len(snaps) != 1 || snaps[0] != snap2.Seq {
 		t.Errorf("snapshot files after second checkpoint: %v, want just %d", snaps, snap2.Seq)
 	}
-	reopen(t, dir, Options{})
+	recovered(t, dir)
 }
 
 // TestCrashDuringSnapshotWrite: a temp snapshot file left by a crash must
 // not poison the restore — the previous snapshot governs.
 func TestCrashDuringSnapshotWrite(t *testing.T) {
 	dir, _ := checkpointDir(t, 2, 3)
-	want := reopen(t, copyDir(t, dir), Options{})
+	want := recovered(t, copyDir(t, dir))
 
 	cp := copyDir(t, dir)
 	if err := os.WriteFile(filepath.Join(cp, snapName(999)+".tmp"), []byte("partial"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	mustEqualStates(t, want, reopen(t, cp, Options{}), "stray tmp snapshot")
+	mustEqualStates(t, want, recovered(t, cp), "stray tmp snapshot")
 }

@@ -32,7 +32,6 @@ import (
 
 	"selfheal/internal/data"
 	"selfheal/internal/obs"
-	"selfheal/internal/wf"
 	"selfheal/internal/wlog"
 )
 
@@ -52,9 +51,6 @@ type Options struct {
 	// and bulk test setup only: a crash may lose or tear acknowledged
 	// records.
 	NoSync bool
-	// ReplayParallel is the worker count of the parallel restore phase.
-	// Default GOMAXPROCS; 1 forces the serial reference path.
-	ReplayParallel int
 }
 
 func (o *Options) fill() {
@@ -116,19 +112,12 @@ type WAL struct {
 // ErrClosed is returned by appends and syncs on a closed WAL.
 var ErrClosed = errors.New("durable: WAL closed")
 
-// Open opens (creating if needed) the WAL directory, restores the latest
-// complete snapshot plus the log suffix (see restore.go), which leaves the
-// segment log positioned after the last complete record, and starts the
-// group-commit goroutine. The returned State is the fully rebuilt system
-// state.
+// Open opens (creating if needed) the WAL directory, recovers the latest
+// complete snapshot and the records past it (see restore.go), which leaves
+// the segment log positioned after the last complete record, and starts the
+// group-commit goroutine. The caller rebuilds its state from the returned
+// State and then attaches its log (AttachLog).
 func Open(dir string, opts Options) (*WAL, *State, error) {
-	return OpenIn(dir, opts, nil)
-}
-
-// OpenIn is Open compiling the restored live specs through the service's
-// intern table tab (wfjson.BuildIn), so a restored run shares its spec facts
-// with every run the service registers afterwards.
-func OpenIn(dir string, opts Options, tab *wf.Interner) (*WAL, *State, error) {
 	opts.fill()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, err
@@ -137,7 +126,7 @@ func OpenIn(dir string, opts Options, tab *wf.Interner) (*WAL, *State, error) {
 	w.work = sync.NewCond(&w.mu)
 	w.done = sync.NewCond(&w.mu)
 
-	st, err := w.restore(tab)
+	st, err := w.restore()
 	if err != nil {
 		if w.log != nil {
 			w.log.Close()
@@ -329,6 +318,15 @@ func (w *WAL) Replayed() (records int, d time.Duration) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.replayed, w.replayDur
+}
+
+// AddReplayTime adds d, the time its caller took to apply the replayed
+// records, to the restore's cost, which then covers decode and apply alike.
+// Call it before Observe.
+func (w *WAL) AddReplayTime(d time.Duration) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.replayDur += d
 }
 
 // Segments returns the live segment count.

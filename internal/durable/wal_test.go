@@ -65,13 +65,12 @@ func stepEntry(t testing.TB, log *wlog.Log, run string, step int, prev wlog.Read
 	return wlog.ReadObs{Value: prev.Value + 1, Writer: string(e.ID()), WriterPos: float64(lsn)}
 }
 
-// workload drives a WAL through the full record vocabulary: R runs
-// registered with spec records, steps of committed entries, two alerts
-// (one acked), and one adopt record rewriting run r0's chain. It returns
-// without closing wal so tests can keep appending.
-func workload(t testing.TB, wal *WAL, st *State, runs, steps int) {
+// workload drives a WAL through the full record vocabulary, logging log's
+// entries: R runs registered with spec records, steps of committed entries,
+// two alerts (one acked), and one adopt record rewriting run r0's chain. It
+// returns without closing wal so tests can keep appending.
+func workload(t testing.TB, wal *WAL, log *wlog.Log, runs, steps int) {
 	t.Helper()
-	log := st.Log
 	wal.AttachLog(log)
 	for r := 0; r < runs; r++ {
 		run := fmt.Sprintf("r%d", r)
@@ -116,20 +115,21 @@ func workload(t testing.TB, wal *WAL, st *State, runs, steps int) {
 func buildDir(t testing.TB, opts Options, runs, steps int) string {
 	t.Helper()
 	dir := t.TempDir()
-	wal, st, err := Open(dir, opts)
+	wal, _, err := Open(dir, opts)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	workload(t, wal, st, runs, steps)
+	workload(t, wal, wlog.New(), runs, steps)
 	if err := wal.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
 	return dir
 }
 
-// reopen restores a WAL directory and immediately closes the WAL, handing
-// back only the state.
-func reopen(t testing.TB, dir string, opts Options) *State {
+// reopen recovers a WAL directory and immediately closes the WAL, handing
+// back what Open recovered and how many records it decoded past the
+// snapshot.
+func reopen(t testing.TB, dir string, opts Options) (*State, int) {
 	t.Helper()
 	wal, st, err := Open(dir, opts)
 	if err != nil {
@@ -138,50 +138,41 @@ func reopen(t testing.TB, dir string, opts Options) *State {
 	if err := wal.Close(); err != nil {
 		t.Fatalf("close %s: %v", dir, err)
 	}
-	if err := st.Store.CheckIndex(); err != nil {
-		t.Fatalf("restored store index: %v", err)
-	}
+	replayed, _ := wal.Replayed()
+	return st, replayed
+}
+
+// recovered is reopen's State alone.
+func recovered(t testing.TB, dir string) *State {
+	t.Helper()
+	st, _ := reopen(t, dir, Options{})
 	return st
 }
 
-// logEntries returns the log's entries re-encoded, for order-sensitive
-// byte comparison.
-func logEntries(l *wlog.Log) [][]byte {
-	var out [][]byte
-	l.Range(func(e *wlog.Entry) bool {
-		out = append(out, EncodeEntry(nil, e))
-		return true
-	})
-	return out
-}
-
-// mustEqualStates fails unless two restored states are fully equivalent.
+// mustEqualStates fails unless two recoveries found the same snapshot, the
+// same records past it and the same pending alerts.
 func mustEqualStates(t testing.TB, want, got *State, label string) {
 	t.Helper()
-	if want.Epoch != got.Epoch {
-		t.Fatalf("%s: epoch %d != %d", label, got.Epoch, want.Epoch)
+	if !reflect.DeepEqual(want.Snapshot, got.Snapshot) {
+		t.Fatalf("%s: snapshots differ", label)
 	}
-	if !data.Equal(want.Store, got.Store) {
-		t.Fatalf("%s: stores differ:\n%s", label, data.Diff(want.Store, got.Store))
-	}
-	if w, g := logEntries(want.Log), logEntries(got.Log); !reflect.DeepEqual(w, g) {
-		t.Fatalf("%s: logs differ (%d vs %d entries)", label, len(w), len(g))
-	}
-	if !reflect.DeepEqual(want.Runs, got.Runs) {
-		t.Fatalf("%s: run frontiers differ:\n want %+v\n got  %+v", label, want.Runs, got.Runs)
-	}
-	if !reflect.DeepEqual(want.Specs, got.Specs) {
-		t.Fatalf("%s: specs differ", label)
+	if !reflect.DeepEqual(want.Records, got.Records) {
+		t.Fatalf("%s: records differ (%d vs %d)", label, len(want.Records), len(got.Records))
 	}
 	if !reflect.DeepEqual(want.Alerts, got.Alerts) {
 		t.Fatalf("%s: alerts differ:\n want %+v\n got  %+v", label, want.Alerts, got.Alerts)
 	}
-	if !reflect.DeepEqual(want.PreEpoch, got.PreEpoch) {
-		t.Fatalf("%s: pre-epoch run sets differ: want %v, got %v", label, want.PreEpoch, got.PreEpoch)
+}
+
+// entryRecords returns the entries among records, in order.
+func entryRecords(records []Record) []*wlog.Entry {
+	var out []*wlog.Entry
+	for _, r := range records {
+		if r.Entry != nil {
+			out = append(out, r.Entry)
+		}
 	}
-	if !reflect.DeepEqual(want.Graph, got.Graph) {
-		t.Fatalf("%s: graph frontiers differ", label)
-	}
+	return out
 }
 
 // copyDir clones a WAL directory into a fresh temp dir.
@@ -206,28 +197,36 @@ func copyDir(t testing.TB, src string) string {
 
 // --- tests ---------------------------------------------------------------
 
+// TestRestoreAfterCleanClose: Open recovers every record the workload wrote
+// in order — each run's spec record with its seeded key, its entries at
+// dense LSNs, the adopt record last — and settles the alerts: alert 1 was
+// acked, alert 2 is pending. The state they restore to is asserted in
+// internal/shard (TestBootAfterCleanClose).
 func TestRestoreAfterCleanClose(t *testing.T) {
-	dir := buildDir(t, Options{}, 3, 4)
-	st := reopen(t, dir, Options{})
-
-	if st.Log.Len() != 12 {
-		t.Errorf("restored log has %d entries, want 12", st.Log.Len())
+	st, replayed := reopen(t, buildDir(t, Options{}, 3, 4), Options{})
+	if st.Snapshot != nil {
+		t.Fatalf("no checkpoint was written, but Open found snapshot %d", st.Snapshot.Seq)
 	}
-	// Every run stepped to completion; r0's adopt record then rewrote its
-	// chain to the recovery version.
-	snap := st.Store.Snapshot()
-	for _, run := range []string{"r1", "r2"} {
-		if v := snap[runKey(run)]; v != 4 {
-			t.Errorf("restored %s = %d, want 4", runKey(run), v)
+	// 3 × (spec + 4 entries), 2 alerts, an ack and an adopt.
+	if replayed != 19 || len(st.Records) != 16 {
+		t.Fatalf("decoded %d records, %d of them state records; want 19 and 16", replayed, len(st.Records))
+	}
+	lsn := 0
+	for r := 0; r < 3; r++ {
+		run := fmt.Sprintf("r%d", r)
+		spec := st.Records[5*r]
+		if spec.Run != run || spec.Spec == nil || !reflect.DeepEqual(spec.Spec.Init, map[data.Key]data.Value{runKey(run): 0}) {
+			t.Fatalf("record %d = %+v, want %s's spec record seeding %s", 5*r, spec, run, runKey(run))
+		}
+		for i, rec := range st.Records[5*r+1 : 5*r+5] {
+			lsn++
+			if e := rec.Entry; e == nil || e.LSN != lsn || e.Run != run || e.Task != wf.TaskID(fmt.Sprintf("t%d", i)) {
+				t.Fatalf("record %d = %+v, want %s's step %d at LSN %d", 5*r+1+i, rec, run, i, lsn)
+			}
 		}
 	}
-	if v := snap[runKey("r0")]; v != 41 {
-		t.Errorf("adopted chain value = %d, want 41", v)
-	}
-	for run, rs := range st.Runs {
-		if rs.Status != RunDone {
-			t.Errorf("run %s restored as %s, want done", run, rs.Status)
-		}
+	if a := st.Records[15].Adopt; a == nil || len(a.Fronts) != 1 || a.Fronts[0].Run != "r0" || a.Chains[runKey("r0")][1].Value != 41 {
+		t.Fatalf("last record = %+v, want r0's adopt record", st.Records[15])
 	}
 	// Alert 2 was never acked; alert 1 was.
 	if len(st.Alerts) != 1 {
@@ -236,23 +235,11 @@ func TestRestoreAfterCleanClose(t *testing.T) {
 	if got := st.Alerts[0].Bad[0]; got != wlog.FormatInstance("r0", "t1", 1) {
 		t.Errorf("pending alert names %s", got)
 	}
-	if len(st.PreEpoch) != 0 {
-		t.Errorf("no snapshot yet, but pre-epoch runs %v", st.PreEpoch)
-	}
 }
 
 func TestRestoreIsDeterministic(t *testing.T) {
 	dir := buildDir(t, Options{}, 3, 5)
-	a := reopen(t, dir, Options{})
-	b := reopen(t, dir, Options{})
-	mustEqualStates(t, a, b, "repeated restore")
-}
-
-func TestSerialAndParallelReplayAgree(t *testing.T) {
-	dir := buildDir(t, Options{}, 4, 6)
-	serial := reopen(t, dir, Options{ReplayParallel: 1})
-	parallel := reopen(t, dir, Options{ReplayParallel: 8})
-	mustEqualStates(t, serial, parallel, "serial vs parallel replay")
+	mustEqualStates(t, recovered(t, dir), recovered(t, dir), "repeated restore")
 }
 
 func TestSegmentRotation(t *testing.T) {
@@ -264,10 +251,9 @@ func TestSegmentRotation(t *testing.T) {
 	if len(segs) < 2 {
 		t.Fatalf("SegmentBytes=256 produced %d segments, want several", len(segs))
 	}
-	// Rotated layout restores identically to a single-segment layout of
+	// Rotated layout recovers identically to a single-segment layout of
 	// the same records.
-	mustEqualStates(t, reopen(t, buildDir(t, Options{}, 3, 6), Options{}),
-		reopen(t, dir, Options{}), "rotated vs single segment")
+	mustEqualStates(t, recovered(t, buildDir(t, Options{}, 3, 6)), recovered(t, dir), "rotated vs single segment")
 }
 
 func TestAppendAfterCloseFails(t *testing.T) {
@@ -304,13 +290,14 @@ func TestAppendAfterCloseFails(t *testing.T) {
 // than records.
 func TestGroupCommitAbsorption(t *testing.T) {
 	dir := t.TempDir()
-	wal, st, err := Open(dir, Options{GroupWait: 2 * time.Millisecond})
+	wal, _, err := Open(dir, Options{GroupWait: 2 * time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
 	wal.Observe(reg)
-	wal.AttachLog(st.Log)
+	log := wlog.New()
+	wal.AttachLog(log)
 
 	const committers = 32
 	var start, done sync.WaitGroup
@@ -321,7 +308,7 @@ func TestGroupCommitAbsorption(t *testing.T) {
 		go func(i int) {
 			defer done.Done()
 			start.Wait()
-			_, err := st.Log.Append(&wlog.Entry{
+			_, err := log.Append(&wlog.Entry{
 				Run: "", Task: wf.TaskID(fmt.Sprintf("bg%d", i)), Visit: 1, Forged: true,
 				Writes: wlog.WritesOf(map[data.Key]data.Value{data.Key(fmt.Sprintf("g%d", i)): 1}),
 			})

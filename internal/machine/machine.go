@@ -23,6 +23,7 @@
 package machine
 
 import (
+	"bytes"
 	"fmt"
 	"maps"
 	"slices"
@@ -36,6 +37,7 @@ import (
 	"selfheal/internal/recovery"
 	"selfheal/internal/triage"
 	"selfheal/internal/wf"
+	"selfheal/internal/wfjson"
 	"selfheal/internal/wlog"
 )
 
@@ -112,47 +114,58 @@ func New(eng *engine.Engine, tab *wf.Interner) *Machine {
 	}
 }
 
-// Restore rebuilds the machine a restored durable state describes — the
-// log, store, specs and run frontiers at the horizon, plus whatever was
-// replayed past it — and forgets what the horizon covers, exactly as the
-// live checkpoint that wrote the snapshot did (Forget).
-func Restore(tab *wf.Interner, st *durable.State) (*Machine, error) {
-	m := New(engine.New(st.Store, st.Log), tab)
-	m.pre = make(map[string]map[wf.TaskID]int, len(st.PreEpoch))
-	for id, rs := range st.Runs {
-		spec := st.Workflows[id]
-		if spec == nil {
-			return nil, fmt.Errorf("machine: restored run %s has no spec", id)
+// Restore rebuilds the machine a snapshot describes — its store chains at
+// the horizon, the live runs' specs, compiled into tab, and their frontiers —
+// on an empty log based at the snapshot's epoch, and forgets what the horizon
+// covers, exactly as the live checkpoint that wrote the snapshot did
+// (Forget). A nil snapshot is the empty machine. Both a durable service and a
+// cluster replica boot here and replay the records past the snapshot through
+// Register and Init, Apply and Install.
+func Restore(tab *wf.Interner, snap *durable.Snapshot) (*Machine, error) {
+	if snap == nil {
+		return New(engine.New(data.NewStore(), wlog.New()), tab), nil
+	}
+	store, err := data.NewStoreFromChains(snap.Chains)
+	if err != nil {
+		return nil, fmt.Errorf("machine: snapshot %d: %w", snap.Seq, err)
+	}
+	m := New(engine.New(store, wlog.NewAt(snap.Epoch)), tab)
+	h := snap.Horizon()
+	m.pre = make(map[string]map[wf.TaskID]int, len(h.PreEpoch))
+	for id, rs := range snap.Runs {
+		if _, gone := h.Tombs[id]; gone {
+			continue
 		}
-		status := statusOf(rs.Status)
-		if status == Live && rs.Cur == "" {
-			// A repair moved the run past its end, and the checkpoint
-			// caught it before its driver retired it: it is done.
-			status = Done
+		sp, ok := snap.Specs[id]
+		if !ok {
+			return nil, fmt.Errorf("machine: snapshot %d: run %s has no spec", snap.Seq, id)
 		}
+		spec, _, err := wfjson.DecodeIn(tab, bytes.NewReader(sp.JSON))
+		if err != nil {
+			return nil, fmt.Errorf("machine: snapshot %d: spec of run %s: %w", snap.Seq, id, err)
+		}
+		// Every retired run is a tombstone. A run at no task was moved past
+		// its end by a repair, and the checkpoint caught it before its
+		// driver retired it: it is done.
+		done := rs.Cur == ""
 		visits := make(map[wf.TaskID]int, len(rs.Visits))
 		for t, n := range rs.Visits {
 			visits[tab.TaskID(string(t))] = n
 		}
-		r, err := m.eng.RestoreRun(id, spec, tab.TaskID(string(rs.Cur)), visits, status == Done, status == Failed)
+		r, err := m.eng.RestoreRun(id, spec, tab.TaskID(string(rs.Cur)), visits, done, false)
 		if err != nil {
 			return nil, fmt.Errorf("machine: restoring run %s: %w", id, err)
 		}
-		m.specs[id] = spec
-		m.runs[id] = &Run{Run: *r, status: status}
-		if rs.Err != "" {
-			m.errs[id] = rs.Err
-		}
-		if status != Live {
+		m.specs[id], m.runs[id] = spec, &Run{Run: *r}
+		if done {
+			m.runs[id].status = Done
 			m.noteBareLocked(id)
 		}
-		if st.PreEpoch[id] {
-			// The visits the snapshot recorded, and those replayed past it,
-			// which the log holds.
-			m.pre[id] = maps.Clone(visits)
+		if h.PreEpoch[id] {
+			m.pre[id] = visits // the snapshot's visits: all at or beneath the epoch
 		}
 	}
-	m.Forget(st.Horizon)
+	m.Forget(h)
 	m.Retain(false)
 	return m, nil
 }

@@ -201,7 +201,7 @@ func Catalog() []Def {
 		{MWalAppendedBytes, "counter", "—", "§II.A", "Bytes appended to WAL segments."},
 		{MWalSegments, "gauge", "—", "§I", "Live WAL segment files (grows with appends, shrinks at snapshot retirement)."},
 		{MWalSnapshots, "counter", "—", "§I", "Durable store snapshots written at compaction checkpoints."},
-		{MWalReplaySeconds, "sum", "—", "§I", "Total wall-clock time spent replaying the WAL at boot."},
+		{MWalReplaySeconds, "sum", "—", "§I", "Total wall-clock time spent replaying the WAL at boot: snapshot load, decode, and apply through the machine."},
 		{MWalReplayedRecords, "counter", "—", "§I", "WAL records decoded and replayed at boot (snapshot-covered records are skipped)."},
 	}
 }

@@ -257,13 +257,3 @@ func replayComponents(st *data.Store, log *wlog.Log, specs map[string]*wf.Spec, 
 	sortIDs(it.newExecuted)
 	return it, nil
 }
-
-// KeyComponents exposes the key-footprint component decomposition to other
-// layers: it returns each key's component index (keys outside every logged
-// run's footprint are absent) and the component count. The durable restore
-// path partitions its parallel chain replay along these components, so the
-// unit of replay parallelism matches the unit of repair parallelism.
-func KeyComponents(log *wlog.Log, specs map[string]*wf.Spec) (map[data.Key]int, int) {
-	list, keyComp, _ := buildComponents(log, specs)
-	return keyComp, len(list)
-}

@@ -1,13 +1,17 @@
 // Durable service mode: the sharded self-healing service over a
 // write-ahead log (internal/durable).
 //
-// NewDurable restores the complete system state — store, log suffix,
-// dependence-graph frontier, live runs' specs and frontiers, retired runs'
-// tombstones, un-acked alerts — from the WAL directory's latest snapshot plus a
-// snapshot-bounded parallel replay, then wires the service so every state
-// transition is logged before a client can observe it. WAL sequence order
-// makes whatever survives a crash a consistent prefix, so nothing in the
-// commit pipeline waits on the disk; each caller waits for what it hands out:
+// NewDurable boots the way a cluster replica does: machine.Restore rebuilds
+// the machine from the WAL directory's latest snapshot — store, live runs'
+// specs and frontiers, retired runs' tombstones, the horizon — and every
+// spec, entry and adopt record past it is applied through the machine as the
+// live service applied it (Register and Init, Apply, Install), the one code
+// that turns records into state in every mode. The dependence graph resumes
+// from the snapshot's frontier and the un-acked alerts re-enter triage. Only
+// then is the WAL attached, so every later state transition is logged
+// before a client can observe it. WAL sequence order makes whatever survives
+// a crash a consistent prefix, so nothing in the commit pipeline waits on
+// the disk; each caller waits for what it hands out:
 //
 //   - committed entries ride the log's OnAppend hook into the WAL; a run
 //     reads done once the WAL's durable prefix covers its retirement;
@@ -33,7 +37,9 @@
 package shard
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"time"
 
@@ -47,34 +53,45 @@ import (
 	"selfheal/internal/wlog"
 )
 
+// ErrStreamOrder marks a WAL no live service could have written: a spec
+// record seeding a key that an earlier record already wrote. A live service
+// seeds a run's initial values exclusive with group commits and logs only
+// the keys it seeded, which had no version yet; the machine's first-writer-
+// wins Init would skip such a key and silently diverge from the store that
+// ran, so the boot refuses the record instead.
+var ErrStreamOrder = errors.New("shard: WAL record out of stream order")
+
 // NewDurable builds a sharded service backed by the WAL directory dir,
 // restoring any state a previous process persisted there. Call Start to
 // spin up the workers (restored active runs resume stepping, restored
 // pending alerts re-enter triage) and Stop to flush and close the WAL.
 func NewDurable(cfg Config, dir string, dopts durable.Options) (*Service, error) {
 	cfg = cfg.withDefaults()
-	tab := wf.NewInterner()
-	wal, st, err := durable.OpenIn(dir, dopts, tab)
+	wal, st, err := durable.Open(dir, dopts)
 	if err != nil {
 		return nil, err
 	}
-	// The restore built the state at the horizon; the machine forgets it
-	// there, registering the tombstones and the pre-epoch runs, as a live
-	// checkpoint does.
-	m, err := machine.Restore(tab, st)
+	start := time.Now()
+	m, specs, err := replay(wf.NewInterner(), st)
 	if err != nil {
 		_ = wal.Close()
 		return nil, err
 	}
+	wal.AddReplayTime(time.Since(start))
 	// The graph resumes from the snapshot frontier and folds only the
-	// restored log suffix (the OnAppend catch-up), not the full history.
-	s := newService(cfg, m, deps.NewIncrementalFrom(st.Log, st.Graph))
-	s.wal, s.specStates, s.restoredAlerts = wal, st.Specs, st.Alerts
+	// replayed log suffix (the OnAppend catch-up), not the full history.
+	var frontier deps.Frontier
+	if st.Snapshot != nil {
+		frontier = st.Snapshot.Graph
+	}
+	s := newService(cfg, m, deps.NewIncrementalFrom(m.Log(), frontier))
+	s.wal, s.specStates, s.restoredAlerts = wal, specs, st.Alerts
 	s.liveAlerts = make(map[uint64][]wlog.InstanceID, len(st.Alerts))
-	// Attach the WAL after the graph: OnAppend hooks run in subscription
-	// order, and the graph must observe an entry before its record can be
-	// flushed (the graph is snapshot state; the WAL record is its replay).
-	wal.AttachLog(st.Log)
+	// Attach the WAL after the replay, which it must not log again, and
+	// after the graph: OnAppend hooks run in subscription order, and the
+	// graph must observe an entry before its record can be flushed (the
+	// graph is snapshot state; the WAL record is its replay).
+	wal.AttachLog(m.Log())
 	s.com.fault = func() error { _, err := wal.Durable(); return err }
 	s.exec.durable, s.exec.undurable = wal.Durable, make(map[string]int)
 	for _, pa := range st.Alerts {
@@ -91,8 +108,74 @@ func NewDurable(cfg Config, dir string, dopts durable.Options) (*Service, error)
 	return s, nil
 }
 
+// replay rebuilds the machine a WAL directory holds: the snapshot's
+// (machine.Restore), then every record past it applied the way the live
+// service applied it, with the machine calls a cluster replica makes for its
+// journal's records. It returns the machine and the registrations of its
+// unburied runs.
+func replay(tab *wf.Interner, st *durable.State) (*machine.Machine, map[string]durable.SpecState, error) {
+	m, err := machine.Restore(tab, st.Snapshot)
+	if err != nil {
+		return nil, nil, err
+	}
+	specs := make(map[string]durable.SpecState)
+	if st.Snapshot != nil {
+		for run, sp := range st.Snapshot.Specs {
+			if _, gone := m.Buried(run); !gone {
+				specs[run] = sp
+			}
+		}
+	}
+	for i, rec := range st.Records {
+		if err := applyRecord(m, rec); err != nil {
+			return nil, nil, fmt.Errorf("shard: WAL record %d past the snapshot: %w", i+1, err)
+		}
+		if rec.Spec != nil {
+			specs[rec.Run] = *rec.Spec
+		}
+	}
+	return m, specs, nil
+}
+
+// applyRecord applies one replayed record: an entry commits and advances
+// its run; an adopt record installs a repair's effect and retires the runs
+// it completed; a spec record registers its run and seeds its initial
+// values, every one of which must still be missing (ErrStreamOrder).
+func applyRecord(m *machine.Machine, rec durable.Record) error {
+	switch {
+	case rec.Entry != nil:
+		_, err := m.Apply(rec.Entry)
+		return err
+	case rec.Adopt != nil:
+		if err := m.Install(machine.Effect{Adopt: *rec.Adopt}); err != nil {
+			return err
+		}
+		for _, f := range rec.Adopt.Fronts {
+			if f.Done {
+				m.Retire(f.Run, machine.Done, "")
+			}
+		}
+		return nil
+	}
+	spec, _, err := wfjson.DecodeIn(m.Tab(), bytes.NewReader(rec.Spec.JSON))
+	if err != nil {
+		return fmt.Errorf("spec of run %s: %w", rec.Run, err)
+	}
+	for k := range rec.Spec.Init {
+		if _, ok := m.Store().Get(k); ok {
+			return fmt.Errorf("run %s seeds %q, which an earlier record wrote: %w", rec.Run, k, ErrStreamOrder)
+		}
+	}
+	if _, err := m.Register(rec.Run, spec); err != nil {
+		return err
+	}
+	m.Init(rec.Spec.Init)
+	return nil
+}
+
 // ReplayStats reports the cost of the boot-time restore: how many WAL
-// records were replayed past the snapshot and how long the restore took.
+// records were replayed past the snapshot and how long decoding and
+// applying them took.
 func (s *Service) ReplayStats() (records int, d time.Duration) {
 	if s.wal == nil {
 		return 0, 0

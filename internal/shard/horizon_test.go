@@ -77,6 +77,11 @@ func assertRestartEqualsLive(t *testing.T, svc *Service, dir, label string, forg
 	waitIdle(t, svc)
 	drainRecovery(t, svc)
 	waitIdle(t, svc)
+	// Ack records are not synced: the copy must hold every record the live
+	// state reflects.
+	if err := svc.wal.Sync(); err != nil {
+		t.Fatalf("%s: sync: %v", label, err)
+	}
 	cp := t.TempDir()
 	copyTree(t, dir, cp)
 	re, err := NewDurable(svc.cfg, cp, durable.Options{NoSync: true})
@@ -145,8 +150,9 @@ func assertRestartEqualsLive(t *testing.T, svc *Service, dir, label string, forg
 // horizonEpisode drives a seeded episode of runs, forged tasks with their
 // alerts, and checkpoints at random points on a durable service — with runs
 // in flight, so some straddle the horizon — and calls checked after every
-// checkpoint. It returns how many checkpoints it took.
-func horizonEpisode(t *testing.T, svc *Service, seed int64, checked func(label string, forged []wlog.InstanceID)) int {
+// checkpoint and, when set, admitted after every forge's alert is admitted.
+// It returns how many checkpoints it took.
+func horizonEpisode(t *testing.T, svc *Service, seed int64, checked, admitted func(label string, forged []wlog.InstanceID)) int {
 	t.Helper()
 	const ops, tenants = 48, 3
 	rng := rand.New(rand.NewSource(seed))
@@ -172,8 +178,12 @@ func horizonEpisode(t *testing.T, svc *Service, seed int64, checked func(label s
 				t.Fatalf("%s: %v", label, err)
 			}
 			forged = append(forged, inst)
-			if err := svc.Report([]wlog.InstanceID{inst}); err != nil && !errors.Is(err, ErrQueueFull) {
+			err = svc.Report([]wlog.InstanceID{inst})
+			if err != nil && !errors.Is(err, ErrQueueFull) {
 				t.Fatalf("%s: %v", label, err)
+			}
+			if err == nil && admitted != nil {
+				admitted(label, forged)
 			}
 		default:
 			// Whether a generated run is still in flight at the
@@ -221,12 +231,55 @@ func TestRestartEqualsLive(t *testing.T) {
 		checkpoints += horizonEpisode(t, svc, seed, func(label string, forged []wlog.InstanceID) {
 			p, tb := assertRestartEqualsLive(t, svc, dir, label, forged)
 			pre, tombs = pre+p, tombs+tb
-		})
+		}, nil)
 	}
 	t.Logf("%d checkpoints compared, %d pre-epoch runs and %d tombstones among them", checkpoints, pre, tombs)
 	if checkpoints < seeds || pre == 0 || tombs == 0 {
 		t.Fatalf("%d checkpoints, %d pre-epoch runs, %d tombstones: the episodes are near-vacuous", checkpoints, pre, tombs)
 	}
+}
+
+// TestRestartMidIntervalEqualsLive: a restart between checkpoints replays
+// every record past the snapshot through the machine — spec, entry, adopt,
+// alert and ack — and must rebuild the live service as well as a restart
+// right after a checkpoint does. Seeded episodes restart a copy of the
+// directory once each admitted alert's repair has drained, before the next
+// checkpoint.
+func TestRestartMidIntervalEqualsLive(t *testing.T) {
+	const seeds = 4
+	restarts, adopts, pre := 0, 0, 0
+	for seed := int64(1); seed <= seeds; seed++ {
+		dir := t.TempDir()
+		svc := startDurable(t, dir, Config{Shards: 2}, durable.Options{NoSync: true})
+		horizonEpisode(t, svc, seed, func(string, []wlog.InstanceID) {}, func(label string, forged []wlog.InstanceID) {
+			p, _ := assertRestartEqualsLive(t, svc, dir, label+" (mid-interval)", forged)
+			restarts, pre = restarts+1, pre+p
+			adopts += adoptsPastSnapshot(t, dir)
+		})
+	}
+	t.Logf("%d mid-interval restarts compared, replaying %d adopt records; %d pre-epoch runs among them", restarts, adopts, pre)
+	if restarts < seeds || adopts < restarts || pre == 0 {
+		t.Fatalf("%d restarts, %d adopt records replayed, %d pre-epoch runs: the episodes are near-vacuous", restarts, adopts, pre)
+	}
+}
+
+// adoptsPastSnapshot counts the adopt records a restart of dir replays.
+func adoptsPastSnapshot(t *testing.T, dir string) int {
+	t.Helper()
+	cp := t.TempDir()
+	copyTree(t, dir, cp)
+	wal, st, err := durable.Open(cp, durable.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wal.Close()
+	n := 0
+	for _, rec := range st.Records {
+		if rec.Adopt != nil {
+			n++
+		}
+	}
+	return n
 }
 
 // TestHorizonAtHeadEqualsSnapshot: the horizon an in-memory service computes
@@ -266,7 +319,7 @@ func TestHorizonAtHeadEqualsSnapshot(t *testing.T) {
 			if mismatch != nil {
 				t.Fatalf("%s: %v", label, mismatch)
 			}
-		})
+		}, nil)
 	}
 	t.Logf("%d horizons compared, %d pre-epoch runs and %d forged-run tombstones among them", compared, pre, forgedTombs)
 	if compared < seeds || pre == 0 || forgedTombs == 0 {

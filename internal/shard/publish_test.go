@@ -14,6 +14,7 @@ import (
 
 	"selfheal/internal/data"
 	"selfheal/internal/durable"
+	"selfheal/internal/machine"
 )
 
 // The durable service acknowledges a step once it is applied in memory and
@@ -22,9 +23,9 @@ import (
 // that instant — and require the copy to restore it. A GroupWait makes the
 // WAL lag behind memory, so a result published early is caught in the gap.
 
-// crashCopy copies the WAL directory as it is on disk now and restores the
-// copy.
-func crashCopy(t *testing.T, dir string) *durable.State {
+// crashCopy copies the WAL directory as it is on disk now and boots a
+// service on the copy (restoreDir).
+func crashCopy(t *testing.T, dir string) *Service {
 	t.Helper()
 	cp := filepath.Join(t.TempDir(), "crash")
 	copyTree(t, dir, cp)
@@ -40,18 +41,6 @@ func waitLogLen(t *testing.T, svc *Service, n int) {
 		}
 		time.Sleep(50 * time.Microsecond)
 	}
-}
-
-func restoreDir(t *testing.T, dir string) *durable.State {
-	t.Helper()
-	wal, st, err := durable.Open(dir, durable.Options{})
-	if err != nil {
-		t.Fatalf("restoring %s: %v", dir, err)
-	}
-	if err := wal.Close(); err != nil {
-		t.Fatal(err)
-	}
-	return st
 }
 
 // TestDoneImpliesDurable: the first time RunInfo reads done, the run's whole
@@ -91,11 +80,11 @@ func TestDoneImpliesDurable(t *testing.T) {
 		}
 		st := crashCopy(t, dir)
 		for _, id := range fresh {
-			if rs := st.Runs[id]; rs.Status != durable.RunDone {
-				t.Errorf("run %s read done, but a copy taken then restores it %q", id, rs.Status)
+			if status, _, _ := st.m.Status(id); status != machine.Done {
+				t.Errorf("run %s read done, but a copy taken then restores it %s", id, status)
 			}
 			k := data.Key(fmt.Sprintf("%s.k%d", id, steps))
-			if v, ok := st.Store.Get(k); !ok || v.Value != durableVal(steps) {
+			if v, ok := st.Store().Get(k); !ok || v.Value != durableVal(steps) {
 				t.Errorf("run %s read done, but a copy taken then restores %s = %d (present %v), want %d",
 					id, k, v.Value, ok, durableVal(steps))
 			}
@@ -131,7 +120,7 @@ func TestSubmitAckImpliesSpecDurable(t *testing.T) {
 		}
 	}
 	for id, cp := range copies {
-		if _, ok := restoreDir(t, cp).Specs[id]; !ok {
+		if !restoreDir(t, cp).m.Has(id) {
 			t.Errorf("SubmitRunSpec(%s) returned, but a copy taken then does not know the run", id)
 		}
 	}
@@ -192,30 +181,31 @@ func TestCheckpointCoversOnlyDurablePrefix(t *testing.T) {
 			}
 		}
 		bounded, replayed := restoreDir(t, cp), restoreDir(t, full)
-		if bounded.Epoch == 0 {
+		epoch := bounded.m.Epoch()
+		if epoch == 0 {
 			t.Fatalf("%s: no snapshot restored", cp)
 		}
-		replayed.Store.CompactBefore(float64(bounded.Epoch))
-		if !data.Equal(bounded.Store, replayed.Store) {
-			t.Errorf("%s: snapshot+tail store differs from full replay:\n%s", cp, data.Diff(bounded.Store, replayed.Store))
+		replayed.Store().CompactBefore(float64(epoch))
+		if !data.Equal(bounded.Store(), replayed.Store()) {
+			t.Errorf("%s: snapshot+tail store differs from full replay:\n%s", cp, data.Diff(bounded.Store(), replayed.Store()))
 		}
 		// A run the snapshot keeps only as a tombstone is one the full
 		// replay retired with the same status; the rest match record for
 		// record.
-		for run, tb := range bounded.Tombs {
-			if rs, ok := replayed.Runs[run]; !ok || rs.Status != tb.Status || rs.Err != tb.Err {
-				t.Errorf("%s: tombstone %s %+v, full replay %+v", cp, run, tb, rs)
+		tombs := bounded.m.Tombs()
+		for run, tb := range tombs {
+			if status, msg, ok := replayed.m.Status(run); !ok || status.String() != tb.Status || msg != tb.Err {
+				t.Errorf("%s: tombstone %s %+v, full replay %s %q (known %v)", cp, run, tb, status, msg, ok)
 			}
-			delete(replayed.Runs, run)
-			delete(replayed.Specs, run)
 		}
-		if !reflect.DeepEqual(bounded.Runs, replayed.Runs) {
-			t.Errorf("%s: snapshot+tail run frontiers differ from full replay", cp)
+		b, f := bounded.m.Capture(), replayed.m.Capture()
+		if !reflect.DeepEqual(b.Runs, f.Runs) || !reflect.DeepEqual(b.Tombs, f.Tombs) {
+			t.Errorf("%s: snapshot+tail run frontiers or tombstones differ from full replay", cp)
 		}
-		if !reflect.DeepEqual(bounded.Specs, replayed.Specs) {
+		if b, f := bounded.specStates, machine.Prune(replayed.specStates, tombs); !reflect.DeepEqual(b, f) {
 			t.Errorf("%s: snapshot+tail specs differ from full replay", cp)
 		}
-		if b, f := bounded.Log.Len(), replayed.Log.Len(); b != f {
+		if b, f := bounded.Log().Len(), replayed.Log().Len(); b != f {
 			t.Errorf("%s: snapshot+tail log ends at LSN %d, full replay at %d", cp, b, f)
 		}
 	}
@@ -284,11 +274,11 @@ func TestClosedWALFailsUndurableRuns(t *testing.T) {
 			if !doneAtClose[id] {
 				t.Errorf("run %s reads done, but did not when the WAL closed", id)
 			}
-			if st.Runs[id].Status != durable.RunDone {
-				t.Errorf("run %s reads done, but the disk has it %q", id, st.Runs[id].Status)
+			if status, _, _ := st.m.Status(id); status != machine.Done {
+				t.Errorf("run %s reads done, but the disk has it %s", id, status)
 			}
 			k := data.Key(fmt.Sprintf("%s.k%d", id, steps(i)))
-			if v, _ := st.Store.Get(k); v.Value != durableVal(steps(i)) {
+			if v, _ := st.Store().Get(k); v.Value != durableVal(steps(i)) {
 				t.Errorf("run %s reads done, but the disk has %s = %d", id, k, v.Value)
 			}
 		case RunFailed.String():

@@ -96,11 +96,13 @@ fi
 # not applied yet (docs/CLUSTER.md).
 go test -race -count=10 -run '^TestForwardedAlertWaitsForForge$' ./internal/cluster/
 
-# Table gate: outside tests, shard and cluster code compiles long-lived specs
-# only through the service's intern table (wfjson.BuildIn, durable.OpenIn
-# with the table), never through a path that gives a run private copies.
-if grep -rnE --include='*.go' --exclude='*_test.go' -e 'wfjson\.(Build|Decode)\(' -e 'durable\.Open\(' \
-    -e 'NewBuilder\(' -e '\.Spec\(\)' -e '(BuildIn|DecodeIn|OpenIn)\(.*nil' internal/shard/ internal/cluster/; then
+# Table gate: outside tests, shard, cluster and machine code compiles
+# long-lived specs only through the service's intern table (wfjson.BuildIn,
+# wfjson.DecodeIn with the table — a restore's snapshot specs and replayed
+# spec records included), never through a path that gives a run private
+# copies.
+if grep -rnE --include='*.go' --exclude='*_test.go' -e 'wfjson\.(Build|Decode)\(' \
+    -e 'NewBuilder\(' -e '\.Spec\(\)' -e '(BuildIn|DecodeIn)\(.*nil' internal/shard/ internal/cluster/ internal/machine/; then
     echo "table gate: a spec compiled outside the service's intern table (see wf.Interner)" >&2
     exit 1
 fi
@@ -126,10 +128,21 @@ fi
 go test -race -count=20 -run '^(TestDoneImpliesDurable|TestSubmitAckImpliesSpecDurable|TestCheckpointCoversOnlyDurablePrefix|TestClosedWALFailsUndurableRuns)$' ./internal/shard/
 
 # Restart equals live (docs/DURABILITY.md): after every checkpoint of seeded
-# episodes the running service holds exactly the log, graph, store, runs and
+# episodes, and between checkpoints once an admitted alert's repair has
+# drained, the running service holds exactly the log, graph, store, runs and
 # pre-epoch set a restart from a copy of its directory rebuilds, and both
 # answer alerts alike — below the horizon with a typed refusal.
-go test -race -count=3 -run '^(TestRestartEqualsLive|TestAlertBelowHorizon)$' ./internal/shard/
+go test -race -count=3 -run '^(TestRestartEqualsLive|TestRestartMidIntervalEqualsLive|TestAlertBelowHorizon)$' ./internal/shard/
+
+# One replay (docs/DURABILITY.md "Boot restore"): a durable service boots as
+# a cluster replica does, restoring its machine from the snapshot
+# (machine.Restore) and applying every record past it through the machine,
+# so internal/durable only frames and decodes records: it builds no state
+# and does not import the analyzer.
+if go list -deps ./internal/durable | grep -qx 'selfheal/internal/recovery'; then
+    echo "replay gate: internal/durable imports internal/recovery (the machine is the only code that turns records into state)" >&2
+    exit 1
+fi
 
 # One horizon in every mode (docs/DURABILITY.md): an in-memory service
 # keeps its horizon three intervals beneath its head and moves it every
@@ -264,10 +277,11 @@ go test -race -count=10 -run '^TestRepairPhasesObserved$' ./internal/shard/
 # records real numbers).
 go test -run '^$' -bench '^Benchmark(Repair|AlertStorm)' -benchtime=1x .
 
-# Durability benchmark smoke: WAL append (group-commit) and restore
-# (snapshot-bounded replay) must run; BENCH_durability.json records real
-# numbers.
-go test -run '^$' -bench '^Benchmark(Append|Replay)$' -benchtime=1x ./internal/durable/
+# Durability benchmark smoke: WAL append (group-commit) and the durable
+# service's boot (snapshot-bounded replay through the machine) must run;
+# BENCH_durability.json records real numbers.
+go test -run '^$' -bench '^BenchmarkAppend$' -benchtime=1x ./internal/durable/
+go test -run '^$' -bench '^BenchmarkReplay$' -benchtime=1x ./internal/shard/
 
 # Cluster commit-path benchmark smoke: group-stamped batch submission and
 # the binary replication codec must run; BENCH_cluster.json records real
