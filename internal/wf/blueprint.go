@@ -3,6 +3,8 @@ package wf
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"strconv"
 
 	"selfheal/internal/data"
 )
@@ -103,7 +105,16 @@ func GenerateBlueprint(name string, cfg GenConfig, rng *rand.Rand) *Blueprint {
 	}
 	ids := make([]TaskID, cfg.Tasks)
 	for i := range ids {
-		ids[i] = TaskID(fmt.Sprintf("t%d", i))
+		ids[i] = TaskID("t" + strconv.Itoa(i))
+	}
+	// keys[i] is cfg.PoolKey(i), formatted on first draw.
+	keys := make([]data.Key, cfg.Keys)
+	draw := func() data.Key {
+		i := rng.Intn(cfg.Keys)
+		if keys[i] == "" {
+			keys[i] = cfg.PoolKey(i)
+		}
+		return keys[i]
 	}
 	tasks := make([]BlueprintTask, cfg.Tasks)
 	for i := range tasks {
@@ -111,20 +122,14 @@ func GenerateBlueprint(name string, cfg GenConfig, rng *rand.Rand) *Blueprint {
 		// Read and write sets draw distinct keys, so both are capped by the
 		// pool size or the draw loops below could never fill them.
 		nr := min(rng.Intn(cfg.MaxReads+1), cfg.Keys)
-		seen := make(map[data.Key]bool, nr)
 		for len(bt.Reads) < nr {
-			k := cfg.PoolKey(rng.Intn(cfg.Keys))
-			if !seen[k] {
-				seen[k] = true
+			if k := draw(); !slices.Contains(bt.Reads, k) {
 				bt.Reads = append(bt.Reads, k)
 			}
 		}
 		nw := min(1+rng.Intn(maxWrites), cfg.Keys)
-		seenW := make(map[data.Key]bool, nw)
-		for len(bt.Writes) < nw && len(seenW) < cfg.Keys {
-			k := cfg.PoolKey(rng.Intn(cfg.Keys))
-			if !seenW[k] {
-				seenW[k] = true
+		for len(bt.Writes) < nw {
+			if k := draw(); !slices.Contains(bt.Writes, k) {
 				bt.Writes = append(bt.Writes, k)
 			}
 		}
@@ -162,7 +167,7 @@ func GenerateBlueprint(name string, cfg GenConfig, rng *rand.Rand) *Blueprint {
 		if len(bt.Next) != 2 {
 			continue
 		}
-		key := cfg.PoolKey(rng.Intn(cfg.Keys))
+		key := draw()
 		if len(bt.Reads) > 0 {
 			key = bt.Reads[rng.Intn(len(bt.Reads))]
 		} else {
@@ -196,10 +201,8 @@ func GenerateBlueprint(name string, cfg GenConfig, rng *rand.Rand) *Blueprint {
 // addBlueprintEdge appends an edge unless it already exists; it reports
 // whether the edge was added.
 func addBlueprintEdge(from *BlueprintTask, to TaskID) bool {
-	for _, n := range from.Next {
-		if n == to {
-			return false
-		}
+	if slices.Contains(from.Next, to) {
+		return false
 	}
 	from.Next = append(from.Next, to)
 	return true

@@ -3,6 +3,8 @@ package wf
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"strconv"
 
 	"selfheal/internal/data"
 )
@@ -38,7 +40,7 @@ type GenConfig struct {
 
 // PoolKey returns the name of pool key i under the configured prefix.
 func (c GenConfig) PoolKey(i int) data.Key {
-	return data.Key(fmt.Sprintf("%sk%d", c.Prefix, i))
+	return data.Key(c.Prefix + "k" + strconv.Itoa(i))
 }
 
 // DefaultGenConfig returns a configuration producing medium-sized branched
@@ -137,7 +139,7 @@ func Generate(name string, cfg GenConfig, rng *rand.Rand) *Spec {
 		}
 		ti := 1 + rng.Intn(gi)
 		target := ids[ti]
-		if target == gate.ID || containsTask(gate.Next, target) {
+		if target == gate.ID || slices.Contains(gate.Next, target) {
 			continue
 		}
 		addLoopGate(gate, target, bound)
@@ -180,27 +182,15 @@ func addLoopGate(gate *Task, target TaskID, bound int) {
 	}
 }
 
-func containsTask(ids []TaskID, id TaskID) bool {
-	for _, x := range ids {
-		if x == id {
-			return true
-		}
-	}
-	return false
-}
-
 // GenKey returns the name of pool key i used by Generate.
 func GenKey(i int) data.Key {
 	return data.Key(fmt.Sprintf("k%d", i))
 }
 
 func addEdge(from *Task, to TaskID) {
-	for _, n := range from.Next {
-		if n == to {
-			return
-		}
+	if !slices.Contains(from.Next, to) {
+		from.Next = append(from.Next, to)
 	}
-	from.Next = append(from.Next, to)
 }
 
 // genChoose branches on the parity band of the task's first read key, which

@@ -159,13 +159,28 @@ type Spec struct {
 
 // Task returns the task named id, or nil if the spec has none.
 func (s *Spec) Task(id TaskID) *Task {
-	i, ok := slices.BinarySearchFunc(s.Tasks, id, func(t Task, id TaskID) int {
-		return strings.Compare(string(t.ID), string(id))
-	})
-	if !ok {
-		return nil
+	if i := s.index(id); i >= 0 {
+		return &s.Tasks[i]
 	}
-	return &s.Tasks[i]
+	return nil
+}
+
+// index returns the position of the task named id in Tasks, or -1. It
+// compares IDs in place: the lookup copies no Task.
+func (s *Spec) index(id TaskID) int {
+	lo, hi := 0, len(s.Tasks)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if s.Tasks[m].ID < id {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo < len(s.Tasks) && s.Tasks[lo].ID == id {
+		return lo
+	}
+	return -1
 }
 
 // SortTasks puts tasks in the order Spec.Tasks keeps: by ID.
@@ -177,7 +192,8 @@ func SortTasks(tasks []Task) {
 // sorted by unique ID, the start task exists and has no predecessors, every
 // edge endpoint exists, choice nodes choose (Choose or a branch whose
 // successor indexes are in range), non-choice nodes do not, every task is
-// reachable from the start, and at least one end node is reachable.
+// reachable from the start, and at least one end node is reachable. It
+// allocates nothing on a valid spec of up to smallSpec tasks.
 func (s *Spec) Validate() error {
 	if s.Name == "" {
 		return fmt.Errorf("wf: workflow has no name")
@@ -193,23 +209,22 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("wf %s: task %q listed after %q (tasks are sorted by ID)", s.Name, id, prev)
 		}
 	}
-	if s.Task(s.Start) == nil {
+	start := s.index(s.Start)
+	if start < 0 {
 		return fmt.Errorf("wf %s: start task %q not defined", s.Name, s.Start)
 	}
-	indeg := make(map[TaskID]int, len(s.Tasks))
+	startHasPred, ends := false, 0
 	for i := range s.Tasks {
 		t := &s.Tasks[i]
 		id := t.ID
-		seen := make(map[TaskID]bool, len(t.Next))
-		for _, n := range t.Next {
-			if s.Task(n) == nil {
+		for j, n := range t.Next {
+			if s.index(n) < 0 {
 				return fmt.Errorf("wf %s: task %q has edge to undefined task %q", s.Name, id, n)
 			}
-			if seen[n] {
+			if slices.Contains(t.Next[:j], n) {
 				return fmt.Errorf("wf %s: task %q has duplicate edge to %q", s.Name, id, n)
 			}
-			seen[n] = true
-			indeg[n]++
+			startHasPred = startHasPred || n == s.Start
 		}
 		if len(t.Next) > 1 && !t.chooses() {
 			return fmt.Errorf("wf %s: choice task %q has no Choose function", s.Name, id)
@@ -220,22 +235,25 @@ func (s *Spec) Validate() error {
 		if b := t.Body; b.Branch && (int(b.Low) >= len(t.Next) || int(b.High) >= len(t.Next)) {
 			return fmt.Errorf("wf %s: task %q branches to a successor it does not have", s.Name, id)
 		}
-		for _, k := range append(append([]data.Key{}, t.Reads...), t.Writes...) {
-			if k == "" {
-				return fmt.Errorf("wf %s: task %q has an empty data key", s.Name, id)
-			}
+		if slices.Contains(t.Reads, "") || slices.Contains(t.Writes, "") {
+			return fmt.Errorf("wf %s: task %q has an empty data key", s.Name, id)
+		}
+		if len(t.Next) == 0 {
+			ends++
 		}
 	}
-	if indeg[s.Start] != 0 {
+	if startHasPred {
 		return fmt.Errorf("wf %s: start task %q has predecessors", s.Name, s.Start)
 	}
-	reach := s.ReachableFrom(s.Start)
-	for _, t := range s.Tasks {
-		if !reach[t.ID] {
-			return fmt.Errorf("wf %s: task %q unreachable from start", s.Name, t.ID)
+	var buf [2 * smallSpec]int32
+	w := s.newWalker(buf[:])
+	w.walk(start, -1, 1)
+	for i, m := range w.mark {
+		if m != 1 {
+			return fmt.Errorf("wf %s: task %q unreachable from start", s.Name, s.Tasks[i].ID)
 		}
 	}
-	if len(s.Ends()) == 0 {
+	if ends == 0 {
 		return fmt.Errorf("wf %s: no end (0-outdegree) task", s.Name)
 	}
 	return nil
@@ -252,6 +270,52 @@ func (s *Spec) Ends() []TaskID {
 	return out
 }
 
+// smallSpec is the task count up to which the graph analyses keep their
+// scratch arrays on the stack.
+const smallSpec = 16
+
+// walker is the scratch of the graph analyses: per-task marks and a DFS
+// stack, addressed by task index.
+type walker struct {
+	s     *Spec
+	mark  []int32
+	stack []int32
+}
+
+// newWalker returns a walker over s with all marks zero, carved out of buf
+// when it holds 2·len(s.Tasks) entries and allocated otherwise.
+func (s *Spec) newWalker(buf []int32) walker {
+	n := len(s.Tasks)
+	if 2*n > len(buf) {
+		buf = make([]int32, 2*n)
+	}
+	return walker{s: s, mark: buf[:n], stack: buf[n : n : 2*n]}
+}
+
+// walk sets mark to gen on every task reachable from task index from
+// without passing through task index skip (-1 skips none), and reports
+// whether an end node was among them. Marks equal to gen count as visited,
+// so successive walks with fresh gens need no clearing.
+func (w *walker) walk(from, skip int, gen int32) (end bool) {
+	if from < 0 || from == skip {
+		return false
+	}
+	w.mark[from] = gen
+	stack := append(w.stack[:0], int32(from))
+	for len(stack) > 0 {
+		t := &w.s.Tasks[stack[len(stack)-1]]
+		stack = stack[:len(stack)-1]
+		end = end || len(t.Next) == 0
+		for _, n := range t.Next {
+			if j := w.s.index(n); j >= 0 && j != skip && w.mark[j] != gen {
+				w.mark[j] = gen
+				stack = append(stack, int32(j))
+			}
+		}
+	}
+	return end
+}
+
 // ReachableFrom returns the set of tasks reachable from id, including id.
 func (s *Spec) ReachableFrom(id TaskID) map[TaskID]bool {
 	return s.reachableExcluding(id, "")
@@ -261,20 +325,14 @@ func (s *Spec) ReachableFrom(id TaskID) map[TaskID]bool {
 // `excluded` as removed from the graph. An empty exclusion removes nothing.
 func (s *Spec) reachableExcluding(id, excluded TaskID) map[TaskID]bool {
 	seen := make(map[TaskID]bool)
-	if id == excluded {
-		return seen
+	var buf [2 * smallSpec]int32
+	w := s.newWalker(buf[:])
+	if id != excluded {
+		w.walk(s.index(id), s.index(excluded), 1)
 	}
-	stack := []TaskID{id}
-	seen[id] = true
-	for len(stack) > 0 {
-		cur := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, n := range s.Task(cur).Next {
-			if n == excluded || seen[n] {
-				continue
-			}
-			seen[n] = true
-			stack = append(stack, n)
+	for i, m := range w.mark {
+		if m == 1 {
+			seen[s.Tasks[i].ID] = true
 		}
 	}
 	return seen
@@ -283,13 +341,12 @@ func (s *Spec) reachableExcluding(id, excluded TaskID) map[TaskID]bool {
 // canReachEndExcluding reports whether some end node is reachable from `from`
 // when task `excluded` is removed from the graph.
 func (s *Spec) canReachEndExcluding(from, excluded TaskID) bool {
-	reach := s.reachableExcluding(from, excluded)
-	for id := range reach {
-		if len(s.Task(id).Next) == 0 {
-			return true
-		}
+	if from == excluded {
+		return false
 	}
-	return false
+	var buf [2 * smallSpec]int32
+	w := s.newWalker(buf[:])
+	return w.walk(s.index(from), s.index(excluded), 1)
 }
 
 // Unavoidable reports whether every execution path from the start to an end
@@ -308,56 +365,64 @@ func (s *Spec) Unavoidable(id TaskID) bool {
 // to. Dominant nodes are exactly the choice nodes whose decision determines
 // whether to executes.
 func (s *Spec) ControlDep(from, to TaskID) bool {
-	f := s.Task(from)
-	if f == nil || len(f.Next) <= 1 {
+	fi, ti := s.index(from), s.index(to)
+	if fi < 0 || len(s.Tasks[fi].Next) <= 1 || ti < 0 || fi == ti {
 		return false
 	}
-	if from == to {
-		return false
-	}
-	if !s.ReachableFrom(from)[to] {
-		return false
-	}
+	var buf [2 * smallSpec]int32
+	w := s.newWalker(buf[:])
+	w.walk(fi, -1, 1)
 	// to is avoidable from from: some end remains reachable with to removed.
-	return s.canReachEndExcluding(from, to)
+	return w.mark[ti] == 1 && w.walk(fi, ti, 2)
 }
 
 // ControlClosure returns the transitive closure →_c* as a map from each
 // choice node to the set of tasks transitively control dependent on it.
-// The relation →_c is transitive per §II.D, and since every element of a
-// →_c chain is itself directly control dependent on the head in this graph
-// model, the closure equals the union of direct dependences reachable
-// through intermediate choice nodes.
+// The relation →_c is transitive per §II.D; on a cyclic graph a chain can
+// reach a task its head does not directly control (every path from the
+// head to an end may pass through it), so the closure follows the direct
+// dependences through intermediate choice nodes.
 func (s *Spec) ControlClosure() map[TaskID]map[TaskID]bool {
-	direct := make(map[TaskID]map[TaskID]bool)
-	for _, from := range s.ChoiceNodes() {
-		set := make(map[TaskID]bool)
-		for _, to := range s.Tasks {
-			if s.ControlDep(from, to.ID) {
-				set[to.ID] = true
+	var rbuf, wbuf [2 * smallSpec]int32
+	r, w := s.newWalker(rbuf[:]), s.newWalker(wbuf[:])
+	// direct[f] lists the task indexes directly control dependent on task
+	// f: reachable from f (r's walk from f marks f+1) and avoidable from it.
+	direct := make([][]int32, len(s.Tasks))
+	var gen int32
+	for f := range s.Tasks {
+		if len(s.Tasks[f].Next) <= 1 {
+			continue
+		}
+		r.walk(f, -1, int32(f)+1)
+		for t, m := range r.mark {
+			gen++
+			if t != f && m == int32(f)+1 && w.walk(f, t, gen) {
+				direct[f] = append(direct[f], int32(t))
 			}
 		}
-		if len(set) > 0 {
-			direct[from] = set
-		}
 	}
-	// Transitive closure over the direct relation.
-	changed := true
-	for changed {
-		changed = false
-		for from, set := range direct {
-			for mid := range set {
-				for to := range direct[mid] {
-					if !set[to] {
-						set[to] = true
-						changed = true
-					}
+	out := make(map[TaskID]map[TaskID]bool)
+	for f, deps := range direct {
+		if len(deps) == 0 {
+			continue
+		}
+		gen++
+		set := make(map[TaskID]bool)
+		stack := append(w.stack[:0], int32(f))
+		for len(stack) > 0 {
+			m := stack[len(stack)-1]
+			stack = stack[:len(stack)-1]
+			for _, d := range direct[m] {
+				if w.mark[d] != gen {
+					w.mark[d] = gen
+					set[s.Tasks[d].ID] = true
+					stack = append(stack, d)
 				}
 			}
-			_ = from
 		}
+		out[s.Tasks[f].ID] = set
 	}
-	return direct
+	return out
 }
 
 // ChoiceNodes returns the IDs of all choice (dominant) nodes, sorted.

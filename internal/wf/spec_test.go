@@ -380,3 +380,44 @@ func TestCycleKeyNaming(t *testing.T) {
 		t.Errorf("CycleKey = %s", CycleKey("t3"))
 	}
 }
+
+// TestValidateAllocations pins Validate at zero allocations on a valid spec
+// of up to 16 tasks: its marks and walk stack live on the stack, and it
+// counts end nodes rather than collecting them.
+func TestValidateAllocations(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	cfg := DefaultGenConfig()
+	cfg.Tasks = 16
+	specs := []*Spec{diamond(t), Generate("g", cfg, rng)}
+	if s, err := GenerateBlueprint("b", cfg, rng).Spec(); err != nil {
+		t.Fatal(err)
+	} else {
+		specs = append(specs, s)
+	}
+	for _, s := range specs {
+		if n := testing.AllocsPerRun(100, func() {
+			if err := s.Validate(); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("%s (%d tasks): Validate allocates %.0f times, want 0", s.Name, len(s.Tasks), n)
+		}
+	}
+}
+
+// TestTaskLookupAllocations pins Spec.Task at zero allocations, found or not.
+func TestTaskLookupAllocations(t *testing.T) {
+	s := diamond(t)
+	if n := testing.AllocsPerRun(100, func() {
+		for i := range s.Tasks {
+			if s.Task(s.Tasks[i].ID) != &s.Tasks[i] {
+				t.Fatalf("Task(%s) is not the spec's own task", s.Tasks[i].ID)
+			}
+		}
+		if s.Task("absent") != nil {
+			t.Fatal("Task(absent) found a task")
+		}
+	}); n != 0 {
+		t.Errorf("Task allocates %.0f times, want 0", n)
+	}
+}

@@ -80,14 +80,20 @@ go test -race -count=20 -run '^(TestActiveRunsMatchFullScan|TestClusterFuzzEquiv
 # task array sorted by ID, and the body of every wire task as fields of the
 # task, which the one evaluator (wf.Task.Eval) runs exactly as SumCompute and
 # ThresholdChoose would; a compiled bench-shaped spec stays under its heap
-# bound, and a committed step under its allocation bound. Neither the wire
-# compiler nor blueprints may build closures again, and the task map may not
-# come back.
+# bound, and a committed step under its allocation bound. A task is found by
+# its index without copying one (Spec.Task allocates nothing), Validate
+# allocates nothing on a small valid spec, the index walk agrees with the
+# map-based analyses it replaced, and the generator's output for fixed seeds
+# (the benchmark's inputs) does not move. Neither the wire compiler nor
+# blueprints may build closures again, and neither the task map nor the
+# copying binary search may come back.
 go test -race -count=5 -run '^(TestCompiledBodyMatchesClosures|TestBytesPerCompiledSpec)$' ./internal/wfjson/
 go test -race -count=5 -run '^TestStepAllocations$' ./internal/engine/
+go test -count=5 -run '^(TestValidateAllocations|TestTaskLookupAllocations|TestGenerateBlueprintStable)$' ./internal/wf/
+go test -race -count=1 -run '^TestGraphAnalysesMatchOracle$' ./internal/wf/
 if grep -nE --include='*.go' --exclude='*_test.go' -r -e 'SumCompute\(' -e 'ThresholdChoose\(' internal/wfjson/ internal/wf/blueprint.go ||
-    grep -n 'map\[TaskID\]\*Task' internal/wf/spec.go; then
-    echo "spec gate: a closure body in the wire compiler or blueprints, or a task map in wf.Spec (a compiled spec is one task array of data)" >&2
+    grep -nE -e 'map\[TaskID\]\*Task' -e 'BinarySearchFunc\(s\.Tasks' internal/wf/spec.go; then
+    echo "spec gate: a closure body in the wire compiler or blueprints, a task map in wf.Spec, or a lookup that copies tasks (a compiled spec is one task array of data, searched by index)" >&2
     exit 1
 fi
 
@@ -276,6 +282,10 @@ go test -race -count=10 -run '^TestRepairPhasesObserved$' ./internal/shard/
 # benchmarks must run to completion (one iteration each; EXPERIMENTS.md
 # records real numbers).
 go test -run '^$' -bench '^Benchmark(Repair|AlertStorm)' -benchtime=1x .
+
+# Compiled-spec benchmark smoke: validation, lookup, control closure and
+# blueprint generation (EXPERIMENTS.md records real numbers).
+go test -run '^$' -bench '^Benchmark(Validate|SpecTask|ControlClosure|GenerateBlueprint)$' -benchtime=1x ./internal/wf/
 
 # Durability benchmark smoke: WAL append (group-commit) and the durable
 # service's boot (snapshot-bounded replay through the machine) must run;
