@@ -36,11 +36,11 @@
 // -join catches the replica up from the peers before serving
 // (restart/rejoin; from a peer's snapshot when the peers have retired the
 // records it lacks), -snapshot-every sets how often the cluster checkpoints,
-// and
-// -quiesce-hold artificially extends an incident's partial-quiescence
-// window so the mid-repair behaviour can be observed. Cluster nodes always
-// mount the chaos routes (the cluster test harness drives them); do not
-// expose them publicly.
+// and -quiesce-hold artificially extends an incident's partial-quiescence
+// window so the mid-repair behaviour can be observed; the stamper leads
+// every incident, so only the stamper's -quiesce-hold acts. Cluster nodes
+// always mount the chaos routes (the cluster test harness drives them); do
+// not expose them publicly.
 //
 // Routes and error envelope are documented in docs/API.md; the metric
 // catalog served by /metrics and /varz is docs/OBSERVABILITY.md.
@@ -171,7 +171,7 @@ func main() {
 	peersFlag := flag.String("peers", "", "cluster mode: static membership as id=host:port,... (must include -node-id)")
 	join := flag.Bool("join", false, "cluster mode: catch the replica up from the peers before serving")
 	clusterDir := flag.String("cluster-dir", "", "cluster mode: directory for the replicated record journal")
-	quiesceHold := flag.Duration("quiesce-hold", 0, "cluster mode: extend each incident's partial-quiescence window (testing)")
+	quiesceHold := flag.Duration("quiesce-hold", 0, "cluster mode: extend each incident's partial-quiescence window; acts on the stamper, which leads every incident (testing)")
 	submitWindow := flag.Int("submit-window", 0, "cluster mode: executor pipelining window, entries per batched submission (0 = default 32, 1 = per-record)")
 	flag.Parse()
 	if *snapEvery == 0 {

@@ -2,7 +2,6 @@ package cluster_test
 
 import (
 	"bytes"
-	"encoding/json"
 	"net/http"
 	"testing"
 	"time"
@@ -64,9 +63,9 @@ func TestRunCommitsAtAdmission(t *testing.T) {
 // runLoop, tokens and the stamper's OCC to the byte-identical store an
 // unobstructed registration leaves. Two obstructions: the admission node's
 // replica is behind the stamper (every replication body into it held), so
-// the window's first read is stale; and one of the run's keys is quiesced
-// cluster-wide, so the window stops short of it and the run completes only
-// after the release.
+// the window's first read is stale; and one of the run's keys is paused at
+// the stamper's admission gate, so the window commits only up to it and the
+// run completes only after the release.
 func TestAdmissionWindowFallsBack(t *testing.T) {
 	ids := []string{"a", "b", "c"}
 	stamper := cluster.NewRing(ids).Stamper()
@@ -145,14 +144,8 @@ func TestAdmissionWindowFallsBack(t *testing.T) {
 
 	t.Run("paused key", func(t *testing.T) {
 		h, status := register(t, false, func(h *harness) func() {
-			for _, id := range ids {
-				postInternal(t, h.url(id)+"/internal/v1/quiesce", map[string]any{"keys": []string{paused}})
-			}
-			return func() {
-				for _, id := range ids {
-					postInternal(t, h.url(id)+"/internal/v1/release", map[string]any{"keys": []string{paused}})
-				}
-			}
+			h.nodes[stamper].PauseKeys(paused)
+			return func() { h.nodes[stamper].ReleaseKeys(paused) }
 		})
 		if status != "active" {
 			t.Errorf("registration returned with the run %q while one of its keys was quiesced, want active", status)
@@ -225,17 +218,4 @@ func TestAdmissionWindowsFromOnePosition(t *testing.T) {
 	}
 	h.waitIdle(stamper, 10*time.Second)
 	h.assertStoresIdentical()
-}
-
-func postInternal(t *testing.T, url string, body any) {
-	t.Helper()
-	b, _ := json.Marshal(body)
-	resp, err := http.Post(url, "application/json", bytes.NewReader(b))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("POST %s: HTTP %d", url, resp.StatusCode)
-	}
 }

@@ -223,17 +223,16 @@ func activeRuns(n *cluster.Node) int {
 // A follower rebooted from its snapshot and the journal suffix above it holds
 // exactly the state of a live peer at the same position: store, runs, every
 // run's trace and frontier — including runs that were live across the
-// checkpoints, held at a quiesced key — and it installs the next repairs as
+// checkpoints, held at a paused key — and it installs the next repairs as
 // the live nodes do: a clean one installed alike, and one whose damage
 // reaches a run with history beneath the horizon refused by the stamper,
-// stamped nowhere and counted once, by its incident leader.
+// stamped nowhere and counted once, at the stamper, which leads every
+// incident.
 func TestClusterRestartEqualsLive(t *testing.T) {
 	ids := []string{"a", "b", "c"}
 	h := startCluster(t, ids, true, snapshotEvery(24))
 	const hold = "hold"
-	for _, id := range ids {
-		postInternal(t, h.url(id)+"/internal/v1/quiesce", map[string]any{"keys": []string{hold}})
-	}
+	h.nodes["a"].PauseKeys(hold)
 	keys := keysByOwner(ids, 4)
 	held := 0
 	submitHeld := func(i int) {
@@ -299,7 +298,7 @@ func TestClusterRestartEqualsLive(t *testing.T) {
 		if err != nil {
 			t.Fatalf("forge: %v", err)
 		}
-		// The incident leader must hold the forged entry before the alert.
+		// The reporting node must hold the forged entry before the alert.
 		h.waitApplied(live.ClusterDoc().(cluster.ClusterInfo).Applied, 10*time.Second)
 		if _, _, err := live.ReportAlerts([]triage.Alert{{Bad: []wlog.InstanceID{inst}}}); err != nil {
 			t.Fatalf("alert: %v", err)
@@ -316,13 +315,13 @@ func TestClusterRestartEqualsLive(t *testing.T) {
 	if got := live.StoreSnapshot(); got["fresh"] != 0 {
 		t.Fatalf("the clean repair left the forged write: fresh = %d", got["fresh"])
 	}
-	// The refused incident releases the keys it quiesced, the held one
-	// among them (it is in the damage closure): the held runs then finish.
+	// The refused incident releases the keys it paused, the held one among
+	// them (it is in the damage closure): the held runs then finish.
 	repair(keys["a"][3], 0)
 	// Every node installed the one repair the stamper computed, and counts
-	// it alike; the refused one was stamped nowhere, and only its incident
-	// leader — the attacker run's owner — counts the refusal.
-	leader := cluster.NewRing(ids).OwnerOfRun("attacker")
+	// it alike; the refused one was stamped nowhere, and only the stamper,
+	// which leads every incident, counts the refusal.
+	leader := "a"
 	want := h.nodes["a"].MetricsDoc()
 	if want.UnitsExecuted != 1 || want.Undone == 0 {
 		t.Fatalf("stamper accounting %+v, want the one installed repair", want)

@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -444,9 +445,9 @@ func (c clusterTarget) Durable() bool   { return false }
 func (c clusterTarget) Restart() error  { return fuzz.ErrRestartUnsupported }
 func (c clusterTarget) Close() error    { return nil }
 
-// Partial quiescence: while an incident holds the damaged keys' owners
-// paused, a run whose footprint avoids the damaged keys completes on the
-// clean nodes, and a run touching a damaged key stalls until release.
+// Partial quiescence: while the stamper's incident holds the damaged key at
+// its admission gate, a run whose footprint avoids the damaged key
+// completes, and a run touching it stalls until release.
 func TestPartialQuiescence(t *testing.T) {
 	ids := []string{"a", "b", "c"}
 	hold := 4 * time.Second
@@ -467,22 +468,22 @@ func TestPartialQuiescence(t *testing.T) {
 	if err != nil {
 		t.Fatalf("forge: %v", err)
 	}
-	leader := cluster.NewRing(ids).OwnerOfRun("victim")
 	if _, _, err := entry.ReportAlerts([]triage.Alert{{Bad: []wlog.InstanceID{inst}}}); err != nil {
 		t.Fatalf("alert: %v", err)
 	}
-	// Wait for the incident leader to enter RECOVERY and for the stamper's
-	// admission gate to actually hold the damaged key (RECOVERY flips first).
+	// Wait for the stamper, which leads the incident, to enter RECOVERY and
+	// for its admission gate to actually hold the damaged key (RECOVERY
+	// flips first).
+	stamper := h.nodes["a"]
 	deadline := time.Now().Add(5 * time.Second)
-	for h.nodes[leader].StateString() != "RECOVERY" ||
-		h.regs["a"].Snapshot()[obs.MClusterPausedKeys] == 0 {
+	for stamper.StateString() != "RECOVERY" || h.regs["a"].Snapshot()[obs.MClusterPausedKeys] == 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("leader %s never entered RECOVERY with keys paused", leader)
+			t.Fatal("the stamper never entered RECOVERY with keys paused")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	// A clean-key run completes mid-incident: only damaged-key owners pause.
+	// A clean-key run completes mid-incident: only the damaged key pauses.
 	clean := []string{keys["b"][0], keys["c"][0]}
 	if err := entry.SubmitRunSpec("clean", chainSpec(clean, 100)); err != nil {
 		t.Fatalf("submit clean: %v", err)
@@ -492,8 +493,8 @@ func TestPartialQuiescence(t *testing.T) {
 		t.Fatalf("submit stalled: %v", err)
 	}
 	waitRunDone(t, entry, "clean", hold/2)
-	if got := h.nodes[leader].StateString(); got != "RECOVERY" {
-		t.Fatalf("incident over before the clean run finished (leader state %s): hold too short to prove partial quiescence", got)
+	if got := stamper.StateString(); got != "RECOVERY" {
+		t.Fatalf("incident over before the clean run finished (stamper state %s): hold too short to prove partial quiescence", got)
 	}
 	if info, err := entry.RunInfo("stalled"); err != nil || info.Status != "active" {
 		t.Fatalf("damaged-key run should be stalled mid-incident, got %+v err %v", info, err)
@@ -538,7 +539,7 @@ func TestFollowerRestartRejoin(t *testing.T) {
 	waitRunDone(t, entry, "r2", 10*time.Second)
 
 	// Attack + repair while the node is down (damaged key owned by the
-	// dead node: quiesce/release RPCs to it fail and must be tolerated).
+	// dead node: the stamper pauses and repairs it without that node).
 	inst, err := entry.InjectForged("r2", "evil", nil, map[string]int64{keys["c"][1]: 777})
 	if err != nil {
 		t.Fatalf("forge: %v", err)
@@ -657,53 +658,185 @@ func TestJournalSpansSegments(t *testing.T) {
 	}
 }
 
-// TestForwardedAlertWaitsForForge: an alert reported on a node that holds
-// the accused forge can reach the incident leader before replication does.
-// The forward carries the reporter's applied position and the leader waits
-// for it, so the alert is admitted, not refused as naming an unknown run.
-func TestForwardedAlertWaitsForForge(t *testing.T) {
+// An alert reported through a follower is admitted on the stamper, which
+// leads every incident, while replication to the third node is held: the
+// stamper repairs without that node, and once replication resumes the
+// lagging node takes the forge and the repair and converges.
+func TestForwardedAlertRepairsLaggingNode(t *testing.T) {
 	ids := []string{"a", "b", "c"}
 	h := startCluster(t, ids, false, nil)
-	ring := cluster.NewRing(ids)
-	stamper := ring.Stamper()
-	// The run's leader is not the stamper, so it learns of the forge only
-	// by replication.
-	run := "victim"
-	for i := 0; ring.OwnerOfRun(run) == stamper; i++ {
-		run = fmt.Sprintf("victim%d", i)
-	}
-	leader := ring.OwnerOfRun(run)
+	stamper := cluster.NewRing(ids).Stamper()
 	damaged := keysByOwner(ids, 1)[stamper][0]
-	entry := h.nodes[stamper]
-	if err := entry.SubmitRunSpec(run, chainSpec([]string{damaged}, 5)); err != nil {
+	entry, lagging := h.nodes["b"], "c"
+	if err := entry.SubmitRunSpec("victim", chainSpec([]string{damaged}, 5)); err != nil {
 		t.Fatalf("submit: %v", err)
 	}
-	waitRunDone(t, entry, run, 10*time.Second)
+	waitRunDone(t, entry, "victim", 10*time.Second)
 	h.waitIdle(stamper, 10*time.Second)
 	clean := entry.StoreSnapshot()[damaged]
 
 	var once sync.Once
-	hold := holdReplication(h, leader)
+	hold := holdReplication(h, lagging)
 	release := func() { once.Do(hold) }
 	defer release()
-	inst, err := entry.InjectForged(run, "evil", nil, map[string]int64{damaged: 999})
+	inst, err := entry.InjectForged("victim", "evil", nil, map[string]int64{damaged: 999})
 	if err != nil {
 		t.Fatalf("forge: %v", err)
 	}
-	if slices.Contains(h.nodes[leader].Trace(run), inst) {
-		t.Fatal("the leader applied the forge while replication to it was held")
-	}
-	time.AfterFunc(300*time.Millisecond, release)
 	admitted, _, err := entry.ReportAlerts([]triage.Alert{{Bad: []wlog.InstanceID{inst}}})
-	if err != nil {
-		t.Fatalf("alert forwarded ahead of the forge: %v", err)
+	if err != nil || admitted != 1 {
+		t.Fatalf("alert through %s: %d admitted, %v", entry.ID(), admitted, err)
 	}
-	if admitted != 1 {
-		t.Fatalf("%d alerts admitted, want 1", admitted)
+	deadline := time.Now().Add(10 * time.Second)
+	for entry.StoreSnapshot()[damaged] != clean {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s never saw the repair while %s lagged", entry.ID(), lagging)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
+	if slices.Contains(h.nodes[lagging].Trace("victim"), inst) {
+		t.Fatalf("%s applied the forge while replication to it was held", lagging)
+	}
+	release()
 	h.waitIdle(stamper, 10*time.Second)
 	h.assertStoresIdentical()
-	if got := h.nodes[leader].StoreSnapshot()[damaged]; got != clean {
-		t.Errorf("%s = %d after the incident its alert opened, want the clean %d", damaged, got, clean)
+	if got := h.nodes[lagging].StoreSnapshot()[damaged]; got != clean {
+		t.Errorf("%s = %d on %s after the repair, want the clean %d", damaged, got, lagging, clean)
+	}
+}
+
+// With the stamper unreachable an alert has no incident leader: the
+// follower that takes it drops it, counts it lost, and answers a reporter
+// whose whole batch was dropped 429.
+func TestAlertDroppedWhenStamperDown(t *testing.T) {
+	ids := []string{"a", "b", "c"}
+	h := startCluster(t, ids, false, nil)
+	stamper := cluster.NewRing(ids).Stamper()
+	entry := h.nodes["b"]
+	if err := entry.SubmitRunSpec("victim", chainSpec([]string{"k"}, 5)); err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	waitRunDone(t, entry, "victim", 10*time.Second)
+	inst, err := entry.InjectForged("victim", "evil", nil, map[string]int64{"k": 999})
+	if err != nil {
+		t.Fatalf("forge: %v", err)
+	}
+	h.slots[stamper].set(downHandler())
+
+	admitted, dropped, err := entry.ReportAlerts([]triage.Alert{{Bad: []wlog.InstanceID{inst}}})
+	if err != nil || admitted != 0 || dropped != 1 {
+		t.Fatalf("alert with the stamper down: admitted %d, dropped %d, %v; want dropped: 1", admitted, dropped, err)
+	}
+	resp, err := http.Post(h.url("b")+"/api/v1/alerts", "application/json",
+		strings.NewReader(fmt.Sprintf(`{"batch": [[%q]]}`, inst)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Errorf("POST /api/v1/alerts with the stamper down: HTTP %d, want 429", resp.StatusCode)
+	}
+	if got := entry.MetricsDoc().AlertsLost; got != 2 {
+		t.Errorf("%s counts %d alerts lost, want 2", entry.ID(), got)
+	}
+	if got := h.nodes[stamper].MetricsDoc().AlertsReported; got != 0 {
+		t.Errorf("the stamper admitted %d alerts it was never sent", got)
+	}
+}
+
+// runOwnedBy returns the first run ID with the given prefix that the ring
+// assigns to owner.
+func runOwnedBy(ring *cluster.Ring, owner, prefix string) string {
+	for i := 0; ; i++ {
+		if run := fmt.Sprintf("%s%d", prefix, i); ring.OwnerOfRun(run) == owner {
+			return run
+		}
+	}
+}
+
+// Two incidents that pause the same key: a run writing it stays active
+// while an incident holds it. The accused runs are owned by different
+// followers with different holds (b 200 ms, c 3 s), so a cluster that let
+// each run's owner lead its incident would reopen the key when b's
+// incident released it, under c's. Both alerts are reported through b, the
+// second once the first incident is in RECOVERY. The late run may commit
+// between two incidents, never inside one that was already running when
+// it was last seen active.
+func TestOverlappingIncidentsHoldTheGate(t *testing.T) {
+	ids := []string{"a", "b", "c"}
+	holds := map[string]time.Duration{"a": 3 * time.Second, "b": 200 * time.Millisecond, "c": 3 * time.Second}
+	h := startCluster(t, ids, false, func(id string, cfg *cluster.Config) { cfg.QuiesceHold = holds[id] })
+	ring := cluster.NewRing(ids)
+	key := keysByOwner(ids, 1)[ring.Stamper()][0]
+	entry := h.nodes["b"]
+	var insts []wlog.InstanceID
+	for i, owner := range []string{"b", "c"} {
+		run := runOwnedBy(ring, owner, "victim")
+		if err := entry.SubmitRunSpec(run, chainSpec([]string{key}, int64(10*i))); err != nil {
+			t.Fatalf("submit %s: %v", run, err)
+		}
+		waitRunDone(t, entry, run, 10*time.Second)
+		inst, err := entry.InjectForged(run, "evil", nil, map[string]int64{key: int64(900 + i)})
+		if err != nil {
+			t.Fatalf("forge in %s: %v", run, err)
+		}
+		insts = append(insts, inst)
+	}
+	h.waitIdle("a", 10*time.Second)
+
+	report := func(inst wlog.InstanceID) {
+		t.Helper()
+		if admitted, _, err := entry.ReportAlerts([]triage.Alert{{Bad: []wlog.InstanceID{inst}}}); err != nil || admitted != 1 {
+			t.Fatalf("alert on %s: %d admitted, %v", inst, admitted, err)
+		}
+	}
+	recovering := func() string {
+		for _, id := range ids {
+			if h.nodes[id].StateString() == "RECOVERY" {
+				return id
+			}
+		}
+		return ""
+	}
+	incidents := func() float64 {
+		sum := 0.0
+		for _, id := range ids {
+			sum += h.regs[id].Snapshot()[obs.MClusterIncidents]
+		}
+		return sum
+	}
+	report(insts[0])
+	deadline := time.Now().Add(5 * time.Second)
+	for recovering() == "" {
+		if time.Now().After(deadline) {
+			t.Fatal("no node entered RECOVERY")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	report(insts[1])
+	time.Sleep(time.Second)
+
+	last := incidents()
+	if err := entry.SubmitRunSpec("late", chainSpec([]string{key}, 300)); err != nil {
+		t.Fatalf("submit late: %v", err)
+	}
+	for recovering() != "" {
+		started := incidents()
+		info, err := entry.RunInfo("late")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if info.Status == "active" {
+			last = started
+		} else if id := recovering(); id != "" && incidents() == last {
+			t.Fatalf("%s in RECOVERY, late run done: it committed inside the incident that holds %s", id, key)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	waitRunDone(t, entry, "late", 10*time.Second)
+	h.waitIdle("a", 10*time.Second)
+	h.assertStoresIdentical()
+	if got := entry.StoreSnapshot()[key]; got != 300 {
+		t.Fatalf("%s = %d, want the late run's 300", key, got)
 	}
 }

@@ -41,3 +41,10 @@ func (n *Node) CloseJournal() { n.journal.Close() }
 func (n *Node) CheckReplica() error {
 	return n.rep.tab.Check()
 }
+
+// PauseKeys holds the keys at the stamper's admission gate, as an incident
+// does; n must be the stamper.
+func (n *Node) PauseKeys(keys ...string) { n.st.PauseKeys(keys) }
+
+// ReleaseKeys opens the stamper's admission gate for the keys again.
+func (n *Node) ReleaseKeys(keys ...string) { n.st.ReleaseKeys(keys) }

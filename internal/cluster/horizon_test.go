@@ -53,7 +53,7 @@ func equalStores(a, b map[string]int64) bool {
 }
 
 // On the stamper, a repair naming an instance a checkpoint has since buried
-// is refused where it is computed: the stamper answers the incident leader
+// is refused where it is computed: the stamper answers its incident worker
 // with the typed horizon error and stamps nothing, so the stream position
 // and the store stay as they were; one naming an instance that never
 // existed is refused as unknown.

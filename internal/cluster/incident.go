@@ -1,20 +1,17 @@
 package cluster
 
 import (
-	"context"
 	"fmt"
 	"sort"
-	"time"
 
-	"selfheal/internal/data"
 	"selfheal/internal/wlog"
 )
 
-// incidentWorker is the per-node incident leader loop: it drains the
-// bounded alert queue in batches and runs each batch through the full
-// quiesce → repair → release sequence. A node only receives
-// alerts it leads (the accused run's owner routes them here), so incident
-// leadership is distributed per run.
+// incidentWorker is the stamper's incident loop, the cluster's one alert
+// queue and one incident leader: every node admits its alerts here. It
+// drains the bounded queue in batches and runs each batch through the full
+// pause → repair → release sequence, one incident at a time, so no key is
+// ever held by two incidents.
 func (n *Node) incidentWorker() {
 	defer n.wg.Done()
 	for {
@@ -42,13 +39,12 @@ func (n *Node) incidentWorker() {
 	}
 }
 
-// runIncident leads one incident: partial quiescence of the nodes owning
-// the damaged keys, which the leader's own replica computes (every replica
-// holds the same log), then the repair, which the stamper computes once and
-// stamps as an adopt record, then release. Dead peers are tolerated at every
-// step — the repair itself is sound regardless because it is computed at a
-// fixed stream position. A repair the stamper refuses is counted here, once
-// in the cluster.
+// runIncident leads one incident on the stamper: it pauses the damaged keys
+// at the admission gate (§IV partial quiescence — an executor whose window
+// touches one is answered paused and retries, wherever it runs, and a clean
+// node's READ of a damaged key is refused alike), computes the repair once
+// at the stream head and stamps it as an adopt record, then releases the
+// keys. A repair the stamper refuses is counted here, once in the cluster.
 func (n *Node) runIncident(batch [][]wlog.InstanceID) {
 	n.o.incident()
 	seen := make(map[wlog.InstanceID]bool)
@@ -64,43 +60,12 @@ func (n *Node) runIncident(batch [][]wlog.InstanceID) {
 	sort.Slice(bad, func(i, j int) bool { return bad[i] < bad[j] })
 
 	keys := n.rep.DamageKeys(bad)
-
-	// Quiesce only the nodes owning damaged keys (§IV partial quiescence),
-	// plus the sequencer's admission gate: a clean node may still own a
-	// task that READS a damaged key, and admission is where that is caught.
-	targets := map[string]bool{n.ring.Stamper(): true}
-	for _, k := range keys {
-		targets[n.ring.OwnerOfKey(data.Key(k))] = true
-	}
-	tlist := sortedKeyList(targets)
-	for _, t := range tlist {
-		if t == n.cfg.NodeID {
-			n.quiesceKeys(keys)
-			continue
-		}
-		_ = n.client.quiesce(n.peerAddr(t), keys)
-	}
-
-	seq, err := n.submitRepair(bad)
-	if err != nil {
-		// Nothing was stamped: release at the current position.
+	n.st.PauseKeys(keys)
+	if _, err := n.st.SubmitRepair(n.cfg.NodeID, bad); err != nil {
 		n.rep.tally.Fail(fmt.Errorf("cluster: repair of %v: %w", bad, err))
-		seq = n.rep.Applied()
-	} else {
-		ctx, cancel := context.WithTimeout(n.stopCtx, 30*time.Second)
-		_ = n.rep.WaitApplied(ctx, seq)
-		cancel()
 	}
-
 	if n.cfg.QuiesceHold > 0 {
 		n.sleep(n.cfg.QuiesceHold)
 	}
-
-	for _, t := range tlist {
-		if t == n.cfg.NodeID {
-			n.releaseKeys(keys, seq)
-			continue
-		}
-		_ = n.client.release(n.peerAddr(t), keys, seq)
-	}
+	n.st.ReleaseKeys(keys)
 }

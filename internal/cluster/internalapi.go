@@ -112,11 +112,6 @@ type forgeResp struct {
 	Seq      int    `json:"seq"`
 }
 
-type repairReq struct {
-	Origin string            `json:"origin"`
-	Bad    []wlog.InstanceID `json:"bad"`
-}
-
 type checkpointReq struct {
 	Origin string `json:"origin"`
 }
@@ -126,20 +121,8 @@ type tokenReq struct {
 	After int    `json:"after"`
 }
 
-type quiesceReq struct {
-	Keys []string `json:"keys"`
-}
-
-type releaseReq struct {
-	Keys  []string `json:"keys"`
-	After int      `json:"after"`
-}
-
 type alertForwardReq struct {
 	Bad []wlog.InstanceID `json:"bad"`
-	// After is the forwarder's applied seq: it holds every accused
-	// instance, and the leader waits to hold them too before it refuses.
-	After int `json:"after,omitempty"`
 }
 
 type alertForwardResp struct {
@@ -159,11 +142,8 @@ func (n *Node) InternalHandler() http.Handler {
 	mux.HandleFunc("POST /internal/v1/submit", n.handleSubmit)
 	mux.HandleFunc("POST /internal/v1/spec", n.handleSpec)
 	mux.HandleFunc("POST /internal/v1/forge", n.handleForge)
-	mux.HandleFunc("POST /internal/v1/repair", n.handleRepair)
 	mux.HandleFunc("POST /internal/v1/checkpoint", n.handleCheckpoint)
 	mux.HandleFunc("POST /internal/v1/tokens", n.handleToken)
-	mux.HandleFunc("POST /internal/v1/quiesce", n.handleQuiesce)
-	mux.HandleFunc("POST /internal/v1/release", n.handleRelease)
 	mux.HandleFunc("POST /internal/v1/alerts", n.handleAlertForward)
 	return mux
 }
@@ -369,22 +349,6 @@ func (n *Node) handleForge(w http.ResponseWriter, r *http.Request) {
 	writeInternalJSON(w, http.StatusOK, forgeResp{Instance: string(inst), Seq: seq})
 }
 
-func (n *Node) handleRepair(w http.ResponseWriter, r *http.Request) {
-	if !n.requireStamper(w) {
-		return
-	}
-	var req repairReq
-	if !decodeInternal(w, r, &req) {
-		return
-	}
-	seq, err := n.st.SubmitRepair(req.Origin, req.Bad)
-	if err != nil {
-		writeMappedErr(w, err)
-		return
-	}
-	writeInternalJSON(w, http.StatusOK, seqDoc{Seq: seq})
-}
-
 func (n *Node) handleCheckpoint(w http.ResponseWriter, r *http.Request) {
 	if !n.requireStamper(w) {
 		return
@@ -427,33 +391,17 @@ func (n *Node) handleToken(w http.ResponseWriter, r *http.Request) {
 	writeInternalJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
-func (n *Node) handleQuiesce(w http.ResponseWriter, r *http.Request) {
-	var req quiesceReq
-	if !decodeInternal(w, r, &req) {
-		return
-	}
-	n.quiesceKeys(req.Keys)
-	writeInternalJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
-func (n *Node) handleRelease(w http.ResponseWriter, r *http.Request) {
-	var req releaseReq
-	if !decodeInternal(w, r, &req) {
-		return
-	}
-	n.releaseKeys(req.Keys, req.After)
-	writeInternalJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
+// handleAlertForward admits an alert a follower forwards to the stamper,
+// the one incident leader. The stamper's replica is the stream head, so it
+// holds every instance the forwarder does: the check needs no wait.
 func (n *Node) handleAlertForward(w http.ResponseWriter, r *http.Request) {
+	if !n.requireStamper(w) {
+		return
+	}
 	var req alertForwardReq
 	if !decodeInternal(w, r, &req) {
 		return
 	}
-	// The forwarder found every instance on its replica; this one may not
-	// have applied them yet. A failed wait (the forwarder gave up) leaves
-	// the check to answer from what is here.
-	_ = n.rep.WaitApplied(r.Context(), req.After)
 	if err := n.checkAlerts([]triage.Alert{{Bad: req.Bad}}); err != nil {
 		writeMappedErr(w, err)
 		return
@@ -468,8 +416,7 @@ func (n *Node) handleAlertForward(w http.ResponseWriter, r *http.Request) {
 }
 
 // peerClient is the node-to-node HTTP client: short timeouts for the chatty
-// control plane, long ones for submissions (a repair is computed on the
-// stamper before it answers).
+// control plane, long ones for submissions and replication.
 type peerClient struct {
 	short *http.Client
 	long  *http.Client
@@ -635,12 +582,6 @@ func (c *peerClient) submitForge(addr, origin, run, task string, reads []string,
 	return wlog.InstanceID(resp.Instance), resp.Seq, err
 }
 
-func (c *peerClient) submitRepair(addr, origin string, bad []wlog.InstanceID) (int, error) {
-	var resp seqDoc
-	err := c.call(c.long, http.MethodPost, addr, "/internal/v1/repair", repairReq{Origin: origin, Bad: bad}, &resp)
-	return resp.Seq, err
-}
-
 func (c *peerClient) checkpoint(addr, origin string) (int, error) {
 	var resp seqDoc
 	err := c.call(c.long, http.MethodPost, addr, "/internal/v1/checkpoint", checkpointReq{Origin: origin}, &resp)
@@ -651,17 +592,9 @@ func (c *peerClient) sendToken(addr, run string, after int) error {
 	return c.call(c.short, http.MethodPost, addr, "/internal/v1/tokens", tokenReq{Run: run, After: after}, nil)
 }
 
-func (c *peerClient) quiesce(addr string, keys []string) error {
-	return c.call(c.short, http.MethodPost, addr, "/internal/v1/quiesce", quiesceReq{Keys: keys}, nil)
-}
-
-func (c *peerClient) release(addr string, keys []string, after int) error {
-	return c.call(c.short, http.MethodPost, addr, "/internal/v1/release", releaseReq{Keys: keys, After: after}, nil)
-}
-
-func (c *peerClient) forwardAlert(addr string, bad []wlog.InstanceID, after int) (int, int, error) {
+func (c *peerClient) forwardAlert(addr string, bad []wlog.InstanceID) (int, int, error) {
 	var resp alertForwardResp
-	err := c.call(c.short, http.MethodPost, addr, "/internal/v1/alerts", alertForwardReq{Bad: bad, After: after}, &resp)
+	err := c.call(c.short, http.MethodPost, addr, "/internal/v1/alerts", alertForwardReq{Bad: bad}, &resp)
 	if err != nil {
 		return 0, 0, err
 	}

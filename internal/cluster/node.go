@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -37,15 +36,17 @@ type Config struct {
 	Join bool
 	// QuiesceHold artificially extends an incident's quiesce window after
 	// the repair lands, so tests can observe partial quiescence mid-flight.
+	// Only the stamper leads incidents, so only its value acts.
 	QuiesceHold time.Duration
-	// AlertBuf bounds the incident alert queue (default 16).
+	// AlertBuf bounds the incident alert queue (default 16), which only
+	// the stamper has.
 	AlertBuf int
 	// SubmitWindow bounds how many consecutive task executions a node
 	// speculates and submits to the stamper as one batch (default 32; 1
 	// restores per-record submission), the admission window a registration
 	// carries included. An executor's window never crosses an ownership
-	// change, no window crosses a locally quiesced footprint, and a stale
-	// verdict rewinds a window to the stamper's state.
+	// change, and a stale or paused verdict rewinds a window to the
+	// stamper's state.
 	SubmitWindow int
 	// SnapshotEvery is how many entries commit above the last checkpoint
 	// before the sequencer stamps the next checkpoint record, at the end of
@@ -59,10 +60,11 @@ type Config struct {
 }
 
 // Node is one member of the networked deployment: a full replica of the
-// record stream plus the executor, replication and incident machinery. It
-// implements the httpapi Backend/ChaosBackend surfaces, so any node is a
-// complete client entry point. The admission node executes a run's first
-// window; from there the node owning the run's current task continues it.
+// record stream plus the executor and replication machinery, and on the
+// stamper the cluster's one incident leader. It implements the httpapi
+// Backend/ChaosBackend surfaces, so any node is a complete client entry
+// point. The admission node executes a run's first window; from there the
+// node owning the run's current task continues it.
 type Node struct {
 	cfg     Config
 	ring    *Ring
@@ -87,11 +89,6 @@ type Node struct {
 	// failure, after which nothing more is journaled.
 	applyMu    sync.Mutex
 	journalErr error
-
-	// Executor gate: keys quiesced on this node by an incident leader.
-	gateMu   sync.Mutex
-	gateCond *sync.Cond
-	paused   map[data.Key]bool
 
 	// driving holds each run with a local driver, mapped to whether a token
 	// arrived since the driver last looked (driveRun).
@@ -138,13 +135,10 @@ func New(cfg Config) (*Node, error) {
 		client:  newPeerClient(),
 		o:       hooks{cfg.Registry},
 		stop:    make(chan struct{}),
-		paused:  make(map[data.Key]bool),
 		driving: make(map[string]bool),
-		alertCh: make(chan []wlog.InstanceID, cfg.AlertBuf),
 	}
 	n.stopCtx, n.stopCancel = context.WithCancel(context.Background())
 	n.pushCond = sync.NewCond(&n.pushMu)
-	n.gateCond = sync.NewCond(&n.gateMu)
 	n.journal = newMemFrames()
 	if cfg.Dir != "" {
 		if err := n.openJournal(); err != nil {
@@ -154,6 +148,7 @@ func New(cfg Config) (*Node, error) {
 	}
 	if n.ring.Stamper() == cfg.NodeID {
 		n.st = newStamper(n)
+		n.alertCh = make(chan []wlog.InstanceID, cfg.AlertBuf)
 	}
 	return n, nil
 }
@@ -167,8 +162,9 @@ func (n *Node) IsStamper() bool { return n.st != nil }
 // Ring exposes the ownership map (read-only).
 func (n *Node) Ring() *Ring { return n.ring }
 
-// Start launches replication, the incident worker and the run reconciler.
-// With Config.Join set it first catches the replica up from the peers.
+// Start launches replication, the run reconciler and, on the stamper, the
+// incident worker. With Config.Join set it first catches the replica up
+// from the peers.
 func (n *Node) Start() error {
 	if n.cfg.Join {
 		if err := n.catchUp(); err != nil {
@@ -176,8 +172,9 @@ func (n *Node) Start() error {
 		}
 	}
 	if n.st != nil {
-		n.wg.Add(1)
+		n.wg.Add(2)
 		go n.st.loop()
+		go n.incidentWorker()
 		for _, id := range n.ring.Members() {
 			if id == n.cfg.NodeID {
 				continue
@@ -189,8 +186,6 @@ func (n *Node) Start() error {
 		n.wg.Add(1)
 		go n.pullLoop()
 	}
-	n.wg.Add(1)
-	go n.incidentWorker()
 	n.wg.Add(1)
 	go n.reconcileLoop()
 	return nil
@@ -205,9 +200,6 @@ func (n *Node) Stop() {
 		if n.st != nil {
 			n.st.wake()
 		}
-		n.gateMu.Lock()
-		n.gateCond.Broadcast()
-		n.gateMu.Unlock()
 		n.wg.Wait()
 		n.journal.Close()
 	})
@@ -403,11 +395,7 @@ func (n *Node) runLoop(run string) {
 			return
 		}
 		spec := n.rep.state().Spec(run)
-		if spec == nil {
-			return
-		}
-		task := spec.Task(cur)
-		if task == nil {
+		if spec == nil || spec.Task(cur) == nil {
 			return
 		}
 		if owner := n.ring.OwnerOfTask(run, spec, cur); owner != n.cfg.NodeID {
@@ -417,9 +405,6 @@ func (n *Node) runLoop(run string) {
 			}
 			// Owner unreachable: execute locally. The stamper's OCC
 			// serializes us against whoever else picks the run up.
-		}
-		if !n.gateWait(task) {
-			return
 		}
 		if !n.executeWindow(run, spec, cur, visit) {
 			if !n.sleep(25 * time.Millisecond) {
@@ -435,8 +420,8 @@ func (n *Node) runLoop(run string) {
 // stamper's OCC check fails the window's tail as stale and the executor
 // rewinds to the replica (the window's head always commits, so progress is
 // guaranteed exactly as with per-record submission). It returns false when
-// the window must be retried after a pause (submission error or quiesced
-// footprint).
+// the window must be retried after a pause (submission error, or a head the
+// stamper's admission gate holds while an incident repairs its keys).
 func (n *Node) executeWindow(run string, spec *wf.Spec, cur wf.TaskID, visit int) bool {
 	visits, ok := n.rep.RunVisits(run)
 	if !ok {
@@ -466,10 +451,9 @@ func (n *Node) executeWindow(run string, spec *wf.Spec, cur wf.TaskID, visit int
 // other key; visits (the run's committed visit counts) is extended in place.
 // An overlay read names its in-window writer but no position: the stamper
 // reads it at the LSN that writer gets (rebaseWindowReads). The window stops
-// at the run's end and at a task this node's gate blocks; with owned set,
-// also at any task after the head that another node owns (the head itself
-// was ownership-checked by runLoop, or runs here because its owner is
-// unreachable).
+// at the run's end; with owned set, also at any task after the head that
+// another node owns (the head itself was ownership-checked by runLoop, or
+// runs here because its owner is unreachable).
 func (n *Node) speculate(run string, spec *wf.Spec, cur wf.TaskID, visit int, visits map[wf.TaskID]int,
 	base func(data.Key) wlog.ReadObs, owned bool) []*EntryJSON {
 	window := n.cfg.SubmitWindow
@@ -477,7 +461,7 @@ func (n *Node) speculate(run string, spec *wf.Spec, cur wf.TaskID, visit int, vi
 	batch := make([]*EntryJSON, 0, window)
 	for len(batch) < window {
 		task := spec.Task(cur)
-		if task == nil || n.gateBlocked(task) {
+		if task == nil {
 			break
 		}
 		if owned && len(batch) > 0 && n.ring.OwnerOfTask(run, spec, cur) != n.cfg.NodeID {
@@ -543,89 +527,6 @@ func (n *Node) settle(results []SubmitResult) (maxSeq, committed int, paused boo
 	return maxSeq, committed, paused
 }
 
-// gateBlocked is the non-blocking twin of gateWait, used when deciding
-// whether to extend a speculation window past a task.
-func (n *Node) gateBlocked(task *wf.Task) bool {
-	n.gateMu.Lock()
-	defer n.gateMu.Unlock()
-	for _, k := range task.Reads {
-		if n.paused[k] {
-			return true
-		}
-	}
-	for _, k := range task.Writes {
-		if n.paused[k] {
-			return true
-		}
-	}
-	return false
-}
-
-// gateWait blocks while the task's footprint intersects this node's
-// quiesced keys. Returns false when the node stopped instead.
-func (n *Node) gateWait(task *wf.Task) bool {
-	n.gateMu.Lock()
-	defer n.gateMu.Unlock()
-	for {
-		if n.stopped() {
-			return false
-		}
-		blocked := false
-		for _, k := range task.Reads {
-			if n.paused[k] {
-				blocked = true
-				break
-			}
-		}
-		if !blocked {
-			for _, k := range task.Writes {
-				if n.paused[k] {
-					blocked = true
-					break
-				}
-			}
-		}
-		if !blocked {
-			return true
-		}
-		n.gateCond.Wait()
-	}
-}
-
-// quiesceKeys pauses the executor gate (and, on the sequencer, admission)
-// for the given keys.
-func (n *Node) quiesceKeys(keys []string) {
-	n.gateMu.Lock()
-	for _, k := range keys {
-		n.paused[data.Key(k)] = true
-	}
-	n.gateMu.Unlock()
-	if n.st != nil {
-		n.st.PauseKeys(keys)
-	}
-}
-
-// releaseKeys unpauses the keys once the replica has applied the repair
-// (record `after`), asynchronously.
-func (n *Node) releaseKeys(keys []string, after int) {
-	n.wg.Add(1)
-	go func() {
-		defer n.wg.Done()
-		ctx, cancel := context.WithTimeout(n.stopCtx, 30*time.Second)
-		defer cancel()
-		_ = n.rep.WaitApplied(ctx, after)
-		n.gateMu.Lock()
-		for _, k := range keys {
-			delete(n.paused, data.Key(k))
-		}
-		n.gateCond.Broadcast()
-		n.gateMu.Unlock()
-		if n.st != nil {
-			n.st.ReleaseKeys(keys)
-		}
-	}()
-}
-
 // Submission routing: local call on the sequencer, HTTP to it elsewhere.
 
 func (n *Node) submitEntries(entries []*EntryJSON) ([]SubmitResult, error) {
@@ -651,22 +552,15 @@ func (n *Node) submitForge(run, task string, reads []string, writes map[string]i
 	return n.client.submitForge(n.stamperAddr(), n.cfg.NodeID, run, task, reads, writes)
 }
 
-func (n *Node) submitRepair(bad []wlog.InstanceID) (int, error) {
-	if n.st != nil {
-		return n.st.SubmitRepair(n.cfg.NodeID, bad)
-	}
-	return n.client.submitRepair(n.stamperAddr(), n.cfg.NodeID, bad)
-}
-
 // ---- httpapi.Backend ----
 
 // SubmitRunSpec registers a run through the sequencer together with its
 // first window, speculated on this node's replica from the run's start, and
 // waits until the local replica has applied both (read-your-writes for the
 // submitting client). The admission window ignores task ownership — the
-// stamper's OCC makes where a task executes a latency choice — but stops at
-// this node's gate. A run the window completed is done on return; any other
-// continues through its owners (runLoop), exactly as after a stale verdict.
+// stamper's OCC makes where a task executes a latency choice. A run the
+// window completed is done on return; any other continues through its
+// owners (runLoop), exactly as after a stale or paused verdict.
 func (n *Node) SubmitRunSpec(id string, doc *wfjson.SpecJSON) error {
 	if id == "" {
 		return fmt.Errorf("cluster: %w: empty run id", engine.ErrBadSpec)
@@ -738,17 +632,16 @@ func (n *Node) Trace(run string) []wlog.InstanceID {
 	return out
 }
 
-// ReportAlerts validates a batch and routes each alert to its incident
-// leader (the accused run's owner), falling back to leading locally when
-// the leader is unreachable.
+// ReportAlerts validates a batch against the local replica and admits each
+// alert on the stamper, the cluster's one incident leader: locally there,
+// else with one forward. An alert the unreachable stamper cannot take is
+// dropped and counted lost — no other node can repair.
 func (n *Node) ReportAlerts(alerts []triage.Alert) (admitted, dropped int, err error) {
 	if err := n.checkAlerts(alerts); err != nil {
 		return 0, 0, err
 	}
 	for _, a := range alerts {
-		run, _, _, _ := wlog.ParseInstance(a.Bad[0])
-		leader := n.ring.OwnerOfRun(run)
-		if leader == n.cfg.NodeID {
+		if n.st != nil {
 			if n.admitAlert(a.Bad) {
 				admitted++
 			} else {
@@ -757,18 +650,14 @@ func (n *Node) ReportAlerts(alerts []triage.Alert) (admitted, dropped int, err e
 			continue
 		}
 		n.o.proxied("alerts")
-		ad, dr, ferr := n.client.forwardAlert(n.peerAddr(leader), a.Bad, n.rep.Applied())
+		ad, dr, ferr := n.client.forwardAlert(n.stamperAddr(), a.Bad)
 		if ferr != nil {
 			var ae *apiError
 			if errors.As(ferr, &ae) {
 				return admitted, dropped, ferr
 			}
-			// Leader unreachable: lead the incident from here.
-			if n.admitAlert(a.Bad) {
-				admitted++
-			} else {
-				dropped++
-			}
+			n.alertsLost.Add(1)
+			dropped++
 			continue
 		}
 		admitted += ad
@@ -808,7 +697,8 @@ func (n *Node) RetryAfterSeconds() int {
 	return shard.EstimateRetryAfter(int(n.pendingAlerts.Load()), shard.DefaultDrainSecPerAlert)
 }
 
-// StateString is the §IV.C classification of this node.
+// StateString is the §IV.C classification of this node: only the stamper,
+// which leads every incident, is ever in SCAN or RECOVERY.
 func (n *Node) StateString() string {
 	if n.inIncident.Load() {
 		return "RECOVERY"
@@ -1052,13 +942,4 @@ func (n *Node) ClusterDoc() any {
 		info.Members = append(info.Members, m)
 	}
 	return info
-}
-
-func sortedKeyList(set map[string]bool) []string {
-	out := make([]string, 0, len(set))
-	for k := range set {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -74,7 +74,7 @@ type replica struct {
 	ropts recovery.Options
 	// tally is the repair accounting: every replica counts the repairs it
 	// installs alike; the one that computed a repair also audits its
-	// schedule, and an incident leader counts a repair the stamper refused.
+	// schedule, and counts a repair it refused.
 	tally machine.Tally
 }
 
@@ -469,7 +469,7 @@ func (r *replica) HasInstance(id wlog.InstanceID) bool {
 }
 
 // DamageKeys computes the damage-key closure of the accused instances on
-// this replica: the keys an incident leader quiesces.
+// this replica: the keys an incident pauses at the stamper's admission gate.
 func (r *replica) DamageKeys(bad []wlog.InstanceID) []string {
 	r.mu.Lock()
 	closure := r.m.DamageKeys(bad)

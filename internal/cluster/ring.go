@@ -20,12 +20,12 @@
 // finish: work is partitioned by a static key-range ring — each run is owned
 // by the node owning the hash of its ID, and each task by the node owning
 // the task's first write key — so such a workflow's control token genuinely
-// travels between processes. Repairs are coordinated per incident by the
-// accused run's owner (the repair leader), which computes the damaged keys
-// on its own replica, quiesces only the nodes owning them (§IV partial
-// quiescence), and asks the stamper for the repair: the stamper computes it
-// once at the stream head and stamps its effect as an adopt record, which
-// every node installs at the same position.
+// travels between processes. The stamper is also the cluster's one incident
+// leader: every node admits its alerts on the stamper's queue, and for each
+// incident the stamper pauses only the damaged keys at its admission gate
+// (§IV partial quiescence), computes the repair once at the stream head and
+// stamps its effect as an adopt record, which every node installs at the
+// same position.
 package cluster
 
 import (
@@ -83,8 +83,8 @@ func (r *Ring) OwnerIndexOfRun(run string) int {
 	return r.ownerIndex(hash32(run))
 }
 
-// OwnerOfRun returns the member owning a run: its repair leader and the
-// executor of its write-free tasks.
+// OwnerOfRun returns the member owning a run: the executor of its
+// write-free tasks. (A run's repair is led by the stamper, whoever owns it.)
 func (r *Ring) OwnerOfRun(run string) string {
 	return r.ids[r.OwnerIndexOfRun(run)]
 }

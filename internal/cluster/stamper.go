@@ -64,9 +64,8 @@ type stamper struct {
 	// every is Config.SnapshotEvery: the checkpoint trigger (≤ 0 disables).
 	every int
 	// pausedKeys is the admission gate of partial quiescence: while an
-	// incident holds keys, no entry touching them is stamped, anywhere in
-	// the cluster — even from nodes that were not asked to quiesce
-	// (a clean node may own a task that READS a damaged key).
+	// incident holds keys, no entry touching them is stamped, from any node
+	// — a task that only READS a damaged key included.
 	pausedKeys map[data.Key]bool
 	// err is the sticky stamping failure: once a journal write or fsync
 	// fails, the stamper cannot prove durability for anything after it and
@@ -454,12 +453,12 @@ func (s *stamper) SubmitForge(origin, run, task string, reads []string, writes m
 
 // SubmitRepair computes the repair of the accused instances at the stream
 // head, once, and stamps its effect as an adopt record that every replica
-// installs, this one included. The caller (the incident leader) has already
-// quiesced the damaged keys' owners; entries admitted meanwhile are stamped
+// installs, this one included. The caller (the incident worker) has already
+// paused the damaged keys; entries admitted before the pause are stamped
 // before it and repaired with the rest. A repair that cannot be computed —
 // one naming an instance a checkpoint buried since the alert's admission
 // fails with recovery.ErrHorizon — stamps nothing and is returned to the
-// leader, which counts it.
+// incident worker, which counts it.
 func (s *stamper) SubmitRepair(origin string, bad []wlog.InstanceID) (int, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -485,7 +484,8 @@ func (s *stamper) PauseKeys(keys []string) {
 	s.n.o.pausedKeys(len(s.pausedKeys))
 }
 
-// ReleaseKeys removes keys from the admission gate.
+// ReleaseKeys removes keys from the admission gate. Incidents run one at a
+// time (incidentWorker), so no released key is still held by another.
 func (s *stamper) ReleaseKeys(keys []string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -182,12 +182,12 @@ func Catalog() []Def {
 		{MClusterRecordsApplied, "gauge", "—", "§VII", "Replication cursor: stream records applied to the local replica."},
 		{MClusterReplicationErrors, "counter", "—", "§VII", "Failed record pushes to a peer, labeled by peer."},
 		{MClusterReplicationLag, "gauge", "—", "§VII", "Records stamped locally but not yet acknowledged by a peer, labeled by peer."},
-		{MClusterProxied, "counter", "—", "§VII", "Client API requests forwarded to the owning node, labeled by route."},
+		{MClusterProxied, "counter", "—", "§VII", "Client API requests forwarded to the stamper, labeled by route."},
 		{MClusterTokensSent, "counter", "—", "§VII", "Workflow control tokens handed to another node (run's next task owned elsewhere)."},
 		{MClusterTokensReceived, "counter", "—", "§VII", "Workflow control tokens accepted from another node."},
 		{MClusterStaleSubmissions, "counter", "—", "§VII", "Optimistic task submissions rejected by the sequencer (frontier or read set no longer current)."},
-		{MClusterPausedKeys, "gauge", "—", "§IV", "Store keys currently quiesced by an incident's partial quiescence."},
-		{MClusterIncidents, "counter", "—", "§IV", "Damage incidents this node led through quiesce, repair at the stamper and release."},
+		{MClusterPausedKeys, "gauge", "—", "§IV", "Store keys an incident's partial quiescence holds at the stamper's admission gate."},
+		{MClusterIncidents, "counter", "—", "§IV", "Damage incidents the stamper, the cluster's one incident leader, led through pause, repair and release."},
 		{MClusterStampBatchSize, "histogram", "—", "§VII", "Records (specs and entries) stamped per group-commit batch (one journal fsync amortized across each batch)."},
 		{MClusterReplicationBytes, "counter", "—", "§VII", "Binary replication body bytes, labeled by direction (dir=in received, dir=out sent)."},
 		{MClusterJournalErrors, "counter", "—", "§VII", "Record-journal append failures (the replica stays ahead of its journal; -join catch-up heals the gap)."},

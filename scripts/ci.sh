@@ -38,7 +38,7 @@ fi
 # A cluster run's registration carries its first window (docs/CLUSTER.md
 # "Pipelined execution"): the fast path commits a whole run in the spec's
 # stamp group, windows speculated from one replica position both commit,
-# and a window cut short by a stale read or a quiesced key falls back to
+# and a window cut short by a stale read or a paused key falls back to
 # the owners with the same store.
 go test -race -count=20 -run '^(TestRunCommitsAtAdmission|TestAdmissionWindowsFromOnePosition|TestAdmissionWindowFallsBack)$' ./internal/cluster/
 
@@ -47,7 +47,7 @@ go test -race -count=20 -run '^(TestRunCommitsAtAdmission|TestAdmissionWindowsFr
 # forget what it covers; a rebooted follower equals a live peer; -join
 # below the peers' horizon starts from a snapshot; an alert beneath the
 # horizon is refused alike everywhere, and a repair beneath it by the
-# stamper, which stamps nothing and answers its incident leader (a legacy
+# stamper, which stamps nothing and counts the refusal once (a legacy
 # repair record is refused alike by every replica that applies it).
 go test -race -count=10 -run '^(TestSnapshotsByteIdentical|TestClusterRestartEqualsLive|TestJoinBelowHorizon|TestClusterAlertBelowHorizon|TestReplicaRefusesRepairBelowHorizon|TestStamperRefusesRepairBelowHorizon|TestMemFramesCheckpointRetiresPrevious)$' ./internal/cluster/
 if grep -rn --include='*.go' --exclude='*_test.go' 'do not checkpoint' internal/cluster/; then
@@ -97,10 +97,20 @@ if grep -nE --include='*.go' --exclude='*_test.go' -r -e 'SumCompute\(' -e 'Thre
     exit 1
 fi
 
-# An alert forwarded to its incident leader carries the forwarder's applied
-# position, and the leader waits for it before refusing an instance it has
-# not applied yet (docs/CLUSTER.md).
-go test -race -count=10 -run '^TestForwardedAlertWaitsForForge$' ./internal/cluster/
+# One incident leader (docs/CLUSTER.md "One incident leader, partial
+# quiescence"): every alert is admitted on the stamper, which pauses the
+# damaged keys at its admission gate, repairs and releases, one incident at
+# a time — two incidents pausing one key hold it until the later releases;
+# a clean run completes mid-incident; an alert through a follower is
+# repaired while replication to a third node lags; with the stamper
+# unreachable the alert is dropped and counted lost.
+go test -race -count=10 -run '^(TestOverlappingIncidentsHoldTheGate|TestPartialQuiescence|TestForwardedAlertRepairsLaggingNode|TestAlertDroppedWhenStamperDown)$' ./internal/cluster/
+# Route gate: no second incident leader. No non-test file in
+# internal/cluster registers the per-node quiesce, release or repair routes.
+if grep -rnE --include='*.go' --exclude='*_test.go' '/internal/v1/(quiesce|release|repair)' internal/cluster/; then
+    echo "leader gate: internal/cluster serves a quiesce, release or repair route again (the stamper is the one incident leader)" >&2
+    exit 1
+fi
 
 # Table gate: outside tests, shard, cluster and machine code compiles
 # long-lived specs only through the service's intern table (wfjson.BuildIn,
@@ -238,8 +248,8 @@ fi
 go test -race -count=10 -run '^TestHorizonAtEqualsFullScan$' ./internal/machine/
 go test -race -count=10 -run '^(TestRuntimesCaptureAlike|TestRepairResyncsOnlyRewrittenRuns|TestAdoptEqualsLegacyRepair)$' ./internal/cluster/
 
-# Repair once, replicate its effect (docs/CLUSTER.md "Incidents"): the
-# stamper computes a cluster repair once, over the one dependence graph
+# Repair once, replicate its effect (docs/CLUSTER.md "One incident leader,
+# partial quiescence"): the stamper computes a cluster repair once, over the one dependence graph
 # internal/cluster builds, and stamps its effect as an adopt record, which
 # every replica installs through machine.Machine.Install — followers build
 # no graph and run no repair. Nothing stamps the legacy repair record any

@@ -9,10 +9,10 @@
 //     and wait for it to complete;
 //  2. snapshot the byte-exact /api/v1/store of every node as the baseline;
 //  3. inject a forged commit corrupting the workflow's data and report it,
-//     both through a follower (submission proxying + leader routing);
-//  4. SIGKILL that follower mid-repair — inside the incident's quiesce
-//     window, widened by -quiesce-hold — while the survivors finish the
-//     repair without it;
+//     both through follower c, which proxies the forge and forwards the
+//     alert to the stamper a, the cluster's one incident leader;
+//  4. SIGKILL c mid-repair — inside the stamper's incident hold, widened
+//     by -quiesce-hold — while the survivors finish the repair without it;
 //  5. restart the killed node on its journal with -join and drain;
 //  6. require every node's store to be byte-identical to the baseline:
 //     the attack fully undone, the rejoined replica fully converged;
@@ -123,7 +123,7 @@ func (s *smoke) run() {
 	}
 
 	// Derive the same ownership ring the nodes use, and pick one write key
-	// per member plus a run ID whose incident leader survives the kill.
+	// per member.
 	ring := cluster.NewRing(ids)
 	keyOf := map[string]string{}
 	for i := 0; len(keyOf) < len(ids); i++ {
@@ -133,13 +133,7 @@ func (s *smoke) run() {
 			keyOf[owner] = k
 		}
 	}
-	run := ""
-	for i := 0; ; i++ {
-		run = fmt.Sprintf("smoke%d", i)
-		if ring.OwnerOfRun(run) != "c" {
-			break // the leader must not be the node we SIGKILL
-		}
-	}
+	const run = "smoke"
 
 	// A chain crossing all three nodes, submitted through follower b.
 	chain := []string{keyOf["a"], keyOf["b"], keyOf["c"]}
@@ -179,8 +173,8 @@ func (s *smoke) run() {
 	}
 
 	// Attack through the follower we will kill: forge a corrupt commit,
-	// report it (c routes the alert to the surviving leader), then SIGKILL
-	// c inside the quiesce window.
+	// report it (c forwards the alert to the stamper a, which leads the
+	// incident), then SIGKILL c inside the stamper's hold.
 	s.post("c", "/api/v1/chaos/forge", map[string]any{
 		"run": run, "task": "x", "writes": map[string]int64{chain[0]: 9999},
 	}, nil)
