@@ -160,7 +160,7 @@ func serveCluster(addr, nodeID, peersFlag, dir string, join bool, hold time.Dura
 func main() {
 	addr := flag.String("addr", "127.0.0.1:8080", "listen address (port 0 picks a free port)")
 	shards := flag.Int("shards", 4, "worker shards for the execution layer")
-	strict := flag.Bool("strict", false, "Theorem-4 strict mode: quiesce shards for whole SCAN+RECOVERY")
+	strict := flag.Bool("strict", false, "Theorem-4 strict mode: pause every key for whole SCAN+RECOVERY")
 	triageOn := flag.Bool("triage", false, "streaming alert triage: cone coalescing, covered-alert prefilter, Report-time dedupe (docs/TRIAGE.md)")
 	durableDir := flag.String("durable", "", "WAL directory: persist all state and restore it on boot (docs/DURABILITY.md)")
 	snapEvery := flag.Int("snapshot-every", durable.DefaultSnapshotEvery, "checkpoint interval in committed entries: with -durable or -peers, snapshot and forget at the head once this many entries committed past the horizon; in memory, forget three intervals beneath the head (0 disables)")

@@ -315,9 +315,13 @@ func TestClusterRestartEqualsLive(t *testing.T) {
 	if got := live.StoreSnapshot(); got["fresh"] != 0 {
 		t.Fatalf("the clean repair left the forged write: fresh = %d", got["fresh"])
 	}
-	// The refused incident releases the keys it paused, the held one among
-	// them (it is in the damage closure): the held runs then finish.
-	repair(keys["a"][3], 0)
+	// The refused incident pauses and releases the keys of its damage
+	// closure, the held one among them, which the test's own pause still
+	// holds: the held runs finish only once that pause ends too.
+	repair(keys["a"][3], held)
+	h.nodes["a"].ReleaseKeys(hold)
+	h.settle(0, 20*time.Second)
+	h.assertStoresIdentical()
 	// Every node installed the one repair the stamper computed, and counts
 	// it alike; the refused one was stamped nowhere, and only the stamper,
 	// which leads every incident, counts the refusal.

@@ -512,6 +512,77 @@ func TestPartialQuiescence(t *testing.T) {
 	}
 }
 
+// A window whose head touches a paused key parks at the stamper until the
+// incident releases the key, instead of resubmitting until it does: through
+// a 2 s hold, at most two submissions of the blocked run reach the stamper
+// (the parked one, and its retry if the release beats the count's end), and
+// the run completes after the release. The key is owned by follower b, so
+// b executes the run and every submission crosses HTTP.
+func TestPausedWindowParks(t *testing.T) {
+	ids := []string{"a", "b", "c"}
+	const hold = 2 * time.Second
+	h := startCluster(t, ids, false, func(id string, cfg *cluster.Config) { cfg.QuiesceHold = hold })
+	stamperID := cluster.NewRing(ids).Stamper()
+	key := keysByOwner(ids, 1)["b"][0]
+	entry, stamper := h.nodes["b"], h.nodes[stamperID]
+	if err := entry.SubmitRunSpec("victim", chainSpec([]string{key}, 5)); err != nil {
+		t.Fatalf("submit victim: %v", err)
+	}
+	waitRunDone(t, entry, "victim", 10*time.Second)
+	h.waitIdle(stamperID, 10*time.Second)
+	inst, err := entry.InjectForged("victim", "evil", nil, map[string]int64{key: 999})
+	if err != nil {
+		t.Fatalf("forge: %v", err)
+	}
+
+	var counting atomic.Bool
+	var submits atomic.Int64
+	inner := h.slots[stamperID].h.Load().(handlerBox).h
+	h.slots[stamperID].set(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if counting.Load() && r.URL.Path == "/internal/v1/submit" {
+			submits.Add(1)
+		}
+		inner.ServeHTTP(w, r)
+	}))
+	if _, _, err := entry.ReportAlerts([]triage.Alert{{Bad: []wlog.InstanceID{inst}}}); err != nil {
+		t.Fatalf("alert: %v", err)
+	}
+	paused := func() bool { return h.regs[stamperID].Snapshot()[obs.MClusterPausedKeys] > 0 }
+	deadline := time.Now().Add(5 * time.Second)
+	for !paused() {
+		if time.Now().After(deadline) {
+			t.Fatal("the stamper never paused the damaged key")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	counting.Store(true)
+	start := time.Now()
+	if err := entry.SubmitRunSpec("blocked", chainSpec([]string{key}, 200)); err != nil {
+		t.Fatalf("submit blocked: %v", err)
+	}
+	for paused() {
+		if time.Since(start) > 3*hold {
+			t.Fatal("the incident never released the key")
+		}
+		if info, err := entry.RunInfo("blocked"); err != nil || info.Status != "active" {
+			t.Fatalf("run on the paused key mid-incident: %+v, %v; want active", info, err)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	counting.Store(false)
+	held := time.Since(start)
+	if held < hold/2 {
+		t.Fatalf("counted over %v of a %v hold", held, hold)
+	}
+	if n := submits.Load(); n > 2 {
+		t.Errorf("%d submissions reached the stamper in %v of hold, want at most 2: the paused window polls", n, held)
+	}
+	waitRunDone(t, entry, "blocked", 5*time.Second)
+	if got := stamper.StoreSnapshot()[key]; got != 200 {
+		t.Errorf("%s = %d after the release, want the blocked run's 200", key, got)
+	}
+}
+
 // A journaled follower that goes down mid-attack rejoins with -join and
 // converges: the surviving nodes keep serving (runs whose tasks the dead
 // node owned execute via the local-fallback path), the repair lands, and

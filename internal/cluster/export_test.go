@@ -1,6 +1,10 @@
 package cluster
 
-import "time"
+import (
+	"time"
+
+	"selfheal/internal/data"
+)
 
 // SetJournalSegmentBytes makes node journals rotate at n bytes, so a short
 // test stream spans several segments; the returned func restores the default.
@@ -44,7 +48,15 @@ func (n *Node) CheckReplica() error {
 
 // PauseKeys holds the keys at the stamper's admission gate, as an incident
 // does; n must be the stamper.
-func (n *Node) PauseKeys(keys ...string) { n.st.PauseKeys(keys) }
+func (n *Node) PauseKeys(keys ...string) { n.st.gate.Pause(dataKeys(keys)) }
 
 // ReleaseKeys opens the stamper's admission gate for the keys again.
-func (n *Node) ReleaseKeys(keys ...string) { n.st.ReleaseKeys(keys) }
+func (n *Node) ReleaseKeys(keys ...string) { n.st.gate.Release(dataKeys(keys)) }
+
+func dataKeys(keys []string) []data.Key {
+	out := make([]data.Key, len(keys))
+	for i, k := range keys {
+		out[i] = data.Key(k)
+	}
+	return out
+}

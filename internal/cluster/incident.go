@@ -41,10 +41,11 @@ func (n *Node) incidentWorker() {
 
 // runIncident leads one incident on the stamper: it pauses the damaged keys
 // at the admission gate (§IV partial quiescence — an executor whose window
-// touches one is answered paused and retries, wherever it runs, and a clean
-// node's READ of a damaged key is refused alike), computes the repair once
-// at the stream head and stamps it as an adopt record, then releases the
-// keys. A repair the stamper refuses is counted here, once in the cluster.
+// touches one, wherever it runs, is answered paused once the keys are
+// released, and a clean node's READ of a damaged key is held alike),
+// computes the repair once at the stream head and stamps it as an adopt
+// record, then releases the keys. A repair the stamper refuses is counted
+// here, once in the cluster.
 func (n *Node) runIncident(batch [][]wlog.InstanceID) {
 	n.o.incident()
 	seen := make(map[wlog.InstanceID]bool)
@@ -60,12 +61,14 @@ func (n *Node) runIncident(batch [][]wlog.InstanceID) {
 	sort.Slice(bad, func(i, j int) bool { return bad[i] < bad[j] })
 
 	keys := n.rep.DamageKeys(bad)
-	n.st.PauseKeys(keys)
+	n.st.gate.Pause(keys)
+	n.o.keysPaused(len(keys))
 	if _, err := n.st.SubmitRepair(n.cfg.NodeID, bad); err != nil {
 		n.rep.tally.Fail(fmt.Errorf("cluster: repair of %v: %w", bad, err))
 	}
 	if n.cfg.QuiesceHold > 0 {
 		n.sleep(n.cfg.QuiesceHold)
 	}
-	n.st.ReleaseKeys(keys)
+	n.o.keysPaused(0)
+	n.st.gate.Release(keys)
 }

@@ -302,7 +302,7 @@ func (n *Node) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if len(req.Entries) > 0 {
-		results, err := n.st.SubmitEntries(req.Origin, req.Entries)
+		results, err := n.st.SubmitEntries(r.Context(), req.Origin, req.Entries)
 		if err != nil {
 			writeMappedErr(w, err)
 			return
@@ -314,7 +314,7 @@ func (n *Node) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeInternalErr(w, http.StatusBadRequest, "bad_request", "submit without entry")
 		return
 	}
-	writeInternalJSON(w, http.StatusOK, n.st.SubmitEntry(req.Origin, req.Entry))
+	writeInternalJSON(w, http.StatusOK, n.st.SubmitEntry(r.Context(), req.Origin, req.Entry))
 }
 
 func (n *Node) handleSpec(w http.ResponseWriter, r *http.Request) {
@@ -416,16 +416,20 @@ func (n *Node) handleAlertForward(w http.ResponseWriter, r *http.Request) {
 }
 
 // peerClient is the node-to-node HTTP client: short timeouts for the chatty
-// control plane, long ones for submissions and replication.
+// control plane, long ones for submissions and replication. Its calls end
+// when ctx, the node's lifetime, does: a submission parked at the stamper
+// does not hold up the node's Stop.
 type peerClient struct {
 	short *http.Client
 	long  *http.Client
+	ctx   context.Context
 }
 
-func newPeerClient() *peerClient {
+func newPeerClient(ctx context.Context) *peerClient {
 	return &peerClient{
 		short: &http.Client{Timeout: 2 * time.Second},
 		long:  &http.Client{Timeout: 30 * time.Second},
+		ctx:   ctx,
 	}
 }
 
@@ -441,7 +445,7 @@ func (c *peerClient) call(cl *http.Client, method, addr, path string, in, out an
 		}
 		body = bytes.NewReader(b)
 	}
-	req, err := http.NewRequest(method, "http://"+addr+path, body)
+	req, err := http.NewRequestWithContext(c.ctx, method, "http://"+addr+path, body)
 	if err != nil {
 		return err
 	}

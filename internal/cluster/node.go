@@ -132,12 +132,12 @@ func New(cfg Config) (*Node, error) {
 		cfg:     cfg,
 		ring:    NewRing(ids),
 		rep:     newReplica(),
-		client:  newPeerClient(),
 		o:       hooks{cfg.Registry},
 		stop:    make(chan struct{}),
 		driving: make(map[string]bool),
 	}
 	n.stopCtx, n.stopCancel = context.WithCancel(context.Background())
+	n.client = newPeerClient(n.stopCtx)
 	n.pushCond = sync.NewCond(&n.pushMu)
 	n.journal = newMemFrames()
 	if cfg.Dir != "" {
@@ -407,6 +407,7 @@ func (n *Node) runLoop(run string) {
 			// serializes us against whoever else picks the run up.
 		}
 		if !n.executeWindow(run, spec, cur, visit) {
+			// A submission error: back off before the retry.
 			if !n.sleep(25 * time.Millisecond) {
 				return
 			}
@@ -419,9 +420,10 @@ func (n *Node) runLoop(run string) {
 // commit path. If a foreign record changed what the window read, the
 // stamper's OCC check fails the window's tail as stale and the executor
 // rewinds to the replica (the window's head always commits, so progress is
-// guaranteed exactly as with per-record submission). It returns false when
-// the window must be retried after a pause (submission error, or a head the
-// stamper's admission gate holds while an incident repairs its keys).
+// guaranteed exactly as with per-record submission). A window whose head
+// touches a key an incident paused parks at the stamper until the release,
+// and is answered paused: the next window retries at once. It returns false
+// when the window must be retried after a back-off (a submission error).
 func (n *Node) executeWindow(run string, spec *wf.Spec, cur wf.TaskID, visit int) bool {
 	visits, ok := n.rep.RunVisits(run)
 	if !ok {
@@ -435,13 +437,12 @@ func (n *Node) executeWindow(run string, spec *wf.Spec, cur wf.TaskID, visit int
 	if err != nil || len(results) == 0 {
 		return false
 	}
-	maxSeq, committed, paused := n.settle(results)
 	// Catch the local replica up to the stamper's position before reading
 	// the next frontier (also how a stale executor recomputes correctly).
 	ctx, cancel := context.WithTimeout(n.stopCtx, 5*time.Second)
 	defer cancel()
-	_ = n.rep.WaitApplied(ctx, maxSeq)
-	return !paused || committed > 0
+	_ = n.rep.WaitApplied(ctx, n.settle(results))
+	return true
 }
 
 // speculate executes up to Config.SubmitWindow consecutive tasks of a run
@@ -507,31 +508,28 @@ func (n *Node) speculate(run string, spec *wf.Spec, cur wf.TaskID, visit int, vi
 }
 
 // settle reads the stamper's verdicts on a window: the highest seq they
-// name up to the first rejection (the position to catch the replica up
-// to), how many entries committed before it, and whether it was a pause.
+// name up to the first rejection, the position to catch the replica up to.
 // A stale verdict counts once: every later entry depended on the rejected
 // one and was rejected with it.
-func (n *Node) settle(results []SubmitResult) (maxSeq, committed int, paused bool) {
+func (n *Node) settle(results []SubmitResult) (maxSeq int) {
 	for _, res := range results {
 		maxSeq = max(maxSeq, res.Seq)
 		if res.Status == SubOK || res.Status == SubDup {
-			committed++
 			continue
 		}
 		if res.Status == SubStale {
 			n.o.stale()
 		}
-		paused = res.Status == SubPaused
 		break
 	}
-	return maxSeq, committed, paused
+	return maxSeq
 }
 
 // Submission routing: local call on the sequencer, HTTP to it elsewhere.
 
 func (n *Node) submitEntries(entries []*EntryJSON) ([]SubmitResult, error) {
 	if n.st != nil {
-		return n.st.SubmitEntries(n.cfg.NodeID, entries)
+		return n.st.SubmitEntries(n.stopCtx, n.cfg.NodeID, entries)
 	}
 	return n.client.submitEntries(n.stamperAddr(), n.cfg.NodeID, entries)
 }
@@ -583,7 +581,7 @@ func (n *Node) SubmitRunSpec(id string, doc *wfjson.SpecJSON) error {
 	if err != nil {
 		return err
 	}
-	maxSeq, _, _ := n.settle(results)
+	maxSeq := n.settle(results)
 	ctx, cancel := context.WithTimeout(n.stopCtx, 10*time.Second)
 	defer cancel()
 	if err := n.rep.WaitApplied(ctx, max(seq, maxSeq)); err != nil {

@@ -470,15 +470,14 @@ func (r *replica) HasInstance(id wlog.InstanceID) bool {
 
 // DamageKeys computes the damage-key closure of the accused instances on
 // this replica: the keys an incident pauses at the stamper's admission gate.
-func (r *replica) DamageKeys(bad []wlog.InstanceID) []string {
+func (r *replica) DamageKeys(bad []wlog.InstanceID) []data.Key {
 	r.mu.Lock()
 	closure := r.m.DamageKeys(bad)
 	r.mu.Unlock()
-	out := make([]string, 0, len(closure))
+	out := make([]data.Key, 0, len(closure))
 	for k := range closure {
-		out = append(out, string(k))
+		out = append(out, k)
 	}
-	slices.Sort(out)
 	return out
 }
 

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -8,6 +9,7 @@ import (
 
 	"selfheal/internal/data"
 	"selfheal/internal/engine"
+	"selfheal/internal/machine"
 	"selfheal/internal/wf"
 	"selfheal/internal/wfjson"
 	"selfheal/internal/wlog"
@@ -25,8 +27,9 @@ const (
 	// the stamper's replica. The executor catches its replica up to Seq
 	// and re-executes.
 	SubStale = "stale"
-	// SubPaused: the task's footprint intersects a quiesced incident's
-	// damaged keys. The executor retries after the repair releases.
+	// SubPaused: the task touches a key an incident paused. The stamper
+	// answers it only once a release followed (an entry submission parks
+	// until then), so the executor retries at once.
 	SubPaused = "paused"
 )
 
@@ -63,10 +66,10 @@ type stamper struct {
 	mu sync.Mutex
 	// every is Config.SnapshotEvery: the checkpoint trigger (≤ 0 disables).
 	every int
-	// pausedKeys is the admission gate of partial quiescence: while an
-	// incident holds keys, no entry touching them is stamped, from any node
-	// — a task that only READS a damaged key included.
-	pausedKeys map[data.Key]bool
+	// gate is the admission gate of partial quiescence: while an incident
+	// pauses keys, no entry touching them is stamped, from any node — a task
+	// that only READS a damaged key included.
+	gate *machine.KeyGate
 	// err is the sticky stamping failure: once a journal write or fsync
 	// fails, the stamper cannot prove durability for anything after it and
 	// refuses all further stamping (mirror of the durable WAL's sticky
@@ -81,7 +84,8 @@ type stamper struct {
 // stampJob is one submitter's pending batch: the stamping loop fills
 // results (one verdict per entry, in order) and closes done. A job carrying
 // a spec record registers a run: the loop stamps the spec (setting its Seq)
-// before the job's entries, or refuses the whole job through err.
+// before the job's entries, or refuses the whole job through err. wake is
+// set when a verdict is paused: it closes at the gate's next release.
 type stampJob struct {
 	origin  string
 	spec    *Record
@@ -89,10 +93,11 @@ type stampJob struct {
 	results []SubmitResult
 	err     error
 	done    chan struct{}
+	wake    <-chan struct{}
 }
 
 func newStamper(n *Node) *stamper {
-	s := &stamper{n: n, every: n.cfg.SnapshotEvery, pausedKeys: make(map[data.Key]bool)}
+	s := &stamper{n: n, every: n.cfg.SnapshotEvery, gate: machine.NewKeyGate()}
 	s.qcond = sync.NewCond(&s.qmu)
 	return s
 }
@@ -144,6 +149,7 @@ func (s *stamper) stampJobs(jobs []*stampJob) {
 	}
 	var buf []byte
 	first, stamped := 0, 0
+	wake := s.gate.Wait() // before any verdict: a later release closes it
 	stamp := func(rec *Record) error {
 		rec.Seq = s.n.rep.Applied() + 1
 		if err := s.n.rep.applyStamped(rec); err != nil {
@@ -174,6 +180,9 @@ func (s *stamper) stampJobs(jobs []*stampJob) {
 			res, admit := s.validateEntryLocked(ej)
 			if !admit {
 				job.results[i] = res
+				if res.Status == SubPaused {
+					job.wake = wake
+				}
 				continue
 			}
 			rec := &Record{Kind: KindEntry, Origin: job.origin, Entry: ej.ToEntry()}
@@ -270,17 +279,10 @@ func (s *stamper) validateEntryLocked(ej *EntryJSON) (SubmitResult, bool) {
 			Reason: fmt.Sprintf("frontier is %s#%d", cur, visit)}, false
 	}
 	// Partial-quiescence admission gate: reject anything touching a
-	// quiesced key (reads included — a damaged value must not leak into a
+	// paused key (reads included — a damaged value must not leak into a
 	// new commit while the repair is in flight).
-	for _, k := range task.Reads {
-		if s.pausedKeys[k] {
-			return SubmitResult{Status: SubPaused, Seq: rep.Applied()}, false
-		}
-	}
-	for _, k := range task.Writes {
-		if s.pausedKeys[k] {
-			return SubmitResult{Status: SubPaused, Seq: rep.Applied()}, false
-		}
+	if s.gate.Paused(task.Reads) || s.gate.Paused(task.Writes) {
+		return SubmitResult{Status: SubPaused, Seq: rep.Applied()}, false
 	}
 	// OCC validation: every observed read version must still be the
 	// current committed version on the stamper's replica.
@@ -299,12 +301,23 @@ func (s *stamper) validateEntryLocked(ej *EntryJSON) (SubmitResult, bool) {
 // verdict per entry in submission order. The call blocks until the group-
 // commit loop has made the accepted entries durable. Entries of one batch
 // are validated sequentially against the evolving replica, so a pipelined
-// window may read its own earlier writes.
-func (s *stamper) SubmitEntries(origin string, entries []*EntryJSON) ([]SubmitResult, error) {
+// window may read its own earlier writes. A batch with a paused verdict
+// parks until the gate's next release, or until ctx ends or the node stops:
+// its submitter retries once the incident is over instead of polling.
+func (s *stamper) SubmitEntries(ctx context.Context, origin string, entries []*EntryJSON) ([]SubmitResult, error) {
 	if len(entries) == 0 {
 		return nil, nil
 	}
-	return s.submit(&stampJob{origin: origin, entries: entries})
+	job := &stampJob{origin: origin, entries: entries}
+	results, err := s.submit(job)
+	if err == nil && job.wake != nil {
+		select {
+		case <-job.wake:
+		case <-ctx.Done():
+		case <-s.n.stop:
+		}
+	}
+	return results, err
 }
 
 // SubmitSpec validates a run registration and stamps it together with the
@@ -413,8 +426,8 @@ func (s *stamper) checkpointLocked(origin string) (int, error) {
 
 // SubmitEntry validates an executor's optimistic submission and stamps it —
 // the degenerate one-entry batch through the group-commit loop.
-func (s *stamper) SubmitEntry(origin string, ej *EntryJSON) SubmitResult {
-	res, err := s.SubmitEntries(origin, []*EntryJSON{ej})
+func (s *stamper) SubmitEntry(ctx context.Context, origin string, ej *EntryJSON) SubmitResult {
+	res, err := s.SubmitEntries(ctx, origin, []*EntryJSON{ej})
 	if err != nil {
 		return SubmitResult{Status: SubStale, Seq: s.n.rep.Applied(), Reason: err.Error()}
 	}
@@ -472,27 +485,6 @@ func (s *stamper) SubmitRepair(origin string, bad []wlog.InstanceID) (int, error
 		return 0, err
 	}
 	return s.stampLocked(&Record{Kind: KindAdopt, Origin: origin, Adopt: &eff})
-}
-
-// PauseKeys adds keys to the admission gate (incident quiesce).
-func (s *stamper) PauseKeys(keys []string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, k := range keys {
-		s.pausedKeys[data.Key(k)] = true
-	}
-	s.n.o.pausedKeys(len(s.pausedKeys))
-}
-
-// ReleaseKeys removes keys from the admission gate. Incidents run one at a
-// time (incidentWorker), so no released key is still held by another.
-func (s *stamper) ReleaseKeys(keys []string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, k := range keys {
-		delete(s.pausedKeys, data.Key(k))
-	}
-	s.n.o.pausedKeys(len(s.pausedKeys))
 }
 
 // pusher streams new records to one peer in order, resuming from whatever

@@ -441,7 +441,7 @@ func (s *Store) Clone() *Store {
 // given ones (an empty chain deletes the key) and keeps the slices: the
 // caller must not modify them afterwards. Every runtime installs a repair's
 // effect through it, merging the repaired chains of the damaged keys into the
-// live store while clean shards keep committing to their own keys.
+// live store while clean runs keep committing to their own keys.
 func (s *Store) AdoptChains(chains map[Key][]Version) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -6,7 +6,7 @@
 // restores and repairs only through it, so a restart from a snapshot, a
 // live checkpoint and every deployment mode leave the same state behind
 // and answer the same alerts alike. Tally is the repair accounting each
-// runtime keeps beside it.
+// runtime keeps beside it, and KeyGate the quiesce each pauses keys with.
 //
 // A Machine holds exactly what a restart from a snapshot must reproduce: the
 // engine (log and store), the compiled specs and their intern table, every

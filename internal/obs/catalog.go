@@ -172,8 +172,8 @@ func Catalog() []Def {
 		{MShardCommitEntries, "counter", "—", "§II.A", "Log entries committed through the group-commit pipeline (entries/batches is the achieved fold)."},
 		{MShardRunsCompleted, "counter", "—", "Fig 2", "Sharded runs that reached an end node."},
 		{MShardRunsFailed, "counter", "—", "§VII", "Sharded runs aborted by a task failure."},
-		{MShardQuiesceSeconds, "histogram", "ξ_r", "§IV.C", "Wall-clock time the shards were quiesced for one recovery-unit repair."},
-		{MShardQuiescedShards, "histogram", "—", "§IV", "Shards paused for one recovery-unit repair (partial quiescence scope)."},
+		{MShardQuiesceSeconds, "histogram", "ξ_r", "§IV.C", "Wall-clock time one recovery-unit repair held the damaged keys paused."},
+		{MShardQuiescedShards, "histogram", "—", "§IV", "Shards owning a key one recovery-unit repair paused, counted when the pause drained (the shard count when every key was paused)."},
 		{MShardForgetSeconds, "histogram", "—", "§III", "Time the commit pipeline stalled while the service forgot the history beneath a new horizon."},
 		{MShardForgotten, "counter", "—", "§III", "Log entries the moving horizon dropped: with shard_forget_seconds, the forget cost per entry."},
 		{MHTTPRequests, "counter", "—", "—", "HTTP requests served, labeled by route."},
@@ -186,7 +186,7 @@ func Catalog() []Def {
 		{MClusterTokensSent, "counter", "—", "§VII", "Workflow control tokens handed to another node (run's next task owned elsewhere)."},
 		{MClusterTokensReceived, "counter", "—", "§VII", "Workflow control tokens accepted from another node."},
 		{MClusterStaleSubmissions, "counter", "—", "§VII", "Optimistic task submissions rejected by the sequencer (frontier or read set no longer current)."},
-		{MClusterPausedKeys, "gauge", "—", "§IV", "Store keys an incident's partial quiescence holds at the stamper's admission gate."},
+		{MClusterPausedKeys, "gauge", "—", "§IV", "Store keys an incident's partial quiescence holds at the stamper's admission gate (machine.KeyGate)."},
 		{MClusterIncidents, "counter", "—", "§IV", "Damage incidents the stamper, the cluster's one incident leader, led through pause, repair and release."},
 		{MClusterStampBatchSize, "histogram", "—", "§VII", "Records (specs and entries) stamped per group-commit batch (one journal fsync amortized across each batch)."},
 		{MClusterReplicationBytes, "counter", "—", "§VII", "Binary replication body bytes, labeled by direction (dir=in received, dir=out sent)."},

@@ -74,8 +74,8 @@ type Options struct {
 	// Epoch pins the repair to the log prefix ending at this LSN (0 means
 	// the full log). The dependence snapshot must be taken at this epoch,
 	// and the caller must guarantee that no entry after Epoch belongs to
-	// a damaged component — the shard layer guarantees it by quiescing
-	// the damaged shards before snapshotting, while clean shards keep
+	// a damaged component — the shard layer guarantees it by pausing the
+	// damaged keys before snapshotting, while runs on other keys keep
 	// committing past the epoch. Requires ScopeToDamage, which confines
 	// the replay to chains the post-epoch suffix cannot touch.
 	Epoch int

@@ -34,8 +34,10 @@
 //     (the CTMC's loss model); a dedicated recovery worker analyzes alerts
 //     against O(1) epoch-pinned snapshots of the incremental dependence
 //     graph while normal shards keep stepping, and executes recovery units
-//     with only the damaged shards paused, merging the repaired chains into
-//     the live store under a brief commit-pipeline quiescence.
+//     with only the damaged keys paused (machine.KeyGate: a run whose
+//     footprint avoids them keeps stepping, whatever its shard), merging
+//     the repaired chains into the live store under a brief commit-pipeline
+//     quiescence.
 package shard
 
 import (

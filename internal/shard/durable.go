@@ -28,7 +28,7 @@
 //     synced before the unit retires.
 //
 // A durable checkpoint (Service.Checkpoint, or automatic via
-// Config.SnapshotEvery) quiesces the shards briefly, captures a Snapshot
+// Config.SnapshotEvery) pauses every key briefly, captures a Snapshot
 // through the commit pipeline, writes it, and then forgets what it covers —
 // the log and graph prefix, the store history beneath the epoch, every
 // retired run but its tombstone — exactly as a restart from it would
@@ -210,20 +210,13 @@ func (s *Service) snapshot(auto bool) error {
 	s.submitMu.Lock()
 	defer s.submitMu.Unlock()
 
-	s.mu.Lock()
-	held := s.gateHeld
-	s.mu.Unlock()
-	if !held {
-		s.exec.pauseAll()
-	}
+	s.exec.gate.PauseAll()
 	var snap *durable.Snapshot
 	_ = s.com.exec(func() error { snap = s.gatherSnapshot(); return nil }) // cannot fail
 	if s.captureHook != nil {
 		s.captureHook(snap)
 	}
-	if !held {
-		s.exec.resumeAll()
-	}
+	s.exec.gate.ReleaseAll()
 	// The snapshot covers every record up to its Seq and retires their
 	// segments: it must never name a Seq beyond the durable prefix.
 	if err := s.wal.Sync(); err != nil {
@@ -238,7 +231,7 @@ func (s *Service) snapshot(auto bool) error {
 }
 
 // gatherSnapshot captures the full system state. Runs on the committer
-// goroutine with every shard quiesced and submitMu held: no commit, spec
+// goroutine with every key paused and submitMu held: no commit, spec
 // record or frontier mutation is in flight. Alert records are the one
 // concurrent writer, so Seq and the live-alert set are captured together
 // under alertMu — an alert admitted after the capture has a record beyond

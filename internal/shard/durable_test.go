@@ -224,13 +224,13 @@ func TestDurableRepairSurvivesRestart(t *testing.T) {
 }
 
 // TestCheckpointOfRunRepairedPastItsEnd: a repair can resync an in-flight
-// run past its end (frontier "", done) while the run's shard is paused, and a
+// run past its end (frontier "", done) while the run's keys are paused, and a
 // checkpoint can capture it before its worker retires it. A restart from that
 // snapshot must come back with the run done, not refuse to restore it.
 func TestCheckpointOfRunRepairedPastItsEnd(t *testing.T) {
 	dir := t.TempDir()
 	svc := newDurableSvc(t, dir, Config{Shards: 1})
-	svc.exec.pauseAll()
+	svc.exec.gate.PauseAll()
 	if err := svc.SubmitRunSpec("x", durableDoc("x", 3)); err != nil {
 		t.Fatal(err)
 	}
@@ -240,6 +240,7 @@ func TestCheckpointOfRunRepairedPastItsEnd(t *testing.T) {
 	if err := svc.Checkpoint(context.Background()); err != nil {
 		t.Fatal(err)
 	}
+	svc.exec.gate.ReleaseAll()
 	waitIdle(t, svc)
 	svc.Stop()
 

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"maps"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -28,8 +27,9 @@ const (
 	// RunActive: the run is assigned to a shard and stepping (or waiting
 	// for its turn on that shard).
 	RunActive RunStatus = iota
-	// RunDeferred: the run's key footprint overlaps runs on more than one
-	// shard; it waits in the bounded deferred queue for a sound placement.
+	// RunDeferred: the run waits — in the bounded deferred queue for a
+	// sound placement, its key footprint overlapping runs on more than one
+	// shard, or on its shard for a repair to release a key it touches.
 	RunDeferred
 	// RunDone: the run reached an end node.
 	RunDone
@@ -57,7 +57,7 @@ func (s RunStatus) String() string {
 // and, once it retires, its status live in the machine.
 type runState struct {
 	run   *engine.Run
-	keys  []data.Key // the spec's footprint (shared, read-only); nil once retired
+	keys  []data.Key // the spec's footprint (shared, read-only)
 	shard int        // owning shard; -1 while deferred
 	state RunStatus  // RunActive or RunDeferred
 }
@@ -70,22 +70,27 @@ type runState struct {
 // reads always name the latest versions committed before its LSN, exactly
 // as if the steps had been executed one at a time (shard_test.go replays
 // the log to verify this).
+//
+// gate is the §IV quiesce: a worker steps a run only inside gate.Enter of
+// the run's footprint, and reads none of the run's fields outside it, so a
+// pause of the damaged keys gives recovery a still view of exactly the runs
+// touching them — for the store install and the frontier resyncs — while
+// every other run, on any shard, keeps stepping.
 type executor struct {
-	m     *machine.Machine
-	eng   *engine.Engine
-	com   *committer
-	gates []*gate // one quiesce gate per shard
+	m    *machine.Machine
+	eng  *engine.Engine
+	com  *committer
+	gate *machine.KeyGate
 
 	mu sync.Mutex
 	// runs holds every live run, placed or deferred; a run leaves it when
 	// it retires, and the machine records its final status (finish). Lock
 	// order: mu, then the machine's.
 	runs     map[string]*runState
-	keyOwner map[data.Key]int  // shard currently owning the key
-	keyRefs  map[data.Key]int  // active runs on the owner touching it
-	recKeys  map[data.Key]bool // keys under recovery; placements touching them defer
-	load     []int             // active runs per shard
-	deferred []*runState       // bounded conflict backlog, FIFO
+	keyOwner map[data.Key]int // shard currently owning the key
+	keyRefs  map[data.Key]int // active runs on the owner touching it
+	load     []int            // active runs per shard
+	deferred []*runState      // bounded conflict backlog, FIFO
 	deferMax int
 	// Durable mode only: the WAL's durable LSN and error, and each run retired
 	// done → log length at retirement, until the WAL covers it.
@@ -138,17 +143,16 @@ func newExecutor(m *machine.Machine, com *committer, shards, inbox, deferMax int
 		m:        m,
 		eng:      m.Engine(),
 		com:      com,
+		gate:     machine.NewKeyGate(),
 		runs:     make(map[string]*runState),
 		keyOwner: make(map[data.Key]int),
 		keyRefs:  make(map[data.Key]int),
-		recKeys:  make(map[data.Key]bool),
 		load:     make([]int, shards),
 		deferMax: deferMax,
 		stopCh:   make(chan struct{}),
 		steps:    make([]atomic.Int64, shards),
 	}
 	for i := 0; i < shards; i++ {
-		x.gates = append(x.gates, newGate())
 		x.workers = append(x.workers, &worker{id: i, x: x, inbox: make(chan *runState, inbox)})
 	}
 	return x
@@ -165,64 +169,21 @@ func (x *executor) start() {
 // in-flight commits can acknowledge.
 func (x *executor) stop() {
 	close(x.stopCh)
-	for _, g := range x.gates {
-		g.close()
-	}
 	x.wg.Wait()
 }
 
-// pauseAll quiesces every shard (Theorem-4 strict gating and full-quiesce
-// repair); resumeAll lifts the pause. Both are idempotent per gate.
-func (x *executor) pauseAll() {
-	for _, g := range x.gates {
-		g.pause()
-	}
-}
-
-func (x *executor) resumeAll() {
-	for _, g := range x.gates {
-		g.resume()
-	}
-}
-
-// beginRecovery marks keys as under recovery — new placements touching any
-// of them defer until endRecovery — and pauses only the shards currently
-// owning one, waiting for their in-flight steps to drain. Shards whose
-// footprints are disjoint from the damage keep serving traffic through the
-// whole RECOVERY window (§IV concurrent recovery). Returns the paused shard
-// IDs for endRecovery.
-func (x *executor) beginRecovery(keys map[data.Key]bool) []int {
+// owners counts the shards owning one of keys: the shards a pause of keys
+// holds still in part.
+func (x *executor) owners(keys []data.Key) int {
 	x.mu.Lock()
-	pause := make(map[int]bool)
-	for k := range keys {
-		x.recKeys[k] = true
+	defer x.mu.Unlock()
+	seen := make(map[int]bool)
+	for _, k := range keys {
 		if x.keyRefs[k] > 0 {
-			pause[x.keyOwner[k]] = true
+			seen[x.keyOwner[k]] = true
 		}
 	}
-	x.mu.Unlock()
-	ids := make([]int, 0, len(pause))
-	for id := range pause {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		x.gates[id].pause()
-	}
-	return ids
-}
-
-// endRecovery clears the recovery key set, resumes the paused shards and
-// redispatches any deferred runs that became placeable.
-func (x *executor) endRecovery(paused []int) {
-	x.mu.Lock()
-	x.recKeys = make(map[data.Key]bool)
-	dispatch := x.redispatchLocked()
-	x.mu.Unlock()
-	for _, id := range paused {
-		x.gates[id].resume()
-	}
-	x.deliver(dispatch)
+	return len(seen)
 }
 
 // submit dispatches a registered run to a shard — or defers it when its
@@ -250,8 +211,7 @@ func (x *executor) submit(r *engine.Run, restored bool) error {
 	x.mu.Unlock()
 
 	// The inbox is sized for bursts; a full inbox only delays delivery,
-	// never drops. A paused shard does not drain its inbox, so delivery
-	// must never block the submitter.
+	// never drops, and never blocks the submitter.
 	x.deliver([]*runState{rs})
 	return nil
 }
@@ -272,7 +232,7 @@ func (x *executor) canAdmit(keys []data.Key) bool {
 }
 
 // deliver hands placed runs to their shards' inboxes without ever blocking
-// the caller: a full (or paused) inbox overflows to a goroutine.
+// the caller: a full inbox overflows to a goroutine.
 func (x *executor) deliver(dispatch []*runState) {
 	for _, d := range dispatch {
 		select {
@@ -288,14 +248,6 @@ func (x *executor) deliver(dispatch []*runState) {
 // shard (keeps overlapping runs serialized); more than one → no sound
 // placement (defer).
 func (x *executor) placeLocked(rs *runState) (int, bool) {
-	// Runs touching keys under recovery wait out the repair: their chains
-	// are being rewritten, and reading them mid-repair would commit stale
-	// observations past the repair's pinned epoch.
-	for _, k := range rs.keys {
-		if x.recKeys[k] {
-			return 0, false
-		}
-	}
 	owner := -1
 	for _, k := range rs.keys {
 		if x.keyRefs[k] == 0 {
@@ -366,8 +318,6 @@ func (x *executor) finish(rs *runState, state RunStatus, err error) {
 			delete(x.keyOwner, k)
 		}
 	}
-	// Placement was the footprint's only reader.
-	rs.keys = nil
 	x.load[rs.shard]--
 	x.obs.load(rs.shard, x.load[rs.shard])
 
@@ -381,9 +331,8 @@ func (x *executor) finish(rs *runState, state RunStatus, err error) {
 		x.failed.Add(1)
 		x.obs.failed.Inc()
 	}
-	// finish runs on a worker goroutine inside its gate; deliver never
-	// blocks, so a send into a paused sibling's full inbox cannot deadlock
-	// against that sibling's pause.
+	// finish runs on a worker inside the gate; deliver never blocks, so two
+	// workers sending into each other's full inboxes cannot deadlock.
 	x.deliver(dispatch)
 }
 
@@ -473,30 +422,29 @@ type worker struct {
 func (w *worker) loop() {
 	defer w.x.wg.Done()
 	for {
-		w.drainInbox()
-		// The shard's gate brackets every access to its runs' mutable
-		// state (pick reads frontiers, step advances them): pausing a
-		// shard's gate therefore guarantees recovery an exclusive,
-		// quiescent view of that shard's runs for the store install and
-		// the frontier resyncs — while other shards keep stepping.
-		gt := w.x.gates[w.id]
-		if !gt.enter() {
+		select {
+		case <-w.x.stopCh:
 			return
+		default:
 		}
-		rs := w.pick()
-		if rs == nil {
-			gt.exit()
-			// Nothing runnable: block for new work or stop.
-			select {
-			case <-w.x.stopCh:
-				return
-			case got := <-w.inbox:
-				w.active = append(w.active, got)
-			}
+		w.drainInbox()
+		if w.stepOne() {
 			continue
 		}
-		w.step(rs)
-		gt.exit()
+		// Nothing runnable. The channel is taken before a second look, so a
+		// release after the first look is not missed; then block for new
+		// work, a release or stop.
+		wake := w.x.gate.Wait()
+		if w.stepOne() {
+			continue
+		}
+		select {
+		case <-w.x.stopCh:
+			return
+		case got := <-w.inbox:
+			w.active = append(w.active, got)
+		case <-wake:
+		}
 	}
 }
 
@@ -511,25 +459,28 @@ func (w *worker) drainInbox() {
 	}
 }
 
-// pick returns the next incomplete run round-robin, retiring finished ones.
-func (w *worker) pick() *runState {
-	for i := 0; i < len(w.active); {
-		rs := w.active[i]
-		if rs.run.Done() {
-			// Completed (either by its own last step or by a recovery
-			// resync that moved the frontier past the end).
-			w.retire(i, rs, RunDone, nil)
+// stepOne steps the next run, round-robin, whose footprint the gate admits
+// — or retires it, when a repair moved it past its end — and reports whether
+// there was one. Runs whose footprint is paused are skipped unread.
+func (w *worker) stepOne() bool {
+	for range w.active {
+		w.next %= len(w.active)
+		rs := w.active[w.next]
+		keys := rs.keys
+		if !w.x.gate.Enter(keys) {
+			w.next++
 			continue
 		}
-		i++
+		if rs.run.Done() {
+			w.retire(w.next, rs, RunDone, nil)
+		} else {
+			w.step(w.next, rs)
+			w.next++
+		}
+		w.x.gate.Exit(keys)
+		return true
 	}
-	if len(w.active) == 0 {
-		return nil
-	}
-	w.next %= len(w.active)
-	rs := w.active[w.next]
-	w.next++
-	return rs
+	return false
 }
 
 func (w *worker) retire(i int, rs *runState, state RunStatus, err error) {
@@ -537,108 +488,23 @@ func (w *worker) retire(i int, rs *runState, state RunStatus, err error) {
 	w.x.finish(rs, state, err)
 }
 
-// step prepares and commits one task of rs. Called inside the gate.
-func (w *worker) step(rs *runState) {
+// step prepares and commits one task of rs, active[i]. Called inside the
+// gate.
+func (w *worker) step(i int, rs *runState) {
 	p, err := w.x.eng.Prepare(rs.run)
-	var cerr error
 	if err == nil && p != nil {
-		cerr = w.x.com.commit(p)
+		err = w.x.com.commit(p)
 	}
-
-	idx := w.indexOf(rs)
-	switch {
-	case err != nil:
-		// Prepare failures (task crash) are terminal for the run.
-		w.retire(idx, rs, RunFailed, err)
-	case cerr != nil:
-		w.retire(idx, rs, RunFailed, cerr)
-	default:
-		if p != nil {
-			w.x.steps[w.id].Add(1)
-			w.x.obs.step(w.id)
-		}
-		if rs.run.Done() {
-			w.retire(idx, rs, RunDone, nil)
-		}
+	if err != nil {
+		// A task crash or a failed commit is terminal for the run.
+		w.retire(i, rs, RunFailed, err)
+		return
 	}
-}
-
-func (w *worker) indexOf(rs *runState) int {
-	for i, a := range w.active {
-		if a == rs {
-			return i
-		}
+	if p != nil {
+		w.x.steps[w.id].Add(1)
+		w.x.obs.step(w.id)
 	}
-	return -1
-}
-
-// gate is one shard's quiesce barrier between normal stepping and
-// recovery-unit execution: the worker enters before preparing and exits
-// after its commit is applied in memory; pause blocks new entries and waits
-// until every in-flight prepare→commit window has drained. Recovery pauses
-// only the gates of shards whose key footprints intersect the damage
-// (executor.beginRecovery) — clean shards, and damage analysis, run fully
-// concurrent. Strict mode pauses every gate for the SCAN+RECOVERY period.
-type gate struct {
-	mu     sync.Mutex
-	cond   *sync.Cond
-	paused bool
-	closed bool
-	active int
-}
-
-func newGate() *gate {
-	g := &gate{}
-	g.cond = sync.NewCond(&g.mu)
-	return g
-}
-
-// enter blocks while the gate is paused; false means the gate closed
-// (executor stopping).
-func (g *gate) enter() bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	for g.paused && !g.closed {
-		g.cond.Wait()
+	if rs.run.Done() {
+		w.retire(i, rs, RunDone, nil)
 	}
-	if g.closed {
-		return false
-	}
-	g.active++
-	return true
-}
-
-func (g *gate) exit() {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.active--; g.active == 0 {
-		g.cond.Broadcast()
-	}
-}
-
-// pause stops new entries and waits for the active count to drain. The
-// commit pipeline must keep running while pause waits (in-flight steps are
-// blocked on commit acknowledgements).
-func (g *gate) pause() {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.paused = true
-	for g.active > 0 && !g.closed {
-		g.cond.Wait()
-	}
-}
-
-func (g *gate) resume() {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.paused = false
-	g.cond.Broadcast()
-}
-
-// close releases every waiter permanently.
-func (g *gate) close() {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.closed = true
-	g.cond.Broadcast()
 }

@@ -41,7 +41,7 @@ type ckptReq struct {
 }
 
 // Checkpoint moves the horizon to the head now and forgets what lies
-// beneath it (forget). A durable service first quiesces its shards briefly,
+// beneath it (forget). A durable service first pauses every key briefly,
 // captures a snapshot and writes it, and its WAL retires the segments the
 // snapshot covers; an in-memory service forgets without a pause. Alerts
 // naming an instance the checkpoint forgot are refused from then on.

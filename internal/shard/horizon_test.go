@@ -189,9 +189,8 @@ func horizonEpisode(t *testing.T, svc *Service, seed int64, checked, admitted fu
 			// Whether a generated run is still in flight at the
 			// checkpoint is up to the scheduler, and on a loaded box an
 			// episode could end with none. One long run, held from its
-			// first step until the checkpoint resumes the shards,
-			// straddles the horizon unless a repair finishing in between
-			// releases its shard early.
+			// first step until the checkpoint is taken, straddles the
+			// horizon.
 			name := fmt.Sprintf("s%d-straddle%d", seed, op)
 			if err := svc.SubmitRunSpec(name, durableDoc(name, 64)); err != nil {
 				t.Fatalf("%s: %v", label, err)
@@ -204,10 +203,11 @@ func horizonEpisode(t *testing.T, svc *Service, seed int64, checked, admitted fu
 					t.Fatalf("%s: run %s never stepped", label, name)
 				}
 			}
-			svc.exec.pauseAll()
+			svc.exec.gate.PauseAll()
 			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 			err := svc.Checkpoint(ctx)
 			cancel()
+			svc.exec.gate.ReleaseAll()
 			if err != nil {
 				t.Fatalf("%s: checkpoint: %v", label, err)
 			}

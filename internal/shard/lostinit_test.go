@@ -48,9 +48,9 @@ func TestSubmitInitSurvivesQueuedFullRepair(t *testing.T) {
 		}
 	}
 
-	// Strict gating: every shard is held for the repair, as handleBatch
-	// holds them for a unit.
-	svc.exec.pauseAll()
+	// Strict gating: every key is paused for the repair, as the recovery
+	// loop pauses them for a unit.
+	svc.exec.gate.PauseAll()
 	repaired := make(chan error, 1)
 	go func() { repaired <- svc.repair(u) }()
 	waitQueued(1)
@@ -66,7 +66,7 @@ func TestSubmitInitSurvivesQueuedFullRepair(t *testing.T) {
 			t.Fatalf("%s: %v", name, err)
 		}
 	}
-	svc.exec.resumeAll()
+	svc.exec.gate.ReleaseAll()
 	waitIdle(t, svc)
 	if svc.Store() != store {
 		t.Fatal("the Strict repair replaced the service's store; repairs merge into the one store")

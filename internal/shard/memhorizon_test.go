@@ -331,7 +331,7 @@ func TestAlertOnPreEpochRunBelowHorizon(t *testing.T) {
 				return newDurableSvc(t, dir, Config{Shards: 2})
 			}
 			svc := boot()
-			svc.exec.pauseAll()
+			svc.exec.gate.PauseAll()
 			if err := svc.SubmitRunSpec("slow", durableDoc("slow", 40)); err != nil {
 				t.Fatal(err)
 			}
@@ -344,7 +344,7 @@ func TestAlertOnPreEpochRunBelowHorizon(t *testing.T) {
 			if err := svc.Checkpoint(context.Background()); err != nil {
 				t.Fatal(err)
 			}
-			svc.exec.resumeAll()
+			svc.exec.gate.ReleaseAll()
 			if !svc.m.PreEpoch()["slow"] {
 				t.Fatal("the checkpoint did not make the live run pre-epoch")
 			}

@@ -224,14 +224,14 @@ func TestClosedWALFailsUndurableRuns(t *testing.T) {
 	svc := startDurable(t, dir, Config{Shards: 4}, durable.Options{})
 	// Paused shards hold every run at a step boundary, so the close lands
 	// mid-flight however fast the steps are.
-	svc.exec.pauseAll()
+	svc.exec.gate.PauseAll()
 	for i := 0; i < runs; i++ {
 		id := fmt.Sprintf("w%d", i)
 		if err := svc.SubmitRunSpec(id, durableDoc(id, steps(i))); err != nil {
 			t.Fatal(err)
 		}
 	}
-	svc.exec.resumeAll()
+	svc.exec.gate.ReleaseAll()
 	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(50 * time.Microsecond) {
 		if info, _ := svc.RunInfo("w0"); info.Status == RunDone.String() {
 			break
@@ -240,7 +240,7 @@ func TestClosedWALFailsUndurableRuns(t *testing.T) {
 			t.Fatal("short run w0 never read done")
 		}
 	}
-	svc.exec.pauseAll()
+	svc.exec.gate.PauseAll()
 	if err := svc.wal.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func TestClosedWALFailsUndurableRuns(t *testing.T) {
 	for _, info := range svc.Runs() {
 		doneAtClose[info.ID] = info.Status == RunDone.String()
 	}
-	svc.exec.resumeAll()
+	svc.exec.gate.ReleaseAll()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := svc.WaitIdle(ctx); !errors.Is(err, durable.ErrClosed) {

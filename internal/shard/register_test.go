@@ -29,7 +29,7 @@ func TestRefusedRegistrationLeavesNoTrace(t *testing.T) {
 			}
 			// Held shards keep a and b active on one shard each, so a run
 			// reading both conflicts across shards.
-			svc.exec.pauseAll()
+			svc.exec.gate.PauseAll()
 			for _, run := range []string{"a", "b"} {
 				if err := svc.SubmitRunSpec(run, durableDoc(run, 2)); err != nil {
 					t.Fatal(err)
@@ -51,7 +51,7 @@ func TestRefusedRegistrationLeavesNoTrace(t *testing.T) {
 			if err := svc.SubmitRunSpec("d", cross("d", map[string]int64{"phantom": 9})); !errors.Is(err, ErrQueueFull) {
 				t.Fatalf("submission past a full deferred queue = %v, want ErrQueueFull", err)
 			}
-			svc.exec.resumeAll()
+			svc.exec.gate.ReleaseAll()
 			waitIdle(t, svc)
 			for _, k := range []data.Key{"ghost", "phantom"} {
 				if v, ok := svc.Store().Get(k); ok {

@@ -73,15 +73,15 @@ type Config struct {
 	// smoke. Never set in production.
 	Fault FaultInjection
 	// Strict selects the paper's strict-correctness strategy (Theorem-4
-	// gating): every shard quiesces for the whole SCAN and RECOVERY
+	// gating): every key is paused for the whole SCAN and RECOVERY
 	// period, so no normal task executes while recovery work is known or
 	// pending. The default (false) is §III.D strategy 3 with §IV partial
 	// quiescence: shards keep stepping through analysis, and each repair
-	// pauses only the shards whose key footprints intersect the damage
-	// closure — clean shards serve new and in-flight runs through the
-	// whole RECOVERY window. Normal tasks that consumed corrupt data
-	// before the pause are folded into the damage closure when the unit
-	// executes, so the final state still converges to the strict one.
+	// pauses only the keys of its damage closure — runs whose footprints
+	// avoid them, on any shard, serve through the whole RECOVERY window.
+	// Normal tasks that consumed corrupt data before the pause are folded
+	// into the damage closure when the unit executes, so the final state
+	// still converges to the strict one.
 	Strict bool
 }
 
@@ -234,14 +234,13 @@ type Service struct {
 	analyzing     bool
 	executing     bool
 	metrics       Metrics
-	gateHeld      bool // recovery goroutine only; under mu for State readers
 	startStopOnce struct{ started, stopped sync.Once }
 
 	// pinHook, when set by a test, runs inside pinView between the graph
 	// snapshot and the spec copy; closureHook runs inside repair between
-	// the damage-key closure and the pause of the shards owning it;
-	// captureHook runs on the recovery goroutine right after a durable
-	// checkpoint's capture, with the shards still quiesced.
+	// the damage-key closure and its pause; captureHook runs on the
+	// recovery goroutine right after a durable checkpoint's capture, with
+	// every key still paused.
 	pinHook, closureHook func()
 	captureHook          func(*durable.Snapshot)
 
@@ -393,8 +392,8 @@ func (s *Service) Start() {
 	})
 }
 
-// Stop shuts the service down: recovery worker first (it may hold the
-// quiesce gate), then the shard workers, then the commit pipeline (still
+// Stop shuts the service down: recovery worker first (it may hold a pause),
+// then the shard workers, then the commit pipeline (still
 // needed to acknowledge in-flight commits until the workers have joined).
 func (s *Service) Stop() {
 	s.startStopOnce.stopped.Do(func() {
@@ -507,6 +506,9 @@ func (s *Service) RunInfo(id string) (RunInfo, error) {
 	info := RunInfo{ID: id}
 	if rs, ok := x.runs[id]; ok {
 		info.Status, info.Shard = rs.state.String(), rs.shard
+		if x.gate.Paused(rs.keys) {
+			info.Status = RunDeferred.String()
+		}
 	} else if st, msg, ok := s.m.Status(id); ok && st == machine.Done {
 		state, err := x.doneLocked(id)
 		info.Status, info.Error = state.String(), errString(err)
@@ -772,11 +774,23 @@ func (s *Service) DrainRecovery(ctx context.Context) error {
 // recoveryLoop is the dedicated recovery worker: it drains alerts into
 // units (SCAN) and executes units (RECOVERY) with alert analysis taking
 // priority, per the §IV.C discipline — a normal task cannot run before all
-// recovery tasks are known only in Strict mode, where the loop holds the
-// shard gate for the whole SCAN+RECOVERY period.
+// recovery tasks are known only in Strict mode, where the loop pauses every
+// key for the whole SCAN+RECOVERY period (Theorem-4 gating).
 func (s *Service) recoveryLoop() {
 	defer s.wg.Done()
-	defer s.releaseGate()
+	held := false // Strict: every key paused until back to NORMAL
+	defer func() {
+		if held {
+			s.exec.gate.ReleaseAll()
+		}
+	}()
+	scan := func(a alert) {
+		if s.cfg.Strict && !held {
+			s.exec.gate.PauseAll()
+			held = true
+		}
+		s.handleBatch(s.drainAlerts(a))
+	}
 	for {
 		// Alerts first: SCAN precedes RECOVERY. Checkpoint requests are
 		// served between units, so a horizon never moves during a repair.
@@ -784,7 +798,7 @@ func (s *Service) recoveryLoop() {
 		case <-s.stopCh:
 			return
 		case a := <-s.alerts:
-			s.handleBatch(s.drainAlerts(a))
+			scan(a)
 			continue
 		case req := <-s.ckptCh:
 			req.resp <- s.checkpoint(req.auto)
@@ -795,14 +809,17 @@ func (s *Service) recoveryLoop() {
 			s.executeUnit()
 			continue
 		}
-		// Back to NORMAL: release the strict-mode gate and block for the
+		// Back to NORMAL: release the strict-mode pause and block for the
 		// next alert.
-		s.releaseGate()
+		if held {
+			s.exec.gate.ReleaseAll()
+			held = false
+		}
 		select {
 		case <-s.stopCh:
 			return
 		case a := <-s.alerts:
-			s.handleBatch(s.drainAlerts(a))
+			scan(a)
 		case req := <-s.ckptCh:
 			req.resp <- s.checkpoint(req.auto)
 		}
@@ -833,31 +850,6 @@ func (s *Service) pendingUnits() int {
 	return len(s.unitQ)
 }
 
-// holdGate quiesces every shard (idempotent); releaseGate resumes them.
-// Only the recovery goroutine calls either (Strict mode).
-func (s *Service) holdGate() {
-	s.mu.Lock()
-	held := s.gateHeld
-	s.mu.Unlock()
-	if held {
-		return
-	}
-	s.exec.pauseAll()
-	s.mu.Lock()
-	s.gateHeld = true
-	s.mu.Unlock()
-}
-
-func (s *Service) releaseGate() {
-	s.mu.Lock()
-	held := s.gateHeld
-	s.gateHeld = false
-	s.mu.Unlock()
-	if held {
-		s.exec.resumeAll()
-	}
-}
-
 // handleBatch turns one drained batch of alerts into units of recovery
 // tasks through the analyzer stage (triage.Stage.Analyze), which reads an
 // epoch-pinned snapshot of the incremental dependence graph, so the
@@ -867,11 +859,6 @@ func (s *Service) releaseGate() {
 // complete between the prefilter's check and the alert being dropped.
 func (s *Service) handleBatch(batch []alert) {
 	start := time.Now()
-	if s.cfg.Strict {
-		// Theorem-4 gating: no normal task may run once recovery work is
-		// known to be pending.
-		s.holdGate()
-	}
 	// §IV.E forced drain: a full unit buffer blocks the analyzer until the
 	// scheduler drains a unit.
 	for s.pendingUnits() >= s.cfg.RecoveryBuf {
@@ -931,7 +918,7 @@ func (s *Service) handleBatch(batch []alert) {
 
 // pinView pins the dependence graph at the current epoch and then copies
 // the registered specs. That order is what makes the copy cover the pinned
-// log prefix while clean shards keep committing: a run is registered before
+// log prefix while clean runs keep committing: a run is registered before
 // its first commit can land, so every run with a commit at or below the
 // pinned epoch was registered before the snapshot and is in a copy taken
 // after it. Copying first would miss a run registered and first-committed in
@@ -982,20 +969,20 @@ func (s *Service) executeUnit() {
 }
 
 // repair is the one repair path of every service, with or without a WAL and
-// in either strategy: the §IV concurrent recovery. It quiesces only the
-// shards owning keys in the damage closure (in Strict mode handleBatch
-// already holds every shard), repairs the damaged components in parallel
-// against an epoch-pinned snapshot, and merges the repaired chains into the
-// live store (install). Clean shards keep committing past the pinned epoch
-// throughout; the scoped repair never reads their chains. A repair that
-// would need history beneath the horizon is refused with
+// in either strategy: the §IV concurrent recovery. It pauses the keys of the
+// damage closure (in Strict mode the recovery loop pauses every key
+// already), repairs the damaged components in parallel against an
+// epoch-pinned snapshot, and merges the repaired chains into the live store
+// (install). Runs whose footprints avoid the paused keys keep committing past
+// the pinned epoch throughout; the scoped repair never reads their chains. A
+// repair that would need history beneath the horizon is refused with
 // recovery.ErrHorizon (machine.Machine.CheckHorizon).
 //
 // Soundness of the scoping is re-checked after the fact: if the repair's
-// own damage closure escaped the quiesced key set (a footprint-bridging
-// spec registered in the window between closure computation and the pause),
-// the result is discarded and the unit is repaired again, still
-// damage-scoped, with every shard quiesced.
+// own damage closure escaped the paused key set (a footprint-bridging spec
+// registered in the window between closure computation and the pause), the
+// result is discarded and the unit is repaired again, still damage-scoped,
+// with every key paused.
 func (s *Service) repair(u *unit) error {
 	// The §IV quiesce scope: the key-footprint components holding a key an
 	// instance of the worst-case undo set read or wrote.
@@ -1006,33 +993,33 @@ func (s *Service) repair(u *unit) error {
 	if s.closureHook != nil {
 		s.closureHook()
 	}
-	var paused []int
+	keys := make([]data.Key, 0, len(dkeys))
+	for k := range dkeys {
+		keys = append(keys, k)
+	}
+	gate := s.exec.gate
+	gate.Pause(keys)
+	defer gate.Release(keys)
 	quiesced := s.cfg.Shards
 	if !s.cfg.Strict {
-		paused = s.exec.beginRecovery(dkeys)
-		quiesced = len(paused)
+		quiesced = s.exec.owners(keys)
 	}
 	quiesceStart := time.Now()
-	// The damaged shards are drained: every commit in a damaged component
-	// is at or below the epoch of the snapshot taken now.
+	// The damaged runs are drained: every commit in a damaged component is
+	// at or below the epoch of the snapshot taken now.
 	res, err := s.repairPinned(u)
-	if err == nil && quiesced < s.cfg.Shards && !coveredBy(res.DamagedKeys, dkeys) {
-		// Coverage violation: the damage reaches keys outside the
-		// quiesced set, which a still-running shard may be committing to.
-		// With every shard paused nothing commits past the pinned epoch,
-		// so the check only matters while some shard runs.
-		s.exec.pauseAll()
+	if err == nil && !s.cfg.Strict && !coveredBy(res.DamagedKeys, dkeys) {
+		// Coverage violation: the damage reaches keys outside the paused
+		// set, which a running step may be committing to. With every key
+		// paused (Strict) nothing commits past the pinned epoch, so the
+		// check only matters while some key is open.
+		gate.PauseAll()
+		defer gate.ReleaseAll()
 		quiesced = s.cfg.Shards
 		res, err = s.repairPinned(u)
 	}
 	if err == nil {
 		err = s.install(res)
-	}
-	if !s.cfg.Strict {
-		if quiesced == s.cfg.Shards {
-			s.exec.resumeAll()
-		}
-		s.exec.endRecovery(paused)
 	}
 	s.o.quiesceSeconds.Observe(time.Since(quiesceStart).Seconds())
 	s.o.quiescedShards.Observe(float64(quiesced))
@@ -1057,10 +1044,10 @@ func (s *Service) repairPinned(u *unit) (*recovery.Result, error) {
 // effect) and, with a WAL, writes that same effect as the adopt record: the
 // replacement chain of every damaged key (nil = deleted) plus the resynced
 // run frontiers. It runs inside com.exec: exclusive with every group
-// commit, so clean shards observe either the pre- or post-repair chains,
+// commit, so clean runs observe either the pre- or post-repair chains,
 // never a torn mix, and the record lands before any later commit's entry
-// record. The record is synced before the shards resume: a run the repair
-// moved past its end must not read done first.
+// record. The record is synced before the keys are released: a run the
+// repair moved past its end must not read done first.
 func (s *Service) install(res *recovery.Result) error {
 	err := s.com.exec(func() error {
 		eff := s.m.EffectOf(res)
@@ -1082,7 +1069,7 @@ func (s *Service) install(res *recovery.Result) error {
 	return s.wal.Sync()
 }
 
-// coveredBy reports whether every repaired key was inside the quiesced set.
+// coveredBy reports whether every repaired key was inside the paused set.
 func coveredBy(damaged []data.Key, dkeys map[data.Key]bool) bool {
 	for _, k := range damaged {
 		if !dkeys[k] {

@@ -112,6 +112,27 @@ if grep -rnE --include='*.go' --exclude='*_test.go' '/internal/v1/(quiesce|relea
     exit 1
 fi
 
+# Quiesce gate (docs/RECOVERY.md "Partial quiescence"): one key gate,
+# machine.KeyGate, is every quiesce of both runtimes. There is exactly one
+# gate type across shard, cluster and machine — no per-shard gate in the
+# shard, no paused-key map of its own at the stamper. A pause drains the
+# steps in flight on its keys and a worker reads nothing of a paused run; a
+# clean run on a damaged run's shard commits while the repair is held; a
+# cluster window on a paused key parks at the stamper instead of polling it.
+gate_types=$(grep -rnE --include='*.go' --exclude='*_test.go' '^type [A-Za-z]*[Gg]ate struct' internal/shard/ internal/cluster/ internal/machine/ | wc -l)
+if [ "$gate_types" -ne 1 ] || ! grep -q '^type KeyGate struct' internal/machine/gate.go; then
+    echo "quiesce gate: want exactly one gate type, machine.KeyGate, across shard, cluster and machine (found $gate_types)" >&2
+    exit 1
+fi
+if grep -rnE --include='*.go' --exclude='*_test.go' '^type gate struct' internal/shard/ \
+    || grep -rn --include='*.go' --exclude='*_test.go' 'pausedKeys' internal/cluster/; then
+    echo "quiesce gate: a second pause mechanism is back (a shard gate type or the stamper's pausedKeys)" >&2
+    exit 1
+fi
+go test -race -count=20 -run '^TestKeyGateNests$' ./internal/machine/
+go test -race -count=10 -run '^(TestQuiesceDrainsAndHidesPausedRuns|TestCleanRunServesOnDamagedShard|TestCleanShardsServeDuringRecovery)$' ./internal/shard/
+go test -race -count=3 -run '^TestPausedWindowParks$' ./internal/cluster/
+
 # Table gate: outside tests, shard, cluster and machine code compiles
 # long-lived specs only through the service's intern table (wfjson.BuildIn,
 # wfjson.DecodeIn with the table — a restore's snapshot specs and replayed
