@@ -422,7 +422,7 @@ func benchShardedThroughput(b *testing.B, shards int) {
 	var elapsed time.Duration
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		svc, err := shard.New(shard.Config{Shards: shards, BatchMax: 8}, nil)
+		svc, err := shard.New(shard.Config{Shards: shards}, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,6 +1,6 @@
 // Command selfheal-server exposes the self-healing workflow system over
 // HTTP: the versioned workflow API backed by the concurrent sharded
-// execution layer (internal/shard), plus the legacy CTMC analysis routes.
+// execution layer (internal/shard).
 //
 //	POST /api/v1/runs                submit a workflow run (wfjson spec)
 //	GET  /api/v1/runs                list run statuses
@@ -10,15 +10,11 @@
 //	GET  /api/v1/store               committed store snapshot
 //
 //	GET /healthz                     liveness
-//	GET /figures                     list of reproducible figure IDs
-//	GET /figure/{id}?format=csv      one figure (table, csv or json)
-//	GET /solve?lambda=1&mu=15&xi=20&buf=15&f=linear&g=linear[&t=4]
-//	                                 steady-state (and transient) metrics
-//	GET /stg.dot?buf=4               the Fig 3 STG as Graphviz DOT
-//	POST /repair                     remote recovery: {snapshot, specs, runs, bad}
-//	                                 → undo/redo sets + repaired final state
 //	GET /metrics                     Prometheus text exposition (internal/obs)
 //	GET /varz                        expvar-style key-sorted JSON snapshot
+//
+// The CTMC analyses — the paper's figures, a custom configuration's
+// metrics and the Fig 3 state graph as DOT — are cmd/ctmc-solve's.
 //
 // With -chaos, the white-box fuzzing hooks mount under /api/v1/chaos
 // (forge, checkpoint, drain, log, verify — docs/FUZZING.md); -audit

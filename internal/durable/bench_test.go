@@ -28,7 +28,7 @@ func benchEntry(i int) *wlog.Entry {
 // rows append through the WAL and demand durability every `batch` entries:
 // batch=1 is the naive fsync-per-entry design the group-commit writer
 // exists to avoid; larger batches amortize one fsync across the group,
-// exactly as the committer's per-batch sync hook does under load.
+// as concurrent commits waiting on one sync do under load.
 func BenchmarkAppend(b *testing.B) {
 	b.Run("mem", func(b *testing.B) {
 		log := wlog.New()

@@ -286,10 +286,10 @@ func (e *Engine) Resync(r *Run, cur wf.TaskID, done bool) error {
 
 // Prepared is one computed-but-uncommitted task execution: the read view,
 // the computed writes and the chosen successor of the run's next task. A
-// Prepared is produced by Prepare and consumed exactly once by Commit or
-// CommitBatch; between the two, the run must not be stepped again. The
-// split is the sharded executor's building block: shards prepare steps in
-// parallel and funnel the commits through a group-commit pipeline.
+// Prepared is produced by Prepare and consumed exactly once by Commit;
+// between the two, the run must not be stepped again. The split is the
+// sharded executor's building block: shards prepare steps in parallel and
+// serialize only the commits.
 type Prepared struct {
 	run   *Run
 	entry *wlog.Entry
@@ -414,31 +414,6 @@ func (e *Engine) Commit(p *Prepared) error {
 		return fmt.Errorf("engine: commit %s: %w", p.entry.ID(), err)
 	}
 	e.apply(p, lsn)
-	return nil
-}
-
-// CommitBatch group-commits prepared steps from distinct runs: one
-// wlog.AppendBatch (a single log-lock acquisition, consecutive LSNs, hooks
-// in LSN order), then the store writes and frontier advances in the same
-// order. The batch is atomic: on a duplicate instance nothing commits.
-func (e *Engine) CommitBatch(ps []*Prepared) error {
-	if len(ps) == 0 {
-		return nil
-	}
-	// A batch holds one step per shard: the usual one stays on the stack
-	// (AppendBatch keeps the entries, not the slice).
-	var buf [16]*wlog.Entry
-	entries := buf[:0]
-	for _, p := range ps {
-		entries = append(entries, p.entry)
-	}
-	first, err := e.log.AppendBatch(entries)
-	if err != nil {
-		return fmt.Errorf("engine: commit batch of %d: %w", len(ps), err)
-	}
-	for i, p := range ps {
-		e.apply(p, first+i)
-	}
 	return nil
 }
 

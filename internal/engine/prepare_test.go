@@ -12,9 +12,10 @@ import (
 	"selfheal/internal/wlog"
 )
 
-// Prepare+CommitBatch over runs with disjoint keys must produce exactly the
-// state and log a serial Step loop produces.
-func TestPrepareCommitBatchMatchesSteps(t *testing.T) {
+// Prepare+Commit over runs with disjoint keys, both runs prepared before
+// either commits, must produce exactly the state and log a serial Step loop
+// produces.
+func TestPrepareCommitMatchesSteps(t *testing.T) {
 	wf1, wf2 := wf.Fig1Specs()
 
 	ref := engine.New(seedStore(), wlog.New())
@@ -36,8 +37,8 @@ func TestPrepareCommitBatchMatchesSteps(t *testing.T) {
 		}
 	}
 
-	// Batched: prepare both runs' next steps, group-commit them in the
-	// same order the serial loop used.
+	// Prepared ahead: prepare both runs' next steps, then commit them in
+	// the same order the serial loop used.
 	for !r1.Done() || !r2.Done() {
 		var batch []*engine.Prepared
 		for _, r := range []*engine.Run{r1, r2} {
@@ -52,8 +53,10 @@ func TestPrepareCommitBatchMatchesSteps(t *testing.T) {
 				batch = append(batch, p)
 			}
 		}
-		if err := eng.CommitBatch(batch); err != nil {
-			t.Fatal(err)
+		for _, p := range batch {
+			if err := eng.Commit(p); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 
@@ -63,7 +66,7 @@ func TestPrepareCommitBatchMatchesSteps(t *testing.T) {
 	for _, e := range ref.Log().Entries() {
 		g, ok := eng.Log().Get(e.ID())
 		if !ok {
-			t.Fatalf("batched log missing %s", e.ID())
+			t.Fatalf("prepared-ahead log missing %s", e.ID())
 		}
 		if g.LSN != e.LSN {
 			t.Fatalf("%s: LSN %d vs %d", e.ID(), g.LSN, e.LSN)
@@ -80,9 +83,9 @@ func seedStore() *data.Store {
 	return st
 }
 
-// A duplicate instance in a batch must commit nothing and leave the runs'
-// frontiers unadvanced (the prepared steps can be retried or discarded).
-func TestCommitBatchAtomicOnDuplicate(t *testing.T) {
+// A duplicate instance must commit nothing and leave the run's frontier
+// unadvanced (the prepared step can be retried or discarded).
+func TestCommitRefusesDuplicate(t *testing.T) {
 	wf1, _ := wf.Fig1Specs()
 	eng := engine.New(seedStore(), wlog.New())
 	r1, _ := eng.NewRun("r1", wf1)
@@ -94,20 +97,20 @@ func TestCommitBatchAtomicOnDuplicate(t *testing.T) {
 	if err := eng.Commit(p1); err != nil {
 		t.Fatal(err)
 	}
-	// Re-submitting the same committed entry in a batch must fail whole.
+	// Committing the same prepared entry twice must fail the second time.
 	p2, err := eng.Prepare(r1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := r1.Current()
-	if err := eng.CommitBatch([]*engine.Prepared{p2, p2}); err == nil {
+	if err := eng.Commit(p2); err != nil {
+		t.Fatal(err)
+	}
+	before, n := r1.Current(), eng.Log().Len()
+	if err := eng.Commit(p2); err == nil {
 		t.Fatal("want duplicate error")
 	}
-	if r1.Current() != before {
-		t.Fatalf("frontier advanced despite failed batch: %s", r1.Current())
-	}
-	if err := eng.CommitBatch([]*engine.Prepared{p2}); err != nil {
-		t.Fatal(err)
+	if r1.Current() != before || eng.Log().Len() != n {
+		t.Fatalf("refused duplicate moved the frontier to %s or the log to %d entries", r1.Current(), eng.Log().Len())
 	}
 }
 
@@ -138,7 +141,7 @@ func TestInterleaveHonorsContext(t *testing.T) {
 }
 
 // TestStepAllocations bounds the allocations of one committed step —
-// Prepare, CommitBatch and the dependence graph's commit hook — for a task
+// Prepare, Commit and the dependence graph's commit hook — for a task
 // of the benchmark's widest shape (2 reads, 2 writes). The instance ID is
 // formatted once and shared by the log index, the graph and the store, and
 // the graph holds each edge as one word: the same loop measured 48
@@ -168,7 +171,7 @@ func TestStepAllocations(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := eng.CommitBatch([]*engine.Prepared{p}); err != nil {
+		if err := eng.Commit(p); err != nil {
 			t.Fatal(err)
 		}
 	})

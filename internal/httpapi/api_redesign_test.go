@@ -277,10 +277,10 @@ func TestAlertPartialDropRetryAfter(t *testing.T) {
 // it on every request wrote, for every server's families.
 func TestOpenAPIEncodedOnce(t *testing.T) {
 	for _, fams := range [][]string{
-		{FamLegacy, FamV1},
-		{FamLegacy, FamV1, FamMetrics},
-		{FamLegacy, FamV1, FamChaos},
-		{FamLegacy, FamV1, FamChaos, FamCluster, FamMetrics},
+		{FamV1},
+		{FamV1, FamMetrics},
+		{FamV1, FamChaos},
+		{FamV1, FamChaos, FamCluster, FamMetrics},
 	} {
 		want := httptest.NewRecorder()
 		writeJSON(want, http.StatusOK, OpenAPIDoc(fams...))
@@ -389,8 +389,8 @@ func TestRouteTableGate(t *testing.T) {
 		m.handle("GET", "/api/v1/cluster", func(http.ResponseWriter, *http.Request) {})
 	})
 	mustPanic("unmounted declared route", func() {
-		m := newAPIMux(FamLegacy)
+		m := newAPIMux(FamV1)
 		m.handle("GET", "/healthz", handleHealth)
-		m.finish() // five more legacy routes were never mounted
+		m.finish() // the /api/v1/ routes were never mounted
 	})
 }

@@ -29,9 +29,8 @@ import (
 // ServerWithChaos returns Server's route set plus the chaos surface.
 func ServerWithChaos(reg *obs.Registry, svc *shard.Service) http.Handler {
 	b := shardBackend{svc: svc}
-	fams := []string{FamLegacy, FamV1, FamChaos}
+	fams := []string{FamV1, FamChaos}
 	return assemble(reg, fams, func(m *apiMux) {
-		legacyRoutes(m)
 		v1Routes(m, b, fams)
 		chaosRoutes(m, b)
 	})

@@ -18,14 +18,13 @@ type ClusterNode interface {
 }
 
 // ClusterServer assembles the client-facing handler of one cluster node:
-// the legacy analysis surface, the stable v1 API, the chaos surface (the
+// the stable v1 API and liveness probe, the chaos surface (the
 // cluster equivalence fuzz harness drives nodes through it) and the cluster
 // topology route. Mount it next to Node.InternalHandler on the same
 // listener.
 func ClusterServer(reg *obs.Registry, node ClusterNode) http.Handler {
-	fams := []string{FamLegacy, FamV1, FamChaos, FamCluster}
+	fams := []string{FamV1, FamChaos, FamCluster}
 	return assemble(reg, fams, func(m *apiMux) {
-		legacyRoutes(m)
 		v1Routes(m, node, fams)
 		chaosRoutes(m, node)
 		m.handle("GET", "/api/v1/cluster", func(w http.ResponseWriter, r *http.Request) {

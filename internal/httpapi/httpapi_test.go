@@ -7,6 +7,9 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"selfheal/internal/obs"
+	"selfheal/internal/shard"
 )
 
 func get(t *testing.T, srv *httptest.Server, path string) (int, string, http.Header) {
@@ -23,173 +26,108 @@ func get(t *testing.T, srv *httptest.Server, path string) (int, string, http.Hea
 	return resp.StatusCode, string(body), resp.Header
 }
 
-func newServer(t *testing.T) *httptest.Server {
-	t.Helper()
-	srv := httptest.NewServer(Handler())
-	t.Cleanup(srv.Close)
-	return srv
-}
+// clusterNode is a ClusterNode over a single-process service: enough to
+// assemble ClusterServer here, where internal/cluster (which imports this
+// package) cannot be used.
+type clusterNode struct{ shardBackend }
 
+func (clusterNode) ClusterDoc() any { return map[string]any{} }
+
+// TestHealthz: every server answers the liveness probe, which
+// cmd/selfheal-fuzz polls, and none serves the analysis routes that
+// cmd/ctmc-solve prints (figures, custom solves, the Fig 3 DOT) or the
+// stateless repair that POST /api/v1/alerts superseded — nor names them in
+// its OpenAPI document.
 func TestHealthz(t *testing.T) {
-	srv := newServer(t)
-	code, body, _ := get(t, srv, "/healthz")
-	if code != http.StatusOK || !strings.Contains(body, `"ok"`) {
-		t.Errorf("healthz: %d %q", code, body)
-	}
-}
-
-func TestFiguresList(t *testing.T) {
-	srv := newServer(t)
-	code, body, hdr := get(t, srv, "/figures")
-	if code != http.StatusOK {
-		t.Fatalf("status %d", code)
-	}
-	if ct := hdr.Get("Content-Type"); ct != "application/json" {
-		t.Errorf("content type %q", ct)
-	}
-	var ids []string
-	if err := json.Unmarshal([]byte(body), &ids); err != nil {
+	svc, err := shard.New(shard.Config{Shards: 1}, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ids) != 15 {
-		t.Errorf("got %d figure IDs", len(ids))
-	}
-}
-
-func TestFigureFormats(t *testing.T) {
-	srv := newServer(t)
-	code, body, _ := get(t, srv, "/figure/4b")
-	if code != http.StatusOK || !strings.Contains(body, "Figure 4b") {
-		t.Errorf("table: %d", code)
-	}
-	code, body, hdr := get(t, srv, "/figure/4b?format=csv")
-	if code != http.StatusOK || !strings.HasPrefix(body, "buffer size,") {
-		t.Errorf("csv: %d %q", code, body[:40])
-	}
-	if ct := hdr.Get("Content-Type"); ct != "text/csv" {
-		t.Errorf("csv content type %q", ct)
-	}
-	code, body, _ = get(t, srv, "/figure/4b?format=json")
-	if code != http.StatusOK {
-		t.Fatalf("json: %d", code)
-	}
-	var fig struct {
-		ID     string `json:"ID"`
-		Series []struct {
-			Name string
-			Y    []float64
-		}
-	}
-	if err := json.Unmarshal([]byte(body), &fig); err != nil {
-		t.Fatal(err)
-	}
-	if fig.ID != "4b" || len(fig.Series) == 0 {
-		t.Errorf("json figure = %+v", fig)
-	}
-}
-
-func TestFigureErrors(t *testing.T) {
-	srv := newServer(t)
-	if code, _, _ := get(t, srv, "/figure/9z"); code != http.StatusNotFound {
-		t.Errorf("unknown figure: %d", code)
-	}
-	if code, _, _ := get(t, srv, "/figure/4b?format=xml"); code != http.StatusBadRequest {
-		t.Errorf("bad format: %d", code)
-	}
-}
-
-func TestSolve(t *testing.T) {
-	srv := newServer(t)
-	code, body, _ := get(t, srv, "/solve?lambda=1&mu=15&xi=20&buf=15")
-	if code != http.StatusOK {
-		t.Fatalf("status %d: %s", code, body)
-	}
-	var resp struct {
-		States int `json:"states"`
-		Steady struct {
-			PNormal float64
-			Loss    float64
-		} `json:"steady"`
-		MeanTimeToLoss *float64 `json:"meanTimeToLoss"`
-	}
-	if err := json.Unmarshal([]byte(body), &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.States != 256 {
-		t.Errorf("states = %d, want 256", resp.States)
-	}
-	if resp.Steady.PNormal < 0.8 {
-		t.Errorf("P(NORMAL) = %g", resp.Steady.PNormal)
-	}
-	if resp.MeanTimeToLoss == nil || *resp.MeanTimeToLoss < 1000 {
-		t.Errorf("mean time to loss = %v", resp.MeanTimeToLoss)
-	}
-}
-
-func TestSolveWithTransient(t *testing.T) {
-	srv := newServer(t)
-	code, body, _ := get(t, srv, "/solve?lambda=1&mu=2&xi=3&buf=15&t=100")
-	if code != http.StatusOK {
-		t.Fatalf("status %d", code)
-	}
-	var resp struct {
-		Transient *struct {
-			Loss float64
-		} `json:"transient"`
-		TransientAt *float64 `json:"transientAt"`
-	}
-	if err := json.Unmarshal([]byte(body), &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Transient == nil || resp.TransientAt == nil {
-		t.Fatal("transient missing")
-	}
-	if resp.Transient.Loss < 0.85 {
-		t.Errorf("transient loss = %g, want Case 6's ~0.9", resp.Transient.Loss)
-	}
-}
-
-func TestSolveErrors(t *testing.T) {
-	srv := newServer(t)
-	for _, path := range []string{
-		"/solve?lambda=abc",
-		"/solve?mu=abc",
-		"/solve?buf=abc",
-		"/solve?f=cubic",
-		"/solve?mu=0",
-		"/solve?t=-1",
+	svc.Start()
+	t.Cleanup(svc.Stop)
+	removed := []string{"/figures", "/figure/{id}", "/solve", "/stg.dot", "/repair"}
+	for name, h := range map[string]http.Handler{
+		"Server":          Server(nil, svc),
+		"ServerWithChaos": ServerWithChaos(obs.NewRegistry(), svc),
+		"ClusterServer":   ClusterServer(nil, clusterNode{shardBackend{svc: svc}}),
 	} {
-		if code, _, _ := get(t, srv, path); code != http.StatusBadRequest {
-			t.Errorf("%s: status %d, want 400", path, code)
+		srv := httptest.NewServer(h)
+		code, body, _ := get(t, srv, "/healthz")
+		if code != http.StatusOK || !strings.Contains(body, `"ok"`) {
+			t.Errorf("%s: healthz: %d %q", name, code, body)
 		}
-	}
-}
-
-func TestSTGDot(t *testing.T) {
-	srv := newServer(t)
-	code, body, hdr := get(t, srv, "/stg.dot?buf=2")
-	if code != http.StatusOK {
-		t.Fatalf("status %d", code)
-	}
-	if ct := hdr.Get("Content-Type"); ct != "text/vnd.graphviz" {
-		t.Errorf("content type %q", ct)
-	}
-	if !strings.Contains(body, "digraph stg") || !strings.Contains(body, `"N"`) {
-		t.Errorf("dot body missing structure")
-	}
-	if code, _, _ := get(t, srv, "/stg.dot?buf=abc"); code != http.StatusBadRequest {
-		t.Errorf("bad buf: %d", code)
+		for _, path := range []string{"/figures", "/figure/4b", "/solve?lambda=1", "/stg.dot"} {
+			if code, _, _ := get(t, srv, path); code != http.StatusNotFound {
+				t.Errorf("%s: GET %s: %d, want 404", name, path, code)
+			}
+		}
+		resp, err := srv.Client().Post(srv.URL+"/repair", "application/json", strings.NewReader("{}"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusNotFound {
+			t.Errorf("%s: POST /repair: %d, want 404", name, resp.StatusCode)
+		}
+		code, body, _ = get(t, srv, "/api/v1/openapi.json")
+		var doc struct {
+			Paths map[string]map[string]any `json:"paths"`
+		}
+		if err := json.Unmarshal([]byte(body), &doc); code != http.StatusOK || err != nil {
+			t.Fatalf("%s: openapi: %d %v", name, code, err)
+		}
+		for _, path := range removed {
+			if _, ok := doc.Paths[path]; ok {
+				t.Errorf("%s: the OpenAPI document names the removed %s", name, path)
+			}
+		}
+		srv.Close()
 	}
 }
 
 func TestMethodNotAllowed(t *testing.T) {
-	srv := newServer(t)
-	resp, err := srv.Client().Post(srv.URL+"/solve", "application/json", strings.NewReader("{}"))
+	srv, _ := v1Server(t)
+	resp, err := srv.Client().Post(srv.URL+"/healthz", "application/json", strings.NewReader("{}"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusMethodNotAllowed {
-		t.Errorf("POST /solve: %d, want 405", resp.StatusCode)
+		t.Errorf("POST /healthz: %d, want 405", resp.StatusCode)
+	}
+}
+
+// discardWriter is a ResponseWriter that keeps nothing but one header map.
+type discardWriter struct{ h http.Header }
+
+func (w discardWriter) Header() http.Header       { return w.h }
+func (discardWriter) Write(b []byte) (int, error) { return len(b), nil }
+func (discardWriter) WriteHeader(int)             {}
+
+// TestObservedRequestAllocations bounds what an observed server allocates
+// per request: every mounted route's request counter is looked up once, at
+// mount, so counting a GET /healthz formats no series name. Formatting it
+// per request made the count 3; the handler itself takes 1 (its
+// Content-Type header value).
+func TestObservedRequestAllocations(t *testing.T) {
+	svc, err := shard.New(shard.Config{Shards: 1}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	h := Server(reg, svc)
+	req := httptest.NewRequest("GET", "/healthz", nil)
+	w := discardWriter{h: http.Header{}}
+	got := testing.AllocsPerRun(1000, func() { h.ServeHTTP(w, req) })
+	t.Logf("%.1f allocations per observed GET /healthz", got)
+	if got > 1 {
+		t.Fatalf("an observed GET /healthz costs %.0f allocations, want at most 1", got)
+	}
+	var sb strings.Builder
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	if want := `http_requests_total{route="GET /healthz"} 1001`; !strings.Contains(sb.String(), want) {
+		t.Fatalf("exposition lacks %s:\n%s", want, sb.String())
 	}
 }

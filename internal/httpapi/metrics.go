@@ -8,25 +8,18 @@ import (
 	"selfheal/internal/obs"
 )
 
-// ObservedHandler returns the analysis routes wired into the observability
-// registry: two exposition endpoints —
+// assemble builds every server variant: a route-table-checked mux for the
+// given families, the caller's mounts, and, when a registry is attached,
+// the two exposition endpoints —
 //
 //	GET /metrics   Prometheus text format (hand-rolled, deterministic order)
 //	GET /varz      expvar-style key-sorted JSON snapshot
 //
 // — plus per-route request counters (http_requests_total{route="..."}) and
 // an overall latency histogram (http_request_seconds). The metric catalog
-// is docs/OBSERVABILITY.md. A nil registry returns the uninstrumented
-// routes, identical to Handler.
-func ObservedHandler(reg *obs.Registry) http.Handler {
-	return assemble(reg, []string{FamLegacy}, func(m *apiMux) { legacyRoutes(m) })
-}
-
-// assemble builds every server variant: a route-table-checked mux for the
-// given families, the caller's mounts, the exposition endpoints when a
-// registry is attached, and the instrumentation wrapper. finish() panics if
-// any declared route of the families was not mounted, so a server that
-// drifts from the route table cannot boot.
+// is docs/OBSERVABILITY.md. finish() panics if any declared route of the
+// families was not mounted, so a server that drifts from the route table
+// cannot boot.
 func assemble(reg *obs.Registry, families []string, mount func(*apiMux)) http.Handler {
 	if reg != nil {
 		families = append(append([]string(nil), families...), FamMetrics)
@@ -52,14 +45,22 @@ func assemble(reg *obs.Registry, families []string, mount func(*apiMux)) http.Ha
 		return mux
 	}
 	reqSeconds := reg.Histogram(obs.MHTTPRequestSeconds, obs.LatencyBuckets)
+	// Every mounted pattern's counter is looked up once, here: a request
+	// neither formats its series name nor takes the registry's lock.
+	requests := make(map[string]*obs.Counter, len(m.seen))
+	for key := range m.seen {
+		requests[key] = reg.Counter(fmt.Sprintf("%s{route=%q}", obs.MHTTPRequests, key))
+	}
+	unmatched := reg.Counter(fmt.Sprintf("%s{route=%q}", obs.MHTTPRequests, "unmatched"))
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		_, pattern := mux.Handler(r)
-		if pattern == "" {
-			pattern = "unmatched"
+		c, ok := requests[pattern]
+		if !ok {
+			c = unmatched
 		}
 		start := time.Now()
 		mux.ServeHTTP(w, r)
 		reqSeconds.Observe(time.Since(start).Seconds())
-		reg.Counter(fmt.Sprintf("%s{route=%q}", obs.MHTTPRequests, pattern)).Inc()
+		c.Inc()
 	})
 }

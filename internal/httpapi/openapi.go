@@ -23,7 +23,7 @@ func OpenAPIDoc(families ...string) map[string]any {
 	paths := map[string]any{}
 	for _, r := range MountedRoutes(families...) {
 		if !strings.HasPrefix(r.Pattern, "/api/v1/") && r.Pattern != "/api/v1" {
-			// The unversioned legacy and exposition surfaces are documented
+			// The liveness probe and the exposition surface are documented
 			// in docs/API.md but are outside the versioned contract.
 			continue
 		}

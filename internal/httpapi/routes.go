@@ -16,15 +16,14 @@ import (
 
 // Route families: which servers mount a row.
 const (
-	// FamV1 is the stable versioned workflow API (every server).
+	// FamV1 is the stable versioned workflow API and the GET /healthz
+	// liveness probe (every server).
 	FamV1 = "v1"
 	// FamChaos is the white-box fuzzing surface (ServerWithChaos and
 	// cluster nodes only; never production).
 	FamChaos = "chaos"
 	// FamCluster is the cluster topology surface (cluster nodes only).
 	FamCluster = "cluster"
-	// FamLegacy is the unversioned analysis surface (/solve, /figures, ...).
-	FamLegacy = "legacy"
 	// FamMetrics is the exposition surface (/metrics, /varz), mounted only
 	// when a registry is attached.
 	FamMetrics = "metrics"
@@ -136,19 +135,8 @@ func Table() []Route {
 			Desc:      "check-index, Theorem-3 audit and recovery-error verdicts for the fuzzing oracles.",
 			Responses: map[string]string{"200": "verify document"}},
 
-		{Method: "GET", Pattern: "/healthz", Family: FamLegacy,
+		{Method: "GET", Pattern: "/healthz", Family: FamV1,
 			Summary: "liveness", Responses: map[string]string{"200": "ok"}},
-		{Method: "GET", Pattern: "/figures", Family: FamLegacy,
-			Summary: "reproducible figure IDs", Responses: map[string]string{"200": "ids"}},
-		{Method: "GET", Pattern: "/figure/{id}", Family: FamLegacy,
-			Summary: "one reproduced figure", Responses: map[string]string{"200": "figure"}},
-		{Method: "GET", Pattern: "/solve", Family: FamLegacy,
-			Summary: "CTMC metrics for a configuration", Responses: map[string]string{"200": "metrics"}},
-		{Method: "GET", Pattern: "/stg.dot", Family: FamLegacy,
-			Summary: "state-transition graph as DOT", Responses: map[string]string{"200": "dot"}},
-		{Method: "POST", Pattern: "/repair", Family: FamLegacy,
-			Summary: "stateless remote recovery", Body: true,
-			Responses: map[string]string{"200": "repair result"}},
 
 		{Method: "GET", Pattern: "/metrics", Family: FamMetrics,
 			Summary: "Prometheus text exposition", Responses: map[string]string{"200": "text"}},

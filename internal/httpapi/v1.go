@@ -36,8 +36,8 @@ import (
 type runRequest struct {
 	// ID names the run; must be unique for the service's lifetime.
 	ID string `json:"id"`
-	// Spec is the declarative workflow (wfjson format, as used by wfrun
-	// and POST /repair). Its init block seeds store keys that have no
+	// Spec is the declarative workflow (wfjson format, as used by
+	// wfrun). Its init block seeds store keys that have no
 	// committed versions yet.
 	Spec wfjson.SpecJSON `json:"spec"`
 }
@@ -90,8 +90,10 @@ type tracedRunInfo struct {
 	Trace []wlog.InstanceID `json:"trace"`
 }
 
-// v1Routes mounts the versioned workflow API over a backend.
+// v1Routes mounts the versioned workflow API over a backend, and the
+// liveness probe.
 func v1Routes(mux *apiMux, b Backend, families []string) {
+	mux.handle("GET", "/healthz", handleHealth)
 	mux.handle("POST", "/api/v1/runs", func(w http.ResponseWriter, r *http.Request) {
 		var req runRequest
 		dec := json.NewDecoder(r.Body)

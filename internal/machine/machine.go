@@ -1,8 +1,8 @@
 // Package machine is the replicated state of a self-healing workflow
 // service and the one implementation of what a horizon does to it. Every
 // runtime holds a Machine — selfheal.System behind its tick loop,
-// shard.Service behind its shards and committer, a cluster replica behind
-// its record stream — and admits alerts, forgets, checks, captures,
+// shard.Service behind its shards and commit pipeline, a cluster replica
+// behind its record stream — and admits alerts, forgets, checks, captures,
 // restores and repairs only through it, so a restart from a snapshot, a
 // live checkpoint and every deployment mode leave the same state behind
 // and answer the same alerts alike. Tally is the repair accounting each

@@ -168,8 +168,8 @@ func Catalog() []Def {
 		{MShardSteps, "counter", "—", "§III.D", "Normal task commits executed, labeled by shard."},
 		{MShardActiveRuns, "gauge", "—", "§III.D", "Runs currently assigned to the shard, labeled by shard."},
 		{MShardDeferredRuns, "gauge", "—", "§III.D", "Runs waiting in the bounded deferred queue for a sound (key-disjoint) shard placement."},
-		{MShardCommitBatches, "counter", "—", "§II.A", "Group commits executed by the commit pipeline."},
-		{MShardCommitEntries, "counter", "—", "§II.A", "Log entries committed through the group-commit pipeline (entries/batches is the achieved fold)."},
+		{MShardCommitBatches, "counter", "—", "§II.A", "Commits executed by the commit pipeline; a batch is one commit of one entry."},
+		{MShardCommitEntries, "counter", "—", "§II.A", "Log entries committed through the commit pipeline (equal to the batches)."},
 		{MShardRunsCompleted, "counter", "—", "Fig 2", "Sharded runs that reached an end node."},
 		{MShardRunsFailed, "counter", "—", "§VII", "Sharded runs aborted by a task failure."},
 		{MShardQuiesceSeconds, "histogram", "ξ_r", "§IV.C", "Wall-clock time one recovery-unit repair held the damaged keys paused."},

@@ -9,6 +9,7 @@ import (
 	"selfheal/internal/httpapi"
 	"selfheal/internal/obs"
 	"selfheal/internal/rtsim"
+	"selfheal/internal/shard"
 	"selfheal/internal/stg"
 )
 
@@ -53,15 +54,20 @@ func TestCatalogDocumented(t *testing.T) {
 }
 
 // TestRegisteredMetricsCataloged wires the full system — runtime, engine,
-// log, virtual-time driver and HTTP service — and checks that every metric
-// family it actually registers is in the catalog, so a new instrumentation
-// site cannot ship undocumented.
+// log, virtual-time driver, sharded service and HTTP server — and checks
+// that every metric family it actually registers is in the catalog, so a
+// new instrumentation site cannot ship undocumented.
 func TestRegisteredMetricsCataloged(t *testing.T) {
 	reg := obs.NewRegistry()
 	if _, err := rtsim.RunObserved(stg.Square(1, 6, 8, 4), 50, 7, reg); err != nil {
 		t.Fatal(err)
 	}
-	srv := httptest.NewServer(httpapi.ObservedHandler(reg))
+	svc, err := shard.New(shard.Config{Shards: 1}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svc.Observe(reg)
+	srv := httptest.NewServer(httpapi.Server(reg, svc))
 	defer srv.Close()
 	for _, path := range []string{"/healthz", "/metrics", "/varz"} {
 		resp, err := srv.Client().Get(srv.URL + path)

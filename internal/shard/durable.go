@@ -55,7 +55,7 @@ import (
 
 // ErrStreamOrder marks a WAL no live service could have written: a spec
 // record seeding a key that an earlier record already wrote. A live service
-// seeds a run's initial values exclusive with group commits and logs only
+// seeds a run's initial values exclusive with commits and logs only
 // the keys it seeded, which had no version yet; the machine's first-writer-
 // wins Init would skip such a key and silently diverge from the store that
 // ran, so the boot refuses the record instead.
@@ -230,8 +230,8 @@ func (s *Service) snapshot(auto bool) error {
 	return s.forgetLive(snap.Horizon(), auto)
 }
 
-// gatherSnapshot captures the full system state. Runs on the committer
-// goroutine with every key paused and submitMu held: no commit, spec
+// gatherSnapshot captures the full system state. Runs inside the commit
+// pipeline with every key paused and submitMu held: no commit, spec
 // record or frontier mutation is in flight. Alert records are the one
 // concurrent writer, so Seq and the live-alert set are captured together
 // under alertMu — an alert admitted after the capture has a record beyond

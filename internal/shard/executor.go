@@ -65,7 +65,7 @@ type runState struct {
 // executor partitions runs across shard workers. The dispatcher invariant
 // is key disjointness: at any moment, each data key is touched by runs of
 // at most one shard. Combined with the engine's read-latest semantics and
-// the single commit pipeline, this makes every concurrent execution
+// the one commit pipeline, this makes every concurrent execution
 // trace-equivalent to the serial execution in LSN order — a task's recorded
 // reads always name the latest versions committed before its LSN, exactly
 // as if the steps had been executed one at a time (shard_test.go replays
@@ -79,7 +79,7 @@ type runState struct {
 type executor struct {
 	m    *machine.Machine
 	eng  *engine.Engine
-	com  *committer
+	com  *pipeline
 	gate *machine.KeyGate
 
 	mu sync.Mutex
@@ -91,7 +91,6 @@ type executor struct {
 	keyRefs  map[data.Key]int // active runs on the owner touching it
 	load     []int            // active runs per shard
 	deferred []*runState      // bounded conflict backlog, FIFO
-	deferMax int
 	// Durable mode only: the WAL's durable LSN and error, and each run retired
 	// done → log length at retirement, until the WAL covers it.
 	durable   func() (int, error)
@@ -129,16 +128,16 @@ func (o execObs) load(shard, n int) {
 	}
 }
 
-func newExecutor(m *machine.Machine, com *committer, shards, inbox, deferMax int) *executor {
-	if shards < 1 {
-		shards = 1
-	}
-	if inbox < 1 {
-		inbox = 16
-	}
-	if deferMax < 0 {
-		deferMax = 0
-	}
+// deferMax bounds the deferred-run queue: a submission whose footprint
+// conflicts across shards past it is refused with ErrQueueFull. inboxCap
+// buffers each shard's run-delivery channel; a full one only delays
+// delivery (deliver).
+const (
+	deferMax = 16
+	inboxCap = 32
+)
+
+func newExecutor(m *machine.Machine, com *pipeline, shards int) *executor {
 	x := &executor{
 		m:        m,
 		eng:      m.Engine(),
@@ -148,12 +147,11 @@ func newExecutor(m *machine.Machine, com *committer, shards, inbox, deferMax int
 		keyOwner: make(map[data.Key]int),
 		keyRefs:  make(map[data.Key]int),
 		load:     make([]int, shards),
-		deferMax: deferMax,
 		stopCh:   make(chan struct{}),
 		steps:    make([]atomic.Int64, shards),
 	}
 	for i := 0; i < shards; i++ {
-		x.workers = append(x.workers, &worker{id: i, x: x, inbox: make(chan *runState, inbox)})
+		x.workers = append(x.workers, &worker{id: i, x: x, inbox: make(chan *runState, inboxCap)})
 	}
 	return x
 }
@@ -165,8 +163,7 @@ func (x *executor) start() {
 	}
 }
 
-// stop halts the workers. The commit pipeline must still be running so
-// in-flight commits can acknowledge.
+// stop halts the workers.
 func (x *executor) stop() {
 	close(x.stopCh)
 	x.wg.Wait()
@@ -195,7 +192,7 @@ func (x *executor) submit(r *engine.Run, restored bool) error {
 	rs := &runState{run: r, keys: r.Spec.Footprint(), shard: -1}
 	x.mu.Lock()
 	shard, ok := x.placeLocked(rs)
-	if !ok && !restored && len(x.deferred) >= x.deferMax {
+	if !ok && !restored && len(x.deferred) >= deferMax {
 		x.mu.Unlock()
 		return fmt.Errorf("shard: run %s conflicts across shards and the deferred queue is full: %w", r.ID, ErrQueueFull)
 	}
@@ -228,7 +225,7 @@ func (x *executor) canAdmit(keys []data.Key) bool {
 	if _, ok := x.placeLocked(&runState{keys: keys}); ok {
 		return true
 	}
-	return len(x.deferred) < x.deferMax
+	return len(x.deferred) < deferMax
 }
 
 // deliver hands placed runs to their shards' inboxes without ever blocking
@@ -410,7 +407,8 @@ func (x *executor) waitIdle(ctx context.Context) error {
 }
 
 // worker is one shard: a goroutine stepping its assigned runs round-robin,
-// preparing locally and committing through the shared pipeline.
+// preparing locally and committing each step itself through the shared
+// pipeline.
 type worker struct {
 	id     int
 	x      *executor

@@ -1,6 +1,8 @@
 package shard
 
 import (
+	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -13,10 +15,10 @@ import (
 // TestSubmitInitSurvivesQueuedFullRepair pins the Strict-mode lost-init
 // defect: a repair under full quiescence whose installation sits in the
 // commit pipeline ahead of a submission's init-seeding job must not make
-// that job seed a store the repair replaced. The committer is held busy so
-// both jobs are queued, in that order, before either runs. The repair merges
-// its chains into the one store, so the service's store is the same object
-// before and after it.
+// that job seed a store the repair replaced. The pipeline is held busy so
+// both jobs wait on it, in that order, before either runs (its mutex wakes
+// parked waiters in arrival order). The repair merges its chains into the
+// one store, so the service's store is the same object before and after it.
 func TestSubmitInitSurvivesQueuedFullRepair(t *testing.T) {
 	svc := startService(t, Config{Shards: 2, Strict: true})
 	store := svc.Store()
@@ -38,11 +40,19 @@ func TestSubmitInitSurvivesQueuedFullRepair(t *testing.T) {
 		blocker <- svc.com.exec(func() error { close(running); <-release; return nil })
 	}()
 	<-running
-	waitQueued := func(n int) {
+	// waitQueued returns once a goroutine inside fn is parked on the
+	// pipeline's mutex, as the goroutine dump shows it.
+	waitQueued := func(fn string) {
 		t.Helper()
-		for deadline := time.Now().Add(10 * time.Second); len(svc.com.reqs) < n; {
+		buf := make([]byte, 1<<20)
+		for deadline := time.Now().Add(10 * time.Second); ; {
+			for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+				if strings.Contains(g, "[sync.Mutex.Lock") && strings.Contains(g, "(*pipeline).exec") && strings.Contains(g, fn) {
+					return
+				}
+			}
 			if time.Now().After(deadline) {
-				t.Fatalf("commit pipeline holds %d queued jobs, want %d", len(svc.com.reqs), n)
+				t.Fatalf("no goroutine in %s waits on the commit pipeline", fn)
 			}
 			time.Sleep(time.Millisecond)
 		}
@@ -53,12 +63,12 @@ func TestSubmitInitSurvivesQueuedFullRepair(t *testing.T) {
 	svc.exec.gate.PauseAll()
 	repaired := make(chan error, 1)
 	go func() { repaired <- svc.repair(u) }()
-	waitQueued(1)
+	waitQueued("(*Service).install")
 	doc := durableDoc("b", 2)
 	doc.Init = map[string]int64{"b.fresh": 15}
 	submitted := make(chan error, 1)
 	go func() { submitted <- svc.SubmitRunSpec("b", doc) }()
-	waitQueued(2)
+	waitQueued("(*Service).registerLocked")
 	close(release)
 
 	for name, ch := range map[string]chan error{"blocker": blocker, "repair": repaired, "submit": submitted} {

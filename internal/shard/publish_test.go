@@ -255,7 +255,7 @@ func TestClosedWALFailsUndurableRuns(t *testing.T) {
 	if err := svc.WaitIdle(ctx); !errors.Is(err, durable.ErrClosed) {
 		t.Fatalf("WaitIdle on a closed WAL = %v, want %v", err, durable.ErrClosed)
 	}
-	// The committer reports the failure with the first step after the
+	// The pipeline reports the failure with the first step after the
 	// close, so no run steps on in memory past it.
 	if extra := svc.Log().Len() - closedAt; extra > runs {
 		t.Errorf("%d entries committed after the WAL closed, want at most one per run (%d)", extra, runs)

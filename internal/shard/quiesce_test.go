@@ -100,7 +100,7 @@ func TestCleanRunServesOnDamagedShard(t *testing.T) {
 // a worker reads nothing of a run whose footprint is paused: a repair's
 // install moving such a run past its end leaves it in place until the
 // release, however busy its shard is with other runs (under -race, the
-// frontier the install writes on the committer goroutine is never read by
+// frontier the install writes inside the commit pipeline is never read by
 // a worker concurrently).
 func TestQuiesceDrainsAndHidesPausedRuns(t *testing.T) {
 	t.Run("in-flight step", func(t *testing.T) {

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"selfheal/internal/data"
@@ -20,7 +21,7 @@ func TestRefusedRegistrationLeavesNoTrace(t *testing.T) {
 			name = "durable"
 		}
 		t.Run(name, func(t *testing.T) {
-			cfg := Config{Shards: 2, DeferMax: 1}
+			cfg := Config{Shards: 2}
 			var svc *Service
 			if durableSvc {
 				svc = newDurableSvc(t, t.TempDir(), cfg)
@@ -45,8 +46,11 @@ func TestRefusedRegistrationLeavesNoTrace(t *testing.T) {
 					{ID: "t1", Reads: []string{"a.k1", "b.k1"}, Writes: []string{run + ".k1"}, Bias: 1},
 				}}
 			}
-			if err := svc.SubmitRunSpec("c", cross("c", nil)); err != nil {
-				t.Fatal(err)
+			for i := 0; i < deferMax; i++ {
+				run := fmt.Sprintf("c%d", i)
+				if err := svc.SubmitRunSpec(run, cross(run, nil)); err != nil {
+					t.Fatalf("submission %s within the deferred bound: %v", run, err)
+				}
 			}
 			if err := svc.SubmitRunSpec("d", cross("d", map[string]int64{"phantom": 9})); !errors.Is(err, ErrQueueFull) {
 				t.Fatalf("submission past a full deferred queue = %v, want ErrQueueFull", err)
@@ -61,8 +65,8 @@ func TestRefusedRegistrationLeavesNoTrace(t *testing.T) {
 			if _, err := svc.RunInfo("d"); !errors.Is(err, engine.ErrUnknownRun) {
 				t.Errorf("refused run d: RunInfo error %v, want ErrUnknownRun", err)
 			}
-			if n := svc.Metrics().RunsSubmitted; n != 3 {
-				t.Errorf("%d runs counted submitted, want 3", n)
+			if n, want := svc.Metrics().RunsSubmitted, 2+deferMax; n != want {
+				t.Errorf("%d runs counted submitted, want %d", n, want)
 			}
 		})
 	}

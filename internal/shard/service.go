@@ -26,17 +26,6 @@ type Config struct {
 	// Shards is the number of worker shards executing normal tasks
 	// (default 1).
 	Shards int
-	// BatchMax bounds how many concurrently submitted commits fold into
-	// one group commit (default 8).
-	BatchMax int
-	// CommitQueue buffers the commit pipeline (default 4×Shards).
-	CommitQueue int
-	// Inbox buffers each shard's run-delivery channel (default 32).
-	Inbox int
-	// DeferMax bounds the deferred-run queue holding submissions whose
-	// key footprints conflict across shards; a full queue rejects with
-	// ErrQueueFull (default 16).
-	DeferMax int
 	// AlertBuf bounds the IDS-alert queue; Report on a full queue drops
 	// the alert, counts it lost and returns ErrQueueFull — the explicit
 	// backpressure matching the CTMC's loss edge (default 8).
@@ -89,18 +78,6 @@ func (c Config) withDefaults() Config {
 	if c.Shards < 1 {
 		c.Shards = 1
 	}
-	if c.BatchMax < 1 {
-		c.BatchMax = 8
-	}
-	if c.CommitQueue < 1 {
-		c.CommitQueue = 4 * c.Shards
-	}
-	if c.Inbox < 1 {
-		c.Inbox = 32
-	}
-	if c.DeferMax == 0 {
-		c.DeferMax = 16
-	}
 	if c.AlertBuf < 1 {
 		c.AlertBuf = 8
 	}
@@ -149,8 +126,8 @@ type Metrics struct {
 	// splits them per shard.
 	NormalSteps int   `json:"normal_steps"`
 	ShardSteps  []int `json:"shard_steps"`
-	// CommitBatches and CommitEntries count group commits and the entries
-	// they carried; Entries/Batches is the achieved group-commit fold.
+	// CommitBatches and CommitEntries count commits and the entries they
+	// carried: each worker commits its own step, so a batch is one entry.
 	CommitBatches int `json:"commit_batches"`
 	CommitEntries int `json:"commit_entries"`
 	// ConesAnalyzed counts damage-cone analyses (AnalyzeGraph calls);
@@ -209,8 +186,8 @@ type unit struct {
 }
 
 // Service is the concurrent self-healing workflow service: N shard workers
-// execute normal tasks (key-disjoint runs in parallel, commits group-
-// committed in LSN order) while a dedicated recovery worker turns IDS
+// execute normal tasks (key-disjoint runs in parallel, each commit
+// serialized in LSN order) while a dedicated recovery worker turns IDS
 // alerts into recovery units and executes them — analysis fully concurrent
 // with normal processing, repair under a brief quiescence.
 //
@@ -223,7 +200,7 @@ type Service struct {
 	m     *machine.Machine
 	eng   *engine.Engine
 	graph *deps.IncrementalGraph
-	com   *committer
+	com   *pipeline
 	exec  *executor
 
 	alerts chan alert
@@ -309,13 +286,13 @@ func newService(cfg Config, m *machine.Machine, graph *deps.IncrementalGraph) *S
 		m:      m,
 		eng:    m.Engine(),
 		graph:  graph,
-		com:    newCommitter(m.Engine(), cfg.BatchMax, cfg.CommitQueue),
+		com:    &pipeline{eng: m.Engine()},
 		alerts: make(chan alert, cfg.AlertBuf),
 		stage:  triage.NewStage(cfg.Triage),
 		stopCh: make(chan struct{}),
 		ckptCh: make(chan ckptReq),
 	}
-	s.exec = newExecutor(m, s.com, cfg.Shards, cfg.Inbox, cfg.DeferMax)
+	s.exec = newExecutor(m, s.com, cfg.Shards)
 	return s
 }
 
@@ -373,11 +350,9 @@ func (s *Service) Store() *data.Store { return s.eng.Store() }
 // Log returns the system log.
 func (s *Service) Log() *wlog.Log { return s.eng.Log() }
 
-// Start spins up the commit pipeline, the shard workers and the recovery
-// worker.
+// Start spins up the shard workers and the recovery worker.
 func (s *Service) Start() {
 	s.startStopOnce.started.Do(func() {
-		s.com.start()
 		s.exec.start()
 		s.wg.Add(1)
 		go s.recoveryLoop()
@@ -393,17 +368,15 @@ func (s *Service) Start() {
 }
 
 // Stop shuts the service down: recovery worker first (it may hold a pause),
-// then the shard workers, then the commit pipeline (still
-// needed to acknowledge in-flight commits until the workers have joined).
+// then the shard workers.
 func (s *Service) Stop() {
 	s.startStopOnce.stopped.Do(func() {
 		close(s.stopCh)
 		s.wg.Wait()
 		s.exec.stop()
-		s.com.stop()
 		if s.wal != nil {
-			// Flush and close the WAL last: the committer's final batches
-			// have synced through it.
+			// Flush and close the WAL last: the workers' final commits
+			// have been logged to it.
 			_ = s.wal.Close()
 		}
 	})
@@ -455,7 +428,7 @@ func (s *Service) registerLocked(id string, spec *wf.Spec, init map[data.Key]dat
 
 	var applied map[data.Key]data.Value
 	if len(init) > 0 || s.wal != nil {
-		// Exclusive with group commits, so a concurrent commit can never
+		// Exclusive with commits, so a concurrent commit can never
 		// slip a version under an Init.
 		if err := s.com.exec(func() error {
 			applied = s.m.Init(init)
@@ -696,8 +669,8 @@ func (s *Service) Metrics() Metrics {
 	m.AlertsPrefiltered, m.AlertsDeduped = tc.Prefiltered, tc.Deduped
 	m.UnitsExecuted, m.RecoveryErrors, m.AuditViolations = rc.Units, rc.Errors, rc.AuditViolations
 	m.Undone, m.Redone, m.NewExecuted = rc.Undone, rc.Redone, rc.NewExecuted
-	m.CommitBatches = int(s.com.batches.Load())
-	m.CommitEntries = int(s.com.entries.Load())
+	m.CommitEntries = int(s.com.commits.Load())
+	m.CommitBatches = m.CommitEntries
 	m.RunsCompleted = int(s.exec.completed.Load())
 	m.RunsFailed = int(s.exec.failed.Load())
 	for i := range s.exec.steps {
@@ -717,8 +690,8 @@ func (s *Service) LastRecoveryError() error { return s.tally.Counts().LastErr }
 func (s *Service) LastAuditError() error { return s.tally.Counts().LastAudit }
 
 // InjectForged commits a forged task through the commit pipeline, so the
-// injection serializes with concurrent group commits exactly like any other
-// log append. A durable service returns once the forged entry is on disk.
+// injection serializes with concurrent commits exactly like any other log
+// append. A durable service returns once the forged entry is on disk.
 func (s *Service) InjectForged(run string, task wf.TaskID, readKeys []data.Key, writes map[data.Key]data.Value) (wlog.InstanceID, error) {
 	var inst wlog.InstanceID
 	err := s.com.exec(func() error {
@@ -1043,8 +1016,7 @@ func (s *Service) repairPinned(u *unit) (*recovery.Result, error) {
 // resyncs the runs it rewrote (machine.Machine.Install of the repair's
 // effect) and, with a WAL, writes that same effect as the adopt record: the
 // replacement chain of every damaged key (nil = deleted) plus the resynced
-// run frontiers. It runs inside com.exec: exclusive with every group
-// commit, so clean runs observe either the pre- or post-repair chains,
+// run frontiers. It runs inside com.exec: exclusive with every commit, so clean runs observe either the pre- or post-repair chains,
 // never a torn mix, and the record lands before any later commit's entry
 // record. The record is synced before the keys are released: a run the
 // repair moved past its end must not read done first.

@@ -98,9 +98,9 @@ func verifySerialInLSNOrder(t *testing.T, log *wlog.Log) *data.Store {
 }
 
 // testExecutor returns an unstarted executor over a fresh machine.
-func testExecutor(shards, inbox, deferMax int) *executor {
+func testExecutor(shards int) *executor {
 	m := machine.New(engine.New(data.NewStore(), wlog.New()), wf.NewInterner())
-	return newExecutor(m, newCommitter(m.Engine(), 1, 1), shards, inbox, deferMax)
+	return newExecutor(m, &pipeline{eng: m.Engine()}, shards)
 }
 
 // submitTo registers a run with x's machine and submits it, as
@@ -120,7 +120,7 @@ func submitTo(x *executor, id string, spec *wf.Spec) error {
 // TestDispatcherPlacement exercises the key-ownership rules deterministically
 // against an unstarted executor (no workers consume the inboxes).
 func TestDispatcherPlacement(t *testing.T) {
-	x := testExecutor(2, 8, 1)
+	x := testExecutor(2)
 
 	if err := submitTo(x, "A", chainSpec("a", 3, 0)); err != nil {
 		t.Fatal(err)
@@ -151,7 +151,17 @@ func TestDispatcherPlacement(t *testing.T) {
 	if x.runs["D"].state != RunDeferred {
 		t.Fatalf("cross-shard run D state %v, want deferred", x.runs["D"].state)
 	}
-	// E conflicts too; the deferred queue (capacity 1) is full.
+	// Fill the rest of the deferred queue with runs reading both shards'
+	// keys; E conflicts too and finds the queue full.
+	for i := 1; i < deferMax; i++ {
+		id := fmt.Sprintf("F%d", i)
+		fill := wf.NewBuilder(id, "t1").
+			Task("t1").Reads("a.k2", "b.k2").Writes(data.Key(id + ".k1")).Compute(wf.SumCompute(1, data.Key(id+".k1"))).
+			End().MustBuild()
+		if err := submitTo(x, id, fill); err != nil {
+			t.Fatal(err)
+		}
+	}
 	mixed2 := wf.NewBuilder("m2", "t1").
 		Task("t1").Reads("a.k1", "b.k1").Writes("m2.k1").Compute(wf.SumCompute(1, "m2.k1")).
 		End().MustBuild()
@@ -178,7 +188,7 @@ func TestDispatcherPlacement(t *testing.T) {
 // time find every shard equally idle, and the tie must not go to shard 0
 // each time. 64 of them over 4 shards give every shard at least 8.
 func TestPlacementSpreadsTies(t *testing.T) {
-	x := testExecutor(4, 64, 1)
+	x := testExecutor(4)
 	per := make([]int, 4)
 	for i := 0; i < 64; i++ {
 		id := fmt.Sprintf("run-%d", i)
@@ -202,7 +212,7 @@ func TestPlacementSpreadsTies(t *testing.T) {
 // the serial replay, and the batch-built dependence graph agrees with the
 // incrementally maintained one.
 func TestShardedSerializable(t *testing.T) {
-	svc := startService(t, Config{Shards: 4, BatchMax: 8})
+	svc := startService(t, Config{Shards: 4})
 	const chain = 12
 	var ids []string
 	for i := 0; i < 6; i++ {
@@ -264,8 +274,8 @@ func TestShardedSerializable(t *testing.T) {
 	}
 
 	m := svc.Metrics()
-	if m.CommitEntries != 10*chain || m.CommitBatches > m.CommitEntries || m.CommitBatches == 0 {
-		t.Fatalf("commit pipeline accounting: %d entries in %d batches", m.CommitEntries, m.CommitBatches)
+	if m.CommitEntries != 10*chain || m.CommitBatches != m.CommitEntries {
+		t.Fatalf("commit pipeline accounting: %d entries in %d batches, want %d in as many", m.CommitEntries, m.CommitBatches, 10*chain)
 	}
 	if m.RunsCompleted != len(ids) || m.NormalSteps != 10*chain {
 		t.Fatalf("metrics: %+v", m)
@@ -337,9 +347,10 @@ func TestAlertBackpressure(t *testing.T) {
 
 // TestDeferredBackpressure drives the bounded deferred queue to rejection
 // with live workers: two slow runs pin disjoint namespaces to two shards,
-// a cross-namespace run defers, a second one is rejected with ErrQueueFull.
+// deferMax cross-namespace runs defer, the next one is rejected with
+// ErrQueueFull.
 func TestDeferredBackpressure(t *testing.T) {
-	svc := startService(t, Config{Shards: 2, DeferMax: 1})
+	svc := startService(t, Config{Shards: 2})
 	if err := svc.SubmitRun("A", chainSpec("a", 30, 2*time.Millisecond)); err != nil {
 		t.Fatal(err)
 	}
@@ -352,21 +363,26 @@ func TestDeferredBackpressure(t *testing.T) {
 			Compute(wf.SumCompute(1, data.Key(name+".k1"))).
 			End().MustBuild()
 	}
-	if err := svc.SubmitRun("C", mixed("c")); err != nil {
-		t.Fatal(err)
-	}
-	if info, err := svc.RunInfo("C"); err != nil || info.Status != "deferred" {
-		t.Fatalf("run C: info %+v err %v, want deferred", info, err)
+	for i := 0; i < deferMax; i++ {
+		id := fmt.Sprintf("C%d", i)
+		if err := svc.SubmitRun(id, mixed(fmt.Sprintf("c%d", i))); err != nil {
+			t.Fatal(err)
+		}
+		if info, err := svc.RunInfo(id); err != nil || info.Status != "deferred" {
+			t.Fatalf("run %s: info %+v err %v, want deferred", id, info, err)
+		}
 	}
 	if err := svc.SubmitRun("D", mixed("d")); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("submit D: err = %v, want ErrQueueFull", err)
 	}
 	waitIdle(t, svc)
-	// C must eventually have been placed and completed — reading the final
-	// values both A and B produced.
-	info, err := svc.RunInfo("C")
-	if err != nil || info.Status != "done" {
-		t.Fatalf("run C after drain: info %+v err %v, want done", info, err)
+	// The deferred runs must eventually have been placed and completed —
+	// reading the final values both A and B produced.
+	for i := 0; i < deferMax; i++ {
+		id := fmt.Sprintf("C%d", i)
+		if info, err := svc.RunInfo(id); err != nil || info.Status != "done" {
+			t.Fatalf("run %s after drain: info %+v err %v, want done", id, info, err)
+		}
 	}
 	verifySerialInLSNOrder(t, svc.Log())
 }

@@ -154,9 +154,13 @@ fi
 
 # Publish-after-durability gate (docs/DURABILITY.md): the commit pipeline
 # never waits on a disk — durability waits belong to whoever hands a result
-# to a client — so the committer names neither a sync nor the WAL package.
-if grep -n -e 'Sync' -e 'durable\.' internal/shard/committer.go; then
-    echo "committer gate: internal/shard/committer.go must not wait on the WAL" >&2
+# to a client — so the pipeline names neither a sync nor the WAL package.
+# Each worker commits its own step under the pipeline's mutex: no goroutine
+# or channel stands between the workers and the log, so nothing group-
+# commits (engine.CommitBatch is gone).
+if grep -nE -e 'Sync' -e 'durable\.' -e 'chan ' -e '(^|[[:space:]])go [a-z]' internal/shard/pipeline.go \
+    || grep -rn --include='*.go' 'CommitBatch(' .; then
+    echo "pipeline gate: internal/shard/pipeline.go waits on the WAL or hands commits to a goroutine, or a group commit is back" >&2
     exit 1
 fi
 # The contracts that replace the wait: done => durable, 201 => spec
@@ -305,8 +309,10 @@ go test -race -count=10 -run '^TestStage$' ./internal/triage/
 go test -race -count=10 -run '^TestRepairPhasesObserved$' ./internal/shard/
 
 # The end-to-end benchmark is its own module (bench/, `replace selfheal =>
-# ../`) compiled against internal packages: vet and its toy-size tests here
-# so internal-API drift against it fails CI, not the next benchmark run.
+# ../`) compiled against internal packages, which `go build ./...` above
+# never enters: build, vet and its toy-size tests here so internal-API drift
+# against it fails CI, not the next benchmark run.
+go build -C bench ./...
 (cd bench && go vet ./... && go test ./...)
 
 # Benchmark smoke: the parallel-repair, mid-recovery and alert-storm

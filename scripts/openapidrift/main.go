@@ -11,7 +11,7 @@
 // from, so this should be impossible to break — which is exactly why it is
 // cheap to assert: a drift here means the generation pipeline itself broke.
 //
-// Usage: openapidrift http://host:port [family...]   (default: legacy v1 metrics)
+// Usage: openapidrift http://host:port [family...]   (default: v1 metrics)
 package main
 
 import (
@@ -33,7 +33,7 @@ func main() {
 	base := os.Args[1]
 	families := os.Args[2:]
 	if len(families) == 0 {
-		families = []string{httpapi.FamLegacy, httpapi.FamV1, httpapi.FamMetrics}
+		families = []string{httpapi.FamV1, httpapi.FamMetrics}
 	}
 
 	resp, err := http.Get(base + "/api/v1/openapi.json")
